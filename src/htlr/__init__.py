@@ -54,13 +54,11 @@ from .kernels import (
 )
 from .operators import (
     BuildConfig,
-    HMatrix,
     HTLRMatrix,
     StorageReport,
     construct,
     construct_hmatrix,
     estimate_rel_error_random,
-    hmatrix_matvec,
     matvec,
     operation_counts,
     storage_report,

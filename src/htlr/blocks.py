@@ -7,6 +7,9 @@ basis matrices are the materialized Kronecker products of the same factors.
 Inadmissible pairs are stored densely.  All blocks carry the quadrature
 weight h^d of the discretization, so materializing any block reproduces the
 corresponding submatrix of the system matrix.
+
+Every block kind answers ``apply(seg)``, ``materialize()`` and ``scalars()``
+(the stored ``(dense, factor, core)`` counts); no other module knows the kinds.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from . import tensor
 from .chebyshev import cheb_points, core_tensor, factor_matrix
@@ -63,6 +65,31 @@ class TuckerBlock:
     def shape(self) -> tuple[int, int]:
         return int(np.prod(self.row_sizes)), int(np.prod(self.col_sizes))
 
+    def apply(self, seg: np.ndarray) -> np.ndarray:
+        return tlr_apply(self, seg)
+
+    def materialize(self) -> np.ndarray:
+        d = len(self.u_factors)
+        updates = [
+            (self.u_factors[dim], dim + 1)
+            for dim in range(d)
+            if self.u_factors[dim] is not None
+        ]
+        updates += [
+            (self.v_factors[dim], d + dim + 1)
+            for dim in range(d)
+            if self.v_factors[dim] is not None
+        ]
+        full = tensor.multi_mode_apply(self.core, updates)
+        rows, cols = self.shape
+        return full.reshape(rows, cols, order="F")
+
+    def scalars(self) -> tuple[int, int, int]:
+        factors = sum(
+            f.size for f in self.u_factors + self.v_factors if f is not None
+        )
+        return 0, factors, self.core.size
+
 
 @dataclass
 class DenseBlock:
@@ -71,6 +98,15 @@ class DenseBlock:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+    def apply(self, seg: np.ndarray) -> np.ndarray:
+        return self.matrix @ seg
+
+    def materialize(self) -> np.ndarray:
+        return self.matrix
+
+    def scalars(self) -> tuple[int, int, int]:
+        return self.matrix.size, 0, 0
 
 
 @dataclass
@@ -84,6 +120,15 @@ class LowRankBlock:
     @property
     def shape(self) -> tuple[int, int]:
         return self.u.shape[0], self.v.shape[0]
+
+    def apply(self, seg: np.ndarray) -> np.ndarray:
+        return lowrank_apply(self, seg)
+
+    def materialize(self) -> np.ndarray:
+        return self.u @ self.g @ self.v.T
+
+    def scalars(self) -> tuple[int, int, int]:
+        return 0, self.u.size + self.v.size, self.g.size
 
 
 def _interpolation_data(k, grid, tau, sigma, rank):
@@ -106,23 +151,6 @@ def _interpolation_data(k, grid, tau, sigma, rank):
     return u_raw, v_raw, core
 
 
-#: relative cutoff on the pivoted-QR diagonal when rank trimming is enabled
-TRIM_TOL = 1e-14
-
-
-def _trimmed_qr(raw: np.ndarray):
-    """Column-pivoted QR truncated where the |R| diagonal has decayed below
-    TRIM_TOL relative to its first entry; returns (q, r) with r unpermuted so
-    q @ r reconstructs the input."""
-    q, r, piv = scipy.linalg.qr(raw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    keep = int(np.sum(diag > TRIM_TOL * diag[0]))
-    keep = max(keep, 1)
-    inv = np.empty_like(piv)
-    inv[piv] = np.arange(len(piv))
-    return q[:, :keep], r[:keep][:, inv]
-
-
 def build_tlr(
     k: KernelSpec,
     grid: UniformGrid,
@@ -130,14 +158,9 @@ def build_tlr(
     sigma: IndexBox,
     rank: int,
     h: float,
-    trim: bool = False,
 ) -> TuckerBlock:
     """Interpolate the kernel over the box pair, orthogonalize every factor by
     thin QR, and fold h^d together with the triangular factors into the core.
-
-    With ``trim`` the QR is column-pivoted and directions whose |R| diagonal
-    has decayed below TRIM_TOL are dropped, shrinking the corresponding core
-    mode.
     """
     u_raw, v_raw, core = _interpolation_data(k, grid, tau, sigma, rank)
     d = grid.d
@@ -148,11 +171,7 @@ def build_tlr(
             (u_raw[dim], u_factors, dim + 1),
             (v_raw[dim], v_factors, d + dim + 1),
         ):
-            if trim:
-                q, r = _trimmed_qr(raw)
-                factors.append(q)
-                updates.append((r, mode))
-            elif raw.shape[0] == raw.shape[1]:
+            if raw.shape[0] == raw.shape[1]:
                 # square factor: fold it into the core, keep an implicit identity
                 factors.append(None)
                 updates.append((raw, mode))
@@ -266,34 +285,9 @@ def lowrank_apply(block: LowRankBlock, u_segment: np.ndarray) -> np.ndarray:
 
 def materialize(block) -> np.ndarray:
     """Full matrix represented by a block (for tests and small oracles)."""
-    if isinstance(block, DenseBlock):
-        return block.matrix
-    if isinstance(block, LowRankBlock):
-        return block.u @ block.g @ block.v.T
-    d = len(block.u_factors)
-    updates = [
-        (block.u_factors[dim], dim + 1)
-        for dim in range(d)
-        if block.u_factors[dim] is not None
-    ]
-    updates += [
-        (block.v_factors[dim], d + dim + 1)
-        for dim in range(d)
-        if block.v_factors[dim] is not None
-    ]
-    full = tensor.multi_mode_apply(block.core, updates)
-    rows, cols = block.shape
-    return full.reshape(rows, cols, order="F")
+    return block.materialize()
 
 
 def storage_count(block) -> int:
     """Number of 64-bit scalars the block stores."""
-    if isinstance(block, DenseBlock):
-        return block.matrix.size
-    if isinstance(block, LowRankBlock):
-        return block.u.size + block.g.size + block.v.size
-    return (
-        sum(f.size for f in block.u_factors if f is not None)
-        + sum(f.size for f in block.v_factors if f is not None)
-        + block.core.size
-    )
+    return sum(block.scalars())

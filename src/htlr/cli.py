@@ -29,13 +29,12 @@ import numpy as np
 from . import oracles
 from .chebyshev import cheb_points, core_tensor, factor_matrix
 from .grids import AdmissibilityRule, UniformGrid
-from .kernels import CoefficientFn, QuadratureConfig, by_name, pairwise
+from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairwise
 from .operators import (
     BuildConfig,
     construct,
     construct_hmatrix,
     estimate_rel_error_random,
-    hmatrix_matvec,
     matvec,
     storage_report,
 )
@@ -91,6 +90,15 @@ def validate_uniform_side(n: int, leaf: int) -> None:
         )
 
 
+def kernel_for(name: str, d: int) -> KernelSpec:
+    """The named kernel in dimension d; a kernel that does not exist there
+    is a usage error."""
+    try:
+        return by_name(name, d)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _rule_from_args(args) -> AdmissibilityRule:
     if args.adm == "weak":
         return AdmissibilityRule.weak()
@@ -108,19 +116,18 @@ def _best_of(fn, repeats=TIMING_REPEATS):
     return result, best
 
 
-def _timing_and_error(op, apply_fn, exact_rows, u, seed):
-    _, t_apply = _best_of(lambda: apply_fn(op, u))
-    sample = min(1000, op.num_points)
-    err = estimate_rel_error_random(
-        op, exact_rows, u, sample_size=sample, seed=seed
-    )
+def _storage_columns(op) -> dict:
     rep = storage_report(op)
-    return t_apply, err, rep
+    return {
+        "dense_scalars": rep.dense_scalars, "factor_scalars": rep.factor_scalars,
+        "core_scalars": rep.core_scalars, "total_scalars": rep.total_scalars,
+        "bound": rep.theoretical_bound,
+    }
 
 
 def cmd_bench_uniform(args) -> list[dict]:
+    kernel = kernel_for(args.kernel, args.dim)
     validate_uniform_side(args.n, args.leaf)
-    kernel = by_name(args.kernel, args.dim)
     rule = _rule_from_args(args)
     grid = UniformGrid(args.dim, args.n)
     cfg = BuildConfig(
@@ -140,34 +147,20 @@ def cmd_bench_uniform(args) -> list[dict]:
         "adm": args.adm, "p": args.p, "leaf": args.leaf, "seed": args.seed,
     }
 
-    rows = []
-    op, t_con = _best_of(
-        lambda: construct(cfg, grid, threads=args.threads), repeats=TIMING_REPEATS
-    )
-    t_apply, err, rep = _timing_and_error(op, matvec, exact, u, (args.seed, 1))
-    rows.append({
-        **base, "variant": "htlr",
-        "t_construct": t_con, "t_apply": t_apply,
-        "dense_scalars": rep.dense_scalars, "factor_scalars": rep.factor_scalars,
-        "core_scalars": rep.core_scalars, "total_scalars": rep.total_scalars,
-        "bound": rep.theoretical_bound, "e_apply_rand": err,
-    })
+    builders = [("htlr", construct)]
     if args.baseline:
-        hop, t_con_h = _best_of(
-            lambda: construct_hmatrix(cfg, grid, threads=args.threads),
-            repeats=TIMING_REPEATS,
-        )
-        t_apply_h, err_h, rep_h = _timing_and_error(
-            hop, hmatrix_matvec, exact, u, (args.seed, 1)
+        builders.append(("hmatrix", construct_hmatrix))
+    rows = []
+    for variant, build in builders:
+        op, t_con = _best_of(lambda: build(cfg, grid))
+        _, t_apply = _best_of(lambda: matvec(op, u))
+        err = estimate_rel_error_random(
+            op, exact, u, sample_size=min(1000, op.num_points),
+            seed=(args.seed, 1),
         )
         rows.append({
-            **base, "variant": "hmatrix",
-            "t_construct": t_con_h, "t_apply": t_apply_h,
-            "dense_scalars": rep_h.dense_scalars,
-            "factor_scalars": rep_h.factor_scalars,
-            "core_scalars": rep_h.core_scalars,
-            "total_scalars": rep_h.total_scalars,
-            "bound": rep_h.theoretical_bound, "e_apply_rand": err_h,
+            **base, "variant": variant, "t_construct": t_con,
+            "t_apply": t_apply, **_storage_columns(op), "e_apply_rand": err,
         })
     return rows
 
@@ -217,7 +210,7 @@ def study_domains(d: int) -> dict:
 def rank_explore_errors(kernel_name: str, d: int, ranks) -> list[dict]:
     """Error-vs-rank curves for the three compression routes on both domain
     pairs; one dict per (pair, method, rank)."""
-    kernel = by_name(kernel_name, d)
+    kernel = kernel_for(kernel_name, d)
     pts_per_dim = 32 if d == 2 else 16
     rows = []
     run_id = f"r-d{d}-{kernel_name}"
@@ -249,10 +242,6 @@ def rank_explore_errors(kernel_name: str, d: int, ranks) -> list[dict]:
 
 
 def cmd_rank_explore(args) -> list[dict]:
-    if args.kernel == "slp3d" and args.dim != 3:
-        raise UsageError("slp3d requires --dim 3")
-    if args.kernel == "slp2d" and args.dim != 2:
-        raise UsageError("slp2d requires --dim 2")
     max_rank = args.p if args.p is not None else (16 if args.dim == 2 else 8)
     pts = 32 if args.dim == 2 else 16
     if max_rank > pts:
@@ -263,6 +252,7 @@ def cmd_rank_explore(args) -> list[dict]:
 def cmd_bench_quasi(args) -> list[dict]:
     if args.dim != 2:
         raise UsageError("the quasi-uniform pipeline is two-dimensional")
+    kernel = kernel_for(args.kernel, 2)
     if args.mesh is not None:
         mesh = load_mesh(args.mesh)
     else:
@@ -274,7 +264,6 @@ def cmd_bench_quasi(args) -> list[dict]:
                 f"--n {args.n} is not of the form 2*k^2 for a structured mesh"
             )
         mesh = structured_trimesh(k)
-    kernel = by_name(args.kernel, 2)
     rule = _rule_from_args(args)
     cfg = BuildConfig(
         rank=args.p, leaf_side=args.leaf, rule=rule, kernel=kernel,
@@ -292,13 +281,12 @@ def cmd_bench_quasi(args) -> list[dict]:
     rhos = args.rho if args.rho else [2.0]
     for rho in rhos:
         pipe, t_con = _best_of(
-            lambda: build_pipeline(mesh, cfg, rho, threads=args.threads),
+            lambda: build_pipeline(mesh, cfg, rho),
             repeats=TIMING_REPEATS,
         )
         out, t_apply = _best_of(lambda: apply_pipeline(pipe, u))
         denom = np.linalg.norm(exact_vals)
         err = float(np.linalg.norm(out[sampled_rows] - exact_vals) / denom)
-        rep = storage_report(pipe.op)
         rows.append({
             "id": f"q-{args.kernel}-N{n_quasi}-rho{rho:g}-{args.adm}"
                   f"-p{args.p}-l{args.leaf}-s{args.seed}",
@@ -306,12 +294,7 @@ def cmd_bench_quasi(args) -> list[dict]:
             "rho": pipe.rho, "m_side": pipe.m_side, "kernel": args.kernel,
             "adm": args.adm, "p": args.p, "leaf": args.leaf,
             "t_construct": t_con, "t_apply": t_apply,
-            "dense_scalars": rep.dense_scalars,
-            "factor_scalars": rep.factor_scalars,
-            "core_scalars": rep.core_scalars,
-            "total_scalars": rep.total_scalars,
-            "bound": rep.theoretical_bound,
-            "e_apply_rand": err, "seed": args.seed,
+            **_storage_columns(pipe.op), "e_apply_rand": err, "seed": args.seed,
         })
     return rows
 
@@ -347,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
 
     pu = sub.add_parser("bench-uniform", help="uniform-grid benchmark")
     common(pu)
@@ -387,18 +369,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         if args.command == "bench-uniform":
-            if args.kernel == "slp3d" and args.dim != 3:
-                raise UsageError("slp3d requires --dim 3")
-            if args.kernel == "slp2d" and args.dim != 2:
-                raise UsageError("slp2d requires --dim 2")
             rows = cmd_bench_uniform(args)
             _write_rows(rows, UNIFORM_HEADER, args)
         elif args.command == "rank-explore":
             rows = cmd_rank_explore(args)
             _write_rows(rows, RANK_HEADER, args)
         else:
-            if args.kernel == "slp3d":
-                raise UsageError("slp3d requires --dim 3")
             rows = cmd_bench_quasi(args)
             _write_rows(rows, QUASI_HEADER, args)
     except UsageError as exc:

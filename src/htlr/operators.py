@@ -3,27 +3,20 @@
 The hierarchical Tucker operator compresses every admissible leaf of the
 block cluster tree into a Tucker block; the baseline hierarchical operator
 uses conventional low-rank blocks built from the same interpolant, so the
-two agree to rounding and differ only in storage and work.
+two agree to rounding and differ only in storage and work.  Both are one
+operator type: the leaf payloads follow the block protocol of
+:mod:`htlr.blocks`, so nothing here depends on the leaf kind.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import (
-    DenseBlock,
-    LowRankBlock,
-    build_dense,
-    build_lowrank,
-    build_tlr,
-    lowrank_apply,
-    tlr_apply,
-)
+from .blocks import build_dense, build_lowrank, build_tlr
 from .grids import (
     ADMISSIBLE,
     AdmissibilityRule,
@@ -61,22 +54,13 @@ class BuildConfig:
 
 @dataclass
 class HTLRMatrix:
+    """Hierarchical operator: the block cluster tree and one payload per
+    leaf (Tucker or low-rank for admissible leaves, dense otherwise)."""
+
     grid: UniformGrid
     config: BuildConfig
     block_tree: BlockClusterTree
-    payloads: list  # leaf_id -> TuckerBlock | DenseBlock
-
-    @property
-    def num_points(self) -> int:
-        return self.grid.num_points
-
-
-@dataclass
-class HMatrix:
-    grid: UniformGrid
-    config: BuildConfig
-    block_tree: BlockClusterTree
-    payloads: list  # leaf_id -> LowRankBlock | DenseBlock
+    payloads: list  # leaf_id -> block
 
     @property
     def num_points(self) -> int:
@@ -99,7 +83,9 @@ def _cached_diag(cfg: BuildConfig, grid: UniformGrid) -> Optional[float]:
     return diagonal_entry(cfg.kernel, center, grid.h, cfg.quadrature)
 
 
-def _build_payloads(cfg, grid, tree, admissible_builder, threads=1):
+def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatrix:
+    ctree = build_cluster_tree(grid, cfg.leaf_side)
+    btree = build_block_cluster_tree(ctree, cfg.rule)
     diag = _cached_diag(cfg, grid)
 
     def build_leaf(leaf):
@@ -112,31 +98,37 @@ def _build_payloads(cfg, grid, tree, admissible_builder, threads=1):
             grid.h, cfg.quadrature, diag_value=diag,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build_leaf, tree.leaves))
-    return [build_leaf(leaf) for leaf in tree.leaves]
-
-
-def construct(cfg: BuildConfig, grid: UniformGrid, threads: int = 1) -> HTLRMatrix:
-    """Build the hierarchical Tucker operator for the configured kernel."""
-    ctree = build_cluster_tree(grid, cfg.leaf_side)
-    btree = build_block_cluster_tree(ctree, cfg.rule)
-    payloads = _build_payloads(cfg, grid, btree, build_tlr, threads)
+    payloads = [build_leaf(leaf) for leaf in btree.leaves]
     return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads)
 
 
-def construct_hmatrix(cfg: BuildConfig, grid: UniformGrid, threads: int = 1) -> HMatrix:
+def construct(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
+    """Build the hierarchical Tucker operator for the configured kernel."""
+    return _build(cfg, grid, build_tlr)
+
+
+def construct_hmatrix(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
     """Build the baseline hierarchical operator with conventional low-rank
     leaves of rank rank^d."""
-    ctree = build_cluster_tree(grid, cfg.leaf_side)
-    btree = build_block_cluster_tree(ctree, cfg.rule)
-    payloads = _build_payloads(cfg, grid, btree, build_lowrank, threads)
-    return HMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads)
+    return _build(cfg, grid, build_lowrank)
 
 
-def _hierarchical_matvec(op, u, apply_compressed):
+def checked_vector(u) -> np.ndarray:
+    """`u` as a flat float64 vector; complex or non-finite input is rejected
+    instead of losing its imaginary part or spreading NaN to every output."""
+    u = np.asarray(u)
+    if np.iscomplexobj(u):
+        raise ValueError("input vector is complex; the operator is real")
     u = np.asarray(u, dtype=np.float64).ravel(order="F")
+    if not np.isfinite(u).all():
+        raise ValueError("input vector has NaN or infinite entries")
+    return u
+
+
+def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
+    """f = A u accumulated leaf by leaf in depth-first order, for operators
+    from both :func:`construct` and :func:`construct_hmatrix`."""
+    u = checked_vector(u)
     n = op.grid.n
     d = op.grid.d
     if u.size != op.num_points:
@@ -144,25 +136,12 @@ def _hierarchical_matvec(op, u, apply_compressed):
     u_tensor = u.reshape((n,) * d, order="F")
     f_tensor = np.zeros((n,) * d)
     for leaf in op.block_tree.leaves:
-        block = op.payloads[leaf.leaf_id]
         seg = u_tensor[leaf.sigma.box.slices].ravel(order="F")
-        if isinstance(block, DenseBlock):
-            out = block.matrix @ seg
-        else:
-            out = apply_compressed(block, seg)
+        out = op.payloads[leaf.leaf_id].apply(seg)
         f_tensor[leaf.tau.box.slices] += out.reshape(
             leaf.tau.box.sizes, order="F"
         )
     return f_tensor.ravel(order="F")
-
-
-def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
-    """f = A u accumulated leaf by leaf in depth-first order."""
-    return _hierarchical_matvec(op, u, tlr_apply)
-
-
-def hmatrix_matvec(op: HMatrix, u: np.ndarray) -> np.ndarray:
-    return _hierarchical_matvec(op, u, lowrank_apply)
 
 
 def weak_storage_bound(d: int, rank: int, num_points: int) -> float:
@@ -175,17 +154,7 @@ def weak_storage_bound(d: int, rank: int, num_points: int) -> float:
 def storage_report(op) -> StorageReport:
     """Exact stored-scalar counts by category plus the weak-admissibility
     theoretical bound for the operator's size."""
-    dense = factors = cores = 0
-    for block in op.payloads:
-        if isinstance(block, DenseBlock):
-            dense += block.matrix.size
-        elif isinstance(block, LowRankBlock):
-            factors += block.u.size + block.v.size
-            cores += block.g.size
-        else:
-            factors += sum(f.size for f in block.u_factors if f is not None)
-            factors += sum(f.size for f in block.v_factors if f is not None)
-            cores += block.core.size
+    dense, factors, cores = map(sum, zip(*(b.scalars() for b in op.payloads)))
     total = dense + factors + cores
     bound = weak_storage_bound(op.grid.d, op.config.rank, op.num_points)
     return StorageReport(
@@ -199,13 +168,12 @@ def storage_report(op) -> StorageReport:
 
 def operation_counts(op) -> dict:
     """Leaf visit counts for one matvec (dense and compressed leaves)."""
-    dense = sum(
-        1 for b in op.payloads if isinstance(b, DenseBlock)
-    )
+    leaves = op.block_tree.leaves
+    compressed = sum(1 for leaf in leaves if leaf.kind == ADMISSIBLE)
     return {
-        "dense_leaves": dense,
-        "compressed_leaves": len(op.payloads) - dense,
-        "total_leaves": len(op.payloads),
+        "dense_leaves": len(leaves) - compressed,
+        "compressed_leaves": compressed,
+        "total_leaves": len(leaves),
     }
 
 
@@ -228,10 +196,7 @@ def estimate_rel_error_random(
         raise ValueError("sample size exceeds the number of rows")
     rng = np.random.default_rng(seed)
     rows = rng.choice(n_rows, size=sample_size, replace=False)
-    if isinstance(op, HMatrix):
-        approx = hmatrix_matvec(op, u)
-    else:
-        approx = matvec(op, u)
+    approx = matvec(op, u)
     exact = exact_rows(rows, u)
     denom = np.linalg.norm(exact)
     if denom == 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import UniformGrid, _leaf_side
-from .operators import BuildConfig, HTLRMatrix, construct, matvec
+from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
 
@@ -288,8 +288,7 @@ def valid_uniform_side(target: int, leaf_side: int) -> int:
     raise ValueError("no valid uniform grid side near the target")
 
 
-def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float,
-                   threads: int = 1) -> QuasiPipeline:
+def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline:
     """Assemble the pipeline for an oversampling ratio rho ~ sqrt(2M/N); the
     uniform side is rounded to the nearest buildable grid and the exact rho
     is recomputed."""
@@ -297,7 +296,7 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float,
     target = int(round(np.sqrt(rho * rho * n_quasi / 2.0)))
     m_side = valid_uniform_side(max(target, cfg.leaf_side), cfg.leaf_side)
     grid = UniformGrid(2, m_side)
-    op = construct(cfg, grid, threads=threads)
+    op = construct(cfg, grid)
     s_mat = quasi_to_uniform(mesh, m_side)
     t_mat = uniform_to_quasi(mesh, m_side)
     exact_rho = float(np.sqrt(2.0 * m_side * m_side / n_quasi))
@@ -307,7 +306,7 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float,
 
 
 def apply_pipeline(pipe: QuasiPipeline, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64).ravel()
+    u = checked_vector(u)
     if u.size != pipe.to_uniform.cols:
         raise ValueError("vector length does not match the mesh")
     return pipe.to_quasi.apply(matvec(pipe.op, pipe.to_uniform.apply(u)))

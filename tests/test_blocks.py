@@ -80,27 +80,6 @@ class TestBuildTLR:
             assert f is not None
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
-    def test_trimmed_build_stays_accurate(self):
-        grid, tau, sigma = admissible_pair_64()
-        k = gaussian(np.sqrt(2.0))
-        plain = build_tlr(k, grid, tau, sigma, 8, grid.h)
-        trimmed = build_tlr(k, grid, tau, sigma, 8, grid.h, trim=True)
-        for f in trimmed.u_factors + trimmed.v_factors:
-            assert f.shape[1] <= 8
-            assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
-        assert np.abs(materialize(trimmed) - materialize(plain)).max() <= 1e-12
-        assert storage_count(trimmed) <= storage_count(plain)
-
-    def test_trimmed_qr_drops_dependent_columns(self):
-        from htlr.blocks import _trimmed_qr
-
-        rng = np.random.default_rng(55)
-        base = rng.standard_normal((20, 3))
-        raw = np.hstack([base, base @ rng.standard_normal((3, 3))])
-        q, r = _trimmed_qr(raw)
-        assert q.shape[1] == 3
-        assert np.linalg.norm(q @ r - raw) / np.linalg.norm(raw) <= 1e-12
-
     def test_square_factors_absorbed(self):
         # box side equal to the rank: factors are implicit identities
         grid = UniformGrid(2, 32)

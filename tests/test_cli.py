@@ -117,6 +117,13 @@ class TestRankExplore:
         assert code == 2
         assert "at most" in err
 
+    def test_kernel_dimension_mismatch(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rank-explore", "--dim", "3", "--kernel", "slp2d",
+        )
+        assert code == 2
+        assert "slp2d requires dimension 2" in err
+
     def test_deterministic_output(self, capsys):
         args = ["rank-explore", "--dim", "2", "--kernel", "slp2d", "--p", "2"]
         _, out1, _ = run_cli(capsys, *args)
@@ -140,6 +147,19 @@ class TestBenchQuasi:
         code, _, err = run_cli(capsys, "bench-quasi", "--n", "100")
         assert code == 2
         assert "2*k^2" in err
+
+    def test_three_dimensional_kernel_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bench-quasi", "--dim", "3", "--kernel", "slp3d",
+            "--n", "128",
+        )
+        assert code == 2
+        assert "two-dimensional" in err
+        code, _, err = run_cli(
+            capsys, "bench-quasi", "--kernel", "slp3d", "--n", "128",
+        )
+        assert code == 2
+        assert "slp3d requires dimension 3" in err
 
     def test_mesh_file_input(self, capsys, tmp_path):
         from htlr import save_mesh, structured_trimesh

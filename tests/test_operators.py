@@ -13,11 +13,11 @@ from htlr import (
     estimate_rel_error_random,
     exact_row_evaluator,
     gaussian,
-    hmatrix_matvec,
     materialize,
     matvec,
     operation_counts,
     slp_2d,
+    storage_count,
     storage_report,
 )
 from htlr.blocks import DenseBlock
@@ -93,16 +93,6 @@ class TestConstruct:
             else:
                 assert np.array_equal(rec, sub)
 
-    def test_threaded_construction_matches(self):
-        grid = UniformGrid(2, 32)
-        cfg = weak_gaussian_cfg()
-        seq = construct(cfg, grid, threads=1)
-        par = construct(cfg, grid, threads=4)
-        rng = np.random.default_rng(36)
-        u = rng.standard_normal(grid.num_points)
-        assert np.array_equal(matvec(seq, u), matvec(par, u))
-
-
 class TestMatvec:
     def test_zero_input(self):
         grid = UniformGrid(2, 32)
@@ -135,6 +125,21 @@ class TestMatvec:
         op = construct(weak_gaussian_cfg(), grid)
         with pytest.raises(ValueError):
             matvec(op, np.zeros(10))
+
+    def test_complex_input_rejected(self):
+        grid = UniformGrid(2, 32)
+        op = construct(weak_gaussian_cfg(), grid)
+        with pytest.raises(ValueError, match="complex"):
+            matvec(op, np.full(grid.num_points, 1.0 + 2.0j))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        grid = UniformGrid(2, 32)
+        op = construct(weak_gaussian_cfg(), grid)
+        u = np.ones(grid.num_points)
+        u[17] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            matvec(op, u)
 
     def test_linearity(self):
         grid = UniformGrid(2, 32)
@@ -172,7 +177,7 @@ class TestHMatrixBaseline:
         hop = construct_hmatrix(cfg, grid)
         rng = np.random.default_rng(41)
         u = rng.standard_normal(grid.num_points)
-        assert np.abs(matvec(top, u) - hmatrix_matvec(hop, u)).max() <= 1e-12
+        assert np.abs(matvec(top, u) - matvec(hop, u)).max() <= 1e-12
 
     def test_identity_configuration(self):
         grid = UniformGrid(2, 16)
@@ -182,7 +187,7 @@ class TestHMatrixBaseline:
         hop = construct_hmatrix(cfg, grid)
         rng = np.random.default_rng(42)
         u = rng.standard_normal(grid.num_points)
-        assert np.abs(hmatrix_matvec(hop, u) - u).max() <= 1e-14
+        assert np.abs(matvec(hop, u) - u).max() <= 1e-14
 
     def test_baseline_needs_more_storage(self):
         grid = UniformGrid(2, 64)
@@ -223,6 +228,14 @@ class TestStorageReport:
             totals[n] = rep.total_scalars
         ratio = totals[128] / totals[64]
         assert 3.5 <= ratio <= 4.5
+
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix])
+    def test_categories_are_block_scalar_sums(self, build):
+        op = build(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 64))
+        rep = storage_report(op)
+        sums = np.sum([block.scalars() for block in op.payloads], axis=0)
+        assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == tuple(sums)
+        assert rep.total_scalars == sum(storage_count(b) for b in op.payloads)
 
     def test_leaf_count_scaling(self):
         counts = {}

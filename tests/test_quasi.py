@@ -302,6 +302,26 @@ class TestPipeline:
         with pytest.raises(ValueError):
             apply_pipeline(pipe, np.zeros(7))
 
+    def _identity_pipeline(self):
+        mesh = structured_trimesh(8)
+        zero = custom(lambda x, y: np.zeros(np.broadcast(x, y).shape[:-1]))
+        cfg = BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.weak(),
+                          kernel=zero, coeff=CoefficientFn.constant(1.0))
+        return build_pipeline(mesh, cfg, rho=1.5), mesh.num_triangles
+
+    def test_complex_input_rejected(self):
+        pipe, size = self._identity_pipeline()
+        with pytest.raises(ValueError, match="complex"):
+            apply_pipeline(pipe, np.full(size, 1.0 + 2.0j))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        pipe, size = self._identity_pipeline()
+        u = np.ones(size)
+        u[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            apply_pipeline(pipe, u)
+
     def test_reported_rho_matches_grid(self):
         mesh = structured_trimesh(64)
         cfg = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.weak(),
