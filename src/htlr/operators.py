@@ -190,7 +190,7 @@ def estimate_rel_error_random(
 ) -> float:
     """Relative l2 error of the fast matvec against exact row evaluations on
     a uniformly sampled (without replacement) row subset."""
-    u = np.asarray(u, dtype=np.float64).ravel(order="F")
+    u = checked_vector(u)
     n_rows = op.num_points
     if sample_size > n_rows:
         raise ValueError("sample size exceeds the number of rows")

@@ -18,6 +18,9 @@ from .grids import UniformGrid, _leaf_side
 from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
+#: (triangle, cell) pairs clipped per batch; bounds the clipper's scratch
+#: arrays to a few MB whatever the mesh size
+_CLIP_CHUNK = 8192
 
 
 @dataclass
@@ -32,6 +35,8 @@ class TriMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("mesh vertex coordinates must be finite")
         if self.triangles.min(initial=0) < 0 or self.triangles.max(
             initial=-1
         ) >= len(self.vertices):
@@ -76,9 +81,7 @@ def load_mesh(path) -> TriMesh:
             )
         verts = np.array(flat[: 2 * nv], dtype=np.float64).reshape(nv, 2)
         tris = np.array(flat[2 * nv :], dtype=np.int64).reshape(nf, 3) - 1
-    except ValueError:
-        raise
-    except Exception as exc:  # tokenization / numeric garbage
+    except OverflowError as exc:  # an integer too large for int64
         raise ValueError(f"malformed mesh file: {exc}") from exc
     return TriMesh(vertices=verts, triangles=tris)
 
@@ -120,55 +123,40 @@ def structured_trimesh(cells_per_side: int, diagonal: str = "down") -> TriMesh:
     return TriMesh(vertices=verts, triangles=np.array(tris))
 
 
-def _clip_halfplane(poly, axis, bound, keep_le):
-    out = []
-    m = len(poly)
-    for i in range(m):
-        prev = poly[i - 1]
-        cur = poly[i]
-        if keep_le:
-            prev_in = prev[axis] <= bound
-            cur_in = cur[axis] <= bound
-        else:
-            prev_in = prev[axis] >= bound
-            cur_in = cur[axis] >= bound
-        if cur_in != prev_in:
-            t = (bound - prev[axis]) / (cur[axis] - prev[axis])
-            out.append(
-                (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-            )
-        if cur_in:
-            out.append(cur)
+def _clamp_axis(poly, axis, width):
+    """Sutherland-Hodgman against 0 <= coordinate `axis` <= width with a
+    fixed vertex count: both crossings of each edge are inserted, in order,
+    and every vertex is then clamped onto the strip.  The parts outside
+    become paths along the strip's sides, which enclose no area."""
+    prev = np.roll(poly, 1, axis=1)
+    start = prev[..., axis]
+    step = poly[..., axis] - start
+    step[step == 0.0] = 1.0  # edge parallel to the sides: its points add no area
+    ts = np.sort([-start / step, (width[:, None] - start) / step], axis=0)
+    first, second = prev + ts.clip(0.0, 1.0)[..., None] * (poly - prev)
+    out = np.stack([first, second, poly], axis=2).reshape(len(poly), -1, 2)
+    out[..., axis] = out[..., axis].clip(0.0, width[:, None])
     return out
 
 
-def _polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    total = 0.0
-    for i in range(len(poly)):
-        x0, y0 = poly[i - 1]
-        x1, y1 = poly[i]
-        total += x0 * y1 - x1 * y0
-    return 0.5 * abs(total)
+def _clip_areas(tris, cells):
+    """Overlap areas of K triangles (K, 3, 2) with K axis-aligned rectangles
+    (K, 4) given as (x0, y0, x1, y1), by the shoelace formula on the clipped
+    polygons.  Coordinates are taken relative to each lower-left corner."""
+    poly = tris - cells[:, None, :2]
+    for axis in (0, 1):
+        poly = _clamp_axis(poly, axis, cells[:, 2 + axis] - cells[:, axis])
+    x, y = poly[..., 0], poly[..., 1]
+    nxt = np.roll(poly, -1, axis=1)
+    return 0.5 * np.abs((x * nxt[..., 1] - nxt[..., 0] * y).sum(axis=1))
 
 
 def overlap_area(tri, cell) -> float:
     """Area of the intersection of a triangle with an axis-aligned rectangle
     (x0, y0, x1, y1) via Sutherland-Hodgman clipping and the shoelace formula.
     """
-    x0, y0, x1, y1 = cell
-    poly = [tuple(p) for p in np.asarray(tri, dtype=np.float64)]
-    for axis, bound, keep_le in (
-        (0, x0, False),
-        (0, x1, True),
-        (1, y0, False),
-        (1, y1, True),
-    ):
-        poly = _clip_halfplane(poly, axis, bound, keep_le)
-        if not poly:
-            return 0.0
-    return _polygon_area(poly)
+    tris = np.asarray(tri, dtype=np.float64)[None]
+    return float(_clip_areas(tris, np.asarray(cell, dtype=np.float64)[None])[0])
 
 
 @dataclass
@@ -178,18 +166,11 @@ class SparseInterpMatrix:
     matrix: sp.csr_matrix
 
     @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.matrix.shape[1]
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def entries_in_row(self, row: int) -> int:
-        return self.matrix.indptr[row + 1] - self.matrix.indptr[row]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=np.float64)
@@ -199,66 +180,64 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     """All (cell_id, triangle_id, overlap_area) triples with positive area.
 
     Cells are linearized first-index-fastest to match the uniform-grid
-    vectors.  Candidate cells come from each triangle's bounding box.
+    vectors.  Candidate cells come from each triangle's bounding box and
+    are clipped _CLIP_CHUNK pairs at a time.
     """
     h = 1.0 / m_side
-    cell_area = h * h
-    drop = 1e-13 * cell_area
-    rows, cols, areas = [], [], []
-    for t in range(mesh.num_triangles):
-        corners = mesh.corners(t)
-        xmin, ymin = corners.min(axis=0)
-        xmax, ymax = corners.max(axis=0)
-        i0 = max(int(np.floor(xmin * m_side)), 0)
-        i1 = min(int(np.ceil(xmax * m_side)), m_side)
-        j0 = max(int(np.floor(ymin * m_side)), 0)
-        j1 = min(int(np.ceil(ymax * m_side)), m_side)
-        for j in range(j0, j1):
-            for i in range(i0, i1):
-                area = overlap_area(
-                    corners, (i * h, j * h, (i + 1) * h, (j + 1) * h)
-                )
-                if area > drop:
-                    rows.append(i + j * m_side)
-                    cols.append(t)
-                    areas.append(area)
-    return np.array(rows), np.array(cols), np.array(areas)
+    corners = mesh.vertices[mesh.triangles]  # (F, 3, 2)
+    lo = np.clip(np.floor(corners.min(axis=1) * m_side), 0, m_side).astype(np.int64)
+    hi = np.clip(np.ceil(corners.max(axis=1) * m_side), 0, m_side).astype(np.int64)
+    span = hi - lo  # (F, 2) candidate cells per axis
+    counts = span[:, 0] * span[:, 1]
+    tris = np.repeat(np.arange(mesh.num_triangles), counts)
+    local = np.arange(len(tris)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i = lo[tris, 0] + local % span[tris, 0]
+    j = lo[tris, 1] + local // span[tris, 0]
+    areas = np.empty(len(tris))
+    for k in range(0, len(tris), _CLIP_CHUNK):
+        part = slice(k, k + _CLIP_CHUNK)
+        cells = np.stack([i[part], j[part], i[part] + 1, j[part] + 1], axis=1) * h
+        areas[part] = _clip_areas(corners[tris[part]], cells)
+    keep = areas > 1e-13 * h * h
+    return (i + j * m_side)[keep], tris[keep], areas[keep]
+
+
+def _checked_transfer(weights, rows, cols, shape, failure) -> SparseInterpMatrix:
+    mat = sp.csr_matrix((weights, (rows, cols)), shape=shape)
+    bad = np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0) > COVERAGE_TOL
+    if np.any(bad):
+        raise ValueError(f"{int(bad.sum())} {failure}")
+    return SparseInterpMatrix(matrix=mat)
+
+
+def _to_uniform(mesh: TriMesh, m_side: int, entries) -> SparseInterpMatrix:
+    cells, tris, areas = entries
+    m_total = m_side * m_side
+    return _checked_transfer(
+        areas * m_total, cells, tris, (m_total, mesh.num_triangles),
+        "uniform cells are not fully covered by the mesh",
+    )
+
+
+def _to_quasi(mesh: TriMesh, m_side: int, entries) -> SparseInterpMatrix:
+    cells, tris, areas = entries
+    return _checked_transfer(
+        areas / mesh.areas[tris], tris, cells,
+        (mesh.num_triangles, m_side * m_side),
+        "triangles stick out of the uniform grid",
+    )
 
 
 def quasi_to_uniform(mesh: TriMesh, m_side: int) -> SparseInterpMatrix:
     """Transfer matrix from centroid values to uniform-grid values; entry
     (t, i) is the overlap of cell t with triangle i over the cell area."""
-    rows, cols, areas = _overlap_entries(mesh, m_side)
-    m_total = m_side * m_side
-    weights = areas * (m_side * m_side)
-    mat = sp.csr_matrix(
-        (weights, (rows, cols)), shape=(m_total, mesh.num_triangles)
-    )
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    bad = np.abs(sums - 1.0) > COVERAGE_TOL
-    if np.any(bad):
-        raise ValueError(
-            f"{int(bad.sum())} uniform cells are not fully covered by the mesh"
-        )
-    return SparseInterpMatrix(matrix=mat)
+    return _to_uniform(mesh, m_side, _overlap_entries(mesh, m_side))
 
 
 def uniform_to_quasi(mesh: TriMesh, m_side: int) -> SparseInterpMatrix:
     """Transfer matrix from uniform-grid values to centroid values; entry
     (i, t) is the overlap of triangle i with cell t over the triangle area."""
-    rows, cols, areas = _overlap_entries(mesh, m_side)
-    m_total = m_side * m_side
-    weights = areas / mesh.areas[cols]
-    mat = sp.csr_matrix(
-        (weights, (cols, rows)), shape=(mesh.num_triangles, m_total)
-    )
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    bad = np.abs(sums - 1.0) > COVERAGE_TOL
-    if np.any(bad):
-        raise ValueError(
-            f"{int(bad.sum())} triangles stick out of the uniform grid"
-        )
-    return SparseInterpMatrix(matrix=mat)
+    return _to_quasi(mesh, m_side, _overlap_entries(mesh, m_side))
 
 
 @dataclass
@@ -297,8 +276,9 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline
     m_side = valid_uniform_side(max(target, cfg.leaf_side), cfg.leaf_side)
     grid = UniformGrid(2, m_side)
     op = construct(cfg, grid)
-    s_mat = quasi_to_uniform(mesh, m_side)
-    t_mat = uniform_to_quasi(mesh, m_side)
+    entries = _overlap_entries(mesh, m_side)
+    s_mat = _to_uniform(mesh, m_side, entries)
+    t_mat = _to_quasi(mesh, m_side, entries)
     exact_rho = float(np.sqrt(2.0 * m_side * m_side / n_quasi))
     return QuasiPipeline(
         to_quasi=t_mat, op=op, to_uniform=s_mat, m_side=m_side, rho=exact_rho

@@ -318,6 +318,13 @@ class TestErrorEstimator:
                 np.zeros(self.grid.num_points), sample_size=10, seed=0,
             )
 
+    def test_complex_input_rejected(self):
+        rows_fn = exact_row_evaluator(self.cfg.kernel, self.cfg.coeff,
+                                      self.grid, self.cfg.quadrature)
+        with pytest.raises(ValueError, match="complex"):
+            estimate_rel_error_random(self.op, rows_fn, self.u + 1j * self.u,
+                                      50, seed=9)
+
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):
             estimate_rel_error_random(

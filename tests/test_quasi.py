@@ -33,6 +33,58 @@ def perturbed_mesh(k, amplitude=0.25, seed=0):
     return TriMesh(vertices=verts, triangles=mesh.triangles)
 
 
+def clip_poly(subject, clipper):
+    """Reference clipper: `subject` clipped against each side of the convex,
+    counterclockwise polygon `clipper`, in plain Python."""
+    out = [tuple(p) for p in subject]
+    m = len(clipper)
+    for i in range(m):
+        a = clipper[i]
+        b = clipper[(i + 1) % m]
+        if not out:
+            return []
+        prev = out[-1]
+        new = []
+
+        def inside(p):
+            return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (
+                p[0] - a[0]
+            ) >= 0
+
+        for cur in out:
+            if inside(cur) != inside(prev):
+                t = (
+                    (a[0] - prev[0]) * (b[1] - a[1])
+                    - (a[1] - prev[1]) * (b[0] - a[0])
+                ) / (
+                    (cur[0] - prev[0]) * (b[1] - a[1])
+                    - (cur[1] - prev[1]) * (b[0] - a[0])
+                )
+                new.append(
+                    (
+                        prev[0] + t * (cur[0] - prev[0]),
+                        prev[1] + t * (cur[1] - prev[1]),
+                    )
+                )
+            if inside(cur):
+                new.append(cur)
+            prev = cur
+        out = new
+    return out
+
+
+def area(poly):
+    """Shoelace area of a polygon given as a list of points."""
+    if len(poly) < 3:
+        return 0.0
+    s = 0.0
+    for i in range(len(poly)):
+        x0, y0 = poly[i - 1]
+        x1, y1 = poly[i]
+        s += x0 * y1 - x1 * y0
+    return abs(s) / 2
+
+
 class TestTriMesh:
     def test_two_triangle_square(self, tmp_path):
         path = tmp_path / "square.mesh"
@@ -65,6 +117,27 @@ class TestTriMesh:
         path = tmp_path / "short.mesh"
         path.write_text("4 2\n0 0\n1 0\n")
         with pytest.raises(ValueError):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        mesh = structured_trimesh(2)
+        verts = mesh.vertices.copy()
+        verts[4, 0] = bad  # the centre vertex
+        with pytest.raises(ValueError, match="finite"):
+            TriMesh(vertices=verts, triangles=mesh.triangles)
+
+    @pytest.mark.parametrize("token", ["nan", "1e999"])
+    def test_non_finite_file_rejected(self, tmp_path, token):
+        path = tmp_path / "nan.mesh"
+        path.write_text(f"4 2\n0 0\n1 0\n1 1\n0 {token}\n1 2 4\n2 3 4\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_mesh(path)
+
+    def test_overflowing_index_rejected(self, tmp_path):
+        path = tmp_path / "huge.mesh"
+        path.write_text("3 1\n0 0\n1 0\n0 1\n1 2 99999999999999999999\n")
+        with pytest.raises(ValueError, match="malformed mesh file"):
             load_mesh(path)
 
     def test_coverage_deficit_rejected(self):
@@ -114,53 +187,6 @@ class TestOverlapArea:
     def test_clip_order_symmetry(self):
         # clipping the rectangle against the triangle's half-planes gives the
         # same area as clipping the triangle against the rectangle
-        def clip_poly(subject, clipper):
-            out = [tuple(p) for p in subject]
-            m = len(clipper)
-            for i in range(m):
-                a = clipper[i]
-                b = clipper[(i + 1) % m]
-                if not out:
-                    return []
-                prev = out[-1]
-                new = []
-
-                def inside(p):
-                    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (
-                        p[0] - a[0]
-                    ) >= 0
-
-                for cur in out:
-                    if inside(cur) != inside(prev):
-                        t = (
-                            (a[0] - prev[0]) * (b[1] - a[1])
-                            - (a[1] - prev[1]) * (b[0] - a[0])
-                        ) / (
-                            (cur[0] - prev[0]) * (b[1] - a[1])
-                            - (cur[1] - prev[1]) * (b[0] - a[0])
-                        )
-                        new.append(
-                            (
-                                prev[0] + t * (cur[0] - prev[0]),
-                                prev[1] + t * (cur[1] - prev[1]),
-                            )
-                        )
-                    if inside(cur):
-                        new.append(cur)
-                    prev = cur
-                out = new
-            return out
-
-        def area(poly):
-            if len(poly) < 3:
-                return 0.0
-            s = 0.0
-            for i in range(len(poly)):
-                x0, y0 = poly[i - 1]
-                x1, y1 = poly[i]
-                s += x0 * y1 - x1 * y0
-            return abs(s) / 2
-
         def cross2(a, b):
             return a[0] * b[1] - a[1] * b[0]
 
@@ -221,8 +247,53 @@ class TestTransferMatrices:
             t_val = t_mat[i, t]
             assert abs(t_val * mesh.areas[i] - s_val * cell_area) <= 1e-12
 
+    def test_coarse_mesh_on_fine_grid_matches_independent_clipper(self):
+        # each triangle covers many cells and the bounding boxes differ in
+        # size, so every side of a cell clips some triangle
+        mesh = perturbed_mesh(4, seed=7)
+        m_side = 40
+        h = 1.0 / m_side
+        s_mat = quasi_to_uniform(mesh, m_side).matrix.tocoo()
+        clipped = np.zeros(mesh.num_triangles)
+        for cell, t, s_val in zip(s_mat.row, s_mat.col, s_mat.data):
+            i, j = cell % m_side, cell // m_side
+            x0, y0, x1, y1 = i * h, j * h, (i + 1) * h, (j + 1) * h
+            rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+            tri = mesh.corners(t)
+            u, v = tri[1] - tri[0], tri[2] - tri[0]
+            ccw = tri if u[0] * v[1] - u[1] * v[0] > 0 else tri[::-1]
+            expected = area(clip_poly(rect, [tuple(p) for p in ccw]))
+            assert abs(s_val * h * h - expected) <= 1e-12 * h * h
+            clipped[t] += expected
+        # no overlap is missing from the pattern
+        assert np.abs(clipped - mesh.areas).max() <= 1e-12
+
+    def test_shifted_mesh_coverage_errors(self):
+        mesh = structured_trimesh(8)
+        shifted = TriMesh(vertices=mesh.vertices + [0.01, 0.0],
+                          triangles=mesh.triangles)
+        with pytest.raises(ValueError, match="not fully covered"):
+            quasi_to_uniform(shifted, 16)
+        with pytest.raises(ValueError, match="stick out"):
+            uniform_to_quasi(shifted, 16)
+
 
 class TestPipeline:
+    def test_transfers_match_public_builders(self):
+        mesh = perturbed_mesh(16, seed=1)
+        zero = custom(lambda x, y: np.zeros(np.broadcast(x, y).shape[:-1]))
+        cfg = BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.weak(),
+                          kernel=zero, coeff=CoefficientFn.constant(1.0))
+        pipe = build_pipeline(mesh, cfg, rho=1.5)
+        for got, want in (
+            (pipe.to_uniform.matrix, quasi_to_uniform(mesh, pipe.m_side).matrix),
+            (pipe.to_quasi.matrix, uniform_to_quasi(mesh, pipe.m_side).matrix),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
     def test_constant_preserved_by_identity_operator(self):
         mesh = structured_trimesh(16)
         zero = custom(lambda x, y: np.zeros(np.broadcast(x, y).shape[:-1]))
