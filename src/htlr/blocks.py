@@ -69,20 +69,8 @@ class TuckerBlock:
         return tlr_apply(self, seg)
 
     def materialize(self) -> np.ndarray:
-        d = len(self.u_factors)
-        updates = [
-            (self.u_factors[dim], dim + 1)
-            for dim in range(d)
-            if self.u_factors[dim] is not None
-        ]
-        updates += [
-            (self.v_factors[dim], d + dim + 1)
-            for dim in range(d)
-            if self.v_factors[dim] is not None
-        ]
-        full = tensor.multi_mode_apply(self.core, updates)
-        rows, cols = self.shape
-        return full.reshape(rows, cols, order="F")
+        full = _mode_products(self.core, self.u_factors + self.v_factors)
+        return full.reshape(self.shape, order="F")
 
     def scalars(self) -> tuple[int, int, int]:
         factors = sum(
@@ -131,6 +119,24 @@ class LowRankBlock:
         return 0, self.u.size + self.v.size, self.g.size
 
 
+def _mode_products(t: np.ndarray, factors) -> np.ndarray:
+    """Multiply axis i of `t` by factors[i] in turn; a ``None`` factor is an
+    identity.  The readable, validating form is :func:`tensor.multi_mode_apply`."""
+    for axis, f in enumerate(factors):
+        if f is not None:
+            t = np.moveaxis(np.tensordot(f, t, axes=([1], [axis])), 0, axis)
+    return t
+
+
+def _orthonormalized(raw: np.ndarray):
+    """(q, r) with orthonormal q and q @ r == raw; a square factor carries no
+    compression, so it stays whole in r and q is an implicit identity."""
+    if raw.shape[0] == raw.shape[1]:
+        return None, raw
+    fac = tensor.qr(raw)
+    return fac.q, fac.r
+
+
 def _interpolation_data(k, grid, tau, sigma, rank):
     """Raw per-dimension factors and kernel core for a box pair."""
     dom_tau = domain_of(grid, tau)
@@ -163,24 +169,12 @@ def build_tlr(
     thin QR, and fold h^d together with the triangular factors into the core.
     """
     u_raw, v_raw, core = _interpolation_data(k, grid, tau, sigma, rank)
-    d = grid.d
-    u_factors, v_factors = [], []
-    updates = []
-    for dim in range(d):
-        for raw, factors, mode in (
-            (u_raw[dim], u_factors, dim + 1),
-            (v_raw[dim], v_factors, d + dim + 1),
-        ):
-            if raw.shape[0] == raw.shape[1]:
-                # square factor: fold it into the core, keep an implicit identity
-                factors.append(None)
-                updates.append((raw, mode))
-            else:
-                fac = tensor.qr(raw)
-                factors.append(fac.q)
-                updates.append((fac.r, mode))
-    core = tensor.multi_mode_apply(h**d * core, updates)
-    return TuckerBlock(core=core, u_factors=u_factors, v_factors=v_factors)
+    u = [_orthonormalized(raw) for raw in u_raw]
+    v = [_orthonormalized(raw) for raw in v_raw]
+    core = _mode_products(h**grid.d * core, [r for _, r in u + v])
+    return TuckerBlock(
+        core=core, u_factors=[q for q, _ in u], v_factors=[q for q, _ in v]
+    )
 
 
 def build_lowrank(
@@ -250,32 +244,17 @@ def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
     """Apply a Tucker block to a source-side vector segment: reshape to a
     tensor, contract through the transposed v factors, the core, and the u
     factors, and flatten back."""
-    u_segment = np.asarray(u_segment, dtype=np.float64).ravel(order="F")
+    u_segment = np.asarray(u_segment, dtype=np.float64)
     cols = block.col_sizes
     if u_segment.size != int(np.prod(cols)):
         raise ValueError("segment length does not match the block")
-    d = len(cols)
-    w = tensor.vec_to_tensor(u_segment, cols)
-    w = tensor.multi_mode_apply(
-        w,
-        [
-            (block.v_factors[dim].T, dim + 1)
-            for dim in range(d)
-            if block.v_factors[dim] is not None
-        ],
+    w = _mode_products(
+        u_segment.reshape(cols, order="F"),
+        [f.T if f is not None else None for f in block.v_factors],
     )
-    h = tensor.contract(
-        block.core, w, list(range(d + 1, 2 * d + 1)), list(range(1, d + 1))
-    )
-    f = tensor.multi_mode_apply(
-        h,
-        [
-            (block.u_factors[dim], dim + 1)
-            for dim in range(d)
-            if block.u_factors[dim] is not None
-        ],
-    )
-    return tensor.tensor_to_vec(f)
+    # the core's last d (source) axes against the d axes of w
+    w = np.tensordot(block.core, w, axes=len(cols))
+    return _mode_products(w, block.u_factors).ravel(order="F")
 
 
 def lowrank_apply(block: LowRankBlock, u_segment: np.ndarray) -> np.ndarray:

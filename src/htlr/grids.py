@@ -266,13 +266,12 @@ class BlockClusterTree:
 
 
 def build_block_cluster_tree(
-    tree: ClusterTree, rule: AdmissibilityRule, grid: Optional[UniformGrid] = None
+    tree: ClusterTree, rule: AdmissibilityRule
 ) -> BlockClusterTree:
     """Classify index-box pairs starting from (root, root): admissible pairs
     become compressible leaves, leaf pairs become dense leaves, the rest
     recurse over all children pairs."""
-    if grid is None:
-        grid = tree.grid
+    grid = tree.grid
     leaves: list[BlockNode] = []
 
     def make(tau: ClusterNode, sigma: ClusterNode, level: int) -> BlockNode:

@@ -177,15 +177,10 @@ class CoefficientFn:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre order per direction and the singular-cell strategy.
-
-    With `corner_subdivision` on (the default) singular kernels get the
-    2^d-subcell Duffy treatment; switching it off integrates the plain tensor
-    rule, which is only appropriate for smooth kernels.
-    """
+    """Gauss-Legendre order per direction; singular kernels get the
+    2^d-subcell Duffy treatment."""
 
     q: int = 10
-    corner_subdivision: bool = True
 
     def __post_init__(self):
         if self.q < 2:
@@ -260,6 +255,6 @@ def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) 
     center = np.asarray(cell_center, dtype=np.float64)
     if k.translation_invariant:
         center = np.zeros_like(center)
-    if k.smooth_at_diagonal or not cfg.corner_subdivision:
+    if k.smooth_at_diagonal:
         return _smooth_cell_average(k, center, h, cfg.q)
     return _singular_cell_average(k, center, h, cfg.q)

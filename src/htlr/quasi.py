@@ -35,6 +35,8 @@ class TriMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        if self.vertices.shape[1:] != (2,) or self.triangles.shape[1:] != (3,):
+            raise ValueError("mesh needs (V, 2) vertices and (F, 3) triangles")
         if not np.isfinite(self.vertices).all():
             raise ValueError("mesh vertex coordinates must be finite")
         if self.triangles.min(initial=0) < 0 or self.triangles.max(
@@ -271,6 +273,8 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline
     """Assemble the pipeline for an oversampling ratio rho ~ sqrt(2M/N); the
     uniform side is rounded to the nearest buildable grid and the exact rho
     is recomputed."""
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError("oversampling ratio rho must be finite and positive")
     n_quasi = mesh.num_triangles
     target = int(round(np.sqrt(rho * rho * n_quasi / 2.0)))
     m_side = valid_uniform_side(max(target, cfg.leaf_side), cfg.leaf_side)

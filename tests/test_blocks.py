@@ -10,6 +10,7 @@ from htlr import (
     build_lowrank,
     build_tlr,
     cheb_points,
+    contract,
     core_tensor,
     custom,
     dense_assemble,
@@ -21,7 +22,9 @@ from htlr import (
     pairwise,
     slp_2d,
     storage_count,
+    tensor_to_vec,
     tlr_apply,
+    vec_to_tensor,
 )
 from htlr.blocks import DenseBlock, TuckerBlock
 from htlr.grids import domain_of
@@ -183,6 +186,36 @@ class TestTlrApply:
         block = build_tlr(gaussian(1.0), grid, tau, sigma, 4, grid.h)
         with pytest.raises(ValueError):
             tlr_apply(block, np.zeros(7))
+
+    @pytest.mark.parametrize(
+        "n, tau, sigma, rank, identities",
+        [
+            # 3D, box side equal to the rank: all six factors are identities
+            (16, ((0, 4),) * 3, ((8, 12), (0, 4), (0, 4)), 4, 6),
+            # 2D, sides (4, 8) at rank 4: per side one identity, one stored
+            (32, ((0, 4), (0, 8)), ((16, 20), (0, 8)), 4, 2),
+            (64, ((0, 32), (0, 32)), ((32, 64), (0, 32)), 5, 0),
+        ],
+    )
+    def test_matches_tensor_reference(self, n, tau, sigma, rank, identities):
+        grid = UniformGrid(len(tau), n)
+        block = build_tlr(gaussian(np.sqrt(2.0)), grid, IndexBox(tau),
+                          IndexBox(sigma), rank, grid.h)
+        assert sum(f is None for f in block.u_factors + block.v_factors) == identities
+        u = np.random.default_rng(25).standard_normal(block.shape[1])
+        d = grid.d
+        w = multi_mode_apply(
+            vec_to_tensor(u, block.col_sizes),
+            [(f.T, i + 1) for i, f in enumerate(block.v_factors) if f is not None],
+        )
+        w = contract(block.core, w, range(d + 1, 2 * d + 1), range(1, d + 1))
+        w = multi_mode_apply(
+            w, [(f, i + 1) for i, f in enumerate(block.u_factors) if f is not None]
+        )
+        out = tlr_apply(block, u)
+        scale = np.abs(out).max()
+        assert np.abs(out - tensor_to_vec(w)).max() <= 1e-13 * scale
+        assert np.abs(out - materialize(block) @ u).max() <= 1e-13 * scale
 
     def test_linearity(self):
         grid, tau, sigma = admissible_pair_64()

@@ -140,6 +140,19 @@ class TestTriMesh:
         with pytest.raises(ValueError, match="malformed mesh file"):
             load_mesh(path)
 
+    @pytest.mark.parametrize("part", ["triangles", "vertices"])
+    def test_wrong_array_shape_rejected(self, part):
+        # neither fails a later check: a duplicated 4th triangle column still
+        # covers the square, and a 3rd vertex column gives 3-column centroids
+        mesh = structured_trimesh(4)
+        verts, tris = mesh.vertices, mesh.triangles
+        if part == "triangles":
+            tris = np.column_stack([tris, tris[:, 0]])
+        else:
+            verts = np.column_stack([verts, np.zeros(len(verts))])
+        with pytest.raises(ValueError, match=r"\(V, 2\) vertices"):
+            TriMesh(vertices=verts, triangles=tris)
+
     def test_coverage_deficit_rejected(self):
         verts = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
         with pytest.raises(ValueError):
@@ -293,6 +306,13 @@ class TestPipeline:
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("rho", [0.0, -2.0, np.nan])
+    def test_non_positive_or_nan_rho_rejected(self, rho):
+        cfg = BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.weak(),
+                          kernel=gaussian(1.0), coeff=CoefficientFn.constant(1.0))
+        with pytest.raises(ValueError, match="rho"):
+            build_pipeline(structured_trimesh(4), cfg, rho)
 
     def test_constant_preserved_by_identity_operator(self):
         mesh = structured_trimesh(16)
