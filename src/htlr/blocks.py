@@ -26,9 +26,9 @@ from .kernels import (
     CoefficientFn,
     KernelSpec,
     QuadratureConfig,
-    diagonal_entry,
     pairwise,
-    pairwise_masked_diagonal,
+    pairwise_self,
+    self_entries,
 )
 
 
@@ -208,14 +208,8 @@ def build_dense(
     sigma: IndexBox,
     h: float,
     cfg: QuadratureConfig,
-    diag_value: float | None = None,
 ) -> DenseBlock:
-    """Dense submatrix a(x_i) 1[i=j] + K_ij h^d over the box pair.
-
-    `diag_value` optionally supplies a precomputed cell-average diagonal
-    entry (valid for translation-invariant kernels, where it is the same for
-    every cell).
-    """
+    """Dense submatrix a(x_i) 1[i=j] + K_ij h^d over the box pair."""
     if tau != sigma:
         overlaps = all(
             max(lo1, lo2) < min(hi1, hi2)
@@ -224,19 +218,13 @@ def build_dense(
         if overlaps:
             raise ValueError("dense blocks require equal or disjoint index boxes")
     xpts = grid.points(tau)
-    ypts = grid.points(sigma)
     if tau == sigma:
-        if diag_value is None:
-            vals = [
-                diagonal_entry(k, xpts[i], h, cfg) for i in range(xpts.shape[0])
-            ]
-            diag = np.asarray(vals)
-        else:
-            diag = np.full(xpts.shape[0], diag_value)
-        mat = pairwise_masked_diagonal(k, xpts, ypts, diag) * h**grid.d
-        mat[np.arange(len(xpts)), np.arange(len(xpts))] += coeff(xpts)
+        idx = np.arange(len(xpts))
+        diag = self_entries(k, xpts, h, cfg)
+        mat = pairwise_self(k, xpts, idx, diag) * h**grid.d
+        mat[idx, idx] += coeff(xpts)
     else:
-        mat = pairwise(k, xpts, ypts) * h**grid.d
+        mat = pairwise(k, xpts, grid.points(sigma)) * h**grid.d
     return DenseBlock(matrix=mat)
 
 

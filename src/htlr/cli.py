@@ -99,11 +99,21 @@ def kernel_for(name: str, d: int) -> KernelSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _rule_from_args(args) -> AdmissibilityRule:
-    if args.adm == "weak":
-        return AdmissibilityRule.weak()
-    eta = args.eta if args.eta is not None else float(np.sqrt(args.dim))
-    return AdmissibilityRule.strong(eta)
+def config_for(args, kernel: KernelSpec) -> BuildConfig:
+    """The build configuration of a benchmark run; a rank, leaf side or eta
+    the build rejects is a usage error."""
+    try:
+        if args.adm == "weak":
+            rule = AdmissibilityRule.weak()
+        else:
+            eta = args.eta if args.eta is not None else float(np.sqrt(args.dim))
+            rule = AdmissibilityRule.strong(eta)
+        return BuildConfig(
+            rank=args.p, leaf_side=args.leaf, rule=rule, kernel=kernel,
+            coeff=CoefficientFn.constant(0.0), quadrature=QuadratureConfig(),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _best_of(fn, repeats=TIMING_REPEATS):
@@ -127,13 +137,9 @@ def _storage_columns(op) -> dict:
 
 def cmd_bench_uniform(args) -> list[dict]:
     kernel = kernel_for(args.kernel, args.dim)
+    cfg = config_for(args, kernel)
     validate_uniform_side(args.n, args.leaf)
-    rule = _rule_from_args(args)
     grid = UniformGrid(args.dim, args.n)
-    cfg = BuildConfig(
-        rank=args.p, leaf_side=args.leaf, rule=rule, kernel=kernel,
-        coeff=CoefficientFn.constant(0.0), quadrature=QuadratureConfig(),
-    )
     rng = np.random.default_rng((args.seed, 0))
     u = rng.standard_normal(grid.num_points)
     exact = oracles.exact_row_evaluator(kernel, cfg.coeff, grid, cfg.quadrature)
@@ -253,6 +259,10 @@ def cmd_bench_quasi(args) -> list[dict]:
     if args.dim != 2:
         raise UsageError("the quasi-uniform pipeline is two-dimensional")
     kernel = kernel_for(args.kernel, 2)
+    cfg = config_for(args, kernel)
+    rhos = args.rho if args.rho else [2.0]
+    if not all(np.isfinite(rho) and rho > 0 for rho in rhos):
+        raise UsageError("--rho must be finite and positive")
     if args.mesh is not None:
         mesh = load_mesh(args.mesh)
     else:
@@ -264,11 +274,6 @@ def cmd_bench_quasi(args) -> list[dict]:
                 f"--n {args.n} is not of the form 2*k^2 for a structured mesh"
             )
         mesh = structured_trimesh(k)
-    rule = _rule_from_args(args)
-    cfg = BuildConfig(
-        rank=args.p, leaf_side=args.leaf, rule=rule, kernel=kernel,
-        coeff=CoefficientFn.constant(0.0), quadrature=QuadratureConfig(),
-    )
     u = quasi_test_field(mesh.centroids)
     exact = oracles.quasi_row_evaluator(kernel, cfg.coeff, mesh, cfg.quadrature)
     n_quasi = mesh.num_triangles
@@ -278,12 +283,8 @@ def cmd_bench_quasi(args) -> list[dict]:
     exact_vals = exact(sampled_rows, u)
 
     rows = []
-    rhos = args.rho if args.rho else [2.0]
     for rho in rhos:
-        pipe, t_con = _best_of(
-            lambda: build_pipeline(mesh, cfg, rho),
-            repeats=TIMING_REPEATS,
-        )
+        pipe, t_con = _best_of(lambda: build_pipeline(mesh, cfg, rho))
         out, t_apply = _best_of(lambda: apply_pipeline(pipe, u))
         denom = np.linalg.norm(exact_vals)
         err = float(np.linalg.norm(out[sampled_rows] - exact_vals) / denom)

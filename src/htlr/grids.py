@@ -138,8 +138,10 @@ class AdmissibilityRule:
     def __post_init__(self):
         if self.kind not in ("weak", "strong"):
             raise ValueError("kind must be 'weak' or 'strong'")
-        if self.kind == "strong" and (self.eta is None or self.eta <= 0):
-            raise ValueError("strong admissibility needs eta > 0")
+        if self.kind == "strong" and not (
+            self.eta is not None and math.isfinite(self.eta) and self.eta > 0
+        ):
+            raise ValueError("strong admissibility needs a finite eta > 0")
 
     @staticmethod
     def weak() -> "AdmissibilityRule":

@@ -9,12 +9,14 @@ of k(x_i, .) over the cell centered at x_i.  For kernels with a diagonal
 singularity the cell is split into the 2^d subcells meeting at the center
 and each subcell is integrated with a Duffy-type map (radial direction along
 the largest coordinate, graded cubically toward the singularity) under a
-tensor Gauss-Legendre rule.
+tensor Gauss-Legendre rule.  This module alone decides the self-cell
+entries and keeps coincident point pairs away from the kernel evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +40,11 @@ class KernelSpec:
     sigma: Optional[float] = None
     evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     smooth_at_diagonal: bool = True
-    translation_invariant: bool = False
+
+    @property
+    def translation_invariant(self) -> bool:
+        """Built-in kernels depend on x - y only; custom ones may not."""
+        return self.kind != CUSTOM
 
     def __post_init__(self):
         if self.kind == GAUSSIAN and (self.sigma is None or self.sigma <= 0):
@@ -48,18 +54,15 @@ class KernelSpec:
 
 
 def gaussian(sigma: float) -> KernelSpec:
-    return KernelSpec(kind=GAUSSIAN, sigma=sigma, smooth_at_diagonal=True,
-                      translation_invariant=True)
+    return KernelSpec(kind=GAUSSIAN, sigma=sigma, smooth_at_diagonal=True)
 
 
 def slp_2d() -> KernelSpec:
-    return KernelSpec(kind=SLP2D, smooth_at_diagonal=False,
-                      translation_invariant=True)
+    return KernelSpec(kind=SLP2D, smooth_at_diagonal=False)
 
 
 def slp_3d() -> KernelSpec:
-    return KernelSpec(kind=SLP3D, smooth_at_diagonal=False,
-                      translation_invariant=True)
+    return KernelSpec(kind=SLP3D, smooth_at_diagonal=False)
 
 
 def custom(evaluator, smooth_at_diagonal: bool = True) -> KernelSpec:
@@ -85,22 +88,22 @@ def by_name(name: str, d: int) -> KernelSpec:
     raise ValueError(f"unknown kernel '{name}'")
 
 
-def _evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = x - y
+def _of_r2(k: KernelSpec, r2: np.ndarray) -> np.ndarray:
+    """A built-in kernel as a function of the squared distance."""
     if k.kind == GAUSSIAN:
-        r2 = np.sum(diff * diff, axis=-1)
         return np.exp(-r2 / (2.0 * k.sigma * k.sigma))
     if k.kind == SLP2D:
-        r2 = np.sum(diff * diff, axis=-1)
-        if np.any(r2 == 0.0):
-            raise ValueError("SLP kernel evaluated on the diagonal")
         return -0.5 * np.log(r2) / (2.0 * np.pi)
-    if k.kind == SLP3D:
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        if np.any(r == 0.0):
-            raise ValueError("SLP kernel evaluated on the diagonal")
-        return 1.0 / (4.0 * np.pi * r)
-    return np.asarray(k.evaluator(x, y), dtype=np.float64)
+    return 1.0 / (4.0 * np.pi * np.sqrt(r2))
+
+
+def _evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if k.kind == CUSTOM:
+        return np.asarray(k.evaluator(x, y), dtype=np.float64)
+    r2 = np.sum(np.square(x - y), axis=-1)
+    if k.kind != GAUSSIAN and np.any(r2 == 0.0):
+        raise ValueError("SLP kernel evaluated on the diagonal")
+    return _of_r2(k, r2)
 
 
 def evaluate(k: KernelSpec, x, y) -> float:
@@ -117,46 +120,25 @@ def pairwise(k: KernelSpec, xpts: np.ndarray, ypts: np.ndarray) -> np.ndarray:
     return _evaluate(k, xpts[:, None, :], ypts[None, :, :])
 
 
-def _pairwise_coincidence_safe(
-    k: KernelSpec, xpts: np.ndarray, ypts: np.ndarray,
-    row_idx: np.ndarray, col_idx: np.ndarray,
+def pairwise_self(
+    k: KernelSpec, pts: np.ndarray, sel: np.ndarray, self_values
 ) -> np.ndarray:
-    """Pairwise values where position (row_idx[i], col_idx[i]) is a coincident
-    point pair; those entries come out finite but meaningless and must be
-    overwritten by the caller."""
-    if k.kind in (SLP2D, SLP3D):
-        # keep the singular evaluator off the coincident pairs
-        diff = xpts[:, None, :] - ypts[None, :, :]
-        r2 = np.sum(diff * diff, axis=-1)
-        r2[row_idx, col_idx] = 1.0
-        if k.kind == SLP2D:
-            return -0.5 * np.log(r2) / (2.0 * np.pi)
-        return 1.0 / (4.0 * np.pi * np.sqrt(r2))
-    with np.errstate(all="ignore"):
-        return np.nan_to_num(_evaluate(k, xpts[:, None, :], ypts[None, :, :]))
-
-
-def pairwise_masked_diagonal(
-    k: KernelSpec, xpts: np.ndarray, ypts: np.ndarray, diag: np.ndarray
-) -> np.ndarray:
-    """Like :func:`pairwise` for a square point set where row i and column i
-    are the same point; the (i, i) entries are replaced by `diag`."""
-    xpts = np.asarray(xpts, dtype=np.float64)
-    ypts = np.asarray(ypts, dtype=np.float64)
-    idx = np.arange(xpts.shape[0])
-    out = _pairwise_coincidence_safe(k, xpts, ypts, idx, idx)
-    out[idx, idx] = diag
+    """Kernel values of the rows `sel` of `pts` against all of `pts`, where
+    entry (i, sel[i]) pairs a point with itself: it is set to
+    `self_values[i]` and never evaluated."""
+    pts = np.asarray(pts, dtype=np.float64)
+    rows = np.arange(sel.size)
+    x, y = pts[sel][:, None, :], pts[None, :, :]
+    if k.kind == CUSTOM:
+        with np.errstate(all="ignore"):
+            out = np.array(_evaluate(k, x, y))
+    else:
+        # x - y, d times the size of the result, is freed before the formula
+        r2 = np.sum(np.square(x - y), axis=-1)
+        r2[rows, sel] = 1.0
+        out = _of_r2(k, r2)
+    out[rows, sel] = self_values
     return out
-
-
-def pairwise_rows_masked(
-    k: KernelSpec, pts: np.ndarray, sel: np.ndarray
-) -> np.ndarray:
-    """Kernel values of the rows `sel` against the full point set, with the
-    self-interaction entries (i, sel[i]) left finite for later replacement."""
-    return _pairwise_coincidence_safe(
-        k, pts[sel], pts, np.arange(sel.size), sel
-    )
 
 
 @dataclass(frozen=True)
@@ -258,3 +240,20 @@ def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) 
     if k.smooth_at_diagonal:
         return _smooth_cell_average(k, center, h, cfg.q)
     return _singular_cell_average(k, center, h, cfg.q)
+
+
+@lru_cache(maxsize=None)
+def _origin_entry(k: KernelSpec, d: int, h: float, cfg: QuadratureConfig) -> float:
+    return diagonal_entry(k, np.zeros(d), h, cfg)
+
+
+def self_entries(
+    k: KernelSpec, pts: np.ndarray, h: float, cfg: QuadratureConfig
+) -> np.ndarray:
+    """:func:`diagonal_entry` at every point of `pts`; a translation-invariant
+    kernel has one value for all cells, integrated once per (kernel, d, h,
+    quadrature)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if k.translation_invariant:
+        return np.full(len(pts), _origin_entry(k, pts.shape[1], h, cfg))
+    return np.array([diagonal_entry(k, p, h, cfg) for p in pts])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .grids import (
     build_block_cluster_tree,
     build_cluster_tree,
 )
-from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, diagonal_entry
+from .kernels import CoefficientFn, KernelSpec, QuadratureConfig
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class BuildConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
+        if self.leaf_side < 1:
+            raise ValueError("leaf side must be positive")
         if not self.rank <= self.leaf_side <= 2 * self.rank:
             warnings.warn(
                 f"leaf side {self.leaf_side} outside the recommended range "
@@ -76,17 +78,9 @@ class StorageReport:
     theoretical_bound: float
 
 
-def _cached_diag(cfg: BuildConfig, grid: UniformGrid) -> Optional[float]:
-    if not cfg.kernel.translation_invariant:
-        return None
-    center = np.full(grid.d, 0.5 * grid.h)
-    return diagonal_entry(cfg.kernel, center, grid.h, cfg.quadrature)
-
-
 def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatrix:
     ctree = build_cluster_tree(grid, cfg.leaf_side)
     btree = build_block_cluster_tree(ctree, cfg.rule)
-    diag = _cached_diag(cfg, grid)
 
     def build_leaf(leaf):
         if leaf.kind == ADMISSIBLE:
@@ -95,7 +89,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
             )
         return build_dense(
             cfg.kernel, cfg.coeff, grid, leaf.tau.box, leaf.sigma.box,
-            grid.h, cfg.quadrature, diag_value=diag,
+            grid.h, cfg.quadrature,
         )
 
     payloads = [build_leaf(leaf) for leaf in btree.leaves]

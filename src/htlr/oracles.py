@@ -20,12 +20,13 @@ from .kernels import (
     QuadratureConfig,
     _evaluate,
     _gauss01,
-    diagonal_entry,
-    pairwise_masked_diagonal,
-    pairwise_rows_masked,
+    pairwise_self,
+    self_entries,
 )
 
 DENSE_GUARD = 2**15
+#: rows per kernel block in the row oracles
+ROW_CHUNK = 256
 
 
 @dataclass
@@ -52,14 +53,30 @@ def dense_assemble(
             f"dense assembly of {n_pts} points exceeds the guard {max_points}"
         )
     pts = _grid_points(grid)
-    h = grid.h
-    if k.translation_invariant:
-        diag = np.full(n_pts, diagonal_entry(k, pts[0], h, cfg))
-    else:
-        diag = np.array([diagonal_entry(k, p, h, cfg) for p in pts])
-    mat = pairwise_masked_diagonal(k, pts, pts, diag) * h**grid.d
-    mat[np.arange(n_pts), np.arange(n_pts)] += coeff(pts)
+    idx = np.arange(n_pts)
+    diag = self_entries(k, pts, grid.h, cfg)
+    mat = pairwise_self(k, pts, idx, diag) * grid.h**grid.d
+    mat[idx, idx] += coeff(pts)
     return DenseOperator(matrix=mat)
+
+
+def _row_oracle(k, coeff, pts, weights, self_values):
+    """(rows, u) -> exact rows of f_i = a(x_i) u_i + sum_j K_ij w_j u_j, with
+    K_ii from self_values(rows), recomputing kernel rows on demand so memory
+    stays O(N)."""
+
+    def rows_apply(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        u = np.asarray(u, dtype=np.float64).ravel(order="F")
+        out = np.empty(rows.size)
+        for start in range(0, rows.size, ROW_CHUNK):
+            sel = rows[start : start + ROW_CHUNK]
+            block = pairwise_self(k, pts, sel, self_values(sel))
+            out[start : start + ROW_CHUNK] = block @ (weights * u)
+        out += coeff(pts[rows]) * u[rows]
+        return out
+
+    return rows_apply
 
 
 def exact_row_evaluator(
@@ -67,37 +84,14 @@ def exact_row_evaluator(
     coeff: CoefficientFn,
     grid: UniformGrid,
     cfg: QuadratureConfig,
-    chunk: int = 256,
 ):
     """Row oracle for the uniform-grid system: returns a callable mapping
-    (row ids, u) to the exact matvec values on those rows, recomputing kernel
-    rows on demand so memory stays O(N)."""
+    (row ids, u) to the exact matvec values on those rows."""
     pts = _grid_points(grid)
-    h = grid.h
-    hd = h**grid.d
-    if k.translation_invariant:
-        diag_value = diagonal_entry(k, pts[0], h, cfg)
-    else:
-        diag_value = None
-
-    def rows_apply(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        u = np.asarray(u, dtype=np.float64).ravel(order="F")
-        out = np.empty(rows.size)
-        for start in range(0, rows.size, chunk):
-            sel = rows[start : start + chunk]
-            block = pairwise_rows_masked(k, pts, sel)
-            if diag_value is not None:
-                block[np.arange(sel.size), sel] = diag_value
-            else:
-                block[np.arange(sel.size), sel] = [
-                    diagonal_entry(k, pts[i], h, cfg) for i in sel
-                ]
-            out[start : start + chunk] = block @ (hd * u)
-        out += coeff(pts[rows]) * u[rows]
-        return out
-
-    return rows_apply
+    return _row_oracle(
+        k, coeff, pts, grid.h**grid.d,
+        lambda sel: self_entries(k, pts[sel], grid.h, cfg),
+    )
 
 
 def svd_lowrank(m: np.ndarray, r: int):
@@ -183,30 +177,19 @@ def _triangle_average(k: KernelSpec, corners: np.ndarray, center: np.ndarray,
     return total / area
 
 
-def quasi_row_evaluator(k: KernelSpec, coeff: CoefficientFn, mesh, cfg: QuadratureConfig,
-                        chunk: int = 256):
+def quasi_row_evaluator(k: KernelSpec, coeff: CoefficientFn, mesh,
+                        cfg: QuadratureConfig):
     """Row oracle for the quasi-uniform system on triangle centroids:
     f_i = a(x_i) u_i + sum_j K_ij |cell_j| u_j with the diagonal entry the
     triangle average of the kernel."""
-    pts = mesh.centroids
-    areas = mesh.areas
-
-    def rows_apply(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        u = np.asarray(u, dtype=np.float64).ravel()
-        out = np.empty(rows.size)
-        for start in range(0, rows.size, chunk):
-            sel = rows[start : start + chunk]
-            block = pairwise_rows_masked(k, pts, sel)
-            block[np.arange(sel.size), sel] = [
-                _triangle_average(k, mesh.corners(i), pts[i], areas[i], cfg)
-                for i in sel
-            ]
-            out[start : start + chunk] = block @ (areas * u)
-        out += coeff(pts[rows]) * u[rows]
-        return out
-
-    return rows_apply
+    pts, areas = mesh.centroids, mesh.areas
+    return _row_oracle(
+        k, coeff, pts, areas,
+        lambda sel: [
+            _triangle_average(k, mesh.corners(i), pts[i], areas[i], cfg)
+            for i in sel
+        ],
+    )
 
 
 def rel_fro_error(approx: np.ndarray, exact: np.ndarray) -> float:

@@ -143,6 +143,20 @@ class TestBuildDense:
         ids = box.linear_indices(16)
         assert np.array_equal(block.matrix, dense.matrix[np.ix_(ids, ids)])
 
+    def test_self_block_keeps_custom_kernel_nan(self):
+        # NaN beyond r = 0.3 is the kernel's answer; only the coincident
+        # entries may differ from pairwise
+        kernel = custom(lambda x, y: np.where(
+            np.linalg.norm(x - y, axis=-1) > 0.3, np.nan, 1.0))
+        grid = UniformGrid(2, 4)
+        box = IndexBox(((0, 4), (0, 4)))
+        block = build_dense(kernel, CoefficientFn.constant(0.0), grid, box, box,
+                            grid.h, QuadratureConfig())
+        pts = grid.points(box)
+        expected = np.isnan(pairwise(kernel, pts, pts))
+        assert expected.sum() == 192
+        assert np.array_equal(np.isnan(block.matrix), expected)
+
     def test_partially_overlapping_boxes_rejected(self):
         grid = UniformGrid(2, 8)
         a = IndexBox(((0, 4), (0, 4)))

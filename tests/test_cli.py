@@ -2,6 +2,9 @@ import csv
 import io
 import json
 
+import pytest
+
+from htlr import cli
 from htlr.cli import UNIFORM_HEADER, main
 
 
@@ -179,3 +182,33 @@ class TestBenchQuasi:
             capsys, "bench-quasi", "--mesh", "/nonexistent/x.mesh",
         )
         assert code == 1
+
+
+BAD_NUMBERS = [
+    ("bench-quasi", "--rho", "-2"),
+    ("bench-quasi", "--rho", "nan"),
+    ("bench-uniform", "--eta", "-1"),
+    ("bench-uniform", "--eta", "0"),
+    ("bench-quasi", "--eta", "nan"),
+    ("bench-uniform", "--p", "0"),
+    ("bench-quasi", "--p", "0"),
+    ("bench-uniform", "--leaf", "0"),
+    ("bench-quasi", "--leaf", "0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_NUMBERS)
+def test_bad_number_is_usage_error_before_any_work(
+    capsys, monkeypatch, command, flag, value
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("reference rows computed before the check")
+
+    monkeypatch.setattr(cli.oracles, "exact_row_evaluator", no_work)
+    monkeypatch.setattr(cli.oracles, "quasi_row_evaluator", no_work)
+    n = "32" if command == "bench-uniform" else "128"
+    code, _, err = run_cli(
+        capsys, command, "--n", n, "--adm", "strong", flag, value,
+    )
+    assert code == 2
+    assert err.startswith("usage error")

@@ -113,6 +113,11 @@ class TestAdmissibility:
         b3 = DomainBox(((1.0, 2.0), (0.0, 1.0)))  # adjacent, dist 0
         assert not is_admissible(rule, b1, b3)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_strong_rejects_eta_not_finite_and_positive(self, eta):
+        with pytest.raises(ValueError, match="finite eta"):
+            AdmissibilityRule.strong(eta)
+
     def test_strong_monotone_in_eta(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

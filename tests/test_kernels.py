@@ -12,7 +12,7 @@ from htlr import (
     slp_2d,
     slp_3d,
 )
-from htlr.kernels import by_name
+from htlr.kernels import KernelSpec, by_name, pairwise_self, self_entries
 from oracle_utils import shell_diagonal_average
 
 
@@ -79,6 +79,52 @@ class TestPairwise:
         for i in range(5):
             for j in range(7):
                 assert mat[i, j] == evaluate(slp_2d(), xs[i], ys[j])
+
+
+def inverse_distance(x, y):
+    return 1.0 / np.linalg.norm(x - y, axis=-1)
+
+
+class TestPairwiseSelf:
+    @pytest.mark.parametrize(
+        "kernel, d",
+        [(gaussian(0.7), 2), (slp_2d(), 2), (slp_3d(), 3),
+         (custom(inverse_distance, smooth_at_diagonal=False), 2)],
+        ids=["gaussian", "slp2d", "slp3d", "custom"],
+    )
+    def test_matches_pairwise_off_the_coincident_entries(self, kernel, d):
+        pts = np.random.default_rng(23).random((12, d))
+        sel = np.array([7, 0, 3, 11, 5])
+        self_values = np.arange(1.0, sel.size + 1.0)
+        out = pairwise_self(kernel, pts, sel, self_values)
+        assert out.shape == (sel.size, len(pts))
+        for i, j in enumerate(sel):
+            others = np.delete(np.arange(len(pts)), j)
+            expected = pairwise(kernel, pts[[j]], pts[others])[0]
+            assert np.array_equal(out[i, others], expected)
+        assert np.array_equal(out[np.arange(sel.size), sel], self_values)
+
+
+class TestSelfEntries:
+    @pytest.mark.parametrize(
+        "kernel",
+        [slp_2d(),
+         custom(lambda x, y: (1.0 + x[..., 0]) * np.exp(-np.sum((x - y) ** 2, axis=-1)))],
+        ids=["slp2d", "custom"],
+    )
+    def test_equal_per_point_diagonal_entry(self, kernel):
+        pts = np.random.default_rng(29).random((6, 2))
+        h, cfg = 1 / 8, QuadratureConfig()
+        expected = [diagonal_entry(kernel, p, h, cfg) for p in pts]
+        assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
+
+
+def test_translation_invariance_is_the_kernel_kind():
+    for kernel in (gaussian(1.0), slp_2d(), slp_3d()):
+        assert kernel.translation_invariant
+    assert not custom(inverse_distance).translation_invariant
+    with pytest.raises(TypeError):
+        KernelSpec(kind="slp2d", translation_invariant=True)
 
 
 class TestDiagonalEntry:

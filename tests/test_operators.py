@@ -55,6 +55,11 @@ class TestBuildConfig:
             BuildConfig(rank=0, leaf_side=16, rule=AdmissibilityRule.weak(),
                         kernel=gaussian(1.0), coeff=CoefficientFn.constant(0.0))
 
+    def test_invalid_leaf_side(self):
+        with pytest.raises(ValueError, match="leaf side"):
+            BuildConfig(rank=4, leaf_side=0, rule=AdmissibilityRule.weak(),
+                        kernel=gaussian(1.0), coeff=CoefficientFn.constant(0.0))
+
 
 class TestConstruct:
     def test_single_leaf_equals_dense_oracle(self):
@@ -92,6 +97,28 @@ class TestConstruct:
                 assert (np.abs(rec - sub) / np.abs(sub)).max() <= 1e-9
             else:
                 assert np.array_equal(rec, sub)
+
+    def test_diagonal_quadrature_runs_once(self, monkeypatch):
+        from htlr import kernels
+
+        calls = []
+        original = kernels.diagonal_entry
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "diagonal_entry", counting)
+        kernels._origin_entry.cache_clear()
+        cfg = BuildConfig(
+            rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        )
+        for _ in range(2):
+            op = construct(cfg, UniformGrid(2, 32))
+        assert operation_counts(op)["dense_leaves"] > 16
+        assert len(calls) == 1
+
 
 class TestMatvec:
     def test_zero_input(self):
