@@ -6,6 +6,13 @@ uses conventional low-rank blocks built from the same interpolant, so the
 two agree to rounding and differ only in storage and work.  Both are one
 operator type: the leaf payloads follow the block protocol of
 :mod:`htlr.blocks`, so nothing here depends on the leaf kind.
+
+For a translation-invariant kernel the matrix is multilevel Toeplitz: a leaf
+payload depends only on the leaf kind, the two box sizes and the index
+offset between the boxes.  Each such translation class is built once and
+every leaf of the class points at the same payload object, so payloads are
+shared and must be treated as read-only.  The coefficient a(x) is not part
+of any payload; the operator holds it as its diagonal.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from .grids import (
     build_cluster_tree,
 )
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig
+
+_NO_COEFF = CoefficientFn.constant(0.0)
 
 
 @dataclass(frozen=True)
@@ -56,13 +65,16 @@ class BuildConfig:
 
 @dataclass
 class HTLRMatrix:
-    """Hierarchical operator: the block cluster tree and one payload per
-    leaf (Tucker or low-rank for admissible leaves, dense otherwise)."""
+    """Hierarchical operator: the block cluster tree, one payload per leaf
+    (Tucker or low-rank for admissible leaves, dense otherwise; leaves of one
+    translation class share the object) and the diagonal a(x) at every grid
+    point, first index fastest."""
 
     grid: UniformGrid
     config: BuildConfig
     block_tree: BlockClusterTree
     payloads: list  # leaf_id -> block
+    diagonal: np.ndarray
 
     @property
     def num_points(self) -> int:
@@ -78,6 +90,17 @@ class StorageReport:
     theoretical_bound: float
 
 
+def _class_key(kernel: KernelSpec, leaf):
+    """Leaves with equal keys have equal payloads: for a translation-invariant
+    kernel the leaf kind, both box sizes and the source-minus-target index
+    offset; otherwise the leaf alone."""
+    if not kernel.translation_invariant:
+        return leaf.leaf_id
+    tau, sigma = leaf.tau.box, leaf.sigma.box
+    offset = tuple(s - t for (s, _), (t, _) in zip(sigma.ranges, tau.ranges))
+    return leaf.kind, tau.sizes, sigma.sizes, offset
+
+
 def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatrix:
     ctree = build_cluster_tree(grid, cfg.leaf_side)
     btree = build_block_cluster_tree(ctree, cfg.rule)
@@ -88,12 +111,20 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
                 cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, cfg.rank, grid.h
             )
         return build_dense(
-            cfg.kernel, cfg.coeff, grid, leaf.tau.box, leaf.sigma.box,
+            cfg.kernel, _NO_COEFF, grid, leaf.tau.box, leaf.sigma.box,
             grid.h, cfg.quadrature,
         )
 
-    payloads = [build_leaf(leaf) for leaf in btree.leaves]
-    return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads)
+    by_class = {}
+    payloads = []
+    for leaf in btree.leaves:
+        key = _class_key(cfg.kernel, leaf)
+        if key not in by_class:
+            by_class[key] = build_leaf(leaf)
+        payloads.append(by_class[key])
+    diagonal = cfg.coeff(grid.points(ctree.root.box))
+    return HTLRMatrix(grid=grid, config=cfg, block_tree=btree,
+                      payloads=payloads, diagonal=diagonal)
 
 
 def construct(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
@@ -120,8 +151,9 @@ def checked_vector(u) -> np.ndarray:
 
 
 def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
-    """f = A u accumulated leaf by leaf in depth-first order, for operators
-    from both :func:`construct` and :func:`construct_hmatrix`."""
+    """f = A u: the kernel part accumulated leaf by leaf in depth-first
+    order, then the diagonal a(x) u, for operators from both
+    :func:`construct` and :func:`construct_hmatrix`."""
     u = checked_vector(u)
     n = op.grid.n
     d = op.grid.d
@@ -135,7 +167,7 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
         f_tensor[leaf.tau.box.slices] += out.reshape(
             leaf.tau.box.sizes, order="F"
         )
-    return f_tensor.ravel(order="F")
+    return f_tensor.ravel(order="F") + op.diagonal * u
 
 
 def weak_storage_bound(d: int, rank: int, num_points: int) -> float:

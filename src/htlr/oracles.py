@@ -25,8 +25,9 @@ from .kernels import (
 )
 
 DENSE_GUARD = 2**15
-#: rows per kernel block in the row oracles
-ROW_CHUNK = 256
+#: kernel evaluations (rows x points) per block in the row oracles; 256 rows
+#: of a 2^13-point system, a few rows of a 2^20-point one
+ROW_CHUNK = 2**21
 
 
 @dataclass
@@ -69,10 +70,11 @@ def _row_oracle(k, coeff, pts, weights, self_values):
         rows = np.asarray(rows, dtype=np.int64)
         u = np.asarray(u, dtype=np.float64).ravel(order="F")
         out = np.empty(rows.size)
-        for start in range(0, rows.size, ROW_CHUNK):
-            sel = rows[start : start + ROW_CHUNK]
+        step = max(1, ROW_CHUNK // len(pts))
+        for start in range(0, rows.size, step):
+            sel = rows[start : start + step]
             block = pairwise_self(k, pts, sel, self_values(sel))
-            out[start : start + ROW_CHUNK] = block @ (weights * u)
+            out[start : start + step] = block @ (weights * u)
         out += coeff(pts[rows]) * u[rows]
         return out
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,12 @@ from htlr import (
     AdmissibilityRule,
     BuildConfig,
     CoefficientFn,
+    IndexBox,
+    QuadratureConfig,
     UniformGrid,
+    build_dense,
+    build_lowrank,
+    build_tlr,
     construct,
     construct_hmatrix,
     custom,
@@ -34,6 +41,22 @@ def weak_gaussian_cfg(rank=8, leaf=16):
         rank=rank, leaf_side=leaf, rule=AdmissibilityRule.weak(),
         kernel=gaussian(np.sqrt(2.0)), coeff=CoefficientFn.constant(0.0),
     )
+
+
+def assert_every_leaf_matches_dense(cfg, grid):
+    """Admissible leaves within 1e-9 relative of the dense oracle entry by
+    entry, dense leaves bit-equal to it."""
+    op = construct(cfg, grid)
+    dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+    for leaf in op.block_tree.leaves:
+        rows = leaf.tau.box.linear_indices(grid.n)
+        cols = leaf.sigma.box.linear_indices(grid.n)
+        sub = dense.matrix[np.ix_(rows, cols)]
+        rec = materialize(op.payloads[leaf.leaf_id])
+        if leaf.kind == ADMISSIBLE:
+            assert (np.abs(rec - sub) / np.abs(sub)).max() <= 1e-9
+        else:
+            assert np.array_equal(rec, sub)
 
 
 class TestBuildConfig:
@@ -84,19 +107,7 @@ class TestConstruct:
         assert np.abs(matvec(op, u) - u).max() <= 1e-14
 
     def test_every_leaf_matches_dense_oracle(self):
-        grid = UniformGrid(2, 64)
-        cfg = weak_gaussian_cfg()
-        op = construct(cfg, grid)
-        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-        for leaf in op.block_tree.leaves:
-            rows = leaf.tau.box.linear_indices(64)
-            cols = leaf.sigma.box.linear_indices(64)
-            sub = dense.matrix[np.ix_(rows, cols)]
-            rec = materialize(op.payloads[leaf.leaf_id])
-            if leaf.kind == ADMISSIBLE:
-                assert (np.abs(rec - sub) / np.abs(sub)).max() <= 1e-9
-            else:
-                assert np.array_equal(rec, sub)
+        assert_every_leaf_matches_dense(weak_gaussian_cfg(), UniformGrid(2, 64))
 
     def test_diagonal_quadrature_runs_once(self, monkeypatch):
         from htlr import kernels
@@ -118,6 +129,109 @@ class TestConstruct:
             op = construct(cfg, UniformGrid(2, 32))
         assert operation_counts(op)["dense_leaves"] > 16
         assert len(calls) == 1
+
+
+def translation_classes(op) -> int:
+    return len({
+        (
+            leaf.tau.box.sizes,
+            leaf.sigma.box.sizes,
+            tuple(s - t for (s, _), (t, _) in
+                  zip(leaf.sigma.box.ranges, leaf.tau.box.ranges)),
+        )
+        for leaf in op.block_tree.leaves
+    })
+
+
+def per_leaf_matvec(op, build_admissible, u):
+    """The operator's kernel part rebuilt leaf by leaf, applied to u."""
+    cfg, grid = op.config, op.grid
+    f = np.zeros(grid.num_points)
+    for leaf in op.block_tree.leaves:
+        tau, sigma = leaf.tau.box, leaf.sigma.box
+        if leaf.kind == ADMISSIBLE:
+            block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
+        else:
+            block = build_dense(cfg.kernel, CoefficientFn.constant(0.0), grid,
+                                tau, sigma, grid.h, cfg.quadrature)
+        cols = sigma.linear_indices(grid.n)
+        f[tau.linear_indices(grid.n)] += block.apply(u[cols])
+    return f
+
+
+class TestClassSharing:
+    """Leaves of one translation class share one payload when the kernel is
+    translation invariant, and only then."""
+
+    CASES = {
+        "2d-weak-gaussian": (UniformGrid(2, 64), weak_gaussian_cfg(rank=4, leaf=8)),
+        # leaf side = p: every factor is square and folded into the core
+        "3d-leaf-side-p": (UniformGrid(3, 16), BuildConfig(
+            rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
+            kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
+        )),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("build,build_admissible", [
+        (construct, build_tlr), (construct_hmatrix, build_lowrank),
+    ], ids=["tucker", "lowrank"])
+    def test_one_payload_per_class(self, case, build, build_admissible):
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        assert len({id(block) for block in op.payloads}) == translation_classes(op)
+        assert len(op.payloads) > translation_classes(op)
+
+        rep = storage_report(op)
+        per_leaf = np.sum(
+            [op.payloads[leaf.leaf_id].scalars() for leaf in op.block_tree.leaves],
+            axis=0,
+        )
+        assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == tuple(per_leaf)
+
+        u = np.random.default_rng(46).standard_normal(grid.num_points)
+        expected = per_leaf_matvec(op, build_admissible, u)
+        assert np.abs(matvec(op, u) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_non_stationary_custom_kernel_builds_per_leaf(self):
+        grid = UniformGrid(2, 64)
+        cfg = BuildConfig(
+            rank=8, leaf_side=16, rule=AdmissibilityRule.weak(),
+            kernel=custom(lambda x, y: (1.0 + x[..., 0])
+                          * np.exp(-0.25 * np.sum((x - y) ** 2, axis=-1))),
+            coeff=CoefficientFn.constant(0.0),
+        )
+        assert_every_leaf_matches_dense(cfg, grid)
+
+
+class TestDiagonal:
+    """a(x) is the operator's diagonal, outside every payload."""
+
+    def setup_method(self):
+        self.grid = UniformGrid(2, 32)
+        self.coeff = CoefficientFn(lambda pts: 1e-3 * (1.0 + pts[:, 0]))
+        self.cfg = BuildConfig(
+            rank=8, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=self.coeff,
+        )
+        self.u = np.random.default_rng(47).standard_normal(self.grid.num_points)
+
+    def test_non_constant_coefficient_is_the_diagonal(self):
+        op = construct(self.cfg, self.grid)
+        without = construct(
+            dataclasses.replace(self.cfg, coeff=CoefficientFn.constant(0.0)), self.grid
+        )
+        au = self.coeff(self.grid.points(IndexBox(((0, 32), (0, 32))))) * self.u
+        diff = matvec(op, self.u) - matvec(without, self.u)
+        assert np.abs(diff - au).max() <= 1e-15 * np.abs(au).max()
+
+    def test_matches_dense_oracle(self):
+        op = construct(self.cfg, self.grid)
+        dense = dense_assemble(self.cfg.kernel, self.coeff, self.grid,
+                               QuadratureConfig())
+        fe = dense.matrix @ self.u
+        f = matvec(op, self.u)
+        assert np.linalg.norm(f - fe) / np.linalg.norm(fe) <= 1e-5
 
 
 class TestMatvec:

@@ -72,6 +72,20 @@ class TestExactRowEvaluator:
             rows = np.arange(64)
             assert np.abs(rows_fn(rows, u) - dense.matrix @ u).max() <= 1e-13
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 5])
+    def test_chunks_of_rows_match_dense_matvec(self, monkeypatch, rows_per_chunk):
+        from htlr import oracles
+
+        grid, cfg = UniformGrid(2, 8), QuadratureConfig()
+        coeff = CoefficientFn(lambda pts: 0.5 + pts[:, 1])
+        monkeypatch.setattr(oracles, "ROW_CHUNK", rows_per_chunk * grid.num_points)
+        dense = dense_assemble(slp_2d(), coeff, grid, cfg)
+        rows_fn = exact_row_evaluator(slp_2d(), coeff, grid, cfg)
+        u = np.random.default_rng(30).standard_normal(64)
+        rows = np.random.default_rng(31).permutation(64)[:23]
+        expected = (dense.matrix @ u)[rows]
+        assert np.abs(rows_fn(rows, u) - expected).max() <= 1e-13
+
 
 class TestSvdLowRank:
     def test_rank_one_exact_recovery(self):
