@@ -209,7 +209,11 @@ def build_dense(
     h: float,
     cfg: QuadratureConfig,
 ) -> DenseBlock:
-    """Dense submatrix a(x_i) 1[i=j] + K_ij h^d over the box pair."""
+    """Dense submatrix a(x_i) 1[i=j] + K_ij h^d over the box pair.
+
+    The hierarchical operators always pass a zero `coeff` and hold a(x) as
+    their diagonal, so their dense payloads depend on the kernel alone.
+    """
     if tau != sigma:
         overlaps = all(
             max(lo1, lo2) < min(hi1, hi2)

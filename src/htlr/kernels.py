@@ -169,10 +169,6 @@ class QuadratureConfig:
             raise ValueError("quadrature order must be >= 2")
 
 
-#: kernel evaluations per chunk when self-cell entries are integrated in batch
-SELF_CHUNK = 2**18
-
-
 @lru_cache(maxsize=None)
 def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], computed once per order
@@ -193,37 +189,29 @@ def _tensor_rule(axes_nodes, axes_weights):
     return mesh, w
 
 
-def _cell_sum(k, centers, pts, w):
-    """Sum over the nodes of k(center, node) * w for each of the m centers;
-    `pts` holds m x nodes x d points, `w` one weight per node.  Each row is
-    summed contiguously, so it rounds as a single center's sum does."""
-    x = np.broadcast_to(centers[:, None, :], pts.shape)
-    return np.sum(np.ascontiguousarray(_evaluate(k, x, pts) * w.ravel()), axis=-1)
-
-
-def _smooth_cell_average(k, centers, h, q):
-    """Tensor Gauss-Legendre cell averages around each row of `centers`."""
-    d = centers.shape[1]
+def _smooth_cell_average(k, center, h, q):
+    d = len(center)
     gx, gw = _gauss01(q)
-    _, w = _tensor_rule([gx] * d, [h * gw] * d)
-    node = np.indices((q,) * d).reshape(d, -1)
-    pts = np.stack(
-        [(centers[:, dim, None] - h / 2 + h * gx)[:, node[dim]] for dim in range(d)],
-        axis=-1,
-    )
-    return _cell_sum(k, centers, pts, w) / h**d
+    axes = [center[dim] - h / 2 + h * gx for dim in range(d)]
+    wts = [h * gw] * d
+    mesh, w = _tensor_rule(axes, wts)
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    x = np.broadcast_to(np.asarray(center, dtype=np.float64), pts.shape)
+    vals = _evaluate(k, x, pts)
+    return float(np.sum(vals * w.ravel())) / h**d
 
 
-def _singular_cell_average(k, centers, h, q):
-    """Duffy-mapped integration over the 2^d subcells meeting at each singular
+def _singular_cell_average(k, center, h, q):
+    """Duffy-mapped integration over the 2^d subcells meeting at the singular
     cell center, radially graded by t -> t^RADIAL_GRADING."""
-    d = centers.shape[1]
+    d = len(center)
     s = h / 2.0
     gx, gw = _gauss01(q)
     m = RADIAL_GRADING
     radial = gx**m
     radial_w = m * gx ** (m - 1) * gw
-    total = np.zeros(len(centers))
+    total = 0.0
+    center = np.asarray(center, dtype=np.float64)
     for signs in np.ndindex(*([2] * d)):
         sign = np.array([1.0 if b else -1.0 for b in signs])
         for axis in range(d):
@@ -235,19 +223,12 @@ def _singular_cell_average(k, centers, h, q):
             z = np.empty(u.shape + (d,))
             for dim in range(d):
                 z[..., dim] = s * u if dim == axis else s * u * mesh[dim]
-            pts = centers[:, None, :] + (sign * z).reshape(-1, d)
+            pts = center + sign * z
             jac = s**d * u ** (d - 1)
-            total += _cell_sum(k, centers, pts, jac * w)
+            x = np.broadcast_to(center, pts.reshape(-1, d).shape)
+            vals = _evaluate(k, x, pts.reshape(-1, d))
+            total += float(np.sum(vals * (jac * w).ravel()))
     return total / h**d
-
-
-def _cell_averages(k: KernelSpec, centers: np.ndarray, h: float, q: int) -> np.ndarray:
-    """Cell average of k(x, .) around each row x of `centers`, as is."""
-    if h <= 0:
-        raise ValueError("cell width must be positive")
-    if k.smooth_at_diagonal:
-        return _smooth_cell_average(k, centers, h, q)
-    return _singular_cell_average(k, centers, h, q)
 
 
 def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) -> float:
@@ -256,10 +237,14 @@ def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) 
     Translation-invariant kernels are integrated around the origin so the
     result is bit-identical for every cell.
     """
+    if h <= 0:
+        raise ValueError("cell width must be positive")
     center = np.asarray(cell_center, dtype=np.float64)
     if k.translation_invariant:
         center = np.zeros_like(center)
-    return float(_cell_averages(k, center[None, :], h, cfg.q)[0])
+    if k.smooth_at_diagonal:
+        return _smooth_cell_average(k, center, h, cfg.q)
+    return _singular_cell_average(k, center, h, cfg.q)
 
 
 @lru_cache(maxsize=None)
@@ -270,17 +255,10 @@ def _origin_entry(k: KernelSpec, d: int, h: float, cfg: QuadratureConfig) -> flo
 def self_entries(
     k: KernelSpec, pts: np.ndarray, h: float, cfg: QuadratureConfig
 ) -> np.ndarray:
-    """:func:`diagonal_entry` at every point of `pts`, bit-equal to calling it
-    per point.  A translation-invariant kernel has one value for all cells,
-    integrated once per (kernel, d, h, quadrature); any other kernel is
-    integrated in chunks of points with one kernel call per chunk."""
+    """:func:`diagonal_entry` at every point of `pts`; a translation-invariant
+    kernel has one value for all cells, integrated once per (kernel, d, h,
+    quadrature)."""
     pts = np.asarray(pts, dtype=np.float64)
     if k.translation_invariant:
         return np.full(len(pts), _origin_entry(k, pts.shape[1], h, cfg))
-    out = np.empty(len(pts))
-    step = max(1, SELF_CHUNK // cfg.q ** pts.shape[1])
-    for start in range(0, len(pts), step):
-        out[start : start + step] = _cell_averages(
-            k, pts[start : start + step], h, cfg.q
-        )
-    return out
+    return np.array([diagonal_entry(k, p, h, cfg) for p in pts])

@@ -118,18 +118,6 @@ class TestSelfEntries:
         expected = [diagonal_entry(kernel, p, h, cfg) for p in pts]
         assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
 
-    @pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "singular"])
-    def test_chunks_equal_per_point_diagonal_entry(self, monkeypatch, smooth):
-        from htlr import kernels
-
-        kernel = custom(inverse_distance, smooth_at_diagonal=smooth)
-        pts = np.random.default_rng(30).random((7, 3))
-        h, cfg = 1 / 8, QuadratureConfig(q=4)
-        # three points per chunk: chunks of 3, 3 and 1
-        monkeypatch.setattr(kernels, "SELF_CHUNK", 3 * 4**3)
-        expected = [diagonal_entry(kernel, p, h, cfg) for p in pts]
-        assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
-
 
 def test_translation_invariance_is_the_kernel_kind():
     for kernel in (gaussian(1.0), slp_2d(), slp_3d()):
