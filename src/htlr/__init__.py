@@ -8,7 +8,6 @@ quasi-uniform (triangulated) grids through sparse area-overlap transfers.
 
 from .blocks import (
     DenseBlock,
-    LowRankBlock,
     TuckerBlock,
     build_dense,
     build_lowrank,

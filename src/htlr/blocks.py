@@ -1,12 +1,13 @@
 """Leaf-block payloads of the hierarchical operators.
 
-An admissible (well-separated) index-box pair is compressed from Chebyshev
-interpolation of the kernel either as a Tucker block (per-dimension factor
-matrices around an order-2d core) or as a conventional low-rank block whose
-basis matrices are the materialized Kronecker products of the same factors.
-Inadmissible pairs are stored densely.  All blocks carry the quadrature
-weight h^d of the discretization, so materializing any block reproduces the
-corresponding submatrix of the system matrix.
+There are two block kinds.  An admissible (well-separated) index-box pair is
+compressed from Chebyshev interpolation of the kernel into a Tucker block:
+per-dimension factor matrices around an order-2d core.  The conventional
+low-rank block of the baseline is the same Tucker block with each side's
+factors multiplied out into one Kronecker basis, i.e. an order-2 Tucker
+block u @ g @ v.T.  Inadmissible pairs are stored densely.  All blocks carry
+the quadrature weight h^d of the discretization, so materializing any block
+reproduces the corresponding submatrix of the system matrix.
 
 Every block kind answers ``apply(seg)``, ``materialize()`` and ``scalars()``
 (the stored ``(dense, factor, core)`` counts); no other module knows the kinds.
@@ -23,7 +24,6 @@ from . import tensor
 from .chebyshev import cheb_points, core_tensor, factor_matrix
 from .grids import IndexBox, UniformGrid, domain_of
 from .kernels import (
-    CoefficientFn,
     KernelSpec,
     QuadratureConfig,
     pairwise,
@@ -34,9 +34,10 @@ from .kernels import (
 
 @dataclass
 class TuckerBlock:
-    """Tucker representation of one admissible block: order-2d core and
-    orthonormal per-dimension factors for the target (u) and source (v)
-    sides.
+    """Tucker representation of one admissible block: a core with one axis
+    per factor and orthonormal factors for the target (u) and source (v)
+    sides; one factor per dimension (order-2d core), or one per side
+    (order-2 core) for the baseline's low-rank block.
 
     A factor entry of ``None`` stands for an identity: when a box side
     equals the rank the (square, orthonormal) factor carries no compression
@@ -97,28 +98,6 @@ class DenseBlock:
         return self.matrix.size, 0, 0
 
 
-@dataclass
-class LowRankBlock:
-    """Conventional low-rank representation u @ g @ v.T with orthonormal u, v."""
-
-    u: np.ndarray
-    g: np.ndarray
-    v: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.u.shape[0], self.v.shape[0]
-
-    def apply(self, seg: np.ndarray) -> np.ndarray:
-        return lowrank_apply(self, seg)
-
-    def materialize(self) -> np.ndarray:
-        return self.u @ self.g @ self.v.T
-
-    def scalars(self) -> tuple[int, int, int]:
-        return 0, self.u.size + self.v.size, self.g.size
-
-
 def _mode_products(t: np.ndarray, factors) -> np.ndarray:
     """Multiply axis i of `t` by factors[i] in turn; a ``None`` factor is an
     identity.  The readable, validating form is :func:`tensor.multi_mode_apply`."""
@@ -137,26 +116,6 @@ def _orthonormalized(raw: np.ndarray):
     return fac.q, fac.r
 
 
-def _interpolation_data(k, grid, tau, sigma, rank):
-    """Raw per-dimension factors and kernel core for a box pair."""
-    dom_tau = domain_of(grid, tau)
-    dom_sigma = domain_of(grid, sigma)
-    if dom_tau.overlap_volume(dom_sigma) > 0.0:
-        raise ValueError("interpolation blocks require disjoint domains")
-    grids_tau = [cheb_points(lo, hi, rank) for lo, hi in dom_tau.intervals]
-    grids_sigma = [cheb_points(lo, hi, rank) for lo, hi in dom_sigma.intervals]
-    u_raw = [
-        factor_matrix(grid.coords1d(*tau.ranges[dim]), grids_tau[dim])
-        for dim in range(grid.d)
-    ]
-    v_raw = [
-        factor_matrix(grid.coords1d(*sigma.ranges[dim]), grids_sigma[dim])
-        for dim in range(grid.d)
-    ]
-    core = core_tensor(k, grids_tau, grids_sigma)
-    return u_raw, v_raw, core
-
-
 def build_tlr(
     k: KernelSpec,
     grid: UniformGrid,
@@ -168,10 +127,22 @@ def build_tlr(
     """Interpolate the kernel over the box pair, orthogonalize every factor by
     thin QR, and fold h^d together with the triangular factors into the core.
     """
-    u_raw, v_raw, core = _interpolation_data(k, grid, tau, sigma, rank)
-    u = [_orthonormalized(raw) for raw in u_raw]
-    v = [_orthonormalized(raw) for raw in v_raw]
-    core = _mode_products(h**grid.d * core, [r for _, r in u + v])
+    dom_tau = domain_of(grid, tau)
+    dom_sigma = domain_of(grid, sigma)
+    if dom_tau.overlap_volume(dom_sigma) > 0.0:
+        raise ValueError("interpolation blocks require disjoint domains")
+    grids_tau = [cheb_points(lo, hi, rank) for lo, hi in dom_tau.intervals]
+    grids_sigma = [cheb_points(lo, hi, rank) for lo, hi in dom_sigma.intervals]
+    u = [
+        _orthonormalized(factor_matrix(grid.coords1d(lo, hi), g))
+        for (lo, hi), g in zip(tau.ranges, grids_tau)
+    ]
+    v = [
+        _orthonormalized(factor_matrix(grid.coords1d(lo, hi), g))
+        for (lo, hi), g in zip(sigma.ranges, grids_sigma)
+    ]
+    core = h**grid.d * core_tensor(k, grids_tau, grids_sigma)
+    core = _mode_products(core, [r for _, r in u + v])
     return TuckerBlock(
         core=core, u_factors=[q for q, _ in u], v_factors=[q for q, _ in v]
     )
@@ -184,35 +155,38 @@ def build_lowrank(
     sigma: IndexBox,
     rank: int,
     h: float,
-) -> LowRankBlock:
-    """Same interpolant as :func:`build_tlr` but with the factors materialized
-    as Kronecker products and orthogonalized as single tall matrices."""
-    u_raw, v_raw, core = _interpolation_data(k, grid, tau, sigma, rank)
-    d = grid.d
-    # Kronecker order: last dimension outermost, matching the
-    # first-index-fastest linearization
-    u_full = reduce(np.kron, reversed(u_raw))
-    v_full = reduce(np.kron, reversed(v_raw))
-    g = h**d * core.reshape(rank**d, rank**d, order="F")
-    qr_u = tensor.qr(u_full)
-    qr_v = tensor.qr(v_full)
-    g = qr_u.r @ g @ qr_v.r.T
-    return LowRankBlock(u=qr_u.q, g=g, v=qr_v.q)
+) -> TuckerBlock:
+    """The :func:`build_tlr` block with each side's factors multiplied out
+    into one orthonormal basis of rank rank^d: an order-2 Tucker block."""
+    block = build_tlr(k, grid, tau, sigma, rank, h)
+    eye = np.eye(rank)
+
+    def basis(factors):
+        # Kronecker order: last dimension outermost, matching the
+        # first-index-fastest linearization
+        return reduce(np.kron, reversed([eye if f is None else f for f in factors]))
+
+    r = rank**grid.d
+    return TuckerBlock(
+        core=block.core.reshape(r, r, order="F"),
+        u_factors=[basis(block.u_factors)],
+        v_factors=[basis(block.v_factors)],
+    )
 
 
 def build_dense(
     k: KernelSpec,
-    coeff: CoefficientFn,
     grid: UniformGrid,
     tau: IndexBox,
     sigma: IndexBox,
     h: float,
     cfg: QuadratureConfig,
 ) -> DenseBlock:
-    """Dense submatrix a(x_i) 1[i=j] + K_ij h^d over the box pair.
+    """Dense kernel submatrix K_ij h^d over the box pair.
 
-    The hierarchical operators always pass a zero `coeff` and hold a(x) as
-    their diagonal, so their dense payloads depend on the kernel alone.
+    The coefficient a(x) is not part of the block: the hierarchical
+    operators hold it as their diagonal, so dense payloads depend on the
+    kernel alone.
     """
     if tau != sigma:
         overlaps = all(
@@ -226,7 +200,6 @@ def build_dense(
         idx = np.arange(len(xpts))
         diag = self_entries(k, xpts, h, cfg)
         mat = pairwise_self(k, xpts, idx, diag) * h**grid.d
-        mat[idx, idx] += coeff(xpts)
     else:
         mat = pairwise(k, xpts, grid.points(sigma)) * h**grid.d
     return DenseBlock(matrix=mat)
@@ -249,9 +222,9 @@ def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
     return _mode_products(w, block.u_factors).ravel(order="F")
 
 
-def lowrank_apply(block: LowRankBlock, u_segment: np.ndarray) -> np.ndarray:
-    u_segment = np.asarray(u_segment, dtype=np.float64).ravel(order="F")
-    return block.u @ (block.g @ (block.v.T @ u_segment))
+def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
+    """Apply a :func:`build_lowrank` block; it is a Tucker block."""
+    return tlr_apply(block, u_segment)
 
 
 def materialize(block) -> np.ndarray:

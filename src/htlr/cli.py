@@ -27,8 +27,8 @@ import time
 import numpy as np
 
 from . import oracles
-from .chebyshev import cheb_points, core_tensor, factor_matrix
-from .grids import AdmissibilityRule, UniformGrid
+from .blocks import build_tlr
+from .grids import AdmissibilityRule, IndexBox, UniformGrid
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairwise
 from .operators import (
     BuildConfig,
@@ -39,7 +39,6 @@ from .operators import (
     storage_report,
 )
 from .quasi import apply_pipeline, build_pipeline, load_mesh, structured_trimesh
-from .tensor import multi_mode_apply
 
 TIMING_REPEATS = 3
 
@@ -171,66 +170,42 @@ def cmd_bench_uniform(args) -> list[dict]:
     return rows
 
 
-def _domain_axes(box, pts_per_dim):
-    return [
-        lo + (np.arange(pts_per_dim) + 0.5) * (hi - lo) / pts_per_dim
-        for lo, hi in box
-    ]
-
-
-def _block_points(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel(order="F") for m in mesh], axis=-1)
-
-
-def interp_block_error(kernel, box_tau, box_sigma, pts_per_dim, rank,
-                       dense=None):
+def interp_block_error(kernel, grid, tau, sigma, rank, dense=None):
     """Relative Frobenius error of the tensor Chebyshev interpolant of the
-    interaction matrix between two boxes."""
-    x_axes = _domain_axes(box_tau, pts_per_dim)
-    y_axes = _domain_axes(box_sigma, pts_per_dim)
+    kernel matrix between two index boxes of `grid` (quadrature weight 1)."""
     if dense is None:
-        dense = pairwise(kernel, _block_points(x_axes), _block_points(y_axes))
-    grids_tau = [cheb_points(lo, hi, rank) for lo, hi in box_tau]
-    grids_sigma = [cheb_points(lo, hi, rank) for lo, hi in box_sigma]
-    u_facs = [factor_matrix(ax, g) for ax, g in zip(x_axes, grids_tau)]
-    v_facs = [factor_matrix(ax, g) for ax, g in zip(y_axes, grids_sigma)]
-    core = core_tensor(kernel, grids_tau, grids_sigma)
-    d = len(box_tau)
-    updates = [(u_facs[i], i + 1) for i in range(d)]
-    updates += [(v_facs[i], d + i + 1) for i in range(d)]
-    rec = multi_mode_apply(core, updates).reshape(dense.shape, order="F")
-    return oracles.rel_fro_error(rec, dense)
+        dense = pairwise(kernel, grid.points(tau), grid.points(sigma))
+    block = build_tlr(kernel, grid, tau, sigma, rank, 1.0)
+    return oracles.rel_fro_error(block.materialize(), dense)
 
 
-def study_domains(d: int) -> dict:
-    """The neighbor / well-separated box pairs of the rank study: three
-    adjacent boxes of side 0.25 along the first axis."""
-    h = 0.25
-    first = tuple((0.0, h) for _ in range(d))
-    neighbor = ((h, 2 * h),) + tuple((0.0, h) for _ in range(d - 1))
-    wellsep = ((2 * h, 3 * h),) + tuple((0.0, h) for _ in range(d - 1))
-    return {"neighbor": (first, neighbor), "wellsep": (first, wellsep)}
+def study_domains(d: int):
+    """The grid and the neighbor / well-separated box pairs of the rank
+    study: three adjacent boxes of side 0.25 along the first axis, with 32
+    points per side in 2D and 16 in 3D."""
+    side = 32 if d == 2 else 16
+    grid = UniformGrid(d, 4 * side)
+
+    def box(i):
+        return IndexBox(((i * side, (i + 1) * side),) + ((0, side),) * (d - 1))
+
+    return grid, {"neighbor": (box(0), box(1)), "wellsep": (box(0), box(2))}
 
 
 def rank_explore_errors(kernel_name: str, d: int, ranks) -> list[dict]:
     """Error-vs-rank curves for the three compression routes on both domain
     pairs; one dict per (pair, method, rank)."""
     kernel = kernel_for(kernel_name, d)
-    pts_per_dim = 32 if d == 2 else 16
+    grid, pairs = study_domains(d)
     rows = []
     run_id = f"r-d{d}-{kernel_name}"
-    for pair_name, (box_t, box_s) in study_domains(d).items():
-        x_axes = _domain_axes(box_t, pts_per_dim)
-        y_axes = _domain_axes(box_s, pts_per_dim)
-        dense = pairwise(kernel, _block_points(x_axes), _block_points(y_axes))
+    for pair_name, (tau, sigma) in pairs.items():
+        dense = pairwise(kernel, grid.points(tau), grid.points(sigma))
         sing = np.linalg.svd(dense, compute_uv=False)
         norm = float(np.linalg.norm(dense))
-        tens = dense.reshape((pts_per_dim,) * (2 * d), order="F")
+        tens = dense.reshape(tau.sizes + sigma.sizes, order="F")
         for rank in ranks:
-            e_interp = interp_block_error(
-                kernel, box_t, box_s, pts_per_dim, rank, dense=dense
-            )
+            e_interp = interp_block_error(kernel, grid, tau, sigma, rank, dense)
             e_svd = float(np.sqrt(np.sum(sing[rank**d:] ** 2))) / norm
             st = oracles.sthosvd(tens, (rank,) * (2 * d))
             e_st = oracles.rel_fro_error(

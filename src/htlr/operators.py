@@ -2,9 +2,10 @@
 
 The hierarchical Tucker operator compresses every admissible leaf of the
 block cluster tree into a Tucker block; the baseline hierarchical operator
-uses conventional low-rank blocks built from the same interpolant, so the
-two agree to rounding and differ only in storage and work.  Both are one
-operator type: the leaf payloads follow the block protocol of
+uses conventional low-rank blocks, which are the same Tucker blocks with
+each side's factors multiplied out into one basis (order-2 Tucker blocks),
+so the two agree to rounding and differ only in storage and work.  Both are
+one operator type: the leaf payloads follow the block protocol of
 :mod:`htlr.blocks`, so nothing here depends on the leaf kind.
 
 For a translation-invariant kernel the matrix is multilevel Toeplitz: a leaf
@@ -33,9 +34,6 @@ from .grids import (
     build_cluster_tree,
 )
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig
-
-_NO_COEFF = CoefficientFn.constant(0.0)
-
 
 @dataclass(frozen=True)
 class BuildConfig:
@@ -66,9 +64,9 @@ class BuildConfig:
 @dataclass
 class HTLRMatrix:
     """Hierarchical operator: the block cluster tree, one payload per leaf
-    (Tucker or low-rank for admissible leaves, dense otherwise; leaves of one
-    translation class share the object) and the diagonal a(x) at every grid
-    point, first index fastest."""
+    (Tucker for admissible leaves, of order 2 for the baseline; dense
+    otherwise; leaves of one translation class share the object) and the
+    diagonal a(x) at every grid point, first index fastest."""
 
     grid: UniformGrid
     config: BuildConfig
@@ -111,8 +109,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
                 cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, cfg.rank, grid.h
             )
         return build_dense(
-            cfg.kernel, _NO_COEFF, grid, leaf.tau.box, leaf.sigma.box,
-            grid.h, cfg.quadrature,
+            cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, grid.h, cfg.quadrature
         )
 
     by_class = {}

@@ -97,17 +97,12 @@ def save_mesh(mesh: TriMesh, path) -> None:
             fh.write(f"{tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n")
 
 
-def structured_trimesh(cells_per_side: int, diagonal: str = "down") -> TriMesh:
-    """Split every cell of a k-by-k grid over [0,1]^2 into two triangles.
-
-    ``diagonal="down"`` cuts along the top-left to bottom-right diagonal,
-    ``"up"`` along the other one.
-    """
+def structured_trimesh(cells_per_side: int) -> TriMesh:
+    """Split every cell of a k-by-k grid over [0,1]^2 into two triangles
+    along its top-left to bottom-right diagonal."""
     k = cells_per_side
     if k < 1:
         raise ValueError("cells_per_side must be >= 1")
-    if diagonal not in ("down", "up"):
-        raise ValueError("diagonal must be 'down' or 'up'")
     xs = np.arange(k + 1) / k
     vid = lambda i, j: i + j * (k + 1)
     verts = np.array([[xs[i], xs[j]] for j in range(k + 1) for i in range(k + 1)])
@@ -116,12 +111,8 @@ def structured_trimesh(cells_per_side: int, diagonal: str = "down") -> TriMesh:
         for i in range(k):
             a, b = vid(i, j), vid(i + 1, j)
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if diagonal == "down":
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-            else:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
+            tris.append((a, b, d))
+            tris.append((b, c, d))
     return TriMesh(vertices=verts, triangles=np.array(tris))
 
 

@@ -109,26 +109,47 @@ class TestBuildLowRank:
     def test_orthonormal_bases(self):
         grid, tau, sigma = admissible_pair_64()
         lb = build_lowrank(gaussian(np.sqrt(2.0)), grid, tau, sigma, 4, grid.h)
-        assert np.abs(lb.u.T @ lb.u - np.eye(16)).max() <= 1e-12
-        assert np.abs(lb.v.T @ lb.v - np.eye(16)).max() <= 1e-12
+        u, v = lb.u_factors[0], lb.v_factors[0]
+        assert np.abs(u.T @ u - np.eye(16)).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(16)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, tau, sigma, rank, counts",
+        [
+            # 2D, side 32 at rank 8: every Tucker factor is stored
+            (64, ((0, 32),) * 2, ((32, 64), (0, 32)), 8,
+             (0, 2 * 32**2 * 8**2, 8**4)),
+            # 3D, side equal to the rank: every Tucker factor is an identity
+            (16, ((0, 4),) * 3, ((8, 12), (0, 4), (0, 4)), 4,
+             (0, 2 * 4**6, 4**6)),
+        ],
+    )
+    def test_is_kronecker_expansion_of_tucker_block(self, n, tau, sigma, rank,
+                                                     counts):
+        grid = UniformGrid(len(tau), n)
+        args = (gaussian(np.sqrt(2.0)), grid, IndexBox(tau), IndexBox(sigma),
+                rank, grid.h)
+        tb = build_tlr(*args)
+        lb = build_lowrank(*args)
+        r = rank**grid.d
+        assert np.array_equal(lb.core, tb.core.reshape(r, r, order="F"))
+        for side, factors in ((lb.u_factors, tb.u_factors),
+                              (lb.v_factors, tb.v_factors)):
+            dense = [np.eye(rank) if f is None else f for f in factors]
+            expected = dense[0]
+            for f in dense[1:]:
+                expected = np.kron(f, expected)
+            assert len(side) == 1
+            assert np.array_equal(side[0], expected)
+        assert lb.scalars() == counts
 
 
 class TestBuildDense:
-    def test_identity_operator_block(self):
-        grid = UniformGrid(2, 4)
-        box = IndexBox(((0, 4), (0, 4)))
-        block = build_dense(
-            constant_kernel(0.0), CoefficientFn.constant(1.0), grid, box, box,
-            grid.h, QuadratureConfig(),
-        )
-        assert np.array_equal(block.matrix, np.eye(16))
-
     def test_single_entry_block(self):
         grid = UniformGrid(2, 1)
         box = IndexBox(((0, 1), (0, 1)))
         block = build_dense(
-            constant_kernel(1.0), CoefficientFn.constant(0.0), grid, box, box,
-            1.0, QuadratureConfig(),
+            constant_kernel(1.0), grid, box, box, 1.0, QuadratureConfig()
         )
         assert block.matrix.shape == (1, 1)
         assert block.matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -139,7 +160,7 @@ class TestBuildDense:
         coeff = CoefficientFn.constant(0.0)
         dense = dense_assemble(slp_2d(), coeff, grid, cfg)
         box = IndexBox(((0, 4), (0, 4)))
-        block = build_dense(slp_2d(), coeff, grid, box, box, grid.h, cfg)
+        block = build_dense(slp_2d(), grid, box, box, grid.h, cfg)
         ids = box.linear_indices(16)
         assert np.array_equal(block.matrix, dense.matrix[np.ix_(ids, ids)])
 
@@ -150,8 +171,7 @@ class TestBuildDense:
             np.linalg.norm(x - y, axis=-1) > 0.3, np.nan, 1.0))
         grid = UniformGrid(2, 4)
         box = IndexBox(((0, 4), (0, 4)))
-        block = build_dense(kernel, CoefficientFn.constant(0.0), grid, box, box,
-                            grid.h, QuadratureConfig())
+        block = build_dense(kernel, grid, box, box, grid.h, QuadratureConfig())
         pts = grid.points(box)
         expected = np.isnan(pairwise(kernel, pts, pts))
         assert expected.sum() == 192
@@ -162,8 +182,8 @@ class TestBuildDense:
         a = IndexBox(((0, 4), (0, 4)))
         b = IndexBox(((2, 6), (0, 4)))
         with pytest.raises(ValueError):
-            build_dense(constant_kernel(1.0), CoefficientFn.constant(0.0),
-                        grid, a, b, grid.h, QuadratureConfig())
+            build_dense(constant_kernel(1.0), grid, a, b, grid.h,
+                        QuadratureConfig())
 
 
 class TestTlrApply:

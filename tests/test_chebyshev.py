@@ -3,6 +3,8 @@ import pytest
 
 from htlr import (
     BoundParams,
+    IndexBox,
+    UniformGrid,
     asymptotic_error_bound,
     cheb_points,
     core_tensor,
@@ -196,10 +198,12 @@ class TestErrorBound:
 class TestInterpolantDecay:
     def test_slp_error_halves_with_order(self):
         # well-separated boxes, singular kernel: near-exponential decay
-        box_t = ((0.0, 0.25), (0.0, 0.25))
-        box_s = ((0.5, 0.75), (0.0, 0.25))
+        # domains [0,.25]^2 and [.5,.75]x[0,.25], 16 points per side
+        grid = UniformGrid(2, 64)
+        tau = IndexBox(((0, 16), (0, 16)))
+        sigma = IndexBox(((32, 48), (0, 16)))
         errors = [
-            interp_block_error(slp_2d(), box_t, box_s, 16, p)
+            interp_block_error(slp_2d(), grid, tau, sigma, p)
             for p in (4, 6, 8, 10)
         ]
         for a, b in zip(errors, errors[1:]):

@@ -152,8 +152,8 @@ def per_leaf_matvec(op, build_admissible, u):
         if leaf.kind == ADMISSIBLE:
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
-            block = build_dense(cfg.kernel, CoefficientFn.constant(0.0), grid,
-                                tau, sigma, grid.h, cfg.quadrature)
+            block = build_dense(cfg.kernel, grid, tau, sigma, grid.h,
+                                cfg.quadrature)
         cols = sigma.linear_indices(grid.n)
         f[tau.linear_indices(grid.n)] += block.apply(u[cols])
     return f
