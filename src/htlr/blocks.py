@@ -11,6 +11,9 @@ reproduces the corresponding submatrix of the system matrix.
 
 Every block kind answers ``apply(seg)``, ``materialize()`` and ``scalars()``
 (the stored ``(dense, factor, core)`` counts); no other module knows the kinds.
+``apply`` takes one F-raveled source segment, or a ``(cols, m)`` matrix of m
+such segments as columns and then returns m target segments as columns, so
+that one call applies a shared payload to every leaf of a translation class.
 """
 
 from __future__ import annotations
@@ -206,20 +209,22 @@ def build_dense(
 
 
 def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
-    """Apply a Tucker block to a source-side vector segment: reshape to a
-    tensor, contract through the transposed v factors, the core, and the u
-    factors, and flatten back."""
+    """Apply a Tucker block to a source-side vector segment, or to each
+    column of a ``(cols, m)`` matrix of segments: reshape to a tensor (with a
+    trailing batch axis), contract through the transposed v factors, the
+    core, and the u factors, and flatten back."""
     u_segment = np.asarray(u_segment, dtype=np.float64)
     cols = block.col_sizes
-    if u_segment.size != int(np.prod(cols)):
+    if u_segment.ndim not in (1, 2) or u_segment.shape[0] != int(np.prod(cols)):
         raise ValueError("segment length does not match the block")
+    batch = u_segment.shape[1:]
     w = _mode_products(
-        u_segment.reshape(cols, order="F"),
+        u_segment.reshape(cols + batch, order="F"),
         [f.T if f is not None else None for f in block.v_factors],
     )
-    # the core's last d (source) axes against the d axes of w
+    # the core's last d (source) axes against the first d axes of w
     w = np.tensordot(block.core, w, axes=len(cols))
-    return _mode_products(w, block.u_factors).ravel(order="F")
+    return _mode_products(w, block.u_factors).reshape((-1,) + batch, order="F")
 
 
 def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

@@ -75,10 +75,6 @@ class IndexBox:
     def num_points(self) -> int:
         return int(np.prod(self.sizes))
 
-    @property
-    def slices(self) -> tuple[slice, ...]:
-        return tuple(slice(lo, hi) for lo, hi in self.ranges)
-
     def linear_indices(self, n: int) -> np.ndarray:
         """Global linear ids (first index fastest) of the box points on an
         n-per-side grid."""
@@ -275,9 +271,16 @@ def build_block_cluster_tree(
     recurse over all children pairs."""
     grid = tree.grid
     leaves: list[BlockNode] = []
+    # each node meets many partners; compute its domain once
+    domains: dict[int, DomainBox] = {}
+
+    def domain(node: ClusterNode) -> DomainBox:
+        if id(node) not in domains:
+            domains[id(node)] = domain_of(grid, node.box)
+        return domains[id(node)]
 
     def make(tau: ClusterNode, sigma: ClusterNode, level: int) -> BlockNode:
-        if is_admissible(rule, domain_of(grid, tau.box), domain_of(grid, sigma.box)):
+        if is_admissible(rule, domain(tau), domain(sigma)):
             node = BlockNode(tau, sigma, ADMISSIBLE, level, leaf_id=len(leaves))
             leaves.append(node)
             return node

@@ -14,6 +14,12 @@ offset between the boxes.  Each such translation class is built once and
 every leaf of the class points at the same payload object, so payloads are
 shared and must be treated as read-only.  The coefficient a(x) is not part
 of any payload; the operator holds it as its diagonal.
+
+The matvec applies each class's payload once, to the source segments of all
+its leaves as the columns of one matrix.  Every box at one cluster-tree
+level is a cube of side n / 2**level starting at a multiple of that side, so
+a view of the grid vector with one axis per box coordinate gathers a
+class's source boxes, and scatters its results, with one index call each.
 """
 
 from __future__ import annotations
@@ -61,18 +67,33 @@ class BuildConfig:
             )
 
 
+@dataclass(frozen=True)
+class TranslationClass:
+    """The leaves that share one payload: the payload, their common box
+    side, the box coordinates (box lower corner / side) of their target
+    boxes as a (d, leaves) array, and the source-minus-target box offset.
+    Target boxes of one class are distinct."""
+
+    payload: object
+    side: int
+    targets: np.ndarray
+    offset: tuple[int, ...]
+
+
 @dataclass
 class HTLRMatrix:
     """Hierarchical operator: the block cluster tree, one payload per leaf
     (Tucker for admissible leaves, of order 2 for the baseline; dense
-    otherwise; leaves of one translation class share the object) and the
-    diagonal a(x) at every grid point, first index fastest."""
+    otherwise; leaves of one translation class share the object), the
+    diagonal a(x) at every grid point, first index fastest, and the
+    translation classes the matvec applies."""
 
     grid: UniformGrid
     config: BuildConfig
     block_tree: BlockClusterTree
     payloads: list  # leaf_id -> block
     diagonal: np.ndarray
+    classes: list  # TranslationClass, one per distinct payload
 
     @property
     def num_points(self) -> int:
@@ -112,16 +133,28 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
             cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, grid.h, cfg.quadrature
         )
 
+    # key -> (payload, box side, source offset in boxes, target box coordinates)
     by_class = {}
     payloads = []
     for leaf in btree.leaves:
         key = _class_key(cfg.kernel, leaf)
+        tau, sigma = leaf.tau.box, leaf.sigma.box
+        side = tau.sizes[0]  # both boxes of a leaf are cubes at one level
         if key not in by_class:
-            by_class[key] = build_leaf(leaf)
-        payloads.append(by_class[key])
+            offset = tuple(
+                (s - t) // side for (s, _), (t, _) in zip(sigma.ranges, tau.ranges)
+            )
+            by_class[key] = (build_leaf(leaf), side, offset, [])
+        payload, _, _, targets = by_class[key]
+        targets.append([lo // side for lo, _ in tau.ranges])
+        payloads.append(payload)
+    classes = [
+        TranslationClass(payload, side, np.array(targets, dtype=np.int32).T, offset)
+        for payload, side, offset, targets in by_class.values()
+    ]
     diagonal = cfg.coeff(grid.points(ctree.root.box))
-    return HTLRMatrix(grid=grid, config=cfg, block_tree=btree,
-                      payloads=payloads, diagonal=diagonal)
+    return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads,
+                      diagonal=diagonal, classes=classes)
 
 
 def construct(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
@@ -147,24 +180,32 @@ def checked_vector(u) -> np.ndarray:
     return u
 
 
+def _boxes(x: np.ndarray, grid: UniformGrid, side: int) -> np.ndarray:
+    """View of the flat grid vector `x` (first index fastest) split into
+    cubes of `side`: the d box coordinates first, in dimension order, then
+    the in-box indices, last dimension first, so that each box ravels in C
+    order to its F-order segment."""
+    d = grid.d
+    split = x.reshape((grid.n // side, side) * d)
+    return split.transpose(tuple(range(2 * d - 2, -1, -2)) + tuple(range(1, 2 * d, 2)))
+
+
 def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
-    """f = A u: the kernel part accumulated leaf by leaf in depth-first
-    order, then the diagonal a(x) u, for operators from both
-    :func:`construct` and :func:`construct_hmatrix`."""
+    """f = A u: each translation class's payload applied once to the source
+    segments of all its leaves, its results added into their target boxes,
+    then the diagonal a(x) u; for operators from both :func:`construct` and
+    :func:`construct_hmatrix`."""
     u = checked_vector(u)
-    n = op.grid.n
-    d = op.grid.d
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
-    u_tensor = u.reshape((n,) * d, order="F")
-    f_tensor = np.zeros((n,) * d)
-    for leaf in op.block_tree.leaves:
-        seg = u_tensor[leaf.sigma.box.slices].ravel(order="F")
-        out = op.payloads[leaf.leaf_id].apply(seg)
-        f_tensor[leaf.tau.box.slices] += out.reshape(
-            leaf.tau.box.sizes, order="F"
-        )
-    return f_tensor.ravel(order="F") + op.diagonal * u
+    f = np.zeros(op.num_points)
+    for cls in op.classes:
+        offset = np.array(cls.offset, dtype=np.int32)[:, None]
+        segs = _boxes(u, op.grid, cls.side)[tuple(cls.targets + offset)]
+        out = cls.payload.apply(segs.reshape(len(segs), -1).T)
+        # the target boxes of one class are distinct: no update is lost
+        _boxes(f, op.grid, cls.side)[tuple(cls.targets)] += out.T.reshape(segs.shape)
+    return f + op.diagonal * u
 
 
 def weak_storage_bound(d: int, rank: int, num_points: int) -> float:

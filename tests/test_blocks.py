@@ -262,6 +262,61 @@ class TestTlrApply:
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
+def _tucker_2d():
+    grid, tau, sigma = admissible_pair_64()
+    return build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 5, grid.h)
+
+
+def _tucker_3d_identity_factors():
+    # box side equal to the rank: every factor is an implicit identity
+    grid = UniformGrid(3, 16)
+    tau, sigma = IndexBox(((0, 4),) * 3), IndexBox(((8, 12), (0, 4), (0, 4)))
+    block = build_tlr(gaussian(np.sqrt(3.0)), grid, tau, sigma, 4, grid.h)
+    assert all(f is None for f in block.u_factors + block.v_factors)
+    return block
+
+
+def _lowrank():
+    grid, tau, sigma = admissible_pair_64()
+    return build_lowrank(slp_2d(), grid, tau, sigma, 4, grid.h)
+
+
+def _dense():
+    return DenseBlock(matrix=np.random.default_rng(26).standard_normal((6, 9)))
+
+
+MULTI_COLUMN_BLOCKS = {
+    "tucker-2d": _tucker_2d,
+    "tucker-3d-identity-factors": _tucker_3d_identity_factors,
+    "lowrank": _lowrank,
+    "dense": _dense,
+}
+
+
+class TestMultiColumnApply:
+    """apply on a (cols, m) matrix of segments equals apply column by column."""
+
+    @pytest.mark.parametrize("kind", sorted(MULTI_COLUMN_BLOCKS))
+    def test_matches_column_by_column(self, kind):
+        block = MULTI_COLUMN_BLOCKS[kind]()
+        rows, cols = block.shape
+        # column-major columns, the layout the operator's matvec passes
+        segs = np.random.default_rng(27).standard_normal((5, cols)).T
+        out = block.apply(segs)
+        assert out.shape == (rows, 5)
+        expected = np.stack([block.apply(segs[:, j]) for j in range(5)], axis=1)
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(block.apply(segs[:, :1])[:, 0] - expected[:, 0]).max() <= (
+            1e-14 * np.abs(expected).max()
+        )
+
+    @pytest.mark.parametrize("kind", sorted(MULTI_COLUMN_BLOCKS))
+    def test_wrong_leading_dimension_rejected(self, kind):
+        block = MULTI_COLUMN_BLOCKS[kind]()
+        with pytest.raises(ValueError):
+            block.apply(np.zeros((block.shape[1] + 1, 3)))
+
+
 class TestStorageCount:
     def test_tucker_block_count(self):
         grid, tau, sigma = admissible_pair_64()  # sides 32

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -170,6 +171,11 @@ class TestClassSharing:
             rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
         )),
+        # strong admissibility: dense classes off the diagonal as well
+        "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
+            rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        )),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -202,6 +208,31 @@ class TestClassSharing:
             coeff=CoefficientFn.constant(0.0),
         )
         assert_every_leaf_matches_dense(cfg, grid)
+        # every leaf is a class of its own
+        op = construct(cfg, grid)
+        assert len(op.classes) == len(op.payloads)
+        u = np.random.default_rng(48).standard_normal(grid.num_points)
+        expected = per_leaf_matvec(op, build_tlr, u)
+        assert np.abs(matvec(op, u) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_matvec_applies_each_class_once(self, case, build):
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        calls = collections.Counter()
+        for block in {id(b): b for b in op.payloads}.values():
+            def spy(segs, block=block, apply=block.apply):
+                calls[id(block)] += 1
+                return apply(segs)
+
+            block.apply = spy
+        u = np.random.default_rng(49).standard_normal(grid.num_points)
+        for rounds in (1, 2):
+            matvec(op, u)
+            assert sum(calls.values()) == rounds * translation_classes(op)
+            assert set(calls.values()) == {rounds}
 
 
 class TestDiagonal:
