@@ -9,17 +9,25 @@ block u @ g @ v.T.  Inadmissible pairs are stored densely.  All blocks carry
 the quadrature weight h^d of the discretization, so materializing any block
 reproduces the corresponding submatrix of the system matrix.
 
-Every block kind answers ``apply(seg)``, ``materialize()`` and ``scalars()``
-(the stored ``(dense, factor, core)`` counts); no other module knows the kinds.
-``apply`` takes one F-raveled source segment, or a ``(cols, m)`` matrix of m
-such segments as columns and then returns m target segments as columns, so
-that one call applies a shared payload to every leaf of a translation class.
+On a uniform grid a box's interpolation factor depends only on the grid, the
+box side and the rank: it is computed once in box-relative coordinates and
+every block on boxes of that side holds the same read-only factor objects,
+whatever the kernel.  Cores are stored first index fastest, so that
+``core_matrix`` is a view.
+
+Every block kind answers ``apply(seg)``, ``materialize()``, ``scalars()``
+(the stored ``(dense, factor, core)`` counts) and ``core_matrix``, and has
+``u_factors``/``v_factors`` (empty for a dense block); no other module knows
+the kinds.  ``apply`` takes one F-raveled source segment, or a ``(cols, m)``
+matrix of m such segments as columns.  :func:`project` and :func:`expand`
+apply one side's factors to every box of a tree level at once; between
+them, a block acts on box coefficients through its ``core_matrix`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -69,6 +77,13 @@ class TuckerBlock:
     def shape(self) -> tuple[int, int]:
         return int(np.prod(self.row_sizes)), int(np.prod(self.col_sizes))
 
+    @property
+    def core_matrix(self) -> np.ndarray:
+        """The core as a (target, source) coefficient matrix, modes first
+        index fastest on both sides; a view of the cores the builders store."""
+        rows = int(np.prod(self.core.shape[: len(self.u_factors)]))
+        return self.core.reshape((rows, -1), order="F")
+
     def apply(self, seg: np.ndarray) -> np.ndarray:
         return tlr_apply(self, seg)
 
@@ -85,11 +100,19 @@ class TuckerBlock:
 
 @dataclass
 class DenseBlock:
+    """A kernel submatrix; its box coefficients are the grid values."""
+
     matrix: np.ndarray
+
+    u_factors = v_factors = ()
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+    @property
+    def core_matrix(self) -> np.ndarray:
+        return self.matrix
 
     def apply(self, seg: np.ndarray) -> np.ndarray:
         return self.matrix @ seg
@@ -119,6 +142,35 @@ def _orthonormalized(raw: np.ndarray):
     return fac.q, fac.r
 
 
+def _read_only(a):
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _box_factor(grid: UniformGrid, side: int, rank: int):
+    """Orthonormalized interpolation factor ``(q, r)`` of one dimension of
+    every box of `side` cells: by translation invariance of the nodes, that
+    of the box [0, side) in box-relative coordinates.  Computed once per
+    (grid, side, rank) and returned read-only."""
+    raw = factor_matrix(grid.coords1d(0, side), cheb_points(0.0, side * grid.h, rank))
+    return tuple(map(_read_only, _orthonormalized(raw)))
+
+
+@lru_cache(maxsize=32)
+def _kron_basis(grid: UniformGrid, sizes: tuple[int, ...], rank: int) -> np.ndarray:
+    """The factors of a box with the given sizes multiplied out into one
+    orthonormal basis; computed once and returned read-only.  The cache is
+    bounded because a basis grows with the box (32 MB for a 256^2 box at
+    rank 8) and would otherwise outlive every operator that used it."""
+    eye = np.eye(rank)
+    factors = [_box_factor(grid, side, rank)[0] for side in sizes]
+    # Kronecker order: last dimension outermost, matching the
+    # first-index-fastest linearization
+    return _read_only(reduce(np.kron, reversed([eye if f is None else f for f in factors])))
+
+
 def build_tlr(
     k: KernelSpec,
     grid: UniformGrid,
@@ -129,6 +181,8 @@ def build_tlr(
 ) -> TuckerBlock:
     """Interpolate the kernel over the box pair, orthogonalize every factor by
     thin QR, and fold h^d together with the triangular factors into the core.
+    The factors are the shared ones of :func:`_box_factor`; the core is
+    stored first index fastest.
     """
     dom_tau = domain_of(grid, tau)
     dom_sigma = domain_of(grid, sigma)
@@ -136,18 +190,14 @@ def build_tlr(
         raise ValueError("interpolation blocks require disjoint domains")
     grids_tau = [cheb_points(lo, hi, rank) for lo, hi in dom_tau.intervals]
     grids_sigma = [cheb_points(lo, hi, rank) for lo, hi in dom_sigma.intervals]
-    u = [
-        _orthonormalized(factor_matrix(grid.coords1d(lo, hi), g))
-        for (lo, hi), g in zip(tau.ranges, grids_tau)
-    ]
-    v = [
-        _orthonormalized(factor_matrix(grid.coords1d(lo, hi), g))
-        for (lo, hi), g in zip(sigma.ranges, grids_sigma)
-    ]
+    u = [_box_factor(grid, side, rank) for side in tau.sizes]
+    v = [_box_factor(grid, side, rank) for side in sigma.sizes]
     core = h**grid.d * core_tensor(k, grids_tau, grids_sigma)
     core = _mode_products(core, [r for _, r in u + v])
     return TuckerBlock(
-        core=core, u_factors=[q for q, _ in u], v_factors=[q for q, _ in v]
+        core=np.asfortranarray(core),
+        u_factors=[q for q, _ in u],
+        v_factors=[q for q, _ in v],
     )
 
 
@@ -162,18 +212,11 @@ def build_lowrank(
     """The :func:`build_tlr` block with each side's factors multiplied out
     into one orthonormal basis of rank rank^d: an order-2 Tucker block."""
     block = build_tlr(k, grid, tau, sigma, rank, h)
-    eye = np.eye(rank)
-
-    def basis(factors):
-        # Kronecker order: last dimension outermost, matching the
-        # first-index-fastest linearization
-        return reduce(np.kron, reversed([eye if f is None else f for f in factors]))
-
     r = rank**grid.d
     return TuckerBlock(
         core=block.core.reshape(r, r, order="F"),
-        u_factors=[basis(block.u_factors)],
-        v_factors=[basis(block.v_factors)],
+        u_factors=[_kron_basis(grid, tau.sizes, rank)],
+        v_factors=[_kron_basis(grid, sigma.sizes, rank)],
     )
 
 
@@ -225,6 +268,59 @@ def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
     # the core's last d (source) axes against the first d axes of w
     w = np.tensordot(block.core, w, axes=len(cols))
     return _mode_products(w, block.u_factors).reshape((-1,) + batch, order="F")
+
+
+def _along_dims(t: np.ndarray, mats) -> np.ndarray:
+    """Multiply the in-box axis of every dimension of `t` by its matrix
+    (``None`` an identity).  `t` is a grid-ordered array split into boxes,
+    axes (box, in-box) per dimension, last dimension first, so that the first
+    dimension's in-box axis is the last axis: that one is a single GEMM, the
+    others are batched matmuls on contiguous reshapes, with no transposes."""
+    shape = list(t.shape)
+    d = len(mats)
+    for dim, m in enumerate(mats):
+        if m is None:
+            continue
+        axis = 2 * (d - dim) - 1
+        pre, post = int(np.prod(shape[:axis])), int(np.prod(shape[axis + 1:]))
+        if post == 1:
+            t = t.reshape(pre, shape[axis]) @ m.T
+        else:
+            t = m @ t.reshape(pre, shape[axis], post)
+        shape[axis] = m.shape[0]
+    return t.reshape(shape)
+
+
+def _box_major(d: int) -> tuple[int, ...]:
+    """Axis order taking (box, in-box) pairs, last dimension first, to all
+    box axes then all in-box axes (both last dimension first), so that boxes
+    and their entries each ravel first index fastest."""
+    return tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+
+
+def project(x: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
+    """Source coefficients of every box of `side` on the grid: the flat grid
+    vector `x` (first index fastest) through the transposed factors, as a
+    box-major ``(boxes, r)`` array.  `factors` holds one factor per
+    dimension (``None`` an identity), one Kronecker basis of the whole box,
+    or nothing; without factors the coefficients are the grid values."""
+    d, boxes = grid.d, grid.n // side
+    t = x.reshape((boxes, side) * d)
+    if len(factors) == d:
+        t = _along_dims(t, [None if f is None else f.T for f in factors])
+    c = t.transpose(_box_major(d)).reshape(boxes**d, -1)
+    return c @ factors[0] if len(factors) == 1 else c
+
+
+def expand(g: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
+    """Inverse of :func:`project`: box-major target coefficients through the
+    factors, back to one flat grid vector."""
+    d, boxes = grid.d, grid.n // side
+    if len(factors) == 1:
+        g, factors = g @ factors[0].T, ()
+    ranks = [side if f is None else f.shape[1] for f in reversed(factors)] or [side] * d
+    t = g.reshape((boxes,) * d + tuple(ranks)).transpose(np.argsort(_box_major(d)))
+    return _along_dims(t, factors).reshape(-1)
 
 
 def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

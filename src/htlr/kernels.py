@@ -153,8 +153,22 @@ class CoefficientFn:
         return CoefficientFn(evaluator=lambda pts: np.full(len(pts), float(c)))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(pts, dtype=np.float64)),
-                          dtype=np.float64)
+        """a at each point; a result that is not real, finite and of one
+        value per point is rejected instead of broadcasting into a wrong
+        diagonal or spreading NaN."""
+        pts = np.asarray(pts, dtype=np.float64)
+        values = np.asarray(self.evaluator(pts))
+        if np.iscomplexobj(values):
+            raise ValueError("coefficient values are complex; a(x) must be real")
+        if values.shape != (len(pts),):
+            raise ValueError(
+                f"coefficient returned shape {values.shape} for {len(pts)} "
+                f"points; expected ({len(pts)},)"
+            )
+        values = values.astype(np.float64, copy=False)
+        if not np.isfinite(values).all():
+            raise ValueError("coefficient values have NaN or infinite entries")
+        return values
 
 
 @dataclass(frozen=True)

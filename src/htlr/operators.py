@@ -15,11 +15,16 @@ every leaf of the class points at the same payload object, so payloads are
 shared and must be treated as read-only.  The coefficient a(x) is not part
 of any payload; the operator holds it as its diagonal.
 
-The matvec applies each class's payload once, to the source segments of all
-its leaves as the columns of one matrix.  Every box at one cluster-tree
-level is a cube of side n / 2**level starting at a multiple of that side, so
-a view of the grid vector with one axis per box coordinate gathers a
-class's source boxes, and scatters its results, with one index call each.
+Every box at one cluster-tree level is a cube of side n / 2**level starting
+at a multiple of that side, and its interpolation factors depend only on
+that side, so the payloads of one level share their factor objects.  The
+classes are grouped by box side and factors, and the matvec makes one pass
+per group: it projects every box of the level onto its source coefficients
+once, applies each class's core matrix to the coefficient rows of its
+source boxes and adds the results into the rows of its target boxes, and
+expands the target coefficients back onto the grid once.  Dense payloads,
+and Tucker payloads whose factors are identities, form groups without
+factors: their coefficients are the grid values of each box.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import build_dense, build_lowrank, build_tlr
+from .blocks import build_dense, build_lowrank, build_tlr, expand, project
 from .grids import (
     ADMISSIBLE,
     AdmissibilityRule,
@@ -69,15 +74,28 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class TranslationClass:
-    """The leaves that share one payload: the payload, their common box
-    side, the box coordinates (box lower corner / side) of their target
-    boxes as a (d, leaves) array, and the source-minus-target box offset.
-    Target boxes of one class are distinct."""
+    """The leaves that share one payload: the payload and the linear indices
+    (first index fastest) of their target and source boxes among the boxes
+    of their level, int32 arrays in target order, or full slices when they
+    are every box in order.  Target boxes of one class are distinct."""
 
     payload: object
+    targets: np.ndarray | slice
+    sources: np.ndarray | slice
+
+
+@dataclass(frozen=True)
+class FactorGroup:
+    """The translation classes on boxes of one side whose payloads hold the
+    same target (u) and source (v) factor objects (none for dense and
+    identity-folded Tucker payloads), and the number of target coefficients
+    per box."""
+
     side: int
-    targets: np.ndarray
-    offset: tuple[int, ...]
+    u_factors: tuple
+    v_factors: tuple
+    rank: int
+    classes: list
 
 
 @dataclass
@@ -86,14 +104,14 @@ class HTLRMatrix:
     (Tucker for admissible leaves, of order 2 for the baseline; dense
     otherwise; leaves of one translation class share the object), the
     diagonal a(x) at every grid point, first index fastest, and the
-    translation classes the matvec applies."""
+    translation classes the matvec applies, grouped by shared factors."""
 
     grid: UniformGrid
     config: BuildConfig
     block_tree: BlockClusterTree
     payloads: list  # leaf_id -> block
     diagonal: np.ndarray
-    classes: list  # TranslationClass, one per distinct payload
+    groups: list  # FactorGroup, the classes of one box side and factors
 
     @property
     def num_points(self) -> int:
@@ -133,7 +151,11 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
             cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, grid.h, cfg.quadrature
         )
 
-    # key -> (payload, box side, source offset in boxes, target box coordinates)
+    def box_index(box, side):
+        return sum((lo // side) * (grid.n // side) ** dim
+                   for dim, (lo, _) in enumerate(box.ranges))
+
+    # key -> (payload, box side, target box indices, source box indices)
     by_class = {}
     payloads = []
     for leaf in btree.leaves:
@@ -141,20 +163,43 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
         tau, sigma = leaf.tau.box, leaf.sigma.box
         side = tau.sizes[0]  # both boxes of a leaf are cubes at one level
         if key not in by_class:
-            offset = tuple(
-                (s - t) // side for (s, _), (t, _) in zip(sigma.ranges, tau.ranges)
-            )
-            by_class[key] = (build_leaf(leaf), side, offset, [])
-        payload, _, _, targets = by_class[key]
-        targets.append([lo // side for lo, _ in tau.ranges])
+            by_class[key] = (build_leaf(leaf), side, [], [])
+        payload, _, targets, sources = by_class[key]
+        targets.append(box_index(tau, side))
+        sources.append(box_index(sigma, side))
         payloads.append(payload)
-    classes = [
-        TranslationClass(payload, side, np.array(targets, dtype=np.int32).T, offset)
-        for payload, side, offset, targets in by_class.values()
-    ]
+
+    groups = {}
+    for payload, side, targets, sources in by_class.values():
+        u, v = _factors(payload.u_factors), _factors(payload.v_factors)
+        key = (side, tuple(map(id, u)), tuple(map(id, v)))
+        rank = payload.core_matrix.shape[0]
+        group = groups.setdefault(key, FactorGroup(side, u, v, rank, []))
+        # in target order, so that a class mapping every box of its level
+        # onto itself indexes with full slices, which gather and add in place
+        order = np.argsort(targets)
+        count = (grid.n // side) ** grid.d
+        group.classes.append(TranslationClass(
+            payload,
+            _box_indices(np.array(targets)[order], count),
+            _box_indices(np.array(sources)[order], count),
+        ))
     diagonal = cfg.coeff(grid.points(ctree.root.box))
     return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads,
-                      diagonal=diagonal, classes=classes)
+                      diagonal=diagonal, groups=list(groups.values()))
+
+
+def _box_indices(boxes: np.ndarray, count: int):
+    """`boxes` as int32, or a full slice when they are all `count` boxes in
+    order."""
+    if np.array_equal(boxes, np.arange(count)):
+        return slice(None)
+    return boxes.astype(np.int32)
+
+
+def _factors(factors) -> tuple:
+    """A side's factors, or none when they are all identities."""
+    return tuple(factors) if any(f is not None for f in factors) else ()
 
 
 def construct(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
@@ -180,32 +225,24 @@ def checked_vector(u) -> np.ndarray:
     return u
 
 
-def _boxes(x: np.ndarray, grid: UniformGrid, side: int) -> np.ndarray:
-    """View of the flat grid vector `x` (first index fastest) split into
-    cubes of `side`: the d box coordinates first, in dimension order, then
-    the in-box indices, last dimension first, so that each box ravels in C
-    order to its F-order segment."""
-    d = grid.d
-    split = x.reshape((grid.n // side, side) * d)
-    return split.transpose(tuple(range(2 * d - 2, -1, -2)) + tuple(range(1, 2 * d, 2)))
-
-
 def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
-    """f = A u: each translation class's payload applied once to the source
-    segments of all its leaves, its results added into their target boxes,
-    then the diagonal a(x) u; for operators from both :func:`construct` and
+    """f = A u: the diagonal a(x) u plus, per factor group, one projection
+    of all boxes of its side, each class's core applied once to the
+    coefficients of its source boxes, and one expansion of the summed target
+    coefficients; for operators from both :func:`construct` and
     :func:`construct_hmatrix`."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
-    f = np.zeros(op.num_points)
-    for cls in op.classes:
-        offset = np.array(cls.offset, dtype=np.int32)[:, None]
-        segs = _boxes(u, op.grid, cls.side)[tuple(cls.targets + offset)]
-        out = cls.payload.apply(segs.reshape(len(segs), -1).T)
-        # the target boxes of one class are distinct: no update is lost
-        _boxes(f, op.grid, cls.side)[tuple(cls.targets)] += out.T.reshape(segs.shape)
-    return f + op.diagonal * u
+    f = op.diagonal * u
+    for group in op.groups:
+        c = project(u, op.grid, group.side, group.v_factors)
+        g = np.zeros((len(c), group.rank))
+        for cls in group.classes:
+            # the target boxes of one class are distinct: no update is lost
+            g[cls.targets] += c[cls.sources] @ cls.payload.core_matrix.T
+        f += expand(g, op.grid, group.side, group.u_factors)
+    return f
 
 
 def weak_storage_bound(d: int, rank: int, num_points: int) -> float:

@@ -20,6 +20,7 @@ from htlr import (
     materialize,
     multi_mode_apply,
     pairwise,
+    qr,
     slp_2d,
     storage_count,
     tensor_to_vec,
@@ -82,6 +83,20 @@ class TestBuildTLR:
         for f in block.u_factors + block.v_factors:
             assert f is not None
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
+
+    def test_shared_factor_is_the_translated_box_factor(self):
+        # blocks on boxes of one side hold one factor object, computed at
+        # the origin; it must match the factor of a box far from the origin
+        grid, rank = UniformGrid(2, 128), 8
+        tau, sigma = IndexBox(((96, 112), (48, 64))), IndexBox(((64, 80), (48, 64)))
+        k = gaussian(np.sqrt(2.0))
+        block = build_tlr(k, grid, tau, sigma, rank, grid.h)
+        other = build_tlr(k, grid, sigma, IndexBox(((0, 16), (0, 16))), rank, grid.h)
+        assert all(f is block.u_factors[0] for f in block.u_factors + other.u_factors)
+        assert all(f.flags.writeable is False for f in block.u_factors)
+        lo, hi = tau.ranges[0]
+        raw = factor_matrix(grid.coords1d(lo, hi), cheb_points(lo * grid.h, hi * grid.h, rank))
+        assert np.abs(block.u_factors[0] - qr(raw).q).max() <= 1e-14
 
     def test_square_factors_absorbed(self):
         # box side equal to the rank: factors are implicit identities

@@ -181,6 +181,16 @@ class TestCoefficientFn:
         fn = CoefficientFn(lambda pts: pts[:, 0] + pts[:, 1])
         assert np.allclose(fn(np.array([[0.25, 0.5]])), [0.75])
 
+    @pytest.mark.parametrize("evaluator,match", [
+        (lambda pts: pts[:, :1], "shape"),
+        (lambda pts: np.full(len(pts), np.nan), "NaN"),
+        (lambda pts: np.ones(len(pts) + 1), "shape"),
+        (lambda pts: pts[:, 0] + 1j, "complex"),
+    ], ids=["column", "nan", "wrong-length", "complex"])
+    def test_malformed_values_rejected(self, evaluator, match):
+        with pytest.raises(ValueError, match=match):
+            CoefficientFn(evaluator)(np.full((5, 2), 0.5))
+
 
 class TestQuadratureConfig:
     def test_order_floor(self):

@@ -160,9 +160,24 @@ def per_leaf_matvec(op, build_admissible, u):
     return f
 
 
+def non_stationary_cfg():
+    return BuildConfig(
+        rank=8, leaf_side=16, rule=AdmissibilityRule.weak(),
+        kernel=custom(lambda x, y: (1.0 + x[..., 0])
+                      * np.exp(-0.25 * np.sum((x - y) ** 2, axis=-1))),
+        coeff=CoefficientFn.constant(0.0),
+    )
+
+
+BUILDS = pytest.mark.parametrize("build,build_admissible", [
+    (construct, build_tlr), (construct_hmatrix, build_lowrank),
+], ids=["tucker", "lowrank"])
+
+
 class TestClassSharing:
     """Leaves of one translation class share one payload when the kernel is
-    translation invariant, and only then."""
+    translation invariant, and only then; payloads on boxes of one side share
+    their factors whatever the kernel."""
 
     CASES = {
         "2d-weak-gaussian": (UniformGrid(2, 64), weak_gaussian_cfg(rank=4, leaf=8)),
@@ -176,12 +191,18 @@ class TestClassSharing:
             rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
         )),
+        # leaf side 12, not a power of two
+        "2d-n48-leaf16": (UniformGrid(2, 48), weak_gaussian_cfg()),
+    }
+    # the matvec also on a kernel without classes and on a one-leaf grid
+    MATVEC_CASES = {
+        **CASES,
+        "2d-non-stationary": (UniformGrid(2, 64), non_stationary_cfg()),
+        "single-leaf": (UniformGrid(2, 16), weak_gaussian_cfg()),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("build,build_admissible", [
-        (construct, build_tlr), (construct_hmatrix, build_lowrank),
-    ], ids=["tucker", "lowrank"])
+    @BUILDS
     def test_one_payload_per_class(self, case, build, build_admissible):
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
@@ -195,44 +216,79 @@ class TestClassSharing:
         )
         assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == tuple(per_leaf)
 
+    @pytest.mark.parametrize("case", sorted(MATVEC_CASES))
+    @BUILDS
+    def test_matvec_matches_per_leaf(self, case, build, build_admissible):
+        grid, cfg = self.MATVEC_CASES[case]
+        op = build(cfg, grid)
         u = np.random.default_rng(46).standard_normal(grid.num_points)
         expected = per_leaf_matvec(op, build_admissible, u)
         assert np.abs(matvec(op, u) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_non_stationary_custom_kernel_builds_per_leaf(self):
-        grid = UniformGrid(2, 64)
-        cfg = BuildConfig(
-            rank=8, leaf_side=16, rule=AdmissibilityRule.weak(),
-            kernel=custom(lambda x, y: (1.0 + x[..., 0])
-                          * np.exp(-0.25 * np.sum((x - y) ** 2, axis=-1))),
-            coeff=CoefficientFn.constant(0.0),
-        )
+        grid, cfg = UniformGrid(2, 64), non_stationary_cfg()
         assert_every_leaf_matches_dense(cfg, grid)
         # every leaf is a class of its own
         op = construct(cfg, grid)
-        assert len(op.classes) == len(op.payloads)
-        u = np.random.default_rng(48).standard_normal(grid.num_points)
-        expected = per_leaf_matvec(op, build_tlr, u)
-        assert np.abs(matvec(op, u) - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert sum(len(group.classes) for group in op.groups) == len(op.payloads)
+
+    @pytest.mark.parametrize("case", ["2d-weak-gaussian", "2d-non-stationary"])
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_factors_shared_per_side(self, case, build):
+        grid, cfg = self.MATVEC_CASES[case]
+        op = build(cfg, grid)
+        by_side = collections.defaultdict(list)
+        for leaf in op.block_tree.leaves:
+            block = op.payloads[leaf.leaf_id]
+            if leaf.kind == ADMISSIBLE:
+                by_side[leaf.tau.box.sizes[0]] += [block.u_factors, block.v_factors]
+        assert len(by_side) > 1
+        for factors in by_side.values():
+            assert all(f is g for fs in factors for f, g in zip(fs, factors[0]))
+        # one factor group per admissible side, plus the dense one
+        assert len(op.groups) == len(by_side) + 1
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
-    def test_matvec_applies_each_class_once(self, case, build):
+    def test_matvec_applies_each_class_once(self, case, build, monkeypatch):
+        """One core application per class, one projection and one expansion
+        per factor group, per matvec."""
+        from htlr import operators
+
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        calls = collections.Counter()
-        for block in {id(b): b for b in op.payloads}.values():
-            def spy(segs, block=block, apply=block.apply):
-                calls[id(block)] += 1
-                return apply(segs)
+        cores, passes = collections.Counter(), collections.Counter()
 
-            block.apply = spy
+        class CoreSpy:
+            def __init__(self, block):
+                self.block = block
+
+            @property
+            def core_matrix(self):
+                cores[id(self)] += 1
+                return self.block.core_matrix
+
+        for group in op.groups:
+            group.classes[:] = [dataclasses.replace(cls, payload=CoreSpy(cls.payload))
+                                for cls in group.classes]
+
+        def counted(stage, fn):
+            def spy(x, grid, side, factors):
+                passes[stage, side, tuple(map(id, factors))] += 1
+                return fn(x, grid, side, factors)
+            return spy
+
+        monkeypatch.setattr(operators, "project", counted("project", operators.project))
+        monkeypatch.setattr(operators, "expand", counted("expand", operators.expand))
         u = np.random.default_rng(49).standard_normal(grid.num_points)
         for rounds in (1, 2):
             matvec(op, u)
-            assert sum(calls.values()) == rounds * translation_classes(op)
-            assert set(calls.values()) == {rounds}
+            assert sum(cores.values()) == rounds * translation_classes(op)
+            assert set(cores.values()) == {rounds}
+            assert sum(passes.values()) == 2 * rounds * len(op.groups)
+            assert set(passes.values()) == {rounds}
 
 
 class TestDiagonal:
@@ -255,6 +311,11 @@ class TestDiagonal:
         au = self.coeff(self.grid.points(IndexBox(((0, 32), (0, 32))))) * self.u
         diff = matvec(op, self.u) - matvec(without, self.u)
         assert np.abs(diff - au).max() <= 1e-15 * np.abs(au).max()
+
+    def test_column_coefficient_rejected(self):
+        column = CoefficientFn(lambda pts: 1.0 + pts[:, :1])
+        with pytest.raises(ValueError, match="shape"):
+            construct(dataclasses.replace(self.cfg, coeff=column), self.grid)
 
     def test_matches_dense_oracle(self):
         op = construct(self.cfg, self.grid)
