@@ -2,7 +2,8 @@
 
 Compresses the dense system matrix of a non-oscillatory kernel on a uniform
 tensor grid into a hierarchy of Tucker-format blocks with linear storage,
-applies it in quasi-linear time, and extends the same machinery to
+applies it in linear time through bases nested across tree levels, and
+extends the same machinery to
 quasi-uniform (triangulated) grids through sparse area-overlap transfers.
 """
 

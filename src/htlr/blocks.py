@@ -18,10 +18,16 @@ whatever the kernel.  Cores are stored first index fastest, so that
 Every block kind answers ``apply(seg)``, ``materialize()``, ``scalars()``
 (the stored ``(dense, factor, core)`` counts) and ``core_matrix``, and has
 ``u_factors``/``v_factors`` (empty for a dense block); no other module knows
-the kinds.  ``apply`` takes one F-raveled source segment, or a ``(cols, m)``
-matrix of m such segments as columns.  :func:`project` and :func:`expand`
-apply one side's factors to every box of a tree level at once; between
-them, a block acts on box coefficients through its ``core_matrix`` alone.
+the kinds.  ``apply`` takes one F-raveled source segment.
+
+The operators apply blocks a whole tree level at a time instead.
+:func:`project` and :func:`expand` apply one side's factors to every box of
+a level at once, between the flat grid vector and a coefficient grid (axes
+(box, coefficient) per dimension).  The factors of consecutive box sides are
+nested, so :func:`up` and :func:`down` move coefficients between a level
+and its parent level through the small per-dimension :func:`transfer`
+matrices, without the grid.  Between them, a block acts on box coefficients
+through its ``core_matrix`` alone.
 """
 
 from __future__ import annotations
@@ -115,6 +121,8 @@ class DenseBlock:
         return self.matrix
 
     def apply(self, seg: np.ndarray) -> np.ndarray:
+        if np.shape(seg) != (self.matrix.shape[1],):
+            raise ValueError("segment length does not match the block")
         return self.matrix @ seg
 
     def materialize(self) -> np.ndarray:
@@ -134,9 +142,10 @@ def _mode_products(t: np.ndarray, factors) -> np.ndarray:
 
 
 def _orthonormalized(raw: np.ndarray):
-    """(q, r) with orthonormal q and q @ r == raw; a square factor carries no
-    compression, so it stays whole in r and q is an implicit identity."""
-    if raw.shape[0] == raw.shape[1]:
+    """(q, r) with orthonormal q and q @ r == raw; a square or wide factor
+    (a box no wider than the rank) carries no compression, so it stays whole
+    in r and q is an implicit identity."""
+    if raw.shape[0] <= raw.shape[1]:
         return None, raw
     fac = tensor.qr(raw)
     return fac.q, fac.r
@@ -158,17 +167,36 @@ def _box_factor(grid: UniformGrid, side: int, rank: int):
     return tuple(map(_read_only, _orthonormalized(raw)))
 
 
+def _explicit_factor(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
+    """The orthonormal factor of :func:`_box_factor` with an implicit
+    identity spelled out."""
+    q = _box_factor(grid, side, rank)[0]
+    return np.eye(side) if q is None else q
+
+
+@lru_cache(maxsize=None)
+def transfer(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
+    """Per-dimension transfer from boxes of `side` to their parents, boxes of
+    ``2 * side``: the ``(2 r_child, r_parent)`` matrix whose row blocks E_0
+    and E_1 give the parent factor on its lower and upper half as the child
+    factor times E_c.  This is exact, as a parent factor column restricted to
+    a child is a polynomial of degree below the rank, which the child factor
+    spans (or the child factor is an identity).  Computed once per (grid,
+    side, rank) and returned read-only."""
+    child, parent = (_explicit_factor(grid, s, rank) for s in (side, 2 * side))
+    return _read_only(np.vstack([child.T @ parent[:side], child.T @ parent[side:]]))
+
+
 @lru_cache(maxsize=32)
 def _kron_basis(grid: UniformGrid, sizes: tuple[int, ...], rank: int) -> np.ndarray:
     """The factors of a box with the given sizes multiplied out into one
     orthonormal basis; computed once and returned read-only.  The cache is
     bounded because a basis grows with the box (32 MB for a 256^2 box at
     rank 8) and would otherwise outlive every operator that used it."""
-    eye = np.eye(rank)
-    factors = [_box_factor(grid, side, rank)[0] for side in sizes]
+    factors = [_explicit_factor(grid, side, rank) for side in sizes]
     # Kronecker order: last dimension outermost, matching the
     # first-index-fastest linearization
-    return _read_only(reduce(np.kron, reversed([eye if f is None else f for f in factors])))
+    return _read_only(reduce(np.kron, reversed(factors)))
 
 
 def build_tlr(
@@ -210,13 +238,14 @@ def build_lowrank(
     h: float,
 ) -> TuckerBlock:
     """The :func:`build_tlr` block with each side's factors multiplied out
-    into one orthonormal basis of rank rank^d: an order-2 Tucker block."""
+    into one orthonormal basis of rank rank^d (side^d for a box narrower
+    than the rank): an order-2 Tucker block."""
     block = build_tlr(k, grid, tau, sigma, rank, h)
-    r = rank**grid.d
+    u, v = _kron_basis(grid, tau.sizes, rank), _kron_basis(grid, sigma.sizes, rank)
     return TuckerBlock(
-        core=block.core.reshape(r, r, order="F"),
-        u_factors=[_kron_basis(grid, tau.sizes, rank)],
-        v_factors=[_kron_basis(grid, sigma.sizes, rank)],
+        core=block.core.reshape(u.shape[1], v.shape[1], order="F"),
+        u_factors=[u],
+        v_factors=[v],
     )
 
 
@@ -252,22 +281,20 @@ def build_dense(
 
 
 def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
-    """Apply a Tucker block to a source-side vector segment, or to each
-    column of a ``(cols, m)`` matrix of segments: reshape to a tensor (with a
-    trailing batch axis), contract through the transposed v factors, the
-    core, and the u factors, and flatten back."""
+    """Apply a Tucker block to a source-side vector segment: reshape it to a
+    tensor, contract through the transposed v factors, the core, and the u
+    factors, and flatten back."""
     u_segment = np.asarray(u_segment, dtype=np.float64)
     cols = block.col_sizes
-    if u_segment.ndim not in (1, 2) or u_segment.shape[0] != int(np.prod(cols)):
+    if u_segment.shape != (int(np.prod(cols)),):
         raise ValueError("segment length does not match the block")
-    batch = u_segment.shape[1:]
     w = _mode_products(
-        u_segment.reshape(cols + batch, order="F"),
+        u_segment.reshape(cols, order="F"),
         [f.T if f is not None else None for f in block.v_factors],
     )
-    # the core's last d (source) axes against the first d axes of w
+    # the core's last d (source) axes against the axes of w
     w = np.tensordot(block.core, w, axes=len(cols))
-    return _mode_products(w, block.u_factors).reshape((-1,) + batch, order="F")
+    return _mode_products(w, block.u_factors).reshape(-1, order="F")
 
 
 def _along_dims(t: np.ndarray, mats) -> np.ndarray:
@@ -298,29 +325,64 @@ def _box_major(d: int) -> tuple[int, ...]:
     return tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
 
 
+def _root(m: int, d: int) -> int:
+    """The integer d-th root of m."""
+    return round(m ** (1.0 / d))
+
+
+def to_boxes(t: np.ndarray) -> np.ndarray:
+    """A coefficient grid as a box-major ``(boxes, r)`` array: one row per
+    box, first index fastest, holding the box's coefficients first index
+    fastest."""
+    boxes = int(np.prod(t.shape[0::2]))
+    return t.transpose(_box_major(t.ndim // 2)).reshape(boxes, -1)
+
+
+def from_boxes(c: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`to_boxes`, as a view."""
+    shape = (_root(c.shape[0], d),) * d + (_root(c.shape[1], d),) * d
+    return c.reshape(shape).transpose(np.argsort(_box_major(d)))
+
+
 def project(x: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
     """Source coefficients of every box of `side` on the grid: the flat grid
     vector `x` (first index fastest) through the transposed factors, as a
-    box-major ``(boxes, r)`` array.  `factors` holds one factor per
-    dimension (``None`` an identity), one Kronecker basis of the whole box,
-    or nothing; without factors the coefficients are the grid values."""
+    coefficient grid, i.e. axes (box, coefficient) per dimension, last
+    dimension first.  `factors` holds one factor per dimension (``None`` an
+    identity), one Kronecker basis of the whole box, or nothing; without
+    factors the coefficients are the grid values, and a view of `x`."""
     d, boxes = grid.d, grid.n // side
     t = x.reshape((boxes, side) * d)
-    if len(factors) == d:
-        t = _along_dims(t, [None if f is None else f.T for f in factors])
-    c = t.transpose(_box_major(d)).reshape(boxes**d, -1)
-    return c @ factors[0] if len(factors) == 1 else c
-
-
-def expand(g: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
-    """Inverse of :func:`project`: box-major target coefficients through the
-    factors, back to one flat grid vector."""
-    d, boxes = grid.d, grid.n // side
     if len(factors) == 1:
-        g, factors = g @ factors[0].T, ()
-    ranks = [side if f is None else f.shape[1] for f in reversed(factors)] or [side] * d
-    t = g.reshape((boxes,) * d + tuple(ranks)).transpose(np.argsort(_box_major(d)))
-    return _along_dims(t, factors).reshape(-1)
+        return from_boxes(to_boxes(t) @ factors[0], d)
+    if factors:
+        t = _along_dims(t, [None if f is None else f.T for f in factors])
+    return t
+
+
+def expand(t: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
+    """Inverse of :func:`project`: a coefficient grid through the factors,
+    back to grid values with axes (box, in-box) per dimension, whose ravel is
+    the flat grid vector."""
+    if len(factors) == 1:
+        return from_boxes(to_boxes(t) @ factors[0].T, grid.d)
+    return _along_dims(t, factors) if factors else t
+
+
+def up(t: np.ndarray, grid: UniformGrid, side: int, rank: int) -> np.ndarray:
+    """Source coefficients of every box of ``2 * side`` from the coefficient
+    grid `t` of their children, the boxes of `side`: per dimension, the
+    coefficients of each parent's two children through the transposed
+    :func:`transfer`."""
+    e = transfer(grid, side, rank)
+    return _along_dims(t.reshape((t.shape[0] // 2, e.shape[0]) * grid.d), [e.T] * grid.d)
+
+
+def down(t: np.ndarray, grid: UniformGrid, side: int, rank: int) -> np.ndarray:
+    """Adjoint of :func:`up`: target coefficients of the boxes of
+    ``2 * side`` pushed down to their children, the boxes of `side`."""
+    e = transfer(grid, side, rank)
+    return _along_dims(t, [e] * grid.d).reshape((2 * t.shape[0], e.shape[0] // 2) * grid.d)
 
 
 def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

@@ -18,13 +18,21 @@ of any payload; the operator holds it as its diagonal.
 Every box at one cluster-tree level is a cube of side n / 2**level starting
 at a multiple of that side, and its interpolation factors depend only on
 that side, so the payloads of one level share their factor objects.  The
-classes are grouped by box side and factors, and the matvec makes one pass
-per group: it projects every box of the level onto its source coefficients
-once, applies each class's core matrix to the coefficient rows of its
-source boxes and adds the results into the rows of its target boxes, and
-expands the target coefficients back onto the grid once.  Dense payloads,
-and Tucker payloads whose factors are identities, form groups without
-factors: their coefficients are the grid values of each box.
+classes are grouped by box side and factors.  The factors of consecutive
+levels are nested: a parent box's factor is its children's factor times a
+small transfer matrix per dimension (:func:`htlr.blocks.transfer`).  So the
+factored groups form chains of doubling sides, and the matvec traverses
+each chain as the black-box fast multipole method does (W. Fong and
+E. Darve, J. Comput. Phys. 228, 2009), per dimension.  It projects the grid
+vector once, at the chain's finest side, and forms each coarser level's
+source coefficients from its children's (the upward pass).  At every level
+each class's core matrix is applied once to the coefficient rows of its
+source boxes and added into the rows of its target boxes.  The target
+coefficients are then pushed down to the children level by level (the
+downward pass) and expanded onto the grid once, at the finest side.  Dense
+payloads, and Tucker payloads whose factors are identities, form groups
+without factors, each a chain of its own: their coefficients are the grid
+values of each box.
 """
 
 from __future__ import annotations
@@ -35,7 +43,17 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import build_dense, build_lowrank, build_tlr, expand, project
+from .blocks import (
+    build_dense,
+    build_lowrank,
+    build_tlr,
+    down,
+    expand,
+    from_boxes,
+    project,
+    to_boxes,
+    up,
+)
 from .grids import (
     ADMISSIBLE,
     AdmissibilityRule,
@@ -87,14 +105,12 @@ class TranslationClass:
 @dataclass(frozen=True)
 class FactorGroup:
     """The translation classes on boxes of one side whose payloads hold the
-    same target (u) and source (v) factor objects (none for dense and
-    identity-folded Tucker payloads), and the number of target coefficients
-    per box."""
+    same factor objects (none for dense and identity-folded Tucker payloads).
+    Both boxes of a leaf are cubes of one side, so a payload's target (u)
+    and source (v) factors are the same."""
 
     side: int
-    u_factors: tuple
-    v_factors: tuple
-    rank: int
+    factors: tuple
     classes: list
 
 
@@ -104,18 +120,23 @@ class HTLRMatrix:
     (Tucker for admissible leaves, of order 2 for the baseline; dense
     otherwise; leaves of one translation class share the object), the
     diagonal a(x) at every grid point, first index fastest, and the
-    translation classes the matvec applies, grouped by shared factors."""
+    translation classes the matvec applies, grouped by shared factors into
+    chains of nested factors."""
 
     grid: UniformGrid
     config: BuildConfig
     block_tree: BlockClusterTree
     payloads: list  # leaf_id -> block
     diagonal: np.ndarray
-    groups: list  # FactorGroup, the classes of one box side and factors
+    chains: list  # tuples of FactorGroup, finest side first
 
     @property
     def num_points(self) -> int:
         return self.grid.num_points
+
+    @property
+    def groups(self) -> list:
+        return [group for chain in self.chains for group in chain]
 
 
 @dataclass(frozen=True)
@@ -171,10 +192,9 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
 
     groups = {}
     for payload, side, targets, sources in by_class.values():
-        u, v = _factors(payload.u_factors), _factors(payload.v_factors)
-        key = (side, tuple(map(id, u)), tuple(map(id, v)))
-        rank = payload.core_matrix.shape[0]
-        group = groups.setdefault(key, FactorGroup(side, u, v, rank, []))
+        factors = _factors(payload.u_factors)
+        key = (side, tuple(map(id, factors)))
+        group = groups.setdefault(key, FactorGroup(side, factors, []))
         # in target order, so that a class mapping every box of its level
         # onto itself indexes with full slices, which gather and add in place
         order = np.argsort(targets)
@@ -185,8 +205,29 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
             _box_indices(np.array(sources)[order], count),
         ))
     diagonal = cfg.coeff(grid.points(ctree.root.box))
+    for group in groups.values():
+        # a class on every box first, so that its product starts the group's
+        # sum: a zeroed array would be one more level-sized temporary per
+        # matvec, and the fresh memory pages it needs cost about as much as
+        # the work on the finest level
+        group.classes.sort(key=lambda cls: not isinstance(cls.targets, slice))
     return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads,
-                      diagonal=diagonal, groups=list(groups.values()))
+                      diagonal=diagonal, chains=_chains(groups.values()))
+
+
+def _chains(groups) -> list:
+    """The groups as chains, finest side first.  A factored group continues
+    the chain of the factored group on boxes of half its side: the factors
+    of every side come from one box factor per (grid, side, rank), and those
+    nest.  Each group without factors is a chain of its own."""
+    chains = [(group,) for group in groups if not group.factors]
+    nested = []
+    for group in sorted((g for g in groups if g.factors), key=lambda g: g.side):
+        if nested and nested[-1][-1].side * 2 == group.side:
+            nested[-1].append(group)
+        else:
+            nested.append([group])
+    return chains + [tuple(chain) for chain in nested]
 
 
 def _box_indices(boxes: np.ndarray, count: int):
@@ -226,23 +267,52 @@ def checked_vector(u) -> np.ndarray:
 
 
 def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
-    """f = A u: the diagonal a(x) u plus, per factor group, one projection
-    of all boxes of its side, each class's core applied once to the
-    coefficients of its source boxes, and one expansion of the summed target
-    coefficients; for operators from both :func:`construct` and
+    """f = A u: the diagonal a(x) u plus, per chain, one projection at its
+    finest side, an upward pass through the transfers, each class's core
+    applied once to the coefficients of its source boxes, a downward pass,
+    and one expansion; for operators from both :func:`construct` and
     :func:`construct_hmatrix`."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
     f = op.diagonal * u
-    for group in op.groups:
-        c = project(u, op.grid, group.side, group.v_factors)
-        g = np.zeros((len(c), group.rank))
-        for cls in group.classes:
-            # the target boxes of one class are distinct: no update is lost
-            g[cls.targets] += c[cls.sources] @ cls.payload.core_matrix.T
-        f += expand(g, op.grid, group.side, group.u_factors)
+    for chain in op.chains:
+        _add_chain(f, u, op, chain)
     return f
+
+
+def _add_chain(f: np.ndarray, u: np.ndarray, op: HTLRMatrix, chain) -> None:
+    """Add one chain's part of A u into f.  A function of its own, so that
+    its temporaries die on return, before the next chain makes its own, and
+    each level's source coefficients once that level is applied: the matvec
+    then holds at most three grid-sized arrays at once."""
+    grid, rank = op.grid, op.config.rank
+    finest = chain[0]
+    coeffs = [project(u, grid, finest.side, finest.factors)]
+    for group in chain[1:]:
+        coeffs.append(up(coeffs[-1], grid, group.side // 2, rank))
+    g = None
+    for group in reversed(chain):
+        level = _apply_classes(group, coeffs.pop())
+        g = level if g is None else level + down(g, grid, group.side, rank)
+    t = expand(g, grid, finest.side, finest.factors)
+    f_boxes = f.reshape(t.shape)
+    f_boxes += t
+
+
+def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
+    """Target coefficient grid of one group from its source coefficient
+    grid: each class's core applied once to the rows of its source boxes."""
+    d, c = c.ndim // 2, to_boxes(c)
+    g = None if isinstance(group.classes[0].targets, slice) else np.zeros(c.shape)
+    for cls in group.classes:
+        out = c[cls.sources] @ cls.payload.core_matrix.T
+        if g is None:
+            g = out  # the first class maps every box onto itself
+        else:
+            # the target boxes of one class are distinct: no update is lost
+            g[cls.targets] += out
+    return from_boxes(g, d)
 
 
 def weak_storage_bound(d: int, rank: int, num_points: int) -> float:

@@ -27,6 +27,7 @@ from htlr import (
     tlr_apply,
     vec_to_tensor,
 )
+from htlr import blocks
 from htlr.blocks import DenseBlock, TuckerBlock
 from htlr.grids import domain_of
 
@@ -300,7 +301,7 @@ def _dense():
     return DenseBlock(matrix=np.random.default_rng(26).standard_normal((6, 9)))
 
 
-MULTI_COLUMN_BLOCKS = {
+BLOCKS = {
     "tucker-2d": _tucker_2d,
     "tucker-3d-identity-factors": _tucker_3d_identity_factors,
     "lowrank": _lowrank,
@@ -308,28 +309,109 @@ MULTI_COLUMN_BLOCKS = {
 }
 
 
+class TestApplyLength:
+    @pytest.mark.parametrize("kind", sorted(BLOCKS))
+    def test_wrong_length_rejected(self, kind):
+        block = BLOCKS[kind]()
+        with pytest.raises(ValueError):
+            block.apply(np.zeros(block.shape[1] + 1))
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKS))
+    def test_matches_materialized_matrix(self, kind):
+        block = BLOCKS[kind]()
+        seg = np.random.default_rng(27).standard_normal(block.shape[1])
+        expected = materialize(block) @ seg
+        assert np.abs(block.apply(seg) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestMultiColumnApply:
-    """apply on a (cols, m) matrix of segments equals apply column by column."""
+    """apply takes one segment: a ``(cols, m)`` matrix of segments, the form
+    the operators no longer use, is rejected."""
 
-    @pytest.mark.parametrize("kind", sorted(MULTI_COLUMN_BLOCKS))
-    def test_matches_column_by_column(self, kind):
-        block = MULTI_COLUMN_BLOCKS[kind]()
-        rows, cols = block.shape
-        # column-major columns, the layout the operator's matvec passes
-        segs = np.random.default_rng(27).standard_normal((5, cols)).T
-        out = block.apply(segs)
-        assert out.shape == (rows, 5)
-        expected = np.stack([block.apply(segs[:, j]) for j in range(5)], axis=1)
-        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
-        assert np.abs(block.apply(segs[:, :1])[:, 0] - expected[:, 0]).max() <= (
-            1e-14 * np.abs(expected).max()
-        )
-
-    @pytest.mark.parametrize("kind", sorted(MULTI_COLUMN_BLOCKS))
+    @pytest.mark.parametrize("kind", sorted(BLOCKS))
     def test_wrong_leading_dimension_rejected(self, kind):
-        block = MULTI_COLUMN_BLOCKS[kind]()
+        block = BLOCKS[kind]()
         with pytest.raises(ValueError):
             block.apply(np.zeros((block.shape[1] + 1, 3)))
+
+    @pytest.mark.parametrize("kind", sorted(BLOCKS))
+    def test_matrix_of_segments_rejected(self, kind):
+        block = BLOCKS[kind]()
+        with pytest.raises(ValueError):
+            block.apply(np.zeros((block.shape[1], 3)))
+
+
+def _sides(n, smallest):
+    """Box sides of a cluster tree on n cells, down to `smallest`."""
+    sides = [n]
+    while sides[-1] // 2 >= smallest:
+        sides.append(sides[-1] // 2)
+    return sides[::-1]
+
+
+NESTING_CASES = {
+    "2d-n128-rank8": (UniformGrid(2, 128), 8, 8),
+    # the child of side 4 equals the rank: an identity factor
+    "3d-n32-rank4": (UniformGrid(3, 32), 4, 4),
+    # the child of side 7 is narrower than the rank: an identity factor
+    "2d-n56-rank8-side7": (UniformGrid(2, 56), 8, 7),
+}
+
+
+class TestNestedFactors:
+    """The box factors of consecutive sides nest through the transfers, so
+    the upward and downward passes reproduce projection and expansion at
+    every side."""
+
+    @pytest.mark.parametrize("case", sorted(NESTING_CASES))
+    def test_parent_factor_is_child_factor_times_transfer(self, case):
+        grid, rank, smallest = NESTING_CASES[case]
+        for side in _sides(grid.n, smallest)[:-1]:
+            q_child = blocks._box_factor(grid, side, rank)[0]
+            q_child = np.eye(side) if q_child is None else q_child
+            q_parent = blocks._box_factor(grid, 2 * side, rank)[0]
+            e = blocks.transfer(grid, side, rank)
+            r = q_child.shape[1]
+            assert e.shape == (2 * r, q_parent.shape[1])
+            for c in (0, 1):
+                half = q_parent[c * side:(c + 1) * side]
+                assert np.abs(half - q_child @ e[c * r:(c + 1) * r]).max() <= 1e-14
+
+    def test_transfer_is_shared_and_read_only(self):
+        grid = UniformGrid(2, 64)
+        e = blocks.transfer(grid, 16, 8)
+        assert e is blocks.transfer(UniformGrid(2, 64), 16, 8)
+        assert e.flags.writeable is False
+
+    @pytest.mark.parametrize("case", sorted(NESTING_CASES))
+    def test_up_and_down_match_projection_and_expansion(self, case):
+        grid, rank, smallest = NESTING_CASES[case]
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal(grid.num_points)
+        for side in _sides(grid.n, smallest)[:-1]:
+            child, parent = (
+                [f for f in [blocks._box_factor(grid, s, rank)[0]] * grid.d
+                 if f is not None]
+                for s in (side, 2 * side)
+            )
+            c = blocks.project(x, grid, side, child)
+            expected = blocks.project(x, grid, 2 * side, parent)
+            scale = np.abs(expected).max()
+            assert np.abs(blocks.up(c, grid, side, rank) - expected).max() <= 1e-13 * scale
+            g = rng.standard_normal(expected.shape)
+            pushed = blocks.expand(blocks.down(g, grid, side, rank), grid, side, child)
+            expected = blocks.expand(g, grid, 2 * side, parent)
+            scale = np.abs(expected).max()
+            assert np.abs(pushed.ravel() - expected.ravel()).max() <= 1e-13 * scale
+
+    def test_kronecker_basis_of_a_box_narrower_than_the_rank(self):
+        grid = UniformGrid(2, 56)
+        tau, sigma = IndexBox(((0, 7), (0, 7))), IndexBox(((7, 14), (0, 7)))
+        tb = build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
+        lb = build_lowrank(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
+        assert all(f is None for f in tb.u_factors + tb.v_factors)
+        assert np.array_equal(lb.u_factors[0], np.eye(49))
+        assert np.abs(materialize(tb) - materialize(lb)).max() <= 1e-15
 
 
 class TestStorageCount:

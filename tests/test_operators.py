@@ -193,6 +193,8 @@ class TestClassSharing:
         )),
         # leaf side 12, not a power of two
         "2d-n48-leaf16": (UniformGrid(2, 48), weak_gaussian_cfg()),
+        # leaf side 7, narrower than the rank: identity factors at the leaves
+        "2d-n56-leaf-side-below-rank": (UniformGrid(2, 56), weak_gaussian_cfg(leaf=8)),
     }
     # the matvec also on a kernel without classes and on a one-leaf grid
     MATVEC_CASES = {
@@ -253,13 +255,22 @@ class TestClassSharing:
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_matvec_applies_each_class_once(self, case, build, monkeypatch):
-        """One core application per class, one projection and one expansion
-        per factor group, per matvec."""
+        """Per matvec: one core application per class; one projection and one
+        expansion per chain, at its finest side; one upward and one downward
+        transfer per chain level above the finest.  Every factored group is
+        on one chain of doubling sides."""
         from htlr import operators
 
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        cores, passes = collections.Counter(), collections.Counter()
+        nested = [chain for chain in op.chains if chain[0].factors]
+        assert len(nested) == 1
+        assert [g.side for g in nested[0]] == [
+            nested[0][0].side * 2**i for i in range(len(nested[0]))
+        ]
+        assert all(g.factors for g in nested[0])
+        assert all(len(chain) == 1 for chain in op.chains if not chain[0].factors)
+        cores, passes, expected = (collections.Counter() for _ in range(3))
 
         class CoreSpy:
             def __init__(self, block):
@@ -275,20 +286,29 @@ class TestClassSharing:
                                 for cls in group.classes]
 
         def counted(stage, fn):
-            def spy(x, grid, side, factors):
-                passes[stage, side, tuple(map(id, factors))] += 1
-                return fn(x, grid, side, factors)
+            def spy(x, grid, side, arg):
+                # factors for a projection or expansion, the rank for a transfer
+                key = arg if stage in ("up", "down") else tuple(map(id, arg))
+                passes[stage, side, key] += 1
+                return fn(x, grid, side, arg)
             return spy
 
-        monkeypatch.setattr(operators, "project", counted("project", operators.project))
-        monkeypatch.setattr(operators, "expand", counted("expand", operators.expand))
+        for stage in ("project", "expand", "up", "down"):
+            monkeypatch.setattr(operators, stage, counted(stage, getattr(operators, stage)))
+        for chain in op.chains:
+            for stage in ("project", "expand"):
+                expected[stage, chain[0].side, tuple(map(id, chain[0].factors))] += 1
+            for group in chain[1:]:
+                for stage in ("up", "down"):
+                    expected[stage, group.side // 2, cfg.rank] += 1
         u = np.random.default_rng(49).standard_normal(grid.num_points)
         for rounds in (1, 2):
             matvec(op, u)
             assert sum(cores.values()) == rounds * translation_classes(op)
             assert set(cores.values()) == {rounds}
-            assert sum(passes.values()) == 2 * rounds * len(op.groups)
-            assert set(passes.values()) == {rounds}
+            assert passes == collections.Counter(
+                {key: rounds * count for key, count in expected.items()}
+            )
 
 
 class TestDiagonal:
@@ -351,6 +371,20 @@ class TestMatvec:
         u = rng.standard_normal(grid.num_points)
         f = matvec(op, u)
         fe = dense.matrix @ u
+        assert np.linalg.norm(f - fe) / np.linalg.norm(fe) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:leaf side 4 outside")
+    @pytest.mark.parametrize("n, leaf", [(56, 8), (32, 4)])
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_leaf_side_below_rank_matches_dense_oracle(self, n, leaf, build):
+        # leaf sides 7 and 4 are narrower than the rank 8: identity factors
+        grid = UniformGrid(2, n)
+        cfg = weak_gaussian_cfg(rank=8, leaf=leaf)
+        op = build(cfg, grid)
+        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+        u = np.random.default_rng(39).standard_normal(grid.num_points)
+        f, fe = matvec(op, u), dense.matrix @ u
         assert np.linalg.norm(f - fe) / np.linalg.norm(fe) <= 1e-9
 
     def test_length_mismatch(self):
