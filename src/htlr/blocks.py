@@ -32,6 +32,7 @@ through its ``core_matrix`` alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -87,7 +88,7 @@ class TuckerBlock:
     def core_matrix(self) -> np.ndarray:
         """The core as a (target, source) coefficient matrix, modes first
         index fastest on both sides; a view of the cores the builders store."""
-        rows = int(np.prod(self.core.shape[: len(self.u_factors)]))
+        rows = math.prod(self.core.shape[: len(self.u_factors)])
         return self.core.reshape((rows, -1), order="F")
 
     def apply(self, seg: np.ndarray) -> np.ndarray:
@@ -309,7 +310,7 @@ def _along_dims(t: np.ndarray, mats) -> np.ndarray:
         if m is None:
             continue
         axis = 2 * (d - dim) - 1
-        pre, post = int(np.prod(shape[:axis])), int(np.prod(shape[axis + 1:]))
+        pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
         if post == 1:
             t = t.reshape(pre, shape[axis]) @ m.T
         else:
@@ -334,14 +335,15 @@ def to_boxes(t: np.ndarray) -> np.ndarray:
     """A coefficient grid as a box-major ``(boxes, r)`` array: one row per
     box, first index fastest, holding the box's coefficients first index
     fastest."""
-    boxes = int(np.prod(t.shape[0::2]))
+    boxes = math.prod(t.shape[0::2])
     return t.transpose(_box_major(t.ndim // 2)).reshape(boxes, -1)
 
 
 def from_boxes(c: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`to_boxes`, as a view."""
     shape = (_root(c.shape[0], d),) * d + (_root(c.shape[1], d),) * d
-    return c.reshape(shape).transpose(np.argsort(_box_major(d)))
+    # the inverse of _box_major: each box axis followed by its in-box axis
+    return c.reshape(shape).transpose([a for i in range(d) for a in (i, d + i)])
 
 
 def project(x: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
