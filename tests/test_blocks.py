@@ -309,21 +309,6 @@ BLOCKS = {
 }
 
 
-class TestApplyLength:
-    @pytest.mark.parametrize("kind", sorted(BLOCKS))
-    def test_wrong_length_rejected(self, kind):
-        block = BLOCKS[kind]()
-        with pytest.raises(ValueError):
-            block.apply(np.zeros(block.shape[1] + 1))
-
-    @pytest.mark.parametrize("kind", sorted(BLOCKS))
-    def test_matches_materialized_matrix(self, kind):
-        block = BLOCKS[kind]()
-        seg = np.random.default_rng(27).standard_normal(block.shape[1])
-        expected = materialize(block) @ seg
-        assert np.abs(block.apply(seg) - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
 class TestMultiColumnApply:
     """apply takes one segment: a ``(cols, m)`` matrix of segments, the form
     the operators no longer use, is rejected."""
@@ -389,6 +374,7 @@ class TestNestedFactors:
         rng = np.random.default_rng(29)
         x = rng.standard_normal(grid.num_points)
         for side in _sides(grid.n, smallest)[:-1]:
+            # the per-dimension factors of each side, none for an identity
             child, parent = (
                 [f for f in [blocks._box_factor(grid, s, rank)[0]] * grid.d
                  if f is not None]
