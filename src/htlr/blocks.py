@@ -5,9 +5,10 @@ compressed from Chebyshev interpolation of the kernel into a Tucker block:
 per-dimension factor matrices around an order-2d core.  The conventional
 low-rank block of the baseline is the same Tucker block with each side's
 factors multiplied out into one Kronecker basis, i.e. an order-2 Tucker
-block u @ g @ v.T.  Inadmissible pairs are stored densely.  All blocks carry
-the quadrature weight h^d of the discretization, so materializing any block
-reproduces the corresponding submatrix of the system matrix.
+block u @ g @ v.T, unless those factors are identities.  Inadmissible pairs
+are stored densely.  All blocks carry the quadrature weight h^d of the
+discretization, so materializing any block reproduces the corresponding
+submatrix of the system matrix.
 
 On a uniform grid a box's interpolation factor depends only on the grid, the
 box side and the rank: it is computed once in box-relative coordinates and
@@ -15,12 +16,12 @@ every block on boxes of that side holds the same read-only factor objects,
 whatever the kernel.  Cores are stored first index fastest, so that
 ``core_matrix`` is a view.
 
-Every block kind answers ``apply(seg)``, ``materialize()``, ``scalars()``
-(the stored ``(dense, factor, core)`` counts) and ``core_matrix``, and has
+Every block kind answers ``materialize()``, ``scalars()`` (the stored
+``(dense, factor, core)`` counts) and ``core_matrix``, and has
 ``u_factors``/``v_factors`` (empty for a dense block); no other module knows
-the kinds.  ``apply`` takes one F-raveled source segment.
+the kinds.
 
-The operators apply blocks a whole tree level at a time instead.
+The operators apply blocks a whole tree level at a time.
 :func:`project` and :func:`expand` apply one side's factors to every box of
 a level at once, between the flat grid vector and a coefficient grid (axes
 (box, coefficient) per dimension).  The factors of consecutive box sides are
@@ -57,9 +58,9 @@ class TuckerBlock:
     sides; one factor per dimension (order-2d core), or one per side
     (order-2 core) for the baseline's low-rank block.
 
-    A factor entry of ``None`` stands for an identity: when a box side
-    equals the rank the (square, orthonormal) factor carries no compression
-    and is absorbed into the core at build time instead of being stored.
+    A factor entry of ``None`` stands for an identity: when a box side is no
+    wider than the rank the factor carries no compression and is absorbed
+    into the core at build time instead of being stored.
     """
 
     core: np.ndarray
@@ -91,9 +92,6 @@ class TuckerBlock:
         rows = math.prod(self.core.shape[: len(self.u_factors)])
         return self.core.reshape((rows, -1), order="F")
 
-    def apply(self, seg: np.ndarray) -> np.ndarray:
-        return tlr_apply(self, seg)
-
     def materialize(self) -> np.ndarray:
         full = _mode_products(self.core, self.u_factors + self.v_factors)
         return full.reshape(self.shape, order="F")
@@ -120,11 +118,6 @@ class DenseBlock:
     @property
     def core_matrix(self) -> np.ndarray:
         return self.matrix
-
-    def apply(self, seg: np.ndarray) -> np.ndarray:
-        if np.shape(seg) != (self.matrix.shape[1],):
-            raise ValueError("segment length does not match the block")
-        return self.matrix @ seg
 
     def materialize(self) -> np.ndarray:
         return self.matrix
@@ -239,9 +232,12 @@ def build_lowrank(
     h: float,
 ) -> TuckerBlock:
     """The :func:`build_tlr` block with each side's factors multiplied out
-    into one orthonormal basis of rank rank^d (side^d for a box narrower
-    than the rank): an order-2 Tucker block."""
+    into one orthonormal basis of rank rank^d: an order-2 Tucker block.  On
+    boxes no wider than the rank every factor is an identity, and the
+    :func:`build_tlr` block is returned as it is."""
     block = build_tlr(k, grid, tau, sigma, rank, h)
+    if all(f is None for f in block.u_factors + block.v_factors):
+        return block
     u, v = _kron_basis(grid, tau.sizes, rank), _kron_basis(grid, sigma.sizes, rank)
     return TuckerBlock(
         core=block.core.reshape(u.shape[1], v.shape[1], order="F"),

@@ -5,6 +5,8 @@ Three subcommands:
 * ``bench-uniform``: build the hierarchical Tucker operator (optionally the
   conventional low-rank baseline too) on a uniform grid, time construction
   and matvec, and report storage counts and the sampled application error.
+  ``--n`` must halve evenly down to a side of at most ``--leaf``, or be at
+  most ``--leaf`` (one leaf).
 * ``rank-explore``: compare interpolation, truncated SVD and sequentially
   truncated Tucker compression of kernel interaction blocks on neighbor and
   well-separated domain pairs.
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import oracles
 from .blocks import build_tlr
-from .grids import AdmissibilityRule, IndexBox, UniformGrid
+from .grids import AdmissibilityRule, IndexBox, UniformGrid, build_cluster_tree
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairwise
 from .operators import (
     BuildConfig,
@@ -69,24 +71,6 @@ def quasi_test_field(points: np.ndarray) -> np.ndarray:
         + 0.5 * np.exp(-((x1 - 0.3) ** 2) - (x2 - 0.6) ** 2)
         + np.sin(5.0 * x1 * x2)
     )
-
-
-def validate_uniform_side(n: int, leaf: int) -> None:
-    """The benchmark accepts n = leaf * 2^L, a plain power of two, or a grid
-    small enough for a single leaf."""
-    if n < 1:
-        raise UsageError("--n must be positive")
-    if n <= leaf:
-        return
-    side = n
-    while side > leaf and side % 2 == 0:
-        side //= 2
-    power_of_two = n & (n - 1) == 0
-    if side != leaf and not power_of_two:
-        raise UsageError(
-            f"--n {n} is invalid: n must be leaf*2^L (leaf={leaf}) or a "
-            "power of two so the grid halves evenly into leaf boxes"
-        )
 
 
 def kernel_for(name: str, d: int) -> KernelSpec:
@@ -137,8 +121,11 @@ def _storage_columns(op) -> dict:
 def cmd_bench_uniform(args) -> list[dict]:
     kernel = kernel_for(args.kernel, args.dim)
     cfg = config_for(args, kernel)
-    validate_uniform_side(args.n, args.leaf)
-    grid = UniformGrid(args.dim, args.n)
+    try:
+        grid = UniformGrid(args.dim, args.n)
+        build_cluster_tree(grid, args.leaf)  # n must halve evenly into leaves
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rng = np.random.default_rng((args.seed, 0))
     u = rng.standard_normal(grid.num_points)
     exact = oracles.exact_row_evaluator(kernel, cfg.coeff, grid, cfg.quadrature)
@@ -309,9 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pu = sub.add_parser("bench-uniform", help="uniform-grid benchmark")
     common(pu)
-    pu.add_argument("--n", type=int, required=True, help="points per direction")
+    pu.add_argument("--n", type=int, required=True,
+                    help="points per direction; halving it evenly must reach "
+                         "a side of at most --leaf")
     pu.add_argument("--p", type=int, default=8, help="Tucker rank per mode")
-    pu.add_argument("--leaf", type=int, default=16, help="leaf box side")
+    pu.add_argument("--leaf", type=int, default=16, help="largest leaf box side")
     pu.add_argument("--adm", choices=("weak", "strong"), default="weak")
     pu.add_argument("--eta", type=float, default=None,
                     help="strong-admissibility parameter (default sqrt(d))")

@@ -66,8 +66,9 @@ from .kernels import CoefficientFn, KernelSpec, QuadratureConfig
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Parameters of a hierarchical build: interpolation rank per mode, leaf
-    box side, admissibility rule, kernel, coefficient and quadrature."""
+    """Parameters of a hierarchical build: interpolation rank per mode, the
+    largest leaf box side, admissibility rule, kernel, coefficient and
+    quadrature."""
 
     rank: int
     leaf_side: int
@@ -81,13 +82,6 @@ class BuildConfig:
             raise ValueError("rank must be positive")
         if self.leaf_side < 1:
             raise ValueError("leaf side must be positive")
-        if not self.rank <= self.leaf_side <= 2 * self.rank:
-            warnings.warn(
-                f"leaf side {self.leaf_side} outside the recommended range "
-                f"[rank, 2*rank] = [{self.rank}, {2 * self.rank}]; the linear "
-                "storage bound assumes it",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -117,11 +111,11 @@ class FactorGroup:
 @dataclass
 class HTLRMatrix:
     """Hierarchical operator: the block cluster tree, one payload per leaf
-    (Tucker for admissible leaves, of order 2 for the baseline; dense
-    otherwise; leaves of one translation class share the object), the
-    diagonal a(x) at every grid point, first index fastest, and the
-    translation classes the matvec applies, grouped by shared factors into
-    chains of nested factors."""
+    (Tucker for admissible leaves, of order 2 for the baseline on boxes
+    wider than the rank; dense otherwise; leaves of one translation class
+    share the object), the diagonal a(x) at every grid point, first index
+    fastest, and the translation classes the matvec applies, grouped by
+    shared factors into chains of nested factors."""
 
     grid: UniformGrid
     config: BuildConfig
@@ -161,6 +155,15 @@ def _class_key(kernel: KernelSpec, leaf):
 
 def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatrix:
     ctree = build_cluster_tree(grid, cfg.leaf_side)
+    # the side the tree reaches, not the threshold; a one-leaf tree is all
+    # dense and has no leaf side to keep in range
+    if ctree.depth > 0 and not cfg.rank <= ctree.leaf_side <= 2 * cfg.rank:
+        warnings.warn(
+            f"leaf side {ctree.leaf_side} outside the recommended range "
+            f"[rank, 2*rank] = [{cfg.rank}, {2 * cfg.rank}]; the linear "
+            "storage bound assumes it",
+            stacklevel=3,
+        )
     btree = build_block_cluster_tree(ctree, cfg.rule)
 
     def build_leaf(leaf):

@@ -135,9 +135,10 @@ class TestBuildLowRank:
             # 2D, side 32 at rank 8: every Tucker factor is stored
             (64, ((0, 32),) * 2, ((32, 64), (0, 32)), 8,
              (0, 2 * 32**2 * 8**2, 8**4)),
-            # 3D, side equal to the rank: every Tucker factor is an identity
+            # 3D, side equal to the rank: every Tucker factor is an identity,
+            # so there is nothing to multiply out and no factor is stored
             (16, ((0, 4),) * 3, ((8, 12), (0, 4), (0, 4)), 4,
-             (0, 2 * 4**6, 4**6)),
+             (0, 0, 4**6)),
         ],
     )
     def test_is_kronecker_expansion_of_tucker_block(self, n, tau, sigma, rank,
@@ -147,17 +148,21 @@ class TestBuildLowRank:
                 rank, grid.h)
         tb = build_tlr(*args)
         lb = build_lowrank(*args)
+        assert lb.scalars() == counts
+        if all(f is None for f in tb.u_factors + tb.v_factors):
+            # the baseline's block is the Tucker block
+            assert np.array_equal(lb.core, tb.core)
+            assert (lb.u_factors, lb.v_factors) == (tb.u_factors, tb.v_factors)
+            return
         r = rank**grid.d
         assert np.array_equal(lb.core, tb.core.reshape(r, r, order="F"))
         for side, factors in ((lb.u_factors, tb.u_factors),
                               (lb.v_factors, tb.v_factors)):
-            dense = [np.eye(rank) if f is None else f for f in factors]
-            expected = dense[0]
-            for f in dense[1:]:
+            expected = factors[0]
+            for f in factors[1:]:
                 expected = np.kron(f, expected)
             assert len(side) == 1
             assert np.array_equal(side[0], expected)
-        assert lb.scalars() == counts
 
 
 class TestBuildDense:
@@ -297,33 +302,31 @@ def _lowrank():
     return build_lowrank(slp_2d(), grid, tau, sigma, 4, grid.h)
 
 
-def _dense():
-    return DenseBlock(matrix=np.random.default_rng(26).standard_normal((6, 9)))
-
-
+# each Tucker kind with the function that applies it
 BLOCKS = {
-    "tucker-2d": _tucker_2d,
-    "tucker-3d-identity-factors": _tucker_3d_identity_factors,
-    "lowrank": _lowrank,
-    "dense": _dense,
+    "tucker-2d": (_tucker_2d, tlr_apply),
+    "tucker-3d-identity-factors": (_tucker_3d_identity_factors, tlr_apply),
+    "lowrank": (_lowrank, lowrank_apply),
 }
 
 
 class TestMultiColumnApply:
-    """apply takes one segment: a ``(cols, m)`` matrix of segments, the form
-    the operators no longer use, is rejected."""
+    """tlr_apply and lowrank_apply take one segment: a ``(cols, m)`` matrix
+    of segments, the form the operators no longer use, is rejected."""
 
     @pytest.mark.parametrize("kind", sorted(BLOCKS))
     def test_wrong_leading_dimension_rejected(self, kind):
-        block = BLOCKS[kind]()
+        build, apply = BLOCKS[kind]
+        block = build()
         with pytest.raises(ValueError):
-            block.apply(np.zeros((block.shape[1] + 1, 3)))
+            apply(block, np.zeros((block.shape[1] + 1, 3)))
 
     @pytest.mark.parametrize("kind", sorted(BLOCKS))
     def test_matrix_of_segments_rejected(self, kind):
-        block = BLOCKS[kind]()
+        build, apply = BLOCKS[kind]
+        block = build()
         with pytest.raises(ValueError):
-            block.apply(np.zeros((block.shape[1], 3)))
+            apply(block, np.zeros((block.shape[1], 3)))
 
 
 def _sides(n, smallest):
@@ -391,13 +394,15 @@ class TestNestedFactors:
             assert np.abs(pushed.ravel() - expected.ravel()).max() <= 1e-13 * scale
 
     def test_kronecker_basis_of_a_box_narrower_than_the_rank(self):
+        # no basis is formed: the baseline keeps the Tucker block, whose
+        # factors are identities
         grid = UniformGrid(2, 56)
         tau, sigma = IndexBox(((0, 7), (0, 7))), IndexBox(((7, 14), (0, 7)))
         tb = build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
         lb = build_lowrank(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
-        assert all(f is None for f in tb.u_factors + tb.v_factors)
-        assert np.array_equal(lb.u_factors[0], np.eye(49))
-        assert np.abs(materialize(tb) - materialize(lb)).max() <= 1e-15
+        assert all(f is None for f in lb.u_factors + lb.v_factors)
+        assert np.array_equal(lb.core, tb.core)
+        assert lb.scalars() == (0, 0, 7**4)
 
 
 class TestStorageCount:

@@ -40,9 +40,15 @@ class TestBenchUniform:
         assert int(htlr_row["total_scalars"]) <= float(htlr_row["bound"])
 
     def test_invalid_grid_size_names_constraint(self, capsys):
-        code, _, err = run_cli(capsys, "bench-uniform", "--n", "48")
+        code, _, err = run_cli(capsys, "bench-uniform", "--n", "50")
         assert code == 2
-        assert "leaf*2^L" in err
+        assert "cannot be halved evenly" in err
+
+    def test_grid_the_tree_halves_into_leaves_runs(self, capsys):
+        # 48 -> 24 -> 12: leaves of side 12, neither 16 * 2^L nor a power of two
+        code, out, _ = run_cli(capsys, "bench-uniform", "--n", "48")
+        assert code == 0
+        assert parse_csv(out)[0]["n"] == "48"
 
     def test_kernel_dimension_mismatch(self, capsys):
         code, _, err = run_cli(

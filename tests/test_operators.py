@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -61,18 +62,38 @@ def assert_every_leaf_matches_dense(cfg, grid):
 
 
 class TestBuildConfig:
+    """The build, not the configuration, checks the leaf side against the
+    recommended range [rank, 2*rank]: the side the cluster tree reaches."""
+
     def test_leaf_side_outside_recommended_range_warns(self):
-        with pytest.warns(UserWarning, match="recommended range"):
-            BuildConfig(rank=4, leaf_side=16, rule=AdmissibilityRule.weak(),
-                        kernel=gaussian(1.0), coeff=CoefficientFn.constant(0.0))
+        cfg = weak_gaussian_cfg(rank=4, leaf=16)
+        with pytest.warns(UserWarning, match="leaf side 16 outside the recommended range"):
+            construct(cfg, UniformGrid(2, 32))
 
     def test_recommended_range_silent(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.weak(),
-                        kernel=gaussian(1.0), coeff=CoefficientFn.constant(0.0))
+            construct(weak_gaussian_cfg(rank=8, leaf=16), UniformGrid(2, 32))
+
+    def test_config_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rank, leaf in ((4, 16), (8, 8), (8, 20), (8, 2)):
+                weak_gaussian_cfg(rank=rank, leaf=leaf)
+
+    def test_reached_side_below_rank_warns(self):
+        # threshold 8 is in [8, 16], but 56 halves to leaves of side 7
+        with pytest.warns(UserWarning, match=r"leaf side 7 outside .* \[8, 16\]"):
+            construct(weak_gaussian_cfg(rank=8, leaf=8), UniformGrid(2, 56))
+
+    # threshold 20 is above 2*rank, but 48 halves to leaves of side 12; a
+    # one-leaf tree is all dense
+    @pytest.mark.parametrize("n, leaf", [(48, 20), (32, 32)],
+                             ids=["reached-side-12", "single-leaf"])
+    def test_reached_side_in_range_silent(self, n, leaf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            construct(weak_gaussian_cfg(rank=8, leaf=leaf), UniformGrid(2, n))
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
@@ -156,7 +177,7 @@ def per_leaf_matvec(op, build_admissible, u):
             block = build_dense(cfg.kernel, grid, tau, sigma, grid.h,
                                 cfg.quadrature)
         cols = sigma.linear_indices(grid.n)
-        f[tau.linear_indices(grid.n)] += block.apply(u[cols])
+        f[tau.linear_indices(grid.n)] += materialize(block) @ u[cols]
     return f
 
 
@@ -174,6 +195,7 @@ BUILDS = pytest.mark.parametrize("build,build_admissible", [
 ], ids=["tucker", "lowrank"])
 
 
+@pytest.mark.filterwarnings("ignore:leaf side 7 outside")
 class TestClassSharing:
     """Leaves of one translation class share one payload when the kernel is
     translation invariant, and only then; payloads on boxes of one side share
@@ -373,7 +395,7 @@ class TestMatvec:
         fe = dense.matrix @ u
         assert np.linalg.norm(f - fe) / np.linalg.norm(fe) <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore:leaf side 4 outside")
+    @pytest.mark.filterwarnings("ignore:leaf side [47] outside")
     @pytest.mark.parametrize("n, leaf", [(56, 8), (32, 4)])
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
@@ -487,6 +509,13 @@ class TestStorageReport:
         grid = UniformGrid(2, 256)
         rep = storage_report(construct(weak_gaussian_cfg(), grid))
         assert rep.core_scalars > rep.factor_scalars
+
+    @pytest.mark.filterwarnings("ignore:leaf side 7 outside")
+    def test_baseline_stores_no_identity_basis(self):
+        # leaves of side 7 < rank 8: the baseline keeps their Tucker blocks,
+        # whose factors are identities, instead of explicit 49 x 49 bases
+        op = construct_hmatrix(weak_gaussian_cfg(leaf=8), UniformGrid(2, 56))
+        assert storage_report(op).factor_scalars == 2_408_448
 
     def test_storage_grows_linearly(self):
         totals = {}
