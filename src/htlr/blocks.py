@@ -21,14 +21,15 @@ Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``u_factors``/``v_factors`` (empty for a dense block); no other module knows
 the kinds.
 
-The operators apply blocks a whole tree level at a time.
-:func:`project` and :func:`expand` apply one side's factors to every box of
-a level at once, between the flat grid vector and a coefficient grid (axes
-(box, coefficient) per dimension).  The factors of consecutive box sides are
-nested, so :func:`up` and :func:`down` move coefficients between a level
-and its parent level through the small per-dimension :func:`transfer`
-matrices, without the grid.  Between them, a block acts on box coefficients
-through its ``core_matrix`` alone.
+The operators apply blocks a whole tree level at a time.  :func:`project`
+and :func:`expand` are the one level step: they split a grid-ordered array
+into boxes and multiply each dimension by a small matrix, between the array
+and a coefficient grid (axes (box, coefficient) per dimension).  From the
+grid the matrices are the box factors.  The factors of consecutive box sides
+are nested, so a parent level's coefficients come from its children's
+coefficient grid the same way, through the per-dimension :func:`transfer`
+matrices.  Between them, a block acts on box coefficients through its
+``core_matrix`` alone.
 """
 
 from __future__ import annotations
@@ -295,16 +296,14 @@ def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
 
 
 def _along_dims(t: np.ndarray, mats) -> np.ndarray:
-    """Multiply the in-box axis of every dimension of `t` by its matrix
-    (``None`` an identity).  `t` is a grid-ordered array split into boxes,
+    """Multiply the in-box axis of every dimension of `t` by its matrix.
+    `t` is a grid-ordered array split into boxes,
     axes (box, in-box) per dimension, last dimension first, so that the first
     dimension's in-box axis is the last axis: that one is a single GEMM, the
     others are batched matmuls on contiguous reshapes, with no transposes."""
     shape = list(t.shape)
     d = len(mats)
     for dim, m in enumerate(mats):
-        if m is None:
-            continue
         axis = 2 * (d - dim) - 1
         pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
         if post == 1:
@@ -342,45 +341,29 @@ def from_boxes(c: np.ndarray, d: int) -> np.ndarray:
     return c.reshape(shape).transpose([a for i in range(d) for a in (i, d + i)])
 
 
-def project(x: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
-    """Source coefficients of every box of `side` on the grid: the flat grid
-    vector `x` (first index fastest) through the transposed factors, as a
-    coefficient grid, i.e. axes (box, coefficient) per dimension, last
-    dimension first.  `factors` holds one factor per dimension (``None`` an
-    identity), one Kronecker basis of the whole box, or nothing; without
-    factors the coefficients are the grid values, and a view of `x`."""
-    d, boxes = grid.d, grid.n // side
-    t = x.reshape((boxes, side) * d)
-    if len(factors) == 1:
-        return from_boxes(to_boxes(t) @ factors[0], d)
-    if factors:
-        t = _along_dims(t, [None if f is None else f.T for f in factors])
-    return t
+def project(x: np.ndarray, d: int, boxes: int, maps) -> np.ndarray:
+    """Coefficients of every box of a level: the grid-ordered array `x` (the
+    flat grid vector, first index fastest, or the coefficient grid of the
+    level below) split into `boxes` boxes per dimension and each box taken
+    through the transposed maps, as a coefficient grid, i.e. axes (box,
+    coefficient) per dimension, last dimension first.  `maps` holds one
+    matrix per dimension (a box factor from the grid, or a :func:`transfer`
+    from the two children of each box), one Kronecker basis of the whole
+    box, or nothing; without maps the coefficients are the entries of each
+    box, and a view of `x`."""
+    t = x.reshape((boxes, _root(x.size, d) // boxes) * d)
+    if len(maps) == 1:
+        return from_boxes(to_boxes(t) @ maps[0], d)
+    return _along_dims(t, [m.T for m in maps]) if maps else t
 
 
-def expand(t: np.ndarray, grid: UniformGrid, side: int, factors) -> np.ndarray:
-    """Inverse of :func:`project`: a coefficient grid through the factors,
-    back to grid values with axes (box, in-box) per dimension, whose ravel is
-    the flat grid vector."""
-    if len(factors) == 1:
-        return from_boxes(to_boxes(t) @ factors[0].T, grid.d)
-    return _along_dims(t, factors) if factors else t
-
-
-def up(t: np.ndarray, grid: UniformGrid, side: int, rank: int) -> np.ndarray:
-    """Source coefficients of every box of ``2 * side`` from the coefficient
-    grid `t` of their children, the boxes of `side`: per dimension, the
-    coefficients of each parent's two children through the transposed
-    :func:`transfer`."""
-    e = transfer(grid, side, rank)
-    return _along_dims(t.reshape((t.shape[0] // 2, e.shape[0]) * grid.d), [e.T] * grid.d)
-
-
-def down(t: np.ndarray, grid: UniformGrid, side: int, rank: int) -> np.ndarray:
-    """Adjoint of :func:`up`: target coefficients of the boxes of
-    ``2 * side`` pushed down to their children, the boxes of `side`."""
-    e = transfer(grid, side, rank)
-    return _along_dims(t, [e] * grid.d).reshape((2 * t.shape[0], e.shape[0] // 2) * grid.d)
+def expand(t: np.ndarray, maps) -> np.ndarray:
+    """Adjoint of :func:`project`: a coefficient grid through the maps, back
+    to axes (box, in-box) per dimension, whose ravel is the array that was
+    projected."""
+    if len(maps) == 1:
+        return from_boxes(to_boxes(t) @ maps[0].T, t.ndim // 2)
+    return _along_dims(t, maps) if maps else t
 
 
 def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

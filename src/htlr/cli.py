@@ -212,6 +212,8 @@ def rank_explore_errors(kernel_name: str, d: int, ranks) -> list[dict]:
 def cmd_rank_explore(args) -> list[dict]:
     max_rank = args.p if args.p is not None else (16 if args.dim == 2 else 8)
     pts = 32 if args.dim == 2 else 16
+    if max_rank < 1:
+        raise UsageError("--p must be at least 1")
     if max_rank > pts:
         raise UsageError(f"--p must be at most {pts} for dimension {args.dim}")
     return rank_explore_errors(args.kernel, args.dim, range(1, max_rank + 1))
@@ -230,6 +232,8 @@ def cmd_bench_quasi(args) -> list[dict]:
     else:
         if args.n is None:
             raise UsageError("bench-quasi needs --n (number of triangles) or --mesh")
+        if args.n < 2:
+            raise UsageError("--n must be at least 2 triangles")
         k = int(round(np.sqrt(args.n / 2.0)))
         if 2 * k * k != args.n:
             raise UsageError(

@@ -47,8 +47,8 @@ class KernelSpec:
         return self.kind != CUSTOM
 
     def __post_init__(self):
-        if self.kind == GAUSSIAN and (self.sigma is None or self.sigma <= 0):
-            raise ValueError("gaussian kernel needs sigma > 0")
+        if self.kind == GAUSSIAN and not 0 < (self.sigma or 0) < np.inf:
+            raise ValueError("gaussian kernel needs a finite sigma > 0")
         if self.kind == CUSTOM and self.evaluator is None:
             raise ValueError("custom kernel needs an evaluator")
 

@@ -23,22 +23,21 @@ levels are nested: a parent box's factor is its children's factor times a
 small transfer matrix per dimension (:func:`htlr.blocks.transfer`).  So the
 factored groups form chains of doubling sides, and the matvec traverses
 each chain as the black-box fast multipole method does (W. Fong and
-E. Darve, J. Comput. Phys. 228, 2009), per dimension.  It projects the grid
-vector once, at the chain's finest side, and forms each coarser level's
-source coefficients from its children's (the upward pass).  At every level
-each class's core matrix is applied once to the coefficient rows of its
-source boxes and added into the rows of its target boxes.  The target
-coefficients are then pushed down to the children level by level (the
-downward pass) and expanded onto the grid once, at the finest side.  Dense
-payloads, and Tucker payloads whose factors are identities, form groups
-without factors, each a chain of its own: their coefficients are the grid
-values of each box.
+E. Darve, J. Comput. Phys. 228, 2009), per dimension.  Each group holds the
+maps of its level step: the payloads' factors at the chain's finest side,
+the transfers above it.  Upward, each group projects the level below (the
+grid, at the finest side) through its maps; each class's core matrix is
+applied once to the coefficient rows of its source boxes and added into the
+rows of its target boxes; downward, each group expands its target
+coefficients through its maps onto the level below.  Dense payloads, and
+Tucker payloads whose factors are identities, form groups without maps,
+each a chain of its own: their coefficients are the grid values of each box.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -47,12 +46,11 @@ from .blocks import (
     build_dense,
     build_lowrank,
     build_tlr,
-    down,
     expand,
     from_boxes,
     project,
     to_boxes,
-    up,
+    transfer,
 )
 from .grids import (
     ADMISSIBLE,
@@ -99,12 +97,13 @@ class TranslationClass:
 @dataclass(frozen=True)
 class FactorGroup:
     """The translation classes on boxes of one side whose payloads hold the
-    same factor objects (none for dense and identity-folded Tucker payloads).
-    Both boxes of a leaf are cubes of one side, so a payload's target (u)
-    and source (v) factors are the same."""
+    same factor objects, and the group's maps from the level below: those
+    factors (none for dense and identity-folded Tucker payloads), or the
+    transfers above a chain's first group.  Both boxes of a leaf are cubes
+    of one side, so a payload's target (u) and source (v) factors agree."""
 
     side: int
-    factors: tuple
+    maps: tuple
     classes: list
 
 
@@ -215,19 +214,22 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
         # the work on the finest level
         group.classes.sort(key=lambda cls: not isinstance(cls.targets, slice))
     return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads,
-                      diagonal=diagonal, chains=_chains(groups.values()))
+                      diagonal=diagonal,
+                      chains=_chains(groups.values(), grid, cfg.rank))
 
 
-def _chains(groups) -> list:
+def _chains(groups, grid: UniformGrid, rank: int) -> list:
     """The groups as chains, finest side first.  A factored group continues
     the chain of the factored group on boxes of half its side: the factors
     of every side come from one box factor per (grid, side, rank), and those
-    nest.  Each group without factors is a chain of its own."""
-    chains = [(group,) for group in groups if not group.factors]
+    nest, so its maps become the per-dimension transfers from its children.
+    Each group without factors is a chain of its own."""
+    chains = [(group,) for group in groups if not group.maps]
     nested = []
-    for group in sorted((g for g in groups if g.factors), key=lambda g: g.side):
+    for group in sorted((g for g in groups if g.maps), key=lambda g: g.side):
         if nested and nested[-1][-1].side * 2 == group.side:
-            nested[-1].append(group)
+            maps = (transfer(grid, group.side // 2, rank),) * grid.d
+            nested[-1].append(replace(group, maps=maps))
         else:
             nested.append([group])
     return chains + [tuple(chain) for chain in nested]
@@ -270,37 +272,33 @@ def checked_vector(u) -> np.ndarray:
 
 
 def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
-    """f = A u: the diagonal a(x) u plus, per chain, one projection at its
-    finest side, an upward pass through the transfers, each class's core
-    applied once to the coefficients of its source boxes, a downward pass,
-    and one expansion; for operators from both :func:`construct` and
-    :func:`construct_hmatrix`."""
+    """f = A u: the diagonal a(x) u plus, per chain, one projection per group
+    upward, each class's core applied once to the coefficients of its source
+    boxes, and one expansion per group downward; for operators from both
+    :func:`construct` and :func:`construct_hmatrix`."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
     f = op.diagonal * u
     for chain in op.chains:
-        _add_chain(f, u, op, chain)
+        _add_chain(f, u, op.grid, chain)
     return f
 
 
-def _add_chain(f: np.ndarray, u: np.ndarray, op: HTLRMatrix, chain) -> None:
+def _add_chain(f: np.ndarray, u: np.ndarray, grid: UniformGrid, chain) -> None:
     """Add one chain's part of A u into f.  A function of its own, so that
     its temporaries die on return, before the next chain makes its own, and
     each level's source coefficients once that level is applied: the matvec
     then holds at most three grid-sized arrays at once."""
-    grid, rank = op.grid, op.config.rank
-    finest = chain[0]
-    coeffs = [project(u, grid, finest.side, finest.factors)]
-    for group in chain[1:]:
-        coeffs.append(up(coeffs[-1], grid, group.side // 2, rank))
+    coeffs = [u]
+    for group in chain:
+        coeffs.append(project(coeffs[-1], grid.d, grid.n // group.side, group.maps))
     g = None
     for group in reversed(chain):
         level = _apply_classes(group, coeffs.pop())
-        g = level if g is None else level + down(g, grid, group.side, rank)
-    t = expand(g, grid, finest.side, finest.factors)
-    f_boxes = f.reshape(t.shape)
-    f_boxes += t
+        g = expand(level if g is None else level + g.reshape(level.shape), group.maps)
+    f_boxes = f.reshape(g.shape)
+    f_boxes += g
 
 
 def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:

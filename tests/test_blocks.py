@@ -348,8 +348,9 @@ NESTING_CASES = {
 
 class TestNestedFactors:
     """The box factors of consecutive sides nest through the transfers, so
-    the upward and downward passes reproduce projection and expansion at
-    every side."""
+    projecting and expanding through the transfers from the level below
+    reproduces projection and expansion through the factors at every
+    side."""
 
     @pytest.mark.parametrize("case", sorted(NESTING_CASES))
     def test_parent_factor_is_child_factor_times_transfer(self, case):
@@ -372,7 +373,7 @@ class TestNestedFactors:
         assert e.flags.writeable is False
 
     @pytest.mark.parametrize("case", sorted(NESTING_CASES))
-    def test_up_and_down_match_projection_and_expansion(self, case):
+    def test_transfers_are_projections(self, case):
         grid, rank, smallest = NESTING_CASES[case]
         rng = np.random.default_rng(29)
         x = rng.standard_normal(grid.num_points)
@@ -383,13 +384,15 @@ class TestNestedFactors:
                  if f is not None]
                 for s in (side, 2 * side)
             )
-            c = blocks.project(x, grid, side, child)
-            expected = blocks.project(x, grid, 2 * side, parent)
+            e = [blocks.transfer(grid, side, rank)] * grid.d
+            boxes = grid.n // (2 * side)
+            c = blocks.project(x, grid.d, 2 * boxes, child)
+            expected = blocks.project(x, grid.d, boxes, parent)
             scale = np.abs(expected).max()
-            assert np.abs(blocks.up(c, grid, side, rank) - expected).max() <= 1e-13 * scale
+            assert np.abs(blocks.project(c, grid.d, boxes, e) - expected).max() <= 1e-13 * scale
             g = rng.standard_normal(expected.shape)
-            pushed = blocks.expand(blocks.down(g, grid, side, rank), grid, side, child)
-            expected = blocks.expand(g, grid, 2 * side, parent)
+            pushed = blocks.expand(blocks.expand(g, e).reshape(c.shape), child)
+            expected = blocks.expand(g, parent)
             scale = np.abs(expected).max()
             assert np.abs(pushed.ravel() - expected.ravel()).max() <= 1e-13 * scale
 

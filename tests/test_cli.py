@@ -126,6 +126,16 @@ class TestRankExplore:
         assert code == 2
         assert "at most" in err
 
+    @pytest.mark.parametrize("p", ["0", "-2"])
+    def test_rank_below_one_is_usage_error(self, capsys, p):
+        # an empty sweep would print only the header and exit 0
+        code, out, err = run_cli(
+            capsys, "rank-explore", "--dim", "2", "--kernel", "gaussian", "--p", p,
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
     def test_kernel_dimension_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "rank-explore", "--dim", "3", "--kernel", "slp2d",
@@ -200,6 +210,8 @@ BAD_NUMBERS = [
     ("bench-quasi", "--p", "0"),
     ("bench-uniform", "--leaf", "0"),
     ("bench-quasi", "--leaf", "0"),
+    ("bench-quasi", "--n", "0"),
+    ("bench-quasi", "--n", "-8"),
 ]
 
 

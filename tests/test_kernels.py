@@ -34,6 +34,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(slp_3d(), (0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), None])
+    def test_gaussian_width_must_be_finite_and_positive(self, sigma):
+        # a NaN width would turn every output of the operator into NaN
+        with pytest.raises(ValueError, match="finite sigma > 0"):
+            gaussian(sigma)
+
     def test_by_name_defaults_and_dimension_checks(self):
         assert by_name("gaussian", 3).sigma == pytest.approx(np.sqrt(3.0))
         with pytest.raises(ValueError):

@@ -278,20 +278,30 @@ class TestClassSharing:
                              ids=["tucker", "lowrank"])
     def test_matvec_applies_each_class_once(self, case, build, monkeypatch):
         """Per matvec: one core application per class; one projection and one
-        expansion per chain, at its finest side; one upward and one downward
-        transfer per chain level above the finest.  Every factored group is
-        on one chain of doubling sides."""
-        from htlr import operators
+        expansion per group, through its maps.  Every factored group is on
+        one chain of doubling sides; the chain's first group maps through
+        its payloads' factors, every later group through the transfers."""
+        from htlr import blocks, operators
 
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        nested = [chain for chain in op.chains if chain[0].factors]
+        nested = [chain for chain in op.chains if chain[0].maps]
         assert len(nested) == 1
         assert [g.side for g in nested[0]] == [
             nested[0][0].side * 2**i for i in range(len(nested[0]))
         ]
-        assert all(g.factors for g in nested[0])
-        assert all(len(chain) == 1 for chain in op.chains if not chain[0].factors)
+        assert all(g.maps for g in nested[0])
+        assert all(len(chain) == 1 for chain in op.chains if not chain[0].maps)
+        for chain in op.chains:
+            for cls in chain[0].classes:
+                factors = cls.payload.u_factors
+                factors = factors if any(f is not None for f in factors) else ()
+                assert len(chain[0].maps) == len(factors)
+                assert all(m is f for m, f in zip(chain[0].maps, factors))
+            for group in chain[1:]:
+                e = blocks.transfer(grid, group.side // 2, cfg.rank)
+                assert len(group.maps) == grid.d
+                assert all(m is e for m in group.maps)
         cores, passes, expected = (collections.Counter() for _ in range(3))
 
         class CoreSpy:
@@ -308,21 +318,15 @@ class TestClassSharing:
                                 for cls in group.classes]
 
         def counted(stage, fn):
-            def spy(x, grid, side, arg):
-                # factors for a projection or expansion, the rank for a transfer
-                key = arg if stage in ("up", "down") else tuple(map(id, arg))
-                passes[stage, side, key] += 1
-                return fn(x, grid, side, arg)
+            def spy(*args):
+                passes[stage, tuple(map(id, args[-1]))] += 1
+                return fn(*args)
             return spy
 
-        for stage in ("project", "expand", "up", "down"):
+        for stage in ("project", "expand"):
             monkeypatch.setattr(operators, stage, counted(stage, getattr(operators, stage)))
-        for chain in op.chains:
-            for stage in ("project", "expand"):
-                expected[stage, chain[0].side, tuple(map(id, chain[0].factors))] += 1
-            for group in chain[1:]:
-                for stage in ("up", "down"):
-                    expected[stage, group.side // 2, cfg.rank] += 1
+            for group in op.groups:
+                expected[stage, tuple(map(id, group.maps))] += 1
         u = np.random.default_rng(49).standard_normal(grid.num_points)
         for rounds in (1, 2):
             matvec(op, u)
@@ -331,6 +335,28 @@ class TestClassSharing:
             assert passes == collections.Counter(
                 {key: rounds * count for key, count in expected.items()}
             )
+
+    @pytest.mark.parametrize("case", ["2d-n128-weak-gaussian", "2d-strong-slp"])
+    def test_matvec_owns_its_bases(self, case, monkeypatch):
+        """Once built, the operator applies the maps it holds: the matvec
+        computes no box factor and looks up no transfer."""
+        from htlr import blocks, operators
+
+        grid, cfg = {
+            "2d-n128-weak-gaussian": (UniformGrid(2, 128), weak_gaussian_cfg()),
+            "2d-strong-slp": self.CASES["2d-strong-slp"],
+        }[case]
+        op = construct(cfg, grid)
+        u = np.random.default_rng(50).standard_normal(grid.num_points)
+        expected = matvec(op, u)
+
+        def forbidden(*args):
+            raise AssertionError("the matvec asked for a basis")
+
+        for module, name in ((blocks, "transfer"), (blocks, "_box_factor"),
+                             (operators, "transfer")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert np.array_equal(matvec(op, u), expected)
 
 
 class TestDiagonal:
