@@ -18,9 +18,9 @@ from .grids import UniformGrid, _leaf_side
 from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
-#: (triangle, cell) pairs clipped per batch; bounds the clipper's scratch
-#: arrays to a few MB whatever the mesh size
-_CLIP_CHUNK = 8192
+#: (triangle, cell) pairs cut per batch; keeps the clipper's scratch arrays
+#: near the cache size whatever the mesh size
+_CHUNK = 4096
 
 
 @dataclass
@@ -116,40 +116,53 @@ def structured_trimesh(cells_per_side: int) -> TriMesh:
     return TriMesh(vertices=verts, triangles=np.array(tris))
 
 
-def _clamp_axis(poly, axis, width):
-    """Sutherland-Hodgman against 0 <= coordinate `axis` <= width with a
-    fixed vertex count: both crossings of each edge are inserted, in order,
-    and every vertex is then clamped onto the strip.  The parts outside
-    become paths along the strip's sides, which enclose no area."""
-    prev = np.roll(poly, 1, axis=1)
-    start = prev[..., axis]
-    step = poly[..., axis] - start
-    step[step == 0.0] = 1.0  # edge parallel to the sides: its points add no area
-    ts = np.sort([-start / step, (width[:, None] - start) / step], axis=0)
-    first, second = prev + ts.clip(0.0, 1.0)[..., None] * (poly - prev)
-    out = np.stack([first, second, poly], axis=2).reshape(len(poly), -1, 2)
-    out[..., axis] = out[..., axis].clip(0.0, width[:, None])
-    return out
+def _clip_below(u, v, line):
+    """Closed polygons (n + 1, K), one per column with the first vertex
+    repeated last, with vertex coordinates u, v, cut to u <= line (K,) by
+    one Sutherland-Hodgman pass with a fixed vertex count 2n + 1: before
+    each vertex comes the point where the edge into it crosses the line, or
+    one of the edge's ends if it does not cross; every vertex is then
+    clamped onto the line.  The part beyond the line becomes a path along
+    it, which encloses no area.  Swap u and v to cut along the other axis."""
+    pu, pv = u[:-1], v[:-1]
+    du, dv = u[1:] - pu, v[1:] - pv
+    # an edge parallel to the line does not cross it: any of its points will do
+    t = ((line - pu) / np.where(du == 0.0, 1.0, du)).clip(0.0, 1.0)
+    cu = np.empty((2 * len(u) - 1, u.shape[1]))
+    cv = np.empty_like(cu)
+    cu[0::2], cu[1::2] = u, pu + t * du
+    cv[0::2], cv[1::2] = v, pv + t * dv
+    np.minimum(cu, line, out=cu)
+    return cu, cv
 
 
-def _clip_areas(tris, cells):
-    """Overlap areas of K triangles (K, 3, 2) with K axis-aligned rectangles
-    (K, 4) given as (x0, y0, x1, y1), by the shoelace formula on the clipped
-    polygons.  Coordinates are taken relative to each lower-left corner."""
-    poly = tris - cells[:, None, :2]
-    for axis in (0, 1):
-        poly = _clamp_axis(poly, axis, cells[:, 2 + axis] - cells[:, axis])
-    x, y = poly[..., 0], poly[..., 1]
-    nxt = np.roll(poly, -1, axis=1)
-    return 0.5 * np.abs((x * nxt[..., 1] - nxt[..., 0] * y).sum(axis=1))
+def _area(u, v):
+    """Shoelace areas of closed polygons given as in _clip_below."""
+    return 0.5 * np.abs((u[:-1] * v[1:] - u[1:] * v[:-1]).sum(axis=0))
 
 
 def overlap_area(tri, cell) -> float:
-    """Area of the intersection of a triangle with an axis-aligned rectangle
-    (x0, y0, x1, y1) via Sutherland-Hodgman clipping and the shoelace formula.
-    """
-    tris = np.asarray(tri, dtype=np.float64)[None]
-    return float(_clip_areas(tris, np.asarray(cell, dtype=np.float64)[None])[0])
+    """Area of the intersection of a triangle (3, 2) with an axis-aligned
+    rectangle (x0, y0, x1, y1): the triangle cut by each side of the
+    rectangle in turn, and the shoelace formula."""
+    tri = np.asarray(tri, dtype=np.float64)
+    cell = np.asarray(cell, dtype=np.float64)
+    if tri.shape != (3, 2) or cell.shape != (4,):
+        raise ValueError(
+            "overlap_area needs a (3, 2) triangle and a cell (x0, y0, x1, y1)"
+        )
+    if not (np.isfinite(tri).all() and np.isfinite(cell).all()):
+        raise ValueError("overlap_area coordinates must be finite")
+    x0, y0, x1, y1 = cell
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError("overlap_area needs a cell with x0 < x1 and y0 < y1")
+    # relative to (x0, y0); a side x >= 0 is the cut -x <= 0
+    u, v = tri[[0, 1, 2, 0], :1] - x0, tri[[0, 1, 2, 0], 1:] - y0
+    u, v = _clip_below(u, v, x1 - x0)
+    v, u = _clip_below(v, u, y1 - y0)
+    u, v = _clip_below(-u, v, 0.0)
+    v, u = _clip_below(-v, u, 0.0)
+    return float(_area(u, v)[0])
 
 
 @dataclass
@@ -173,26 +186,63 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     """All (cell_id, triangle_id, overlap_area) triples with positive area.
 
     Cells are linearized first-index-fastest to match the uniform-grid
-    vectors.  Candidate cells come from each triangle's bounding box and
-    are clipped _CLIP_CHUNK pairs at a time.
+    vectors.  Each triangle is cut once along every column line k of its
+    bounding box, and each piece once along every row line l, which gives
+    G(k, l), the triangle's area left of line k and below line l.  A cell's
+    overlap is the second difference of G at its corners, with G = 0 on the
+    box's left and lower lines.  Pieces are cut about _CHUNK cells at a
+    time, which bounds the scratch arrays whatever the mesh size.
     """
+    if not isinstance(m_side, (int, np.integer)) or m_side < 1:
+        raise ValueError(f"m_side must be a positive integer, got {m_side!r}")
     h = 1.0 / m_side
     corners = mesh.vertices[mesh.triangles]  # (F, 3, 2)
-    lo = np.clip(np.floor(corners.min(axis=1) * m_side), 0, m_side).astype(np.int64)
-    hi = np.clip(np.ceil(corners.max(axis=1) * m_side), 0, m_side).astype(np.int64)
-    span = hi - lo  # (F, 2) candidate cells per axis
-    counts = span[:, 0] * span[:, 1]
-    tris = np.repeat(np.arange(mesh.num_triangles), counts)
-    local = np.arange(len(tris)) - np.repeat(np.cumsum(counts) - counts, counts)
-    i = lo[tris, 0] + local % span[tris, 0]
-    j = lo[tris, 1] + local // span[tris, 0]
-    areas = np.empty(len(tris))
-    for k in range(0, len(tris), _CLIP_CHUNK):
-        part = slice(k, k + _CLIP_CHUNK)
-        cells = np.stack([i[part], j[part], i[part] + 1, j[part] + 1], axis=1) * h
-        areas[part] = _clip_areas(corners[tris[part]], cells)
-    keep = areas > 1e-13 * h * h
-    return (i + j * m_side)[keep], tris[keep], areas[keep]
+    # A triangle sticking out of the grid gets at most one column or row of
+    # cells beyond it on each side; those are dropped, so its area outside
+    # is missing from its row sum and _to_quasi reports it.
+    lo = np.clip(np.floor(corners.min(axis=1) * m_side), -1, m_side).astype(np.int64)
+    hi = np.clip(np.ceil(corners.max(axis=1) * m_side), 0, m_side + 1).astype(np.int64)
+    span = hi - lo  # (F, 2) cells per axis
+    # closed triangles (4, F), relative to each box's lower-left corner
+    x = (corners[:, [0, 1, 2, 0], 0] - lo[:, :1] * h).T
+    y = (corners[:, [0, 1, 2, 0], 1] - lo[:, 1:] * h).T
+    # one piece per (triangle, column line k = 1 .. span)
+    tri, k = _ragged(span[:, 0])
+    rows = span[tri, 1]
+    ends = np.cumsum(rows)
+    bounds = np.unique(np.r_[
+        0, np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK)), len(tri)
+    ])
+    cells, tris, areas = [], [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        # a chunk that starts inside a triangle also cuts the piece before,
+        # whose G the differences need, and drops its cells
+        lead = int(k[a] > 1)
+        p = np.arange(a - lead, b)
+        px, py = _clip_below(x[:, tri[p]], y[:, tri[p]], k[p] * h)
+        # one area per (piece, row line l = 1 .. span), l fastest
+        piece, l = _ragged(rows[p])
+        qy, qx = _clip_below(py[:, piece], px[:, piece], l * h)
+        g = _area(qx, qy)
+        t, kk = tri[p][piece], k[p][piece]
+        g[1:] -= np.where(l[1:] > 1, g[:-1], 0.0)
+        g -= np.where(kk > 1, g[np.arange(len(g)) - rows[p][piece]], 0.0)
+        i = lo[t, 0] + kk - 1
+        j = lo[t, 1] + l - 1
+        keep = (g > 1e-13 * h * h) & (i >= 0) & (i < m_side) & (j >= 0) & (j < m_side)
+        if lead:
+            keep[: rows[a - 1]] = False
+        cells.append((i + j * m_side)[keep])
+        tris.append(t[keep])
+        areas.append(g[keep])
+    return np.concatenate(cells), np.concatenate(tris), np.concatenate(areas)
+
+
+def _ragged(counts):
+    """Owner and 1-based position of each of sum(counts) items, where owner
+    o has counts[o] consecutive items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
 
 
 def _checked_transfer(weights, rows, cols, shape, failure) -> SparseInterpMatrix:

@@ -85,6 +85,28 @@ def area(poly):
     return abs(s) / 2
 
 
+def assert_matches_independent_clipper(mesh, m_side):
+    """Every entry of quasi_to_uniform equals clip_poly's overlap of its
+    cell and triangle, and each triangle's entries add up to its area, so
+    no overlap is missing from the pattern.  The reference works relative
+    to the cell's lower-left corner, so that its shoelace sums terms of the
+    cell's size, not of the square's."""
+    h = 1.0 / m_side
+    s_mat = quasi_to_uniform(mesh, m_side).matrix.tocoo()
+    clipped = np.zeros(mesh.num_triangles)
+    for cell, t, s_val in zip(s_mat.row, s_mat.col, s_mat.data):
+        i, j = cell % m_side, cell // m_side
+        x0, y0, x1, y1 = i * h, j * h, (i + 1) * h, (j + 1) * h
+        rect = [(0.0, 0.0), (x1 - x0, 0.0), (x1 - x0, y1 - y0), (0.0, y1 - y0)]
+        tri = mesh.corners(t) - (x0, y0)
+        u, v = tri[1] - tri[0], tri[2] - tri[0]
+        ccw = tri if u[0] * v[1] - u[1] * v[0] > 0 else tri[::-1]
+        expected = area(clip_poly(rect, [tuple(p) for p in ccw]))
+        assert abs(s_val * h * h - expected) <= 1e-12 * h * h
+        clipped[t] += expected
+    assert np.abs(clipped - mesh.areas).max() <= 1e-12
+
+
 class TestTriMesh:
     def test_two_triangle_square(self, tmp_path):
         path = tmp_path / "square.mesh"
@@ -197,6 +219,36 @@ class TestOverlapArea:
             mc = monte_carlo_overlap(tri, cell, samples=10**6, seed=seed)
             assert abs(exact - mc) <= 2e-3
 
+    @pytest.mark.parametrize(
+        "tri, cell",
+        [
+            ([(0.0, 0.0), (1.0, 0.0)], (0.0, 0.0, 1.0, 1.0)),  # two points
+            ([(0.0, 0.0), (1.0, 0.0), (np.nan, 1.0)], (0.0, 0.0, 1.0, 1.0)),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (0.0, 0.0, np.inf, 1.0)),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (1.0, 0.0, 0.0, 1.0)),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (0.0, 0.5, 1.0, 0.5)),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (0.0, 0.0, 1.0)),
+        ],
+        ids=["two-point-triangle", "nan-vertex", "infinite-cell",
+             "inverted-cell", "flat-cell", "three-number-cell"],
+    )
+    def test_malformed_input_rejected(self, tri, cell):
+        with pytest.raises(ValueError, match="overlap_area"):
+            overlap_area(tri, cell)
+
+    def test_matches_independent_clipper_on_random_pairs(self):
+        # triangles partly outside, inside or around the cell, of any
+        # orientation
+        rng = np.random.default_rng(49)
+        for _ in range(200):
+            tri = rng.random((3, 2)) * 1.4 - 0.2
+            x0, y0 = rng.random(2) * 0.8
+            w, h = rng.random(2) * 0.5 + 1e-3
+            rect = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+            expected = area(clip_poly([tuple(p) for p in tri], rect))
+            got = overlap_area(tri, (x0, y0, x0 + w, y0 + h))
+            assert abs(got - expected) <= 1e-15
+
     def test_clip_order_symmetry(self):
         # clipping the rectangle against the triangle's half-planes gives the
         # same area as clipping the triangle against the rectangle
@@ -263,23 +315,45 @@ class TestTransferMatrices:
     def test_coarse_mesh_on_fine_grid_matches_independent_clipper(self):
         # each triangle covers many cells and the bounding boxes differ in
         # size, so every side of a cell clips some triangle
-        mesh = perturbed_mesh(4, seed=7)
-        m_side = 40
-        h = 1.0 / m_side
-        s_mat = quasi_to_uniform(mesh, m_side).matrix.tocoo()
-        clipped = np.zeros(mesh.num_triangles)
-        for cell, t, s_val in zip(s_mat.row, s_mat.col, s_mat.data):
-            i, j = cell % m_side, cell // m_side
-            x0, y0, x1, y1 = i * h, j * h, (i + 1) * h, (j + 1) * h
-            rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-            tri = mesh.corners(t)
-            u, v = tri[1] - tri[0], tri[2] - tri[0]
-            ccw = tri if u[0] * v[1] - u[1] * v[0] > 0 else tri[::-1]
-            expected = area(clip_poly(rect, [tuple(p) for p in ccw]))
-            assert abs(s_val * h * h - expected) <= 1e-12 * h * h
-            clipped[t] += expected
-        # no overlap is missing from the pattern
-        assert np.abs(clipped - mesh.areas).max() <= 1e-12
+        assert_matches_independent_clipper(perturbed_mesh(4, seed=7), 40)
+
+    @pytest.mark.parametrize("m_side", [32, 64, 78])
+    def test_pipeline_ratios_match_independent_clipper(self, m_side):
+        # rho ~ 1, 2 and 2.4; at rho 1 many triangles span one cell on an
+        # axis, and on every grid some triangles touch the square's sides
+        mesh = perturbed_mesh(32)
+        if m_side == 32:
+            c = mesh.vertices[mesh.triangles]
+            span = np.ceil(c.max(axis=1) * 32) - np.floor(c.min(axis=1) * 32)
+            assert (span == 1).any()
+        assert_matches_independent_clipper(mesh, m_side)
+
+    @pytest.mark.parametrize("mesh", [structured_trimesh(8), perturbed_mesh(8)],
+                             ids=["aligned", "perturbed"])
+    @pytest.mark.parametrize("m_side", [8, 16, 24])
+    def test_edges_on_grid_lines_divide_by_nothing(self, mesh, m_side):
+        # the aligned mesh has every edge on a grid line or diagonal, and the
+        # perturbed one keeps its boundary edges on the square's sides
+        with np.errstate(divide="raise", invalid="raise"):
+            s_mat = quasi_to_uniform(mesh, m_side)
+            t_mat = uniform_to_quasi(mesh, m_side)
+        assert np.abs(s_mat.row_sums() - 1.0).max() <= 1e-12
+        assert np.abs(t_mat.row_sums() - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("m_side", [0, -3, 2.5])
+    @pytest.mark.parametrize("build", [quasi_to_uniform, uniform_to_quasi])
+    def test_side_not_positive_integer_rejected(self, build, m_side):
+        with pytest.raises(ValueError, match="m_side"):
+            build(structured_trimesh(4), m_side)
+
+    @pytest.mark.parametrize("shift", [(-0.01, 0.0), (0.0, -0.01), (0.0, 0.01)])
+    def test_mesh_sticking_out_on_any_side_rejected(self, shift):
+        mesh = structured_trimesh(8)
+        shifted = TriMesh(vertices=mesh.vertices + shift, triangles=mesh.triangles)
+        with pytest.raises(ValueError, match="not fully covered"):
+            quasi_to_uniform(shifted, 16)
+        with pytest.raises(ValueError, match="stick out"):
+            uniform_to_quasi(shifted, 16)
 
     def test_shifted_mesh_coverage_errors(self):
         mesh = structured_trimesh(8)
