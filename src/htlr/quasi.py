@@ -182,6 +182,14 @@ class SparseInterpMatrix:
         return self.matrix @ np.asarray(v, dtype=np.float64)
 
 
+def _ragged(counts):
+    """Owner and 1-based position of each of sum(counts) items, where owner
+    o has counts[o] consecutive items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, np.arange(len(owner)) - first + 1
+
+
 def _overlap_entries(mesh: TriMesh, m_side: int):
     """All (cell_id, triangle_id, overlap_area) triples with positive area.
 
@@ -225,24 +233,18 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
         qy, qx = _clip_below(py[:, piece], px[:, piece], l * h)
         g = _area(qx, qy)
         t, kk = tri[p][piece], k[p][piece]
+        # second differences: along l within a piece, then along k
         g[1:] -= np.where(l[1:] > 1, g[:-1], 0.0)
         g -= np.where(kk > 1, g[np.arange(len(g)) - rows[p][piece]], 0.0)
         i = lo[t, 0] + kk - 1
         j = lo[t, 1] + l - 1
-        keep = (g > 1e-13 * h * h) & (i >= 0) & (i < m_side) & (j >= 0) & (j < m_side)
+        keep = (g > 1e-13 * h * h) & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < m_side)
         if lead:
             keep[: rows[a - 1]] = False
         cells.append((i + j * m_side)[keep])
         tris.append(t[keep])
         areas.append(g[keep])
     return np.concatenate(cells), np.concatenate(tris), np.concatenate(areas)
-
-
-def _ragged(counts):
-    """Owner and 1-based position of each of sum(counts) items, where owner
-    o has counts[o] consecutive items."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
 
 
 def _checked_transfer(weights, rows, cols, shape, failure) -> SparseInterpMatrix:
