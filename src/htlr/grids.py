@@ -4,15 +4,28 @@ The grid covers the unit box [0,1]^d with n cell-centered points per
 direction.  Index boxes are Cartesian products of half-open 0-based index
 ranges; the cluster tree splits every range at its midpoint, producing a
 balanced 2^d tree whose leaves hold at most ``leaf_side^d`` points.
+
+Every box of tree level l is a cube of side n / 2**l at a multiple of that
+side, so a box is its integer coordinates on the level's box lattice, and
+the leaves of the block cluster tree are pairs of lattice points.
+:func:`_leaf_lattice` enumerates them as integer arrays, level by level,
+without building either tree; whether a pair is admissible depends only on
+its level and the offset between its boxes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a size that is not an integer (a bool is not one either)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,8 +36,10 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
+        _check_int("d", self.d)
         if self.d not in (2, 3):
             raise ValueError("only d = 2 and d = 3 are supported")
+        _check_int("n", self.n)
         if self.n < 1:
             raise ValueError("n must be positive")
 
@@ -298,3 +313,72 @@ def build_block_cluster_tree(
 
     root = make(tree.root, tree.root, 0)
     return BlockClusterTree(grid=grid, rule=rule, root=root, leaves=leaves)
+
+
+class _Leaves(NamedTuple):
+    """Block cluster tree leaves, one entry per leaf in the tree's
+    depth-first leaf order: the level, whether the leaf is admissible, the
+    target (tau) and source (sigma) box coordinates, (leaves, d) on the
+    level's box lattice, and an id numbering the distinct (level,
+    source-minus-target offset) pairs."""
+
+    level: np.ndarray
+    admissible: np.ndarray
+    tau: np.ndarray
+    sigma: np.ndarray
+    offset_id: np.ndarray
+
+
+def _lattice_box(coords, side: int) -> IndexBox:
+    """The index box of side `side` at integer box coordinates `coords`."""
+    return IndexBox(tuple((int(c) * side, (int(c) + 1) * side) for c in coords))
+
+
+def _leaf_lattice(
+    grid: UniformGrid, leaf_side_max: int, rule: AdmissibilityRule
+) -> _Leaves:
+    """The leaves of ``build_block_cluster_tree(build_cluster_tree(grid,
+    leaf_side_max), rule)``, without building either tree.
+
+    Level by level, the candidate pairs are the children (2t + a, 2s + b) of
+    the previous level's inadmissible pairs (t, s).  :func:`is_admissible`
+    runs once per distinct offset s - t of a level, on its first pair; the
+    admissible pairs are leaves, and so are all pairs of the last level.
+    Each pair carries its path from the root, one 2d-bit child index per
+    level (sigma's child outer, tau's inner, in :func:`build_cluster_tree`'s
+    child order, as the block tree recurses); padded to the depth, the paths
+    sort the leaves depth first."""
+    d = grid.d
+    depth = int(grid.n // _leaf_side(grid.n, leaf_side_max)).bit_length() - 1
+    if 2 * d * depth > 62:
+        raise ValueError("cluster tree too deep for int64 leaf paths")
+    children = np.array(list(np.ndindex(*(2,) * d)))
+    k = len(children)
+    tau = sigma = np.zeros((1, d), dtype=np.int64)
+    path = np.zeros(1, dtype=np.int64)
+    found, ids = [], 0
+    for level in range(depth + 1):
+        side, boxes = grid.n >> level, 1 << level
+        # the offset as one integer, each coordinate in [1 - boxes, boxes - 1]
+        code = (sigma - tau + boxes - 1) @ (2 * boxes - 1) ** np.arange(d)
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        admissible = np.array([
+            is_admissible(rule, domain_of(grid, _lattice_box(tau[i], side)),
+                          domain_of(grid, _lattice_box(sigma[i], side)))
+            for i in first
+        ], dtype=bool)[inverse]
+        leaf = admissible | (level == depth)
+        shift = 2 * d * (depth - level)
+        found.append((np.full(leaf.sum(), level), admissible[leaf], tau[leaf],
+                      sigma[leaf], path[leaf] << shift, ids + inverse[leaf]))
+        ids += len(first)
+        tau, sigma, path = tau[~leaf], sigma[~leaf], path[~leaf]
+        shape = (len(path), k, k, d)
+        tau = np.broadcast_to(2 * tau[:, None, None] + children, shape).reshape(-1, d)
+        sigma = np.broadcast_to(
+            2 * sigma[:, None, None] + children[:, None], shape).reshape(-1, d)
+        path = (path[:, None] * (k * k) + np.arange(k * k)).reshape(-1)
+    level, admissible, tau, sigma, path, offset_id = map(np.concatenate, zip(*found))
+    order = np.argsort(path)
+    return _Leaves(level[order], admissible[order], tau[order], sigma[order],
+                   offset_id[order])

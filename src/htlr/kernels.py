@@ -21,6 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grids import _check_int
+
 GAUSSIAN = "gaussian"
 SLP2D = "slp2d"
 SLP3D = "slp3d"
@@ -179,6 +181,7 @@ class QuadratureConfig:
     q: int = 10
 
     def __post_init__(self):
+        _check_int("quadrature order", self.q)
         if self.q < 2:
             raise ValueError("quadrature order must be >= 2")
 

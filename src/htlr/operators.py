@@ -13,7 +13,10 @@ payload depends only on the leaf kind, the two box sizes and the index
 offset between the boxes.  Each such translation class is built once and
 every leaf of the class points at the same payload object, so payloads are
 shared and must be treated as read-only.  The coefficient a(x) is not part
-of any payload; the operator holds it as its diagonal.
+of any payload; the operator holds it as its diagonal.  The build takes the
+leaves from :func:`htlr.grids._leaf_lattice`, integer arrays on the box
+lattice of each level, and builds neither tree; the operator keeps only the
+classes, and derives the block tree and the per-leaf payloads on request.
 
 Every box at one cluster-tree level is a cube of side n / 2**level starting
 at a multiple of that side, and its interpolation factors depend only on
@@ -53,10 +56,13 @@ from .blocks import (
     transfer,
 )
 from .grids import (
-    ADMISSIBLE,
     AdmissibilityRule,
     BlockClusterTree,
+    IndexBox,
     UniformGrid,
+    _check_int,
+    _lattice_box,
+    _leaf_lattice,
     build_block_cluster_tree,
     build_cluster_tree,
 )
@@ -76,6 +82,8 @@ class BuildConfig:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
+        _check_int("rank", self.rank)
+        _check_int("leaf side", self.leaf_side)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.leaf_side < 1:
@@ -109,17 +117,14 @@ class FactorGroup:
 
 @dataclass
 class HTLRMatrix:
-    """Hierarchical operator: the block cluster tree, one payload per leaf
-    (Tucker for admissible leaves, of order 2 for the baseline on boxes
-    wider than the rank; dense otherwise; leaves of one translation class
-    share the object), the diagonal a(x) at every grid point, first index
-    fastest, and the translation classes the matvec applies, grouped by
-    shared factors into chains of nested factors."""
+    """Hierarchical operator: the diagonal a(x) at every grid point, first
+    index fastest, and the translation classes the matvec applies, grouped
+    by shared factors into chains of nested factors.  Each class holds one
+    payload for all its leaves: Tucker for admissible leaves (of order 2 for
+    the baseline on boxes wider than the rank), dense otherwise."""
 
     grid: UniformGrid
     config: BuildConfig
-    block_tree: BlockClusterTree
-    payloads: list  # leaf_id -> block
     diagonal: np.ndarray
     chains: list  # tuples of FactorGroup, finest side first
 
@@ -131,6 +136,35 @@ class HTLRMatrix:
     def groups(self) -> list:
         return [group for chain in self.chains for group in chain]
 
+    @property
+    def block_tree(self) -> BlockClusterTree:
+        """The block cluster tree whose leaves the classes cover, built on
+        each call by the public tree builders; the operator does not hold
+        it."""
+        tree = build_cluster_tree(self.grid, self.config.leaf_side)
+        return build_block_cluster_tree(tree, self.config.rule)
+
+    @property
+    def payloads(self) -> list:
+        """Each leaf's payload, indexed by the ``leaf_id`` of
+        :attr:`block_tree`'s leaves: the shared, read-only payload of the
+        leaf's class.  A new list on each call."""
+        d, payload_at = self.grid.d, {}
+        for group in self.groups:
+            boxes = np.arange((self.grid.n // group.side) ** d)
+            for cls in group.classes:
+                targets, sources = boxes[cls.targets].tolist(), boxes[cls.sources].tolist()
+                for t, s in zip(targets, sources):
+                    payload_at[group.side, t, s] = cls.payload
+
+        def index(box):
+            side = box.sizes[0]
+            return sum((lo // side) * (self.grid.n // side) ** dim
+                       for dim, (lo, _) in enumerate(box.ranges))
+
+        return [payload_at[leaf.tau.box.sizes[0], index(leaf.tau.box), index(leaf.sigma.box)]
+                for leaf in self.block_tree.leaves]
+
 
 @dataclass(frozen=True)
 class StorageReport:
@@ -141,80 +175,62 @@ class StorageReport:
     theoretical_bound: float
 
 
-def _class_key(kernel: KernelSpec, leaf):
-    """Leaves with equal keys have equal payloads: for a translation-invariant
-    kernel the leaf kind, both box sizes and the source-minus-target index
-    offset; otherwise the leaf alone."""
-    if not kernel.translation_invariant:
-        return leaf.leaf_id
-    tau, sigma = leaf.tau.box, leaf.sigma.box
-    offset = tuple(s - t for (s, _), (t, _) in zip(sigma.ranges, tau.ranges))
-    return leaf.kind, tau.sizes, sigma.sizes, offset
-
-
 def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatrix:
-    ctree = build_cluster_tree(grid, cfg.leaf_side)
+    leaves = _leaf_lattice(grid, cfg.leaf_side, cfg.rule)
+    depth = int(leaves.level.max())
     # the side the tree reaches, not the threshold; a one-leaf tree is all
     # dense and has no leaf side to keep in range
-    if ctree.depth > 0 and not cfg.rank <= ctree.leaf_side <= 2 * cfg.rank:
+    if depth > 0 and not cfg.rank <= grid.n >> depth <= 2 * cfg.rank:
         warnings.warn(
-            f"leaf side {ctree.leaf_side} outside the recommended range "
+            f"leaf side {grid.n >> depth} outside the recommended range "
             f"[rank, 2*rank] = [{cfg.rank}, {2 * cfg.rank}]; the linear "
             "storage bound assumes it",
             stacklevel=3,
         )
-    btree = build_block_cluster_tree(ctree, cfg.rule)
-
-    def build_leaf(leaf):
-        if leaf.kind == ADMISSIBLE:
-            return admissible_builder(
-                cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, cfg.rank, grid.h
-            )
-        return build_dense(
-            cfg.kernel, grid, leaf.tau.box, leaf.sigma.box, grid.h, cfg.quadrature
-        )
-
-    def box_index(box, side):
-        return sum((lo // side) * (grid.n // side) ** dim
-                   for dim, (lo, _) in enumerate(box.ranges))
-
-    # key -> (payload, box side, target box indices, source box indices)
-    by_class = {}
-    payloads = []
-    for leaf in btree.leaves:
-        key = _class_key(cfg.kernel, leaf)
-        tau, sigma = leaf.tau.box, leaf.sigma.box
-        side = tau.sizes[0]  # both boxes of a leaf are cubes at one level
-        if key not in by_class:
-            by_class[key] = (build_leaf(leaf), side, [], [])
-        payload, _, targets, sources = by_class[key]
-        targets.append(box_index(tau, side))
-        sources.append(box_index(sigma, side))
-        payloads.append(payload)
-
+    # Leaves with one key have equal payloads: for a translation-invariant
+    # kernel the level and the source-minus-target offset (which fix the
+    # kind and both box sizes); otherwise the leaf alone.  Each class is
+    # built from its first leaf in depth-first order, and the classes keep
+    # that order, which fixes the order of the matvec's sums.
+    keys = (leaves.offset_id if cfg.kernel.translation_invariant
+            else np.arange(len(leaves.level)))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    members = np.split(np.argsort(inverse, kind="stable"),
+                       np.cumsum(np.bincount(inverse))[:-1])
     groups = {}
-    for payload, side, targets, sources in by_class.values():
+    for c in np.argsort(first):
+        leaf, level = first[c], int(leaves.level[first[c]])
+        side = grid.n >> level
+        tau = _lattice_box(leaves.tau[leaf], side)
+        sigma = _lattice_box(leaves.sigma[leaf], side)
+        if leaves.admissible[leaf]:
+            payload = admissible_builder(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
+        else:
+            payload = build_dense(cfg.kernel, grid, tau, sigma, grid.h, cfg.quadrature)
         factors = _factors(payload.u_factors)
         key = (side, tuple(map(id, factors)))
         group = groups.setdefault(key, FactorGroup(side, factors, []))
-        # in target order, so that a class mapping every box of its level
-        # onto itself indexes with full slices, which gather and add in place
+        # linear box indices, first index fastest, in target order, so that
+        # a class mapping every box of its level onto itself indexes with
+        # full slices, which gather and add in place
+        strides = (1 << level) ** np.arange(grid.d)
+        targets = leaves.tau[members[c]] @ strides
+        sources = leaves.sigma[members[c]] @ strides
         order = np.argsort(targets)
-        count = (grid.n // side) ** grid.d
+        count = (1 << level) ** grid.d
         group.classes.append(TranslationClass(
             payload,
-            _box_indices(np.array(targets)[order], count),
-            _box_indices(np.array(sources)[order], count),
+            _box_indices(targets[order], count),
+            _box_indices(sources[order], count),
         ))
-    diagonal = cfg.coeff(grid.points(ctree.root.box))
+    diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
     for group in groups.values():
         # a class on every box first, so that its product starts the group's
         # sum: a zeroed array would be one more level-sized temporary per
         # matvec, and the fresh memory pages it needs cost about as much as
         # the work on the finest level
         group.classes.sort(key=lambda cls: not isinstance(cls.targets, slice))
-    return HTLRMatrix(grid=grid, config=cfg, block_tree=btree, payloads=payloads,
-                      diagonal=diagonal,
+    return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
                       chains=_chains(groups.values(), grid, cfg.rank))
 
 
@@ -323,10 +339,21 @@ def weak_storage_bound(d: int, rank: int, num_points: int) -> float:
     return (16.0 * d * p ** (2 - d) + p**d + 2**d * p**d) * num_points
 
 
+def _class_leaves(op):
+    """(payload, leaf count) of every translation class."""
+    for group in op.groups:
+        boxes = (op.grid.n // group.side) ** op.grid.d
+        for cls in group.classes:
+            yield cls.payload, boxes if isinstance(cls.targets, slice) else len(cls.targets)
+
+
 def storage_report(op) -> StorageReport:
     """Exact stored-scalar counts by category plus the weak-admissibility
-    theoretical bound for the operator's size."""
-    dense, factors, cores = map(sum, zip(*(b.scalars() for b in op.payloads)))
+    theoretical bound for the operator's size.  The counts are logical: a
+    class's payload counts once per leaf, although its leaves share it."""
+    dense, factors, cores = map(sum, zip(*(
+        [count * n for n in payload.scalars()] for payload, count in _class_leaves(op)
+    )))
     total = dense + factors + cores
     bound = weak_storage_bound(op.grid.d, op.config.rank, op.num_points)
     return StorageReport(
@@ -339,13 +366,16 @@ def storage_report(op) -> StorageReport:
 
 
 def operation_counts(op) -> dict:
-    """Leaf visit counts for one matvec (dense and compressed leaves)."""
-    leaves = op.block_tree.leaves
-    compressed = sum(1 for leaf in leaves if leaf.kind == ADMISSIBLE)
+    """Leaf visit counts for one matvec (dense and compressed leaves); a
+    dense payload is the one kind that stores dense scalars."""
+    dense = total = 0
+    for payload, count in _class_leaves(op):
+        total += count
+        dense += count if payload.scalars()[0] else 0
     return {
-        "dense_leaves": len(leaves) - compressed,
-        "compressed_leaves": compressed,
-        "total_leaves": len(leaves),
+        "dense_leaves": dense,
+        "compressed_leaves": total - dense,
+        "total_leaves": total,
     }
 
 

@@ -141,6 +141,40 @@ def _area(u, v):
     return 0.5 * np.abs((u[:-1] * v[1:] - u[1:] * v[:-1]).sum(axis=0))
 
 
+def _strip_edges(x, y, width):
+    """The part A -> B of every edge of closed triangles (4, K) with
+    0 <= x <= width, as four (3, K) arrays xa, ya, xb, yb, x clamped into the
+    strip.  An edge that misses the strip has A = B on the strip side it
+    lies on.  Between B of one edge and A of the next, the triangle's
+    boundary is outside the strip: clamped onto it, that part is a vertical
+    segment at x = xb."""
+    px, py = x[:-1], y[:-1]
+    dx, dy = x[1:] - px, y[1:] - py
+    # an edge parallel to the strip: any of its points will do, as the
+    # vertical segment from B to the next A covers the rest of it
+    step = np.where(dx == 0.0, 1.0, dx)
+    t0 = (-px / step).clip(0.0, 1.0)
+    t1 = ((width - px) / step).clip(0.0, 1.0)
+    ta, tb = np.minimum(t0, t1), np.maximum(t0, t1)
+    return ((px + ta * dx).clip(0.0, width), py + ta * dy,
+            (px + tb * dx).clip(0.0, width), py + tb * dy)
+
+
+def _area_below(xa, ya, xb, yb, line):
+    """Areas below y = line (K,) of the strip polygons of _strip_edges:
+    the trapezoid sums of y-differences times x-sums along the edge parts
+    and the vertical segments between them, with every point clamped to
+    y <= line.  The part above the line then has no y-difference, so it
+    adds nothing, and a polygon wholly above the line has area exactly 0."""
+    dy = yb - ya
+    t = ((line - ya) / np.where(dy == 0.0, 1.0, dy)).clip(0.0, 1.0)
+    xc = xa + t * (xb - xa)
+    yc = np.minimum(ya + t * dy, line)
+    ya, yb = np.minimum(ya, line), np.minimum(yb, line)
+    s = (yc - ya) * (xa + xc) + (yb - yc) * (xc + xb) + 2.0 * xb * (ya[[1, 2, 0]] - yb)
+    return 0.5 * np.abs(s.sum(axis=0))
+
+
 def overlap_area(tri, cell) -> float:
     """Area of the intersection of a triangle (3, 2) with an axis-aligned
     rectangle (x0, y0, x1, y1): the triangle cut by each side of the
@@ -194,11 +228,14 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     """All (cell_id, triangle_id, overlap_area) triples with positive area.
 
     Cells are linearized first-index-fastest to match the uniform-grid
-    vectors.  Each triangle is cut once along every column line k of its
-    bounding box, and each piece once along every row line l, which gives
-    G(k, l), the triangle's area left of line k and below line l.  A cell's
-    overlap is the second difference of G at its corners, with G = 0 on the
-    box's left and lower lines.  Pieces are cut about _CHUNK cells at a
+    vectors.  Each triangle is cut once into every column strip k of its
+    bounding box, with x relative to the strip's left line, and each strip
+    is cut once along every row line l it reaches, which gives H(k, l), the
+    strip's area below line l.  A cell's overlap is the difference of H at
+    its lower and upper lines.  Every area is that of a polygon one cell
+    wide, so its rounding error stays near an ulp of h^2 times the
+    triangle's span in cells, and the rows a strip does not reach are never
+    cut.  Strips are cut about _CHUNK cells of their bounding boxes at a
     time, which bounds the scratch arrays whatever the mesh size.
     """
     if not isinstance(m_side, (int, np.integer)) or m_side < 1:
@@ -214,7 +251,7 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     # closed triangles (4, F), relative to each box's lower-left corner
     x = (corners[:, [0, 1, 2, 0], 0] - lo[:, :1] * h).T
     y = (corners[:, [0, 1, 2, 0], 1] - lo[:, 1:] * h).T
-    # one piece per (triangle, column line k = 1 .. span)
+    # one strip per (triangle, column k = 1 .. span)
     tri, k = _ragged(span[:, 0])
     rows = span[tri, 1]
     ends = np.cumsum(rows)
@@ -223,24 +260,23 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     ])
     cells, tris, areas = [], [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        # a chunk that starts inside a triangle also cuts the piece before,
-        # whose G the differences need, and drops its cells
-        lead = int(k[a] > 1)
-        p = np.arange(a - lead, b)
-        px, py = _clip_below(x[:, tri[p]], y[:, tri[p]], k[p] * h)
-        # one area per (piece, row line l = 1 .. span), l fastest
-        piece, l = _ragged(rows[p])
-        qy, qx = _clip_below(py[:, piece], px[:, piece], l * h)
-        g = _area(qx, qy)
-        t, kk = tri[p][piece], k[p][piece]
-        # second differences: along l within a piece, then along k
-        g[1:] -= np.where(l[1:] > 1, g[:-1], 0.0)
-        g -= np.where(kk > 1, g[np.arange(len(g)) - rows[p][piece]], 0.0)
+        p = np.arange(a, b)
+        xa, ya, xb, yb = _strip_edges(x[:, tri[p]] - (k[p] - 1) * h, y[:, tri[p]], h)
+        # the row lines first + 1 .. last the strip reaches: below them its
+        # area is 0, above them all of it
+        low = np.minimum(ya, yb).min(axis=0)
+        first = np.clip(np.floor(low / h), 0, rows[p] - 1).astype(np.int64)
+        top = np.maximum(ya, yb).max(axis=0)
+        last = np.clip(np.ceil(top / h), first + 1, rows[p]).astype(np.int64)
+        strip, pos = _ragged(last - first)
+        l = first[strip] + pos
+        g = _area_below(xa[:, strip], ya[:, strip], xb[:, strip], yb[:, strip], l * h)
+        t, kk = tri[p][strip], k[p][strip]
+        # differences along l within a strip, from 0 below its first line
+        g[1:] -= np.where(pos[1:] > 1, g[:-1], 0.0)
         i = lo[t, 0] + kk - 1
         j = lo[t, 1] + l - 1
         keep = (g > 1e-13 * h * h) & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < m_side)
-        if lead:
-            keep[: rows[a - 1]] = False
         cells.append((i + j * m_side)[keep])
         tris.append(t[keep])
         areas.append(g[keep])

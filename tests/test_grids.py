@@ -11,11 +11,26 @@ from htlr import (
     domain_of,
     is_admissible,
 )
-from htlr.grids import ADMISSIBLE, INADMISSIBLE
+from htlr import grids
+from htlr.grids import ADMISSIBLE, INADMISSIBLE, _leaf_lattice
 
 
 def leaf_boxes(tree):
     return [leaf.box for leaf in tree.leaves()]
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("n", [64.0, 8.5, True, np.float64(16), "64"])
+    def test_non_integer_side_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            UniformGrid(2, n)
+
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            UniformGrid(2.0, 16)
+
+    def test_numpy_integer_side_accepted(self):
+        assert UniformGrid(2, np.int64(16)).num_points == 256
 
 
 class TestClusterTree:
@@ -220,3 +235,78 @@ class TestBlockClusterTree:
                         domain_of(self.grid, b.box),
                     )
                     assert adm == (a.box != b.box)
+
+
+def tree_leaves(grid, leaf_side, rule):
+    btree = build_block_cluster_tree(build_cluster_tree(grid, leaf_side), rule)
+    return [(leaf.kind, leaf.tau.box.ranges, leaf.sigma.box.ranges)
+            for leaf in btree.leaves]
+
+
+def lattice_leaves(grid, leaf_side, rule):
+    leaves = _leaf_lattice(grid, leaf_side, rule)
+    out = []
+    for level, admissible, tau, sigma in zip(*leaves[:4]):
+        side = grid.n >> int(level)
+        out.append((
+            ADMISSIBLE if admissible else INADMISSIBLE,
+            tuple((int(c) * side, (int(c) + 1) * side) for c in tau),
+            tuple((int(c) * side, (int(c) + 1) * side) for c in sigma),
+        ))
+    return out
+
+
+class TestLeafLattice:
+    """The lattice enumeration gives the block tree's leaves, in its
+    depth-first leaf order."""
+
+    CASES = {
+        "2d-weak": (UniformGrid(2, 32), 4, AdmissibilityRule.weak()),
+        # eta = sqrt(d): boxes one box apart are admissible by exact equality
+        "2d-strong-sqrt2": (UniformGrid(2, 32), 4, AdmissibilityRule.strong(np.sqrt(2.0))),
+        "3d-weak": (UniformGrid(3, 16), 4, AdmissibilityRule.weak()),
+        "3d-strong-sqrt3": (UniformGrid(3, 16), 2, AdmissibilityRule.strong(np.sqrt(3.0))),
+        "single-leaf-weak": (UniformGrid(2, 16), 16, AdmissibilityRule.weak()),
+        "single-leaf-strong": (UniformGrid(3, 8), 8, AdmissibilityRule.strong(1.0)),
+        "2d-n56-leaf-side-7": (UniformGrid(2, 56), 8, AdmissibilityRule.weak()),
+        "2d-n48-leaf-side-12": (UniformGrid(2, 48), 16, AdmissibilityRule.strong(np.sqrt(2.0))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_block_tree_leaves(self, case):
+        grid, leaf_side, rule = self.CASES[case]
+        expected = tree_leaves(grid, leaf_side, rule)
+        assert lattice_leaves(grid, leaf_side, rule) == expected
+        if case.startswith("2d-strong"):
+            kinds = {kind for kind, _, _ in expected}
+            assert kinds == {ADMISSIBLE, INADMISSIBLE}
+
+    @pytest.mark.parametrize("case", ["2d-strong-sqrt2", "3d-weak"])
+    def test_admissibility_once_per_level_and_offset(self, case, monkeypatch):
+        grid, leaf_side, rule = self.CASES[case]
+        btree = build_block_cluster_tree(build_cluster_tree(grid, leaf_side), rule)
+        offsets = set()
+
+        def collect(node):
+            offsets.add((node.level, tuple(
+                s - t for (s, _), (t, _) in zip(node.sigma.box.ranges, node.tau.box.ranges)
+            )))
+            for child in node.children:
+                collect(child)
+
+        collect(btree.root)
+        calls = []
+        original = grids.is_admissible
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(grids, "is_admissible", counting)
+        _leaf_lattice(grid, leaf_side, rule)
+        assert len(calls) == len(offsets)
+
+    def test_paths_too_deep_for_int64_rejected(self):
+        # 3D depth 11: 66 bits of path; rejected before any pair is made
+        with pytest.raises(ValueError, match="too deep"):
+            _leaf_lattice(UniformGrid(3, 2048), 1, AdmissibilityRule.weak())

@@ -202,3 +202,8 @@ class TestQuadratureConfig:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             QuadratureConfig(q=1)
+
+    @pytest.mark.parametrize("q", [3.5, 10.0, True])
+    def test_non_integer_order_rejected(self, q):
+        with pytest.raises(ValueError, match="quadrature order must be an integer"):
+            QuadratureConfig(q=q)

@@ -30,7 +30,7 @@ from htlr import (
     storage_report,
 )
 from htlr.blocks import DenseBlock
-from htlr.grids import ADMISSIBLE
+from htlr.grids import ADMISSIBLE, INADMISSIBLE
 from htlr.operators import DegenerateErrorEstimate
 
 
@@ -50,11 +50,12 @@ def assert_every_leaf_matches_dense(cfg, grid):
     entry, dense leaves bit-equal to it."""
     op = construct(cfg, grid)
     dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+    payloads = op.payloads
     for leaf in op.block_tree.leaves:
         rows = leaf.tau.box.linear_indices(grid.n)
         cols = leaf.sigma.box.linear_indices(grid.n)
         sub = dense.matrix[np.ix_(rows, cols)]
-        rec = materialize(op.payloads[leaf.leaf_id])
+        rec = materialize(payloads[leaf.leaf_id])
         if leaf.kind == ADMISSIBLE:
             assert (np.abs(rec - sub) / np.abs(sub)).max() <= 1e-9
         else:
@@ -103,6 +104,23 @@ class TestBuildConfig:
     def test_invalid_leaf_side(self):
         with pytest.raises(ValueError, match="leaf side"):
             BuildConfig(rank=4, leaf_side=0, rule=AdmissibilityRule.weak(),
+                        kernel=gaussian(1.0), coeff=CoefficientFn.constant(0.0))
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = weak_gaussian_cfg(rank=np.int64(8), leaf=np.int32(16))
+        op = construct(cfg, UniformGrid(2, np.int64(64)))
+        expected = construct(weak_gaussian_cfg(), UniformGrid(2, 64))
+        assert storage_report(op) == storage_report(expected)
+        u = np.random.default_rng(52).standard_normal(64 * 64)
+        assert np.array_equal(matvec(op, u), matvec(expected, u))
+
+    @pytest.mark.parametrize("field", ["rank", "leaf_side"])
+    @pytest.mark.parametrize("value", [8.5, 8.0, True])
+    def test_non_integer_size_rejected(self, field, value):
+        sizes = {"rank": 8, "leaf_side": 16, field: value}
+        name = field.replace("_", " ")
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BuildConfig(**sizes, rule=AdmissibilityRule.weak(),
                         kernel=gaussian(1.0), coeff=CoefficientFn.constant(0.0))
 
 
@@ -230,12 +248,13 @@ class TestClassSharing:
     def test_one_payload_per_class(self, case, build, build_admissible):
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        assert len({id(block) for block in op.payloads}) == translation_classes(op)
-        assert len(op.payloads) > translation_classes(op)
+        payloads = op.payloads
+        assert len({id(block) for block in payloads}) == translation_classes(op)
+        assert len(payloads) > translation_classes(op)
 
         rep = storage_report(op)
         per_leaf = np.sum(
-            [op.payloads[leaf.leaf_id].scalars() for leaf in op.block_tree.leaves],
+            [payloads[leaf.leaf_id].scalars() for leaf in op.block_tree.leaves],
             axis=0,
         )
         assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == tuple(per_leaf)
@@ -263,8 +282,9 @@ class TestClassSharing:
         grid, cfg = self.MATVEC_CASES[case]
         op = build(cfg, grid)
         by_side = collections.defaultdict(list)
+        payloads = op.payloads
         for leaf in op.block_tree.leaves:
-            block = op.payloads[leaf.leaf_id]
+            block = payloads[leaf.leaf_id]
             if leaf.kind == ADMISSIBLE:
                 by_side[leaf.tau.box.sizes[0]] += [block.u_factors, block.v_factors]
         assert len(by_side) > 1
@@ -357,6 +377,85 @@ class TestClassSharing:
                              (operators, "transfer")):
             monkeypatch.setattr(module, name, forbidden)
         assert np.array_equal(matvec(op, u), expected)
+
+
+def class_leaves(op):
+    """(kind, tau ranges, sigma ranges) of every leaf of every class."""
+    d, out = op.grid.d, []
+    for group in op.groups:
+        boxes = op.grid.n // group.side
+        ids = np.arange(boxes**d)
+
+        def ranges(box):
+            coords = (box // boxes ** np.arange(d)) % boxes
+            return tuple((c * group.side, (c + 1) * group.side) for c in coords.tolist())
+
+        for cls in group.classes:
+            kind = INADMISSIBLE if cls.payload.scalars()[0] else ADMISSIBLE
+            out += [(kind, ranges(t), ranges(s))
+                    for t, s in zip(ids[cls.targets], ids[cls.sources])]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:leaf side 7 outside")
+class TestLatticeBuild:
+    """The build enumerates the leaves on the box lattice: its classes cover
+    the block tree's leaves, it builds neither tree, and its counts are the
+    per-leaf ones."""
+
+    @pytest.mark.parametrize("case", sorted(TestClassSharing.MATVEC_CASES))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_classes_cover_the_tree_leaves(self, case, build):
+        grid, cfg = TestClassSharing.MATVEC_CASES[case]
+        op = build(cfg, grid)
+        tree = [(leaf.kind, leaf.tau.box.ranges, leaf.sigma.box.ranges)
+                for leaf in op.block_tree.leaves]
+        assert collections.Counter(class_leaves(op)) == collections.Counter(tree)
+
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_builds_no_tree(self, build, monkeypatch):
+        from htlr import grids, operators
+
+        def forbidden(*args):
+            raise AssertionError("the build asked for a tree")
+
+        for module in (grids, operators):
+            for name in ("build_cluster_tree", "build_block_cluster_tree"):
+                monkeypatch.setattr(module, name, forbidden)
+        grid = UniformGrid(2, 64)
+        op = build(TestClassSharing.CASES["2d-strong-slp"][1], grid)
+        u = np.random.default_rng(51).standard_normal(grid.num_points)
+        assert np.isfinite(matvec(op, u)).all()
+
+    # the benchmark's four operators: storage_report and operation_counts
+    # as the per-leaf sums gave them
+    WORKLOADS = {
+        "gauss2d-n512": (UniformGrid(2, 512), weak_gaussian_cfg(),
+                         (67108864, 3047424, 16760832), (1024, 4092)),
+        "slp2d-n128": (UniformGrid(2, 128), BuildConfig(
+            rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        ), (31719424, 731136, 5210112), (484, 1272)),
+        "gauss3d-n32": (UniformGrid(3, 32), BuildConfig(
+            rank=4, leaf_side=5, rule=AdmissibilityRule.weak(),
+            kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
+        ), (2097152, 107520, 16744448), (512, 4088)),
+        "quasi-n8192-grid": (UniformGrid(2, 128), weak_gaussian_cfg(),
+                             (4194304, 172032, 1032192), (64, 252)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WORKLOADS))
+    def test_workload_counts(self, case):
+        grid, cfg, scalars, leaves = self.WORKLOADS[case]
+        op = construct(cfg, grid)
+        rep = storage_report(op)
+        assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == scalars
+        assert rep.total_scalars == sum(scalars)
+        counts = operation_counts(op)
+        assert (counts["dense_leaves"], counts["compressed_leaves"]) == leaves
+        assert counts["total_leaves"] == sum(leaves)
 
 
 class TestDiagonal:
@@ -472,8 +571,9 @@ class TestMatvec:
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         rng = np.random.default_rng(40)
         u = rng.standard_normal(grid.num_points)
+        payloads = op.payloads
         for leaf in op.block_tree.leaves:
-            block = op.payloads[leaf.leaf_id]
+            block = payloads[leaf.leaf_id]
             if not isinstance(block, DenseBlock):
                 continue
             rows = leaf.tau.box.linear_indices(32)

@@ -87,10 +87,11 @@ def area(poly):
 
 def assert_matches_independent_clipper(mesh, m_side):
     """Every entry of quasi_to_uniform equals clip_poly's overlap of its
-    cell and triangle, and each triangle's entries add up to its area, so
-    no overlap is missing from the pattern.  The reference works relative
-    to the cell's lower-left corner, so that its shoelace sums terms of the
-    cell's size, not of the square's."""
+    cell and triangle, no entry is a rounding-size remnant (its overlap
+    exceeds half the 1e-13 h^2 keep threshold), and each triangle's entries
+    add up to its area, so no overlap is missing from the pattern.  The
+    reference works relative to the cell's lower-left corner, so that its
+    shoelace sums terms of the cell's size, not of the square's."""
     h = 1.0 / m_side
     s_mat = quasi_to_uniform(mesh, m_side).matrix.tocoo()
     clipped = np.zeros(mesh.num_triangles)
@@ -103,6 +104,7 @@ def assert_matches_independent_clipper(mesh, m_side):
         ccw = tri if u[0] * v[1] - u[1] * v[0] > 0 else tri[::-1]
         expected = area(clip_poly(rect, [tuple(p) for p in ccw]))
         assert abs(s_val * h * h - expected) <= 1e-12 * h * h
+        assert expected > 0.5e-13 * h * h
         clipped[t] += expected
     assert np.abs(clipped - mesh.areas).max() <= 1e-12
 
@@ -316,6 +318,13 @@ class TestTransferMatrices:
         # each triangle covers many cells and the bounding boxes differ in
         # size, so every side of a cell clips some triangle
         assert_matches_independent_clipper(perturbed_mesh(4, seed=7), 40)
+
+    # rho ~ 48 and 100: each triangle spans ~50 and ~100 cells per axis, so
+    # its area is thousands of cells, far above the 1e-13 h^2 threshold's
+    # reach if the overlaps were differences of areas that large
+    @pytest.mark.parametrize("k, m_side", [(2, 97), (1, 100)], ids=["rho48", "rho100"])
+    def test_large_ratios_match_independent_clipper(self, k, m_side):
+        assert_matches_independent_clipper(perturbed_mesh(k), m_side)
 
     @pytest.mark.parametrize("m_side", [32, 64, 78])
     def test_pipeline_ratios_match_independent_clipper(self, m_side):
