@@ -30,7 +30,7 @@ import numpy as np
 
 from . import oracles
 from .blocks import build_tlr
-from .grids import AdmissibilityRule, IndexBox, UniformGrid, build_cluster_tree
+from .grids import AdmissibilityRule, IndexBox, UniformGrid, _leaf_side
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairwise
 from .operators import (
     BuildConfig,
@@ -123,7 +123,7 @@ def cmd_bench_uniform(args) -> list[dict]:
     cfg = config_for(args, kernel)
     try:
         grid = UniformGrid(args.dim, args.n)
-        build_cluster_tree(grid, args.leaf)  # n must halve evenly into leaves
+        _leaf_side(grid.n, args.leaf)  # n must halve evenly into leaves
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rng = np.random.default_rng((args.seed, 0))

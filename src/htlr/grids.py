@@ -8,9 +8,12 @@ balanced 2^d tree whose leaves hold at most ``leaf_side^d`` points.
 Every box of tree level l is a cube of side n / 2**l at a multiple of that
 side, so a box is its integer coordinates on the level's box lattice, and
 the leaves of the block cluster tree are pairs of lattice points.
-:func:`_leaf_lattice` enumerates them as integer arrays, level by level,
-without building either tree; whether a pair is admissible depends only on
-its level and the offset between its boxes.
+:func:`_leaf_lattice` enumerates them as integer arrays, level by level;
+whether a pair is admissible depends only on its level and the offset
+between its boxes.  It is the one enumerator of the leaves: the build reads
+its arrays, and :func:`build_block_cluster_tree` gives the tree as the
+partition its leaves form (W. Hackbusch, *Hierarchical Matrices*, Springer
+2015), each leaf holding the cluster tree's own nodes.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ class IndexBox:
 
     def __post_init__(self):
         for lo, hi in self.ranges:
+            _check_int("index box bound", lo)
+            _check_int("index box bound", hi)
             if hi <= lo:
                 raise ValueError("index ranges must be nonempty")
             if lo < 0:
@@ -257,7 +262,6 @@ def domain_of(grid: UniformGrid, box: IndexBox) -> DomainBox:
 
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
-INTERNAL = "internal"
 
 
 @dataclass
@@ -266,61 +270,43 @@ class BlockNode:
     sigma: ClusterNode
     kind: str
     level: int
-    children: list = field(default_factory=list)
-    leaf_id: int = -1
+    leaf_id: int
 
 
 @dataclass
 class BlockClusterTree:
     grid: UniformGrid
     rule: AdmissibilityRule
-    root: BlockNode
-    leaves: list  # BlockNode leaves in depth-first order
+    leaves: list  # BlockNode leaves, level by level
 
 
 def build_block_cluster_tree(
     tree: ClusterTree, rule: AdmissibilityRule
 ) -> BlockClusterTree:
-    """Classify index-box pairs starting from (root, root): admissible pairs
-    become compressible leaves, leaf pairs become dense leaves, the rest
-    recurse over all children pairs."""
-    grid = tree.grid
-    leaves: list[BlockNode] = []
-    # each node meets many partners; compute its domain once
-    domains: dict[int, DomainBox] = {}
-
-    def domain(node: ClusterNode) -> DomainBox:
-        if id(node) not in domains:
-            domains[id(node)] = domain_of(grid, node.box)
-        return domains[id(node)]
-
-    def make(tau: ClusterNode, sigma: ClusterNode, level: int) -> BlockNode:
-        if is_admissible(rule, domain(tau), domain(sigma)):
-            node = BlockNode(tau, sigma, ADMISSIBLE, level, leaf_id=len(leaves))
-            leaves.append(node)
-            return node
-        if tau.is_leaf or sigma.is_leaf:
-            # the balanced tree refines both sides in lock-step
-            assert tau.is_leaf and sigma.is_leaf
-            node = BlockNode(tau, sigma, INADMISSIBLE, level, leaf_id=len(leaves))
-            leaves.append(node)
-            return node
-        node = BlockNode(tau, sigma, INTERNAL, level)
-        for schild in sigma.children:
-            for tchild in tau.children:
-                node.children.append(make(tchild, schild, level + 1))
-        return node
-
-    root = make(tree.root, tree.root, 0)
-    return BlockClusterTree(grid=grid, rule=rule, root=root, leaves=leaves)
+    """The block cluster tree of `tree` under `rule`, given by its leaves:
+    the pairs of :func:`_leaf_lattice`, in its order, each holding the
+    tree's own target (tau) and source (sigma) nodes."""
+    nodes, stack = {}, [tree.root]
+    while stack:
+        node = stack.pop()
+        side = node.box.sizes[0]
+        nodes[node.level, tuple(lo // side for lo, _ in node.box.ranges)] = node
+        stack.extend(node.children)
+    lattice = _leaf_lattice(tree.grid, tree.leaf_side, rule)
+    leaves = [
+        BlockNode(nodes[level, tuple(tau)], nodes[level, tuple(sigma)],
+                  ADMISSIBLE if admissible else INADMISSIBLE, level, leaf_id)
+        for leaf_id, (level, admissible, tau, sigma) in enumerate(zip(
+            *(column.tolist() for column in lattice[:4])))
+    ]
+    return BlockClusterTree(grid=tree.grid, rule=rule, leaves=leaves)
 
 
 class _Leaves(NamedTuple):
-    """Block cluster tree leaves, one entry per leaf in the tree's
-    depth-first leaf order: the level, whether the leaf is admissible, the
-    target (tau) and source (sigma) box coordinates, (leaves, d) on the
-    level's box lattice, and an id numbering the distinct (level,
-    source-minus-target offset) pairs."""
+    """Block cluster tree leaves, level by level, one entry per leaf: the
+    level, whether the leaf is admissible, the target (tau) and source
+    (sigma) box coordinates, (leaves, d) on the level's box lattice, and an
+    id numbering the distinct (level, source-minus-target offset) pairs."""
 
     level: np.ndarray
     admissible: np.ndarray
@@ -337,25 +323,22 @@ def _lattice_box(coords, side: int) -> IndexBox:
 def _leaf_lattice(
     grid: UniformGrid, leaf_side_max: int, rule: AdmissibilityRule
 ) -> _Leaves:
-    """The leaves of ``build_block_cluster_tree(build_cluster_tree(grid,
-    leaf_side_max), rule)``, without building either tree.
+    """The leaves of the block cluster tree of the grid's cluster tree, as
+    integer arrays, without building either tree.
 
     Level by level, the candidate pairs are the children (2t + a, 2s + b) of
-    the previous level's inadmissible pairs (t, s).  :func:`is_admissible`
-    runs once per distinct offset s - t of a level, on its first pair; the
-    admissible pairs are leaves, and so are all pairs of the last level.
-    Each pair carries its path from the root, one 2d-bit child index per
-    level (sigma's child outer, tau's inner, in :func:`build_cluster_tree`'s
-    child order, as the block tree recurses); padded to the depth, the paths
-    sort the leaves depth first."""
+    the previous level's inadmissible pairs (t, s), sigma's child outer and
+    tau's inner, in :func:`build_cluster_tree`'s child order.  So within a
+    level the pairs come in the depth-first order in which a recursion from
+    (root, root) would visit them.
+    :func:`is_admissible` runs once per distinct offset s - t of a level, on
+    its first pair; the admissible pairs are leaves, and so are all pairs of
+    the last level."""
     d = grid.d
     depth = int(grid.n // _leaf_side(grid.n, leaf_side_max)).bit_length() - 1
-    if 2 * d * depth > 62:
-        raise ValueError("cluster tree too deep for int64 leaf paths")
     children = np.array(list(np.ndindex(*(2,) * d)))
     k = len(children)
     tau = sigma = np.zeros((1, d), dtype=np.int64)
-    path = np.zeros(1, dtype=np.int64)
     found, ids = [], 0
     for level in range(depth + 1):
         side, boxes = grid.n >> level, 1 << level
@@ -368,17 +351,12 @@ def _leaf_lattice(
             for i in first
         ], dtype=bool)[inverse]
         leaf = admissible | (level == depth)
-        shift = 2 * d * (depth - level)
         found.append((np.full(leaf.sum(), level), admissible[leaf], tau[leaf],
-                      sigma[leaf], path[leaf] << shift, ids + inverse[leaf]))
+                      sigma[leaf], ids + inverse[leaf]))
         ids += len(first)
-        tau, sigma, path = tau[~leaf], sigma[~leaf], path[~leaf]
-        shape = (len(path), k, k, d)
+        tau, sigma = tau[~leaf], sigma[~leaf]
+        shape = (len(tau), k, k, d)
         tau = np.broadcast_to(2 * tau[:, None, None] + children, shape).reshape(-1, d)
         sigma = np.broadcast_to(
             2 * sigma[:, None, None] + children[:, None], shape).reshape(-1, d)
-        path = (path[:, None] * (k * k) + np.arange(k * k)).reshape(-1)
-    level, admissible, tau, sigma, path, offset_id = map(np.concatenate, zip(*found))
-    order = np.argsort(path)
-    return _Leaves(level[order], admissible[order], tau[order], sigma[order],
-                   offset_id[order])
+    return _Leaves(*map(np.concatenate, zip(*found)))

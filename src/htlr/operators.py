@@ -139,31 +139,26 @@ class HTLRMatrix:
     @property
     def block_tree(self) -> BlockClusterTree:
         """The block cluster tree whose leaves the classes cover, built on
-        each call by the public tree builders; the operator does not hold
-        it."""
+        each call; the operator does not hold it."""
         tree = build_cluster_tree(self.grid, self.config.leaf_side)
         return build_block_cluster_tree(tree, self.config.rule)
 
     @property
     def payloads(self) -> list:
-        """Each leaf's payload, indexed by the ``leaf_id`` of
-        :attr:`block_tree`'s leaves: the shared, read-only payload of the
-        leaf's class.  A new list on each call."""
-        d, payload_at = self.grid.d, {}
+        """Each leaf's payload, aligned with :attr:`block_tree`'s leaves:
+        the shared, read-only payload of the leaf's class.  A new list on
+        each call."""
+        grid, payload_at = self.grid, {}
         for group in self.groups:
-            boxes = np.arange((self.grid.n // group.side) ** d)
+            boxes = np.arange((grid.n // group.side) ** grid.d)
             for cls in group.classes:
                 targets, sources = boxes[cls.targets].tolist(), boxes[cls.sources].tolist()
                 for t, s in zip(targets, sources):
                     payload_at[group.side, t, s] = cls.payload
-
-        def index(box):
-            side = box.sizes[0]
-            return sum((lo // side) * (self.grid.n // side) ** dim
-                       for dim, (lo, _) in enumerate(box.ranges))
-
-        return [payload_at[leaf.tau.box.sizes[0], index(leaf.tau.box), index(leaf.sigma.box)]
-                for leaf in self.block_tree.leaves]
+        leaves = _leaf_lattice(grid, self.config.leaf_side, self.config.rule)
+        keys = zip((grid.n >> leaves.level).tolist(),
+                   *(ids.tolist() for ids in _box_ids(leaves, grid.d)))
+        return [payload_at[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -190,13 +185,14 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
     # Leaves with one key have equal payloads: for a translation-invariant
     # kernel the level and the source-minus-target offset (which fix the
     # kind and both box sizes); otherwise the leaf alone.  Each class is
-    # built from its first leaf in depth-first order, and the classes keep
-    # that order, which fixes the order of the matvec's sums.
+    # built from its first leaf, and the classes keep the leaves' order,
+    # depth first within a level, which fixes the order of each group's sum.
     keys = (leaves.offset_id if cfg.kernel.translation_invariant
             else np.arange(len(leaves.level)))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     members = np.split(np.argsort(inverse, kind="stable"),
                        np.cumsum(np.bincount(inverse))[:-1])
+    box_targets, box_sources = _box_ids(leaves, grid.d)
     groups = {}
     for c in np.argsort(first):
         leaf, level = first[c], int(leaves.level[first[c]])
@@ -207,15 +203,16 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
             payload = admissible_builder(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
             payload = build_dense(cfg.kernel, grid, tau, sigma, grid.h, cfg.quadrature)
+        if not np.isfinite(payload.core_matrix).all():
+            raise ValueError(
+                f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
+            )
         factors = _factors(payload.u_factors)
         key = (side, tuple(map(id, factors)))
         group = groups.setdefault(key, FactorGroup(side, factors, []))
-        # linear box indices, first index fastest, in target order, so that
-        # a class mapping every box of its level onto itself indexes with
-        # full slices, which gather and add in place
-        strides = (1 << level) ** np.arange(grid.d)
-        targets = leaves.tau[members[c]] @ strides
-        sources = leaves.sigma[members[c]] @ strides
+        # in target order, so that a class mapping every box of its level
+        # onto itself indexes with full slices, which gather and add in place
+        targets, sources = box_targets[members[c]], box_sources[members[c]]
         order = np.argsort(targets)
         count = (1 << level) ** grid.d
         group.classes.append(TranslationClass(
@@ -239,16 +236,26 @@ def _chains(groups, grid: UniformGrid, rank: int) -> list:
     the chain of the factored group on boxes of half its side: the factors
     of every side come from one box factor per (grid, side, rank), and those
     nest, so its maps become the per-dimension transfers from its children.
-    Each group without factors is a chain of its own."""
+    Each group without factors is a chain of its own; those come first,
+    finest side first too, so that the order of the matvec's sums does not
+    depend on the order of the leaves."""
+    groups = sorted(groups, key=lambda g: g.side)
     chains = [(group,) for group in groups if not group.maps]
     nested = []
-    for group in sorted((g for g in groups if g.maps), key=lambda g: g.side):
+    for group in (g for g in groups if g.maps):
         if nested and nested[-1][-1].side * 2 == group.side:
             maps = (transfer(grid, group.side // 2, rank),) * grid.d
             nested[-1].append(replace(group, maps=maps))
         else:
             nested.append([group])
     return chains + [tuple(chain) for chain in nested]
+
+
+def _box_ids(leaves, d: int) -> tuple:
+    """The linear indices, first index fastest, of every leaf's target and
+    source boxes among the boxes of its level."""
+    strides = (1 << leaves.level)[:, None] ** np.arange(d)
+    return (leaves.tau * strides).sum(axis=1), (leaves.sigma * strides).sum(axis=1)
 
 
 def _box_indices(boxes: np.ndarray, count: int):

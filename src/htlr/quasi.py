@@ -34,7 +34,12 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        triangles = np.asarray(self.triangles)
+        if not np.issubdtype(triangles.dtype, np.integer):
+            raise ValueError(
+                f"triangle vertex indices must be integers, got {triangles.dtype}"
+            )
+        self.triangles = np.asarray(triangles, dtype=np.int64)
         if self.vertices.shape[1:] != (2,) or self.triangles.shape[1:] != (3,):
             raise ValueError("mesh needs (V, 2) vertices and (F, 3) triangles")
         if not np.isfinite(self.vertices).all():

@@ -126,3 +126,45 @@ def monte_carlo_overlap(tri, cell, samples=10**6, seed=0):
     pos = (d1 > 0) & (d2 > 0) & (d3 > 0)
     inside = neg | pos
     return inside.mean() * (x1 - x0) * (y1 - y0)
+
+
+def _halves(box):
+    """The 2^d children of an index box (a tuple of (lo, hi) ranges), every
+    range split at its midpoint, last dimension fastest."""
+    halves = [((lo, (lo + hi) // 2), ((lo + hi) // 2, hi)) for lo, hi in box]
+    return [tuple(halves[dim][c] for dim, c in enumerate(combo))
+            for combo in np.ndindex(*(2,) * len(box))]
+
+
+def _admissible(rule, tau, sigma):
+    """The admissibility rule on index boxes, in units of the grid step:
+    weak, no shared volume; strong, the larger squared diameter at most
+    eta^2 times the squared distance, with the same relative slack."""
+    if rule.kind == "weak":
+        return any(min(t1, s1) <= max(t0, s0) for (t0, t1), (s0, s1) in zip(tau, sigma))
+    diam_sq = max(sum((hi - lo) ** 2 for lo, hi in box) for box in (tau, sigma))
+    dist_sq = sum(max(s0 - t1, t0 - s1, 0) ** 2 for (t0, t1), (s0, s1) in zip(tau, sigma))
+    return diam_sq <= rule.eta * rule.eta * dist_sq * (1.0 + 1e-12)
+
+
+def recursive_block_pairs(d, n, leaf_side, rule):
+    """Every (tau, sigma) pair the recursive construction of the block
+    cluster tree visits, depth first from (root, root), as (level, kind, tau
+    ranges, sigma ranges); kind is "admissible" or "inadmissible" for a leaf
+    and "internal" otherwise.  An admissible pair is a leaf, so is a pair of
+    cluster leaves (boxes of side at most `leaf_side`), and every other pair
+    recurses over its children pairs, sigma's child outer."""
+
+    def visit(tau, sigma, level):
+        if _admissible(rule, tau, sigma):
+            yield level, "admissible", tau, sigma
+        elif max(hi - lo for lo, hi in tau + sigma) <= leaf_side:
+            yield level, "inadmissible", tau, sigma
+        else:
+            yield level, "internal", tau, sigma
+            for s in _halves(sigma):
+                for t in _halves(tau):
+                    yield from visit(t, s, level + 1)
+
+    root = ((0, n),) * d
+    yield from visit(root, root, 0)

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from htlr import (
 )
 from htlr import grids
 from htlr.grids import ADMISSIBLE, INADMISSIBLE, _leaf_lattice
+from oracle_utils import recursive_block_pairs
 
 
 def leaf_boxes(tree):
@@ -31,6 +34,18 @@ class TestUniformGrid:
 
     def test_numpy_integer_side_accepted(self):
         assert UniformGrid(2, np.int64(16)).num_points == 256
+
+
+class TestIndexBox:
+    @pytest.mark.parametrize("ranges", [
+        ((0.5, 4.5), (0, 4)), ((0, 4), (0, 4.0)), ((0, True), (0, 4)),
+    ])
+    def test_non_integer_bound_rejected(self, ranges):
+        with pytest.raises(ValueError, match="index box bound must be an integer"):
+            IndexBox(ranges)
+
+    def test_numpy_integer_bounds_accepted(self):
+        assert IndexBox(((np.int64(0), np.int64(4)), (0, 4))).sizes == (4, 4)
 
 
 class TestClusterTree:
@@ -204,16 +219,33 @@ class TestBlockClusterTree:
 
     def test_weak_admissibility_iff_distinct_at_equal_level(self):
         btree = build_block_cluster_tree(self.tree, AdmissibilityRule.weak())
+        for leaf in btree.leaves:
+            assert (leaf.kind == ADMISSIBLE) == (leaf.tau.box != leaf.sigma.box)
+        pairs = list(recursive_block_pairs(2, 16, 4, AdmissibilityRule.weak()))
+        assert collections.Counter(
+            (leaf.kind, leaf.tau.box.ranges, leaf.sigma.box.ranges) for leaf in btree.leaves
+        ) == collections.Counter(
+            (kind, tau, sigma) for _, kind, tau, sigma in pairs if kind != "internal"
+        )
+        # the recursion refines only pairs of equal boxes
+        assert all(tau == sigma for _, kind, tau, sigma in pairs if kind == "internal")
 
-        def walk(node):
-            if node.kind == ADMISSIBLE:
-                assert node.tau.box != node.sigma.box
-            elif node.kind == INADMISSIBLE:
-                assert node.tau.box == node.sigma.box
-            for c in node.children:
-                walk(c)
-
-        walk(btree.root)
+    @pytest.mark.parametrize("rule", [
+        AdmissibilityRule.weak(), AdmissibilityRule.strong(np.sqrt(2.0)),
+    ], ids=["weak", "strong"])
+    def test_leaves_hold_the_cluster_tree_nodes(self, rule):
+        nodes, stack = set(), [self.tree.root]
+        while stack:
+            node = stack.pop()
+            nodes.add(id(node))
+            stack.extend(node.children)
+        btree = build_block_cluster_tree(self.tree, rule)
+        for i, leaf in enumerate(btree.leaves):
+            assert leaf.leaf_id == i
+            assert {id(leaf.tau), id(leaf.sigma)} <= nodes
+            assert leaf.tau.level == leaf.sigma.level == leaf.level
+            if leaf.kind == INADMISSIBLE:
+                assert leaf.tau.is_leaf and leaf.sigma.is_leaf
 
     def test_weak_rule_exhaustive_over_equal_levels(self):
         # all node pairs at equal depth: admissible exactly when distinct
@@ -237,10 +269,11 @@ class TestBlockClusterTree:
                     assert adm == (a.box != b.box)
 
 
-def tree_leaves(grid, leaf_side, rule):
-    btree = build_block_cluster_tree(build_cluster_tree(grid, leaf_side), rule)
-    return [(leaf.kind, leaf.tau.box.ranges, leaf.sigma.box.ranges)
-            for leaf in btree.leaves]
+def oracle_leaves(grid, leaf_side, rule):
+    """(level, kind, tau ranges, sigma ranges) of the recursion's leaves, in
+    its depth-first order."""
+    return [pair for pair in recursive_block_pairs(grid.d, grid.n, leaf_side, rule)
+            if pair[1] != "internal"]
 
 
 def lattice_leaves(grid, leaf_side, rule):
@@ -249,6 +282,7 @@ def lattice_leaves(grid, leaf_side, rule):
     for level, admissible, tau, sigma in zip(*leaves[:4]):
         side = grid.n >> int(level)
         out.append((
+            int(level),
             ADMISSIBLE if admissible else INADMISSIBLE,
             tuple((int(c) * side, (int(c) + 1) * side) for c in tau),
             tuple((int(c) * side, (int(c) + 1) * side) for c in sigma),
@@ -257,8 +291,9 @@ def lattice_leaves(grid, leaf_side, rule):
 
 
 class TestLeafLattice:
-    """The lattice enumeration gives the block tree's leaves, in its
-    depth-first leaf order."""
+    """The lattice enumeration gives the leaves of the recursive block tree
+    construction, level by level, and within a level in the recursion's
+    depth-first order."""
 
     CASES = {
         "2d-weak": (UniformGrid(2, 32), 4, AdmissibilityRule.weak()),
@@ -275,26 +310,25 @@ class TestLeafLattice:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_block_tree_leaves(self, case):
         grid, leaf_side, rule = self.CASES[case]
-        expected = tree_leaves(grid, leaf_side, rule)
-        assert lattice_leaves(grid, leaf_side, rule) == expected
+        expected = oracle_leaves(grid, leaf_side, rule)
+        got = lattice_leaves(grid, leaf_side, rule)
+        assert collections.Counter(got) == collections.Counter(expected)
+        levels = [level for level, _, _, _ in got]
+        assert levels == sorted(levels)
+        for level in set(levels):
+            assert ([leaf for leaf in got if leaf[0] == level]
+                    == [leaf for leaf in expected if leaf[0] == level])
         if case.startswith("2d-strong"):
-            kinds = {kind for kind, _, _ in expected}
+            kinds = {kind for _, kind, _, _ in expected}
             assert kinds == {ADMISSIBLE, INADMISSIBLE}
 
     @pytest.mark.parametrize("case", ["2d-strong-sqrt2", "3d-weak"])
     def test_admissibility_once_per_level_and_offset(self, case, monkeypatch):
         grid, leaf_side, rule = self.CASES[case]
-        btree = build_block_cluster_tree(build_cluster_tree(grid, leaf_side), rule)
-        offsets = set()
-
-        def collect(node):
-            offsets.add((node.level, tuple(
-                s - t for (s, _), (t, _) in zip(node.sigma.box.ranges, node.tau.box.ranges)
-            )))
-            for child in node.children:
-                collect(child)
-
-        collect(btree.root)
+        offsets = {
+            (level, tuple(s - t for (s, _), (t, _) in zip(sigma, tau)))
+            for level, _, tau, sigma in recursive_block_pairs(grid.d, grid.n, leaf_side, rule)
+        }
         calls = []
         original = grids.is_admissible
 
@@ -305,8 +339,3 @@ class TestLeafLattice:
         monkeypatch.setattr(grids, "is_admissible", counting)
         _leaf_lattice(grid, leaf_side, rule)
         assert len(calls) == len(offsets)
-
-    def test_paths_too_deep_for_int64_rejected(self):
-        # 3D depth 11: 66 bits of path; rejected before any pair is made
-        with pytest.raises(ValueError, match="too deep"):
-            _leaf_lattice(UniformGrid(3, 2048), 1, AdmissibilityRule.weak())

@@ -32,6 +32,7 @@ from htlr import (
 from htlr.blocks import DenseBlock
 from htlr.grids import ADMISSIBLE, INADMISSIBLE
 from htlr.operators import DegenerateErrorEstimate
+from oracle_utils import recursive_block_pairs
 
 
 def zero_kernel():
@@ -400,8 +401,8 @@ def class_leaves(op):
 @pytest.mark.filterwarnings("ignore:leaf side 7 outside")
 class TestLatticeBuild:
     """The build enumerates the leaves on the box lattice: its classes cover
-    the block tree's leaves, it builds neither tree, and its counts are the
-    per-leaf ones."""
+    the leaves of the recursive block tree construction, it builds neither
+    tree, and its counts are the per-leaf ones."""
 
     @pytest.mark.parametrize("case", sorted(TestClassSharing.MATVEC_CASES))
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
@@ -409,8 +410,8 @@ class TestLatticeBuild:
     def test_classes_cover_the_tree_leaves(self, case, build):
         grid, cfg = TestClassSharing.MATVEC_CASES[case]
         op = build(cfg, grid)
-        tree = [(leaf.kind, leaf.tau.box.ranges, leaf.sigma.box.ranges)
-                for leaf in op.block_tree.leaves]
+        tree = [(kind, tau, sigma) for _, kind, tau, sigma in recursive_block_pairs(
+            grid.d, grid.n, cfg.leaf_side, cfg.rule) if kind != "internal"]
         assert collections.Counter(class_leaves(op)) == collections.Counter(tree)
 
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
@@ -582,6 +583,35 @@ class TestMatvec:
                 block.matrix @ u[cols],
                 dense.matrix[np.ix_(rows, cols)] @ u[cols],
             )
+
+
+class TestNonFinitePayloads:
+    """A payload with NaN or infinite entries is rejected where it is built,
+    instead of spreading NaN through every matvec."""
+
+    @staticmethod
+    def cfg(kernel):
+        return BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.weak(),
+                           kernel=kernel, coeff=CoefficientFn.constant(0.0))
+
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_nan_kernel_rejected(self, build):
+        kernel = custom(lambda x, y: np.full(np.broadcast(x, y).shape[:-1], np.nan))
+        with pytest.raises(ValueError, match="not finite"):
+            build(self.cfg(kernel), UniformGrid(2, 16))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_singular_custom_kernel_builds(self, build):
+        # infinite at x = y, where the diagonal quadrature replaces it
+        kernel = custom(lambda x, y: 1.0 / np.linalg.norm(x - y, axis=-1),
+                        smooth_at_diagonal=False)
+        grid = UniformGrid(2, 16)
+        op = build(self.cfg(kernel), grid)
+        u = np.random.default_rng(52).standard_normal(grid.num_points)
+        assert np.isfinite(matvec(op, u)).all()
 
 
 class TestHMatrixBaseline:

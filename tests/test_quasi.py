@@ -177,6 +177,13 @@ class TestTriMesh:
         with pytest.raises(ValueError, match=r"\(V, 2\) vertices"):
             TriMesh(vertices=verts, triangles=tris)
 
+    def test_non_integer_index_rejected(self):
+        mesh = structured_trimesh(2)
+        tris = mesh.triangles.astype(float)
+        tris[0, 0] = 0.7  # would truncate to vertex 0
+        with pytest.raises(ValueError, match="must be integers"):
+            TriMesh(vertices=mesh.vertices, triangles=tris)
+
     def test_coverage_deficit_rejected(self):
         verts = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
         with pytest.raises(ValueError):
