@@ -255,19 +255,17 @@ def build_dense(
     h: float,
     cfg: QuadratureConfig,
 ) -> DenseBlock:
-    """Dense kernel submatrix K_ij h^d over the box pair.
+    """Dense kernel submatrix K_ij h^d over the box pair: equal boxes, or
+    boxes whose domains overlap in no volume (the test of :func:`build_tlr`),
+    both inside the grid.
 
     The coefficient a(x) is not part of the block: the hierarchical
     operators hold it as their diagonal, so dense payloads depend on the
     kernel alone.
     """
-    if tau != sigma:
-        overlaps = all(
-            max(lo1, lo2) < min(hi1, hi2)
-            for (lo1, hi1), (lo2, hi2) in zip(tau.ranges, sigma.ranges)
-        )
-        if overlaps:
-            raise ValueError("dense blocks require equal or disjoint index boxes")
+    overlap = domain_of(grid, tau).overlap_volume(domain_of(grid, sigma))
+    if tau != sigma and overlap > 0.0:
+        raise ValueError("dense blocks require equal or disjoint index boxes")
     xpts = grid.points(tau)
     if tau == sigma:
         idx = np.arange(len(xpts))

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .grids import _check_int
+
 
 @dataclass(frozen=True)
 class ChebGrid1D:
@@ -29,8 +31,9 @@ class ChebGrid1D:
 
 
 def cheb_points(lo: float, hi: float, order: int) -> ChebGrid1D:
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval needs finite ends lo < hi, got [{lo}, {hi}]")
+    _check_int("order", order)
     if order < 1:
         raise ValueError("order must be >= 1")
     t = np.arange(1, order + 1)
@@ -88,8 +91,6 @@ def core_tensor(kernel, grids_tau: Sequence[ChebGrid1D], grids_sigma: Sequence[C
 def lebesgue_constant(order: int, samples: int = 20001) -> float:
     """Sampled Lebesgue constant: max over [-1,1] of the summed absolute
     Lagrange basis values."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     grid = cheb_points(-1.0, 1.0, order)
     xs = np.linspace(-1.0, 1.0, samples)
     total = np.abs(factor_matrix(xs, grid)).sum(axis=1)

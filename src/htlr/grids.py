@@ -97,15 +97,10 @@ class IndexBox:
 
     def linear_indices(self, n: int) -> np.ndarray:
         """Global linear ids (first index fastest) of the box points on an
-        n-per-side grid."""
+        n-per-side grid; a box beyond the grid is rejected."""
         axes = [np.arange(lo, hi) for lo, hi in self.ranges]
         mesh = np.meshgrid(*axes, indexing="ij")
-        lin = np.zeros_like(mesh[0])
-        stride = 1
-        for m in mesh:
-            lin = lin + m * stride
-            stride *= n
-        return lin.ravel(order="F")
+        return np.ravel_multi_index(mesh, (n,) * self.d, order="F").ravel(order="F")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ GAUSSIAN = "gaussian"
 SLP2D = "slp2d"
 SLP3D = "slp3d"
 CUSTOM = "custom"
+#: smooth_at_diagonal of each kind as its factory sets it (custom: any)
+_SMOOTH_AT_DIAGONAL = {GAUSSIAN: True, SLP2D: False, SLP3D: False, CUSTOM: None}
 
 #: exponent of the radial grading inside the Duffy map; cubic grading
 #: resolves the log singularity to ~1e-10 relative at q = 10 (the 1/r
@@ -49,6 +51,11 @@ class KernelSpec:
         return self.kind != CUSTOM
 
     def __post_init__(self):
+        if self.kind not in _SMOOTH_AT_DIAGONAL:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        smooth = _SMOOTH_AT_DIAGONAL[self.kind]
+        if smooth not in (None, self.smooth_at_diagonal):
+            raise ValueError(f"{self.kind} kernel needs smooth_at_diagonal={smooth}")
         if self.kind == GAUSSIAN and not 0 < (self.sigma or 0) < np.inf:
             raise ValueError("gaussian kernel needs a finite sigma > 0")
         if self.kind == CUSTOM and self.evaluator is None:
@@ -254,8 +261,8 @@ def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) 
     Translation-invariant kernels are integrated around the origin so the
     result is bit-identical for every cell.
     """
-    if h <= 0:
-        raise ValueError("cell width must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"cell width must be finite and positive, got {h!r}")
     center = np.asarray(cell_center, dtype=np.float64)
     if k.translation_invariant:
         center = np.zeros_like(center)

@@ -4,7 +4,9 @@ A vector sampled on triangle centroids is moved to an auxiliary uniform
 grid by the area-overlap matrix S, multiplied by the hierarchical operator
 there, and moved back by the reverse-overlap matrix T.  Both transfer
 matrices are sparse and row-stochastic whenever the mesh covers the unit
-square.
+square.  Every overlap, in S and T and in :func:`overlap_area`, is cut the
+same way: the triangle's part in the cell's column strip, and the areas of
+that part below the cell's lower and upper lines.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import UniformGrid, _leaf_side
+from .grids import UniformGrid, _check_int, _leaf_side
 from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
@@ -106,44 +108,16 @@ def structured_trimesh(cells_per_side: int) -> TriMesh:
     """Split every cell of a k-by-k grid over [0,1]^2 into two triangles
     along its top-left to bottom-right diagonal."""
     k = cells_per_side
+    _check_int("cells_per_side", k)
     if k < 1:
         raise ValueError("cells_per_side must be >= 1")
     xs = np.arange(k + 1) / k
-    vid = lambda i, j: i + j * (k + 1)
-    verts = np.array([[xs[i], xs[j]] for j in range(k + 1) for i in range(k + 1)])
-    tris = []
-    for j in range(k):
-        for i in range(k):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, d))
-            tris.append((b, c, d))
-    return TriMesh(vertices=verts, triangles=np.array(tris))
-
-
-def _clip_below(u, v, line):
-    """Closed polygons (n + 1, K), one per column with the first vertex
-    repeated last, with vertex coordinates u, v, cut to u <= line (K,) by
-    one Sutherland-Hodgman pass with a fixed vertex count 2n + 1: before
-    each vertex comes the point where the edge into it crosses the line, or
-    one of the edge's ends if it does not cross; every vertex is then
-    clamped onto the line.  The part beyond the line becomes a path along
-    it, which encloses no area.  Swap u and v to cut along the other axis."""
-    pu, pv = u[:-1], v[:-1]
-    du, dv = u[1:] - pu, v[1:] - pv
-    # an edge parallel to the line does not cross it: any of its points will do
-    t = ((line - pu) / np.where(du == 0.0, 1.0, du)).clip(0.0, 1.0)
-    cu = np.empty((2 * len(u) - 1, u.shape[1]))
-    cv = np.empty_like(cu)
-    cu[0::2], cu[1::2] = u, pu + t * du
-    cv[0::2], cv[1::2] = v, pv + t * dv
-    np.minimum(cu, line, out=cu)
-    return cu, cv
-
-
-def _area(u, v):
-    """Shoelace areas of closed polygons given as in _clip_below."""
-    return 0.5 * np.abs((u[:-1] * v[1:] - u[1:] * v[:-1]).sum(axis=0))
+    # vertex i + j (k + 1) at (xs[i], xs[j]); a is cell (i, j)'s lower left
+    verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    a = (np.arange(k) + (k + 1) * np.arange(k)[:, None]).ravel()
+    b, c, d = a + 1, a + k + 2, a + k + 1
+    tris = np.stack([a, b, d, b, c, d], axis=1).reshape(-1, 3)
+    return TriMesh(vertices=verts, triangles=tris)
 
 
 def _strip_edges(x, y, width):
@@ -182,8 +156,8 @@ def _area_below(xa, ya, xb, yb, line):
 
 def overlap_area(tri, cell) -> float:
     """Area of the intersection of a triangle (3, 2) with an axis-aligned
-    rectangle (x0, y0, x1, y1): the triangle cut by each side of the
-    rectangle in turn, and the shoelace formula."""
+    rectangle (x0, y0, x1, y1), relative to (x0, y0): the triangle's strip
+    x0 <= x <= x1 and its areas below y1 and y0, as in _overlap_entries."""
     tri = np.asarray(tri, dtype=np.float64)
     cell = np.asarray(cell, dtype=np.float64)
     if tri.shape != (3, 2) or cell.shape != (4,):
@@ -195,13 +169,11 @@ def overlap_area(tri, cell) -> float:
     x0, y0, x1, y1 = cell
     if not (x0 < x1 and y0 < y1):
         raise ValueError("overlap_area needs a cell with x0 < x1 and y0 < y1")
-    # relative to (x0, y0); a side x >= 0 is the cut -x <= 0
-    u, v = tri[[0, 1, 2, 0], :1] - x0, tri[[0, 1, 2, 0], 1:] - y0
-    u, v = _clip_below(u, v, x1 - x0)
-    v, u = _clip_below(v, u, y1 - y0)
-    u, v = _clip_below(-u, v, 0.0)
-    v, u = _clip_below(-v, u, 0.0)
-    return float(_area(u, v)[0])
+    closed = tri[[0, 1, 2, 0]]
+    edges = _strip_edges(closed[:, :1] - x0, closed[:, 1:] - y0, x1 - x0)
+    upper, lower = (float(_area_below(*edges, line)[0]) for line in (y1 - y0, 0.0))
+    # a strip that misses the cell can differ by a rounding error below 0
+    return max(0.0, upper - lower)
 
 
 @dataclass
@@ -243,7 +215,8 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     cut.  Strips are cut about _CHUNK cells of their bounding boxes at a
     time, which bounds the scratch arrays whatever the mesh size.
     """
-    if not isinstance(m_side, (int, np.integer)) or m_side < 1:
+    _check_int("m_side", m_side)
+    if m_side < 1:
         raise ValueError(f"m_side must be a positive integer, got {m_side!r}")
     h = 1.0 / m_side
     corners = mesh.vertices[mesh.triangles]  # (F, 3, 2)

@@ -198,6 +198,16 @@ class TestBuildDense:
         assert expected.sum() == 192
         assert np.array_equal(np.isnan(block.matrix), expected)
 
+    @pytest.mark.parametrize("tau", [((8, 12), (0, 4)), ((0, 4), (0, 4))],
+                             ids=["self", "pair"])
+    def test_box_beyond_the_grid_rejected(self, tau):
+        # built a block of points outside the grid, as build_tlr does not
+        grid = UniformGrid(2, 8)
+        sigma = IndexBox(((8, 12), (0, 4)))
+        with pytest.raises(ValueError, match="exceeds the grid"):
+            build_dense(constant_kernel(1.0), grid, IndexBox(tau), sigma,
+                        grid.h, QuadratureConfig())
+
     def test_partially_overlapping_boxes_rejected(self):
         grid = UniformGrid(2, 8)
         a = IndexBox(((0, 4), (0, 4)))

@@ -42,6 +42,19 @@ class TestChebPoints:
         with pytest.raises(ValueError):
             cheb_points(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, True])
+    def test_non_integer_order_rejected(self, order):
+        # 2.5 gave 3 nodes at the angles of p = 2.5
+        with pytest.raises(ValueError, match="order must be an integer"):
+            cheb_points(0.0, 1.0, order)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0),
+                                        (np.nan, 1.0), (0.0, np.nan)])
+    def test_non_finite_end_rejected(self, lo, hi):
+        # an infinite end gave NaN nodes
+        with pytest.raises(ValueError, match="finite"):
+            cheb_points(lo, hi, 3)
+
 
 class TestLagrange:
     def test_cardinal_property(self):
@@ -159,6 +172,11 @@ class TestLebesgue:
 
     def test_order_two_is_sqrt2(self):
         assert abs(lebesgue_constant(2) - np.sqrt(2.0)) <= 1e-3
+
+    def test_non_integer_order_rejected(self):
+        # 2.5 returned 1.989, the constant of no Chebyshev grid
+        with pytest.raises(ValueError, match="order must be an integer"):
+            lebesgue_constant(2.5)
 
     def test_classical_log_estimate(self):
         for p in range(2, 33):

@@ -47,6 +47,11 @@ class TestIndexBox:
     def test_numpy_integer_bounds_accepted(self):
         assert IndexBox(((np.int64(0), np.int64(4)), (0, 4))).sizes == (4, 4)
 
+    def test_linear_indices_beyond_the_grid_rejected(self):
+        # x index 8 of an n = 8 grid gave the id of (0, y + 1)
+        with pytest.raises(ValueError):
+            IndexBox(((8, 12), (0, 4))).linear_indices(8)
+
 
 class TestClusterTree:
     def test_fig_configuration_16_leaves(self):

@@ -48,6 +48,31 @@ class TestEvaluate:
             by_name("slp2d", 3)
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize("kind", ["slp3D", "gauss", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # "slp3D" evaluated as the 3D single layer
+        with pytest.raises(ValueError, match="unknown kernel kind"):
+            KernelSpec(kind=kind, sigma=1.0)
+
+    @pytest.mark.parametrize("spec", [
+        dict(kind="slp2d"), dict(kind="slp3d"),
+        dict(kind="gaussian", sigma=1.0, smooth_at_diagonal=False),
+    ], ids=["slp2d", "slp3d", "gaussian"])
+    def test_builtin_smoothness_must_match_its_factory(self, spec):
+        # KernelSpec(kind="slp2d") integrated the log singularity with the
+        # smooth rule: 0.82955 for 0.83080 on the diagonal at h = 1/64
+        with pytest.raises(ValueError, match="smooth_at_diagonal"):
+            KernelSpec(**spec)
+
+    def test_factory_settings_accepted(self):
+        assert KernelSpec(kind="gaussian", sigma=1.0) == gaussian(1.0)
+        assert KernelSpec(kind="slp2d", smooth_at_diagonal=False) == slp_2d()
+        assert KernelSpec(kind="slp3d", smooth_at_diagonal=False) == slp_3d()
+        for smooth in (True, False):
+            assert custom(np.dot, smooth).smooth_at_diagonal == smooth
+
+
 class TestSymmetryInvariance:
     @pytest.mark.parametrize("kernel,d", [
         (gaussian(np.sqrt(2.0)), 2),
@@ -176,6 +201,12 @@ class TestDiagonalEntry:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             diagonal_entry(slp_2d(), (0.5, 0.5), 0.0, QuadratureConfig())
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_non_finite_width_rejected(self, h):
+        # both returned NaN
+        with pytest.raises(ValueError, match="finite"):
+            diagonal_entry(slp_2d(), (0.5, 0.5), h, QuadratureConfig())
 
 
 class TestCoefficientFn:

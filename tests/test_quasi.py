@@ -126,6 +126,12 @@ class TestTriMesh:
             assert len(mesh.vertices) == (k + 1) ** 2
             assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5])
+    def test_structured_side_not_integer_rejected(self, k):
+        # True built a 1x1 mesh; 2.0 raised a bare TypeError
+        with pytest.raises(ValueError, match="cells_per_side must be an integer"):
+            structured_trimesh(k)
+
     def test_k1_matches_two_triangle_example(self):
         mesh = structured_trimesh(1)
         cents = mesh.centroids[np.argsort(mesh.centroids[:, 0])]
@@ -258,6 +264,16 @@ class TestOverlapArea:
             got = overlap_area(tri, (x0, y0, x0 + w, y0 + h))
             assert abs(got - expected) <= 1e-15
 
+    def test_never_negative(self):
+        # a strip that misses the cell has equal areas below both lines up
+        # to rounding, which must not come out as a negative overlap
+        rng = np.random.default_rng(123)
+        for _ in range(2000):
+            tri = rng.random((3, 2)) * 1.4 - 0.2
+            x0, y0 = rng.random(2) * 0.8
+            w, h = rng.random(2) * 0.5 + 1e-3
+            assert overlap_area(tri, (x0, y0, x0 + w, y0 + h)) >= 0.0
+
     def test_clip_order_symmetry(self):
         # clipping the rectangle against the triangle's half-planes gives the
         # same area as clipping the triangle against the rectangle
@@ -356,7 +372,7 @@ class TestTransferMatrices:
         assert np.abs(s_mat.row_sums() - 1.0).max() <= 1e-12
         assert np.abs(t_mat.row_sums() - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("m_side", [0, -3, 2.5])
+    @pytest.mark.parametrize("m_side", [0, -3, 2.5, True])
     @pytest.mark.parametrize("build", [quasi_to_uniform, uniform_to_quasi])
     def test_side_not_positive_integer_rejected(self, build, m_side):
         with pytest.raises(ValueError, match="m_side"):
