@@ -47,9 +47,7 @@ def lagrange_eval(grid: ChebGrid1D, t: int, x: float) -> float:
         raise ValueError("node index out of range")
     if not grid.lo <= x <= grid.hi:
         raise ValueError("evaluation point outside the interval")
-    xi = grid.nodes
-    others = np.delete(np.arange(grid.order), t - 1)
-    return float(np.prod((x - xi[others]) / (xi[t - 1] - xi[others])))
+    return float(factor_matrix([x], grid)[0, t - 1])
 
 
 def factor_matrix(points: Sequence[float], grid: ChebGrid1D) -> np.ndarray:

@@ -153,6 +153,8 @@ class AdmissibilityRule:
             self.eta is not None and math.isfinite(self.eta) and self.eta > 0
         ):
             raise ValueError("strong admissibility needs a finite eta > 0")
+        if self.kind == "weak" and self.eta is not None:
+            raise ValueError("weak admissibility takes no eta")
 
     @staticmethod
     def weak() -> "AdmissibilityRule":

@@ -1,22 +1,23 @@
-"""Kernel functions, coefficient functions, and singular-cell quadrature.
+"""Kernel functions, coefficient functions, and singular self-term quadrature.
 
 Built-in kernels: the Gaussian exp(-|x-y|^2 / (2 sigma^2)), the 2D single
 layer potential -log(|x-y|)/(2 pi), and the 3D single layer potential
 1/(4 pi |x-y|).  Custom kernels supply a vectorized evaluator.
 
 The diagonal matrix entry of the Nystrom discretization is the cell average
-of k(x_i, .) over the cell centered at x_i.  For kernels with a diagonal
-singularity the cell is split into the 2^d subcells meeting at the center
-and each subcell is integrated with a Duffy-type map (radial direction along
-the largest coordinate, graded cubically toward the singularity) under a
-tensor Gauss-Legendre rule.  This module alone decides the self-cell
-entries and keeps coincident point pairs away from the kernel evaluator.
+of k(x_i, .) over the cell centered at x_i; on a triangle mesh, the triangle
+average of k(centroid, .).  This module owns both self terms and one Duffy
+rule for them: pieces with their apex at the singular point and their bases
+split at the feet of the perpendiculars from it, each under a tensor
+Gauss-Legendre rule graded toward the apex for singular kernels.  It alone
+decides the self entries and keeps coincident pairs from the kernel evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +61,10 @@ class KernelSpec:
             raise ValueError("gaussian kernel needs a finite sigma > 0")
         if self.kind == CUSTOM and self.evaluator is None:
             raise ValueError("custom kernel needs an evaluator")
+        if self.kind != CUSTOM and self.evaluator is not None:
+            raise ValueError(f"{self.kind} kernel takes no evaluator")
+        if self.sigma is not None and self.kind != GAUSSIAN:
+            raise ValueError(f"{self.kind} kernel takes no sigma")
 
 
 def gaussian(sigma: float) -> KernelSpec:
@@ -182,8 +187,8 @@ class CoefficientFn:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre order per direction; singular kernels get the
-    2^d-subcell Duffy treatment."""
+    """Gauss-Legendre order per direction, also per direction of each Duffy
+    piece of a singular self term."""
 
     q: int = 10
 
@@ -205,54 +210,70 @@ def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _tensor_rule(axes_nodes, axes_weights):
     mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    w = np.ones(mesh[0].shape)
-    for dim, wt in enumerate(axes_weights):
-        shape = [1] * len(axes_nodes)
-        shape[dim] = len(wt)
-        w = w * wt.reshape(shape)
-    return mesh, w
+    return mesh, reduce(np.multiply.outer, axes_weights)
 
 
 def _smooth_cell_average(k, center, h, q):
     d = len(center)
     gx, gw = _gauss01(q)
     axes = [center[dim] - h / 2 + h * gx for dim in range(d)]
-    wts = [h * gw] * d
-    mesh, w = _tensor_rule(axes, wts)
+    mesh, w = _tensor_rule(axes, [h * gw] * d)
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    x = np.broadcast_to(np.asarray(center, dtype=np.float64), pts.shape)
-    vals = _evaluate(k, x, pts)
+    vals = _evaluate(k, np.broadcast_to(center, pts.shape), pts)
     return float(np.sum(vals * w.ravel())) / h**d
 
 
-def _singular_cell_average(k, center, h, q):
-    """Duffy-mapped integration over the 2^d subcells meeting at the singular
-    cell center, radially graded by t -> t^RADIAL_GRADING."""
-    d = len(center)
-    s = h / 2.0
+def _duffy(k, apex, a, b, q, graded):
+    """Integral of k(apex_p, .) over each piece {apex_p + u (a_p + sum_j v_j
+    b_pj) : u, v_j in [0, 1]} for apex, a (P, d) and b (P, d-1, d), all in one
+    kernel call: Jacobian |det[a, b]| u^(d-1), u graded when `graded`."""
+    d = apex.shape[1]
     gx, gw = _gauss01(q)
-    m = RADIAL_GRADING
-    radial = gx**m
-    radial_w = m * gx ** (m - 1) * gw
-    total = 0.0
-    center = np.asarray(center, dtype=np.float64)
-    for signs in np.ndindex(*([2] * d)):
-        sign = np.array([1.0 if b else -1.0 for b in signs])
-        for axis in range(d):
-            # radial coordinate along `axis`, the rest scaled by it
-            nodes = [radial if dim == axis else gx for dim in range(d)]
-            weights = [radial_w if dim == axis else gw for dim in range(d)]
-            mesh, w = _tensor_rule(nodes, weights)
-            u = mesh[axis]
-            z = np.empty(u.shape + (d,))
-            for dim in range(d):
-                z[..., dim] = s * u if dim == axis else s * u * mesh[dim]
-            pts = center + sign * z
-            jac = s**d * u ** (d - 1)
-            x = np.broadcast_to(center, pts.reshape(-1, d).shape)
-            vals = _evaluate(k, x, pts.reshape(-1, d))
-            total += float(np.sum(vals * (jac * w).ravel()))
-    return total / h**d
+    m = RADIAL_GRADING if graded else 1
+    mesh, w = _tensor_rule([gx**m] + [gx] * (d - 1),
+                           [m * gx ** (m - 1) * gw] + [gw] * (d - 1))
+    u = mesh[0].ravel()
+    rays = a[:, None, :] + sum(v.ravel()[:, None] * b[:, None, j]
+                               for j, v in enumerate(mesh[1:]))
+    pts = apex[:, None, :] + u[:, None] * rays
+    vals = _evaluate(k, np.broadcast_to(apex[:, None, :], pts.shape), pts)
+    det = np.abs(np.linalg.det(np.concatenate([a[:, None, :], b], axis=1)))
+    return det * (vals @ (u ** (d - 1) * w.ravel()))
+
+
+def _singular_cell_average(k, center, h, q):
+    """The cell as 2^d d Duffy pieces with their apex at its center: each
+    face is split at its centre, the foot of the perpendicular from the
+    center, and each of the 2^(d-1) parts is the base of one piece."""
+    d = len(center)
+    # half[s, i] = sign_i h/2 e_i for the s-th sign pattern
+    signs = np.array(list(product((-1.0, 1.0), repeat=d)))
+    half = (h / 2) * signs[:, :, None] * np.eye(d)
+    a = half.reshape(-1, d)
+    others = [[j for j in range(d) if j != i] for i in range(d)]
+    b = half[:, others].reshape(len(a), d - 1, d)
+    apex = np.broadcast_to(np.asarray(center, dtype=np.float64), a.shape)
+    return float(np.sum(_duffy(k, apex, a, b, q, graded=True))) / h**d
+
+
+def triangle_entries(k: KernelSpec, corners, centers, areas,
+                     cfg: QuadratureConfig) -> np.ndarray:
+    """Average of k(center_t, .) over each triangle t, for corners (T, 3, 2),
+    centers (T, 2) and areas (T,).  Each edge is split at the foot of the
+    perpendicular from the center, clamped to the edge, and each half edge
+    is the base of one Duffy piece with its apex at the center; the pieces
+    are graded when the kernel is singular."""
+    start = np.asarray(corners, dtype=np.float64)
+    c = np.asarray(centers, dtype=np.float64)[:, None, :]
+    edge = np.roll(start, -1, axis=1) - start
+    t = np.sum((c - start) * edge, axis=-1) / np.sum(edge * edge, axis=-1)
+    foot = start + np.clip(t, 0.0, 1.0)[..., None] * edge
+    a = np.repeat(foot - c, 2, axis=1).reshape(-1, 2)
+    b = np.stack([start, start + edge], axis=2) - foot[:, :, None]
+    apex = np.repeat(c, 6, axis=1).reshape(-1, 2)
+    pieces = _duffy(k, apex, a, b.reshape(-1, 1, 2), cfg.q,
+                    graded=not k.smooth_at_diagonal)
+    return pieces.reshape(-1, 6).sum(axis=1) / np.asarray(areas, dtype=np.float64)
 
 
 def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) -> float:

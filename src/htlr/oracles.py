@@ -1,4 +1,5 @@
-"""Ground-truth machinery: dense assembly, exact row evaluation, truncated
+"""Ground-truth machinery: dense assembly, exact row evaluation on the grid
+and on triangle centroids (self terms from the kernels module), truncated
 SVD, sequentially truncated Tucker compression, and error measurement.
 
 Everything here favors obviousness over speed; these are the references the
@@ -14,14 +15,12 @@ import numpy as np
 from . import tensor
 from .grids import IndexBox, UniformGrid
 from .kernels import (
-    RADIAL_GRADING,
     CoefficientFn,
     KernelSpec,
     QuadratureConfig,
-    _evaluate,
-    _gauss01,
     pairwise_self,
     self_entries,
+    triangle_entries,
 )
 
 DENSE_GUARD = 2**15
@@ -144,41 +143,6 @@ def sthosvd(t: np.ndarray, ranks) -> SthosvdResult:
     return SthosvdResult(core=core, factors=factors, discarded_energy=discarded)
 
 
-def _triangle_average(k: KernelSpec, corners: np.ndarray, center: np.ndarray,
-                      area: float, cfg: QuadratureConfig) -> float:
-    """Average of k(center, .) over the triangle.  Singular kernels get a
-    centroid split with a radially graded Duffy map per subtriangle."""
-    gx, gw = _gauss01(cfg.q)
-
-    def duffy(v0, v1, v2, graded):
-        if graded:
-            m = RADIAL_GRADING
-            u, uw = gx**m, m * gx ** (m - 1) * gw
-        else:
-            u, uw = gx, gw
-        uu, vv = np.meshgrid(u, gx, indexing="ij")
-        ww = np.outer(uw, gw)
-        pts = (
-            v0
-            + uu[..., None] * (v1 - v0)
-            + (uu * vv)[..., None] * (v2 - v1)
-        )
-        sub_area = 0.5 * abs(
-            (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v1[1] - v0[1]) * (v2[0] - v0[0])
-        )
-        x = np.broadcast_to(center, pts.reshape(-1, 2).shape)
-        vals = _evaluate(k, x, pts.reshape(-1, 2))
-        return 2.0 * sub_area * float(np.sum(vals * (uu * ww).ravel()))
-
-    if k.smooth_at_diagonal:
-        total = duffy(corners[0], corners[1], corners[2], graded=False)
-    else:
-        total = 0.0
-        for i in range(3):
-            total += duffy(center, corners[i], corners[(i + 1) % 3], graded=True)
-    return total / area
-
-
 def quasi_row_evaluator(k: KernelSpec, coeff: CoefficientFn, mesh,
                         cfg: QuadratureConfig):
     """Row oracle for the quasi-uniform system on triangle centroids:
@@ -187,10 +151,9 @@ def quasi_row_evaluator(k: KernelSpec, coeff: CoefficientFn, mesh,
     pts, areas = mesh.centroids, mesh.areas
     return _row_oracle(
         k, coeff, pts, areas,
-        lambda sel: [
-            _triangle_average(k, mesh.corners(i), pts[i], areas[i], cfg)
-            for i in sel
-        ],
+        lambda sel: triangle_entries(
+            k, mesh.vertices[mesh.triangles[sel]], pts[sel], areas[sel], cfg
+        ),
     )
 
 

@@ -168,3 +168,38 @@ def recursive_block_pairs(d, n, leaf_side, rule):
 
     root = ((0, n),) * d
     yield from visit(root, root, 0)
+
+
+def polar_slp2d_triangle_average(corners, center):
+    """Average of -log|center - y|/(2 pi) over the triangle, for a center
+    inside it: split at the center into the three triangles on its edges;
+    in polar coordinates about the center, the radius runs to
+    R(theta) = dist / cos(theta - theta_perp) and
+    int_0^R r log r dr = R^2/2 (log R - 1/2) is closed form, so only the
+    angle is left to scipy.integrate.quad."""
+    from scipy.integrate import quad
+
+    corners = np.asarray(corners, dtype=np.float64)
+    center = np.asarray(center, dtype=np.float64)
+    total = 0.0
+    for i in range(3):
+        p = corners[i] - center
+        q = corners[(i + 1) % 3] - center
+        normal = np.array([q[1] - p[1], p[0] - q[0]]) / np.hypot(*(q - p))
+        dist = p @ normal
+        if dist < 0:
+            normal, dist = -normal, -dist
+        perp = np.arctan2(normal[1], normal[0])
+        t0 = np.arctan2(p[1], p[0])
+        # the edge's angular extent seen from the center, below pi
+        sweep = (np.arctan2(q[1], q[0]) - t0 + np.pi) % (2 * np.pi) - np.pi
+
+        def radial(theta):
+            r = dist / np.cos(theta - perp)
+            return -r * r / 2 * (np.log(r) - 0.5) / (2 * np.pi)
+
+        lo, hi = sorted((t0, t0 + sweep))
+        total += quad(radial, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    a, b, c = corners
+    area = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+    return total / area

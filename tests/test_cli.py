@@ -230,3 +230,13 @@ def test_bad_number_is_usage_error_before_any_work(
     )
     assert code == 2
     assert err.startswith("usage error")
+
+
+def test_eta_ignored_by_the_weak_rule():
+    # the weak rule rejects an eta, so --eta must reach the strong rule only
+    from argparse import Namespace
+
+    from htlr import AdmissibilityRule, gaussian
+
+    args = Namespace(adm="weak", eta=2.0, dim=2, p=4, leaf=8)
+    assert cli.config_for(args, gaussian(1.0)).rule == AdmissibilityRule.weak()

@@ -153,6 +153,12 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="finite eta"):
             AdmissibilityRule.strong(eta)
 
+    def test_weak_rejects_eta(self):
+        # AdmissibilityRule(kind="weak", eta=2.0) ignored its eta
+        with pytest.raises(ValueError, match="takes no eta"):
+            AdmissibilityRule(kind="weak", eta=2.0)
+        assert AdmissibilityRule(kind="weak") == AdmissibilityRule.weak()
+
     def test_strong_monotone_in_eta(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

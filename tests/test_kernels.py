@@ -65,6 +65,28 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="smooth_at_diagonal"):
             KernelSpec(**spec)
 
+    def test_evaluator_on_builtin_kind_rejected(self):
+        # KernelSpec(kind="gaussian", sigma=1.0, evaluator=zero) evaluated
+        # the Gaussian, 0.8825 at distance 0.5, not the zero kernel
+        def zero(x, y):
+            return np.zeros(np.broadcast(x, y).shape[:-1])
+
+        for spec in (dict(kind="gaussian", sigma=1.0),
+                     dict(kind="slp2d", smooth_at_diagonal=False),
+                     dict(kind="slp3d", smooth_at_diagonal=False)):
+            with pytest.raises(ValueError, match="takes no evaluator"):
+                KernelSpec(evaluator=zero, **spec)
+
+    @pytest.mark.parametrize("spec", [
+        dict(kind="slp2d", smooth_at_diagonal=False),
+        dict(kind="slp3d", smooth_at_diagonal=False),
+        dict(kind="custom", evaluator=np.dot),
+    ], ids=["slp2d", "slp3d", "custom"])
+    def test_sigma_off_the_gaussian_rejected(self, spec):
+        # accepted and never used
+        with pytest.raises(ValueError, match="takes no sigma"):
+            KernelSpec(sigma=1.0, **spec)
+
     def test_factory_settings_accepted(self):
         assert KernelSpec(kind="gaussian", sigma=1.0) == gaussian(1.0)
         assert KernelSpec(kind="slp2d", smooth_at_diagonal=False) == slp_2d()

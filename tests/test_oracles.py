@@ -4,6 +4,7 @@ import pytest
 from htlr import (
     CoefficientFn,
     QuadratureConfig,
+    TriMesh,
     UniformGrid,
     custom,
     dense_assemble,
@@ -11,12 +12,15 @@ from htlr import (
     gaussian,
     materialize,
     mode_product,
+    quasi_row_evaluator,
     rel_fro_error,
     slp_2d,
     sthosvd,
+    structured_trimesh,
     svd_lowrank,
 )
 from htlr.cli import rank_explore_errors
+from oracle_utils import polar_slp2d_triangle_average
 
 
 def constant_kernel(c):
@@ -85,6 +89,52 @@ class TestExactRowEvaluator:
         rows = np.random.default_rng(31).permutation(64)[:23]
         expected = (dense.matrix @ u)[rows]
         assert np.abs(rows_fn(rows, u) - expected).max() <= 1e-13
+
+
+def jittered_mesh(cells, seed):
+    """Structured mesh with every interior vertex moved by up to a quarter
+    cell per coordinate, the jitter of the benchmark's quasi-uniform mesh."""
+    base = structured_trimesh(cells)
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[interior] += rng.uniform(-0.25, 0.25, size=(int(interior.sum()), 2)) / cells
+    return TriMesh(vertices=verts, triangles=base.triangles)
+
+
+class TestQuasiRowEvaluator:
+    @staticmethod
+    def slp_self_errors(mesh):
+        """|K_ii - polar oracle| of every triangle; with a = 0, row i of the
+        reference applied to e_i is K_ii |triangle i|."""
+        rows_fn = quasi_row_evaluator(
+            slp_2d(), CoefficientFn.constant(0.0), mesh, QuadratureConfig()
+        )
+        errors = []
+        for i in range(mesh.num_triangles):
+            e_i = np.zeros(mesh.num_triangles)
+            e_i[i] = 1.0
+            entry = rows_fn(np.array([i]), e_i)[0] / mesh.areas[i]
+            ref = polar_slp2d_triangle_average(mesh.corners(i), mesh.centroids[i])
+            errors.append(abs(entry - ref))
+        return np.array(errors)
+
+    # The absolute error of the log kernel's average does not depend on the
+    # triangle's size, only on its shape.  Bounds are about 3x the errors
+    # measured at q = 10.
+
+    def test_slp_self_term_on_right_triangles(self):
+        # measured 1.9e-10 on every triangle
+        errors = self.slp_self_errors(structured_trimesh(4))
+        assert errors.max() <= 5e-10
+
+    def test_slp_self_term_on_jittered_triangles(self):
+        # measured: median 1.7e-10, max 1.5e-7 on the most obtuse triangles,
+        # where a half edge is many times longer than the center's distance
+        # to it
+        errors = self.slp_self_errors(jittered_mesh(16, seed=1))
+        assert np.median(errors) <= 5e-10
+        assert errors.max() <= 5e-7
 
 
 class TestSvdLowRank:
