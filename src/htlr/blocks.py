@@ -5,8 +5,11 @@ compressed from Chebyshev interpolation of the kernel into a Tucker block:
 per-dimension factor matrices around an order-2d core.  The conventional
 low-rank block of the baseline is the same Tucker block with each side's
 factors multiplied out into one Kronecker basis, i.e. an order-2 Tucker
-block u @ g @ v.T, unless those factors are identities.  Inadmissible pairs
-are stored densely.  All blocks carry the quadrature weight h^d of the
+block u @ g @ v.T.  Every factor is an explicit orthonormal matrix, as
+tall as the box side and as wide as the rank, so a box narrower than the
+rank is rejected.  Inadmissible pairs are stored densely, and so are
+admissible pairs on boxes no wider than the rank, whose factors would
+compress nothing.  All blocks carry the quadrature weight h^d of the
 discretization, so materializing any block reproduces the corresponding
 submatrix of the system matrix.
 
@@ -57,30 +60,21 @@ class TuckerBlock:
     """Tucker representation of one admissible block: a core with one axis
     per factor and orthonormal factors for the target (u) and source (v)
     sides; one factor per dimension (order-2d core), or one per side
-    (order-2 core) for the baseline's low-rank block.
-
-    A factor entry of ``None`` stands for an identity: when a box side is no
-    wider than the rank the factor carries no compression and is absorbed
-    into the core at build time instead of being stored.
+    (order-2 core) for the baseline's low-rank block.  Each factor is an
+    explicit matrix with orthonormal columns, as tall as the box side.
     """
 
     core: np.ndarray
     u_factors: list
     v_factors: list
 
-    def _side(self, factors, mode_offset):
-        return tuple(
-            f.shape[0] if f is not None else self.core.shape[mode_offset + dim]
-            for dim, f in enumerate(factors)
-        )
-
     @property
     def row_sizes(self) -> tuple[int, ...]:
-        return self._side(self.u_factors, 0)
+        return tuple(f.shape[0] for f in self.u_factors)
 
     @property
     def col_sizes(self) -> tuple[int, ...]:
-        return self._side(self.v_factors, len(self.u_factors))
+        return tuple(f.shape[0] for f in self.v_factors)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -94,14 +88,11 @@ class TuckerBlock:
         return self.core.reshape((rows, -1), order="F")
 
     def materialize(self) -> np.ndarray:
-        full = _mode_products(self.core, self.u_factors + self.v_factors)
-        return full.reshape(self.shape, order="F")
+        factors = _modes(self.u_factors + self.v_factors)
+        return tensor.multi_mode_apply(self.core, factors).reshape(self.shape, order="F")
 
     def scalars(self) -> tuple[int, int, int]:
-        factors = sum(
-            f.size for f in self.u_factors + self.v_factors if f is not None
-        )
-        return 0, factors, self.core.size
+        return 0, sum(f.size for f in self.u_factors + self.v_factors), self.core.size
 
 
 @dataclass
@@ -127,46 +118,29 @@ class DenseBlock:
         return self.matrix.size, 0, 0
 
 
-def _mode_products(t: np.ndarray, factors) -> np.ndarray:
-    """Multiply axis i of `t` by factors[i] in turn; a ``None`` factor is an
-    identity.  The readable, validating form is :func:`tensor.multi_mode_apply`."""
-    for axis, f in enumerate(factors):
-        if f is not None:
-            t = np.moveaxis(np.tensordot(f, t, axes=([1], [axis])), 0, axis)
-    return t
-
-
-def _orthonormalized(raw: np.ndarray):
-    """(q, r) with orthonormal q and q @ r == raw; a square or wide factor
-    (a box no wider than the rank) carries no compression, so it stays whole
-    in r and q is an implicit identity."""
-    if raw.shape[0] <= raw.shape[1]:
-        return None, raw
-    fac = tensor.qr(raw)
-    return fac.q, fac.r
+def _modes(factors) -> list:
+    """`factors` paired with their 1-based modes, for
+    :func:`tensor.multi_mode_apply`."""
+    return [(f, mode) for mode, f in enumerate(factors, 1)]
 
 
 def _read_only(a):
-    if a is not None:
-        a.flags.writeable = False
+    a.flags.writeable = False
     return a
 
 
 @lru_cache(maxsize=None)
 def _box_factor(grid: UniformGrid, side: int, rank: int):
-    """Orthonormalized interpolation factor ``(q, r)`` of one dimension of
+    """Thin QR ``(q, r)`` of the interpolation factor of one dimension of
     every box of `side` cells: by translation invariance of the nodes, that
-    of the box [0, side) in box-relative coordinates.  Computed once per
-    (grid, side, rank) and returned read-only."""
+    of the box [0, side) in box-relative coordinates.  A box narrower than
+    the rank has no orthonormal factor of that rank and is rejected.
+    Computed once per (grid, side, rank) and returned read-only."""
+    if side < rank:
+        raise ValueError(f"box side {side} is narrower than the rank {rank}")
     raw = factor_matrix(grid.coords1d(0, side), cheb_points(0.0, side * grid.h, rank))
-    return tuple(map(_read_only, _orthonormalized(raw)))
-
-
-def _explicit_factor(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
-    """The orthonormal factor of :func:`_box_factor` with an implicit
-    identity spelled out."""
-    q = _box_factor(grid, side, rank)[0]
-    return np.eye(side) if q is None else q
+    fac = tensor.qr(raw)
+    return _read_only(fac.q), _read_only(fac.r)
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +150,8 @@ def transfer(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
     and E_1 give the parent factor on its lower and upper half as the child
     factor times E_c.  This is exact, as a parent factor column restricted to
     a child is a polynomial of degree below the rank, which the child factor
-    spans (or the child factor is an identity).  Computed once per (grid,
-    side, rank) and returned read-only."""
-    child, parent = (_explicit_factor(grid, s, rank) for s in (side, 2 * side))
+    spans.  Computed once per (grid, side, rank) and returned read-only."""
+    child, parent = (_box_factor(grid, s, rank)[0] for s in (side, 2 * side))
     return _read_only(np.vstack([child.T @ parent[:side], child.T @ parent[side:]]))
 
 
@@ -188,7 +161,7 @@ def _kron_basis(grid: UniformGrid, sizes: tuple[int, ...], rank: int) -> np.ndar
     orthonormal basis; computed once and returned read-only.  The cache is
     bounded because a basis grows with the box (32 MB for a 256^2 box at
     rank 8) and would otherwise outlive every operator that used it."""
-    factors = [_explicit_factor(grid, side, rank) for side in sizes]
+    factors = [_box_factor(grid, side, rank)[0] for side in sizes]
     # Kronecker order: last dimension outermost, matching the
     # first-index-fastest linearization
     return _read_only(reduce(np.kron, reversed(factors)))
@@ -204,8 +177,8 @@ def build_tlr(
 ) -> TuckerBlock:
     """Interpolate the kernel over the box pair, orthogonalize every factor by
     thin QR, and fold h^d together with the triangular factors into the core.
-    The factors are the shared ones of :func:`_box_factor`; the core is
-    stored first index fastest.
+    The factors are the shared ones of :func:`_box_factor`, so no box side
+    may be narrower than the rank; the core is stored first index fastest.
     """
     dom_tau = domain_of(grid, tau)
     dom_sigma = domain_of(grid, sigma)
@@ -216,7 +189,7 @@ def build_tlr(
     u = [_box_factor(grid, side, rank) for side in tau.sizes]
     v = [_box_factor(grid, side, rank) for side in sigma.sizes]
     core = h**grid.d * core_tensor(k, grids_tau, grids_sigma)
-    core = _mode_products(core, [r for _, r in u + v])
+    core = tensor.multi_mode_apply(core, _modes([r for _, r in u + v]))
     return TuckerBlock(
         core=np.asfortranarray(core),
         u_factors=[q for q, _ in u],
@@ -233,12 +206,8 @@ def build_lowrank(
     h: float,
 ) -> TuckerBlock:
     """The :func:`build_tlr` block with each side's factors multiplied out
-    into one orthonormal basis of rank rank^d: an order-2 Tucker block.  On
-    boxes no wider than the rank every factor is an identity, and the
-    :func:`build_tlr` block is returned as it is."""
+    into one orthonormal basis of rank rank^d: an order-2 Tucker block."""
     block = build_tlr(k, grid, tau, sigma, rank, h)
-    if all(f is None for f in block.u_factors + block.v_factors):
-        return block
     u, v = _kron_basis(grid, tau.sizes, rank), _kron_basis(grid, sigma.sizes, rank)
     return TuckerBlock(
         core=block.core.reshape(u.shape[1], v.shape[1], order="F"),
@@ -284,13 +253,12 @@ def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
     cols = block.col_sizes
     if u_segment.shape != (int(np.prod(cols)),):
         raise ValueError("segment length does not match the block")
-    w = _mode_products(
-        u_segment.reshape(cols, order="F"),
-        [f.T if f is not None else None for f in block.v_factors],
+    w = tensor.multi_mode_apply(
+        u_segment.reshape(cols, order="F"), _modes([f.T for f in block.v_factors])
     )
     # the core's last d (source) axes against the axes of w
     w = np.tensordot(block.core, w, axes=len(cols))
-    return _mode_products(w, block.u_factors).reshape(-1, order="F")
+    return tensor.multi_mode_apply(w, _modes(block.u_factors)).reshape(-1, order="F")
 
 
 def _along_dims(t: np.ndarray, mats) -> np.ndarray:

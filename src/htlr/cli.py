@@ -84,7 +84,9 @@ def kernel_for(name: str, d: int) -> KernelSpec:
 
 def config_for(args, kernel: KernelSpec) -> BuildConfig:
     """The build configuration of a benchmark run; a rank, leaf side or eta
-    the build rejects is a usage error."""
+    the build rejects, or an eta with the weak rule, is a usage error."""
+    if args.adm == "weak" and args.eta is not None:
+        raise UsageError("--eta applies to --adm strong only")
     try:
         if args.adm == "weak":
             rule = AdmissibilityRule.weak()

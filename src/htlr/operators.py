@@ -32,9 +32,13 @@ the transfers above it.  Upward, each group projects the level below (the
 grid, at the finest side) through its maps; each class's core matrix is
 applied once to the coefficient rows of its source boxes and added into the
 rows of its target boxes; downward, each group expands its target
-coefficients through its maps onto the level below.  Dense payloads, and
-Tucker payloads whose factors are identities, form groups without maps,
-each a chain of its own: their coefficients are the grid values of each box.
+coefficients through its maps onto the level below.  Dense payloads form
+groups without maps, each a chain of its own: their coefficients are the
+grid values of each box.  An admissible leaf on boxes no wider than the
+rank is stored dense too, as the full-matrix format of an H-matrix stores
+a block whose rank is no smaller than its size (W. Hackbusch, Hierarchical
+Matrices, Springer 2015): factors that wide would compress nothing, and the
+kernel submatrix holds as many scalars as the core would.
 """
 
 from __future__ import annotations
@@ -106,9 +110,9 @@ class TranslationClass:
 class FactorGroup:
     """The translation classes on boxes of one side whose payloads hold the
     same factor objects, and the group's maps from the level below: those
-    factors (none for dense and identity-folded Tucker payloads), or the
-    transfers above a chain's first group.  Both boxes of a leaf are cubes
-    of one side, so a payload's target (u) and source (v) factors agree."""
+    factors (none for dense payloads), or the transfers above a chain's
+    first group.  Both boxes of a leaf are cubes of one side, so a payload's
+    target (u) and source (v) factors agree."""
 
     side: int
     maps: tuple
@@ -120,8 +124,8 @@ class HTLRMatrix:
     """Hierarchical operator: the diagonal a(x) at every grid point, first
     index fastest, and the translation classes the matvec applies, grouped
     by shared factors into chains of nested factors.  Each class holds one
-    payload for all its leaves: Tucker for admissible leaves (of order 2 for
-    the baseline on boxes wider than the rank), dense otherwise."""
+    payload for all its leaves: Tucker for admissible leaves on boxes wider
+    than the rank (of order 2 for the baseline), dense otherwise."""
 
     grid: UniformGrid
     config: BuildConfig
@@ -199,7 +203,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
         side = grid.n >> level
         tau = _lattice_box(leaves.tau[leaf], side)
         sigma = _lattice_box(leaves.sigma[leaf], side)
-        if leaves.admissible[leaf]:
+        if leaves.admissible[leaf] and side > cfg.rank:
             payload = admissible_builder(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
             payload = build_dense(cfg.kernel, grid, tau, sigma, grid.h, cfg.quadrature)
@@ -207,7 +211,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
             raise ValueError(
                 f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
             )
-        factors = _factors(payload.u_factors)
+        factors = tuple(payload.u_factors)
         key = (side, tuple(map(id, factors)))
         group = groups.setdefault(key, FactorGroup(side, factors, []))
         # in target order, so that a class mapping every box of its level
@@ -264,11 +268,6 @@ def _box_indices(boxes: np.ndarray, count: int):
     if np.array_equal(boxes, np.arange(count)):
         return slice(None)
     return boxes.astype(np.int32)
-
-
-def _factors(factors) -> tuple:
-    """A side's factors, or none when they are all identities."""
-    return tuple(factors) if any(f is not None for f in factors) else ()
 
 
 def construct(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:

@@ -82,7 +82,6 @@ class TestBuildTLR:
         grid, tau, sigma = admissible_pair_64()
         block = build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 6, grid.h)
         for f in block.u_factors + block.v_factors:
-            assert f is not None
             assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-12
 
     def test_shared_factor_is_the_translated_box_factor(self):
@@ -99,19 +98,34 @@ class TestBuildTLR:
         raw = factor_matrix(grid.coords1d(lo, hi), cheb_points(lo * grid.h, hi * grid.h, rank))
         assert np.abs(block.u_factors[0] - qr(raw).q).max() <= 1e-14
 
-    def test_square_factors_absorbed(self):
-        # box side equal to the rank: factors are implicit identities
+    def test_square_factors_stored_explicitly(self):
+        # box side equal to the rank: every factor is a square orthonormal
+        # matrix, stored like any other
         grid = UniformGrid(2, 32)
         tau = IndexBox(((0, 4), (0, 4)))
         sigma = IndexBox(((8, 12), (0, 4)))
         block = build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 4, grid.h)
-        assert all(f is None for f in block.u_factors + block.v_factors)
-        assert storage_count(block) == block.core.size
+        for f in block.u_factors + block.v_factors:
+            assert f.shape == (4, 4)
+            assert np.abs(f.T @ f - np.eye(4)).max() <= 1e-12
+        assert storage_count(block) == 4 * 4**2 + block.core.size
         exact = grid.h**2 * pairwise(
             gaussian(np.sqrt(2.0)), grid.points(tau), grid.points(sigma)
         )
         # rank = side: interpolation is not exact but close for the Gaussian
         assert np.abs(materialize(block) - exact).max() / np.abs(exact).max() <= 1e-3
+
+    @pytest.mark.parametrize("build", [build_tlr, build_lowrank],
+                             ids=["tucker", "lowrank"])
+    @pytest.mark.parametrize("sides", [(7, 7), (8, 7)], ids=["both", "source"])
+    def test_box_narrower_than_the_rank_rejected(self, build, sides):
+        # a box of side 7 has no orthonormal factor of rank 8: such a block
+        # is stored dense
+        grid = UniformGrid(2, 56)
+        tau = IndexBox(((0, sides[0]), (0, sides[0])))
+        sigma = IndexBox(((14, 14 + sides[1]), (0, sides[1])))
+        with pytest.raises(ValueError, match="box side 7 is narrower than the rank 8"):
+            build(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
 
 
 class TestBuildLowRank:
@@ -135,10 +149,10 @@ class TestBuildLowRank:
             # 2D, side 32 at rank 8: every Tucker factor is stored
             (64, ((0, 32),) * 2, ((32, 64), (0, 32)), 8,
              (0, 2 * 32**2 * 8**2, 8**4)),
-            # 3D, side equal to the rank: every Tucker factor is an identity,
-            # so there is nothing to multiply out and no factor is stored
+            # 3D, side equal to the rank: the square factors multiply out
+            # into square 64 x 64 bases
             (16, ((0, 4),) * 3, ((8, 12), (0, 4), (0, 4)), 4,
-             (0, 0, 4**6)),
+             (0, 2 * 64**2, 4**6)),
         ],
     )
     def test_is_kronecker_expansion_of_tucker_block(self, n, tau, sigma, rank,
@@ -149,18 +163,14 @@ class TestBuildLowRank:
         tb = build_tlr(*args)
         lb = build_lowrank(*args)
         assert lb.scalars() == counts
-        if all(f is None for f in tb.u_factors + tb.v_factors):
-            # the baseline's block is the Tucker block
-            assert np.array_equal(lb.core, tb.core)
-            assert (lb.u_factors, lb.v_factors) == (tb.u_factors, tb.v_factors)
-            return
         r = rank**grid.d
         assert np.array_equal(lb.core, tb.core.reshape(r, r, order="F"))
         for side, factors in ((lb.u_factors, tb.u_factors),
                               (lb.v_factors, tb.v_factors)):
-            expected = factors[0]
-            for f in factors[1:]:
-                expected = np.kron(f, expected)
+            # last dimension outermost, multiplied out from the outside in
+            expected = factors[-1]
+            for f in factors[-2::-1]:
+                expected = np.kron(expected, f)
             assert len(side) == 1
             assert np.array_equal(side[0], expected)
 
@@ -253,30 +263,29 @@ class TestTlrApply:
             tlr_apply(block, np.zeros(7))
 
     @pytest.mark.parametrize(
-        "n, tau, sigma, rank, identities",
+        "n, tau, sigma, rank, square",
         [
-            # 3D, box side equal to the rank: all six factors are identities
+            # 3D, box side equal to the rank: all six factors are square
             (16, ((0, 4),) * 3, ((8, 12), (0, 4), (0, 4)), 4, 6),
-            # 2D, sides (4, 8) at rank 4: per side one identity, one stored
+            # 2D, sides (4, 8) at rank 4: per side one square factor, one tall
             (32, ((0, 4), (0, 8)), ((16, 20), (0, 8)), 4, 2),
             (64, ((0, 32), (0, 32)), ((32, 64), (0, 32)), 5, 0),
         ],
     )
-    def test_matches_tensor_reference(self, n, tau, sigma, rank, identities):
+    def test_matches_tensor_reference(self, n, tau, sigma, rank, square):
         grid = UniformGrid(len(tau), n)
         block = build_tlr(gaussian(np.sqrt(2.0)), grid, IndexBox(tau),
                           IndexBox(sigma), rank, grid.h)
-        assert sum(f is None for f in block.u_factors + block.v_factors) == identities
+        factors = block.u_factors + block.v_factors
+        assert sum(f.shape == (rank, rank) for f in factors) == square
         u = np.random.default_rng(25).standard_normal(block.shape[1])
         d = grid.d
         w = multi_mode_apply(
             vec_to_tensor(u, block.col_sizes),
-            [(f.T, i + 1) for i, f in enumerate(block.v_factors) if f is not None],
+            [(f.T, i + 1) for i, f in enumerate(block.v_factors)],
         )
         w = contract(block.core, w, range(d + 1, 2 * d + 1), range(1, d + 1))
-        w = multi_mode_apply(
-            w, [(f, i + 1) for i, f in enumerate(block.u_factors) if f is not None]
-        )
+        w = multi_mode_apply(w, [(f, i + 1) for i, f in enumerate(block.u_factors)])
         out = tlr_apply(block, u)
         scale = np.abs(out).max()
         assert np.abs(out - tensor_to_vec(w)).max() <= 1e-13 * scale
@@ -299,12 +308,9 @@ def _tucker_2d():
 
 
 def _tucker_3d_identity_factors():
-    # box side equal to the rank: every factor is an implicit identity
-    grid = UniformGrid(3, 16)
-    tau, sigma = IndexBox(((0, 4),) * 3), IndexBox(((8, 12), (0, 4), (0, 4)))
-    block = build_tlr(gaussian(np.sqrt(3.0)), grid, tau, sigma, 4, grid.h)
-    assert all(f is None for f in block.u_factors + block.v_factors)
-    return block
+    # an order-6 core between explicit identity factors
+    core = np.random.default_rng(26).standard_normal((4,) * 6)
+    return TuckerBlock(core=core, u_factors=[np.eye(4)] * 3, v_factors=[np.eye(4)] * 3)
 
 
 def _lowrank():
@@ -349,11 +355,22 @@ def _sides(n, smallest):
 
 NESTING_CASES = {
     "2d-n128-rank8": (UniformGrid(2, 128), 8, 8),
-    # the child of side 4 equals the rank: an identity factor
+    # the child of side 4 equals the rank: a square factor
     "3d-n32-rank4": (UniformGrid(3, 32), 4, 4),
-    # the child of side 7 is narrower than the rank: an identity factor
+    # the child of side 7 is narrower than the rank: no factor to nest
     "2d-n56-rank8-side7": (UniformGrid(2, 56), 8, 7),
 }
+
+
+def _nested_sides(grid, rank, smallest):
+    """The child sides down to `smallest` whose transfers exist; the
+    transfer from a box narrower than the rank is rejected."""
+    sides = _sides(grid.n, smallest)[:-1]
+    for side in sides:
+        if side < rank:
+            with pytest.raises(ValueError, match=f"box side {side} is narrower"):
+                blocks.transfer(grid, side, rank)
+    return [side for side in sides if side >= rank]
 
 
 class TestNestedFactors:
@@ -365,9 +382,8 @@ class TestNestedFactors:
     @pytest.mark.parametrize("case", sorted(NESTING_CASES))
     def test_parent_factor_is_child_factor_times_transfer(self, case):
         grid, rank, smallest = NESTING_CASES[case]
-        for side in _sides(grid.n, smallest)[:-1]:
+        for side in _nested_sides(grid, rank, smallest):
             q_child = blocks._box_factor(grid, side, rank)[0]
-            q_child = np.eye(side) if q_child is None else q_child
             q_parent = blocks._box_factor(grid, 2 * side, rank)[0]
             e = blocks.transfer(grid, side, rank)
             r = q_child.shape[1]
@@ -387,13 +403,10 @@ class TestNestedFactors:
         grid, rank, smallest = NESTING_CASES[case]
         rng = np.random.default_rng(29)
         x = rng.standard_normal(grid.num_points)
-        for side in _sides(grid.n, smallest)[:-1]:
-            # the per-dimension factors of each side, none for an identity
-            child, parent = (
-                [f for f in [blocks._box_factor(grid, s, rank)[0]] * grid.d
-                 if f is not None]
-                for s in (side, 2 * side)
-            )
+        for side in _nested_sides(grid, rank, smallest):
+            # the per-dimension factors of each side
+            child, parent = ([blocks._box_factor(grid, s, rank)[0]] * grid.d
+                             for s in (side, 2 * side))
             e = [blocks.transfer(grid, side, rank)] * grid.d
             boxes = grid.n // (2 * side)
             c = blocks.project(x, grid.d, 2 * boxes, child)
@@ -407,15 +420,9 @@ class TestNestedFactors:
             assert np.abs(pushed.ravel() - expected.ravel()).max() <= 1e-13 * scale
 
     def test_kronecker_basis_of_a_box_narrower_than_the_rank(self):
-        # no basis is formed: the baseline keeps the Tucker block, whose
-        # factors are identities
-        grid = UniformGrid(2, 56)
-        tau, sigma = IndexBox(((0, 7), (0, 7))), IndexBox(((7, 14), (0, 7)))
-        tb = build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
-        lb = build_lowrank(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
-        assert all(f is None for f in lb.u_factors + lb.v_factors)
-        assert np.array_equal(lb.core, tb.core)
-        assert lb.scalars() == (0, 0, 7**4)
+        # a box of side 7 has no factor of rank 8 to multiply out
+        with pytest.raises(ValueError, match="box side 7 is narrower than the rank 8"):
+            blocks._kron_basis(UniformGrid(2, 56), (7, 7), 8)
 
 
 class TestStorageCount:

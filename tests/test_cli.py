@@ -232,11 +232,16 @@ def test_bad_number_is_usage_error_before_any_work(
     assert err.startswith("usage error")
 
 
-def test_eta_ignored_by_the_weak_rule():
-    # the weak rule rejects an eta, so --eta must reach the strong rule only
-    from argparse import Namespace
+@pytest.mark.parametrize("command", ["bench-uniform", "bench-quasi"])
+def test_eta_with_the_weak_rule_is_usage_error(capsys, monkeypatch, command):
+    # the weak rule takes no eta: --eta is rejected, not silently dropped
+    def no_work(*args, **kwargs):
+        raise AssertionError("reference rows computed before the check")
 
-    from htlr import AdmissibilityRule, gaussian
-
-    args = Namespace(adm="weak", eta=2.0, dim=2, p=4, leaf=8)
-    assert cli.config_for(args, gaussian(1.0)).rule == AdmissibilityRule.weak()
+    monkeypatch.setattr(cli.oracles, "exact_row_evaluator", no_work)
+    monkeypatch.setattr(cli.oracles, "quasi_row_evaluator", no_work)
+    n = "32" if command == "bench-uniform" else "128"
+    code, _, err = run_cli(capsys, command, "--n", n, "--adm", "weak", "--eta", "2")
+    assert code == 2
+    assert err.startswith("usage error")
+    assert "--eta" in err

@@ -30,7 +30,7 @@ from htlr import (
     storage_report,
 )
 from htlr.blocks import DenseBlock
-from htlr.grids import ADMISSIBLE, INADMISSIBLE
+from htlr.grids import ADMISSIBLE
 from htlr.operators import DegenerateErrorEstimate
 from oracle_utils import recursive_block_pairs
 
@@ -184,13 +184,19 @@ def translation_classes(op) -> int:
     })
 
 
+def stored_dense(kind, tau_sizes, rank) -> bool:
+    """Whether the build stores a leaf dense: an inadmissible leaf, or one
+    on boxes no wider than the rank, whose factors would compress nothing."""
+    return kind != ADMISSIBLE or tau_sizes[0] <= rank
+
+
 def per_leaf_matvec(op, build_admissible, u):
     """The operator's kernel part rebuilt leaf by leaf, applied to u."""
     cfg, grid = op.config, op.grid
     f = np.zeros(grid.num_points)
     for leaf in op.block_tree.leaves:
         tau, sigma = leaf.tau.box, leaf.sigma.box
-        if leaf.kind == ADMISSIBLE:
+        if not stored_dense(leaf.kind, tau.sizes, cfg.rank):
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
             block = build_dense(cfg.kernel, grid, tau, sigma, grid.h,
@@ -222,7 +228,7 @@ class TestClassSharing:
 
     CASES = {
         "2d-weak-gaussian": (UniformGrid(2, 64), weak_gaussian_cfg(rank=4, leaf=8)),
-        # leaf side = p: every factor is square and folded into the core
+        # leaf side = p: the admissible leaves of side p are stored dense
         "3d-leaf-side-p": (UniformGrid(3, 16), BuildConfig(
             rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
@@ -234,7 +240,7 @@ class TestClassSharing:
         )),
         # leaf side 12, not a power of two
         "2d-n48-leaf16": (UniformGrid(2, 48), weak_gaussian_cfg()),
-        # leaf side 7, narrower than the rank: identity factors at the leaves
+        # leaf side 7, narrower than the rank: every leaf is stored dense
         "2d-n56-leaf-side-below-rank": (UniformGrid(2, 56), weak_gaussian_cfg(leaf=8)),
     }
     # the matvec also on a kernel without classes and on a one-leaf grid
@@ -268,6 +274,26 @@ class TestClassSharing:
         u = np.random.default_rng(46).standard_normal(grid.num_points)
         expected = per_leaf_matvec(op, build_admissible, u)
         assert np.abs(matvec(op, u) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("case", ["3d-leaf-side-p", "2d-n56-leaf-side-below-rank"])
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_leaves_no_wider_than_the_rank_are_dense(self, case, build):
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+        payloads, narrow = op.payloads, 0
+        for leaf in op.block_tree.leaves:
+            tau, sigma = leaf.tau.box, leaf.sigma.box
+            if tau.sizes[0] > cfg.rank:
+                continue
+            narrow += leaf.kind == ADMISSIBLE
+            block = payloads[leaf.leaf_id]
+            assert isinstance(block, DenseBlock)
+            sub = dense.matrix[np.ix_(tau.linear_indices(grid.n),
+                                      sigma.linear_indices(grid.n))]
+            assert np.abs(block.matrix - sub).max() <= 1e-15 * np.abs(sub).max()
+        assert narrow > 0
 
     def test_non_stationary_custom_kernel_builds_per_leaf(self):
         grid, cfg = UniformGrid(2, 64), non_stationary_cfg()
@@ -316,7 +342,6 @@ class TestClassSharing:
         for chain in op.chains:
             for cls in chain[0].classes:
                 factors = cls.payload.u_factors
-                factors = factors if any(f is not None for f in factors) else ()
                 assert len(chain[0].maps) == len(factors)
                 assert all(m is f for m, f in zip(chain[0].maps, factors))
             for group in chain[1:]:
@@ -381,7 +406,8 @@ class TestClassSharing:
 
 
 def class_leaves(op):
-    """(kind, tau ranges, sigma ranges) of every leaf of every class."""
+    """(stored dense, tau ranges, sigma ranges) of every leaf of every
+    class."""
     d, out = op.grid.d, []
     for group in op.groups:
         boxes = op.grid.n // group.side
@@ -392,8 +418,8 @@ def class_leaves(op):
             return tuple((c * group.side, (c + 1) * group.side) for c in coords.tolist())
 
         for cls in group.classes:
-            kind = INADMISSIBLE if cls.payload.scalars()[0] else ADMISSIBLE
-            out += [(kind, ranges(t), ranges(s))
+            dense = isinstance(cls.payload, DenseBlock)
+            out += [(dense, ranges(t), ranges(s))
                     for t, s in zip(ids[cls.targets], ids[cls.sources])]
     return out
 
@@ -410,8 +436,12 @@ class TestLatticeBuild:
     def test_classes_cover_the_tree_leaves(self, case, build):
         grid, cfg = TestClassSharing.MATVEC_CASES[case]
         op = build(cfg, grid)
-        tree = [(kind, tau, sigma) for _, kind, tau, sigma in recursive_block_pairs(
-            grid.d, grid.n, cfg.leaf_side, cfg.rule) if kind != "internal"]
+        tree = [
+            (stored_dense(kind, [hi - lo for lo, hi in tau], cfg.rank), tau, sigma)
+            for _, kind, tau, sigma in recursive_block_pairs(
+                grid.d, grid.n, cfg.leaf_side, cfg.rule)
+            if kind != "internal"
+        ]
         assert collections.Counter(class_leaves(op)) == collections.Counter(tree)
 
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
@@ -442,7 +472,7 @@ class TestLatticeBuild:
         "gauss3d-n32": (UniformGrid(3, 32), BuildConfig(
             rank=4, leaf_side=5, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
-        ), (2097152, 107520, 16744448), (512, 4088)),
+        ), (16777216, 107520, 2064384), (4096, 504)),
         "quasi-n8192-grid": (UniformGrid(2, 128), weak_gaussian_cfg(),
                              (4194304, 172032, 1032192), (64, 252)),
     }
@@ -526,7 +556,7 @@ class TestMatvec:
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_leaf_side_below_rank_matches_dense_oracle(self, n, leaf, build):
-        # leaf sides 7 and 4 are narrower than the rank 8: identity factors
+        # leaf sides 7 and 4 are narrower than the rank 8: dense leaves
         grid = UniformGrid(2, n)
         cfg = weak_gaussian_cfg(rank=8, leaf=leaf)
         op = build(cfg, grid)
@@ -668,8 +698,8 @@ class TestStorageReport:
 
     @pytest.mark.filterwarnings("ignore:leaf side 7 outside")
     def test_baseline_stores_no_identity_basis(self):
-        # leaves of side 7 < rank 8: the baseline keeps their Tucker blocks,
-        # whose factors are identities, instead of explicit 49 x 49 bases
+        # leaves of side 7 < rank 8 are stored dense: the baseline forms no
+        # explicit 49 x 49 bases for them
         op = construct_hmatrix(weak_gaussian_cfg(leaf=8), UniformGrid(2, 56))
         assert storage_report(op).factor_scalars == 2_408_448
 
