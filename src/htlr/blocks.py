@@ -16,7 +16,9 @@ submatrix of the system matrix.
 On a uniform grid a box's interpolation factor depends only on the grid, the
 box side and the rank: it is computed once in box-relative coordinates and
 every block on boxes of that side holds the same read-only factor objects,
-whatever the kernel.  Cores are stored first index fastest, so that
+whatever the kernel.  The Tucker blocks of a tree level are built together,
+their kernel values in one call per chunk, and :func:`build_tlr` is the
+one-pair case.  Cores are stored first index fastest, so that
 ``core_matrix`` is a view.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
@@ -43,8 +45,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from . import tensor
-from .chebyshev import cheb_points, core_tensor, factor_matrix
+from . import kernels, tensor
+from .chebyshev import _cheb_nodes, _core_tensors, cheb_points, factor_matrix
 from .grids import IndexBox, UniformGrid, domain_of
 from .kernels import (
     KernelSpec,
@@ -179,22 +181,44 @@ def build_tlr(
     thin QR, and fold h^d together with the triangular factors into the core.
     The factors are the shared ones of :func:`_box_factor`, so no box side
     may be narrower than the rank; the core is stored first index fastest.
+    The one-pair case of :func:`_tucker_blocks`.
     """
-    dom_tau = domain_of(grid, tau)
-    dom_sigma = domain_of(grid, sigma)
-    if dom_tau.overlap_volume(dom_sigma) > 0.0:
+    if domain_of(grid, tau).overlap_volume(domain_of(grid, sigma)) > 0.0:
         raise ValueError("interpolation blocks require disjoint domains")
-    grids_tau = [cheb_points(lo, hi, rank) for lo, hi in dom_tau.intervals]
-    grids_sigma = [cheb_points(lo, hi, rank) for lo, hi in dom_sigma.intervals]
-    u = [_box_factor(grid, side, rank) for side in tau.sizes]
-    v = [_box_factor(grid, side, rank) for side in sigma.sizes]
-    core = h**grid.d * core_tensor(k, grids_tau, grids_sigma)
-    core = tensor.multi_mode_apply(core, _modes([r for _, r in u + v]))
-    return TuckerBlock(
-        core=np.asfortranarray(core),
-        u_factors=[q for q, _ in u],
-        v_factors=[q for q, _ in v],
-    )
+    taus, sigmas = (np.array([box.ranges]) for box in (tau, sigma))
+    return _tucker_blocks(k, grid, taus, sigmas, rank, h)[0]
+
+
+def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
+                   sigmas: np.ndarray, rank: int, h: float) -> list:
+    """The :func:`build_tlr` blocks of many disjoint box pairs, all target
+    boxes of one shape and all source boxes of one shape: `taus` and
+    `sigmas` hold each box's index ranges, integer arrays (pairs, d, 2).
+    The Chebyshev nodes of every box come from one elementwise formula, the
+    kernel is evaluated on the node pairs of as many blocks at a time as
+    :data:`htlr.kernels.EVAL_CHUNK` evaluations allow, in one call, and h^d
+    and the triangular factors are folded in by mode products over all of
+    those blocks at once.  The cores are views of one array."""
+    d, count = grid.d, len(taus)
+    u = [_box_factor(grid, int(hi - lo), rank) for lo, hi in taus[0]]
+    v = [_box_factor(grid, int(hi - lo), rank) for lo, hi in sigmas[0]]
+    # per dimension, cheb_points' nodes between the ends of domain_of's
+    # intervals, (pairs, rank)
+    x_nodes = [_cheb_nodes(taus[:, i, :1] * grid.h, taus[:, i, 1:] * grid.h, rank)
+               for i in range(d)]
+    y_nodes = [_cheb_nodes(sigmas[:, i, :1] * grid.h, sigmas[:, i, 1:] * grid.h, rank)
+               for i in range(d)]
+    r_modes = _modes([r for _, r in u + v])
+    cores = np.empty((rank,) * (2 * d) + (count,), order="F")
+    step = max(1, kernels.EVAL_CHUNK // rank ** (2 * d))
+    for start in range(0, count, step):
+        part = slice(start, start + step)
+        values = h**d * _core_tensors(k, [x[part] for x in x_nodes],
+                                      [y[part] for y in y_nodes])
+        cores[..., part] = tensor.multi_mode_apply(values, r_modes)
+    return [TuckerBlock(core=cores[..., c], u_factors=[q for q, _ in u],
+                        v_factors=[q for q, _ in v])
+            for c in range(count)]
 
 
 def build_lowrank(
@@ -207,8 +231,13 @@ def build_lowrank(
 ) -> TuckerBlock:
     """The :func:`build_tlr` block with each side's factors multiplied out
     into one orthonormal basis of rank rank^d: an order-2 Tucker block."""
-    block = build_tlr(k, grid, tau, sigma, rank, h)
-    u, v = _kron_basis(grid, tau.sizes, rank), _kron_basis(grid, sigma.sizes, rank)
+    return _lowrank(grid, build_tlr(k, grid, tau, sigma, rank, h))
+
+
+def _lowrank(grid: UniformGrid, block: TuckerBlock) -> TuckerBlock:
+    """A :func:`build_tlr` block as the :func:`build_lowrank` block."""
+    rank = block.u_factors[0].shape[1]
+    u, v = (_kron_basis(grid, sizes, rank) for sizes in (block.row_sizes, block.col_sizes))
     return TuckerBlock(
         core=block.core.reshape(u.shape[1], v.shape[1], order="F"),
         u_factors=[u],

@@ -36,9 +36,14 @@ def cheb_points(lo: float, hi: float, order: int) -> ChebGrid1D:
     _check_int("order", order)
     if order < 1:
         raise ValueError("order must be >= 1")
+    return ChebGrid1D(lo=lo, hi=hi, nodes=_cheb_nodes(lo, hi, order))
+
+
+def _cheb_nodes(lo, hi, order: int) -> np.ndarray:
+    """The nodes of :func:`cheb_points` on [lo, hi], elementwise: the ends
+    may be arrays, which broadcast against the trailing node axis."""
     t = np.arange(1, order + 1)
-    nodes = 0.5 * (hi - lo) * np.cos((2 * t - 1) * np.pi / (2 * order)) + 0.5 * (hi + lo)
-    return ChebGrid1D(lo=lo, hi=hi, nodes=nodes)
+    return 0.5 * (hi - lo) * np.cos((2 * t - 1) * np.pi / (2 * order)) + 0.5 * (hi + lo)
 
 
 def lagrange_eval(grid: ChebGrid1D, t: int, x: float) -> float:
@@ -70,20 +75,31 @@ def factor_matrix(points: Sequence[float], grid: ChebGrid1D) -> np.ndarray:
 def core_tensor(kernel, grids_tau: Sequence[ChebGrid1D], grids_sigma: Sequence[ChebGrid1D]) -> np.ndarray:
     """Kernel values at all pairs of tensor-product Chebyshev nodes of the two
     boxes, as an order-2d tensor (target modes first, source modes last)."""
-    from .kernels import pairwise  # local import to avoid a cycle
-
-    d = len(grids_tau)
-    if len(grids_sigma) != d:
+    if len(grids_sigma) != len(grids_tau):
         raise ValueError("box dimensions differ")
-    x_axes = [g.nodes for g in grids_tau]
-    y_axes = [g.nodes for g in grids_sigma]
-    x_mesh = np.meshgrid(*x_axes, indexing="ij")
-    y_mesh = np.meshgrid(*y_axes, indexing="ij")
-    xpts = np.stack([m.ravel(order="F") for m in x_mesh], axis=-1)
-    ypts = np.stack([m.ravel(order="F") for m in y_mesh], axis=-1)
-    values = pairwise(kernel, xpts, ypts)
-    shape = tuple(g.order for g in grids_tau) + tuple(g.order for g in grids_sigma)
-    return values.ravel(order="F").reshape(shape, order="F")
+    return _core_tensors(kernel, [g.nodes[None] for g in grids_tau],
+                         [g.nodes[None] for g in grids_sigma])[..., 0]
+
+
+def _core_tensors(kernel, x_nodes, y_nodes) -> np.ndarray:
+    """:func:`core_tensor` of many box pairs in one kernel call.  Per
+    dimension, `x_nodes` and `y_nodes` hold each pair's target and source
+    nodes, arrays (pairs, order); the cores are stacked along a last axis,
+    all first index fastest, so that each core is a contiguous view."""
+    from .kernels import _evaluate  # local import to avoid a cycle
+
+    xpts, ypts = _tensor_points(x_nodes), _tensor_points(y_nodes)
+    # (pairs, source, target) in C order is (target, source, pairs) in F order
+    values = _evaluate(kernel, xpts[:, None, :, :], ypts[:, :, None, :])
+    shape = tuple(n.shape[1] for n in x_nodes) + tuple(n.shape[1] for n in y_nodes)
+    return values.T.reshape(shape + (len(xpts),), order="F")
+
+
+def _tensor_points(nodes) -> np.ndarray:
+    """The tensor-product points of per-dimension nodes (pairs, order_k), as
+    (pairs, points, d), points first index fastest."""
+    index = np.indices([n.shape[1] for n in nodes]).reshape(len(nodes), -1, order="F")
+    return np.stack([n[:, i] for n, i in zip(nodes, index)], axis=-1)
 
 
 def lebesgue_constant(order: int, samples: int = 20001) -> float:

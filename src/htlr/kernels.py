@@ -9,8 +9,9 @@ of k(x_i, .) over the cell centered at x_i; on a triangle mesh, the triangle
 average of k(centroid, .).  This module owns both self terms and one Duffy
 rule for them: pieces with their apex at the singular point and their bases
 split at the feet of the perpendiculars from it, each under a tensor
-Gauss-Legendre rule graded toward the apex for singular kernels.  It alone
-decides the self entries and keeps coincident pairs from the kernel evaluator.
+Gauss-Legendre rule graded toward the apex for singular kernels, and along
+a triangle's edges under a sinh substitution.  It alone decides the self
+entries and keeps coincident pairs from the kernel evaluator.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ _SMOOTH_AT_DIAGONAL = {GAUSSIAN: True, SLP2D: False, SLP3D: False, CUSTOM: None}
 #: resolves the log singularity to ~1e-10 relative at q = 10 (the 1/r
 #: singularity is integrated exactly up to rounding)
 RADIAL_GRADING = 3
+
+#: kernel evaluations per call of a batched build (the Tucker cores of a
+#: tree level, the self entries of a custom kernel): 2 MB of values
+EVAL_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,21 @@ def _of_r2(k: KernelSpec, r2: np.ndarray) -> np.ndarray:
     return 1.0 / (4.0 * np.pi * np.sqrt(r2))
 
 
+def _squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y|^2 over the trailing coordinate axis, summed coordinate by
+    coordinate in their order: for d <= 3 the bits of
+    ``np.sum(np.square(x - y), axis=-1)``, without its d-times-larger
+    difference array."""
+    r2 = np.square(x[..., 0] - y[..., 0])
+    for c in range(1, x.shape[-1]):
+        r2 += np.square(x[..., c] - y[..., c])
+    return r2
+
+
 def _evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if k.kind == CUSTOM:
         return np.asarray(k.evaluator(x, y), dtype=np.float64)
-    r2 = np.sum(np.square(x - y), axis=-1)
+    r2 = _squared_distance(x, y)
     if k.kind != GAUSSIAN and np.any(r2 == 0.0):
         raise ValueError("SLP kernel evaluated on the diagonal")
     return _of_r2(k, r2)
@@ -147,8 +163,7 @@ def pairwise_self(
         with np.errstate(all="ignore"):
             out = np.array(_evaluate(k, x, y))
     else:
-        # x - y, d times the size of the result, is freed before the formula
-        r2 = np.sum(np.square(x - y), axis=-1)
+        r2 = _squared_distance(x, y)
         r2[rows, sel] = 1.0
         out = _of_r2(k, r2)
     out[rows, sel] = self_values
@@ -213,47 +228,77 @@ def _tensor_rule(axes_nodes, axes_weights):
     return mesh, reduce(np.multiply.outer, axes_weights)
 
 
-def _smooth_cell_average(k, center, h, q):
-    d = len(center)
+def _smooth_cell_averages(k, centers, h, q):
+    """Cell averages at the centers (P, d) of a kernel smooth at the
+    diagonal: one tensor Gauss-Legendre rule over every cell, all cells in
+    one kernel call."""
+    d = centers.shape[1]
     gx, gw = _gauss01(q)
-    axes = [center[dim] - h / 2 + h * gx for dim in range(d)]
-    mesh, w = _tensor_rule(axes, [h * gw] * d)
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = _evaluate(k, np.broadcast_to(center, pts.shape), pts)
-    return float(np.sum(vals * w.ravel())) / h**d
+    mesh, w = _tensor_rule([h * gx] * d, [h * gw] * d)
+    pts = (centers[:, None, :] - h / 2) + np.stack([m.ravel() for m in mesh], axis=-1)
+    vals = _evaluate(k, np.broadcast_to(centers[:, None, :], pts.shape), pts)
+    return np.sum(vals * w.ravel(), axis=-1) / h**d
 
 
-def _duffy(k, apex, a, b, q, graded):
+def _duffy(k, apex, a, b, q, graded, base=None):
     """Integral of k(apex_p, .) over each piece {apex_p + u (a_p + sum_j v_j
     b_pj) : u, v_j in [0, 1]} for apex, a (P, d) and b (P, d-1, d), all in one
-    kernel call: Jacobian |det[a, b]| u^(d-1), u graded when `graded`."""
+    kernel call: Jacobian |det[a, b]| u^(d-1), u graded when `graded`.  Each
+    v_j takes the Gauss-Legendre rule on [0, 1]; for d = 2, `base` may give
+    v a rule (nodes, weights) of its own per piece, each (P, q)."""
     d = apex.shape[1]
     gx, gw = _gauss01(q)
     m = RADIAL_GRADING if graded else 1
-    mesh, w = _tensor_rule([gx**m] + [gx] * (d - 1),
-                           [m * gx ** (m - 1) * gw] + [gw] * (d - 1))
+    u, wu = gx**m, m * gx ** (m - 1) * gw
+    det = np.abs(np.linalg.det(np.concatenate([a[:, None, :], b], axis=1)))
+    if base is not None:
+        v, wv = base
+        rays = a[:, None, :] + v[:, :, None] * b[:, 0, None, :]
+        pts = apex[:, None, None, :] + u[:, None, None] * rays[:, None, :, :]
+        vals = _evaluate(k, np.broadcast_to(apex[:, None, None, :], pts.shape), pts)
+        return det * np.einsum("puv,u,pv->p", vals, u * wu, wv)
+    mesh, w = _tensor_rule([u] + [gx] * (d - 1), [wu] + [gw] * (d - 1))
     u = mesh[0].ravel()
     rays = a[:, None, :] + sum(v.ravel()[:, None] * b[:, None, j]
                                for j, v in enumerate(mesh[1:]))
     pts = apex[:, None, :] + u[:, None] * rays
     vals = _evaluate(k, np.broadcast_to(apex[:, None, :], pts.shape), pts)
-    det = np.abs(np.linalg.det(np.concatenate([a[:, None, :], b], axis=1)))
     return det * (vals @ (u ** (d - 1) * w.ravel()))
 
 
-def _singular_cell_average(k, center, h, q):
-    """The cell as 2^d d Duffy pieces with their apex at its center: each
-    face is split at its centre, the foot of the perpendicular from the
-    center, and each of the 2^(d-1) parts is the base of one piece."""
-    d = len(center)
+def _singular_cell_averages(k, centers, h, q):
+    """Each cell as 2^d d Duffy pieces with their apex at its center, for
+    the centers (P, d), all pieces in one :func:`_duffy` call: each face is
+    split at its centre, the foot of the perpendicular from the center, and
+    each of the 2^(d-1) parts is the base of one piece."""
+    count, d = centers.shape
     # half[s, i] = sign_i h/2 e_i for the s-th sign pattern
     signs = np.array(list(product((-1.0, 1.0), repeat=d)))
     half = (h / 2) * signs[:, :, None] * np.eye(d)
     a = half.reshape(-1, d)
     others = [[j for j in range(d) if j != i] for i in range(d)]
     b = half[:, others].reshape(len(a), d - 1, d)
-    apex = np.broadcast_to(np.asarray(center, dtype=np.float64), a.shape)
-    return float(np.sum(_duffy(k, apex, a, b, q, graded=True))) / h**d
+    pieces = _duffy(k, np.repeat(centers, len(a), axis=0), np.tile(a, (count, 1)),
+                    np.tile(b, (count, 1, 1)), q, graded=True)
+    return pieces.reshape(count, len(a)).sum(axis=1) / h**d
+
+
+def _cell_averages(k, centers, h, q):
+    """Average of k(x, .) over the width-h cell centered at x, for every row
+    x of `centers` (P, d), with one kernel call per :data:`EVAL_CHUNK`
+    evaluations."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"cell width must be finite and positive, got {h!r}")
+    count, d = centers.shape
+    if k.smooth_at_diagonal:
+        average, evals = _smooth_cell_averages, q**d
+    else:
+        average, evals = _singular_cell_averages, 2**d * d * q**d
+    step = max(1, EVAL_CHUNK // evals)
+    out = np.empty(count)
+    for start in range(0, count, step):
+        out[start:start + step] = average(k, centers[start:start + step], h, q)
+    return out
 
 
 def triangle_entries(k: KernelSpec, corners, centers, areas,
@@ -262,17 +307,37 @@ def triangle_entries(k: KernelSpec, corners, centers, areas,
     centers (T, 2) and areas (T,).  Each edge is split at the foot of the
     perpendicular from the center, clamped to the edge, and each half edge
     is the base of one Duffy piece with its apex at the center; the pieces
-    are graded when the kernel is singular."""
+    are graded when the kernel is singular.  Along a base of length |b| the
+    parameter is v = v* + (delta/|b|) sinh s, with delta the center's
+    distance to the edge's line and v* the parameter of the unclamped foot,
+    so that the distance to the center, delta cosh s, is smooth in s and
+    Gauss-Legendre in s stays accurate on half edges many times longer than
+    delta, as on obtuse triangles.  A half edge of zero length (a clamped
+    foot) gets zero weight."""
     start = np.asarray(corners, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)[:, None, :]
     edge = np.roll(start, -1, axis=1) - start
     t = np.sum((c - start) * edge, axis=-1) / np.sum(edge * edge, axis=-1)
+    # the center's distance to each edge's line, that to the unclamped foot
+    delta = np.linalg.norm(start + t[..., None] * edge - c, axis=-1)
     foot = start + np.clip(t, 0.0, 1.0)[..., None] * edge
     a = np.repeat(foot - c, 2, axis=1).reshape(-1, 2)
-    b = np.stack([start, start + edge], axis=2) - foot[:, :, None]
+    b = (np.stack([start, start + edge], axis=2) - foot[:, :, None]).reshape(-1, 2)
+    delta = np.repeat(delta, 2, axis=1).reshape(-1, 1)
+    span = np.hypot(b[:, 0], b[:, 1])[:, None]
+    # a zero-length half edge has s0 = s1 below, so zero weight
+    length = np.where(span > 0.0, span, 1.0)
+    # the base's near end as a signed distance from the foot along b; both
+    # ends in s
+    near = np.sum(a * b, axis=1)[:, None] / length
+    s0, s1 = np.arcsinh(near / delta), np.arcsinh((near + span) / delta)
+    gx, gw = _gauss01(cfg.q)
+    s = s0 + (s1 - s0) * gx
+    v = (delta * np.sinh(s) - near) / length
+    wv = (s1 - s0) * gw * delta * np.cosh(s) / length
     apex = np.repeat(c, 6, axis=1).reshape(-1, 2)
-    pieces = _duffy(k, apex, a, b.reshape(-1, 1, 2), cfg.q,
-                    graded=not k.smooth_at_diagonal)
+    pieces = _duffy(k, apex, a, b[:, None, :], cfg.q,
+                    graded=not k.smooth_at_diagonal, base=(v, wv))
     return pieces.reshape(-1, 6).sum(axis=1) / np.asarray(areas, dtype=np.float64)
 
 
@@ -282,14 +347,10 @@ def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) 
     Translation-invariant kernels are integrated around the origin so the
     result is bit-identical for every cell.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"cell width must be finite and positive, got {h!r}")
     center = np.asarray(cell_center, dtype=np.float64)
     if k.translation_invariant:
         center = np.zeros_like(center)
-    if k.smooth_at_diagonal:
-        return _smooth_cell_average(k, center, h, cfg.q)
-    return _singular_cell_average(k, center, h, cfg.q)
+    return float(_cell_averages(k, center[None], h, cfg.q)[0])
 
 
 @lru_cache(maxsize=None)
@@ -302,8 +363,9 @@ def self_entries(
 ) -> np.ndarray:
     """:func:`diagonal_entry` at every point of `pts`; a translation-invariant
     kernel has one value for all cells, integrated once per (kernel, d, h,
-    quadrature)."""
+    quadrature); any other kernel's entries are integrated in chunks of
+    cells, one kernel call each."""
     pts = np.asarray(pts, dtype=np.float64)
     if k.translation_invariant:
         return np.full(len(pts), _origin_entry(k, pts.shape[1], h, cfg))
-    return np.array([diagonal_entry(k, p, h, cfg) for p in pts])
+    return _cell_averages(k, pts, h, cfg.q)

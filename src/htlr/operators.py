@@ -12,7 +12,9 @@ For a translation-invariant kernel the matrix is multilevel Toeplitz: a leaf
 payload depends only on the leaf kind, the two box sizes and the index
 offset between the boxes.  Each such translation class is built once and
 every leaf of the class points at the same payload object, so payloads are
-shared and must be treated as read-only.  The coefficient a(x) is not part
+shared and must be treated as read-only.  The Tucker payloads of one tree
+level are built together, their kernel values in one call per chunk
+(:func:`htlr.blocks._tucker_blocks`).  The coefficient a(x) is not part
 of any payload; the operator holds it as its diagonal.  The build takes the
 leaves from :func:`htlr.grids._leaf_lattice`, integer arrays on the box
 lattice of each level, and builds neither tree; the operator keeps only the
@@ -50,9 +52,9 @@ from typing import Callable
 import numpy as np
 
 from .blocks import (
+    _lowrank,
+    _tucker_blocks,
     build_dense,
-    build_lowrank,
-    build_tlr,
     expand,
     from_boxes,
     project,
@@ -174,7 +176,7 @@ class StorageReport:
     theoretical_bound: float
 
 
-def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatrix:
+def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     leaves = _leaf_lattice(grid, cfg.leaf_side, cfg.rule)
     depth = int(leaves.level.max())
     # the side the tree reaches, not the threshold; a one-leaf tree is all
@@ -197,16 +199,33 @@ def _build(cfg: BuildConfig, grid: UniformGrid, admissible_builder) -> HTLRMatri
     members = np.split(np.argsort(inverse, kind="stable"),
                        np.cumsum(np.bincount(inverse))[:-1])
     box_targets, box_sources = _box_ids(leaves, grid.d)
+    classes = np.argsort(first)
+    firsts = first[classes]
+    levels = leaves.level[firsts]
+    tucker = leaves.admissible[firsts] & (grid.n >> levels > cfg.rank)
+    # the Tucker payloads of a level in one batch, as its cores share one
+    # kernel evaluation per chunk
+    payloads = {}
+    for level in np.unique(levels[tucker]).tolist():
+        at = np.flatnonzero(tucker & (levels == level))
+        side = grid.n >> level
+        taus, sigmas = (np.stack([coords * side, (coords + 1) * side], axis=-1)
+                        for coords in (leaves.tau[firsts[at]], leaves.sigma[firsts[at]]))
+        blocks = _tucker_blocks(cfg.kernel, grid, taus, sigmas, cfg.rank, grid.h)
+        if lowrank:
+            blocks = [_lowrank(grid, block) for block in blocks]
+        payloads.update(zip(at.tolist(), blocks))
     groups = {}
-    for c in np.argsort(first):
-        leaf, level = first[c], int(leaves.level[first[c]])
+    for i, c in enumerate(classes):
+        leaf, level = firsts[i], int(levels[i])
         side = grid.n >> level
         tau = _lattice_box(leaves.tau[leaf], side)
         sigma = _lattice_box(leaves.sigma[leaf], side)
-        if leaves.admissible[leaf] and side > cfg.rank:
-            payload = admissible_builder(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
+        if tucker[i]:
+            payload = payloads.pop(i)
         else:
             payload = build_dense(cfg.kernel, grid, tau, sigma, grid.h, cfg.quadrature)
+        # in class order, so that the first bad leaf is named
         if not np.isfinite(payload.core_matrix).all():
             raise ValueError(
                 f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
@@ -272,13 +291,13 @@ def _box_indices(boxes: np.ndarray, count: int):
 
 def construct(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
     """Build the hierarchical Tucker operator for the configured kernel."""
-    return _build(cfg, grid, build_tlr)
+    return _build(cfg, grid, lowrank=False)
 
 
 def construct_hmatrix(cfg: BuildConfig, grid: UniformGrid) -> HTLRMatrix:
     """Build the baseline hierarchical operator with conventional low-rank
     leaves of rank rank^d."""
-    return _build(cfg, grid, build_lowrank)
+    return _build(cfg, grid, lowrank=True)
 
 
 def checked_vector(u) -> np.ndarray:

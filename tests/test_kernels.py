@@ -12,7 +12,14 @@ from htlr import (
     slp_2d,
     slp_3d,
 )
-from htlr.kernels import KernelSpec, by_name, pairwise_self, self_entries
+from htlr import kernels
+from htlr.kernels import (
+    KernelSpec,
+    _squared_distance,
+    by_name,
+    pairwise_self,
+    self_entries,
+)
 from oracle_utils import shell_diagonal_average
 
 
@@ -170,6 +177,49 @@ class TestSelfEntries:
         h, cfg = 1 / 8, QuadratureConfig()
         expected = [diagonal_entry(kernel, p, h, cfg) for p in pts]
         assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "singular"])
+    def test_custom_kernel_cells_batched_in_chunks(self, d, smooth, monkeypatch):
+        # one kernel call per chunk of cells gives the bits of one call per
+        # cell, also when a chunk holds only a few cells
+        if smooth:
+            kernel = custom(lambda x, y: (1.0 + x[..., 0])
+                            * np.exp(-np.sum((x - y) ** 2, axis=-1)))
+        else:
+            kernel = custom(lambda x, y: (1.0 + x[..., 0])
+                            / np.sqrt(np.sum((x - y) ** 2, axis=-1)),
+                            smooth_at_diagonal=False)
+        pts = np.random.default_rng(30 + d).random((40, d))
+        h, cfg = 1 / 8, QuadratureConfig()
+        expected = [diagonal_entry(kernel, p, h, cfg) for p in pts]
+        assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
+        cell = cfg.q**d * (1 if smooth else 2**d * d)
+        monkeypatch.setattr(kernels, "EVAL_CHUNK", 3 * cell)
+        assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
+
+
+class TestSquaredDistance:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_equal_to_the_summed_squares(self, d):
+        """On the shapes that pairwise, pairwise_self, the Duffy rule and
+        the Tucker cores of a level pass."""
+        rng = np.random.default_rng(60 + d)
+        pts = rng.random((300, d))
+        sel = rng.choice(300, size=40, replace=False)
+        apex = rng.random((24, d))
+        nodes = rng.random((2, 16, 64, d))
+        cases = [
+            (pts[:256, None, :], pts[None, 44:, :]),
+            (pts[sel][:, None, :], pts[None, :, :]),
+            (np.broadcast_to(apex[:, None, :], (24, 100, d)), rng.random((24, 100, d))),
+            (nodes[0][:, None, :, :], nodes[1][:, :, None, :]),
+            (pts[0], pts[1]),
+        ]
+        for x, y in cases:
+            assert np.array_equal(_squared_distance(x, y),
+                                  np.sum(np.square(x - y), axis=-1))
 
 
 def test_translation_invariance_is_the_kernel_kind():

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from htlr import (
     IndexBox,
     QuadratureConfig,
     UniformGrid,
+    build_block_cluster_tree,
+    build_cluster_tree,
     build_dense,
     build_lowrank,
     build_tlr,
@@ -642,6 +645,94 @@ class TestNonFinitePayloads:
         op = build(self.cfg(kernel), grid)
         u = np.random.default_rng(52).standard_normal(grid.num_points)
         assert np.isfinite(matvec(op, u)).all()
+
+
+class TestLevelBatches:
+    """The build evaluates the Tucker cores of all classes of one tree level
+    together; each core keeps the bits of its own build_tlr or build_lowrank
+    block."""
+
+    CASES = {
+        "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
+            rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        )),
+        "3d-weak-gaussian": (UniformGrid(3, 16), BuildConfig(
+            rank=3, leaf_side=4, rule=AdmissibilityRule.weak(),
+            kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
+        )),
+        "2d-non-stationary": (UniformGrid(2, 64), non_stationary_cfg()),
+    }
+
+    @staticmethod
+    def tucker_classes(op):
+        """(side, payload, tau, sigma) of every Tucker class, at the class's
+        first target box."""
+        grid = op.grid
+        for group in op.groups:
+            side, per_dim = group.side, grid.n // group.side
+            boxes = np.arange(per_dim**grid.d)
+            for cls in group.classes:
+                if not cls.payload.u_factors:
+                    continue
+                tau, sigma = (
+                    IndexBox(tuple((side * c, side * (c + 1)) for c in
+                                   np.unravel_index(box, (per_dim,) * grid.d, order="F")))
+                    for box in (boxes[cls.targets][0], boxes[cls.sources][0])
+                )
+                yield side, cls.payload, tau, sigma
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @BUILDS
+    def test_cores_bit_equal_to_the_pair_builders(self, case, build, build_admissible):
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        sides = collections.Counter()
+        for side, payload, tau, sigma in self.tucker_classes(op):
+            block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
+            assert np.array_equal(payload.core, block.core)
+            assert all(f is g for f, g in zip(payload.u_factors + payload.v_factors,
+                                               block.u_factors + block.v_factors))
+            sides[side] += 1
+        # several levels, each a batch of several classes
+        assert len(sides) >= 2 and min(sides.values()) >= 2
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @BUILDS
+    def test_levels_split_into_chunks(self, case, build, build_admissible, monkeypatch):
+        from htlr import kernels
+
+        grid, cfg = self.CASES[case]
+        cores = [payload.core for *_, payload, _, _ in self.tucker_classes(build(cfg, grid))]
+        # two cores and a part of a third per kernel call
+        monkeypatch.setattr(kernels, "EVAL_CHUNK", 5 * cfg.rank ** (2 * grid.d) // 2)
+        chunked = [payload.core for *_, payload, _, _ in self.tucker_classes(build(cfg, grid))]
+        assert len(cores) > 2
+        assert all(np.array_equal(a, b) for a, b in zip(cores, chunked, strict=True))
+
+    @BUILDS
+    def test_nan_on_a_later_class_of_a_level_names_its_leaf(self, build, build_admissible):
+        # NaN only between targets right of x0 = 1/2 and sources above
+        # x1 = 1/2: on some admissible leaves of the level of side 16, not on
+        # its first, and on dense leaves of later levels
+        kernel = custom(lambda x, y: np.where(
+            (x[..., 0] > 0.5) & (y[..., 1] > 0.5), np.nan,
+            np.exp(-np.sum((x - y) ** 2, axis=-1))))
+        cfg = dataclasses.replace(weak_gaussian_cfg(rank=4, leaf=8), kernel=kernel)
+        grid = UniformGrid(2, 32)
+        # the leaves in the build's class order: level by level
+        leaves = [(leaf.tau.box, leaf.sigma.box, leaf.kind) for leaf in
+                  build_block_cluster_tree(build_cluster_tree(grid, cfg.leaf_side),
+                                           cfg.rule).leaves]
+        bad = [i for i, (tau, sigma, _) in enumerate(leaves)
+               if tau.ranges[0][0] >= 16 and sigma.ranges[1][0] >= 16]
+        tau, sigma, kind = leaves[bad[0]]
+        assert kind == ADMISSIBLE and tau.sizes[0] == 16
+        assert leaves[bad[0] - 1][2] == ADMISSIBLE  # not the level's first
+        assert leaves[bad[0] - 1][0].sizes[0] == 16
+        message = f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(cfg, grid)
 
 
 class TestHMatrixBaseline:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from htlr import (
     svd_lowrank,
 )
 from htlr.cli import rank_explore_errors
+from htlr.kernels import triangle_entries
 from oracle_utils import polar_slp2d_triangle_average
 
 
@@ -124,17 +127,36 @@ class TestQuasiRowEvaluator:
     # measured at q = 10.
 
     def test_slp_self_term_on_right_triangles(self):
-        # measured 1.9e-10 on every triangle
+        # measured 5.6e-11 on every triangle
         errors = self.slp_self_errors(structured_trimesh(4))
-        assert errors.max() <= 5e-10
+        assert errors.max() <= 1.7e-10
 
     def test_slp_self_term_on_jittered_triangles(self):
-        # measured: median 1.7e-10, max 1.5e-7 on the most obtuse triangles,
-        # where a half edge is many times longer than the center's distance
-        # to it
-        errors = self.slp_self_errors(jittered_mesh(16, seed=1))
-        assert np.median(errors) <= 5e-10
-        assert errors.max() <= 5e-7
+        # measured at most 5.7e-11 on both meshes; seed 3 holds a triangle
+        # with a 148.6 degree angle, whose half edges are up to 11 times
+        # the center's distance to their edge
+        for seed in (1, 3):
+            errors = self.slp_self_errors(jittered_mesh(16, seed=seed))
+            assert errors.max() <= 1.7e-10
+
+    @pytest.mark.parametrize("corners", [
+        [(0.0, 0.0), (1.0, 0.0), (-3.0, 0.1)],
+        [(0.0, 0.0), (1.0, 0.0), (0.5, 0.02)],
+    ], ids=["clamped-foot", "flat"])
+    def test_slp_self_term_on_extreme_triangles(self, corners):
+        # on the first, the perpendicular from the center to the edge along
+        # the x axis falls outside it: one half edge has zero length and
+        # must add nothing, and no warning
+        corners = np.array(corners)
+        center = corners.mean(axis=0)
+        e1, e2 = corners[1] - corners[0], corners[2] - corners[0]
+        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = triangle_entries(slp_2d(), corners[None], center[None],
+                                     np.array([area]), QuadratureConfig())[0]
+        # measured 5.6e-11 and 4.8e-11
+        assert abs(entry - polar_slp2d_triangle_average(corners, center)) <= 1.7e-10
 
 
 class TestSvdLowRank:
