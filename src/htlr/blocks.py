@@ -22,9 +22,10 @@ one-pair case.  Cores are stored first index fastest, so that
 ``core_matrix`` is a view.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
-``(dense, factor, core)`` counts) and ``core_matrix``, and has
-``u_factors``/``v_factors`` (empty for a dense block); no other module knows
-the kinds.
+``(dense, factor, core)`` counts) and ``core_matrix``; no other module knows
+the kinds.  Only a Tucker block has factors; the operators read none of
+them and apply a baseline block, whose basis is the box factors' Kronecker
+product, through the box factors too.
 
 The operators apply blocks a whole tree level at a time.  :func:`project`
 and :func:`expand` are the one level step: they split a grid-ordered array
@@ -102,8 +103,6 @@ class DenseBlock:
     """A kernel submatrix; its box coefficients are the grid values."""
 
     matrix: np.ndarray
-
-    u_factors = v_factors = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -290,25 +289,6 @@ def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
     return tensor.multi_mode_apply(w, _modes(block.u_factors)).reshape(-1, order="F")
 
 
-def _along_dims(t: np.ndarray, mats) -> np.ndarray:
-    """Multiply the in-box axis of every dimension of `t` by its matrix.
-    `t` is a grid-ordered array split into boxes,
-    axes (box, in-box) per dimension, last dimension first, so that the first
-    dimension's in-box axis is the last axis: that one is a single GEMM, the
-    others are batched matmuls on contiguous reshapes, with no transposes."""
-    shape = list(t.shape)
-    d = len(mats)
-    for dim, m in enumerate(mats):
-        axis = 2 * (d - dim) - 1
-        pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-        if post == 1:
-            t = t.reshape(pre, shape[axis]) @ m.T
-        else:
-            t = m @ t.reshape(pre, shape[axis], post)
-        shape[axis] = m.shape[0]
-    return t.reshape(shape)
-
-
 def _box_major(d: int) -> tuple[int, ...]:
     """Axis order taking (box, in-box) pairs, last dimension first, to all
     box axes then all in-box axes (both last dimension first), so that boxes
@@ -343,22 +323,30 @@ def project(x: np.ndarray, d: int, boxes: int, maps) -> np.ndarray:
     through the transposed maps, as a coefficient grid, i.e. axes (box,
     coefficient) per dimension, last dimension first.  `maps` holds one
     matrix per dimension (a box factor from the grid, or a :func:`transfer`
-    from the two children of each box), one Kronecker basis of the whole
-    box, or nothing; without maps the coefficients are the entries of each
-    box, and a view of `x`."""
+    from the two children of each box) or nothing; without maps the
+    coefficients are the entries of each box, and a view of `x`."""
     t = x.reshape((boxes, _root(x.size, d) // boxes) * d)
-    if len(maps) == 1:
-        return from_boxes(to_boxes(t) @ maps[0], d)
-    return _along_dims(t, [m.T for m in maps]) if maps else t
+    return expand(t, [m.T for m in maps])
 
 
 def expand(t: np.ndarray, maps) -> np.ndarray:
     """Adjoint of :func:`project`: a coefficient grid through the maps, back
     to axes (box, in-box) per dimension, whose ravel is the array that was
-    projected."""
-    if len(maps) == 1:
-        return from_boxes(to_boxes(t) @ maps[0].T, t.ndim // 2)
-    return _along_dims(t, maps) if maps else t
+    projected.  The in-box axis of every dimension of `t` is multiplied by
+    its map; the axes are last dimension first, so the first dimension's
+    in-box axis is the last axis: that one is a single GEMM, the others are
+    batched matmuls on contiguous reshapes, with no transposes."""
+    shape = list(t.shape)
+    d = len(maps)
+    for dim, m in enumerate(maps):
+        axis = 2 * (d - dim) - 1
+        pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+        if post == 1:
+            t = t.reshape(pre, shape[axis]) @ m.T
+        else:
+            t = m @ t.reshape(pre, shape[axis], post)
+        shape[axis] = m.shape[0]
+    return t.reshape(shape)
 
 
 def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

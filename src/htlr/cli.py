@@ -230,6 +230,8 @@ def cmd_bench_quasi(args) -> list[dict]:
     if not all(np.isfinite(rho) and rho > 0 for rho in rhos):
         raise UsageError("--rho must be finite and positive")
     if args.mesh is not None:
+        if args.n is not None:
+            raise UsageError("give --n (number of triangles) or --mesh, not both")
         mesh = load_mesh(args.mesh)
     else:
         if args.n is None:

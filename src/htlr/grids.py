@@ -121,16 +121,24 @@ class DomainBox:
     def diameter_sq(self) -> float:
         return float(sum((b - a) ** 2 for a, b in self.intervals))
 
+    def _interval_pairs(self, other: "DomainBox"):
+        """The two boxes' intervals, dimension by dimension; boxes of
+        different dimension are rejected instead of compared on the
+        dimensions they share."""
+        if other.d != self.d:
+            raise ValueError(f"boxes of dimension {self.d} and {other.d}")
+        return zip(self.intervals, other.intervals)
+
     def distance_sq(self, other: "DomainBox") -> float:
         total = 0.0
-        for (a1, b1), (a2, b2) in zip(self.intervals, other.intervals):
+        for (a1, b1), (a2, b2) in self._interval_pairs(other):
             gap = max(a1 - b2, a2 - b1, 0.0)
             total += gap * gap
         return total
 
     def overlap_volume(self, other: "DomainBox") -> float:
         vol = 1.0
-        for (a1, b1), (a2, b2) in zip(self.intervals, other.intervals):
+        for (a1, b1), (a2, b2) in self._interval_pairs(other):
             length = min(b1, b2) - max(a1, a2)
             if length <= 0.0:
                 return 0.0
@@ -251,6 +259,8 @@ def build_cluster_tree(grid: UniformGrid, leaf_side_max: int) -> ClusterTree:
 
 def domain_of(grid: UniformGrid, box: IndexBox) -> DomainBox:
     """Computational domain covered by the cells of an index box."""
+    if box.d != grid.d:
+        raise ValueError(f"a {box.d}-D index box on a {grid.d}-D grid")
     for lo, hi in box.ranges:
         if hi > grid.n:
             raise ValueError("index box exceeds the grid")

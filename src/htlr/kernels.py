@@ -129,11 +129,24 @@ def _squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if k.kind == CUSTOM:
-        return np.asarray(k.evaluator(x, y), dtype=np.float64)
+        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+        return _real_values(k.evaluator(x, y), shape, "custom kernel")
     r2 = _squared_distance(x, y)
     if k.kind != GAUSSIAN and np.any(r2 == 0.0):
         raise ValueError("SLP kernel evaluated on the diagonal")
     return _of_r2(k, r2)
+
+
+def _real_values(values, shape: tuple, what: str) -> np.ndarray:
+    """A user function's `values` as float64; a result that is complex or
+    not of `shape` is rejected instead of losing its imaginary part or
+    broadcasting into a wrong result."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} values are complex; they must be real")
+    if values.shape != shape:
+        raise ValueError(f"{what} returned shape {values.shape}; expected {shape}")
+    return values.astype(np.float64, copy=False)
 
 
 def evaluate(k: KernelSpec, x, y) -> float:
@@ -186,15 +199,7 @@ class CoefficientFn:
         value per point is rejected instead of broadcasting into a wrong
         diagonal or spreading NaN."""
         pts = np.asarray(pts, dtype=np.float64)
-        values = np.asarray(self.evaluator(pts))
-        if np.iscomplexobj(values):
-            raise ValueError("coefficient values are complex; a(x) must be real")
-        if values.shape != (len(pts),):
-            raise ValueError(
-                f"coefficient returned shape {values.shape} for {len(pts)} "
-                f"points; expected ({len(pts)},)"
-            )
-        values = values.astype(np.float64, copy=False)
+        values = _real_values(self.evaluator(pts), (len(pts),), "coefficient")
         if not np.isfinite(values).all():
             raise ValueError("coefficient values have NaN or infinite entries")
         return values

@@ -4,7 +4,7 @@ The hierarchical Tucker operator compresses every admissible leaf of the
 block cluster tree into a Tucker block; the baseline hierarchical operator
 uses conventional low-rank blocks, which are the same Tucker blocks with
 each side's factors multiplied out into one basis (order-2 Tucker blocks),
-so the two agree to rounding and differ only in storage and work.  Both are
+so the two differ only in what their leaves store.  Both are
 one operator type: the leaf payloads follow the block protocol of
 :mod:`htlr.blocks`, so nothing here depends on the leaf kind.
 
@@ -23,18 +23,21 @@ classes, and derives the block tree and the per-leaf payloads on request.
 Every box at one cluster-tree level is a cube of side n / 2**level starting
 at a multiple of that side, and its interpolation factors depend only on
 that side, so the payloads of one level share their factor objects.  The
-classes are grouped by box side and factors.  The factors of consecutive
-levels are nested: a parent box's factor is its children's factor times a
-small transfer matrix per dimension (:func:`htlr.blocks.transfer`).  So the
+classes are grouped by box side and by whether they are factored; the
+operator reads no payload's factors.  The factors of consecutive levels are
+nested: a parent box's factor is its children's factor times a small
+transfer matrix per dimension (:func:`htlr.blocks.transfer`).  So the
 factored groups form chains of doubling sides, and the matvec traverses
 each chain as the black-box fast multipole method does (W. Fong and
 E. Darve, J. Comput. Phys. 228, 2009), per dimension.  Each group holds the
-maps of its level step: the payloads' factors at the chain's finest side,
-the transfers above it.  Upward, each group projects the level below (the
-grid, at the finest side) through its maps; each class's core matrix is
-applied once to the coefficient rows of its source boxes and added into the
-rows of its target boxes; downward, each group expands its target
-coefficients through its maps onto the level below.  Dense payloads form
+maps of its level step, one per dimension: the box factor of its side at
+the chain's finest side, the transfers above it.  A baseline payload's
+basis is those box factors multiplied out, so the baseline's matvec is the
+Tucker operator's, bit for bit.  Upward, each group projects the level
+below (the grid, at the finest side) through its maps; each class's core
+matrix is applied once to the coefficient rows of its source boxes and
+added into the rows of its target boxes; downward, each group expands its
+target coefficients through its maps onto the level below.  Dense payloads form
 groups without maps, each a chain of its own: their coefficients are the
 grid values of each box.  An admissible leaf on boxes no wider than the
 rank is stored dense too, as the full-matrix format of an H-matrix stores
@@ -46,12 +49,13 @@ kernel submatrix holds as many scalars as the core would.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .blocks import (
+    _box_factor,
     _lowrank,
     _tucker_blocks,
     build_dense,
@@ -110,11 +114,11 @@ class TranslationClass:
 
 @dataclass(frozen=True)
 class FactorGroup:
-    """The translation classes on boxes of one side whose payloads hold the
-    same factor objects, and the group's maps from the level below: those
-    factors (none for dense payloads), or the transfers above a chain's
-    first group.  Both boxes of a leaf are cubes of one side, so a payload's
-    target (u) and source (v) factors agree."""
+    """The translation classes on boxes of one side, all factored or all
+    dense, and the group's per-dimension maps from the level below: the box
+    factor of that side at a chain's first group, the transfers above it,
+    none for dense payloads.  Both boxes of a leaf are cubes of one side, so
+    one map per dimension serves its target and source boxes."""
 
     side: int
     maps: tuple
@@ -125,7 +129,7 @@ class FactorGroup:
 class HTLRMatrix:
     """Hierarchical operator: the diagonal a(x) at every grid point, first
     index fastest, and the translation classes the matvec applies, grouped
-    by shared factors into chains of nested factors.  Each class holds one
+    by box side and kind into chains of nested factors.  Each class holds one
     payload for all its leaves: Tucker for admissible leaves on boxes wider
     than the rank (of order 2 for the baseline), dense otherwise."""
 
@@ -215,7 +219,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         if lowrank:
             blocks = [_lowrank(grid, block) for block in blocks]
         payloads.update(zip(at.tolist(), blocks))
-    groups = {}
+    groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])
         side = grid.n >> level
@@ -230,48 +234,45 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
             raise ValueError(
                 f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
             )
-        factors = tuple(payload.u_factors)
-        key = (side, tuple(map(id, factors)))
-        group = groups.setdefault(key, FactorGroup(side, factors, []))
         # in target order, so that a class mapping every box of its level
         # onto itself indexes with full slices, which gather and add in place
         targets, sources = box_targets[members[c]], box_sources[members[c]]
         order = np.argsort(targets)
         count = (1 << level) ** grid.d
-        group.classes.append(TranslationClass(
+        groups.setdefault((side, bool(tucker[i])), []).append(TranslationClass(
             payload,
             _box_indices(targets[order], count),
             _box_indices(sources[order], count),
         ))
     diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
-    for group in groups.values():
+    return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
+                      chains=_chains(groups, grid, cfg.rank))
+
+
+def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
+    """The classes keyed by (box side, factored) as groups in chains: the
+    dense groups, each a chain of its own, then the factored ones, finest
+    side first in both, so that the order of the matvec's sums does not
+    depend on the order of the leaves.  A factored group continues the
+    chain of the factored group on boxes of half its side, and its maps are
+    the per-dimension transfers from its children; the first group of a
+    chain maps through the box factor of its side in every dimension."""
+    chains = []
+    for side, factored in sorted(groups, key=lambda key: key[::-1]):
         # a class on every box first, so that its product starts the group's
         # sum: a zeroed array would be one more level-sized temporary per
         # matvec, and the fresh memory pages it needs cost about as much as
         # the work on the finest level
-        group.classes.sort(key=lambda cls: not isinstance(cls.targets, slice))
-    return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
-                      chains=_chains(groups.values(), grid, cfg.rank))
-
-
-def _chains(groups, grid: UniformGrid, rank: int) -> list:
-    """The groups as chains, finest side first.  A factored group continues
-    the chain of the factored group on boxes of half its side: the factors
-    of every side come from one box factor per (grid, side, rank), and those
-    nest, so its maps become the per-dimension transfers from its children.
-    Each group without factors is a chain of its own; those come first,
-    finest side first too, so that the order of the matvec's sums does not
-    depend on the order of the leaves."""
-    groups = sorted(groups, key=lambda g: g.side)
-    chains = [(group,) for group in groups if not group.maps]
-    nested = []
-    for group in (g for g in groups if g.maps):
-        if nested and nested[-1][-1].side * 2 == group.side:
-            maps = (transfer(grid, group.side // 2, rank),) * grid.d
-            nested[-1].append(replace(group, maps=maps))
+        classes = sorted(groups[side, factored],
+                         key=lambda cls: not isinstance(cls.targets, slice))
+        below = chains[-1][-1] if chains else None
+        if factored and below and below.maps and below.side * 2 == side:
+            maps = (transfer(grid, side // 2, rank),) * grid.d
+            chains[-1].append(FactorGroup(side, maps, classes))
         else:
-            nested.append([group])
-    return chains + [tuple(chain) for chain in nested]
+            maps = (_box_factor(grid, side, rank)[0],) * grid.d if factored else ()
+            chains.append([FactorGroup(side, maps, classes)])
+    return [tuple(chain) for chain in chains]
 
 
 def _box_ids(leaves, d: int) -> tuple:

@@ -218,6 +218,14 @@ class TestBuildDense:
             build_dense(constant_kernel(1.0), grid, IndexBox(tau), sigma,
                         grid.h, QuadratureConfig())
 
+    def test_boxes_of_other_dimension_rejected(self):
+        # built a 64 x 64 block weighted by h^2 from 3-D boxes on a 2-D grid
+        grid = UniformGrid(2, 16)
+        box = IndexBox(((0, 4),) * 3)
+        with pytest.raises(ValueError, match="3-D index box on a 2-D grid"):
+            build_dense(constant_kernel(1.0), grid, box, box, grid.h,
+                        QuadratureConfig())
+
     def test_partially_overlapping_boxes_rejected(self):
         grid = UniformGrid(2, 8)
         a = IndexBox(((0, 4), (0, 4)))

@@ -193,6 +193,16 @@ class TestBenchQuasi:
         rows = parse_csv(out)
         assert int(rows[0]["n_quasi"]) == 128
 
+    def test_mesh_with_triangle_count_is_usage_error(self, capsys, tmp_path):
+        from htlr import save_mesh, structured_trimesh
+
+        path = tmp_path / "m.mesh"
+        save_mesh(structured_trimesh(8), path)
+        code, out, err = run_cli(capsys, "bench-quasi", "--n", "50", "--mesh", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
     def test_missing_mesh_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys, "bench-quasi", "--mesh", "/nonexistent/x.mesh",

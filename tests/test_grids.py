@@ -129,8 +129,21 @@ class TestDomainOf:
             (0.0, 0.5),
         )
 
+    def test_box_of_other_dimension_rejected(self):
+        with pytest.raises(ValueError, match="3-D index box on a 2-D grid"):
+            domain_of(UniformGrid(2, 16), IndexBox(((0, 4),) * 3))
+
 
 class TestAdmissibility:
+    @pytest.mark.parametrize("rule", [AdmissibilityRule.weak(),
+                                      AdmissibilityRule.strong(np.sqrt(2.0))],
+                             ids=["weak", "strong"])
+    def test_boxes_of_different_dimension_rejected(self, rule):
+        b2 = DomainBox(((0.0, 0.5), (0.0, 0.5)))
+        b3 = DomainBox(((0.5, 1.0), (0.0, 0.5), (0.0, 0.5)))
+        with pytest.raises(ValueError, match="dimension 2 and 3"):
+            is_admissible(rule, b2, b3)
+
     def test_weak_identical_boxes(self):
         b = DomainBox(((0.0, 1.0), (0.0, 1.0)))
         assert not is_admissible(AdmissibilityRule.weak(), b, b)

@@ -55,6 +55,38 @@ class TestEvaluate:
             by_name("slp2d", 3)
 
 
+class TestCustomKernelOutput:
+    """A custom evaluator's result is checked as a coefficient's is: real,
+    and of the broadcast shape of x and y without the coordinate axis."""
+
+    def test_complex_values_rejected(self):
+        from htlr import AdmissibilityRule, BuildConfig, UniformGrid, construct
+
+        kernel = custom(lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)) + 0j)
+        pts = np.random.default_rng(52).random((3, 2))
+        with pytest.raises(ValueError, match="complex"):
+            pairwise(kernel, pts, pts + 2.0)
+        cfg = BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.weak(),
+                          kernel=kernel, coeff=CoefficientFn.constant(0.0))
+        with pytest.raises(ValueError, match="complex"):
+            construct(cfg, UniformGrid(2, 16))
+
+    @pytest.mark.parametrize("evaluator, shape", [
+        (lambda x, y: 1.0, r"\(\)"),
+        (lambda x, y: np.sum(x * x, axis=-1), r"\(3, 1\)"),
+    ], ids=["scalar", "drops-y-axis"])
+    def test_wrong_shape_rejected(self, evaluator, shape):
+        pts = np.random.default_rng(53).random((3, 2))
+        with pytest.raises(ValueError, match=shape + r"; expected \(3, 4\)"):
+            pairwise(custom(evaluator), pts, pts[:1] + np.arange(4.0)[:, None])
+
+    def test_broadcast_shape_accepted(self):
+        kernel = custom(lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)))
+        pts = np.random.default_rng(54).random((3, 2))
+        assert pairwise(kernel, pts, pts[:2]).shape == (3, 2)
+        assert evaluate(kernel, (0.0, 0.0), (0.0, 0.0)) == 1.0
+
+
 class TestKernelSpec:
     @pytest.mark.parametrize("kind", ["slp3D", "gauss", ""])
     def test_unknown_kind_rejected(self, kind):

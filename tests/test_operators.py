@@ -32,7 +32,7 @@ from htlr import (
     storage_count,
     storage_report,
 )
-from htlr.blocks import DenseBlock
+from htlr.blocks import DenseBlock, TuckerBlock
 from htlr.grids import ADMISSIBLE
 from htlr.operators import DegenerateErrorEstimate
 from oracle_utils import recursive_block_pairs
@@ -329,8 +329,10 @@ class TestClassSharing:
     def test_matvec_applies_each_class_once(self, case, build, monkeypatch):
         """Per matvec: one core application per class; one projection and one
         expansion per group, through its maps.  Every factored group is on
-        one chain of doubling sides; the chain's first group maps through
-        its payloads' factors, every later group through the transfers."""
+        one chain of doubling sides; for both builders the chain's first
+        group maps through the box factor of its side per dimension (for
+        Tucker payloads, their own factors), every later group through the
+        transfers."""
         from htlr import blocks, operators
 
         grid, cfg = self.CASES[case]
@@ -342,11 +344,18 @@ class TestClassSharing:
         ]
         assert all(g.maps for g in nested[0])
         assert all(len(chain) == 1 for chain in op.chains if not chain[0].maps)
+        first = nested[0][0]
+        q = blocks._box_factor(grid, first.side, cfg.rank)[0]
+        assert len(first.maps) == grid.d
+        assert all(m is q for m in first.maps)
+        if build is construct:
+            for cls in first.classes:
+                factors = cls.payload.u_factors + cls.payload.v_factors
+                assert len(factors) == 2 * grid.d
+                assert all(f is q for f in factors)
         for chain in op.chains:
-            for cls in chain[0].classes:
-                factors = cls.payload.u_factors
-                assert len(chain[0].maps) == len(factors)
-                assert all(m is f for m, f in zip(chain[0].maps, factors))
+            kinds = {type(cls.payload) for group in chain for cls in group.classes}
+            assert kinds == ({TuckerBlock} if chain[0].maps else {DenseBlock})
             for group in chain[1:]:
                 e = blocks.transfer(grid, group.side // 2, cfg.rank)
                 assert len(group.maps) == grid.d
@@ -385,6 +394,16 @@ class TestClassSharing:
                 {key: rounds * count for key, count in expected.items()}
             )
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_baseline_matvec_is_htlr_matvec(self, case):
+        """The baseline differs from the Tucker operator only in what its
+        leaves store: both apply the same maps and cores, so their matvecs
+        agree bit for bit."""
+        grid, cfg = self.CASES[case]
+        u = np.random.default_rng(51).standard_normal(grid.num_points)
+        assert np.array_equal(matvec(construct_hmatrix(cfg, grid), u),
+                              matvec(construct(cfg, grid), u))
+
     @pytest.mark.parametrize("case", ["2d-n128-weak-gaussian", "2d-strong-slp"])
     def test_matvec_owns_its_bases(self, case, monkeypatch):
         """Once built, the operator applies the maps it holds: the matvec
@@ -403,7 +422,7 @@ class TestClassSharing:
             raise AssertionError("the matvec asked for a basis")
 
         for module, name in ((blocks, "transfer"), (blocks, "_box_factor"),
-                             (operators, "transfer")):
+                             (operators, "transfer"), (operators, "_box_factor")):
             monkeypatch.setattr(module, name, forbidden)
         assert np.array_equal(matvec(op, u), expected)
 
@@ -673,7 +692,7 @@ class TestLevelBatches:
             side, per_dim = group.side, grid.n // group.side
             boxes = np.arange(per_dim**grid.d)
             for cls in group.classes:
-                if not cls.payload.u_factors:
+                if isinstance(cls.payload, DenseBlock):
                     continue
                 tau, sigma = (
                     IndexBox(tuple((side * c, side * (c + 1)) for c in
