@@ -19,13 +19,20 @@ every block on boxes of that side holds the same read-only factor objects,
 whatever the kernel.  The Tucker blocks of a tree level are built together,
 their kernel values in one call per chunk, and :func:`build_tlr` is the
 one-pair case.  Cores are stored first index fastest, so that
-``core_matrix`` is a view.
+``core_matrix`` is a view.  Cores and dense matrices are read-only, as the
+operators share them among many leaves.
+
+For a symmetric kernel the block of a box pair (sigma, tau) is the
+transpose of the block of (tau, sigma): :func:`_mirrored` gives it as a
+transposed view that holds no array of its own, and the Tucker build makes
+the pair whose offset is canonical and returns its mirror as that view.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
-``(dense, factor, core)`` counts) and ``core_matrix``; no other module knows
-the kinds.  Only a Tucker block has factors; the operators read none of
-them and apply a baseline block, whose basis is the box factors' Kronecker
-product, through the box factors too.
+``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
+included) and ``core_matrix``; no other module knows the kinds.  Only a
+Tucker block has factors; the operators read none of them and apply a
+baseline block, whose basis is the box factors' Kronecker product, through
+the box factors too.
 
 The operators apply blocks a whole tree level at a time.  :func:`project`
 and :func:`expand` are the one level step: they split a grid-ordered array
@@ -97,6 +104,9 @@ class TuckerBlock:
     def scalars(self) -> tuple[int, int, int]:
         return 0, sum(f.size for f in self.u_factors + self.v_factors), self.core.size
 
+    def arrays(self) -> list:
+        return [self.core, *self.u_factors, *self.v_factors]
+
 
 @dataclass
 class DenseBlock:
@@ -117,6 +127,32 @@ class DenseBlock:
 
     def scalars(self) -> tuple[int, int, int]:
         return self.matrix.size, 0, 0
+
+    def arrays(self) -> list:
+        return [self.matrix]
+
+
+def _mirrored(block):
+    """The block of the mirrored box pair (sigma, tau) of a symmetric
+    kernel, holding no array of its own: a dense block's transposed matrix,
+    or a Tucker block's core with its target and source modes swapped, and
+    its factors swapped.  Its ``core_matrix`` is the transposed view of
+    `block`'s."""
+    if isinstance(block, DenseBlock):
+        return DenseBlock(block.matrix.T)
+    rows, cols = len(block.u_factors), len(block.v_factors)
+    axes = tuple(range(rows, rows + cols)) + tuple(range(rows))
+    return TuckerBlock(core=block.core.transpose(axes), u_factors=list(block.v_factors),
+                       v_factors=list(block.u_factors))
+
+
+def _is_mirror(offsets: np.ndarray) -> np.ndarray:
+    """Whether each source-minus-target offset, a row of `offsets`, is
+    lexicographically negative: the first of its nonzero coordinates is.
+    Such a pair of a symmetric kernel is built as the mirror of the pair at
+    the opposite offset; the zero offset is its own mirror."""
+    first = (offsets != 0).argmax(axis=1)
+    return offsets[np.arange(len(offsets)), first] < 0
 
 
 def _modes(factors) -> list:
@@ -197,7 +233,21 @@ def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
     kernel is evaluated on the node pairs of as many blocks at a time as
     :data:`htlr.kernels.EVAL_CHUNK` evaluations allow, in one call, and h^d
     and the triangular factors are folded in by mode products over all of
-    those blocks at once.  The cores are views of one array."""
+    those blocks at once.  The cores are read-only views of one array.
+
+    A symmetric kernel (translation invariant) gives the pair (sigma, tau)
+    the transpose of the block of (tau, sigma).  So a pair whose offset is
+    not canonical (:func:`_is_mirror`) is built as its mirror and returned
+    as :func:`_mirrored` of that block: a pair and its mirror have one core,
+    bit for bit, whichever of them is built.  The target and source boxes
+    must then have one shape once those pairs are swapped."""
+    if k.translation_invariant:
+        flip = _is_mirror(sigmas[:, :, 0] - taus[:, :, 0])
+        if flip.any():
+            swap = flip[:, None, None]
+            blocks = _tucker_blocks(k, grid, np.where(swap, sigmas, taus),
+                                    np.where(swap, taus, sigmas), rank, h)
+            return [_mirrored(b) if f else b for b, f in zip(blocks, flip.tolist())]
     d, count = grid.d, len(taus)
     u = [_box_factor(grid, int(hi - lo), rank) for lo, hi in taus[0]]
     v = [_box_factor(grid, int(hi - lo), rank) for lo, hi in sigmas[0]]
@@ -215,6 +265,7 @@ def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
         values = h**d * _core_tensors(k, [x[part] for x in x_nodes],
                                       [y[part] for y in y_nodes])
         cores[..., part] = tensor.multi_mode_apply(values, r_modes)
+    _read_only(cores)
     return [TuckerBlock(core=cores[..., c], u_factors=[q for q, _ in u],
                         v_factors=[q for q, _ in v])
             for c in range(count)]
@@ -270,7 +321,7 @@ def build_dense(
         mat = pairwise_self(k, xpts, idx, diag) * h**grid.d
     else:
         mat = pairwise(k, xpts, grid.points(sigma)) * h**grid.d
-    return DenseBlock(matrix=mat)
+    return DenseBlock(matrix=_read_only(mat))
 
 
 def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

@@ -47,7 +47,8 @@ TIMING_REPEATS = 3
 UNIFORM_HEADER = [
     "id", "variant", "d", "n", "kernel", "adm", "p", "leaf",
     "t_construct", "t_apply", "dense_scalars", "factor_scalars",
-    "core_scalars", "total_scalars", "bound", "e_apply_rand", "seed",
+    "core_scalars", "total_scalars", "resident_scalars", "bound", "e_apply_rand",
+    "seed",
 ]
 
 RANK_HEADER = ["id", "d", "kernel", "pair", "method", "p", "rel_fro_error"]
@@ -55,7 +56,8 @@ RANK_HEADER = ["id", "d", "kernel", "pair", "method", "p", "rel_fro_error"]
 QUASI_HEADER = [
     "id", "variant", "d", "n_quasi", "rho", "m_side", "kernel", "adm", "p",
     "leaf", "t_construct", "t_apply", "dense_scalars", "factor_scalars",
-    "core_scalars", "total_scalars", "bound", "e_apply_rand", "seed",
+    "core_scalars", "total_scalars", "resident_scalars", "bound", "e_apply_rand",
+    "seed",
 ]
 
 
@@ -116,7 +118,7 @@ def _storage_columns(op) -> dict:
     return {
         "dense_scalars": rep.dense_scalars, "factor_scalars": rep.factor_scalars,
         "core_scalars": rep.core_scalars, "total_scalars": rep.total_scalars,
-        "bound": rep.theoretical_bound,
+        "resident_scalars": rep.resident_scalars, "bound": rep.theoretical_bound,
     }
 
 

@@ -38,7 +38,8 @@ _SMOOTH_AT_DIAGONAL = {GAUSSIAN: True, SLP2D: False, SLP3D: False, CUSTOM: None}
 RADIAL_GRADING = 3
 
 #: kernel evaluations per call of a batched build (the Tucker cores of a
-#: tree level, the self entries of a custom kernel): 2 MB of values
+#: tree level, the self entries of a custom kernel) and per row block of
+#: the row oracles: 2 MB of values
 EVAL_CHUNK = 2**18
 
 
@@ -53,7 +54,10 @@ class KernelSpec:
 
     @property
     def translation_invariant(self) -> bool:
-        """Built-in kernels depend on x - y only; custom ones may not."""
+        """Built-in kernels depend on |x - y| only, so they are translation
+        invariant and symmetric, K(x, y) = K(y, x): the block of a box pair
+        (sigma, tau) is the transpose of that of (tau, sigma).  Custom ones
+        may be neither."""
         return self.kind != CUSTOM
 
     def __post_init__(self):

@@ -11,14 +11,27 @@ one operator type: the leaf payloads follow the block protocol of
 For a translation-invariant kernel the matrix is multilevel Toeplitz: a leaf
 payload depends only on the leaf kind, the two box sizes and the index
 offset between the boxes.  Each such translation class is built once and
-every leaf of the class points at the same payload object, so payloads are
-shared and must be treated as read-only.  The Tucker payloads of one tree
-level are built together, their kernel values in one call per chunk
-(:func:`htlr.blocks._tucker_blocks`).  The coefficient a(x) is not part
-of any payload; the operator holds it as its diagonal.  The build takes the
-leaves from :func:`htlr.grids._leaf_lattice`, integer arrays on the box
-lattice of each level, and builds neither tree; the operator keeps only the
-classes, and derives the block tree and the per-leaf payloads on request.
+every leaf of the class points at the same payload object.  Such a kernel
+is symmetric too, so the class at offset -o is the transpose of the class
+at +o, as a symmetric H-matrix stores one block of each pair (b, b^T)
+(W. Hackbusch, Hierarchical Matrices, Springer 2015).  Only the canonical
+class of each pair is built, the one whose offset is lexicographically
+positive (the self class is its own mirror); its mirror holds
+:func:`htlr.blocks._mirrored` of its payload, a transposed view with no
+array of its own, which the matvec applies with the same GEMM.  The
+orientation rule lives in :func:`htlr.blocks._tucker_blocks` alone, which
+builds a non-canonical pair as its mirror, so :func:`htlr.blocks.build_tlr`
+on any pair gives its class's payload bit for bit; a dense block needs no
+rule, as the kernel values of (tau, sigma) are bitwise the transpose of
+those of (sigma, tau).  A custom kernel need not be symmetric, and its
+classes are never mirrored.  Payloads are thus shared read-only views.  The
+Tucker payloads of one tree level are built together, their kernel values
+in one call per chunk.  The coefficient a(x) is not part of any payload;
+the operator holds it as its diagonal, one value when a is constant.  The
+build takes the leaves from :func:`htlr.grids._leaf_lattice`, integer
+arrays on the box lattice of each level, and builds neither tree; the
+operator keeps only the classes, and derives the block tree and the
+per-leaf payloads on request.
 
 Every box at one cluster-tree level is a cube of side n / 2**level starting
 at a multiple of that side, and its interpolation factors depend only on
@@ -56,7 +69,9 @@ import numpy as np
 
 from .blocks import (
     _box_factor,
+    _is_mirror,
     _lowrank,
+    _mirrored,
     _tucker_blocks,
     build_dense,
     expand,
@@ -128,7 +143,8 @@ class FactorGroup:
 @dataclass
 class HTLRMatrix:
     """Hierarchical operator: the diagonal a(x) at every grid point, first
-    index fastest, and the translation classes the matvec applies, grouped
+    index fastest, or its one value when a is constant (the matvec
+    broadcasts it), and the translation classes the matvec applies, grouped
     by box side and kind into chains of nested factors.  Each class holds one
     payload for all its leaves: Tucker for admissible leaves on boxes wider
     than the rank (of order 2 for the baseline), dense otherwise."""
@@ -173,10 +189,15 @@ class HTLRMatrix:
 
 @dataclass(frozen=True)
 class StorageReport:
+    """Stored scalars by category and their total, all logical (each leaf
+    counts its class's payload); the resident scalars, the sizes of the
+    distinct buffers the operator holds; and the weak-admissibility bound."""
+
     dense_scalars: int
     factor_scalars: int
     core_scalars: int
     total_scalars: int
+    resident_scalars: int
     theoretical_bound: float
 
 
@@ -207,11 +228,13 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     firsts = first[classes]
     levels = leaves.level[firsts]
     tucker = leaves.admissible[firsts] & (grid.n >> levels > cfg.rank)
+    mirror = _mirror_classes(cfg.kernel, levels, leaves.sigma[firsts] - leaves.tau[firsts])
+    built = mirror < 0
     # the Tucker payloads of a level in one batch, as its cores share one
     # kernel evaluation per chunk
     payloads = {}
-    for level in np.unique(levels[tucker]).tolist():
-        at = np.flatnonzero(tucker & (levels == level))
+    for level in np.unique(levels[tucker & built]).tolist():
+        at = np.flatnonzero(tucker & built & (levels == level))
         side = grid.n >> level
         taus, sigmas = (np.stack([coords * side, (coords + 1) * side], axis=-1)
                         for coords in (leaves.tau[firsts[at]], leaves.sigma[firsts[at]]))
@@ -219,18 +242,20 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         if lowrank:
             blocks = [_lowrank(grid, block) for block in blocks]
         payloads.update(zip(at.tolist(), blocks))
+    for i in np.flatnonzero(~tucker & built).tolist():
+        side = grid.n >> int(levels[i])
+        payloads[i] = build_dense(cfg.kernel, grid, _lattice_box(leaves.tau[firsts[i]], side),
+                                  _lattice_box(leaves.sigma[firsts[i]], side), grid.h,
+                                  cfg.quadrature)
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])
         side = grid.n >> level
-        tau = _lattice_box(leaves.tau[leaf], side)
-        sigma = _lattice_box(leaves.sigma[leaf], side)
-        if tucker[i]:
-            payload = payloads.pop(i)
-        else:
-            payload = build_dense(cfg.kernel, grid, tau, sigma, grid.h, cfg.quadrature)
+        payload = payloads[i] if built[i] else _mirrored(payloads[mirror[i]])
         # in class order, so that the first bad leaf is named
         if not np.isfinite(payload.core_matrix).all():
+            tau, sigma = (_lattice_box(leaves.tau[leaf], side),
+                          _lattice_box(leaves.sigma[leaf], side))
             raise ValueError(
                 f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
             )
@@ -245,8 +270,26 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
             _box_indices(sources[order], count),
         ))
     diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
+    if (diagonal == diagonal[0]).all():
+        diagonal = diagonal[:1].copy()  # a constant a(x): one value, broadcast
     return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
                       chains=_chains(groups, grid, cfg.rank))
+
+
+def _mirror_classes(kernel: KernelSpec, levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """For each class, given by its level and its source-minus-target box
+    offset, the index of the class at the same level and the opposite
+    offset whose payload it mirrors, or -1 for a class that is built.  Only
+    a symmetric (translation-invariant) kernel has mirrors: of each pair of
+    classes at opposite offsets, the one whose offset is not canonical
+    (:func:`htlr.blocks._is_mirror`)."""
+    mirror = np.full(len(levels), -1)
+    if kernel.translation_invariant:
+        index = {(level, tuple(offset)): i for i, (level, offset)
+                 in enumerate(zip(levels.tolist(), offsets.tolist()))}
+        for i in np.flatnonzero(_is_mirror(offsets)).tolist():
+            mirror[i] = index.get((int(levels[i]), tuple((-offsets[i]).tolist())), -1)
+    return mirror
 
 
 def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
@@ -376,7 +419,10 @@ def _class_leaves(op):
 def storage_report(op) -> StorageReport:
     """Exact stored-scalar counts by category plus the weak-admissibility
     theoretical bound for the operator's size.  The counts are logical: a
-    class's payload counts once per leaf, although its leaves share it."""
+    class's payload counts once per leaf, although its leaves share it.  The
+    resident count is what the operator holds: the buffers behind its
+    payloads, maps and diagonal, each once however many classes share it or
+    mirror it."""
     dense, factors, cores = map(sum, zip(*(
         [count * n for n in payload.scalars()] for payload, count in _class_leaves(op)
     )))
@@ -387,8 +433,25 @@ def storage_report(op) -> StorageReport:
         factor_scalars=factors,
         core_scalars=cores,
         total_scalars=total,
+        resident_scalars=_resident_scalars(op),
         theoretical_bound=bound,
     )
+
+
+def _resident_scalars(op) -> int:
+    """Scalars of the distinct buffers behind the operator's payloads, maps
+    and diagonal: a view counts the array that owns its memory, once."""
+    arrays = [op.diagonal]
+    for group in op.groups:
+        arrays += group.maps
+        for cls in group.classes:
+            arrays += cls.payload.arrays()
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.size
+    return sum(owners.values())
 
 
 def operation_counts(op) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
+from . import kernels, tensor
 from .grids import IndexBox, UniformGrid
 from .kernels import (
     CoefficientFn,
@@ -24,9 +24,6 @@ from .kernels import (
 )
 
 DENSE_GUARD = 2**15
-#: kernel evaluations (rows x points) per block in the row oracles; 256 rows
-#: of a 2^13-point system, a few rows of a 2^20-point one
-ROW_CHUNK = 2**21
 
 
 @dataclass
@@ -62,14 +59,15 @@ def dense_assemble(
 
 def _row_oracle(k, coeff, pts, weights, self_values):
     """(rows, u) -> exact rows of f_i = a(x_i) u_i + sum_j K_ij w_j u_j, with
-    K_ii from self_values(rows), recomputing kernel rows on demand so memory
-    stays O(N)."""
+    K_ii from self_values(rows), recomputing kernel rows on demand, as many
+    rows at a time as :data:`htlr.kernels.EVAL_CHUNK` evaluations allow (at
+    least one), so memory stays O(N)."""
 
     def rows_apply(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         u = np.asarray(u, dtype=np.float64).ravel(order="F")
         out = np.empty(rows.size)
-        step = max(1, ROW_CHUNK // len(pts))
+        step = max(1, kernels.EVAL_CHUNK // len(pts))
         for start in range(0, rows.size, step):
             sel = rows[start : start + step]
             block = pairwise_self(k, pts, sel, self_values(sel))

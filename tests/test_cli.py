@@ -38,6 +38,9 @@ class TestBenchUniform:
         # weak-admissibility tucker rows respect the storage bound
         htlr_row = next(r for r in rows if r["variant"] == "htlr")
         assert int(htlr_row["total_scalars"]) <= float(htlr_row["bound"])
+        # shared and mirrored payloads are resident once
+        for row in rows:
+            assert 0 < int(row["resident_scalars"]) < int(row["total_scalars"])
 
     def test_invalid_grid_size_names_constraint(self, capsys):
         code, _, err = run_cli(capsys, "bench-uniform", "--n", "50")
@@ -161,6 +164,8 @@ class TestBenchQuasi:
         assert len(rows) == 1
         assert int(rows[0]["n_quasi"]) == 128
         assert float(rows[0]["e_apply_rand"]) < 1.0
+        assert list(rows[0]).index("resident_scalars") == list(rows[0]).index("total_scalars") + 1
+        assert 0 < int(rows[0]["resident_scalars"]) < int(rows[0]["total_scalars"])
 
     def test_bad_triangle_count(self, capsys):
         code, _, err = run_cli(capsys, "bench-quasi", "--n", "100")

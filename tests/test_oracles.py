@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,11 +82,11 @@ class TestExactRowEvaluator:
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 5])
     def test_chunks_of_rows_match_dense_matvec(self, monkeypatch, rows_per_chunk):
-        from htlr import oracles
+        from htlr import kernels
 
         grid, cfg = UniformGrid(2, 8), QuadratureConfig()
         coeff = CoefficientFn(lambda pts: 0.5 + pts[:, 1])
-        monkeypatch.setattr(oracles, "ROW_CHUNK", rows_per_chunk * grid.num_points)
+        monkeypatch.setattr(kernels, "EVAL_CHUNK", rows_per_chunk * grid.num_points)
         dense = dense_assemble(slp_2d(), coeff, grid, cfg)
         rows_fn = exact_row_evaluator(slp_2d(), coeff, grid, cfg)
         u = np.random.default_rng(30).standard_normal(64)
@@ -157,6 +158,35 @@ class TestQuasiRowEvaluator:
                                      np.array([area]), QuadratureConfig())[0]
         # measured 5.6e-11 and 4.8e-11
         assert abs(entry - polar_slp2d_triangle_average(corners, center)) <= 1.7e-10
+
+
+class TestRowOracleMemory:
+    """The row oracles evaluate the kernel as the batched builds do, at most
+    EVAL_CHUNK values at a time: their peak is a few chunks of values
+    (measured 4.0 chunks on both), not one array per row block of the
+    whole system."""
+
+    @pytest.mark.parametrize("kernel", [slp_2d(), gaussian(1.0)], ids=["slp2d", "gaussian"])
+    @pytest.mark.parametrize("oracle", ["exact", "quasi"])
+    def test_peak_is_a_few_chunks(self, kernel, oracle):
+        from htlr import kernels
+
+        coeff, cfg = CoefficientFn(lambda pts: 1.0 + pts[:, 0]), QuadratureConfig()
+        if oracle == "exact":
+            # 4,096 points: 256 rows are 2^20 kernel values, four chunks
+            size, rows_fn = 4096, exact_row_evaluator(kernel, coeff, UniformGrid(2, 64), cfg)
+        else:
+            size, rows_fn = 4608, quasi_row_evaluator(kernel, coeff, structured_trimesh(48), cfg)
+        rng = np.random.default_rng(32)
+        rows, u = rng.choice(size, size=256, replace=False), rng.standard_normal(size)
+        rows_fn(rows[:1], u)  # the quadrature rules are cached
+        tracemalloc.start()
+        try:
+            rows_fn(rows, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * kernels.EVAL_CHUNK
 
 
 class TestSvdLowRank:
