@@ -9,9 +9,10 @@ block u @ g @ v.T.  Every factor is an explicit orthonormal matrix, as
 tall as the box side and as wide as the rank, so a box narrower than the
 rank is rejected.  Inadmissible pairs are stored densely, and so are
 admissible pairs on boxes no wider than the rank, whose factors would
-compress nothing.  All blocks carry the quadrature weight h^d of the
-discretization, so materializing any block reproduces the corresponding
-submatrix of the system matrix.
+compress nothing; a translation-invariant kernel's dense block is built
+from one kernel value per index offset.  All blocks carry the quadrature
+weight h^d of the discretization, so materializing any block reproduces
+the corresponding submatrix of the system matrix.
 
 On a uniform grid a box's interpolation factor depends only on the grid, the
 box side and the rank: it is computed once in box-relative coordinates and
@@ -48,10 +49,12 @@ matrices.  Between them, a block acts on box coefficients through its
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels, tensor
 from .chebyshev import _cheb_nodes, _core_tensors, cheb_points, factor_matrix
@@ -59,6 +62,7 @@ from .grids import IndexBox, UniformGrid, domain_of
 from .kernels import (
     KernelSpec,
     QuadratureConfig,
+    _offset_table,
     pairwise,
     pairwise_self,
     self_entries,
@@ -192,16 +196,24 @@ def transfer(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
     return _read_only(np.vstack([child.T @ parent[:side], child.T @ parent[side:]]))
 
 
-@lru_cache(maxsize=32)
+#: the baseline's Kronecker bases by (grid, box sizes, rank), held weakly: a
+#: basis grows with the box (32 MB for a 256^2 box at rank 8), so it is one
+#: object while any block holds it and is freed with the last of them
+_kron_bases = weakref.WeakValueDictionary()
+
+
 def _kron_basis(grid: UniformGrid, sizes: tuple[int, ...], rank: int) -> np.ndarray:
     """The factors of a box with the given sizes multiplied out into one
-    orthonormal basis; computed once and returned read-only.  The cache is
-    bounded because a basis grows with the box (32 MB for a 256^2 box at
-    rank 8) and would otherwise outlive every operator that used it."""
-    factors = [_box_factor(grid, side, rank)[0] for side in sizes]
-    # Kronecker order: last dimension outermost, matching the
-    # first-index-fastest linearization
-    return _read_only(reduce(np.kron, reversed(factors)))
+    orthonormal basis; computed once while it is held (:data:`_kron_bases`)
+    and returned read-only."""
+    basis = _kron_bases.get((grid, sizes, rank))
+    if basis is None:
+        factors = [_box_factor(grid, side, rank)[0] for side in sizes]
+        # Kronecker order: last dimension outermost, matching the
+        # first-index-fastest linearization
+        basis = _kron_bases[grid, sizes, rank] = _read_only(
+            reduce(np.kron, reversed(factors)))
+    return basis
 
 
 def build_tlr(
@@ -307,6 +319,14 @@ def build_dense(
     boxes whose domains overlap in no volume (the test of :func:`build_tlr`),
     both inside the grid.
 
+    A translation-invariant kernel's block is multilevel Toeplitz: its
+    entry (i, j) depends on the index offset j - i alone.  The kernel is
+    evaluated once per offset, prod_d (s_tau,d + s_sigma,d - 1) values with
+    the self entry at offset 0 (:func:`htlr.kernels._offset_table`), and the
+    block is a copy of the table's windows of the target box's shape, one
+    per source point, flipped on the target axes.  A custom kernel is
+    evaluated on every point pair.
+
     The coefficient a(x) is not part of the block: the hierarchical
     operators hold it as their diagonal, so dense payloads depend on the
     kernel alone.
@@ -314,14 +334,25 @@ def build_dense(
     overlap = domain_of(grid, tau).overlap_volume(domain_of(grid, sigma))
     if tau != sigma and overlap > 0.0:
         raise ValueError("dense blocks require equal or disjoint index boxes")
-    xpts = grid.points(tau)
-    if tau == sigma:
-        idx = np.arange(len(xpts))
-        diag = self_entries(k, xpts, h, cfg)
-        mat = pairwise_self(k, xpts, idx, diag) * h**grid.d
-    else:
-        mat = pairwise(k, xpts, grid.points(sigma)) * h**grid.d
-    return DenseBlock(matrix=_read_only(mat))
+    if not k.translation_invariant:
+        xpts = grid.points(tau)
+        if tau == sigma:
+            idx = np.arange(len(xpts))
+            mat = pairwise_self(k, xpts, idx, self_entries(k, xpts, h, cfg))
+        else:
+            mat = pairwise(k, xpts, grid.points(sigma))
+        return DenseBlock(matrix=_read_only(mat * h**grid.d))
+    # per dimension the source-minus-target offsets j - i, lowest first
+    steps = [np.arange(s_lo - t_hi + 1, s_hi - t_lo) * grid.h
+             for (t_lo, t_hi), (s_lo, s_hi) in zip(tau.ranges, sigma.ranges)]
+    table = _offset_table(k, steps, h, cfg) * h**grid.d
+    # last dimension first, so that both boxes' points ravel first index
+    # fastest: window w of source point j holds the offsets j - s_tau + 1 + w,
+    # so target point i is window entry s_tau - 1 - i
+    d, rows = grid.d, tau.sizes[::-1]
+    windows = sliding_window_view(table.T, rows)[(...,) + (slice(None, None, -1),) * d]
+    block = windows.transpose([*range(d, 2 * d), *range(d)]).copy()
+    return DenseBlock(matrix=_read_only(block.reshape(math.prod(rows), -1)))
 
 
 def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ split at the feet of the perpendiculars from it, each under a tensor
 Gauss-Legendre rule graded toward the apex for singular kernels, and along
 a triangle's edges under a sinh substitution.  It alone decides the self
 entries and keeps coincident pairs from the kernel evaluator.
+
+A translation-invariant kernel between cell centres of a uniform grid
+depends on the index offset between the cells alone, so a block of box
+pairs holds at most one value per offset: :func:`_offset_table` evaluates
+the kernel once per offset, with the self entry at offset 0, and the dense
+blocks are windows of that table.  A custom kernel is evaluated on point
+pairs (:func:`pairwise`, :func:`pairwise_self`).
 """
 
 from __future__ import annotations
@@ -187,6 +194,36 @@ def pairwise_self(
     return out
 
 
+def _offset_table(k: KernelSpec, steps, h: float, cfg: QuadratureConfig) -> np.ndarray:
+    """Values of a translation-invariant kernel at every combination of the
+    per-dimension coordinate differences `steps` (d 1-D arrays): entry
+    (i_1, ..., i_d) is k at the displacement (steps[0][i_1], ...,
+    steps[d-1][i_d]), its squared distance summed coordinate by coordinate
+    as in :func:`pairwise`.  The zero displacement, where a cell meets
+    itself, is never evaluated: it holds the self entry of a cell of width
+    h, as :func:`self_entries` gives it."""
+    d = len(steps)
+    r2 = np.zeros([len(s) for s in steps])
+    for c, s in enumerate(steps):
+        r2 += np.square(s).reshape([-1 if a == c else 1 for a in range(d)])
+    origin = r2 == 0.0  # the zero displacement, if the steps hold it
+    r2[origin] = 1.0
+    values = _of_r2(k, r2)
+    values[origin] = _origin_entry(k, d, h, cfg)
+    return values
+
+
+class _Constant:
+    """The evaluator of a constant coefficient: its one value, recorded so
+    that the build need not sample it at every point."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return np.full(len(pts), self.value)
+
+
 @dataclass(frozen=True)
 class CoefficientFn:
     """The multiplicative coefficient a(x); evaluator maps (m, d) points to m
@@ -196,7 +233,15 @@ class CoefficientFn:
 
     @staticmethod
     def constant(c: float) -> "CoefficientFn":
-        return CoefficientFn(evaluator=lambda pts: np.full(len(pts), float(c)))
+        """a(x) = c everywhere.  The operators take c as their one diagonal
+        value and never evaluate a at the grid points, so c is checked here:
+        a complex or non-finite c is rejected."""
+        if np.iscomplexobj(c):
+            raise ValueError(f"constant coefficient {c!r} is complex; it must be real")
+        value = float(c)
+        if not np.isfinite(value):
+            raise ValueError(f"constant coefficient {value!r} is not finite")
+        return CoefficientFn(evaluator=_Constant(value))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """a at each point; a result that is not real, finite and of one

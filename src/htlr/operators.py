@@ -26,8 +26,11 @@ rule, as the kernel values of (tau, sigma) are bitwise the transpose of
 those of (sigma, tau).  A custom kernel need not be symmetric, and its
 classes are never mirrored.  Payloads are thus shared read-only views.  The
 Tucker payloads of one tree level are built together, their kernel values
-in one call per chunk.  The coefficient a(x) is not part of any payload;
-the operator holds it as its diagonal, one value when a is constant.  The
+in one call per chunk, and a dense payload of such a kernel is windows of
+one kernel value per index offset (:func:`htlr.blocks.build_dense`).  The
+coefficient a(x) is not part of any payload; the operator holds it as its
+diagonal, one value when a is constant, which a
+:meth:`htlr.kernels.CoefficientFn.constant` gives without sampling a.  The
 build takes the leaves from :func:`htlr.grids._leaf_lattice`, integer
 arrays on the box lattice of each level, and builds neither tree; the
 operator keeps only the classes, and derives the block tree and the
@@ -91,7 +94,7 @@ from .grids import (
     build_block_cluster_tree,
     build_cluster_tree,
 )
-from .kernels import CoefficientFn, KernelSpec, QuadratureConfig
+from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, _Constant
 
 @dataclass(frozen=True)
 class BuildConfig:
@@ -269,9 +272,13 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
             _box_indices(targets[order], count),
             _box_indices(sources[order], count),
         ))
-    diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
-    if (diagonal == diagonal[0]).all():
-        diagonal = diagonal[:1].copy()  # a constant a(x): one value, broadcast
+    if isinstance(cfg.coeff.evaluator, _Constant):
+        # a constant a(x) is its one value, broadcast, and never sampled
+        diagonal = np.array([cfg.coeff.evaluator.value])
+    else:
+        diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
+        if (diagonal == diagonal[0]).all():
+            diagonal = diagonal[:1].copy()
     return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
                       chains=_chains(groups, grid, cfg.rank))
 

@@ -27,8 +27,9 @@ from htlr import (
     tlr_apply,
     vec_to_tensor,
 )
-from htlr import blocks
+from htlr import blocks, slp_3d
 from htlr.blocks import DenseBlock, TuckerBlock
+from htlr.kernels import pairwise_self, self_entries
 from htlr.grids import domain_of
 
 
@@ -233,6 +234,135 @@ class TestBuildDense:
         with pytest.raises(ValueError):
             build_dense(constant_kernel(1.0), grid, a, b, grid.h,
                         QuadratureConfig())
+
+
+def pair_reference(k, grid, tau, sigma, cfg):
+    """The dense block by per-pair evaluation: the kernel on every point
+    pair, the self entries of a self pair from self_entries."""
+    xpts = grid.points(tau)
+    if tau == sigma:
+        idx = np.arange(len(xpts))
+        mat = pairwise_self(k, xpts, idx, self_entries(k, xpts, grid.h, cfg))
+    else:
+        mat = pairwise(k, xpts, grid.points(sigma))
+    return mat * grid.h**grid.d
+
+
+def extended_reference(k, grid, tau, sigma, cfg):
+    """The dense block in extended precision from the exact integer offsets,
+    the self entries (a quadrature) as the build takes them."""
+    def indices(box):
+        mesh = np.meshgrid(*(np.arange(lo, hi) for lo, hi in box.ranges), indexing="ij")
+        return np.stack([m.ravel(order="F") for m in mesh], axis=-1)
+    offsets = indices(tau)[:, None, :] - indices(sigma)[None, :, :]
+    r2 = np.sum(np.square(offsets), axis=-1).astype(np.longdouble) / grid.n**2
+    origin = r2 == 0
+    r2[origin] = 1
+    if k.kind == "gaussian":
+        values = np.exp(-r2 / (2 * np.longdouble(k.sigma) ** 2))
+    elif k.kind == "slp2d":
+        values = -np.log(r2) / (4 * np.pi)
+    else:
+        values = 1 / (4 * np.pi * np.sqrt(r2))
+    values[origin] = self_entries(k, np.zeros((1, grid.d)), grid.h, cfg)[0]
+    return values * np.longdouble(grid.h) ** grid.d
+
+
+def box_pairs(d, s):
+    """(name, tau, sigma): a self pair, an adjacent pair, a distant pair and
+    boxes of unequal shape, all in a grid of side 8 s."""
+    def box(*ranges):
+        return IndexBox(tuple(ranges) + ((0, s),) * (d - len(ranges)))
+    return [
+        ("self", box((s, 2 * s)), box((s, 2 * s))),
+        ("adjacent", box((s, 2 * s)), box((2 * s, 3 * s))),
+        ("distant", box((5 * s, 6 * s), (s, 2 * s)), box((0, s))),
+        ("unequal", box((0, s), (0, 2 * s)), box((3 * s, 5 * s), (s, 2 * s - 1))),
+    ]
+
+
+TABLE_KERNELS = [(2, gaussian(np.sqrt(2.0))), (2, slp_2d()), (3, slp_3d())]
+
+
+class TestDenseTable:
+    """A translation-invariant kernel's dense block is built from one kernel
+    value per index offset; it equals the per-pair evaluation bit for bit
+    where h is a power of two, and to rounding elsewhere."""
+
+    @pytest.mark.parametrize("d,k", TABLE_KERNELS, ids=["gaussian", "slp2d", "slp3d"])
+    def test_bit_equal_to_pairs_on_power_of_two_grids(self, d, k):
+        # h a power of two: every coordinate difference is exact both ways
+        s = 4
+        grid = UniformGrid(d, 8 * s)
+        cfg = QuadratureConfig()
+        for name, tau, sigma in box_pairs(d, s):
+            block = build_dense(k, grid, tau, sigma, grid.h, cfg).matrix
+            expected = pair_reference(k, grid, tau, sigma, cfg)
+            assert block.shape == expected.shape, name
+            assert np.array_equal(block, expected), name
+            # a copy of the windows: it holds its entries and no more
+            owner = block if block.base is None else block.base
+            assert block.flags.c_contiguous and owner.size == block.size, name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="the reference needs extended precision")
+    @pytest.mark.parametrize("d,n,k", [
+        (2, 48, gaussian(np.sqrt(2.0))), (2, 96, slp_2d()), (3, 24, slp_3d()),
+    ], ids=["gaussian-48", "slp2d-96", "slp3d-24"])
+    def test_close_to_pairs_on_other_grids(self, d, n, k):
+        # the table takes each difference as offset * h, the pairs as the
+        # difference of two rounded coordinates: both are off by ulps, in
+        # opposite directions, by up to 1.04e-15 from each other on the
+        # distant slp2d pair, where -log r is small; so both are measured
+        # against the kernel in extended precision
+        grid = UniformGrid(d, n)
+        cfg = QuadratureConfig()
+        for name, tau, sigma in box_pairs(d, n // 8):
+            block = build_dense(k, grid, tau, sigma, grid.h, cfg).matrix
+            exact = extended_reference(k, grid, tau, sigma, cfg)
+            table_err, pair_err = (
+                (np.abs(a - exact) / np.abs(exact)).max()
+                for a in (block, pair_reference(k, grid, tau, sigma, cfg)))
+            assert table_err <= 1e-15, name
+            assert table_err <= pair_err, name
+
+    @pytest.mark.parametrize("d,k", TABLE_KERNELS, ids=["gaussian", "slp2d", "slp3d"])
+    def test_one_kernel_value_per_offset(self, d, k, monkeypatch):
+        from htlr import kernels
+
+        evals = []
+        of_r2 = kernels._of_r2
+        monkeypatch.setattr(kernels, "_of_r2",
+                            lambda k, r2: evals.append(r2.size) or of_r2(k, r2))
+        monkeypatch.setattr(blocks, "pairwise", None)
+        monkeypatch.setattr(blocks, "pairwise_self", None)
+        s = 4
+        grid = UniformGrid(d, 8 * s)
+        cfg = QuadratureConfig()
+        # the self entry's quadrature, integrated once per (kernel, d, h,
+        # quadrature) and not part of any block
+        kernels._origin_entry(k, d, grid.h, cfg)
+        for name, tau, sigma in box_pairs(d, s):
+            evals.clear()
+            build_dense(k, grid, tau, sigma, grid.h, cfg)
+            offsets = np.prod([a + b - 1 for a, b in zip(tau.sizes, sigma.sizes)])
+            assert evals == [offsets], name
+
+    def test_custom_kernel_block_from_pairs(self, monkeypatch):
+        # not Toeplitz in general: x0 breaks translation invariance
+        k = custom(lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)) * (1.0 + x[..., 0]))
+        grid = UniformGrid(2, 32)
+        cfg = QuadratureConfig()
+        calls = []
+        for name in ("pairwise", "pairwise_self"):
+            fn = getattr(blocks, name)
+            monkeypatch.setattr(blocks, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        for name, tau, sigma in box_pairs(2, 4):
+            calls.clear()
+            block = build_dense(k, grid, tau, sigma, grid.h, cfg).matrix
+            assert calls == ["pairwise_self" if tau == sigma else "pairwise"], name
+            assert np.array_equal(block, pair_reference(k, grid, tau, sigma, cfg)), name
 
 
 class TestTlrApply:

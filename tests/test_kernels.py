@@ -318,6 +318,22 @@ class TestCoefficientFn:
         fn = CoefficientFn.constant(2.5)
         assert np.all(fn(np.zeros((4, 2))) == 2.5)
 
+    @pytest.mark.parametrize("c,match", [
+        (np.nan, "not finite"), (np.inf, "not finite"), (-np.inf, "not finite"),
+        (1j, "complex"), (np.complex128(2.0), "complex"),
+    ], ids=["nan", "inf", "-inf", "imaginary", "complex-dtype"])
+    def test_constant_rejects_bad_value_when_made(self, c, match):
+        # the build takes the value without evaluating a at any point, so
+        # it is checked here: nan and inf failed only at build, 1j raised a
+        # TypeError from float()
+        with pytest.raises(ValueError, match=match):
+            CoefficientFn.constant(c)
+
+    def test_constant_accepts_real_scalars(self):
+        for c in (0, 3, -1.5, np.float32(0.25), np.int64(2)):
+            fn = CoefficientFn.constant(c)
+            assert np.array_equal(fn(np.zeros((3, 2))), np.full(3, float(c)))
+
     def test_callable(self):
         fn = CoefficientFn(lambda pts: pts[:, 0] + pts[:, 1])
         assert np.allclose(fn(np.array([[0.25, 0.5]])), [0.75])

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import gc
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -606,6 +608,26 @@ class TestDiagonal:
             diff = matvec(const, self.u) - matvec(without, self.u)
             assert np.abs(diff - c * self.u).max() <= 1e-15 * np.abs(self.u).max()
 
+    def test_constant_coefficient_is_never_sampled(self, monkeypatch):
+        """A constant a(x) gives its one value without any grid point; a
+        non-constant one is still sampled at every point."""
+        full = IndexBox(((0, self.grid.n),) * self.grid.d)
+        points = UniformGrid.points
+
+        def no_full_grid(grid, box):
+            if box == full:
+                raise AssertionError("a(x) sampled on the whole grid")
+            return points(grid, box)
+
+        monkeypatch.setattr(UniformGrid, "points", no_full_grid)
+        const = dataclasses.replace(self.cfg, coeff=CoefficientFn.constant(2.5))
+        for build in (construct, construct_hmatrix):
+            assert np.array_equal(build(const, self.grid).diagonal, [2.5])
+        with pytest.raises(AssertionError, match="sampled"):
+            construct(self.cfg, self.grid)
+        monkeypatch.setattr(UniformGrid, "points", points)
+        assert construct(self.cfg, self.grid).diagonal.shape == (self.grid.num_points,)
+
     def test_column_coefficient_rejected(self):
         column = CoefficientFn(lambda pts: 1.0 + pts[:, :1])
         with pytest.raises(ValueError, match="shape"):
@@ -847,6 +869,26 @@ class TestHMatrixBaseline:
         rng = np.random.default_rng(42)
         u = rng.standard_normal(grid.num_points)
         assert np.abs(matvec(hop, u) - u).max() <= 1e-14
+
+    def test_bases_freed_with_the_operator(self):
+        """The baseline's Kronecker bases are shared while an operator holds
+        them and freed with it: less than 1 MB stays held afterwards."""
+        grid = UniformGrid(2, 128)
+        cfg = dataclasses.replace(weak_gaussian_cfg(rank=8, leaf=16),
+                                  kernel=gaussian(0.9))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = construct_hmatrix(cfg, grid)
+            # the 4096 x 64 basis of the boxes of side 64 alone is 2 MB
+            assert tracemalloc.get_traced_memory()[0] - before > 2**21
+            del op
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
     def test_baseline_needs_more_storage(self):
         grid = UniformGrid(2, 64)
