@@ -15,7 +15,6 @@ from .blocks import (
     build_tlr,
     lowrank_apply,
     materialize,
-    storage_count,
     tlr_apply,
 )
 from .chebyshev import (
@@ -25,7 +24,6 @@ from .chebyshev import (
     cheb_points,
     core_tensor,
     factor_matrix,
-    lagrange_eval,
     lebesgue_constant,
 )
 from .grids import (
@@ -46,7 +44,6 @@ from .kernels import (
     QuadratureConfig,
     custom,
     diagonal_entry,
-    evaluate,
     gaussian,
     pairwise,
     slp_2d,
@@ -71,7 +68,6 @@ from .oracles import (
     quasi_row_evaluator,
     rel_fro_error,
     sthosvd,
-    svd_lowrank,
 )
 from .quasi import (
     QuasiPipeline,

@@ -439,8 +439,3 @@ def lowrank_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:
 def materialize(block) -> np.ndarray:
     """Full matrix represented by a block (for tests and small oracles)."""
     return block.materialize()
-
-
-def storage_count(block) -> int:
-    """Number of 64-bit scalars the block stores."""
-    return sum(block.scalars())

@@ -1,9 +1,10 @@
 """Chebyshev nodes, Lagrange bases, and kernel interpolation data.
 
-Provides the one-dimensional building blocks (nodes, basis evaluation,
-factor matrices) used to assemble Tucker-form interpolants of kernel
-interaction blocks, plus two diagnostics: a sampled Lebesgue constant and
-the a-priori error bound for asymptotically smooth kernels.
+Provides the one-dimensional building blocks (nodes and the factor
+matrices of Lagrange basis values) used to assemble Tucker-form
+interpolants of kernel interaction blocks, plus two diagnostics: a sampled
+Lebesgue constant and the a-priori error bound for asymptotically smooth
+kernels.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ def _cheb_nodes(lo, hi, order: int) -> np.ndarray:
     may be arrays, which broadcast against the trailing node axis."""
     t = np.arange(1, order + 1)
     return 0.5 * (hi - lo) * np.cos((2 * t - 1) * np.pi / (2 * order)) + 0.5 * (hi + lo)
-
-
-def lagrange_eval(grid: ChebGrid1D, t: int, x: float) -> float:
-    """Value of the t-th (1-based) Lagrange basis function at x."""
-    if not 1 <= t <= grid.order:
-        raise ValueError("node index out of range")
-    if not grid.lo <= x <= grid.hi:
-        raise ValueError("evaluation point outside the interval")
-    return float(factor_matrix([x], grid)[0, t - 1])
 
 
 def factor_matrix(points: Sequence[float], grid: ChebGrid1D) -> np.ndarray:

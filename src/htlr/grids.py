@@ -218,7 +218,10 @@ class ClusterTree:
 
 def _leaf_side(n: int, leaf_side_max: int) -> int:
     """Side length of the leaf boxes reached by repeated exact halving of n
-    until it drops to `leaf_side_max` or below."""
+    until it drops to `leaf_side_max`, a positive integer, or below."""
+    _check_int("leaf threshold", leaf_side_max)
+    if leaf_side_max < 1:
+        raise ValueError("leaf threshold must be positive")
     side = n
     while side > leaf_side_max:
         if side % 2:
@@ -233,8 +236,6 @@ def _leaf_side(n: int, leaf_side_max: int) -> int:
 def build_cluster_tree(grid: UniformGrid, leaf_side_max: int) -> ClusterTree:
     """Recursive 2^d partition of the full index box, splitting every range at
     its midpoint until a node holds at most ``leaf_side_max^d`` points."""
-    if leaf_side_max < 1:
-        raise ValueError("leaf threshold must be positive")
     side = _leaf_side(grid.n, leaf_side_max)
     depth = int(round(math.log2(grid.n / side))) if grid.n > side else 0
 
@@ -277,7 +278,6 @@ class BlockNode:
     sigma: ClusterNode
     kind: str
     level: int
-    leaf_id: int
 
 
 @dataclass
@@ -302,9 +302,8 @@ def build_block_cluster_tree(
     lattice = _leaf_lattice(tree.grid, tree.leaf_side, rule)
     leaves = [
         BlockNode(nodes[level, tuple(tau)], nodes[level, tuple(sigma)],
-                  ADMISSIBLE if admissible else INADMISSIBLE, level, leaf_id)
-        for leaf_id, (level, admissible, tau, sigma) in enumerate(zip(
-            *(column.tolist() for column in lattice[:4])))
+                  ADMISSIBLE if admissible else INADMISSIBLE, level)
+        for level, admissible, tau, sigma in zip(*(column.tolist() for column in lattice[:4]))
     ]
     return BlockClusterTree(grid=tree.grid, rule=rule, leaves=leaves)
 

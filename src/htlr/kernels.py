@@ -160,13 +160,6 @@ def _real_values(values, shape: tuple, what: str) -> np.ndarray:
     return values.astype(np.float64, copy=False)
 
 
-def evaluate(k: KernelSpec, x, y) -> float:
-    """Kernel value at a single point pair."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return float(_evaluate(k, x, y))
-
-
 def pairwise(k: KernelSpec, xpts: np.ndarray, ypts: np.ndarray) -> np.ndarray:
     """Kernel values on all pairs: (m1, d) x (m2, d) -> (m1, m2)."""
     xpts = np.asarray(xpts, dtype=np.float64)

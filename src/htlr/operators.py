@@ -34,7 +34,7 @@ diagonal, one value when a is constant, which a
 build takes the leaves from :func:`htlr.grids._leaf_lattice`, integer
 arrays on the box lattice of each level, and builds neither tree; the
 operator keeps only the classes, and derives the block tree and the
-per-leaf payloads on request.
+per-leaf payloads on request, for inspection.
 
 Every box at one cluster-tree level is a cube of side n / 2**level starting
 at a multiple of that side, and its interpolation factors depend only on
@@ -173,21 +173,11 @@ class HTLRMatrix:
         return build_block_cluster_tree(tree, self.config.rule)
 
     @property
-    def payloads(self) -> list:
-        """Each leaf's payload, aligned with :attr:`block_tree`'s leaves:
-        the shared, read-only payload of the leaf's class.  A new list on
-        each call."""
-        grid, payload_at = self.grid, {}
-        for group in self.groups:
-            boxes = np.arange((grid.n // group.side) ** grid.d)
-            for cls in group.classes:
-                targets, sources = boxes[cls.targets].tolist(), boxes[cls.sources].tolist()
-                for t, s in zip(targets, sources):
-                    payload_at[group.side, t, s] = cls.payload
-        leaves = _leaf_lattice(grid, self.config.leaf_side, self.config.rule)
-        keys = zip((grid.n >> leaves.level).tolist(),
-                   *(ids.tolist() for ids in _box_ids(leaves, grid.d)))
-        return [payload_at[key] for key in keys]
+    def payloads(self) -> tuple:
+        """Each leaf's payload, class by class: the shared, read-only
+        payload of a class once per leaf of the class."""
+        return tuple(payload for payload, count in _class_leaves(self)
+                     for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -487,7 +477,11 @@ def estimate_rel_error_random(
     seed: int = 0,
 ) -> float:
     """Relative l2 error of the fast matvec against exact row evaluations on
-    a uniformly sampled (without replacement) row subset."""
+    a uniformly sampled (without replacement) row subset of `sample_size`
+    rows, a positive integer."""
+    _check_int("sample size", sample_size)
+    if sample_size < 1:
+        raise ValueError("sample size must be positive")
     u = checked_vector(u)
     n_rows = op.num_points
     if sample_size > n_rows:

@@ -1,6 +1,6 @@
 """Ground-truth machinery: dense assembly, exact row evaluation on the grid
-and on triangle centroids (self terms from the kernels module), truncated
-SVD, sequentially truncated Tucker compression, and error measurement.
+and on triangle centroids (self terms from the kernels module),
+sequentially truncated Tucker compression, and error measurement.
 
 Everything here favors obviousness over speed; these are the references the
 fast paths are tested against.
@@ -91,15 +91,6 @@ def exact_row_evaluator(
         k, coeff, pts, grid.h**grid.d,
         lambda sel: self_entries(k, pts[sel], grid.h, cfg),
     )
-
-
-def svd_lowrank(m: np.ndarray, r: int):
-    """Best rank-r approximation factors (u, s, v) with m ~ u @ diag(s) @ v.T."""
-    m = np.asarray(m, dtype=np.float64)
-    if not 1 <= r <= min(m.shape):
-        raise ValueError("rank out of range")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u[:, :r], s[:r], vt[:r].T
 
 
 @dataclass

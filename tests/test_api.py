@@ -13,14 +13,14 @@ PUBLIC = [
     "build_cluster_tree", "build_dense", "build_lowrank", "build_pipeline",
     "build_tlr", "cheb_points", "chebyshev", "construct", "construct_hmatrix",
     "contract", "core_tensor", "custom", "dense_assemble", "diagonal_entry",
-    "domain_of", "estimate_rel_error_random", "evaluate", "exact_row_evaluator",
+    "domain_of", "estimate_rel_error_random", "exact_row_evaluator",
     "factor_matrix", "gaussian", "grids", "is_admissible", "kernels",
-    "lagrange_eval", "lebesgue_constant", "load_mesh", "lowrank_apply",
+    "lebesgue_constant", "load_mesh", "lowrank_apply",
     "materialize", "matvec", "mode_product", "multi_mode_apply",
     "operation_counts", "operators", "oracles", "overlap_area", "pairwise",
     "qr", "quasi", "quasi_row_evaluator", "quasi_to_uniform", "rel_fro_error",
-    "reshape", "save_mesh", "slp_2d", "slp_3d", "sthosvd", "storage_count",
-    "storage_report", "structured_trimesh", "svd_lowrank", "tensor",
+    "reshape", "save_mesh", "slp_2d", "slp_3d", "sthosvd",
+    "storage_report", "structured_trimesh", "tensor",
     "tensor_to_vec", "tlr_apply", "uniform_to_quasi", "vec_to_tensor",
     "weak_storage_bound",
 ]

@@ -22,7 +22,6 @@ from htlr import (
     pairwise,
     qr,
     slp_2d,
-    storage_count,
     tensor_to_vec,
     tlr_apply,
     vec_to_tensor,
@@ -109,7 +108,7 @@ class TestBuildTLR:
         for f in block.u_factors + block.v_factors:
             assert f.shape == (4, 4)
             assert np.abs(f.T @ f - np.eye(4)).max() <= 1e-12
-        assert storage_count(block) == 4 * 4**2 + block.core.size
+        assert sum(block.scalars()) == 4 * 4**2 + block.core.size
         exact = grid.h**2 * pairwise(
             gaussian(np.sqrt(2.0)), grid.points(tau), grid.points(sigma)
         )
@@ -567,16 +566,16 @@ class TestStorageCount:
     def test_tucker_block_count(self):
         grid, tau, sigma = admissible_pair_64()  # sides 32
         block = build_tlr(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
-        assert storage_count(block) == 2 * 2 * 32 * 8 + 8**4  # 5120
+        assert sum(block.scalars()) == 2 * 2 * 32 * 8 + 8**4  # 5120
 
     def test_lowrank_block_count(self):
         grid, tau, sigma = admissible_pair_64()
         block = build_lowrank(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
-        assert storage_count(block) == 2 * 32**2 * 8**2 + 8**4  # 135168
+        assert sum(block.scalars()) == 2 * 32**2 * 8**2 + 8**4  # 135168
 
     def test_dense_block_count(self):
         block = DenseBlock(matrix=np.zeros((16, 16)))
-        assert storage_count(block) == 256
+        assert sum(block.scalars()) == 256
 
 
 class TestBlockProperties:

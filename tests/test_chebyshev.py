@@ -9,7 +9,6 @@ from htlr import (
     cheb_points,
     core_tensor,
     factor_matrix,
-    lagrange_eval,
     lebesgue_constant,
     slp_2d,
 )
@@ -61,12 +60,12 @@ class TestLagrange:
         grid = cheb_points(0.0, 1.0, 5)
         for t in range(1, 6):
             for s in range(1, 6):
-                val = lagrange_eval(grid, t, grid.nodes[s - 1])
+                val = factor_matrix([grid.nodes[s - 1]], grid)[0, t - 1]
                 assert abs(val - (1.0 if s == t else 0.0)) <= 1e-12
 
     def test_partition_of_unity_at_point(self):
         grid = cheb_points(0.0, 1.0, 5)
-        total = sum(lagrange_eval(grid, t, 0.3) for t in range(1, 6))
+        total = sum(factor_matrix([0.3], grid)[0, t - 1] for t in range(1, 6))
         assert abs(total - 1.0) <= 1e-13
 
     def test_quadratic_reproduced_exactly(self):
@@ -75,7 +74,7 @@ class TestLagrange:
         xs = rng.random(100)
         for x in xs:
             interp = sum(
-                grid.nodes[t - 1] ** 2 * lagrange_eval(grid, t, x)
+                grid.nodes[t - 1] ** 2 * factor_matrix([x], grid)[0, t - 1]
                 for t in range(1, 4)
             )
             assert abs(interp - x**2) <= 1e-12
@@ -154,7 +153,7 @@ class TestCoreTensor:
         assert np.abs(core - expected).max() <= 1e-15
 
     def test_gaussian_direct_evaluation(self):
-        from htlr import evaluate, gaussian
+        from htlr import gaussian, pairwise
 
         k = gaussian(np.sqrt(2.0))
         gt = [cheb_points(0.0, 0.25, 4)] * 2
@@ -163,7 +162,7 @@ class TestCoreTensor:
         for t1, t2, s1, s2 in [(0, 1, 2, 3), (3, 0, 1, 2), (2, 2, 0, 0)]:
             x = (gt[0].nodes[t1], gt[1].nodes[t2])
             y = (gs[0].nodes[s1], gs[1].nodes[s2])
-            assert core[t1, t2, s1, s2] == evaluate(k, x, y)
+            assert core[t1, t2, s1, s2] == pairwise(k, [x], [y])[0, 0]
 
 
 class TestLebesgue:

@@ -72,6 +72,19 @@ class TestClusterTree:
         assert len(leaf_boxes(tree)) == 64
         assert tree.depth == 3
 
+    @pytest.mark.parametrize("threshold", [2.5, 4.0, True, np.float64(4)],
+                             ids=["2.5", "4.0", "True", "float64"])
+    def test_non_integer_threshold_rejected(self, threshold):
+        # 2.5 built leaves of side 2, True leaves of side 1
+        with pytest.raises(ValueError, match="leaf threshold must be an integer"):
+            build_cluster_tree(UniformGrid(2, 16), threshold)
+        with pytest.raises(ValueError, match="leaf threshold must be an integer"):
+            _leaf_lattice(UniformGrid(2, 16), threshold, AdmissibilityRule.weak())
+
+    def test_numpy_integer_threshold_accepted(self):
+        tree = build_cluster_tree(UniformGrid(2, 16), np.int64(4))
+        assert len(leaf_boxes(tree)) == 16
+
     def test_unsplittable_grid_rejected(self):
         with pytest.raises(ValueError):
             build_cluster_tree(UniformGrid(2, 10), 4)  # 10 -> 5, odd and > 4
@@ -264,8 +277,7 @@ class TestBlockClusterTree:
             nodes.add(id(node))
             stack.extend(node.children)
         btree = build_block_cluster_tree(self.tree, rule)
-        for i, leaf in enumerate(btree.leaves):
-            assert leaf.leaf_id == i
+        for leaf in btree.leaves:
             assert {id(leaf.tau), id(leaf.sigma)} <= nodes
             assert leaf.tau.level == leaf.sigma.level == leaf.level
             if leaf.kind == INADMISSIBLE:

@@ -6,7 +6,6 @@ from htlr import (
     QuadratureConfig,
     custom,
     diagonal_entry,
-    evaluate,
     gaussian,
     pairwise,
     slp_2d,
@@ -21,6 +20,11 @@ from htlr.kernels import (
     self_entries,
 )
 from oracle_utils import shell_diagonal_average
+
+
+def evaluate(k, x, y) -> float:
+    """The kernel at one point pair, as :func:`pairwise` gives it."""
+    return float(pairwise(k, np.asarray(x)[None], np.asarray(y)[None])[0, 0])
 
 
 class TestEvaluate:

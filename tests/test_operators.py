@@ -15,8 +15,6 @@ from htlr import (
     IndexBox,
     QuadratureConfig,
     UniformGrid,
-    build_block_cluster_tree,
-    build_cluster_tree,
     build_dense,
     build_lowrank,
     build_tlr,
@@ -31,11 +29,9 @@ from htlr import (
     matvec,
     operation_counts,
     slp_2d,
-    storage_count,
     storage_report,
 )
 from htlr.blocks import DenseBlock, TuckerBlock
-from htlr.grids import ADMISSIBLE
 from htlr.operators import DegenerateErrorEstimate
 from oracle_utils import recursive_block_pairs
 
@@ -51,21 +47,52 @@ def weak_gaussian_cfg(rank=8, leaf=16):
     )
 
 
+def tree_leaves(grid, cfg) -> dict:
+    """The kind, "admissible" or "inadmissible", of every leaf (tau, sigma)
+    of the recursive block tree construction, keyed by its index boxes."""
+    return {(IndexBox(tau), IndexBox(sigma)): kind for _, kind, tau, sigma in
+            recursive_block_pairs(grid.d, grid.n, cfg.leaf_side, cfg.rule)
+            if kind != "internal"}
+
+
+def leaf_payloads(op):
+    """(tau, sigma, payload) of every leaf of every class, class by class:
+    the leaf's index boxes and its class's payload."""
+    d = op.grid.d
+    for group in op.groups:
+        boxes = op.grid.n // group.side
+        ids = np.arange(boxes**d)
+
+        def box(i):
+            coords = (i // boxes ** np.arange(d)) % boxes
+            return IndexBox(tuple((c * group.side, (c + 1) * group.side)
+                                  for c in coords.tolist()))
+
+        for cls in group.classes:
+            for t, s in zip(ids[cls.targets].tolist(), ids[cls.sources].tolist()):
+                yield box(t), box(s), cls.payload
+
+
+def block_of(matrix, grid, tau, sigma):
+    """The rows of box tau and the columns of box sigma of a grid matrix."""
+    return matrix[np.ix_(tau.linear_indices(grid.n), sigma.linear_indices(grid.n))]
+
+
 def assert_every_leaf_matches_dense(cfg, grid):
-    """Admissible leaves within 1e-9 relative of the dense oracle entry by
-    entry, dense leaves bit-equal to it."""
+    """The classes' leaves are the tree's: admissible leaves within 1e-9
+    relative of the dense oracle entry by entry, dense leaves bit-equal to
+    it."""
     op = construct(cfg, grid)
     dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-    payloads = op.payloads
-    for leaf in op.block_tree.leaves:
-        rows = leaf.tau.box.linear_indices(grid.n)
-        cols = leaf.sigma.box.linear_indices(grid.n)
-        sub = dense.matrix[np.ix_(rows, cols)]
-        rec = materialize(payloads[leaf.leaf_id])
-        if leaf.kind == ADMISSIBLE:
+    kinds = tree_leaves(grid, cfg)
+    for tau, sigma, payload in leaf_payloads(op):
+        sub = block_of(dense.matrix, grid, tau, sigma)
+        rec = materialize(payload)
+        if kinds.pop((tau, sigma)) == "admissible":
             assert (np.abs(rec - sub) / np.abs(sub)).max() <= 1e-9
         else:
             assert np.array_equal(rec, sub)
+    assert not kinds
 
 
 class TestBuildConfig:
@@ -137,10 +164,10 @@ class TestConstruct:
                           kernel=gaussian(np.sqrt(2.0)),
                           coeff=CoefficientFn.constant(0.0))
         op = construct(cfg, grid)
-        assert len(op.payloads) == 1
-        assert isinstance(op.payloads[0], DenseBlock)
+        (payload,) = [block for _, _, block in leaf_payloads(op)]
+        assert isinstance(payload, DenseBlock)
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-        assert np.array_equal(op.payloads[0].matrix, dense.matrix)
+        assert np.array_equal(payload.matrix, dense.matrix)
 
     def test_identity_operator(self):
         grid = UniformGrid(2, 32)
@@ -178,30 +205,28 @@ class TestConstruct:
 
 
 def translation_classes(op) -> int:
+    """Distinct (box sizes, source-minus-target offset) of the tree's
+    leaves."""
     return len({
-        (
-            leaf.tau.box.sizes,
-            leaf.sigma.box.sizes,
-            tuple(s - t for (s, _), (t, _) in
-                  zip(leaf.sigma.box.ranges, leaf.tau.box.ranges)),
-        )
-        for leaf in op.block_tree.leaves
+        (tau.sizes, sigma.sizes,
+         tuple(s - t for (s, _), (t, _) in zip(sigma.ranges, tau.ranges)))
+        for tau, sigma in tree_leaves(op.grid, op.config)
     })
 
 
 def stored_dense(kind, tau_sizes, rank) -> bool:
     """Whether the build stores a leaf dense: an inadmissible leaf, or one
     on boxes no wider than the rank, whose factors would compress nothing."""
-    return kind != ADMISSIBLE or tau_sizes[0] <= rank
+    return kind != "admissible" or tau_sizes[0] <= rank
 
 
 def per_leaf_matvec(op, build_admissible, u):
-    """The operator's kernel part rebuilt leaf by leaf, applied to u."""
+    """The operator's kernel part rebuilt leaf by leaf of the tree, applied
+    to u."""
     cfg, grid = op.config, op.grid
     f = np.zeros(grid.num_points)
-    for leaf in op.block_tree.leaves:
-        tau, sigma = leaf.tau.box, leaf.sigma.box
-        if not stored_dense(leaf.kind, tau.sizes, cfg.rank):
+    for (tau, sigma), kind in tree_leaves(grid, cfg).items():
+        if not stored_dense(kind, tau.sizes, cfg.rank):
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
             block = build_dense(cfg.kernel, grid, tau, sigma, grid.h,
@@ -260,16 +285,31 @@ class TestClassSharing:
     def test_one_payload_per_class(self, case, build, build_admissible):
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        payloads = op.payloads
+        payloads = [block for _, _, block in leaf_payloads(op)]
         assert len({id(block) for block in payloads}) == translation_classes(op)
         assert len(payloads) > translation_classes(op)
 
         rep = storage_report(op)
-        per_leaf = np.sum(
-            [payloads[leaf.leaf_id].scalars() for leaf in op.block_tree.leaves],
-            axis=0,
-        )
+        per_leaf = np.sum([block.scalars() for block in payloads], axis=0)
         assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == tuple(per_leaf)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_payloads_view_lists_each_class_once_per_leaf(self, case, build):
+        """`op.payloads`, the per-leaf inspection view: a tuple with one
+        entry per leaf of the tree, holding each class's payload once per
+        leaf of the class, whose scalars sum to the stored total."""
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        payloads = op.payloads
+        assert len(payloads) == len(tree_leaves(grid, cfg))
+        assert (collections.Counter(map(id, payloads))
+                == collections.Counter(id(block) for _, _, block in leaf_payloads(op)))
+        assert storage_report(op).total_scalars == sum(sum(p.scalars()) for p in payloads)
+        # a view, not the operator's storage: writing into it raises
+        with pytest.raises(TypeError):
+            payloads[0] = payloads[-1]
 
     @pytest.mark.parametrize("case", sorted(MATVEC_CASES))
     @BUILDS
@@ -287,16 +327,13 @@ class TestClassSharing:
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-        payloads, narrow = op.payloads, 0
-        for leaf in op.block_tree.leaves:
-            tau, sigma = leaf.tau.box, leaf.sigma.box
+        kinds, narrow = tree_leaves(grid, cfg), 0
+        for tau, sigma, block in leaf_payloads(op):
             if tau.sizes[0] > cfg.rank:
                 continue
-            narrow += leaf.kind == ADMISSIBLE
-            block = payloads[leaf.leaf_id]
+            narrow += kinds[tau, sigma] == "admissible"
             assert isinstance(block, DenseBlock)
-            sub = dense.matrix[np.ix_(tau.linear_indices(grid.n),
-                                      sigma.linear_indices(grid.n))]
+            sub = block_of(dense.matrix, grid, tau, sigma)
             assert np.abs(block.matrix - sub).max() <= 1e-15 * np.abs(sub).max()
         assert narrow > 0
 
@@ -305,7 +342,7 @@ class TestClassSharing:
         assert_every_leaf_matches_dense(cfg, grid)
         # every leaf is a class of its own
         op = construct(cfg, grid)
-        assert sum(len(group.classes) for group in op.groups) == len(op.payloads)
+        assert sum(len(group.classes) for group in op.groups) == len(tree_leaves(grid, cfg))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @BUILDS
@@ -347,7 +384,7 @@ class TestClassSharing:
         op = build(cfg, grid)
         classes = [cls for group in op.groups for cls in group.classes]
         buffers = {cls.payload.core_matrix.ctypes.data for cls in classes}
-        assert len(buffers) == len(classes) == len(op.payloads)
+        assert len(buffers) == len(classes) == len(tree_leaves(grid, cfg))
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         u = np.random.default_rng(53).standard_normal(grid.num_points)
         expected = dense.matrix @ u
@@ -361,11 +398,10 @@ class TestClassSharing:
         grid, cfg = self.MATVEC_CASES[case]
         op = build(cfg, grid)
         by_side = collections.defaultdict(list)
-        payloads = op.payloads
-        for leaf in op.block_tree.leaves:
-            block = payloads[leaf.leaf_id]
-            if leaf.kind == ADMISSIBLE:
-                by_side[leaf.tau.box.sizes[0]] += [block.u_factors, block.v_factors]
+        kinds = tree_leaves(grid, cfg)
+        for tau, sigma, block in leaf_payloads(op):
+            if kinds[tau, sigma] == "admissible":
+                by_side[tau.sizes[0]] += [block.u_factors, block.v_factors]
         assert len(by_side) > 1
         for factors in by_side.values():
             assert all(f is g for fs in factors for f, g in zip(fs, factors[0]))
@@ -492,20 +528,8 @@ def class_offsets(op):
 def class_leaves(op):
     """(stored dense, tau ranges, sigma ranges) of every leaf of every
     class."""
-    d, out = op.grid.d, []
-    for group in op.groups:
-        boxes = op.grid.n // group.side
-        ids = np.arange(boxes**d)
-
-        def ranges(box):
-            coords = (box // boxes ** np.arange(d)) % boxes
-            return tuple((c * group.side, (c + 1) * group.side) for c in coords.tolist())
-
-        for cls in group.classes:
-            dense = isinstance(cls.payload, DenseBlock)
-            out += [(dense, ranges(t), ranges(s))
-                    for t, s in zip(ids[cls.targets], ids[cls.sources])]
-    return out
+    return [(isinstance(block, DenseBlock), tau.ranges, sigma.ranges)
+            for tau, sigma, block in leaf_payloads(op)]
 
 
 @pytest.mark.filterwarnings("ignore:leaf side 7 outside")
@@ -720,13 +744,11 @@ class TestMatvec:
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         rng = np.random.default_rng(40)
         u = rng.standard_normal(grid.num_points)
-        payloads = op.payloads
-        for leaf in op.block_tree.leaves:
-            block = payloads[leaf.leaf_id]
+        for tau, sigma, block in leaf_payloads(op):
             if not isinstance(block, DenseBlock):
                 continue
-            rows = leaf.tau.box.linear_indices(32)
-            cols = leaf.sigma.box.linear_indices(32)
+            rows = tau.linear_indices(32)
+            cols = sigma.linear_indices(32)
             assert np.array_equal(
                 block.matrix @ u[cols],
                 dense.matrix[np.ix_(rows, cols)] @ u[cols],
@@ -835,15 +857,17 @@ class TestLevelBatches:
             np.exp(-np.sum((x - y) ** 2, axis=-1))))
         cfg = dataclasses.replace(weak_gaussian_cfg(rank=4, leaf=8), kernel=kernel)
         grid = UniformGrid(2, 32)
-        # the leaves in the build's class order: level by level
-        leaves = [(leaf.tau.box, leaf.sigma.box, leaf.kind) for leaf in
-                  build_block_cluster_tree(build_cluster_tree(grid, cfg.leaf_side),
-                                           cfg.rule).leaves]
+        # the leaves in the build's class order: level by level, each level
+        # in the recursion's depth-first order
+        pairs = [pair for pair in recursive_block_pairs(grid.d, grid.n, cfg.leaf_side, cfg.rule)
+                 if pair[1] != "internal"]
+        leaves = [(IndexBox(tau), IndexBox(sigma), kind)
+                  for _, kind, tau, sigma in sorted(pairs, key=lambda pair: pair[0])]
         bad = [i for i, (tau, sigma, _) in enumerate(leaves)
                if tau.ranges[0][0] >= 16 and sigma.ranges[1][0] >= 16]
         tau, sigma, kind = leaves[bad[0]]
-        assert kind == ADMISSIBLE and tau.sizes[0] == 16
-        assert leaves[bad[0] - 1][2] == ADMISSIBLE  # not the level's first
+        assert kind == "admissible" and tau.sizes[0] == 16
+        assert leaves[bad[0] - 1][2] == "admissible"  # not the level's first
         assert leaves[bad[0] - 1][0].sizes[0] == 16
         message = f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -963,9 +987,9 @@ class TestStorageReport:
     def test_categories_are_block_scalar_sums(self, build):
         op = build(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 64))
         rep = storage_report(op)
-        sums = np.sum([block.scalars() for block in op.payloads], axis=0)
+        sums = np.sum([block.scalars() for _, _, block in leaf_payloads(op)], axis=0)
         assert (rep.dense_scalars, rep.factor_scalars, rep.core_scalars) == tuple(sums)
-        assert rep.total_scalars == sum(storage_count(b) for b in op.payloads)
+        assert rep.total_scalars == sum(sums)
 
     def test_leaf_count_scaling(self):
         counts = {}
@@ -987,10 +1011,7 @@ class TestLeafCoverage:
                           kernel=gaussian(np.sqrt(2.0)),
                           coeff=CoefficientFn.constant(0.0))
         op = construct(cfg, grid)
-        total = sum(
-            leaf.tau.box.num_points * leaf.sigma.box.num_points
-            for leaf in op.block_tree.leaves
-        )
+        total = sum(tau.num_points * sigma.num_points for tau, sigma, _ in leaf_payloads(op))
         assert total == grid.num_points**2
 
 
@@ -1054,6 +1075,21 @@ class TestErrorEstimator:
         with pytest.raises(ValueError, match="complex"):
             estimate_rel_error_random(self.op, rows_fn, self.u + 1j * self.u,
                                       50, seed=9)
+
+    @pytest.mark.parametrize("size,match", [
+        # 0 raised "exact result has zero norm", -1 numpy's "negative
+        # dimensions", 2.5 a TypeError
+        (0, "sample size must be positive"),
+        (-1, "sample size must be positive"),
+        (2.5, "sample size must be an integer"),
+        (10.0, "sample size must be an integer"),
+        (True, "sample size must be an integer"),
+    ])
+    def test_sample_size_not_a_positive_integer_rejected(self, size, match):
+        f = matvec(self.op, self.u)
+        with pytest.raises(ValueError, match=match):
+            estimate_rel_error_random(self.op, lambda rows, u: f[rows], self.u,
+                                      sample_size=size, seed=0)
 
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):

@@ -20,11 +20,10 @@ from htlr import (
     slp_2d,
     sthosvd,
     structured_trimesh,
-    svd_lowrank,
 )
 from htlr.cli import rank_explore_errors
 from htlr.kernels import triangle_entries
-from oracle_utils import polar_slp2d_triangle_average
+from oracle_utils import polar_slp2d_triangle_average, recursive_block_pairs
 
 
 def constant_kernel(c):
@@ -55,10 +54,12 @@ class TestDenseAssemble:
         grid = UniformGrid(2, 4)
         cfg = BuildConfig(rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
                           kernel=slp_2d(), coeff=CoefficientFn.constant(0.0))
+        assert len(list(recursive_block_pairs(2, 4, 4, cfg.rule))) == 1
         op = construct(cfg, grid)
-        assert len(op.payloads) == 1
+        classes = [cls for group in op.groups for cls in group.classes]
+        assert len(classes) == 1 and op.groups[0].side == grid.n
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-        assert np.array_equal(materialize(op.payloads[0]), dense.matrix)
+        assert np.array_equal(materialize(classes[0].payload), dense.matrix)
 
     def test_size_guard(self):
         grid = UniformGrid(2, 256)
@@ -187,45 +188,6 @@ class TestRowOracleMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * kernels.EVAL_CHUNK
-
-
-class TestSvdLowRank:
-    def test_rank_one_exact_recovery(self):
-        rng = np.random.default_rng(26)
-        m = np.outer(rng.standard_normal(10), rng.standard_normal(7))
-        u, s, v = svd_lowrank(m, 1)
-        assert rel_fro_error(u * s @ v.T, m) <= 1e-13
-
-    def test_full_rank_exact(self):
-        rng = np.random.default_rng(27)
-        m = rng.standard_normal((6, 9))
-        u, s, v = svd_lowrank(m, 6)
-        assert rel_fro_error(u @ np.diag(s) @ v.T, m) <= 1e-13
-
-    def test_error_matches_tail_energy(self):
-        rng = np.random.default_rng(28)
-        m = rng.standard_normal((64, 64))
-        full_s = np.linalg.svd(m, compute_uv=False)
-        r = 10
-        u, s, v = svd_lowrank(m, r)
-        err = rel_fro_error(u @ np.diag(s) @ v.T, m)
-        tail = np.sqrt(np.sum(full_s[r:] ** 2)) / np.linalg.norm(m)
-        assert abs(err - tail) <= 1e-12
-
-    def test_error_nonincreasing_in_rank(self):
-        rng = np.random.default_rng(29)
-        m = rng.standard_normal((32, 32))
-        errs = []
-        for r in range(1, 17):
-            u, s, v = svd_lowrank(m, r)
-            errs.append(rel_fro_error(u @ np.diag(s) @ v.T, m))
-        assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
-
-    def test_invalid_rank(self):
-        with pytest.raises(ValueError):
-            svd_lowrank(np.ones((3, 3)), 0)
-        with pytest.raises(ValueError):
-            svd_lowrank(np.ones((3, 3)), 4)
 
 
 class TestSthosvd:
