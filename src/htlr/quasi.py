@@ -4,9 +4,10 @@ A vector sampled on triangle centroids is moved to an auxiliary uniform
 grid by the area-overlap matrix S, multiplied by the hierarchical operator
 there, and moved back by the reverse-overlap matrix T.  Both transfer
 matrices are sparse and row-stochastic whenever the mesh covers the unit
-square.  Every overlap, in S and T and in :func:`overlap_area`, is cut the
-same way: the triangle's part in the cell's column strip, and the areas of
-that part below the cell's lower and upper lines.
+square.  Every overlap, in S and T and in :func:`overlap_area`, comes from
+one primitive, _cell_overlaps: a sum over the triangle's three edges of
+closed-form integrals of y dx over each column of cells, with no polygon
+clipping.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .grids import UniformGrid, _check_int, _leaf_side
 from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
-#: (triangle, cell) pairs cut per batch; keeps the clipper's scratch arrays
-#: near the cache size whatever the mesh size
-_CHUNK = 4096
+#: padded cells per batch of _overlap_entries; its scratch arrays hold
+#: 3 edges x (rows + 1) lines per column of the batch's boxes, near the
+#: cache size at this budget whatever the mesh size
+_CHUNK = 2**14
 
 
 @dataclass
@@ -82,6 +84,8 @@ def load_mesh(path) -> TriMesh:
         raise ValueError("mesh file too short")
     try:
         nv, nf = int(tokens[0]), int(tokens[1])
+        if min(nv, nf) < 0:
+            raise ValueError(f"mesh header counts must be non-negative, got {nv} {nf}")
         flat = tokens[2:]
         if len(flat) != 2 * nv + 3 * nf:
             raise ValueError(
@@ -120,44 +124,56 @@ def structured_trimesh(cells_per_side: int) -> TriMesh:
     return TriMesh(vertices=verts, triangles=tris)
 
 
-def _strip_edges(x, y, width):
-    """The part A -> B of every edge of closed triangles (4, K) with
-    0 <= x <= width, as four (3, K) arrays xa, ya, xb, yb, x clamped into the
-    strip.  An edge that misses the strip has A = B on the strip side it
-    lies on.  Between B of one edge and A of the next, the triangle's
-    boundary is outside the strip: clamped onto it, that part is a vertical
-    segment at x = xb."""
-    px, py = x[:-1], y[:-1]
-    dx, dy = x[1:] - px, y[1:] - py
-    # an edge parallel to the strip: any of its points will do, as the
-    # vertical segment from B to the next A covers the rest of it
-    step = np.where(dx == 0.0, 1.0, dx)
-    t0 = (-px / step).clip(0.0, 1.0)
-    t1 = ((width - px) / step).clip(0.0, 1.0)
-    ta, tb = np.minimum(t0, t1), np.maximum(t0, t1)
-    return ((px + ta * dx).clip(0.0, width), py + ta * dy,
-            (px + tb * dx).clip(0.0, width), py + tb * dy)
+def _cell_overlaps(x, y, cols: int, rows: int) -> np.ndarray:
+    """Overlap areas (T, rows, cols) of T triangles, corners x, y (3, T) in
+    cell units, with the unit cells [c, c + 1] x [j, j + 1].
 
-
-def _area_below(xa, ya, xb, yb, line):
-    """Areas below y = line (K,) of the strip polygons of _strip_edges:
-    the trapezoid sums of y-differences times x-sums along the edge parts
-    and the vertical segments between them, with every point clamped to
-    y <= line.  The part above the line then has no y-difference, so it
-    adds nothing, and a polygon wholly above the line has area exactly 0."""
-    dy = yb - ya
-    t = ((line - ya) / np.where(dy == 0.0, 1.0, dy)).clip(0.0, 1.0)
-    xc = xa + t * (xb - xa)
-    yc = np.minimum(ya + t * dy, line)
-    ya, yb = np.minimum(ya, line), np.minimum(yb, line)
-    s = (yc - ya) * (xa + xc) + (yb - yc) * (xc + xb) + 2.0 * xb * (ya[[1, 2, 0]] - yb)
-    return 0.5 * np.abs(s.sum(axis=0))
+    An area is the integral of y dx around the boundary, up to sign.  Over
+    column c the triangle is bounded by its edges clipped to the column and
+    by vertical segments, which add nothing.  A clipped edge has signed
+    width w and covers a y-range [a, b] uniformly, so it adds to cell (c, j)
+    w (psi(j + 1) - psi(j)), with psi(l) = E[min(Y, l)] for Y uniform on
+    [a, b], i.e. min(l, b) - (clip(l, a, b) - a)^2 / (2 (b - a)).  The
+    difference is evaluated as clip(a - j, 0, 1) + du (1 - (u(j) + u(j + 1))
+    / (2 (b - a))) with u(l) = clip(l, a, b) - a, two terms in [0, 1], so an
+    overlap's rounding error stays near an ulp of the cell's area however
+    many cells the triangle spans.  A part with b = a adds w clip(a - j, 0, 1),
+    with no division.
+    """
+    x1, y1 = x[[1, 2, 0]], y[[1, 2, 0]]  # edge k runs from corner k to k + 1
+    dx = x1 - x
+    # an edge with dx = 0 has width 0 over every column, whatever its slope
+    slope = (y1 - y) / np.where(dx == 0.0, 1.0, dx)
+    column = np.arange(cols, dtype=np.float64)[:, None, None]
+    u0, u1 = x - column, x1 - column  # (cols, 3, T)
+    xa, xb = u0.clip(0.0, 1.0), u1.clip(0.0, 1.0)
+    ya, yb = y + (xa - u0) * slope, y1 + (xb - u1) * slope
+    a = np.minimum(ya, yb)
+    d = np.maximum(ya, yb) - a
+    half_inv = np.divide(0.5, d, out=np.zeros_like(d), where=d > 0.0)
+    # (rows + 1, cols, 3, T) on every row line at once, updated in place:
+    # the scratch is a few arrays of this size
+    lines = np.arange(rows + 1, dtype=np.float64)[:, None, None, None]
+    u = lines - a
+    np.maximum(u, 0.0, out=u)
+    np.minimum(u, d, out=u)
+    dpsi = u[1:] + u[:-1]
+    dpsi *= half_inv
+    np.subtract(1.0, dpsi, out=dpsi)
+    du = u[1:] - u[:-1]
+    dpsi *= du
+    below = np.subtract(a, lines[:-1], out=du)  # clip(a - j, 0, 1)
+    np.maximum(below, 0.0, out=below)
+    np.minimum(below, 1.0, out=below)
+    dpsi += below
+    g = np.ascontiguousarray(np.einsum("jcet,cet->tjc", dpsi, xb - xa))
+    return np.abs(g, out=g)
 
 
 def overlap_area(tri, cell) -> float:
     """Area of the intersection of a triangle (3, 2) with an axis-aligned
-    rectangle (x0, y0, x1, y1), relative to (x0, y0): the triangle's strip
-    x0 <= x <= x1 and its areas below y1 and y0, as in _overlap_entries."""
+    rectangle (x0, y0, x1, y1): the unit cell of _cell_overlaps, in units of
+    the rectangle's sides relative to (x0, y0)."""
     tri = np.asarray(tri, dtype=np.float64)
     cell = np.asarray(cell, dtype=np.float64)
     if tri.shape != (3, 2) or cell.shape != (4,):
@@ -169,11 +185,9 @@ def overlap_area(tri, cell) -> float:
     x0, y0, x1, y1 = cell
     if not (x0 < x1 and y0 < y1):
         raise ValueError("overlap_area needs a cell with x0 < x1 and y0 < y1")
-    closed = tri[[0, 1, 2, 0]]
-    edges = _strip_edges(closed[:, :1] - x0, closed[:, 1:] - y0, x1 - x0)
-    upper, lower = (float(_area_below(*edges, line)[0]) for line in (y1 - y0, 0.0))
-    # a strip that misses the cell can differ by a rounding error below 0
-    return max(0.0, upper - lower)
+    width, height = x1 - x0, y1 - y0
+    g = _cell_overlaps((tri[:, :1] - x0) / width, (tri[:, 1:] - y0) / height, 1, 1)
+    return float(g[0, 0, 0]) * width * height
 
 
 @dataclass
@@ -193,96 +207,81 @@ class SparseInterpMatrix:
         return self.matrix @ np.asarray(v, dtype=np.float64)
 
 
-def _ragged(counts):
-    """Owner and 1-based position of each of sum(counts) items, where owner
-    o has counts[o] consecutive items."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, np.arange(len(owner)) - first + 1
-
-
 def _overlap_entries(mesh: TriMesh, m_side: int):
-    """All (cell_id, triangle_id, overlap_area) triples with positive area.
-
-    Cells are linearized first-index-fastest to match the uniform-grid
-    vectors.  Each triangle is cut once into every column strip k of its
-    bounding box, with x relative to the strip's left line, and each strip
-    is cut once along every row line l it reaches, which gives H(k, l), the
-    strip's area below line l.  A cell's overlap is the difference of H at
-    its lower and upper lines.  Every area is that of a polygon one cell
-    wide, so its rounding error stays near an ulp of h^2 times the
-    triangle's span in cells, and the rows a strip does not reach are never
-    cut.  Strips are cut about _CHUNK cells of their bounding boxes at a
-    time, which bounds the scratch arrays whatever the mesh size.
+    """The (F, M) CSR matrix of every positive overlap area of a triangle
+    with a cell, cells linearized first-index-fastest to match the
+    uniform-grid vectors.  Each triangle is cut by _cell_overlaps over the
+    cells of its bounding box, in cell units relative to the box's
+    lower-left corner.  Triangles go in batches sorted by box size, each
+    padded to its largest box and holding at most _CHUNK padded cells (or
+    one triangle), so the scratch stays bounded however unevenly the
+    triangles are sized; their triangles miss the padding cells.
     """
     _check_int("m_side", m_side)
     if m_side < 1:
         raise ValueError(f"m_side must be a positive integer, got {m_side!r}")
-    h = 1.0 / m_side
-    corners = mesh.vertices[mesh.triangles]  # (F, 3, 2)
+    num = mesh.num_triangles
+    xy = np.take(mesh.vertices.T, mesh.triangles.T, axis=1) * m_side  # (2, 3, F)
     # A triangle sticking out of the grid gets at most one column or row of
     # cells beyond it on each side; those are dropped, so its area outside
     # is missing from its row sum and _to_quasi reports it.
-    lo = np.clip(np.floor(corners.min(axis=1) * m_side), -1, m_side).astype(np.int64)
-    hi = np.clip(np.ceil(corners.max(axis=1) * m_side), 0, m_side + 1).astype(np.int64)
-    span = hi - lo  # (F, 2) cells per axis
-    # closed triangles (4, F), relative to each box's lower-left corner
-    x = (corners[:, [0, 1, 2, 0], 0] - lo[:, :1] * h).T
-    y = (corners[:, [0, 1, 2, 0], 1] - lo[:, 1:] * h).T
-    # one strip per (triangle, column k = 1 .. span)
-    tri, k = _ragged(span[:, 0])
-    rows = span[tri, 1]
-    ends = np.cumsum(rows)
-    bounds = np.unique(np.r_[
-        0, np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK)), len(tri)
-    ])
-    cells, tris, areas = [], [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        p = np.arange(a, b)
-        xa, ya, xb, yb = _strip_edges(x[:, tri[p]] - (k[p] - 1) * h, y[:, tri[p]], h)
-        # the row lines first + 1 .. last the strip reaches: below them its
-        # area is 0, above them all of it
-        low = np.minimum(ya, yb).min(axis=0)
-        first = np.clip(np.floor(low / h), 0, rows[p] - 1).astype(np.int64)
-        top = np.maximum(ya, yb).max(axis=0)
-        last = np.clip(np.ceil(top / h), first + 1, rows[p]).astype(np.int64)
-        strip, pos = _ragged(last - first)
-        l = first[strip] + pos
-        g = _area_below(xa[:, strip], ya[:, strip], xb[:, strip], yb[:, strip], l * h)
-        t, kk = tri[p][strip], k[p][strip]
-        # differences along l within a strip, from 0 below its first line
-        g[1:] -= np.where(pos[1:] > 1, g[:-1], 0.0)
-        i = lo[t, 0] + kk - 1
-        j = lo[t, 1] + l - 1
-        keep = (g > 1e-13 * h * h) & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < m_side)
-        cells.append((i + j * m_side)[keep])
-        tris.append(t[keep])
+    lo = np.clip(np.floor(xy.min(axis=1)), -1, m_side).astype(np.int64)  # (2, F)
+    span = np.clip(np.ceil(xy.max(axis=1)), 0, m_side + 1).astype(np.int64) - lo
+    xy -= lo[:, None]
+    order = np.lexsort(span[::-1])  # by columns, then by rows
+    batches, counts, cells, areas = [], [], [], []
+    start = 0
+    while start < num:
+        # columns never decrease along the order, rows may
+        window = order[start : start + _CHUNK]
+        cols, rows = span[0, window], np.maximum.accumulate(span[1, window])
+        padded = np.arange(1, len(window) + 1) * cols * rows
+        size = max(1, int(np.searchsorted(padded, _CHUNK, side="right")))
+        tris = window[:size]
+        start += size
+        g = _cell_overlaps(xy[0][:, tris], xy[1][:, tris],
+                           int(cols[size - 1]), int(rows[size - 1]))
+        i = lo[0, tris, None] + np.arange(g.shape[2])
+        j = lo[1, tris, None] + np.arange(g.shape[1])
+        keep = ((g > 1e-13) & ((i >= 0) & (i < m_side))[:, None]
+                & ((j >= 0) & (j < m_side))[:, :, None])
+        batches.append(tris)
+        counts.append(np.count_nonzero(keep.reshape(size, -1), axis=1))
+        cells.append((i[:, None] + j[:, :, None] * m_side)[keep])
         areas.append(g[keep])
-    return np.concatenate(cells), np.concatenate(tris), np.concatenate(areas)
+    # the entries come triangle block by triangle block in batch order;
+    # gather the blocks in triangle order
+    batches, counts = np.concatenate(batches), np.concatenate(counts)
+    indptr = np.zeros(num + 1, dtype=np.int64)
+    indptr[batches + 1] = counts
+    np.cumsum(indptr, out=indptr)
+    first = np.empty(num, dtype=np.int64)
+    first[batches] = np.cumsum(counts) - counts
+    gather = np.repeat(first - indptr[:-1], np.diff(indptr)) + np.arange(indptr[-1])
+    return sp.csr_matrix(
+        (np.concatenate(areas)[gather] / (m_side * m_side),
+         np.concatenate(cells)[gather], indptr),
+        shape=(num, m_side * m_side),
+    )
 
 
-def _checked_transfer(weights, rows, cols, shape, failure) -> SparseInterpMatrix:
-    mat = sp.csr_matrix((weights, (rows, cols)), shape=shape)
+def _checked_transfer(mat, failure) -> SparseInterpMatrix:
     bad = np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0) > COVERAGE_TOL
     if np.any(bad):
         raise ValueError(f"{int(bad.sum())} {failure}")
     return SparseInterpMatrix(matrix=mat)
 
 
-def _to_uniform(mesh: TriMesh, m_side: int, entries) -> SparseInterpMatrix:
-    cells, tris, areas = entries
-    m_total = m_side * m_side
-    return _checked_transfer(
-        areas * m_total, cells, tris, (m_total, mesh.num_triangles),
-        "uniform cells are not fully covered by the mesh",
-    )
+def _to_uniform(overlaps) -> SparseInterpMatrix:
+    return _checked_transfer((overlaps.T * overlaps.shape[1]).tocsr(),
+                             "uniform cells are not fully covered by the mesh")
 
 
-def _to_quasi(mesh: TriMesh, m_side: int, entries) -> SparseInterpMatrix:
-    cells, tris, areas = entries
+def _to_quasi(mesh: TriMesh, overlaps) -> SparseInterpMatrix:
+    tri_areas = np.repeat(mesh.areas, np.diff(overlaps.indptr))
     return _checked_transfer(
-        areas / mesh.areas[tris], tris, cells,
-        (mesh.num_triangles, m_side * m_side),
+        sp.csr_matrix((overlaps.data / tri_areas, overlaps.indices, overlaps.indptr),
+                      shape=overlaps.shape),
         "triangles stick out of the uniform grid",
     )
 
@@ -290,13 +289,13 @@ def _to_quasi(mesh: TriMesh, m_side: int, entries) -> SparseInterpMatrix:
 def quasi_to_uniform(mesh: TriMesh, m_side: int) -> SparseInterpMatrix:
     """Transfer matrix from centroid values to uniform-grid values; entry
     (t, i) is the overlap of cell t with triangle i over the cell area."""
-    return _to_uniform(mesh, m_side, _overlap_entries(mesh, m_side))
+    return _to_uniform(_overlap_entries(mesh, m_side))
 
 
 def uniform_to_quasi(mesh: TriMesh, m_side: int) -> SparseInterpMatrix:
     """Transfer matrix from uniform-grid values to centroid values; entry
     (i, t) is the overlap of triangle i with cell t over the triangle area."""
-    return _to_quasi(mesh, m_side, _overlap_entries(mesh, m_side))
+    return _to_quasi(mesh, _overlap_entries(mesh, m_side))
 
 
 @dataclass
@@ -337,9 +336,9 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline
     m_side = valid_uniform_side(max(target, cfg.leaf_side), cfg.leaf_side)
     grid = UniformGrid(2, m_side)
     op = construct(cfg, grid)
-    entries = _overlap_entries(mesh, m_side)
-    s_mat = _to_uniform(mesh, m_side, entries)
-    t_mat = _to_quasi(mesh, m_side, entries)
+    overlaps = _overlap_entries(mesh, m_side)
+    s_mat = _to_uniform(overlaps)
+    t_mat = _to_quasi(mesh, overlaps)
     exact_rho = float(np.sqrt(2.0 * m_side * m_side / n_quasi))
     return QuasiPipeline(
         to_quasi=t_mat, op=op, to_uniform=s_mat, m_side=m_side, rho=exact_rho

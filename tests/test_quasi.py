@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from htlr import (
     structured_trimesh,
     uniform_to_quasi,
 )
+from htlr.quasi import _overlap_entries
 from oracle_utils import monte_carlo_overlap
 
 
@@ -83,6 +86,18 @@ def area(poly):
         x1, y1 = poly[i]
         s += x0 * y1 - x1 * y0
     return abs(s) / 2
+
+
+def mixed_span_mesh():
+    """The coarse triangles of structured_trimesh(2) on the left half of the
+    square and those of structured_trimesh(64) on the right: not conforming
+    along x = 1/2, but covering the square."""
+    coarse, fine = structured_trimesh(2), structured_trimesh(64)
+    left = coarse.vertices[coarse.triangles][:, :, 0].max(axis=1) <= 0.5
+    right = fine.vertices[fine.triangles][:, :, 0].min(axis=1) >= 0.5
+    return TriMesh(vertices=np.vstack([coarse.vertices, fine.vertices]),
+                   triangles=np.vstack([coarse.triangles[left],
+                                        fine.triangles[right] + len(coarse.vertices)]))
 
 
 def assert_matches_independent_clipper(mesh, m_side):
@@ -162,6 +177,14 @@ class TestTriMesh:
         path = tmp_path / "nan.mesh"
         path.write_text(f"4 2\n0 0\n1 0\n1 1\n0 {token}\n1 2 4\n2 3 4\n")
         with pytest.raises(ValueError, match="finite"):
+            load_mesh(path)
+
+    # 2 V + 3 F = 3 values follow each header, so only the sign can reject it
+    @pytest.mark.parametrize("header", ["-3 3", "3 -1"])
+    def test_negative_header_count_rejected(self, tmp_path, header):
+        path = tmp_path / "negative.mesh"
+        path.write_text(f"{header}\n1 2 3\n")
+        with pytest.raises(ValueError, match="counts must be non-negative"):
             load_mesh(path)
 
     def test_overflowing_index_rejected(self, tmp_path):
@@ -348,6 +371,27 @@ class TestTransferMatrices:
     @pytest.mark.parametrize("k, m_side", [(2, 97), (1, 100)], ids=["rho48", "rho100"])
     def test_large_ratios_match_independent_clipper(self, k, m_side):
         assert_matches_independent_clipper(perturbed_mesh(k), m_side)
+
+    def test_mixed_spans_match_independent_clipper(self):
+        # on a grid of side 60 the boxes span 1 to 30 cells per axis, so the
+        # batches of _overlap_entries pad boxes of very different sizes
+        mesh = mixed_span_mesh()
+        corners = mesh.vertices[mesh.triangles] * 60
+        span = np.ceil(corners.max(axis=1)) - np.floor(corners.min(axis=1))
+        assert span.min() == 1 and span.max() == 30
+        assert_matches_independent_clipper(mesh, 60)
+
+    def test_mixed_spans_scratch_is_bounded(self):
+        # measured 4.4 MB; padding all 4,100 triangles to the coarse ones'
+        # 30 columns x 31 row lines x 3 edges takes 87 MB per scratch array
+        mesh = mixed_span_mesh()
+        tracemalloc.start()
+        try:
+            _overlap_entries(mesh, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("m_side", [32, 64, 78])
     def test_pipeline_ratios_match_independent_clipper(self, m_side):
