@@ -312,12 +312,12 @@ def build_dense(
     grid: UniformGrid,
     tau: IndexBox,
     sigma: IndexBox,
-    h: float,
     cfg: QuadratureConfig,
 ) -> DenseBlock:
-    """Dense kernel submatrix K_ij h^d over the box pair: equal boxes, or
-    boxes whose domains overlap in no volume (the test of :func:`build_tlr`),
-    both inside the grid.
+    """Dense kernel submatrix K_ij h^d over the box pair, h the grid spacing:
+    equal boxes, or boxes whose domains overlap in no volume (the test of
+    :func:`build_tlr`), both inside the grid.  A self entry is the kernel's
+    average over the width-h cell of its point.
 
     A translation-invariant kernel's block is multilevel Toeplitz: its
     entry (i, j) depends on the index offset j - i alone.  The kernel is
@@ -334,6 +334,7 @@ def build_dense(
     overlap = domain_of(grid, tau).overlap_volume(domain_of(grid, sigma))
     if tau != sigma and overlap > 0.0:
         raise ValueError("dense blocks require equal or disjoint index boxes")
+    h = grid.h
     if not k.translation_invariant:
         xpts = grid.points(tau)
         if tau == sigma:

@@ -25,6 +25,7 @@ import io
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from .grids import AdmissibilityRule, IndexBox, UniformGrid, _leaf_side
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairwise
 from .operators import (
     BuildConfig,
+    DegenerateErrorEstimate,
     construct,
     construct_hmatrix,
-    estimate_rel_error_random,
     matvec,
     storage_report,
 )
@@ -44,21 +45,18 @@ from .quasi import apply_pipeline, build_pipeline, load_mesh, structured_trimesh
 
 TIMING_REPEATS = 3
 
-UNIFORM_HEADER = [
-    "id", "variant", "d", "n", "kernel", "adm", "p", "leaf",
-    "t_construct", "t_apply", "dense_scalars", "factor_scalars",
-    "core_scalars", "total_scalars", "resident_scalars", "bound", "e_apply_rand",
-    "seed",
+# the measured columns of both benchmarks, after their run parameters
+_MEASURED = [
+    "t_construct", "t_apply", "dense_scalars", "factor_scalars", "core_scalars",
+    "total_scalars", "resident_scalars", "bound", "e_apply_rand", "seed",
 ]
+
+UNIFORM_HEADER = ["id", "variant", "d", "n", "kernel", "adm", "p", "leaf", *_MEASURED]
 
 RANK_HEADER = ["id", "d", "kernel", "pair", "method", "p", "rel_fro_error"]
 
-QUASI_HEADER = [
-    "id", "variant", "d", "n_quasi", "rho", "m_side", "kernel", "adm", "p",
-    "leaf", "t_construct", "t_apply", "dense_scalars", "factor_scalars",
-    "core_scalars", "total_scalars", "resident_scalars", "bound", "e_apply_rand",
-    "seed",
-]
+QUASI_HEADER = ["id", "variant", "d", "n_quasi", "rho", "m_side", "kernel", "adm",
+                "p", "leaf", *_MEASURED]
 
 
 class UsageError(Exception):
@@ -85,8 +83,11 @@ def kernel_for(name: str, d: int) -> KernelSpec:
 
 
 def config_for(args, kernel: KernelSpec) -> BuildConfig:
-    """The build configuration of a benchmark run; a rank, leaf side or eta
-    the build rejects, or an eta with the weak rule, is a usage error."""
+    """The build configuration of a benchmark run; a negative seed, a rank,
+    leaf side or eta the build rejects, or an eta with the weak rule, is a
+    usage error."""
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     if args.adm == "weak" and args.eta is not None:
         raise UsageError("--eta applies to --adm strong only")
     try:
@@ -103,14 +104,32 @@ def config_for(args, kernel: KernelSpec) -> BuildConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _best_of(fn, repeats=TIMING_REPEATS):
+def _best_of(fn):
     best = np.inf
-    result = None
-    for _ in range(repeats):
+    for _ in range(TIMING_REPEATS):
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)
     return result, best
+
+
+def _measure(builds, apply, u, exact_rows, seed):
+    """(built, t_construct, t_apply, error) per build, in order: each build
+    and its apply to `u` timed best of :data:`TIMING_REPEATS`, and the
+    relative l2 error of the timed product against the exact rows.  The rows
+    are sampled once for every build, at most 1000 of them without
+    replacement by the generator `seed`, and `exact_rows` evaluates them
+    once."""
+    rng = np.random.default_rng(seed)
+    sample = rng.choice(len(u), size=min(1000, len(u)), replace=False)
+    exact = exact_rows(sample, u)
+    denom = np.linalg.norm(exact)
+    if denom == 0.0:
+        raise DegenerateErrorEstimate("exact result has zero norm on the sample")
+    for build in builds:
+        built, t_construct = _best_of(build)
+        out, t_apply = _best_of(lambda: apply(built, u))
+        yield built, t_construct, t_apply, float(np.linalg.norm(out[sample] - exact) / denom)
 
 
 def _storage_columns(op) -> dict:
@@ -130,35 +149,24 @@ def cmd_bench_uniform(args) -> list[dict]:
         _leaf_side(grid.n, args.leaf)  # n must halve evenly into leaves
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rng = np.random.default_rng((args.seed, 0))
-    u = rng.standard_normal(grid.num_points)
+    u = np.random.default_rng((args.seed, 0)).standard_normal(grid.num_points)
     exact = oracles.exact_row_evaluator(kernel, cfg.coeff, grid, cfg.quadrature)
-
-    run_id = (
-        f"u-d{args.dim}-{args.kernel}-n{args.n}-{args.adm}"
-        f"-p{args.p}-l{args.leaf}-s{args.seed}"
-    )
+    builders = {"htlr": construct}
+    if args.baseline:
+        builders["hmatrix"] = construct_hmatrix
+    measured = _measure([partial(build, cfg, grid) for build in builders.values()],
+                        matvec, u, exact, (args.seed, 1))
     base = {
-        "id": run_id, "d": args.dim, "n": args.n, "kernel": args.kernel,
+        "id": f"u-d{args.dim}-{args.kernel}-n{args.n}-{args.adm}"
+              f"-p{args.p}-l{args.leaf}-s{args.seed}",
+        "d": args.dim, "n": args.n, "kernel": args.kernel,
         "adm": args.adm, "p": args.p, "leaf": args.leaf, "seed": args.seed,
     }
-
-    builders = [("htlr", construct)]
-    if args.baseline:
-        builders.append(("hmatrix", construct_hmatrix))
-    rows = []
-    for variant, build in builders:
-        op, t_con = _best_of(lambda: build(cfg, grid))
-        _, t_apply = _best_of(lambda: matvec(op, u))
-        err = estimate_rel_error_random(
-            op, exact, u, sample_size=min(1000, op.num_points),
-            seed=(args.seed, 1),
-        )
-        rows.append({
-            **base, "variant": variant, "t_construct": t_con,
-            "t_apply": t_apply, **_storage_columns(op), "e_apply_rand": err,
-        })
-    return rows
+    return [
+        {**base, "variant": variant, "t_construct": t_con, "t_apply": t_apply,
+         **_storage_columns(op), "e_apply_rand": err}
+        for variant, (op, t_con, t_apply, err) in zip(builders, measured)
+    ]
 
 
 def interp_block_error(kernel, grid, tau, sigma, rank, dense=None):
@@ -214,12 +222,13 @@ def rank_explore_errors(kernel_name: str, d: int, ranks) -> list[dict]:
 
 
 def cmd_rank_explore(args) -> list[dict]:
-    max_rank = args.p if args.p is not None else (16 if args.dim == 2 else 8)
-    pts = 32 if args.dim == 2 else 16
+    _, pairs = study_domains(args.dim)
+    side = pairs["neighbor"][0].sizes[0]  # points per box side
+    max_rank = args.p if args.p is not None else side // 2
     if max_rank < 1:
         raise UsageError("--p must be at least 1")
-    if max_rank > pts:
-        raise UsageError(f"--p must be at most {pts} for dimension {args.dim}")
+    if max_rank > side:
+        raise UsageError(f"--p must be at most {side} for dimension {args.dim}")
     return rank_explore_errors(args.kernel, args.dim, range(1, max_rank + 1))
 
 
@@ -231,45 +240,32 @@ def cmd_bench_quasi(args) -> list[dict]:
     rhos = args.rho if args.rho else [2.0]
     if not all(np.isfinite(rho) and rho > 0 for rho in rhos):
         raise UsageError("--rho must be finite and positive")
+    if (args.mesh is None) == (args.n is None):
+        raise UsageError("bench-quasi takes --n (number of triangles) or --mesh, not both")
     if args.mesh is not None:
-        if args.n is not None:
-            raise UsageError("give --n (number of triangles) or --mesh, not both")
         mesh = load_mesh(args.mesh)
     else:
-        if args.n is None:
-            raise UsageError("bench-quasi needs --n (number of triangles) or --mesh")
         if args.n < 2:
             raise UsageError("--n must be at least 2 triangles")
         k = int(round(np.sqrt(args.n / 2.0)))
         if 2 * k * k != args.n:
-            raise UsageError(
-                f"--n {args.n} is not of the form 2*k^2 for a structured mesh"
-            )
+            raise UsageError(f"--n {args.n} is not of the form 2*k^2 for a structured mesh")
         mesh = structured_trimesh(k)
     u = quasi_test_field(mesh.centroids)
     exact = oracles.quasi_row_evaluator(kernel, cfg.coeff, mesh, cfg.quadrature)
+    measured = _measure([partial(build_pipeline, mesh, cfg, rho) for rho in rhos],
+                        apply_pipeline, u, exact, (args.seed, 2))
     n_quasi = mesh.num_triangles
-    rng = np.random.default_rng((args.seed, 2))
-    sample = min(1000, n_quasi)
-    sampled_rows = rng.choice(n_quasi, size=sample, replace=False)
-    exact_vals = exact(sampled_rows, u)
-
-    rows = []
-    for rho in rhos:
-        pipe, t_con = _best_of(lambda: build_pipeline(mesh, cfg, rho))
-        out, t_apply = _best_of(lambda: apply_pipeline(pipe, u))
-        denom = np.linalg.norm(exact_vals)
-        err = float(np.linalg.norm(out[sampled_rows] - exact_vals) / denom)
-        rows.append({
-            "id": f"q-{args.kernel}-N{n_quasi}-rho{rho:g}-{args.adm}"
-                  f"-p{args.p}-l{args.leaf}-s{args.seed}",
-            "variant": "htlr-quasi", "d": 2, "n_quasi": n_quasi,
-            "rho": pipe.rho, "m_side": pipe.m_side, "kernel": args.kernel,
-            "adm": args.adm, "p": args.p, "leaf": args.leaf,
-            "t_construct": t_con, "t_apply": t_apply,
-            **_storage_columns(pipe.op), "e_apply_rand": err, "seed": args.seed,
-        })
-    return rows
+    return [
+        {"id": f"q-{args.kernel}-N{n_quasi}-rho{rho:g}-{args.adm}"
+               f"-p{args.p}-l{args.leaf}-s{args.seed}",
+         "variant": "htlr-quasi", "d": 2, "n_quasi": n_quasi,
+         "rho": pipe.rho, "m_side": pipe.m_side, "kernel": args.kernel,
+         "adm": args.adm, "p": args.p, "leaf": args.leaf,
+         "t_construct": t_con, "t_apply": t_apply,
+         **_storage_columns(pipe.op), "e_apply_rand": err, "seed": args.seed}
+        for rho, (pipe, t_con, t_apply, err) in zip(rhos, measured)
+    ]
 
 
 def _write_rows(rows, header, args) -> None:
@@ -279,8 +275,7 @@ def _write_rows(rows, header, args) -> None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -295,63 +290,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmarks for hierarchical Tucker kernel compression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    pu = sub.add_parser("bench-uniform", help="uniform-grid benchmark")
+    pr = sub.add_parser("rank-explore", help="block compression rank study")
+    pq = sub.add_parser("bench-quasi", help="triangulated-grid pipeline benchmark")
+    for p in (pu, pr, pq):
         p.add_argument("--dim", type=int, choices=(2, 3), default=2)
         p.add_argument("--kernel", choices=("gaussian", "slp2d", "slp3d"),
                        default="gaussian")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for p in (pu, pq):
+        p.add_argument("--p", type=int, default=8, help="Tucker rank per mode")
+        p.add_argument("--leaf", type=int, default=16, help="largest leaf box side")
+        p.add_argument("--adm", choices=("weak", "strong"), default="weak")
+        p.add_argument("--eta", type=float, default=None,
+                       help="strong-admissibility parameter (default sqrt(d))")
 
-    pu = sub.add_parser("bench-uniform", help="uniform-grid benchmark")
-    common(pu)
     pu.add_argument("--n", type=int, required=True,
                     help="points per direction; halving it evenly must reach "
                          "a side of at most --leaf")
-    pu.add_argument("--p", type=int, default=8, help="Tucker rank per mode")
-    pu.add_argument("--leaf", type=int, default=16, help="largest leaf box side")
-    pu.add_argument("--adm", choices=("weak", "strong"), default="weak")
-    pu.add_argument("--eta", type=float, default=None,
-                    help="strong-admissibility parameter (default sqrt(d))")
     pu.add_argument("--baseline", action="store_true",
                     help="also run the conventional low-rank baseline")
 
-    pr = sub.add_parser("rank-explore", help="block compression rank study")
-    common(pr)
-    pr.add_argument("--p", type=int, default=None, help="largest rank of the sweep")
+    pr.add_argument("--p", type=int, default=None,
+                    help="largest rank of the sweep (default: half the box side)")
 
-    pq = sub.add_parser("bench-quasi", help="triangulated-grid pipeline benchmark")
-    common(pq)
     pq.add_argument("--n", type=int, default=None,
                     help="number of triangles (2*k^2) for the structured mesh")
     pq.add_argument("--mesh", default=None, help="mesh file to load instead")
     pq.add_argument("--rho", type=float, action="append", default=None,
                     help="oversampling ratio; repeat for a sweep")
-    pq.add_argument("--p", type=int, default=8)
-    pq.add_argument("--leaf", type=int, default=16)
-    pq.add_argument("--adm", choices=("weak", "strong"), default="weak")
-    pq.add_argument("--eta", type=float, default=None)
 
     return parser
 
 
+_COMMANDS = {
+    "bench-uniform": (cmd_bench_uniform, UNIFORM_HEADER),
+    "rank-explore": (cmd_rank_explore, RANK_HEADER),
+    "bench-quasi": (cmd_bench_quasi, QUASI_HEADER),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    run, header = _COMMANDS[args.command]
     try:
-        if args.command == "bench-uniform":
-            rows = cmd_bench_uniform(args)
-            _write_rows(rows, UNIFORM_HEADER, args)
-        elif args.command == "rank-explore":
-            rows = cmd_rank_explore(args)
-            _write_rows(rows, RANK_HEADER, args)
-        else:
-            rows = cmd_bench_quasi(args)
-            _write_rows(rows, QUASI_HEADER, args)
+        _write_rows(run(args), header, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

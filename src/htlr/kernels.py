@@ -6,12 +6,14 @@ layer potential -log(|x-y|)/(2 pi), and the 3D single layer potential
 
 The diagonal matrix entry of the Nystrom discretization is the cell average
 of k(x_i, .) over the cell centered at x_i; on a triangle mesh, the triangle
-average of k(centroid, .).  This module owns both self terms and one Duffy
-rule for them: pieces with their apex at the singular point and their bases
-split at the feet of the perpendiculars from it, each under a tensor
-Gauss-Legendre rule graded toward the apex for singular kernels, and along
-a triangle's edges under a sinh substitution.  It alone decides the self
-entries and keeps coincident pairs from the kernel evaluator.
+average of k(centroid, .).  This module owns both self terms.  A kernel
+smooth at the diagonal gets its cell averages from one tensor Gauss-Legendre
+rule over the cell.  Every other self term goes through one Duffy rule:
+pieces with their apex at the singular point and their bases split at the
+feet of the perpendiculars from it, each under a tensor Gauss-Legendre rule
+graded toward the apex for singular kernels, and along a triangle's edges
+under a sinh substitution.  It alone decides the self entries and keeps
+coincident pairs from the kernel evaluator.
 
 A translation-invariant kernel between cell centres of a uniform grid
 depends on the index offset between the cells alone, so a block of box

@@ -238,8 +238,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     for i in np.flatnonzero(~tucker & built).tolist():
         side = grid.n >> int(levels[i])
         payloads[i] = build_dense(cfg.kernel, grid, _lattice_box(leaves.tau[firsts[i]], side),
-                                  _lattice_box(leaves.sigma[firsts[i]], side), grid.h,
-                                  cfg.quadrature)
+                                  _lattice_box(leaves.sigma[firsts[i]], side), cfg.quadrature)
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])

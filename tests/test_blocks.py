@@ -179,9 +179,7 @@ class TestBuildDense:
     def test_single_entry_block(self):
         grid = UniformGrid(2, 1)
         box = IndexBox(((0, 1), (0, 1)))
-        block = build_dense(
-            constant_kernel(1.0), grid, box, box, 1.0, QuadratureConfig()
-        )
+        block = build_dense(constant_kernel(1.0), grid, box, box, QuadratureConfig())
         assert block.matrix.shape == (1, 1)
         assert block.matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
 
@@ -191,7 +189,7 @@ class TestBuildDense:
         coeff = CoefficientFn.constant(0.0)
         dense = dense_assemble(slp_2d(), coeff, grid, cfg)
         box = IndexBox(((0, 4), (0, 4)))
-        block = build_dense(slp_2d(), grid, box, box, grid.h, cfg)
+        block = build_dense(slp_2d(), grid, box, box, cfg)
         ids = box.linear_indices(16)
         assert np.array_equal(block.matrix, dense.matrix[np.ix_(ids, ids)])
 
@@ -202,7 +200,7 @@ class TestBuildDense:
             np.linalg.norm(x - y, axis=-1) > 0.3, np.nan, 1.0))
         grid = UniformGrid(2, 4)
         box = IndexBox(((0, 4), (0, 4)))
-        block = build_dense(kernel, grid, box, box, grid.h, QuadratureConfig())
+        block = build_dense(kernel, grid, box, box, QuadratureConfig())
         pts = grid.points(box)
         expected = np.isnan(pairwise(kernel, pts, pts))
         assert expected.sum() == 192
@@ -215,24 +213,21 @@ class TestBuildDense:
         grid = UniformGrid(2, 8)
         sigma = IndexBox(((8, 12), (0, 4)))
         with pytest.raises(ValueError, match="exceeds the grid"):
-            build_dense(constant_kernel(1.0), grid, IndexBox(tau), sigma,
-                        grid.h, QuadratureConfig())
+            build_dense(constant_kernel(1.0), grid, IndexBox(tau), sigma, QuadratureConfig())
 
     def test_boxes_of_other_dimension_rejected(self):
         # built a 64 x 64 block weighted by h^2 from 3-D boxes on a 2-D grid
         grid = UniformGrid(2, 16)
         box = IndexBox(((0, 4),) * 3)
         with pytest.raises(ValueError, match="3-D index box on a 2-D grid"):
-            build_dense(constant_kernel(1.0), grid, box, box, grid.h,
-                        QuadratureConfig())
+            build_dense(constant_kernel(1.0), grid, box, box, QuadratureConfig())
 
     def test_partially_overlapping_boxes_rejected(self):
         grid = UniformGrid(2, 8)
         a = IndexBox(((0, 4), (0, 4)))
         b = IndexBox(((2, 6), (0, 4)))
         with pytest.raises(ValueError):
-            build_dense(constant_kernel(1.0), grid, a, b, grid.h,
-                        QuadratureConfig())
+            build_dense(constant_kernel(1.0), grid, a, b, QuadratureConfig())
 
 
 def pair_reference(k, grid, tau, sigma, cfg):
@@ -295,7 +290,7 @@ class TestDenseTable:
         grid = UniformGrid(d, 8 * s)
         cfg = QuadratureConfig()
         for name, tau, sigma in box_pairs(d, s):
-            block = build_dense(k, grid, tau, sigma, grid.h, cfg).matrix
+            block = build_dense(k, grid, tau, sigma, cfg).matrix
             expected = pair_reference(k, grid, tau, sigma, cfg)
             assert block.shape == expected.shape, name
             assert np.array_equal(block, expected), name
@@ -317,7 +312,7 @@ class TestDenseTable:
         grid = UniformGrid(d, n)
         cfg = QuadratureConfig()
         for name, tau, sigma in box_pairs(d, n // 8):
-            block = build_dense(k, grid, tau, sigma, grid.h, cfg).matrix
+            block = build_dense(k, grid, tau, sigma, cfg).matrix
             exact = extended_reference(k, grid, tau, sigma, cfg)
             table_err, pair_err = (
                 (np.abs(a - exact) / np.abs(exact)).max()
@@ -343,7 +338,7 @@ class TestDenseTable:
         kernels._origin_entry(k, d, grid.h, cfg)
         for name, tau, sigma in box_pairs(d, s):
             evals.clear()
-            build_dense(k, grid, tau, sigma, grid.h, cfg)
+            build_dense(k, grid, tau, sigma, cfg)
             offsets = np.prod([a + b - 1 for a, b in zip(tau.sizes, sigma.sizes)])
             assert evals == [offsets], name
 
@@ -359,7 +354,7 @@ class TestDenseTable:
                                 calls.append(name) or fn(*a))
         for name, tau, sigma in box_pairs(2, 4):
             calls.clear()
-            block = build_dense(k, grid, tau, sigma, grid.h, cfg).matrix
+            block = build_dense(k, grid, tau, sigma, cfg).matrix
             assert calls == ["pairwise_self" if tau == sigma else "pairwise"], name
             assert np.array_equal(block, pair_reference(k, grid, tau, sigma, cfg)), name
 

@@ -227,6 +227,8 @@ BAD_NUMBERS = [
     ("bench-quasi", "--leaf", "0"),
     ("bench-quasi", "--n", "0"),
     ("bench-quasi", "--n", "-8"),
+    ("bench-uniform", "--seed", "-1"),
+    ("bench-quasi", "--seed", "-1"),
 ]
 
 
@@ -260,3 +262,31 @@ def test_eta_with_the_weak_rule_is_usage_error(capsys, monkeypatch, command):
     assert code == 2
     assert err.startswith("usage error")
     assert "--eta" in err
+
+
+@pytest.mark.parametrize("oracle, argv", [
+    ("exact_row_evaluator", ["bench-uniform", "--n", "32", "--p", "4", "--leaf", "8",
+                             "--baseline"]),
+    ("quasi_row_evaluator", ["bench-quasi", "--n", "128", "--p", "4", "--leaf", "8",
+                             "--rho", "1.5", "--rho", "2"]),
+])
+def test_every_row_shares_one_evaluation_of_the_exact_rows(capsys, monkeypatch, oracle, argv):
+    # the rows of a run are measured on one sample, whose exact values are
+    # evaluated once however many operators the run builds
+    evaluated = []
+    make = getattr(cli.oracles, oracle)
+
+    def counting(*args):
+        exact = make(*args)
+
+        def rows(sample, u):
+            evaluated.append(len(sample))
+            return exact(sample, u)
+
+        return rows
+
+    monkeypatch.setattr(cli.oracles, oracle, counting)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(parse_csv(out)) == 2
+    assert len(evaluated) == 1

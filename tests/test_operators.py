@@ -229,8 +229,7 @@ def per_leaf_matvec(op, build_admissible, u):
         if not stored_dense(kind, tau.sizes, cfg.rank):
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
-            block = build_dense(cfg.kernel, grid, tau, sigma, grid.h,
-                                cfg.quadrature)
+            block = build_dense(cfg.kernel, grid, tau, sigma, cfg.quadrature)
         cols = sigma.linear_indices(grid.n)
         f[tau.linear_indices(grid.n)] += materialize(block) @ u[cols]
     return f

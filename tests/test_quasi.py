@@ -20,7 +20,9 @@ from htlr import (
     structured_trimesh,
     uniform_to_quasi,
 )
-from htlr.quasi import _overlap_entries
+from htlr import quasi
+from htlr.grids import _leaf_side
+from htlr.quasi import _overlap_entries, valid_uniform_side
 from oracle_utils import monte_carlo_overlap
 
 
@@ -571,3 +573,41 @@ class TestPipeline:
         pipe = build_pipeline(mesh, cfg, rho=2.0)
         assert pipe.m_side == 128
         assert pipe.rho == pytest.approx(np.sqrt(2 * 128**2 / 8192))
+
+
+class TestValidUniformSide:
+    @pytest.mark.parametrize("leaf", [4, 5, 8, 16])
+    def test_nearest_buildable_side_larger_on_a_tie(self, leaf):
+        def buildable(side):
+            try:
+                _leaf_side(side, leaf)
+            except ValueError:
+                return False
+            return True
+
+        for target in range(1, 301):
+            # a buildable side leaf * 2^k lies in (target / 2, target] when
+            # target > leaf, so the nearest is at most 2 * target
+            nearest = min((side for side in range(1, 2 * target + 1) if buildable(side)),
+                          key=lambda side: (abs(side - target), -side))
+            assert valid_uniform_side(target, leaf) == nearest, target
+
+    def test_pipeline_builds_on_the_nearest_buildable_side(self, monkeypatch):
+        # rho 2 on 1,250 triangles targets side 50, which halves to 25, above
+        # leaf 16; 49 and 51 are odd, and 48 (leaves of side 12) and 52 (13)
+        # are both 2 away, so the larger is taken
+        targets = []
+        search = quasi.valid_uniform_side
+
+        def recording(target, leaf_side):
+            targets.append(target)
+            return search(target, leaf_side)
+
+        monkeypatch.setattr(quasi, "valid_uniform_side", recording)
+        cfg = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.weak(),
+                          kernel=gaussian(np.sqrt(2.0)),
+                          coeff=CoefficientFn.constant(0.0))
+        pipe = build_pipeline(structured_trimesh(25), cfg, rho=2.0)
+        assert targets == [50]
+        assert pipe.m_side == 52
+        assert pipe.rho == pytest.approx(np.sqrt(2 * 52**2 / 1250))
