@@ -25,8 +25,9 @@ operators share them among many leaves.
 
 For a symmetric kernel the block of a box pair (sigma, tau) is the
 transpose of the block of (tau, sigma): :func:`_mirrored` gives it as a
-transposed view that holds no array of its own, and the Tucker build makes
-the pair whose offset is canonical and returns its mirror as that view.
+transposed view that holds no array of its own, and :func:`build_tlr`
+builds the pair whose offset is canonical and returns its mirror as that
+view.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
@@ -228,11 +229,16 @@ def build_tlr(
     thin QR, and fold h^d together with the triangular factors into the core.
     The factors are the shared ones of :func:`_box_factor`, so no box side
     may be narrower than the rank; the core is stored first index fastest.
-    The one-pair case of :func:`_tucker_blocks`.
+    The one-pair case of :func:`_tucker_blocks`, but for a symmetric
+    kernel's pair whose offset is not canonical (:func:`_is_mirror`): that
+    is built as its mirror and returned as :func:`_mirrored` of it, as the
+    operators hold it, so any pair gets its class's core bit for bit.
     """
     if domain_of(grid, tau).overlap_volume(domain_of(grid, sigma)) > 0.0:
         raise ValueError("interpolation blocks require disjoint domains")
     taus, sigmas = (np.array([box.ranges]) for box in (tau, sigma))
+    if k.translation_invariant and _is_mirror(sigmas[:, :, 0] - taus[:, :, 0])[0]:
+        return _mirrored(_tucker_blocks(k, grid, sigmas, taus, rank, h)[0])
     return _tucker_blocks(k, grid, taus, sigmas, rank, h)[0]
 
 
@@ -246,20 +252,8 @@ def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
     :data:`htlr.kernels.EVAL_CHUNK` evaluations allow, in one call, and h^d
     and the triangular factors are folded in by mode products over all of
     those blocks at once.  The cores are read-only views of one array.
-
-    A symmetric kernel (translation invariant) gives the pair (sigma, tau)
-    the transpose of the block of (tau, sigma).  So a pair whose offset is
-    not canonical (:func:`_is_mirror`) is built as its mirror and returned
-    as :func:`_mirrored` of that block: a pair and its mirror have one core,
-    bit for bit, whichever of them is built.  The target and source boxes
-    must then have one shape once those pairs are swapped."""
-    if k.translation_invariant:
-        flip = _is_mirror(sigmas[:, :, 0] - taus[:, :, 0])
-        if flip.any():
-            swap = flip[:, None, None]
-            blocks = _tucker_blocks(k, grid, np.where(swap, sigmas, taus),
-                                    np.where(swap, taus, sigmas), rank, h)
-            return [_mirrored(b) if f else b for b, f in zip(blocks, flip.tolist())]
+    The pairs are built as given: the operators pass a symmetric kernel's
+    canonical pairs only."""
     d, count = grid.d, len(taus)
     u = [_box_factor(grid, int(hi - lo), rank) for lo, hi in taus[0]]
     v = [_box_factor(grid, int(hi - lo), rank) for lo, hi in sigmas[0]]

@@ -35,7 +35,7 @@ from .grids import AdmissibilityRule, IndexBox, UniformGrid, _leaf_side
 from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairwise
 from .operators import (
     BuildConfig,
-    DegenerateErrorEstimate,
+    _exact_sample,
     construct,
     construct_hmatrix,
     matvec,
@@ -120,12 +120,7 @@ def _measure(builds, apply, u, exact_rows, seed):
     are sampled once for every build, at most 1000 of them without
     replacement by the generator `seed`, and `exact_rows` evaluates them
     once."""
-    rng = np.random.default_rng(seed)
-    sample = rng.choice(len(u), size=min(1000, len(u)), replace=False)
-    exact = exact_rows(sample, u)
-    denom = np.linalg.norm(exact)
-    if denom == 0.0:
-        raise DegenerateErrorEstimate("exact result has zero norm on the sample")
+    sample, exact, denom = _exact_sample(exact_rows, u, min(1000, len(u)), seed)
     for build in builds:
         built, t_construct = _best_of(build)
         out, t_apply = _best_of(lambda: apply(built, u))
@@ -297,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, choices=(2, 3), default=2)
         p.add_argument("--kernel", choices=("gaussian", "slp2d", "slp3d"),
                        default="gaussian")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     for p in (pu, pq):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--p", type=int, default=8, help="Tucker rank per mode")
         p.add_argument("--leaf", type=int, default=16, help="largest leaf box side")
         p.add_argument("--adm", choices=("weak", "strong"), default="weak")

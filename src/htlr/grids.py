@@ -54,10 +54,8 @@ class UniformGrid:
     def num_points(self) -> int:
         return self.n**self.d
 
-    def coords1d(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    def coords1d(self, lo: int, hi: int) -> np.ndarray:
         """Cell-center coordinates for indices [lo, hi)."""
-        if hi is None:
-            hi = self.n
         return (np.arange(lo, hi) + 0.5) * self.h
 
     def points(self, box: "IndexBox") -> np.ndarray:

@@ -19,12 +19,12 @@ class of each pair is built, the one whose offset is lexicographically
 positive (the self class is its own mirror); its mirror holds
 :func:`htlr.blocks._mirrored` of its payload, a transposed view with no
 array of its own, which the matvec applies with the same GEMM.  The
-orientation rule lives in :func:`htlr.blocks._tucker_blocks` alone, which
-builds a non-canonical pair as its mirror, so :func:`htlr.blocks.build_tlr`
-on any pair gives its class's payload bit for bit; a dense block needs no
-rule, as the kernel values of (tau, sigma) are bitwise the transpose of
-those of (sigma, tau).  A custom kernel need not be symmetric, and its
-classes are never mirrored.  Payloads are thus shared read-only views.  The
+orientation rule is :func:`htlr.blocks._is_mirror`, and
+:func:`htlr.blocks.build_tlr` builds a non-canonical pair as its mirror
+too, so on any pair it gives its class's payload bit for bit; a dense block
+needs no rule, as the kernel values of (tau, sigma) are bitwise the
+transpose of those of (sigma, tau).  A custom kernel need not be
+symmetric, and its classes are never mirrored.  Payloads are thus shared read-only views.  The
 Tucker payloads of one tree level are built together, their kernel values
 in one call per chunk, and a dense payload of such a kernel is windows of
 one kernel value per index offset (:func:`htlr.blocks.build_dense`).  The
@@ -266,8 +266,6 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         diagonal = np.array([cfg.coeff.evaluator.value])
     else:
         diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
-        if (diagonal == diagonal[0]).all():
-            diagonal = diagonal[:1].copy()
     return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
                       chains=_chains(groups, grid, cfg.rank))
 
@@ -451,8 +449,9 @@ def _resident_scalars(op) -> int:
 
 
 def operation_counts(op) -> dict:
-    """Leaf visit counts for one matvec (dense and compressed leaves); a
-    dense payload is the one kind that stores dense scalars."""
+    """Leaves by the kind of their class's payload, dense or compressed (the
+    matvec applies each class once, not each leaf); a dense payload is the
+    one kind that stores dense scalars."""
     dense = total = 0
     for payload, count in _class_leaves(op):
         total += count
@@ -482,14 +481,20 @@ def estimate_rel_error_random(
     if sample_size < 1:
         raise ValueError("sample size must be positive")
     u = checked_vector(u)
-    n_rows = op.num_points
-    if sample_size > n_rows:
+    if sample_size > op.num_points:
         raise ValueError("sample size exceeds the number of rows")
-    rng = np.random.default_rng(seed)
-    rows = rng.choice(n_rows, size=sample_size, replace=False)
     approx = matvec(op, u)
+    rows, exact, denom = _exact_sample(exact_rows, u, sample_size, seed)
+    return float(np.linalg.norm(approx[rows] - exact) / denom)
+
+
+def _exact_sample(exact_rows, u: np.ndarray, sample_size: int, seed) -> tuple:
+    """``(rows, exact, norm)``: `sample_size` rows of A u drawn uniformly
+    without replacement by the generator `seed`, their exact values and the
+    values' l2 norm, which must not be zero."""
+    rows = np.random.default_rng(seed).choice(len(u), size=sample_size, replace=False)
     exact = exact_rows(rows, u)
     denom = np.linalg.norm(exact)
     if denom == 0.0:
         raise DegenerateErrorEstimate("exact result has zero norm on the sample")
-    return float(np.linalg.norm(approx[rows] - exact) / denom)
+    return rows, exact, denom

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import UniformGrid, _check_int, _leaf_side
+from .grids import UniformGrid, _check_int
 from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
@@ -312,17 +312,16 @@ class QuasiPipeline:
 
 def valid_uniform_side(target: int, leaf_side: int) -> int:
     """Nearest grid side to `target` that halves evenly down to the leaf
-    threshold."""
-    for delta in range(max(target, 4)):
-        for cand in (target + delta, target - delta):
-            if cand < 1:
-                continue
-            try:
-                _leaf_side(cand, leaf_side)
-            except ValueError:
-                continue
-            return cand
-    raise ValueError("no valid uniform grid side near the target")
+    threshold L, the larger of two at one distance.  Every side up to L is
+    buildable, and for j >= 1 the buildable sides in (L 2^(j-1), L 2^j] are
+    the multiples of 2^j: the nearest is the multiple below or above the
+    target at the smallest j with L 2^j >= target, or L 2^(j-1)."""
+    if target <= leaf_side:
+        return max(target, 1)
+    step = 1 << (-(-target // leaf_side) - 1).bit_length()  # 2^j
+    below = max(target - target % step, leaf_side * step // 2)
+    above = target - target % -step
+    return above if above - target <= target - below else below
 
 
 def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline:

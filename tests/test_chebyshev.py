@@ -15,6 +15,26 @@ from htlr import (
 from htlr.cli import interp_block_error
 
 
+BOUND = dict(c_as=1.0, gamma=1.0, eta=2.0, p=4, d=2, lambda_p=2.0)
+GUARDS = {
+    "box-dimensions": (lambda: core_tensor(slp_2d(), [cheb_points(0.0, 1.0, 2)] * 2,
+                                           [cheb_points(2.0, 3.0, 2)] * 3),
+                       "box dimensions differ"),
+    **{name: (lambda name=name: BoundParams(**{**BOUND, name: 0.0}),
+              f"{name} must be positive")
+       for name in ("c_as", "gamma", "eta", "lambda_p")},
+    "p": (lambda: BoundParams(**{**BOUND, "p": 0}), "p and d must be positive"),
+    "d": (lambda: BoundParams(**{**BOUND, "d": 0}), "p and d must be positive"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_input_guard_names_the_fault(guard):
+    make, message = GUARDS[guard]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestChebPoints:
     def test_single_node_is_midpoint(self):
         grid = cheb_points(0.0, 1.0, 1)

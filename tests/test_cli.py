@@ -2,10 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from htlr import cli
 from htlr.cli import UNIFORM_HEADER, main
+from htlr.operators import DegenerateErrorEstimate
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,13 @@ class TestRankExplore:
         )
         assert code == 2
         assert "slp2d requires dimension 2" in err
+
+    def test_seed_is_no_flag_of_it(self, capsys):
+        # nothing in the rank study is drawn at random, so --seed changed nothing
+        code, out, err = run_cli(capsys, "rank-explore", "--p", "2", "--seed", "5")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --seed 5" in err
 
     def test_deterministic_output(self, capsys):
         args = ["rank-explore", "--dim", "2", "--kernel", "slp2d", "--p", "2"]
@@ -290,3 +299,11 @@ def test_every_row_shares_one_evaluation_of_the_exact_rows(capsys, monkeypatch, 
     assert code == 0
     assert len(parse_csv(out)) == 2
     assert len(evaluated) == 1
+
+
+def test_zero_norm_exact_rows_are_degenerate():
+    # the benchmarks sample their check rows through the estimator's guard
+    measured = cli._measure([lambda: None], lambda built, u: u, np.ones(8),
+                            lambda rows, u: np.zeros(len(rows)), 0)
+    with pytest.raises(DegenerateErrorEstimate, match="zero norm"):
+        next(measured)

@@ -53,6 +53,27 @@ class TestIndexBox:
             IndexBox(((8, 12), (0, 4))).linear_indices(8)
 
 
+GUARDS = {
+    "dimension": (lambda: UniformGrid(1, 16), "only d = 2 and d = 3 are supported"),
+    "side": (lambda: UniformGrid(2, 0), "n must be positive"),
+    "empty-range": (lambda: IndexBox(((4, 4), (0, 4))), "index ranges must be nonempty"),
+    "negative-range": (lambda: IndexBox(((-4, 0), (0, 4))),
+                       "index ranges must be nonnegative"),
+    "empty-interval": (lambda: DomainBox(((0.5, 0.5), (0.0, 1.0))),
+                       "intervals must have positive length"),
+    "rule-kind": (lambda: AdmissibilityRule("strict"), "kind must be 'weak' or 'strong'"),
+    "leaf-threshold": (lambda: build_cluster_tree(UniformGrid(2, 16), 0),
+                       "leaf threshold must be positive"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_input_guard_names_the_fault(guard):
+    make, message = GUARDS[guard]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestClusterTree:
     def test_fig_configuration_16_leaves(self):
         # n = 16, 256 points, leaf threshold 16 points (side 4)

@@ -53,10 +53,21 @@ class TestEvaluate:
 
     def test_by_name_defaults_and_dimension_checks(self):
         assert by_name("gaussian", 3).sigma == pytest.approx(np.sqrt(3.0))
+        assert by_name("slp2d", 2) == slp_2d()
+        assert by_name("slp3d", 3) == slp_3d()
         with pytest.raises(ValueError):
             by_name("slp3d", 2)
         with pytest.raises(ValueError):
             by_name("slp2d", 3)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: by_name("laplace", 2), "unknown kernel 'laplace'"),
+    (lambda: KernelSpec(kind="custom"), "custom kernel needs an evaluator"),
+], ids=["by-name", "custom-evaluator"])
+def test_input_guard_names_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestCustomKernelOutput:

@@ -631,6 +631,17 @@ class TestDiagonal:
             diff = matvec(const, self.u) - matvec(without, self.u)
             assert np.abs(diff - c * self.u).max() <= 1e-15 * np.abs(self.u).max()
 
+    def test_sampled_constant_coefficient_is_per_point(self):
+        """Only :meth:`CoefficientFn.constant` gives one diagonal value: a
+        sampled a(x) that happens to be constant stays a value per grid
+        point, and its products are those of the one value, bit for bit."""
+        for c in (0.0, 2.5):
+            sampled, const = (construct(dataclasses.replace(self.cfg, coeff=coeff), self.grid)
+                              for coeff in (CoefficientFn(lambda pts: np.full(len(pts), c)),
+                                            CoefficientFn.constant(c)))
+            assert sampled.diagonal.shape == (self.grid.num_points,)
+            assert np.array_equal(matvec(sampled, self.u), matvec(const, self.u))
+
     def test_constant_coefficient_is_never_sampled(self, monkeypatch):
         """A constant a(x) gives its one value without any grid point; a
         non-constant one is still sampled at every point."""

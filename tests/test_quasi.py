@@ -166,6 +166,17 @@ class TestTriMesh:
         with pytest.raises(ValueError):
             load_mesh(path)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "header.mesh"
+        path.write_text("4\n")
+        with pytest.raises(ValueError, match="mesh file too short"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_structured_side_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="cells_per_side must be >= 1"):
+            structured_trimesh(k)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vertex_rejected(self, bad):
         mesh = structured_trimesh(2)
@@ -591,6 +602,10 @@ class TestValidUniformSide:
             nearest = min((side for side in range(1, 2 * target + 1) if buildable(side)),
                           key=lambda side: (abs(side - target), -side))
             assert valid_uniform_side(target, leaf) == nearest, target
+
+    @pytest.mark.parametrize("target", [0, -3])
+    def test_target_below_one_gives_the_smallest_side(self, target):
+        assert valid_uniform_side(target, 4) == 1
 
     def test_pipeline_builds_on_the_nearest_buildable_side(self, monkeypatch):
         # rho 2 on 1,250 triangles targets side 50, which halves to 25, above

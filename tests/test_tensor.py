@@ -13,6 +13,26 @@ from htlr import (
 from oracle_utils import explicit_kron, loop_contract, loop_mode_product
 
 
+GUARDS = {
+    "scalar": (lambda: mode_product(np.float64(2.0), np.eye(1), 1),
+               "tensor must have order >= 1"),
+    "vector-factor": (lambda: mode_product(np.ones((2, 2)), np.ones(2), 1),
+                      "mode_product factor must be a matrix"),
+    "dimension-lists": (lambda: contract(np.ones((2, 3)), np.ones((3, 2)), [1], [1, 2]),
+                        "dimension lists must have equal length"),
+    "dimension-range": (lambda: contract(np.ones((2, 3)), np.ones((3, 2)), [3], [1]),
+                        "dimension 3 out of range for tensor a"),
+    "qr-vector": (lambda: qr(np.ones(3)), "qr expects a matrix"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_input_guard_names_the_fault(guard):
+    make, message = GUARDS[guard]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestModeProduct:
     def test_identity_leaves_tensor_unchanged(self):
         rng = np.random.default_rng(0)
