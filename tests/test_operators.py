@@ -1,9 +1,15 @@
 import collections
 import dataclasses
 import gc
+import multiprocessing
+import os
 import re
+import sys
+import threading
 import tracemalloc
+import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,8 +37,9 @@ from htlr import (
     slp_2d,
     storage_report,
 )
+from htlr import operators
 from htlr.blocks import DenseBlock, TuckerBlock
-from htlr.operators import DegenerateErrorEstimate
+from htlr.operators import DegenerateErrorEstimate, TranslationClass
 from oracle_utils import recursive_block_pairs
 
 
@@ -763,6 +770,172 @@ class TestMatvec:
                 block.matrix @ u[cols],
                 dense.matrix[np.ix_(rows, cols)] @ u[cols],
             )
+
+
+def inline_matvec(op, u, monkeypatch):
+    """matvec with every chain on the calling thread."""
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_near_field_worker", lambda: None)
+        return matvec(op, u)
+
+
+class CountingWorker:
+    """A near-field worker of the test's own, on one CPU too, that counts
+    the tasks handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks, self.lock = pool, 0, threading.Lock()
+
+    def submit(self, fn):
+        with self.lock:
+            self.tasks += 1
+        return self.pool.submit(fn)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    with ThreadPoolExecutor(1) as pool:
+        spy = CountingWorker(pool)
+        monkeypatch.setattr(operators, "_near_field_worker", lambda: spy)
+        yield spy
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(operator, offloaded chains): a one-class near field, nine dense
+    classes under the strong rule with a non-constant a(x), the baseline of
+    the first, and 3D leaves of side p, where no group is wider than the
+    rank."""
+    grid = UniformGrid(2, 64)
+    slp = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+                      kernel=slp_2d(), coeff=CoefficientFn(lambda x: 1e-3 * (1.0 + x[:, 0])))
+    return {
+        "gauss2d": (construct(weak_gaussian_cfg(), grid), 1),
+        "slp2d-strong": (construct(slp, grid), 1),
+        "gauss2d-hmatrix": (construct_hmatrix(weak_gaussian_cfg(), grid), 1),
+        "gauss3d-leaf-p": (construct(weak_gaussian_cfg(rank=4, leaf=4), UniformGrid(3, 16)), 0),
+    }
+
+
+class TestNearFieldOverlap:
+    """The dense groups on boxes wider than the rank run their GEMMs on one
+    worker thread while the calling thread runs the other chains; the
+    outputs are those of the calling thread alone, bit for bit."""
+
+    def test_cases_offload_what_they_name(self, cases):
+        gauss2d, slp = cases["gauss2d"][0], cases["slp2d-strong"][0]
+        assert [len(chain[0].classes) for chain in gauss2d.chains
+                if operators._offloads(chain, 8)] == [1]
+        assert [len(chain[0].classes) for chain in slp.chains
+                if operators._offloads(chain, 8)] == [9]
+        gauss3d = cases["gauss3d-leaf-p"][0]
+        assert [chain[0].side for chain in gauss3d.chains if not chain[0].maps] == [4]
+        assert not any(operators._offloads(chain, 4) for chain in gauss3d.chains)
+
+    @pytest.mark.parametrize("name", ["gauss2d", "slp2d-strong", "gauss2d-hmatrix",
+                                      "gauss3d-leaf-p"])
+    def test_overlap_equals_the_calling_thread(self, name, cases, worker, monkeypatch):
+        op, offloaded = cases[name]
+        u = np.random.default_rng(60).standard_normal(op.num_points)
+        serial = inline_matvec(op, u, monkeypatch)
+        assert np.array_equal(matvec(op, u), serial)
+        assert worker.tasks == offloaded
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_only_with_two_cpus(self, cpus, monkeypatch):
+        monkeypatch.setattr(operators, "_worker", (None, None))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the affinity decides
+        assert (operators._near_field_worker() is not None) == (cpus == 2)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2])
+    def test_cpu_count_without_affinity(self, cpus, monkeypatch):
+        monkeypatch.setattr(operators, "_worker", (None, None))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert (operators._near_field_worker() is not None) == (cpus == 2)
+
+    @pytest.fixture
+    def fresh_worker(self, monkeypatch):
+        """No worker yet, and two CPUs whatever the machine, so that the next
+        matvec makes one; yields the list of the workers made, each shut
+        down afterwards."""
+        made = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(operators, "_worker", (None, None))
+        monkeypatch.setattr(operators, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield made
+        for pool in made:
+            pool.shutdown()
+
+    def test_concurrent_callers_get_the_serial_result(self, cases, fresh_worker, monkeypatch):
+        op, _ = cases["slp2d-strong"]
+        us = np.random.default_rng(62).standard_normal((4, op.num_points))
+        serial = [inline_matvec(op, u, monkeypatch) for u in us]
+        start, results = threading.Barrier(4), [None] * 4
+
+        def call(k):
+            start.wait()
+            results[k] = [matvec(op, us[k]) for _ in range(5)]
+
+        # the four callers race to make the worker, then share it
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(fresh_worker) == 1
+        for k in range(4):
+            assert all(np.array_equal(f, serial[k]) for f in results[k])
+
+    def test_forked_child_gets_a_worker_of_its_own(self, cases, fresh_worker):
+        op, _ = cases["gauss2d"]
+        u = np.random.default_rng(63).standard_normal(op.num_points)
+        expected = matvec(op, u)
+        assert len(fresh_worker) == 1
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            f = matvec(op, u)
+            send.send((f, operators._worker[0] == os.getpid() and len(fresh_worker) == 2))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(60), "the forked child's matvec did not finish"
+            f, own_worker = receive.recv()
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+        assert own_worker
+        assert np.array_equal(f, expected)
+
+    def test_worker_error_reaches_the_caller(self, cases, worker, monkeypatch):
+        op, _ = cases["gauss2d"]
+        group = op.chains[0][0]
+        wrong = types.SimpleNamespace(core_matrix=np.ones((3, 5)))
+        bad = dataclasses.replace(op, chains=[(dataclasses.replace(
+            group, classes=[TranslationClass(wrong, slice(None), slice(None))]),)] + op.chains[1:])
+        u = np.random.default_rng(64).standard_normal(op.num_points)
+        with pytest.raises(ValueError, match="matmul"):
+            matvec(bad, u)
+        assert worker.tasks == 1
+        # the worker survives the error
+        assert np.array_equal(matvec(op, u), inline_matvec(op, u, monkeypatch))
 
 
 class TestNonFinitePayloads:
