@@ -14,13 +14,23 @@ from one kernel value per index offset.  All blocks carry the quadrature
 weight h^d of the discretization, so materializing any block reproduces
 the corresponding submatrix of the system matrix.
 
+The built-in kernels are radial, so a dense block on two boxes of one even
+side is unchanged when both boxes are reflected in a dimension in which
+their offset is zero.  In the basis of sums and differences of mirrored
+points it is then block diagonal (A. Cantoni and P. Butler, Linear Algebra
+Appl. 13, 1976), as optimized Chebyshev FMM codes use the symmetries of
+their kernels to shrink their operators (M. Messner et al., 2012).  Such a
+:class:`DenseBlock` stores only its 2^k diagonal sectors, built from the
+block's windows by sums and differences (:func:`_sectors`); a self block
+keeps a 2^d-th of its scalars.  The plain dense block is the case k = 0.
+
 On a uniform grid a box's interpolation factor depends only on the grid, the
 box side and the rank: it is computed once in box-relative coordinates and
 every block on boxes of that side holds the same read-only factor objects,
 whatever the kernel.  The Tucker blocks of a tree level are built together,
 their kernel values in one call per chunk, and :func:`build_tlr` is the
 one-pair case.  Cores are stored first index fastest, so that
-``core_matrix`` is a view.  Cores and dense matrices are read-only, as the
+``core_matrix`` is a view.  Cores and dense sectors are read-only, as the
 operators share them among many leaves.
 
 For a symmetric kernel the block of a box pair (sigma, tau) is the
@@ -31,10 +41,12 @@ view.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
-included) and ``core_matrix``; no other module knows the kinds.  Only a
-Tucker block has factors; the operators read none of them and apply a
-baseline block, whose basis is the box factors' Kronecker product, through
-the box factors too.
+included), ``core_matrix`` and ``prepare(rows)``, the steps of its product
+with the coefficients of many source boxes: what comes before one matrix
+product, its two operands, and what comes after it; no other module knows
+the kinds.  Only a Tucker block has factors; the operators read none of
+them and apply a baseline block, whose basis is the box factors' Kronecker
+product, through the box factors too.
 
 The operators apply blocks a whole tree level at a time.  :func:`project`
 and :func:`expand` are the one level step: they split a grid-ordered array
@@ -44,7 +56,7 @@ grid the matrices are the box factors.  The factors of consecutive box sides
 are nested, so a parent level's coefficients come from its children's
 coefficient grid the same way, through the per-dimension :func:`transfer`
 matrices.  Between them, a block acts on box coefficients through its
-``core_matrix`` alone.
+``prepare`` steps alone.
 """
 
 from __future__ import annotations
@@ -102,6 +114,12 @@ class TuckerBlock:
         rows = math.prod(self.core.shape[: len(self.u_factors)])
         return self.core.reshape((rows, -1), order="F")
 
+    def prepare(self, rows: np.ndarray) -> tuple:
+        """``(rows, core_matrix.T, None)``: the core applied to the
+        coefficients of many source boxes, one box per row, is one matrix
+        product (:meth:`DenseBlock.prepare`)."""
+        return rows, self.core_matrix.T, None
+
     def materialize(self) -> np.ndarray:
         factors = _modes(self.u_factors + self.v_factors)
         return tensor.multi_mode_apply(self.core, factors).reshape(self.shape, order="F")
@@ -115,36 +133,169 @@ class TuckerBlock:
 
 @dataclass
 class DenseBlock:
-    """A kernel submatrix; its box coefficients are the grid values."""
+    """A kernel submatrix, whose box coefficients are the grid values, stored
+    as ``sectors``, an array (2^k, m, m).  In the plain case k = 0 and the
+    one sector is the matrix.  A block of a translation-invariant kernel
+    whose two boxes are one cube (of ``sides``) at an offset that is zero in
+    the k dimensions ``dims`` is unchanged when both boxes are reflected in
+    those dimensions, so in the basis of sums and differences of mirrored
+    points, per such dimension, it is block diagonal (A. Cantoni and
+    P. Butler, Linear Algebra Appl. 13, 1976): 2^k sectors of m = s^d / 2^k
+    rows (:func:`_sectors`).  They are stored scaled so that no square root
+    enters: the block is ``F.T @ diag(sectors) @ F`` with F the unnormalized
+    sums and differences of :func:`_fold`.  ``matrix`` and ``core_matrix``
+    are the full block, materialized on each access of a sector block and
+    never stored."""
 
-    matrix: np.ndarray
+    sectors: np.ndarray
+    sides: tuple = ()
+    dims: tuple = ()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        if not self.dims:
+            return self.sectors.shape[1:]
+        return (math.prod(self.sides),) * 2
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.materialize()
 
     @property
     def core_matrix(self) -> np.ndarray:
-        return self.matrix
+        return self.materialize()
 
     def materialize(self) -> np.ndarray:
-        return self.matrix
+        if not self.dims:
+            return self.sectors[0]
+        return _unfolded(self.sectors, self.sides, self.dims)
+
+    def prepare(self, rows: np.ndarray) -> tuple:
+        """``(left, right, finish)`` with ``rows @ matrix.T`` equal to
+        ``finish(left @ right)``, finish None when nothing follows: the
+        block applied to the grid values of many source boxes, one box per
+        row, as one matrix product and what comes before and after it.  A
+        sector block folds the rows, its product is one batched product of
+        the sectors, and it unfolds the result; but where there are more
+        rows than the block has columns, it is cheaper to materialize the
+        block instead."""
+        if not self.dims:
+            return rows, self.sectors[0].T, None
+        if len(rows) > self.shape[1]:
+            return rows, self.materialize().T, None
+        return (_fold(rows, self.sides, self.dims), self.sectors.transpose(0, 2, 1),
+                lambda t: _unfold(t, self.sides, self.dims))
 
     def scalars(self) -> tuple[int, int, int]:
-        return self.matrix.size, 0, 0
+        return self.sectors.size, 0, 0
 
     def arrays(self) -> list:
-        return [self.matrix]
+        return [self.sectors]
+
+
+@lru_cache(maxsize=None)
+def _parts(sides: tuple, dims: tuple) -> tuple:
+    """Indices, into a box's values shaped last dimension first, of the 2^k
+    parts that the mirror planes of `dims` cut it into: part c takes the
+    upper half, reflected, in the dimensions of the set bits of c (bit i
+    for ``dims[i]``) and the lower half in the others, so that entry i of
+    every part is one point or one of its mirrors."""
+    d, parts = len(sides), []
+    for c in range(2 ** len(dims)):
+        index = [slice(None)] * d
+        for bit, dim in enumerate(dims):
+            half = sides[dim] // 2
+            index[d - 1 - dim] = slice(None, half - 1, -1) if c >> bit & 1 else slice(None, half)
+        parts.append(tuple(index))
+    return tuple(parts)
+
+
+def _part_shape(sides: tuple, dims: tuple) -> tuple:
+    """The shape of one part of :func:`_parts`, last dimension first."""
+    return tuple(s // 2 if dim in dims else s for dim, s in enumerate(sides))[::-1]
+
+
+@lru_cache(maxsize=None)
+def _signs(parts: int) -> np.ndarray:
+    """The Walsh-Hadamard matrix of order `parts`: entry (c, p) is the sign
+    (-1)^popcount(c & p) of part c in sector p, the sum over the mirror
+    images of a point that is even in the dimensions of the clear bits of p
+    and odd in those of the set bits."""
+    return _read_only(np.array([[(-1) ** bin(c & p).count("1") for p in range(parts)]
+                                for c in range(parts)], dtype=float))
+
+
+def _fold(rows: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
+    """``F`` applied to the grid values of boxes of `sides`, one box per row
+    (first index fastest): the 2^k parts of :func:`_parts` combined by
+    :func:`_signs`, an array (2^k, boxes, m) of each sector's coefficients,
+    first index fastest.  One copy and one product."""
+    boxes, parts = len(rows), _parts(sides, dims)
+    t = rows.reshape((boxes,) + sides[::-1])
+    stacked = np.stack([t[(slice(None),) + part] for part in parts])
+    return (_signs(len(parts)) @ stacked.reshape(len(parts), -1)).reshape(len(parts), boxes, -1)
+
+
+def _unfold(t: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
+    """``F.T``, the adjoint of :func:`_fold`, back to one box per row: the
+    sectors combined by :func:`_signs` are the parts."""
+    parts, boxes = len(t), t.shape[1]
+    values = (_signs(parts) @ t.reshape(parts, -1)).reshape(
+        (parts, boxes) + _part_shape(sides, dims))
+    out = np.empty((boxes,) + sides[::-1])
+    for part, index in zip(values, _parts(sides, dims)):
+        out[(slice(None),) + index] = part
+    return out.reshape(boxes, -1)
+
+
+def _sectors(block: DenseBlock, sides: tuple, dims: tuple) -> DenseBlock:
+    """A plain dense block on two boxes of `sides`, unchanged when both boxes
+    are reflected in each dimension of `dims` (sides even there), as its
+    2^k sectors.  Its rows in part 0 and its columns in part c of
+    :func:`_parts` are a window of the block, and sector p is the sum of
+    those windows with the signs of :func:`_signs`, over 2^k: sums and
+    differences of the block's entries, by one product with the 2^k signs
+    and none with the transform, and the division is exact.  Returned
+    read-only."""
+    parts = _parts(sides, dims)
+    full = block.matrix.reshape(sides[::-1] * 2)
+    windows = np.stack([full[parts[0] + columns] for columns in parts])
+    sectors = _signs(len(parts)) @ windows.reshape(len(parts), -1) / len(parts)
+    size = block.shape[0] // len(parts)
+    return DenseBlock(_read_only(sectors.reshape(-1, size, size)), tuple(sides), tuple(dims))
+
+
+def _unfolded(sectors: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
+    """The matrix ``F.T @ diag(sectors) @ F`` of :class:`DenseBlock`, the
+    inverse of :func:`_sectors`.  Its rows in part 0 and its columns in
+    part c of :func:`_parts` are the window that :func:`_sectors` reads for
+    part c, the sectors combined by :func:`_signs`; and as the block is
+    unchanged when both boxes are reflected, its rows in part a are those
+    of part 0 with the columns reflected in the dimensions of a."""
+    d, parts = len(sides), _parts(sides, dims)
+    windows = (_signs(len(parts)) @ sectors.reshape(len(parts), -1)).reshape(
+        (len(parts),) + _part_shape(sides, dims) * 2)
+    full = np.empty(sides[::-1] * 2)
+    for columns, window in zip(parts, windows):
+        full[parts[0] + columns] = window
+    lower = full[parts[0]]
+    for a, rows in enumerate(parts[1:], 1):
+        # the column axes, last dimension first
+        reflect = tuple(slice(None, None, -1) if dim in dims and a >> dims.index(dim) & 1
+                        else slice(None) for dim in reversed(range(d)))
+        full[rows] = lower[(slice(None),) * d + reflect]
+    return full.reshape(math.prod(sides), -1)
 
 
 def _mirrored(block):
     """The block of the mirrored box pair (sigma, tau) of a symmetric
-    kernel, holding no array of its own: a dense block's transposed matrix,
+    kernel, holding no array of its own: a dense block's sectors each
+    transposed, in the same dimensions (a plain block's transposed matrix),
     or a Tucker block's core with its target and source modes swapped, and
-    its factors swapped.  Its ``core_matrix`` is the transposed view of
-    `block`'s."""
+    its factors swapped.  A Tucker block's ``core_matrix`` is then the
+    transposed view of `block`'s."""
     if isinstance(block, DenseBlock):
-        return DenseBlock(block.matrix.T)
+        return DenseBlock(block.sectors.transpose(0, 2, 1), block.sides, block.dims)
     rows, cols = len(block.u_factors), len(block.v_factors)
     axes = tuple(range(rows, rows + cols)) + tuple(range(rows))
     return TuckerBlock(core=block.core.transpose(axes), u_factors=list(block.v_factors),
@@ -336,7 +487,7 @@ def build_dense(
             mat = pairwise_self(k, xpts, idx, self_entries(k, xpts, h, cfg))
         else:
             mat = pairwise(k, xpts, grid.points(sigma))
-        return DenseBlock(matrix=_read_only(mat * h**grid.d))
+        return DenseBlock(_read_only(mat * h**grid.d)[None])
     # per dimension the source-minus-target offsets j - i, lowest first
     steps = [np.arange(s_lo - t_hi + 1, s_hi - t_lo) * grid.h
              for (t_lo, t_hi), (s_lo, s_hi) in zip(tau.ranges, sigma.ranges)]
@@ -347,7 +498,7 @@ def build_dense(
     d, rows = grid.d, tau.sizes[::-1]
     windows = sliding_window_view(table.T, rows)[(...,) + (slice(None, None, -1),) * d]
     block = windows.transpose([*range(d, 2 * d), *range(d)]).copy()
-    return DenseBlock(matrix=_read_only(block.reshape(math.prod(rows), -1)))
+    return DenseBlock(_read_only(block.reshape(math.prod(rows), -1))[None])
 
 
 def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

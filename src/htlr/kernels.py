@@ -65,8 +65,11 @@ class KernelSpec:
     def translation_invariant(self) -> bool:
         """Built-in kernels depend on |x - y| only, so they are translation
         invariant and symmetric, K(x, y) = K(y, x): the block of a box pair
-        (sigma, tau) is the transpose of that of (tau, sigma).  Custom ones
-        may be neither."""
+        (sigma, tau) is the transpose of that of (tau, sigma).  They are
+        even in each coordinate of x - y too, so a dense block on two boxes
+        of one side is unchanged when both are reflected in a dimension of
+        zero offset (:class:`htlr.blocks.DenseBlock`).  Custom ones may be
+        none of these."""
         return self.kind != CUSTOM
 
     def __post_init__(self):

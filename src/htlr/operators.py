@@ -59,21 +59,36 @@ grid values of each box.  An admissible leaf on boxes no wider than the
 rank is stored dense too, as the full-matrix format of an H-matrix stores
 a block whose rank is no smaller than its size (W. Hackbusch, Hierarchical
 Matrices, Springer 2015): factors that wide would compress nothing, and the
-kernel submatrix holds as many scalars as the core would.
+kernel submatrix holds as many scalars as the core would.  A
+translation-invariant kernel's dense class on boxes wider than the rank,
+of an even side, is stored in parity sectors: 2^k of them for the k
+dimensions in which its offset is zero (:class:`htlr.blocks.DenseBlock`),
+so a self class holds a 2^d-th of its matrix and a mirrored class holds
+transposed views of its mirror's sectors.  Every other dense class, on
+boxes no wider than the rank, of an odd side or of a custom kernel, keeps
+one sector, its matrix.  Each class's product is prepared on the
+coefficient rows of its source boxes (:meth:`htlr.blocks.DenseBlock.prepare`):
+sectors fold the rows into sums and differences of mirrored points, take
+one batched product and unfold it, but a class with more source boxes than
+its block has columns is cheaper through its block, materialized for the
+one product.
 
 The near field and the far field are independent until they are summed
 into f, so the matvec overlaps them, as task-based fast multipole codes run
 the near-field and far-field passes concurrently (E. Agullo, B. Bramas,
 O. Coulaud, E. Darve, M. Messner and T. Takahashi, SIAM J. Sci. Comput. 36,
-2014).  The calling thread gathers the source rows of each dense group on
-boxes wider than the rank and hands that group's class GEMMs, as one task,
-to a single worker thread; it runs every other chain meanwhile, then sums
+2014).  The calling thread gathers and prepares the source rows of each
+dense group on boxes wider than the rank and hands that group's products
+wider than a core, as one task, to a single worker thread; it runs the
+narrower products and every other chain meanwhile, then finishes and sums
 the dense products in class order and adds each chain's part into f in
-chain order.  The worker runs only the GEMMs, which release the
+chain order.  The worker runs only the matrix products, which release the
 interpreter lock, and every sum keeps its order, so f is bit for bit what
-the calling thread alone gives.  Dense groups of core-sized GEMMs stay on
-the calling thread, as many small calls would contend for the interpreter
-lock, and a process that can run on one CPU only runs everything there.
+the calling thread alone gives.  Core-sized products stay on the calling
+thread, as many small calls would contend for the interpreter lock: the
+dense groups of boxes no wider than the rank, and sectors of p^d rows,
+such as a 2D self class on boxes of side 2p.  A process that can run on one
+CPU only runs everything there.
 """
 
 from __future__ import annotations
@@ -92,6 +107,7 @@ from .blocks import (
     _is_mirror,
     _lowrank,
     _mirrored,
+    _sectors,
     _tucker_blocks,
     build_dense,
     expand,
@@ -238,7 +254,8 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     firsts = first[classes]
     levels = leaves.level[firsts]
     tucker = leaves.admissible[firsts] & (grid.n >> levels > cfg.rank)
-    mirror = _mirror_classes(cfg.kernel, levels, leaves.sigma[firsts] - leaves.tau[firsts])
+    offsets = leaves.sigma[firsts] - leaves.tau[firsts]
+    mirror = _mirror_classes(cfg.kernel, levels, offsets)
     built = mirror < 0
     # the Tucker payloads of a level in one batch, as its cores share one
     # kernel evaluation per chunk
@@ -256,13 +273,27 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         side = grid.n >> int(levels[i])
         payloads[i] = build_dense(cfg.kernel, grid, _lattice_box(leaves.tau[firsts[i]], side),
                                   _lattice_box(leaves.sigma[firsts[i]], side), cfg.quadrature)
+        # the dimensions a reflection of both boxes leaves the block in
+        dims = tuple(np.flatnonzero(offsets[i] == 0).tolist())
+        if cfg.kernel.translation_invariant and side > cfg.rank and side % 2 == 0 and dims:
+            payloads[i] = _sectors(payloads[i], (side,) * grid.d, dims)
+    # the built payloads whose stored arrays are not finite, each array read
+    # once, as payloads share factors; a mirrored class holds its mirror's
+    bad, finite = set(), set()
+    for i, payload in payloads.items():
+        for a in payload.arrays():
+            if id(a) not in finite:
+                if not np.isfinite(a).all():
+                    bad.add(i)
+                    break
+                finite.add(id(a))
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])
         side = grid.n >> level
         payload = payloads[i] if built[i] else _mirrored(payloads[mirror[i]])
         # in class order, so that the first bad leaf is named
-        if not np.isfinite(payload.core_matrix).all():
+        if (i if built[i] else mirror[i]) in bad:
             tau, sigma = (_lattice_box(leaves.tau[leaf], side),
                           _lattice_box(leaves.sigma[leaf], side))
             raise ValueError(
@@ -371,17 +402,20 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     """f = A u: the diagonal a(x) u plus, per chain, one projection per group
     upward, each class's core applied once to the coefficients of its source
     boxes, and one expansion per group downward; for operators from both
-    :func:`construct` and :func:`construct_hmatrix`.  The GEMMs of the dense
-    groups on boxes wider than the rank run on the near-field worker
-    (:func:`_near_field_worker`) while this thread runs the other chains;
-    each chain's part is still added into f in chain order."""
+    :func:`construct` and :func:`construct_hmatrix`.  The products of the
+    dense groups on boxes wider than the rank that are wider than a core run
+    on the near-field worker (:func:`_near_field_worker`) while this thread
+    runs the other chains; each chain's part is still added into f in chain
+    order."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
     f = op.diagonal * u
     worker = _near_field_worker()
     # handed over first, so that they run while the other chains do
-    offloaded = {i: _offload(worker, u, op.grid, chain[0]) for i, chain in enumerate(op.chains)
+    core = op.config.rank ** op.grid.d
+    offloaded = {i: _offload(worker, u, op.grid, chain[0], core)
+                 for i, chain in enumerate(op.chains)
                  if worker is not None and _offloads(chain, op.config.rank)}
     parts = []  # the chains' parts from the first offloaded one on, in order
     for i, chain in enumerate(op.chains):
@@ -397,10 +431,10 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
 
 
 def _offloads(chain, rank: int) -> bool:
-    """Whether the matvec hands a chain's GEMMs to the near-field worker:
-    only a dense group on boxes wider than the rank, whose payloads are each
-    larger than any core.  Groups of core-sized GEMMs stay on the calling
-    thread, as many small calls would contend for the interpreter lock."""
+    """Whether the matvec hands a chain's products to the near-field worker
+    (:func:`_offload`): only a dense group on boxes wider than the rank, as
+    the products of boxes no wider are at most core-sized, and many small
+    calls would contend for the interpreter lock."""
     return not chain[0].maps and chain[0].side > rank
 
 
@@ -424,19 +458,34 @@ def _near_field_worker():
     return _worker[1]
 
 
-def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
-    """Hand a dense group's class GEMMs to the worker as one task: the rows
-    of each class's source boxes are gathered here, and the worker runs only
-    the products, no function of this package.  Returns the function that
-    waits for them and gives the group's part of A u."""
+def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup, core: int):
+    """Hand a dense group's products wider than a core (than `core`
+    columns) to the worker as one task, and run the others here: the rows
+    of each class's source boxes are gathered and prepared here
+    (:meth:`htlr.blocks.DenseBlock.prepare`), and the worker runs only the
+    matrix products, no function of this package.  Returns the function
+    that waits for them, finishes every product and gives the group's part
+    of A u."""
     c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
-    rows = [c[cls.sources] for cls in group.classes]
-    cores = [cls.payload.core_matrix.T for cls in group.classes]
+    steps = [cls.payload.prepare(c[cls.sources]) for cls in group.classes]
     shape = c.shape
     del c  # only its shape is needed; a class on every box has it as its rows
-    products = worker.submit(lambda: [r @ core for r, core in zip(rows, cores)])
-    return lambda: expand(from_boxes(_sum_classes(group, products.result(), shape), grid.d),
-                          group.maps)
+    wide = [(left, right) for left, right, _ in steps if right.shape[-1] > core]
+    # the operands live until their product is made, as the parts of the
+    # other chains are made meanwhile
+    products = worker.submit(
+        lambda pairs=wide: [left @ right for left, right in pairs]) if wide else None
+    here = [None if right.shape[-1] > core else left @ right for left, right, _ in steps]
+    finishes = [finish for _, _, finish in steps]
+    del steps, wide
+
+    def part():
+        there = iter(products.result() if products else ())
+        outs = (_finished(finish, next(there) if out is None else out)
+                for finish, out in zip(finishes, here))
+        return expand(from_boxes(_sum_classes(group, outs, shape), grid.d), group.maps)
+
+    return part
 
 
 def _add(f: np.ndarray, part: np.ndarray) -> None:
@@ -453,10 +502,10 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     offloaded group's gathered rows and products live while the other
     chains run, and so does each part until the parts before it are added.
     A matvec's peak above its input depends on when the worker finishes:
-    traced with tracemalloc, it was 4.0–5.0 grid-sized arrays on a 512²
-    weak Gaussian with one dense class (3.0 without the overlap), and
-    17.3–18.2 on a 128² single layer under the strong rule with nine
-    (5.6)."""
+    traced with tracemalloc, it was 4.0–5.3 grid-sized arrays on a 512²
+    weak Gaussian with one dense class, whose block is materialized for the
+    product (3.3 without the overlap), and 16.2 on a 128² single layer under
+    the strong rule with nine, five of them folded (7.4)."""
     coeffs = [u]
     for group in chain:
         coeffs.append(project(coeffs[-1], grid.d, grid.n // group.side, group.maps))
@@ -471,8 +520,20 @@ def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
     """Target coefficient grid of one group from its source coefficient
     grid: each class's core applied once to the rows of its source boxes."""
     d, c = c.ndim // 2, to_boxes(c)
-    products = (c[cls.sources] @ cls.payload.core_matrix.T for cls in group.classes)
+    products = (_product(*cls.payload.prepare(c[cls.sources])) for cls in group.classes)
     return from_boxes(_sum_classes(group, products, c.shape), d)
+
+
+def _product(left: np.ndarray, right: np.ndarray, finish) -> np.ndarray:
+    """A class's product from its ``prepare`` step, in a function of its
+    own so that the operands die with it, before the product is added."""
+    return _finished(finish, left @ right)
+
+
+def _finished(finish, out: np.ndarray) -> np.ndarray:
+    """A class's product from the matrix product `out` of its ``prepare``
+    step and what the step leaves for after it, if anything."""
+    return out if finish is None else finish(out)
 
 
 def _sum_classes(group: FactorGroup, products, shape: tuple) -> np.ndarray:

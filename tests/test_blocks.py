@@ -569,7 +569,7 @@ class TestStorageCount:
         assert sum(block.scalars()) == 2 * 32**2 * 8**2 + 8**4  # 135168
 
     def test_dense_block_count(self):
-        block = DenseBlock(matrix=np.zeros((16, 16)))
+        block = DenseBlock(np.zeros((1, 16, 16)))
         assert sum(block.scalars()) == 256
 
 
@@ -631,3 +631,82 @@ class TestBlockProperties:
         rng = np.random.default_rng(24)
         u = rng.standard_normal(tb.shape[1])
         assert np.abs(tlr_apply(tb, u) - lowrank_apply(lb, u)).max() <= 1e-12
+
+
+def sector_pairs():
+    """(name, kernel, grid, tau, sigma, dims): box pairs whose dense block is
+    unchanged when both boxes are reflected in the dimensions `dims`, those
+    where the offset between the boxes is zero."""
+    g2, g3 = UniformGrid(2, 64), UniformGrid(3, 32)
+    box2 = IndexBox(((16, 32), (16, 32)))
+    box3 = IndexBox(((8, 16),) * 3)
+    return [
+        ("self-2d", gaussian(np.sqrt(2.0)), g2, box2, box2, (0, 1)),
+        ("edge-dim0", slp_2d(), g2, box2, IndexBox(((16, 32), (32, 48))), (0,)),
+        ("edge-dim1", slp_2d(), g2, box2, IndexBox(((0, 16), (16, 32))), (1,)),
+        ("self-3d", slp_3d(), g3, box3, box3, (0, 1, 2)),
+        ("face-3d", slp_3d(), g3, box3, IndexBox(((8, 16), (16, 24), (8, 16))), (0, 2)),
+    ]
+
+
+SECTOR_PAIRS = pytest.mark.parametrize(
+    "name,k,grid,tau,sigma,dims", sector_pairs(), ids=[p[0] for p in sector_pairs()])
+
+
+class TestParitySectors:
+    """A dense block that is unchanged when both boxes are reflected in k
+    dimensions is stored as 2^k sectors of a 2^k-th of its rows each, and
+    gives back its block to rounding."""
+
+    @SECTOR_PAIRS
+    def test_materialize_matches_build_dense(self, name, k, grid, tau, sigma, dims):
+        plain = build_dense(k, grid, tau, sigma, QuadratureConfig())
+        block = blocks._sectors(plain, tau.sizes, dims)
+        n = plain.shape[0]
+        assert block.sectors.shape == (2 ** len(dims), n >> len(dims), n >> len(dims))
+        assert block.sectors.size == plain.matrix.size >> len(dims)
+        full = block.materialize()
+        assert block.shape == full.shape == plain.shape
+        assert np.abs(full - plain.matrix).max() <= 1e-15 * np.abs(plain.matrix).max()
+        # matrix and core_matrix are materialized on access, never stored
+        assert np.array_equal(block.matrix, full) and np.array_equal(block.core_matrix, full)
+        assert block.arrays() == [block.sectors]
+
+    @SECTOR_PAIRS
+    def test_mirror_is_a_view_of_the_sectors(self, name, k, grid, tau, sigma, dims):
+        block = blocks._sectors(build_dense(k, grid, tau, sigma, QuadratureConfig()),
+                                tau.sizes, dims)
+        mirror = blocks._mirrored(block)
+        assert mirror.sectors.base is block.sectors.base or mirror.sectors.base is block.sectors
+        assert np.shares_memory(mirror.sectors, block.sectors)
+        assert (mirror.sides, mirror.dims) == (block.sides, block.dims)
+        assert np.array_equal(mirror.materialize(), block.materialize().T)
+
+    @SECTOR_PAIRS
+    def test_both_routes_of_prepare(self, name, k, grid, tau, sigma, dims):
+        """Fewer rows than columns are folded, and the product is one batched
+        product of the sectors; more rows are multiplied by the materialized
+        block."""
+        plain = build_dense(k, grid, tau, sigma, QuadratureConfig())
+        block = blocks._sectors(plain, tau.sizes, dims)
+        n = plain.shape[1]
+        for count in (3, n + 1):
+            rows = np.random.default_rng(count).standard_normal((count, n))
+            left, right, finish = block.prepare(rows)
+            out = left @ right
+            if count <= n:
+                assert right.shape == (2 ** len(dims), n >> len(dims), n >> len(dims))
+                out = finish(out)
+            else:
+                assert finish is None and right.shape == (n, n)
+            expected = rows @ plain.matrix.T
+            assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_plain_block_is_one_sector(self):
+        grid = UniformGrid(2, 32)
+        tau, sigma = IndexBox(((0, 4), (0, 8))), IndexBox(((8, 12), (8, 10)))
+        block = build_dense(slp_2d(), grid, tau, sigma, QuadratureConfig())
+        assert block.dims == () and block.sectors.shape == (1, 32, 8)
+        assert block.shape == block.materialize().shape == (32, 8)
+        rows = np.ones((2, 8))
+        assert block.prepare(rows)[2] is None

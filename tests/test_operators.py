@@ -35,9 +35,10 @@ from htlr import (
     matvec,
     operation_counts,
     slp_2d,
+    slp_3d,
     storage_report,
 )
-from htlr import operators
+from htlr import blocks, operators
 from htlr.blocks import DenseBlock, TuckerBlock
 from htlr.operators import DegenerateErrorEstimate, TranslationClass
 from oracle_utils import recursive_block_pairs
@@ -88,7 +89,7 @@ def block_of(matrix, grid, tau, sigma):
 def assert_every_leaf_matches_dense(cfg, grid):
     """The classes' leaves are the tree's: admissible leaves within 1e-9
     relative of the dense oracle entry by entry, dense leaves bit-equal to
-    it."""
+    it, or within 1e-15 relative when stored as parity sectors."""
     op = construct(cfg, grid)
     dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
     kinds = tree_leaves(grid, cfg)
@@ -97,6 +98,8 @@ def assert_every_leaf_matches_dense(cfg, grid):
         rec = materialize(payload)
         if kinds.pop((tau, sigma)) == "admissible":
             assert (np.abs(rec - sub) / np.abs(sub)).max() <= 1e-9
+        elif payload.dims:
+            assert np.abs(rec - sub).max() <= 1e-15 * np.abs(sub).max()
         else:
             assert np.array_equal(rec, sub)
     assert not kinds
@@ -367,15 +370,21 @@ class TestClassSharing:
                 continue
             mirror = payload_at[side, tuple(-o for o in offset)]
             assert type(mirror) is type(payload)
-            assert np.shares_memory(payload.core_matrix, mirror.core_matrix)
-            assert np.array_equal(payload.core_matrix, mirror.core_matrix.T)
-            full, mirror_full = payload.materialize(), mirror.materialize()
+            stored, mirror_stored = payload.arrays()[0], mirror.arrays()[0]
+            assert np.shares_memory(stored, mirror_stored)
             if isinstance(payload, DenseBlock):
+                # each parity sector transposed, in the same dimensions
+                assert np.array_equal(stored, mirror_stored.transpose(0, 2, 1))
+                assert mirror.dims == payload.dims
+            else:
+                assert np.array_equal(payload.core_matrix, mirror.core_matrix.T)
+            full, mirror_full = payload.materialize(), mirror.materialize()
+            if isinstance(payload, DenseBlock) and not payload.dims:
                 assert np.array_equal(full, mirror_full.T)
             else:
                 assert np.abs(full - mirror_full.T).max() <= 4e-15 * np.abs(full).max()
         # one buffer per self class and per pair of mirrored classes
-        buffers = {payload.core_matrix.ctypes.data for payload in payload_at.values()}
+        buffers = {payload.arrays()[0].ctypes.data for payload in payload_at.values()}
         assert len(buffers) == self_classes + (len(payload_at) - self_classes) // 2
 
     @BUILDS
@@ -457,10 +466,9 @@ class TestClassSharing:
             def __init__(self, block):
                 self.block = block
 
-            @property
-            def core_matrix(self):
+            def prepare(self, rows):
                 cores[id(self)] += 1
-                return self.block.core_matrix
+                return self.block.prepare(rows)
 
         for group in op.groups:
             group.classes[:] = [dataclasses.replace(cls, payload=CoreSpy(cls.payload))
@@ -578,17 +586,17 @@ class TestLatticeBuild:
     # as the per-leaf sums gave them
     WORKLOADS = {
         "gauss2d-n512": (UniformGrid(2, 512), weak_gaussian_cfg(),
-                         (67108864, 3047424, 16760832), (1024, 4092)),
+                         (16777216, 3047424, 16760832), (1024, 4092)),
         "slp2d-n128": (UniformGrid(2, 128), BuildConfig(
             rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
-        ), (31719424, 731136, 5210112), (484, 1272)),
+        ), (21233664, 731136, 5210112), (484, 1272)),
         "gauss3d-n32": (UniformGrid(3, 32), BuildConfig(
             rank=4, leaf_side=5, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
         ), (16777216, 107520, 2064384), (4096, 504)),
         "quasi-n8192-grid": (UniformGrid(2, 128), weak_gaussian_cfg(),
-                             (4194304, 172032, 1032192), (64, 252)),
+                             (1048576, 172032, 1032192), (64, 252)),
     }
 
     @pytest.mark.parametrize("case", sorted(WORKLOADS))
@@ -764,12 +772,14 @@ class TestMatvec:
         for tau, sigma, block in leaf_payloads(op):
             if not isinstance(block, DenseBlock):
                 continue
-            rows = tau.linear_indices(32)
+            sub = block_of(dense.matrix, grid, tau, sigma)
+            if block.dims:
+                # the stored sectors are those folded from the oracle's block
+                sub = blocks._sectors(DenseBlock(sub[None]), block.sides, block.dims).sectors
+                assert np.array_equal(block.sectors, sub)
+                continue
             cols = sigma.linear_indices(32)
-            assert np.array_equal(
-                block.matrix @ u[cols],
-                dense.matrix[np.ix_(rows, cols)] @ u[cols],
-            )
+            assert np.array_equal(block.matrix @ u[cols], sub @ u[cols])
 
 
 def inline_matvec(op, u, monkeypatch):
@@ -802,17 +812,25 @@ def worker(monkeypatch):
 
 @pytest.fixture(scope="module")
 def cases():
-    """(operator, offloaded chains): a one-class near field, nine dense
-    classes under the strong rule with a non-constant a(x), the baseline of
-    the first, and 3D leaves of side p, where no group is wider than the
-    rank."""
+    """(operator, offloaded chains): a one-class near field in parity
+    sectors of p^d rows, whose products stay on the calling thread; the same
+    class on a grid with more boxes than the block has rows, materialized
+    and handed over; nine dense classes under the strong rule with a
+    non-constant a(x), in sectors in two, one and no dimensions; the
+    baseline of the first; a 3D single layer under the strong rule, in
+    sectors in three to no dimensions; and 3D leaves of side p, where no
+    group is wider than the rank."""
     grid = UniformGrid(2, 64)
     slp = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
                       kernel=slp_2d(), coeff=CoefficientFn(lambda x: 1e-3 * (1.0 + x[:, 0])))
+    slp3d = BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
+                        kernel=slp_3d(), coeff=CoefficientFn.constant(0.0))
     return {
-        "gauss2d": (construct(weak_gaussian_cfg(), grid), 1),
+        "gauss2d": (construct(weak_gaussian_cfg(), grid), 0),
+        "gauss2d-n128": (construct(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 128)), 1),
         "slp2d-strong": (construct(slp, grid), 1),
-        "gauss2d-hmatrix": (construct_hmatrix(weak_gaussian_cfg(), grid), 1),
+        "gauss2d-hmatrix": (construct_hmatrix(weak_gaussian_cfg(), grid), 0),
+        "slp3d-strong": (construct(slp3d, UniformGrid(3, 16)), 1),
         "gauss3d-leaf-p": (construct(weak_gaussian_cfg(rank=4, leaf=4), UniformGrid(3, 16)), 0),
     }
 
@@ -832,8 +850,18 @@ class TestNearFieldOverlap:
         assert [chain[0].side for chain in gauss3d.chains if not chain[0].maps] == [4]
         assert not any(operators._offloads(chain, 4) for chain in gauss3d.chains)
 
-    @pytest.mark.parametrize("name", ["gauss2d", "slp2d-strong", "gauss2d-hmatrix",
-                                      "gauss3d-leaf-p"])
+    def test_cases_hold_parity_sectors(self, cases):
+        """The dimensions of the dense classes' sectors in each case."""
+        def dims(name):
+            return {cls.payload.dims for group in cases[name][0].groups if not group.maps
+                    for cls in group.classes}
+        assert dims("gauss2d") == dims("gauss2d-n128") == dims("gauss2d-hmatrix") == {(0, 1)}
+        assert dims("slp2d-strong") == {(0, 1), (0,), (1,), ()}
+        assert {len(d) for d in dims("slp3d-strong")} == {0, 1, 2, 3}
+        assert dims("gauss3d-leaf-p") == {()}
+
+    @pytest.mark.parametrize("name", ["gauss2d", "gauss2d-n128", "slp2d-strong",
+                                      "gauss2d-hmatrix", "slp3d-strong", "gauss3d-leaf-p"])
     def test_overlap_equals_the_calling_thread(self, name, cases, worker, monkeypatch):
         op, offloaded = cases[name]
         u = np.random.default_rng(60).standard_normal(op.num_points)
@@ -927,7 +955,8 @@ class TestNearFieldOverlap:
     def test_worker_error_reaches_the_caller(self, cases, worker, monkeypatch):
         op, _ = cases["gauss2d"]
         group = op.chains[0][0]
-        wrong = types.SimpleNamespace(core_matrix=np.ones((3, 5)))
+        # wider than a core, so that the worker runs its product
+        wrong = types.SimpleNamespace(prepare=lambda rows: (rows, np.ones((3, 100)), None))
         bad = dataclasses.replace(op, chains=[(dataclasses.replace(
             group, classes=[TranslationClass(wrong, slice(None), slice(None))]),)] + op.chains[1:])
         u = np.random.default_rng(64).standard_normal(op.num_points)
@@ -965,6 +994,134 @@ class TestNonFinitePayloads:
         op = build(self.cfg(kernel), grid)
         u = np.random.default_rng(52).standard_normal(grid.num_points)
         assert np.isfinite(matvec(op, u)).all()
+
+
+    def test_non_finite_wide_self_block_rejected(self, monkeypatch):
+        """A translation-invariant kernel that is NaN at the distance h, which
+        only the dense self blocks hold, is rejected where the self class is
+        stored in parity sectors, naming its first leaf."""
+        from htlr import kernels
+
+        grid = UniformGrid(2, 64)
+        cfg = weak_gaussian_cfg()
+        (payload,) = [cls.payload for group in construct(cfg, grid).groups
+                      if not group.maps for cls in group.classes]
+        assert payload.dims == (0, 1)
+        of_r2 = kernels._of_r2
+        monkeypatch.setattr(kernels, "_of_r2", lambda k, r2: np.where(
+            r2 == grid.h**2, np.nan, of_r2(k, r2)))
+        with pytest.raises(ValueError, match=re.escape(
+                "not finite on the leaf ((0, 16), (0, 16)) x ((0, 16), (0, 16))")):
+            construct(cfg, grid)
+
+
+def dense_classes(op):
+    """(box side, source-minus-target offset, class) of every dense class."""
+    return [(side, offset, cls) for side, offset, cls in class_offsets(op)
+            if isinstance(cls.payload, DenseBlock)]
+
+
+@pytest.mark.filterwarnings("ignore:leaf side 7 outside")
+class TestParitySectors:
+    """A translation-invariant kernel's dense class on boxes wider than the
+    rank, of an even side, is stored in parity sectors, 2^k of them for the
+    k dimensions in which its offset is zero; every other dense class keeps
+    one sector, its matrix."""
+
+    CASES = {
+        "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
+            rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0))),
+        "3d-strong-slp": (UniformGrid(3, 16), BuildConfig(
+            rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
+            kernel=slp_3d(), coeff=CoefficientFn.constant(0.0))),
+        # odd box side 5, wider than the rank 4: no mirror pairs
+        "2d-odd-side": (UniformGrid(2, 40), BuildConfig(
+            rank=4, leaf_side=5, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0))),
+        "2d-non-stationary": TestClassSharing.MATVEC_CASES["2d-non-stationary"],
+        "3d-leaf-side-p": TestClassSharing.CASES["3d-leaf-side-p"],
+        "2d-leaf-side-below-rank": TestClassSharing.CASES["2d-n56-leaf-side-below-rank"],
+    }
+    SECTORS = ["2d-strong-slp", "3d-strong-slp"]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dims_are_the_zero_offsets(self, case):
+        grid, cfg = self.CASES[case]
+        classes = dense_classes(construct(cfg, grid))
+        seen = set()
+        for side, offset, cls in classes:
+            wide = side > cfg.rank and side % 2 == 0 and cfg.kernel.translation_invariant
+            dims = tuple(i for i, o in enumerate(offset) if o == 0) if wide else ()
+            assert cls.payload.dims == dims
+            assert cls.payload.sides == ((side,) * grid.d if dims else ())
+            assert cls.payload.sectors.shape[0] == 2 ** len(dims)
+            seen.add(len(dims))
+        expected = {"2d-strong-slp": {0, 1, 2}, "3d-strong-slp": {0, 1, 2, 3}}
+        assert seen == expected.get(case, {0})
+
+    @pytest.mark.parametrize("case", SECTORS)
+    def test_mirrored_classes_own_no_array(self, case):
+        grid, cfg = self.CASES[case]
+        payload_at = {offset: cls.payload
+                      for _, offset, cls in dense_classes(construct(cfg, grid))}
+        mirrors = 0
+        for offset, payload in payload_at.items():
+            mirror = payload_at[tuple(-o for o in offset)]
+            if offset <= tuple(-o for o in offset):
+                continue  # the built one of the pair
+            mirrors += 1
+            (view,) = mirror.arrays()
+            assert view.base is not None and not view.flags.writeable
+            assert np.shares_memory(view, payload.sectors)
+        assert mirrors == (len(payload_at) - 1) // 2
+
+    @pytest.mark.parametrize("case", SECTORS)
+    def test_storage_counts_the_sectors(self, case):
+        grid, cfg = self.CASES[case]
+        op = construct(cfg, grid)
+        rep = storage_report(op)
+        leaves = collections.Counter(id(block) for _, _, block in leaf_payloads(op))
+        classes = dense_classes(op)
+        assert rep.dense_scalars == sum(leaves[id(cls.payload)] * cls.payload.sectors.size
+                                        for _, _, cls in classes)
+        # each pair of mirrored classes holds one buffer of sectors
+        owners = {id(cls.payload.sectors.base if cls.payload.sectors.base is not None
+                     else cls.payload.sectors): cls.payload.sectors.size
+                  for _, _, cls in classes}
+        assert len(owners) == (len(classes) + 1) // 2
+        full = sum(cls.payload.shape[0] * cls.payload.shape[1] for _, _, cls in classes)
+        assert sum(owners.values()) < full // 2
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_materialize_matches_the_dense_oracle(self, case):
+        grid, cfg = self.CASES[case]
+        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+        for tau, sigma, block in leaf_payloads(construct(cfg, grid)):
+            if isinstance(block, DenseBlock):
+                sub = block_of(dense.matrix, grid, tau, sigma)
+                full = block.materialize()
+                assert block.shape == full.shape == sub.shape
+                assert np.abs(full - sub).max() <= 1e-15 * np.abs(sub).max()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matvec_matches_the_dense_oracle(self, case):
+        """The sectors' products match the plain blocks' to rounding, and
+        the matvec the dense oracle to the interpolation error of rank 4
+        (measured 1.5e-4 on the odd side)."""
+        grid, cfg = self.CASES[case]
+        op = construct(cfg, grid)
+        plain = dataclasses.replace(op, chains=[tuple(dataclasses.replace(group, classes=[
+            dataclasses.replace(cls, payload=DenseBlock(np.ascontiguousarray(
+                cls.payload.materialize())[None]))
+            if isinstance(cls.payload, DenseBlock) else cls for cls in group.classes])
+            for group in chain) for chain in op.chains])
+        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+        u = np.random.default_rng(65).standard_normal(grid.num_points)
+        f, expected = matvec(op, u), matvec(plain, u)
+        assert np.abs(f - expected).max() <= 1e-14 * np.abs(expected).max()
+        exact = dense.matrix @ u
+        assert np.linalg.norm(f - exact) <= 1e-3 * np.linalg.norm(exact)
 
 
 class TestLevelBatches:
@@ -1112,7 +1269,8 @@ class TestStorageReport:
                           kernel=gaussian(np.sqrt(2.0)),
                           coeff=CoefficientFn.constant(0.0))
         rep = storage_report(construct(cfg, grid))
-        assert rep.dense_scalars == 256**2
+        # its four parity sectors, a quarter of the 256 x 256 block each
+        assert rep.dense_scalars == 4 * 64**2
         assert rep.total_scalars == rep.dense_scalars
         assert rep.total_scalars <= rep.theoretical_bound
 
@@ -1148,13 +1306,14 @@ class TestStorageReport:
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_resident_scalars_count_each_buffer_once(self, case, build):
-        """The diagonal, each distinct core or dense matrix (a mirrored
-        class's is its mirror's), and each distinct factor and map."""
+        """The diagonal, each distinct core or dense block's sectors (a
+        mirrored class's are its mirror's), and each distinct factor and
+        map."""
         grid, cfg = TestClassSharing.MATVEC_CASES[case]
         op = build(cfg, grid)
         rep = storage_report(op)
         payloads = [cls.payload for group in op.groups for cls in group.classes]
-        cores = {p.core_matrix.ctypes.data: p.core_matrix.size for p in payloads}
+        cores = {p.arrays()[0].ctypes.data: p.arrays()[0].size for p in payloads}
         bases = {}
         for a in [m for group in op.groups for m in group.maps] + [
                 f for p in payloads if isinstance(p, TuckerBlock)
