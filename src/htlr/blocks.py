@@ -41,12 +41,13 @@ view.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
-included), ``core_matrix`` and ``prepare(rows)``, the steps of its product
-with the coefficients of many source boxes: what comes before one matrix
-product, its two operands, and what comes after it; no other module knows
-the kinds.  Only a Tucker block has factors; the operators read none of
-them and apply a baseline block, whose basis is the box factors' Kronecker
-product, through the box factors too.
+included) and ``product(rows)``, its product with the coefficients of many
+source boxes, one box per row; a dense block also answers the steps of that
+product, ``fold(rows) @ operand()`` then ``unfold``, so that the operators
+can hand the matrix product alone to another thread.  No other module
+knows the kinds.  Only a Tucker block has factors; the operators read none
+of them and apply a baseline block, whose basis is the box factors'
+Kronecker product, through the box factors too.
 
 The operators apply blocks a whole tree level at a time.  :func:`project`
 and :func:`expand` are the one level step: they split a grid-ordered array
@@ -56,7 +57,7 @@ grid the matrices are the box factors.  The factors of consecutive box sides
 are nested, so a parent level's coefficients come from its children's
 coefficient grid the same way, through the per-dimension :func:`transfer`
 matrices.  Between them, a block acts on box coefficients through its
-``prepare`` steps alone.
+``product`` alone.
 """
 
 from __future__ import annotations
@@ -114,11 +115,10 @@ class TuckerBlock:
         rows = math.prod(self.core.shape[: len(self.u_factors)])
         return self.core.reshape((rows, -1), order="F")
 
-    def prepare(self, rows: np.ndarray) -> tuple:
-        """``(rows, core_matrix.T, None)``: the core applied to the
-        coefficients of many source boxes, one box per row, is one matrix
-        product (:meth:`DenseBlock.prepare`)."""
-        return rows, self.core_matrix.T, None
+    def product(self, rows: np.ndarray) -> np.ndarray:
+        """The core applied to the coefficients of many source boxes, one
+        box per row: one matrix product (:meth:`DenseBlock.product`)."""
+        return rows @ self.core_matrix.T
 
     def materialize(self) -> np.ndarray:
         factors = _modes(self.u_factors + self.v_factors)
@@ -143,13 +143,19 @@ class DenseBlock:
     P. Butler, Linear Algebra Appl. 13, 1976): 2^k sectors of m = s^d / 2^k
     rows (:func:`_sectors`).  They are stored scaled so that no square root
     enters: the block is ``F.T @ diag(sectors) @ F`` with F the unnormalized
-    sums and differences of :func:`_fold`.  ``matrix`` and ``core_matrix``
-    are the full block, materialized on each access of a sector block and
-    never stored."""
+    sums and differences of :func:`_fold`.
+
+    A product with the grid values of many source boxes is ``unfold(fold(rows)
+    @ operand())`` (:meth:`product`).  ``folds``, fixed at build, says how a
+    sector block takes it: through its sectors, the rows folded into them
+    and the result unfolded, or, where the block has fewer columns than the
+    product has rows, through the block materialized for the product, which
+    is then the cheaper."""
 
     sectors: np.ndarray
     sides: tuple = ()
     dims: tuple = ()
+    folds: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -159,32 +165,42 @@ class DenseBlock:
 
     @property
     def matrix(self) -> np.ndarray:
+        """The full block: of a sector block, materialized on each access
+        (2 * 2^k - 1 strided copies of the block's size) and never stored."""
         return self.materialize()
 
     @property
-    def core_matrix(self) -> np.ndarray:
-        return self.materialize()
+    def width(self) -> int:
+        """The columns of :meth:`operand`, which it does not make."""
+        return self.sectors.shape[2] if self.folds else self.shape[1]
 
     def materialize(self) -> np.ndarray:
         if not self.dims:
             return self.sectors[0]
         return _unfolded(self.sectors, self.sides, self.dims)
 
-    def prepare(self, rows: np.ndarray) -> tuple:
-        """``(left, right, finish)`` with ``rows @ matrix.T`` equal to
-        ``finish(left @ right)``, finish None when nothing follows: the
-        block applied to the grid values of many source boxes, one box per
-        row, as one matrix product and what comes before and after it.  A
-        sector block folds the rows, its product is one batched product of
-        the sectors, and it unfolds the result; but where there are more
-        rows than the block has columns, it is cheaper to materialize the
-        block instead."""
-        if not self.dims:
-            return rows, self.sectors[0].T, None
-        if len(rows) > self.shape[1]:
-            return rows, self.materialize().T, None
-        return (_fold(rows, self.sides, self.dims), self.sectors.transpose(0, 2, 1),
-                lambda t: _unfold(t, self.sides, self.dims))
+    def operand(self) -> np.ndarray:
+        """The right factor of the product: the transposed sectors of a
+        block that folds, else the transposed block."""
+        if self.folds:
+            return self.sectors.transpose(0, 2, 1)
+        return self.materialize().T
+
+    def fold(self, rows: np.ndarray) -> np.ndarray:
+        """The left factor of the product from the source rows."""
+        return _fold(rows, self.sides, self.dims) if self.folds else rows
+
+    def unfold(self, out: np.ndarray) -> np.ndarray:
+        """The product, one target box per row, from ``fold(rows) @
+        operand()``."""
+        return _unfold(out, self.sides, self.dims) if self.folds else out
+
+    def product(self, rows: np.ndarray) -> np.ndarray:
+        """The block applied to the grid values of many source boxes, one
+        box per row: ``rows @ matrix.T``."""
+        if not self.dims:  # the plain block, without the steps' calls
+            return rows @ self.sectors[0].T
+        return self.unfold(self.fold(rows) @ self.operand())
 
     def scalars(self) -> tuple[int, int, int]:
         return self.sectors.size, 0, 0
@@ -248,21 +264,25 @@ def _unfold(t: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
     return out.reshape(boxes, -1)
 
 
-def _sectors(block: DenseBlock, sides: tuple, dims: tuple) -> DenseBlock:
-    """A plain dense block on two boxes of `sides`, unchanged when both boxes
-    are reflected in each dimension of `dims` (sides even there), as its
-    2^k sectors.  Its rows in part 0 and its columns in part c of
-    :func:`_parts` are a window of the block, and sector p is the sum of
-    those windows with the signs of :func:`_signs`, over 2^k: sums and
-    differences of the block's entries, by one product with the 2^k signs
-    and none with the transform, and the division is exact.  Returned
-    read-only."""
-    parts = _parts(sides, dims)
-    full = block.matrix.reshape(sides[::-1] * 2)
+def _sectors(block: np.ndarray, sides: tuple, dims: tuple, boxes: int) -> DenseBlock:
+    """A dense block on two boxes of `sides` (its matrix, or its entries on
+    axes last dimension first, targets then sources, as
+    :func:`_toeplitz_windows` gives them), unchanged when both boxes are
+    reflected in each dimension of `dims` (sides even there), as its 2^k
+    sectors, which fold its products with the rows of `boxes` source boxes
+    when they are no more than the block's columns.  Its rows in part 0 and
+    its columns in part c of :func:`_parts` are a window of the block, and
+    sector p is the sum of those windows with the signs of :func:`_signs`,
+    over 2^k: sums and differences of the block's entries, by one product
+    with the 2^k signs and none with the transform, and the division is
+    exact.  Only the windows are read.  Returned read-only."""
+    parts, points = _parts(sides, dims), math.prod(sides)
+    full = block.reshape(sides[::-1] * 2)
     windows = np.stack([full[parts[0] + columns] for columns in parts])
     sectors = _signs(len(parts)) @ windows.reshape(len(parts), -1) / len(parts)
-    size = block.shape[0] // len(parts)
-    return DenseBlock(_read_only(sectors.reshape(-1, size, size)), tuple(sides), tuple(dims))
+    size = points // len(parts)
+    return DenseBlock(_read_only(sectors.reshape(-1, size, size)), tuple(sides), tuple(dims),
+                      boxes <= points)
 
 
 def _unfolded(sectors: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
@@ -295,7 +315,7 @@ def _mirrored(block):
     its factors swapped.  A Tucker block's ``core_matrix`` is then the
     transposed view of `block`'s."""
     if isinstance(block, DenseBlock):
-        return DenseBlock(block.sectors.transpose(0, 2, 1), block.sides, block.dims)
+        return DenseBlock(block.sectors.transpose(0, 2, 1), block.sides, block.dims, block.folds)
     rows, cols = len(block.u_factors), len(block.v_factors)
     axes = tuple(range(rows, rows + cols)) + tuple(range(rows))
     return TuckerBlock(core=block.core.transpose(axes), u_factors=list(block.v_factors),
@@ -488,17 +508,25 @@ def build_dense(
         else:
             mat = pairwise(k, xpts, grid.points(sigma))
         return DenseBlock(_read_only(mat * h**grid.d)[None])
+    block = _toeplitz_windows(k, grid, tau, sigma, cfg).copy()
+    return DenseBlock(_read_only(block.reshape(math.prod(tau.sizes), -1))[None])
+
+
+def _toeplitz_windows(k: KernelSpec, grid: UniformGrid, tau: IndexBox, sigma: IndexBox,
+                      cfg: QuadratureConfig) -> np.ndarray:
+    """The block of :func:`build_dense` for a translation-invariant kernel,
+    as a read-only strided view of its offset table: axes last dimension
+    first, the target box's then the source box's."""
     # per dimension the source-minus-target offsets j - i, lowest first
     steps = [np.arange(s_lo - t_hi + 1, s_hi - t_lo) * grid.h
              for (t_lo, t_hi), (s_lo, s_hi) in zip(tau.ranges, sigma.ranges)]
-    table = _offset_table(k, steps, h, cfg) * h**grid.d
+    table = _offset_table(k, steps, grid.h, cfg) * grid.h**grid.d
     # last dimension first, so that both boxes' points ravel first index
     # fastest: window w of source point j holds the offsets j - s_tau + 1 + w,
     # so target point i is window entry s_tau - 1 - i
     d, rows = grid.d, tau.sizes[::-1]
     windows = sliding_window_view(table.T, rows)[(...,) + (slice(None, None, -1),) * d]
-    block = windows.transpose([*range(d, 2 * d), *range(d)]).copy()
-    return DenseBlock(_read_only(block.reshape(math.prod(rows), -1))[None])
+    return windows.transpose([*range(d, 2 * d), *range(d)])
 
 
 def tlr_apply(block: TuckerBlock, u_segment: np.ndarray) -> np.ndarray:

@@ -66,29 +66,32 @@ dimensions in which its offset is zero (:class:`htlr.blocks.DenseBlock`),
 so a self class holds a 2^d-th of its matrix and a mirrored class holds
 transposed views of its mirror's sectors.  Every other dense class, on
 boxes no wider than the rank, of an odd side or of a custom kernel, keeps
-one sector, its matrix.  Each class's product is prepared on the
-coefficient rows of its source boxes (:meth:`htlr.blocks.DenseBlock.prepare`):
-sectors fold the rows into sums and differences of mirrored points, take
-one batched product and unfold it, but a class with more source boxes than
-its block has columns is cheaper through its block, materialized for the
-one product.
+one sector, its matrix.  Whether a class in sectors folds is fixed at
+build from its number of source boxes (:meth:`htlr.blocks.DenseBlock.product`):
+with no more boxes than its block has columns, its product folds the rows
+into sums and differences of mirrored points, takes one batched product
+and unfolds it; with more, as a 2D self class on many boxes, its block is
+materialized for the one product, which is then the cheaper.
 
 The near field and the far field are independent until they are summed
 into f, so the matvec overlaps them, as task-based fast multipole codes run
 the near-field and far-field passes concurrently (E. Agullo, B. Bramas,
 O. Coulaud, E. Darve, M. Messner and T. Takahashi, SIAM J. Sci. Comput. 36,
-2014).  The calling thread gathers and prepares the source rows of each
-dense group on boxes wider than the rank and hands that group's products
-wider than a core, as one task, to a single worker thread; it runs the
-narrower products and every other chain meanwhile, then finishes and sums
-the dense products in class order and adds each chain's part into f in
-chain order.  The worker runs only the matrix products, which release the
+2014).  Each dense group with a product wider than a core hands its
+matrix products, as one task, to a single worker thread, while the calling
+thread makes the operands (materializing the blocks that do not fold) and
+then runs every other chain; it unfolds and sums the dense products in
+class order and adds each chain's part into f in chain order.  The rows of
+a group with a class that folds are gathered and folded on the calling
+thread; the worker gathers those of any other group itself, so that its
+box-major copy of u runs while the calling thread materializes.  Beyond
+that the worker runs only the matrix products, which release the
 interpreter lock, and every sum keeps its order, so f is bit for bit what
-the calling thread alone gives.  Core-sized products stay on the calling
-thread, as many small calls would contend for the interpreter lock: the
-dense groups of boxes no wider than the rank, and sectors of p^d rows,
-such as a 2D self class on boxes of side 2p.  A process that can run on one
-CPU only runs everything there.
+the calling thread alone gives.  Groups of core-sized products stay on the
+calling thread, as many small calls would contend for the interpreter
+lock: the dense groups of boxes no wider than the rank, and a 2D self
+class in sectors of p^d rows on boxes of side 2p.  A process that can run
+on one CPU only runs everything there.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -108,6 +111,7 @@ from .blocks import (
     _lowrank,
     _mirrored,
     _sectors,
+    _toeplitz_windows,
     _tucker_blocks,
     build_dense,
     expand,
@@ -271,12 +275,15 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         payloads.update(zip(at.tolist(), blocks))
     for i in np.flatnonzero(~tucker & built).tolist():
         side = grid.n >> int(levels[i])
-        payloads[i] = build_dense(cfg.kernel, grid, _lattice_box(leaves.tau[firsts[i]], side),
-                                  _lattice_box(leaves.sigma[firsts[i]], side), cfg.quadrature)
+        boxes = (_lattice_box(leaves.tau[firsts[i]], side),
+                 _lattice_box(leaves.sigma[firsts[i]], side))
         # the dimensions a reflection of both boxes leaves the block in
         dims = tuple(np.flatnonzero(offsets[i] == 0).tolist())
         if cfg.kernel.translation_invariant and side > cfg.rank and side % 2 == 0 and dims:
-            payloads[i] = _sectors(payloads[i], (side,) * grid.d, dims)
+            payloads[i] = _sectors(_toeplitz_windows(cfg.kernel, grid, *boxes, cfg.quadrature),
+                                   (side,) * grid.d, dims, len(members[classes[i]]))
+        else:
+            payloads[i] = build_dense(cfg.kernel, grid, *boxes, cfg.quadrature)
     # the built payloads whose stored arrays are not finite, each array read
     # once, as payloads share factors; a mirrored class holds its mirror's
     bad, finite = set(), set()
@@ -403,20 +410,17 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     upward, each class's core applied once to the coefficients of its source
     boxes, and one expansion per group downward; for operators from both
     :func:`construct` and :func:`construct_hmatrix`.  The products of the
-    dense groups on boxes wider than the rank that are wider than a core run
-    on the near-field worker (:func:`_near_field_worker`) while this thread
-    runs the other chains; each chain's part is still added into f in chain
-    order."""
+    dense groups with a product wider than a core run on the near-field
+    worker (:func:`_near_field_worker`) while this thread runs the other
+    chains; each chain's part is still added into f in chain order."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
     f = op.diagonal * u
     worker = _near_field_worker()
     # handed over first, so that they run while the other chains do
-    core = op.config.rank ** op.grid.d
-    offloaded = {i: _offload(worker, u, op.grid, chain[0], core)
-                 for i, chain in enumerate(op.chains)
-                 if worker is not None and _offloads(chain, op.config.rank)}
+    offloaded = {i: _offload(worker, u, op.grid, chain[0]) for i, chain in enumerate(op.chains)
+                 if worker is not None and _offloads(chain, op.config.rank, op.grid.d)}
     parts = []  # the chains' parts from the first offloaded one on, in order
     for i, chain in enumerate(op.chains):
         if i in offloaded:
@@ -430,12 +434,16 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     return f
 
 
-def _offloads(chain, rank: int) -> bool:
+def _offloads(chain, rank: int, d: int) -> bool:
     """Whether the matvec hands a chain's products to the near-field worker
-    (:func:`_offload`): only a dense group on boxes wider than the rank, as
-    the products of boxes no wider are at most core-sized, and many small
-    calls would contend for the interpreter lock."""
-    return not chain[0].maps and chain[0].side > rank
+    (:func:`_offload`): only a dense group with a product wider than a core
+    (than rank^d columns), as many small calls would contend for the
+    interpreter lock.  The products of boxes no wider than the rank are at
+    most core-sized, and so are those of a 2D self class in sectors on boxes
+    of side 2p."""
+    group = chain[0]
+    return (not group.maps and group.side > rank
+            and max(cls.payload.width for cls in group.classes) > rank**d)
 
 
 _worker_lock = threading.Lock()
@@ -458,32 +466,44 @@ def _near_field_worker():
     return _worker[1]
 
 
-def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup, core: int):
-    """Hand a dense group's products wider than a core (than `core`
-    columns) to the worker as one task, and run the others here: the rows
-    of each class's source boxes are gathered and prepared here
-    (:meth:`htlr.blocks.DenseBlock.prepare`), and the worker runs only the
-    matrix products, no function of this package.  Returns the function
-    that waits for them, finishes every product and gives the group's part
-    of A u."""
-    c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
-    steps = [cls.payload.prepare(c[cls.sources]) for cls in group.classes]
-    shape = c.shape
-    del c  # only its shape is needed; a class on every box has it as its rows
-    wide = [(left, right) for left, right, _ in steps if right.shape[-1] > core]
-    # the operands live until their product is made, as the parts of the
-    # other chains are made meanwhile
-    products = worker.submit(
-        lambda pairs=wide: [left @ right for left, right in pairs]) if wide else None
-    here = [None if right.shape[-1] > core else left @ right for left, right, _ in steps]
-    finishes = [finish for _, _, finish in steps]
-    del steps, wide
+def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
+    """Hand a dense group's matrix products to the worker as one task, and
+    make each class's operand meanwhile (:meth:`htlr.blocks.DenseBlock.operand`;
+    a sector block that does not fold is materialized).  The source rows of
+    a group with a class that folds them are gathered and folded here; the
+    worker gathers those of any other group itself, so that its box-major
+    copy of u runs while this thread materializes.  The worker calls no
+    function that the package exports and few of numpy, as each call trades
+    the interpreter lock with this thread.  Returns the function that waits
+    for the products, unfolds them and gives the group's part of A u."""
+    def boxes():
+        return to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
+
+    lefts = shape = None
+    if any(cls.payload.folds for cls in group.classes):
+        c = boxes()
+        lefts, shape = [cls.payload.fold(c[cls.sources]) for cls in group.classes], c.shape
+        del c  # only its shape is needed; a class on every box has it as its rows
+    operands = Future()
+
+    def products(lefts=lefts, shape=shape, operands=operands):
+        if lefts is None:
+            c = boxes()
+            lefts, shape = [c[cls.sources] for cls in group.classes], c.shape
+            del c
+        return [left @ right for left, right in zip(lefts, operands.result())], shape
+
+    task = worker.submit(products)
+    try:
+        operands.set_result([cls.payload.operand() for cls in group.classes])
+    except BaseException as exc:  # the worker must not wait for ever
+        operands.set_exception(exc)
+        raise
 
     def part():
-        there = iter(products.result() if products else ())
-        outs = (_finished(finish, next(there) if out is None else out)
-                for finish, out in zip(finishes, here))
-        return expand(from_boxes(_sum_classes(group, outs, shape), grid.d), group.maps)
+        outs, shape = task.result()
+        unfolded = (cls.payload.unfold(out) for cls, out in zip(group.classes, outs))
+        return expand(from_boxes(_sum_classes(group, unfolded, shape), grid.d), group.maps)
 
     return part
 
@@ -504,8 +524,8 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     A matvec's peak above its input depends on when the worker finishes:
     traced with tracemalloc, it was 4.0–5.3 grid-sized arrays on a 512²
     weak Gaussian with one dense class, whose block is materialized for the
-    product (3.3 without the overlap), and 16.2 on a 128² single layer under
-    the strong rule with nine, five of them folded (7.4)."""
+    product (3.3 without the overlap), and 17.3–17.5 on a 128² single layer
+    under the strong rule with nine, five of them folded (7.4)."""
     coeffs = [u]
     for group in chain:
         coeffs.append(project(coeffs[-1], grid.d, grid.n // group.side, group.maps))
@@ -520,20 +540,8 @@ def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
     """Target coefficient grid of one group from its source coefficient
     grid: each class's core applied once to the rows of its source boxes."""
     d, c = c.ndim // 2, to_boxes(c)
-    products = (_product(*cls.payload.prepare(c[cls.sources])) for cls in group.classes)
+    products = (cls.payload.product(c[cls.sources]) for cls in group.classes)
     return from_boxes(_sum_classes(group, products, c.shape), d)
-
-
-def _product(left: np.ndarray, right: np.ndarray, finish) -> np.ndarray:
-    """A class's product from its ``prepare`` step, in a function of its
-    own so that the operands die with it, before the product is added."""
-    return _finished(finish, left @ right)
-
-
-def _finished(finish, out: np.ndarray) -> np.ndarray:
-    """A class's product from the matrix product `out` of its ``prepare``
-    step and what the step leaves for after it, if anything."""
-    return out if finish is None else finish(out)
 
 
 def _sum_classes(group: FactorGroup, products, shape: tuple) -> np.ndarray:

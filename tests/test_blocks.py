@@ -661,46 +661,52 @@ class TestParitySectors:
     @SECTOR_PAIRS
     def test_materialize_matches_build_dense(self, name, k, grid, tau, sigma, dims):
         plain = build_dense(k, grid, tau, sigma, QuadratureConfig())
-        block = blocks._sectors(plain, tau.sizes, dims)
+        block = blocks._sectors(plain.matrix, tau.sizes, dims, 1)
         n = plain.shape[0]
         assert block.sectors.shape == (2 ** len(dims), n >> len(dims), n >> len(dims))
         assert block.sectors.size == plain.matrix.size >> len(dims)
         full = block.materialize()
         assert block.shape == full.shape == plain.shape
         assert np.abs(full - plain.matrix).max() <= 1e-15 * np.abs(plain.matrix).max()
-        # matrix and core_matrix are materialized on access, never stored
-        assert np.array_equal(block.matrix, full) and np.array_equal(block.core_matrix, full)
+        # matrix is materialized on access, never stored
+        assert np.array_equal(block.matrix, full)
+        # the build reads the windows of the offset table, not the block
+        windows = blocks._toeplitz_windows(k, grid, tau, sigma, QuadratureConfig())
+        assert np.array_equal(blocks._sectors(windows, tau.sizes, dims, 1).sectors,
+                              block.sectors)
         assert block.arrays() == [block.sectors]
 
     @SECTOR_PAIRS
     def test_mirror_is_a_view_of_the_sectors(self, name, k, grid, tau, sigma, dims):
-        block = blocks._sectors(build_dense(k, grid, tau, sigma, QuadratureConfig()),
-                                tau.sizes, dims)
+        block = blocks._sectors(build_dense(k, grid, tau, sigma, QuadratureConfig()).matrix,
+                                tau.sizes, dims, 1)
         mirror = blocks._mirrored(block)
         assert mirror.sectors.base is block.sectors.base or mirror.sectors.base is block.sectors
         assert np.shares_memory(mirror.sectors, block.sectors)
-        assert (mirror.sides, mirror.dims) == (block.sides, block.dims)
+        assert (mirror.sides, mirror.dims, mirror.folds) == (block.sides, block.dims, True)
         assert np.array_equal(mirror.materialize(), block.materialize().T)
 
     @SECTOR_PAIRS
-    def test_both_routes_of_prepare(self, name, k, grid, tau, sigma, dims):
-        """Fewer rows than columns are folded, and the product is one batched
-        product of the sectors; more rows are multiplied by the materialized
-        block."""
+    def test_both_routes_of_the_product(self, name, k, grid, tau, sigma, dims):
+        """Built for no more source boxes than columns, a block folds the
+        rows and its product is one batched product of the sectors; built
+        for more, it multiplies them by the materialized block."""
         plain = build_dense(k, grid, tau, sigma, QuadratureConfig())
-        block = blocks._sectors(plain, tau.sizes, dims)
         n = plain.shape[1]
         for count in (3, n + 1):
+            block = blocks._sectors(plain.matrix, tau.sizes, dims, count)
             rows = np.random.default_rng(count).standard_normal((count, n))
-            left, right, finish = block.prepare(rows)
-            out = left @ right
-            if count <= n:
+            assert block.folds == (count <= n)
+            right = block.operand()
+            if block.folds:
                 assert right.shape == (2 ** len(dims), n >> len(dims), n >> len(dims))
-                out = finish(out)
             else:
-                assert finish is None and right.shape == (n, n)
+                assert right.shape == (n, n) and block.fold(rows) is rows
+            assert block.width == right.shape[-1]
+            out = block.fold(rows) @ right
+            assert np.array_equal(block.unfold(out), block.product(rows))
             expected = rows @ plain.matrix.T
-            assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+            assert np.abs(block.product(rows) - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_plain_block_is_one_sector(self):
         grid = UniformGrid(2, 32)
@@ -709,4 +715,5 @@ class TestParitySectors:
         assert block.dims == () and block.sectors.shape == (1, 32, 8)
         assert block.shape == block.materialize().shape == (32, 8)
         rows = np.ones((2, 8))
-        assert block.prepare(rows)[2] is None
+        assert not block.folds and block.fold(rows) is rows and block.width == 8
+        assert np.array_equal(block.product(rows), rows @ block.matrix.T)

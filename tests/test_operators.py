@@ -398,7 +398,7 @@ class TestClassSharing:
         )
         op = build(cfg, grid)
         classes = [cls for group in op.groups for cls in group.classes]
-        buffers = {cls.payload.core_matrix.ctypes.data for cls in classes}
+        buffers = {cls.payload.arrays()[0].ctypes.data for cls in classes}
         assert len(buffers) == len(classes) == len(tree_leaves(grid, cfg))
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         u = np.random.default_rng(53).standard_normal(grid.num_points)
@@ -466,9 +466,18 @@ class TestClassSharing:
             def __init__(self, block):
                 self.block = block
 
-            def prepare(self, rows):
+            def __getattr__(self, name):
+                return getattr(self.block, name)
+
+            # a class's product, on the calling thread or, through its
+            # operand, on the near-field worker
+            def product(self, rows):
                 cores[id(self)] += 1
-                return self.block.prepare(rows)
+                return self.block.product(rows)
+
+            def operand(self):
+                cores[id(self)] += 1
+                return self.block.operand()
 
         for group in op.groups:
             group.classes[:] = [dataclasses.replace(cls, payload=CoreSpy(cls.payload))
@@ -763,23 +772,29 @@ class TestMatvec:
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
 
     def test_dense_leaf_contributions_bit_identical(self):
+        """A plain dense leaf is the oracle's block bit for bit; every dense
+        leaf's product, as the matvec takes it, is within 1e-15 of the sum
+        of its terms' magnitudes.  Boxes of side 16 hold their dense leaves
+        in sectors, boxes of side p none."""
         grid = UniformGrid(2, 32)
-        cfg = weak_gaussian_cfg()
-        op = construct(cfg, grid)
-        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         rng = np.random.default_rng(40)
         u = rng.standard_normal(grid.num_points)
-        for tau, sigma, block in leaf_payloads(op):
-            if not isinstance(block, DenseBlock):
-                continue
-            sub = block_of(dense.matrix, grid, tau, sigma)
-            if block.dims:
-                # the stored sectors are those folded from the oracle's block
-                sub = blocks._sectors(DenseBlock(sub[None]), block.sides, block.dims).sectors
-                assert np.array_equal(block.sectors, sub)
-                continue
-            cols = sigma.linear_indices(32)
-            assert np.array_equal(block.matrix @ u[cols], sub @ u[cols])
+        for cfg in (weak_gaussian_cfg(), weak_gaussian_cfg(rank=4, leaf=4)):
+            op = construct(cfg, grid)
+            dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+            sectors = 0
+            for tau, sigma, block in leaf_payloads(op):
+                if not isinstance(block, DenseBlock):
+                    continue
+                sub, cols = block_of(dense.matrix, grid, tau, sigma), sigma.linear_indices(32)
+                if block.dims:
+                    sectors += 1
+                else:
+                    assert np.array_equal(block.matrix, sub)
+                got, expected = block.product(u[cols][None])[0], sub @ u[cols]
+                scale = (np.abs(sub) @ np.abs(u[cols])).max()
+                assert np.abs(got - expected).max() <= 1e-15 * scale
+            assert (sectors > 0) == (cfg.rank == 8)
 
 
 def inline_matvec(op, u, monkeypatch):
@@ -813,10 +828,10 @@ def worker(monkeypatch):
 @pytest.fixture(scope="module")
 def cases():
     """(operator, offloaded chains): a one-class near field in parity
-    sectors of p^d rows, whose products stay on the calling thread; the same
-    class on a grid with more boxes than the block has rows, materialized
-    and handed over; nine dense classes under the strong rule with a
-    non-constant a(x), in sectors in two, one and no dimensions; the
+    sectors of p^d rows, which stays on the calling thread; the same class
+    on a grid with more boxes than the block has rows, materialized and
+    handed over, and its baseline; nine dense classes under the strong rule
+    with a non-constant a(x), in sectors in two, one and no dimensions; the
     baseline of the first; a 3D single layer under the strong rule, in
     sectors in three to no dimensions; and 3D leaves of side p, where no
     group is wider than the rank."""
@@ -830,38 +845,59 @@ def cases():
         "gauss2d-n128": (construct(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 128)), 1),
         "slp2d-strong": (construct(slp, grid), 1),
         "gauss2d-hmatrix": (construct_hmatrix(weak_gaussian_cfg(), grid), 0),
+        "gauss2d-n128-hmatrix": (construct_hmatrix(weak_gaussian_cfg(rank=4, leaf=8),
+                                                   UniformGrid(2, 128)), 1),
         "slp3d-strong": (construct(slp3d, UniformGrid(3, 16)), 1),
         "gauss3d-leaf-p": (construct(weak_gaussian_cfg(rank=4, leaf=4), UniformGrid(3, 16)), 0),
     }
 
 
+def wrong_payload(operand):
+    """A dense payload, wider than a core, whose operand is `operand()`."""
+    return types.SimpleNamespace(folds=False, width=100, fold=lambda rows: rows,
+                                 operand=operand, unfold=lambda out: out)
+
+
+def with_near_field(op, payload):
+    """`op` with its near field one class of `payload` on every box."""
+    group = op.chains[0][0]
+    return dataclasses.replace(op, chains=[(dataclasses.replace(
+        group, classes=[TranslationClass(payload, slice(None), slice(None))]),)] + op.chains[1:])
+
+
 class TestNearFieldOverlap:
-    """The dense groups on boxes wider than the rank run their GEMMs on one
-    worker thread while the calling thread runs the other chains; the
-    outputs are those of the calling thread alone, bit for bit."""
+    """The dense groups with a product wider than a core run their products
+    on one worker thread while the calling thread runs the other chains;
+    the outputs are those of the calling thread alone, bit for bit."""
 
     def test_cases_offload_what_they_name(self, cases):
-        gauss2d, slp = cases["gauss2d"][0], cases["slp2d-strong"][0]
-        assert [len(chain[0].classes) for chain in gauss2d.chains
-                if operators._offloads(chain, 8)] == [1]
-        assert [len(chain[0].classes) for chain in slp.chains
-                if operators._offloads(chain, 8)] == [9]
+        def offloaded(name):
+            op = cases[name][0]
+            return [len(chain[0].classes) for chain in op.chains
+                    if operators._offloads(chain, op.config.rank, op.grid.d)]
+
+        # the 2D self class in sectors of 8^2 columns, and then materialized
+        # for the 16^2 boxes of a 128^2 grid, wider than a core of 4^2
+        assert offloaded("gauss2d") == [] and offloaded("gauss2d-n128") == [1]
+        assert offloaded("slp2d-strong") == [9]
         gauss3d = cases["gauss3d-leaf-p"][0]
         assert [chain[0].side for chain in gauss3d.chains if not chain[0].maps] == [4]
-        assert not any(operators._offloads(chain, 4) for chain in gauss3d.chains)
+        assert offloaded("gauss3d-leaf-p") == []
 
     def test_cases_hold_parity_sectors(self, cases):
         """The dimensions of the dense classes' sectors in each case."""
         def dims(name):
             return {cls.payload.dims for group in cases[name][0].groups if not group.maps
                     for cls in group.classes}
-        assert dims("gauss2d") == dims("gauss2d-n128") == dims("gauss2d-hmatrix") == {(0, 1)}
+        assert (dims("gauss2d") == dims("gauss2d-n128") == dims("gauss2d-hmatrix")
+                == dims("gauss2d-n128-hmatrix") == {(0, 1)})
         assert dims("slp2d-strong") == {(0, 1), (0,), (1,), ()}
         assert {len(d) for d in dims("slp3d-strong")} == {0, 1, 2, 3}
         assert dims("gauss3d-leaf-p") == {()}
 
     @pytest.mark.parametrize("name", ["gauss2d", "gauss2d-n128", "slp2d-strong",
-                                      "gauss2d-hmatrix", "slp3d-strong", "gauss3d-leaf-p"])
+                                      "gauss2d-hmatrix", "gauss2d-n128-hmatrix",
+                                      "slp3d-strong", "gauss3d-leaf-p"])
     def test_overlap_equals_the_calling_thread(self, name, cases, worker, monkeypatch):
         op, offloaded = cases[name]
         u = np.random.default_rng(60).standard_normal(op.num_points)
@@ -954,16 +990,27 @@ class TestNearFieldOverlap:
 
     def test_worker_error_reaches_the_caller(self, cases, worker, monkeypatch):
         op, _ = cases["gauss2d"]
-        group = op.chains[0][0]
-        # wider than a core, so that the worker runs its product
-        wrong = types.SimpleNamespace(prepare=lambda rows: (rows, np.ones((3, 100)), None))
-        bad = dataclasses.replace(op, chains=[(dataclasses.replace(
-            group, classes=[TranslationClass(wrong, slice(None), slice(None))]),)] + op.chains[1:])
         u = np.random.default_rng(64).standard_normal(op.num_points)
+        # wider than a core, so that the worker runs its product
+        wrong = wrong_payload(lambda: np.ones((3, 100)))
         with pytest.raises(ValueError, match="matmul"):
-            matvec(bad, u)
+            matvec(with_near_field(op, wrong), u)
         assert worker.tasks == 1
         # the worker survives the error
+        assert np.array_equal(matvec(op, u), inline_matvec(op, u, monkeypatch))
+
+    def test_operand_error_reaches_the_caller(self, cases, worker, monkeypatch):
+        """An operand that fails on the calling thread fails the matvec, and
+        the worker, which waits for it, is released."""
+        op, _ = cases["gauss2d"]
+        u = np.random.default_rng(65).standard_normal(op.num_points)
+
+        def fail():
+            raise FloatingPointError("operand")
+
+        with pytest.raises(FloatingPointError, match="operand"):
+            matvec(with_near_field(op, wrong_payload(fail)), u)
+        assert worker.tasks == 1
         assert np.array_equal(matvec(op, u), inline_matvec(op, u, monkeypatch))
 
 
