@@ -416,11 +416,11 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
-    f = op.diagonal * u
     worker = _near_field_worker()
     # handed over first, so that they run while the other chains do
     offloaded = {i: _offload(worker, u, op.grid, chain[0]) for i, chain in enumerate(op.chains)
                  if worker is not None and _offloads(chain, op.config.rank, op.grid.d)}
+    f = op.diagonal * u
     parts = []  # the chains' parts from the first offloaded one on, in order
     for i, chain in enumerate(op.chains):
         if i in offloaded:
