@@ -77,21 +77,23 @@ The near field and the far field are independent until they are summed
 into f, so the matvec overlaps them, as task-based fast multipole codes run
 the near-field and far-field passes concurrently (E. Agullo, B. Bramas,
 O. Coulaud, E. Darve, M. Messner and T. Takahashi, SIAM J. Sci. Comput. 36,
-2014).  Each dense group with a product wider than a core hands its
-matrix products, as one task, to a single worker thread, while the calling
-thread makes the operands (materializing the blocks that do not fold) and
+2014).  Only the dense group on the finest side can have a product wider
+than a core, and when it does it hands its matrix products to a single
+worker thread, which runs its tasks in the order they are submitted; no
+task waits for the calling thread.  The calling thread makes the operands
+(materializing the blocks that do not fold), submits the products and
 then runs every other chain; it unfolds and sums the dense products in
-class order and adds each chain's part into f in chain order.  The rows of
-a group with a class that folds are gathered and folded on the calling
-thread; the worker gathers those of any other group itself, so that its
-box-major copy of u runs while the calling thread materializes.  Beyond
-that the worker runs only the matrix products, which release the
-interpreter lock, and every sum keeps its order, so f is bit for bit what
-the calling thread alone gives.  Groups of core-sized products stay on the
-calling thread, as many small calls would contend for the interpreter
-lock: the dense groups of boxes no wider than the rank, and a 2D self
-class in sectors of p^d rows on boxes of side 2p.  A process that can run
-on one CPU only runs everything there.
+class order and adds the near part into f first, then each chain's part in
+chain order.  The rows of a group with a class that folds are gathered and
+folded on the calling thread; for any other group the worker's first task
+gathers them, so that its box-major copy of u runs while the calling
+thread materializes.  Beyond that the worker runs only the matrix products,
+which release the interpreter lock, and every sum keeps its order, so f is
+bit for bit what the calling thread alone gives.  Groups of core-sized
+products stay on the calling thread, as many small calls would contend for
+the interpreter lock: the dense groups of boxes no wider than the rank, and
+a 2D self class in sectors of p^d rows on boxes of side 2p.  A process that
+can run on one CPU only runs everything there.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -284,16 +286,10 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
                                    (side,) * grid.d, dims, len(members[classes[i]]))
         else:
             payloads[i] = build_dense(cfg.kernel, grid, *boxes, cfg.quadrature)
-    # the built payloads whose stored arrays are not finite, each array read
-    # once, as payloads share factors; a mirrored class holds its mirror's
-    bad, finite = set(), set()
-    for i, payload in payloads.items():
-        for a in payload.arrays():
-            if id(a) not in finite:
-                if not np.isfinite(a).all():
-                    bad.add(i)
-                    break
-                finite.add(id(a))
+    # the built payloads whose kernel values are not finite: only a payload's
+    # first array, its core or its sectors, holds them, as its factors
+    # depend on the grid alone; a mirrored class holds its mirror's
+    bad = {i for i, payload in payloads.items() if not np.isfinite(payload.arrays()[0]).all()}
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])
@@ -409,39 +405,39 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     """f = A u: the diagonal a(x) u plus, per chain, one projection per group
     upward, each class's core applied once to the coefficients of its source
     boxes, and one expansion per group downward; for operators from both
-    :func:`construct` and :func:`construct_hmatrix`.  The products of the
-    dense groups with a product wider than a core run on the near-field
-    worker (:func:`_near_field_worker`) while this thread runs the other
-    chains; each chain's part is still added into f in chain order."""
+    :func:`construct` and :func:`construct_hmatrix`.  When the first group,
+    the dense one on the finest side, has a product wider than a core
+    (:func:`_offloads`), its products run on the near-field worker
+    (:func:`_near_field_worker`) while this thread runs the other chains;
+    its part is added into f first and theirs after it, in chain order."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
-    worker = _near_field_worker()
-    # handed over first, so that they run while the other chains do
-    offloaded = {i: _offload(worker, u, op.grid, chain[0]) for i, chain in enumerate(op.chains)
-                 if worker is not None and _offloads(chain, op.config.rank, op.grid.d)}
+    worker, near = _near_field_worker(), op.chains[0][0]
+    # handed over first, so that it runs while the other chains do
+    handed = worker is not None and _offloads(near, op.config.rank, op.grid.d)
+    near_part = _offload(worker, u, op.grid, near) if handed else None
     f = op.diagonal * u
-    parts = []  # the chains' parts from the first offloaded one on, in order
-    for i, chain in enumerate(op.chains):
-        if i in offloaded:
-            parts.append(offloaded[i])
-        elif parts:
-            parts.append(_chain_part(u, op.grid, chain))
-        else:
+    if not handed:
+        for chain in op.chains:
             _add(f, _chain_part(u, op.grid, chain))
-    for part in parts:
-        _add(f, part if isinstance(part, np.ndarray) else part())
+        return f
+    far = [_chain_part(u, op.grid, chain) for chain in op.chains[1:]]
+    for part in [near_part(), *far]:
+        _add(f, part)
     return f
 
 
-def _offloads(chain, rank: int, d: int) -> bool:
-    """Whether the matvec hands a chain's products to the near-field worker
+def _offloads(group: FactorGroup, rank: int, d: int) -> bool:
+    """Whether the matvec hands a group's products to the near-field worker
     (:func:`_offload`): only a dense group with a product wider than a core
     (than rank^d columns), as many small calls would contend for the
     interpreter lock.  The products of boxes no wider than the rank are at
     most core-sized, and so are those of a 2D self class in sectors on boxes
-    of side 2p."""
-    group = chain[0]
+    of side 2p.  A dense class on boxes wider than the rank is an
+    inadmissible leaf, as the admissible leaves there are Tucker, and those
+    are on the finest side alone, which :func:`_chains` puts first: so the
+    one group this can accept is an operator's first."""
     return (not group.maps and group.side > rank
             and max(cls.payload.width for cls in group.classes) > rank**d)
 
@@ -467,38 +463,30 @@ def _near_field_worker():
 
 
 def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
-    """Hand a dense group's matrix products to the worker as one task, and
-    make each class's operand meanwhile (:meth:`htlr.blocks.DenseBlock.operand`;
-    a sector block that does not fold is materialized).  The source rows of
-    a group with a class that folds them are gathered and folded here; the
-    worker gathers those of any other group itself, so that its box-major
-    copy of u runs while this thread materializes.  The worker calls no
-    function that the package exports and few of numpy, as each call trades
-    the interpreter lock with this thread.  Returns the function that waits
-    for the products, unfolds them and gives the group's part of A u."""
-    def boxes():
-        return to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
+    """Hand a dense group's matrix products to the worker, which runs its
+    tasks in the order they are submitted; no task waits for this thread.
+    The source rows of a group with a class that folds them are gathered
+    and folded here.  For any other group the worker's first task gathers
+    them, the box-major copy of u and each class's rows, while this thread
+    makes the operands (:meth:`htlr.blocks.DenseBlock.operand`; a sector
+    block that does not fold is materialized).  The products, submitted
+    next, read the finished gather.  The worker calls no function that the
+    package exports and few of numpy, as each call trades the interpreter
+    lock with this thread.  Returns the function that waits for the
+    products, unfolds them and gives the group's part of A u."""
+    def gather():
+        c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
+        return [cls.payload.fold(c[cls.sources]) for cls in group.classes], c.shape
 
-    lefts = shape = None
-    if any(cls.payload.folds for cls in group.classes):
-        c = boxes()
-        lefts, shape = [cls.payload.fold(c[cls.sources]) for cls in group.classes], c.shape
-        del c  # only its shape is needed; a class on every box has it as its rows
-    operands = Future()
+    folds = any(cls.payload.folds for cls in group.classes)
+    rows = gather() if folds else worker.submit(gather)
+    operands = [cls.payload.operand() for cls in group.classes]
 
-    def products(lefts=lefts, shape=shape, operands=operands):
-        if lefts is None:
-            c = boxes()
-            lefts, shape = [c[cls.sources] for cls in group.classes], c.shape
-            del c
-        return [left @ right for left, right in zip(lefts, operands.result())], shape
+    def products():
+        lefts, shape = rows if folds else rows.result()
+        return [left @ right for left, right in zip(lefts, operands)], shape
 
     task = worker.submit(products)
-    try:
-        operands.set_result([cls.payload.operand() for cls in group.classes])
-    except BaseException as exc:  # the worker must not wait for ever
-        operands.set_exception(exc)
-        raise
 
     def part():
         outs, shape = task.result()

@@ -9,7 +9,7 @@ import threading
 import tracemalloc
 import types
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -817,6 +817,21 @@ class CountingWorker:
         return self.pool.submit(fn)
 
 
+class AtOnceWorker:
+    """A near-field worker that runs each task at once on the calling thread
+    and returns it finished, counting the tasks: a task that waited for the
+    calling thread would wait for ever."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def submit(self, fn):
+        self.tasks += 1
+        future = Future()
+        future.set_result(fn())
+        return future
+
+
 @pytest.fixture
 def worker(monkeypatch):
     with ThreadPoolExecutor(1) as pool:
@@ -827,14 +842,16 @@ def worker(monkeypatch):
 
 @pytest.fixture(scope="module")
 def cases():
-    """(operator, offloaded chains): a one-class near field in parity
-    sectors of p^d rows, which stays on the calling thread; the same class
-    on a grid with more boxes than the block has rows, materialized and
-    handed over, and its baseline; nine dense classes under the strong rule
-    with a non-constant a(x), in sectors in two, one and no dimensions; the
-    baseline of the first; a 3D single layer under the strong rule, in
-    sectors in three to no dimensions; and 3D leaves of side p, where no
-    group is wider than the rank."""
+    """(operator, tasks handed to the worker): a one-class near field in
+    parity sectors of p^d rows, which stays on the calling thread; the same
+    class on a grid with more boxes than the block has rows, materialized
+    and handed over as a gather and then the products, and its baseline;
+    nine dense classes under the strong rule with a non-constant a(x), in
+    sectors in two, one and no dimensions, folded on the calling thread and
+    handed over as the products alone; the baseline of the first; a 3D
+    single layer under the strong rule, in sectors in three to no
+    dimensions; and 3D leaves of side p, where no group is wider than the
+    rank."""
     grid = UniformGrid(2, 64)
     slp = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
                       kernel=slp_2d(), coeff=CoefficientFn(lambda x: 1e-3 * (1.0 + x[:, 0])))
@@ -842,11 +859,11 @@ def cases():
                         kernel=slp_3d(), coeff=CoefficientFn.constant(0.0))
     return {
         "gauss2d": (construct(weak_gaussian_cfg(), grid), 0),
-        "gauss2d-n128": (construct(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 128)), 1),
+        "gauss2d-n128": (construct(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 128)), 2),
         "slp2d-strong": (construct(slp, grid), 1),
         "gauss2d-hmatrix": (construct_hmatrix(weak_gaussian_cfg(), grid), 0),
         "gauss2d-n128-hmatrix": (construct_hmatrix(weak_gaussian_cfg(rank=4, leaf=8),
-                                                   UniformGrid(2, 128)), 1),
+                                                   UniformGrid(2, 128)), 2),
         "slp3d-strong": (construct(slp3d, UniformGrid(3, 16)), 1),
         "gauss3d-leaf-p": (construct(weak_gaussian_cfg(rank=4, leaf=4), UniformGrid(3, 16)), 0),
     }
@@ -866,15 +883,16 @@ def with_near_field(op, payload):
 
 
 class TestNearFieldOverlap:
-    """The dense groups with a product wider than a core run their products
-    on one worker thread while the calling thread runs the other chains;
-    the outputs are those of the calling thread alone, bit for bit."""
+    """The dense group on the finest side, when it has a product wider than
+    a core, runs its products on one worker thread while the calling thread
+    runs the other chains; the outputs are those of the calling thread
+    alone, bit for bit."""
 
     def test_cases_offload_what_they_name(self, cases):
         def offloaded(name):
             op = cases[name][0]
-            return [len(chain[0].classes) for chain in op.chains
-                    if operators._offloads(chain, op.config.rank, op.grid.d)]
+            return [len(group.classes) for group in op.groups
+                    if operators._offloads(group, op.config.rank, op.grid.d)]
 
         # the 2D self class in sectors of 8^2 columns, and then materialized
         # for the 16^2 boxes of a 128^2 grid, wider than a core of 4^2
@@ -904,6 +922,63 @@ class TestNearFieldOverlap:
         serial = inline_matvec(op, u, monkeypatch)
         assert np.array_equal(matvec(op, u), serial)
         assert worker.tasks == offloaded
+
+    @pytest.mark.parametrize("name", ["gauss2d-n128", "slp2d-strong"])
+    def test_the_worker_never_waits_for_the_calling_thread(self, name, cases, monkeypatch):
+        """Through a worker that runs each task at once on the calling
+        thread, the matvec finishes and equals the calling thread's alone,
+        on a group that does not fold and on one that folds.  It runs in a
+        daemon thread, so that a hand-over that waits fails here instead of
+        hanging."""
+        op, tasks = cases[name]
+        assert any(cls.payload.folds for cls in op.chains[0][0].classes) == (name == "slp2d-strong")
+        u = np.random.default_rng(66).standard_normal(op.num_points)
+        serial = inline_matvec(op, u, monkeypatch)
+        at_once, result = AtOnceWorker(), []
+        monkeypatch.setattr(operators, "_near_field_worker", lambda: at_once)
+        thread = threading.Thread(target=lambda: result.append(matvec(op, u)), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the hand-over waits for the calling thread"
+        assert at_once.tasks == tasks and len(result) == 1
+        assert np.array_equal(result[0], serial)
+
+    @staticmethod
+    def sweep_cfg(rank, leaf, rule, kernel):
+        return BuildConfig(rank=rank, leaf_side=leaf, rule=rule, kernel=kernel,
+                           coeff=CoefficientFn.constant(0.0))
+
+    # the class-sharing cases (2D weak and strong, leaf side above, at and
+    # below the rank, a custom kernel, one leaf), and 2D strong at and below
+    # the rank and 3D weak and strong
+    ONE_GROUP_CASES = {
+        **TestClassSharing.MATVEC_CASES,
+        "2d-strong-at": (UniformGrid(2, 32), sweep_cfg(
+            4, 4, AdmissibilityRule.strong(np.sqrt(2.0)), slp_2d())),
+        "2d-strong-below": (UniformGrid(2, 32), sweep_cfg(
+            8, 4, AdmissibilityRule.strong(np.sqrt(2.0)), slp_2d())),
+        "3d-weak-above": (UniformGrid(3, 16), sweep_cfg(
+            3, 4, AdmissibilityRule.weak(), gaussian(np.sqrt(3.0)))),
+        "3d-strong-above": (UniformGrid(3, 16), sweep_cfg(
+            4, 8, AdmissibilityRule.strong(np.sqrt(3.0)), slp_3d())),
+        "3d-strong-below": (UniformGrid(3, 16), sweep_cfg(
+            4, 2, AdmissibilityRule.strong(np.sqrt(3.0)), slp_3d())),
+    }
+
+    @pytest.mark.filterwarnings("ignore:leaf side [247] outside")
+    @pytest.mark.parametrize("case", sorted(ONE_GROUP_CASES))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_only_the_first_group_can_be_offloaded(self, case, build):
+        """The first chain is the dense group on the finest side, and no
+        later group has a product wider than a core: the matvec hands over
+        at most the first group."""
+        grid, cfg = self.ONE_GROUP_CASES[case]
+        op = build(cfg, grid)
+        (first,), *later = op.chains
+        assert not first.maps and first.side == min(group.side for group in op.groups)
+        assert not any(operators._offloads(group, cfg.rank, grid.d)
+                       for chain in later for group in chain)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_worker_only_with_two_cpus(self, cpus, monkeypatch):
@@ -995,13 +1070,14 @@ class TestNearFieldOverlap:
         wrong = wrong_payload(lambda: np.ones((3, 100)))
         with pytest.raises(ValueError, match="matmul"):
             matvec(with_near_field(op, wrong), u)
-        assert worker.tasks == 1
+        assert worker.tasks == 2  # the gather, then the products
         # the worker survives the error
         assert np.array_equal(matvec(op, u), inline_matvec(op, u, monkeypatch))
 
     def test_operand_error_reaches_the_caller(self, cases, worker, monkeypatch):
-        """An operand that fails on the calling thread fails the matvec, and
-        the worker, which waits for it, is released."""
+        """An operand that fails on the calling thread fails the matvec; the
+        worker holds only the gather, which waits for nothing, and the
+        products are never handed over."""
         op, _ = cases["gauss2d"]
         u = np.random.default_rng(65).standard_normal(op.num_points)
 
