@@ -2,12 +2,13 @@
 
 There are two block kinds.  An admissible (well-separated) index-box pair is
 compressed from Chebyshev interpolation of the kernel into a Tucker block:
-per-dimension factor matrices around an order-2d core.  The conventional
-low-rank block of the baseline is the same Tucker block with each side's
-factors multiplied out into one Kronecker basis, i.e. an order-2 Tucker
-block u @ g @ v.T.  Every factor is an explicit orthonormal matrix, as
-tall as the box side and as wide as the rank, so a box narrower than the
-rank is rejected.  Inadmissible pairs are stored densely, and so are
+per-dimension factor matrices, the Lagrange bases of each box's Chebyshev
+nodes at its grid points, around an order-2d core, the kernel at the node
+pairs.  The conventional low-rank block of the baseline is the same Tucker
+block with each side's factors multiplied out into one Kronecker basis,
+i.e. an order-2 Tucker block u @ g @ v.T.  Every factor is an explicit
+matrix, as tall as the box side and as wide as the rank, so a box narrower
+than the rank is rejected.  Inadmissible pairs are stored densely, and so are
 admissible pairs on boxes no wider than the rank, whose factors would
 compress nothing; a translation-invariant kernel's dense block is built
 from one kernel value per index offset.  All blocks carry the quadrature
@@ -35,9 +36,9 @@ operators share them among many leaves.
 
 For a symmetric kernel the block of a box pair (sigma, tau) is the
 transpose of the block of (tau, sigma): :func:`_mirrored` gives it as a
-transposed view that holds no array of its own, and :func:`build_tlr`
-builds the pair whose offset is canonical and returns its mirror as that
-view.
+transposed view that holds no array of its own.  Its kernel values at the
+node pairs are bitwise the transpose, so :func:`build_tlr` on any pair
+gives the core of the mirror of the opposite pair bit for bit.
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
@@ -56,8 +57,8 @@ and a coefficient grid (axes (box, coefficient) per dimension).  From the
 grid the matrices are the box factors.  The factors of consecutive box sides
 are nested, so a parent level's coefficients come from its children's
 coefficient grid the same way, through the per-dimension :func:`transfer`
-matrices.  Between them, a block acts on box coefficients through its
-``product`` alone.
+matrices, the parent's Lagrange bases at its children's nodes.  Between
+them, a block acts on box coefficients through its ``product`` alone.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ from .kernels import (
 @dataclass
 class TuckerBlock:
     """Tucker representation of one admissible block: a core with one axis
-    per factor and orthonormal factors for the target (u) and source (v)
+    per factor and interpolation factors for the target (u) and source (v)
     sides; one factor per dimension (order-2d core), or one per side
     (order-2 core) for the baseline's low-rank block.  Each factor is an
-    explicit matrix with orthonormal columns, as tall as the box side.
+    explicit matrix of Lagrange bases, one column per node, as tall as the
+    box side.
     """
 
     core: np.ndarray
@@ -322,15 +324,6 @@ def _mirrored(block):
                        v_factors=list(block.u_factors))
 
 
-def _is_mirror(offsets: np.ndarray) -> np.ndarray:
-    """Whether each source-minus-target offset, a row of `offsets`, is
-    lexicographically negative: the first of its nonzero coordinates is.
-    Such a pair of a symmetric kernel is built as the mirror of the pair at
-    the opposite offset; the zero offset is its own mirror."""
-    first = (offsets != 0).argmax(axis=1)
-    return offsets[np.arange(len(offsets)), first] < 0
-
-
 def _modes(factors) -> list:
     """`factors` paired with their 1-based modes, for
     :func:`tensor.multi_mode_apply`."""
@@ -343,17 +336,17 @@ def _read_only(a):
 
 
 @lru_cache(maxsize=None)
-def _box_factor(grid: UniformGrid, side: int, rank: int):
-    """Thin QR ``(q, r)`` of the interpolation factor of one dimension of
-    every box of `side` cells: by translation invariance of the nodes, that
-    of the box [0, side) in box-relative coordinates.  A box narrower than
-    the rank has no orthonormal factor of that rank and is rejected.
+def _box_factor(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
+    """The interpolation factor of one dimension of every box of `side`
+    cells, the Lagrange bases of its Chebyshev nodes at its grid points: by
+    translation invariance of the nodes, that of the box [0, side) in
+    box-relative coordinates.  A box narrower than the rank would hold a
+    factor wider than tall, which compresses nothing, and is rejected.
     Computed once per (grid, side, rank) and returned read-only."""
     if side < rank:
         raise ValueError(f"box side {side} is narrower than the rank {rank}")
-    raw = factor_matrix(grid.coords1d(0, side), cheb_points(0.0, side * grid.h, rank))
-    fac = tensor.qr(raw)
-    return _read_only(fac.q), _read_only(fac.r)
+    return _read_only(factor_matrix(grid.coords1d(0, side),
+                                    cheb_points(0.0, side * grid.h, rank)))
 
 
 @lru_cache(maxsize=None)
@@ -361,11 +354,18 @@ def transfer(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
     """Per-dimension transfer from boxes of `side` to their parents, boxes of
     ``2 * side``: the ``(2 r_child, r_parent)`` matrix whose row blocks E_0
     and E_1 give the parent factor on its lower and upper half as the child
-    factor times E_c.  This is exact, as a parent factor column restricted to
-    a child is a polynomial of degree below the rank, which the child factor
-    spans.  Computed once per (grid, side, rank) and returned read-only."""
-    child, parent = (_box_factor(grid, s, rank)[0] for s in (side, 2 * side))
-    return _read_only(np.vstack([child.T @ parent[:side], child.T @ parent[side:]]))
+    factor times E_c, the parent's Lagrange bases at the child's nodes: the
+    black-box FMM's upward transfer.  This is exact, as a parent basis
+    restricted to a child is a polynomial of degree below the rank, which
+    the child's interpolation reproduces.  A child narrower than the rank
+    has no factor and is rejected.  Computed once per (grid, side, rank)
+    and returned read-only."""
+    if side < rank:
+        raise ValueError(f"box side {side} is narrower than the rank {rank}")
+    parent = cheb_points(0.0, 2 * side * grid.h, rank)
+    return _read_only(np.vstack([
+        factor_matrix(cheb_points(lo * grid.h, (lo + side) * grid.h, rank).nodes, parent)
+        for lo in (0, side)]))
 
 
 #: the baseline's Kronecker bases by (grid, box sizes, rank), held weakly: a
@@ -376,11 +376,11 @@ _kron_bases = weakref.WeakValueDictionary()
 
 def _kron_basis(grid: UniformGrid, sizes: tuple[int, ...], rank: int) -> np.ndarray:
     """The factors of a box with the given sizes multiplied out into one
-    orthonormal basis; computed once while it is held (:data:`_kron_bases`)
-    and returned read-only."""
+    basis, the tensor Lagrange bases; computed once while it is held
+    (:data:`_kron_bases`) and returned read-only."""
     basis = _kron_bases.get((grid, sizes, rank))
     if basis is None:
-        factors = [_box_factor(grid, side, rank)[0] for side in sizes]
+        factors = [_box_factor(grid, side, rank) for side in sizes]
         # Kronecker order: last dimension outermost, matching the
         # first-index-fastest linearization
         basis = _kron_bases[grid, sizes, rank] = _read_only(
@@ -396,20 +396,18 @@ def build_tlr(
     rank: int,
     h: float,
 ) -> TuckerBlock:
-    """Interpolate the kernel over the box pair, orthogonalize every factor by
-    thin QR, and fold h^d together with the triangular factors into the core.
-    The factors are the shared ones of :func:`_box_factor`, so no box side
-    may be narrower than the rank; the core is stored first index fastest.
-    The one-pair case of :func:`_tucker_blocks`, but for a symmetric
-    kernel's pair whose offset is not canonical (:func:`_is_mirror`): that
-    is built as its mirror and returned as :func:`_mirrored` of it, as the
-    operators hold it, so any pair gets its class's core bit for bit.
+    """Interpolate the kernel over the box pair: the factors are the Lagrange
+    bases of each box's Chebyshev nodes, the shared ones of
+    :func:`_box_factor`, so no box side may be narrower than the rank, and
+    the core is h^d times the kernel at the node pairs, stored first index
+    fastest.  The one-pair case of :func:`_tucker_blocks`.  A symmetric
+    kernel's values at the node pairs of (sigma, tau) are bitwise the
+    transpose of those of (tau, sigma), so any pair gets the core of its
+    class, mirrored or not, bit for bit.
     """
     if domain_of(grid, tau).overlap_volume(domain_of(grid, sigma)) > 0.0:
         raise ValueError("interpolation blocks require disjoint domains")
     taus, sigmas = (np.array([box.ranges]) for box in (tau, sigma))
-    if k.translation_invariant and _is_mirror(sigmas[:, :, 0] - taus[:, :, 0])[0]:
-        return _mirrored(_tucker_blocks(k, grid, sigmas, taus, rank, h)[0])
     return _tucker_blocks(k, grid, taus, sigmas, rank, h)[0]
 
 
@@ -420,11 +418,10 @@ def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
     `sigmas` hold each box's index ranges, integer arrays (pairs, d, 2).
     The Chebyshev nodes of every box come from one elementwise formula, the
     kernel is evaluated on the node pairs of as many blocks at a time as
-    :data:`htlr.kernels.EVAL_CHUNK` evaluations allow, in one call, and h^d
-    and the triangular factors are folded in by mode products over all of
-    those blocks at once.  The cores are read-only views of one array.
-    The pairs are built as given: the operators pass a symmetric kernel's
-    canonical pairs only."""
+    :data:`htlr.kernels.EVAL_CHUNK` evaluations allow, in one call, and
+    scaled by h^d.  The cores are read-only views of one array.  The pairs
+    are built as given: the operators pass a symmetric kernel's canonical
+    pairs only."""
     d, count = grid.d, len(taus)
     u = [_box_factor(grid, int(hi - lo), rank) for lo, hi in taus[0]]
     v = [_box_factor(grid, int(hi - lo), rank) for lo, hi in sigmas[0]]
@@ -434,17 +431,14 @@ def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
                for i in range(d)]
     y_nodes = [_cheb_nodes(sigmas[:, i, :1] * grid.h, sigmas[:, i, 1:] * grid.h, rank)
                for i in range(d)]
-    r_modes = _modes([r for _, r in u + v])
     cores = np.empty((rank,) * (2 * d) + (count,), order="F")
     step = max(1, kernels.EVAL_CHUNK // rank ** (2 * d))
     for start in range(0, count, step):
         part = slice(start, start + step)
-        values = h**d * _core_tensors(k, [x[part] for x in x_nodes],
-                                      [y[part] for y in y_nodes])
-        cores[..., part] = tensor.multi_mode_apply(values, r_modes)
+        cores[..., part] = h**d * _core_tensors(k, [x[part] for x in x_nodes],
+                                                [y[part] for y in y_nodes])
     _read_only(cores)
-    return [TuckerBlock(core=cores[..., c], u_factors=[q for q, _ in u],
-                        v_factors=[q for q, _ in v])
+    return [TuckerBlock(core=cores[..., c], u_factors=list(u), v_factors=list(v))
             for c in range(count)]
 
 
@@ -457,12 +451,13 @@ def build_lowrank(
     h: float,
 ) -> TuckerBlock:
     """The :func:`build_tlr` block with each side's factors multiplied out
-    into one orthonormal basis of rank rank^d: an order-2 Tucker block."""
+    into one basis of rank rank^d: an order-2 Tucker block."""
     return _lowrank(grid, build_tlr(k, grid, tau, sigma, rank, h))
 
 
 def _lowrank(grid: UniformGrid, block: TuckerBlock) -> TuckerBlock:
-    """A :func:`build_tlr` block as the :func:`build_lowrank` block."""
+    """A :func:`build_tlr` block as the :func:`build_lowrank` block: its
+    core as a matrix on the Kronecker bases."""
     rank = block.u_factors[0].shape[1]
     u, v = (_kron_basis(grid, sizes, rank) for sizes in (block.row_sizes, block.col_sizes))
     return TuckerBlock(

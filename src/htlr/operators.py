@@ -19,15 +19,15 @@ class of each pair is built, the one whose offset is lexicographically
 positive (the self class is its own mirror); its mirror holds
 :func:`htlr.blocks._mirrored` of its payload, a transposed view with no
 array of its own, which the matvec applies with the same GEMM.  The
-orientation rule is :func:`htlr.blocks._is_mirror`, and
-:func:`htlr.blocks.build_tlr` builds a non-canonical pair as its mirror
-too, so on any pair it gives its class's payload bit for bit; a dense block
-needs no rule, as the kernel values of (tau, sigma) are bitwise the
-transpose of those of (sigma, tau).  A custom kernel need not be
-symmetric, and its classes are never mirrored.  Payloads are thus shared read-only views.  The
-Tucker payloads of one tree level are built together, their kernel values
-in one call per chunk, and a dense payload of such a kernel is windows of
-one kernel value per index offset (:func:`htlr.blocks.build_dense`).  The
+orientation rule is :func:`_is_mirror`.  No builder needs one: the kernel
+values of (tau, sigma), at the grid points or at the Chebyshev nodes, are
+bitwise the transpose of those of (sigma, tau), so
+:func:`htlr.blocks.build_tlr` gives any pair its class's core bit for bit.
+A custom kernel need not be symmetric, and its classes are never
+mirrored.  Payloads are thus shared read-only views.  The Tucker payloads
+of one tree level are built together, their kernel values in one call per
+chunk, and a dense payload of such a kernel is windows of one kernel value
+per index offset (:func:`htlr.blocks.build_dense`).  The
 coefficient a(x) is not part of any payload; the operator holds it as its
 diagonal, one value when a is constant, which a
 :meth:`htlr.kernels.CoefficientFn.constant` gives without sampling a.  The
@@ -109,7 +109,6 @@ import numpy as np
 
 from .blocks import (
     _box_factor,
-    _is_mirror,
     _lowrank,
     _mirrored,
     _sectors,
@@ -327,7 +326,7 @@ def _mirror_classes(kernel: KernelSpec, levels: np.ndarray, offsets: np.ndarray)
     offset whose payload it mirrors, or -1 for a class that is built.  Only
     a symmetric (translation-invariant) kernel has mirrors: of each pair of
     classes at opposite offsets, the one whose offset is not canonical
-    (:func:`htlr.blocks._is_mirror`)."""
+    (:func:`_is_mirror`)."""
     mirror = np.full(len(levels), -1)
     if kernel.translation_invariant:
         index = {(level, tuple(offset)): i for i, (level, offset)
@@ -335,6 +334,15 @@ def _mirror_classes(kernel: KernelSpec, levels: np.ndarray, offsets: np.ndarray)
         for i in np.flatnonzero(_is_mirror(offsets)).tolist():
             mirror[i] = index.get((int(levels[i]), tuple((-offsets[i]).tolist())), -1)
     return mirror
+
+
+def _is_mirror(offsets: np.ndarray) -> np.ndarray:
+    """Whether each source-minus-target offset, a row of `offsets`, is
+    lexicographically negative: the first of its nonzero coordinates is.
+    Such a class of a symmetric kernel mirrors the class at the opposite
+    offset; the zero offset is its own mirror."""
+    first = (offsets != 0).argmax(axis=1)
+    return offsets[np.arange(len(offsets)), first] < 0
 
 
 def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
@@ -358,7 +366,7 @@ def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
             maps = (transfer(grid, side // 2, rank),) * grid.d
             chains[-1].append(FactorGroup(side, maps, classes))
         else:
-            maps = (_box_factor(grid, side, rank)[0],) * grid.d if factored else ()
+            maps = (_box_factor(grid, side, rank),) * grid.d if factored else ()
             chains.append([FactorGroup(side, maps, classes)])
     return [tuple(chain) for chain in chains]
 

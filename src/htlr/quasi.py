@@ -249,18 +249,11 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
         counts.append(np.count_nonzero(keep.reshape(size, -1), axis=1))
         cells.append((i[:, None] + j[:, :, None] * m_side)[keep])
         areas.append(g[keep])
-    # the entries come triangle block by triangle block in batch order;
-    # gather the blocks in triangle order
-    batches, counts = np.concatenate(batches), np.concatenate(counts)
-    indptr = np.zeros(num + 1, dtype=np.int64)
-    indptr[batches + 1] = counts
-    np.cumsum(indptr, out=indptr)
-    first = np.empty(num, dtype=np.int64)
-    first[batches] = np.cumsum(counts) - counts
-    gather = np.repeat(first - indptr[:-1], np.diff(indptr)) + np.arange(indptr[-1])
+    # the entries come triangle block by triangle block in batch order, each
+    # block in cell order; the conversion puts the blocks in triangle order
     return sp.csr_matrix(
-        (np.concatenate(areas)[gather] / (m_side * m_side),
-         np.concatenate(cells)[gather], indptr),
+        (np.concatenate(areas) / (m_side * m_side),
+         (np.repeat(np.concatenate(batches), np.concatenate(counts)), np.concatenate(cells))),
         shape=(num, m_side * m_side),
     )
 

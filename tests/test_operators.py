@@ -445,7 +445,7 @@ class TestClassSharing:
         assert all(g.maps for g in nested[0])
         assert all(len(chain) == 1 for chain in op.chains if not chain[0].maps)
         first = nested[0][0]
-        q = blocks._box_factor(grid, first.side, cfg.rank)[0]
+        q = blocks._box_factor(grid, first.side, cfg.rank)
         assert len(first.maps) == grid.d
         assert all(m is q for m in first.maps)
         if build is construct:
