@@ -5,15 +5,16 @@ compressed from Chebyshev interpolation of the kernel into a Tucker block:
 per-dimension factor matrices, the Lagrange bases of each box's Chebyshev
 nodes at its grid points, around an order-2d core, the kernel at the node
 pairs.  The conventional low-rank block of the baseline is the same Tucker
-block with each side's factors multiplied out into one Kronecker basis,
-i.e. an order-2 Tucker block u @ g @ v.T.  Every factor is an explicit
-matrix, as tall as the box side and as wide as the rank, so a box narrower
-than the rank is rejected.  Inadmissible pairs are stored densely, and so are
-admissible pairs on boxes no wider than the rank, whose factors would
-compress nothing; a translation-invariant kernel's dense block is built
-from one kernel value per index offset.  All blocks carry the quadrature
-weight h^d of the discretization, so materializing any block reproduces
-the corresponding submatrix of the system matrix.
+block with each side's factors multiplied out into one Kronecker basis, i.e.
+an order-2 Tucker block u @ g @ v.T, on a basis that the operators make once
+per tree level and :func:`build_lowrank` once per pair.  Every factor is an
+explicit matrix, as tall as the box side and as wide as the rank, so a box
+narrower than the rank is rejected.  Inadmissible pairs are stored densely,
+and so are admissible pairs on boxes no wider than the rank, whose factors
+would compress nothing; a translation-invariant kernel's dense block is
+built from one kernel value per index offset.  All blocks carry the
+quadrature weight h^d of the discretization, so materializing any block
+reproduces the corresponding submatrix of the system matrix.
 
 The built-in kernels are radial, so a dense block on two boxes of one even
 side is unchanged when both boxes are reflected in a dimension in which
@@ -64,7 +65,6 @@ them, a block acts on box coefficients through its ``product`` alone.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -368,24 +368,11 @@ def transfer(grid: UniformGrid, side: int, rank: int) -> np.ndarray:
         for lo in (0, side)]))
 
 
-#: the baseline's Kronecker bases by (grid, box sizes, rank), held weakly: a
-#: basis grows with the box (32 MB for a 256^2 box at rank 8), so it is one
-#: object while any block holds it and is freed with the last of them
-_kron_bases = weakref.WeakValueDictionary()
-
-
-def _kron_basis(grid: UniformGrid, sizes: tuple[int, ...], rank: int) -> np.ndarray:
-    """The factors of a box with the given sizes multiplied out into one
-    basis, the tensor Lagrange bases; computed once while it is held
-    (:data:`_kron_bases`) and returned read-only."""
-    basis = _kron_bases.get((grid, sizes, rank))
-    if basis is None:
-        factors = [_box_factor(grid, side, rank) for side in sizes]
-        # Kronecker order: last dimension outermost, matching the
-        # first-index-fastest linearization
-        basis = _kron_bases[grid, sizes, rank] = _read_only(
-            reduce(np.kron, reversed(factors)))
-    return basis
+def _kron_basis(factors) -> np.ndarray:
+    """A box's factors multiplied out into one basis, the tensor Lagrange
+    bases, the last dimension outermost as the first-index-fastest
+    linearization has it; returned read-only."""
+    return _read_only(reduce(np.kron, reversed(factors)))
 
 
 def build_tlr(
@@ -451,15 +438,15 @@ def build_lowrank(
     h: float,
 ) -> TuckerBlock:
     """The :func:`build_tlr` block with each side's factors multiplied out
-    into one basis of rank rank^d: an order-2 Tucker block."""
-    return _lowrank(grid, build_tlr(k, grid, tau, sigma, rank, h))
+    into one basis of rank rank^d, made for this pair: an order-2 Tucker
+    block."""
+    block = build_tlr(k, grid, tau, sigma, rank, h)
+    return _lowrank(block, _kron_basis(block.u_factors), _kron_basis(block.v_factors))
 
 
-def _lowrank(grid: UniformGrid, block: TuckerBlock) -> TuckerBlock:
+def _lowrank(block: TuckerBlock, u: np.ndarray, v: np.ndarray) -> TuckerBlock:
     """A :func:`build_tlr` block as the :func:`build_lowrank` block: its
-    core as a matrix on the Kronecker bases."""
-    rank = block.u_factors[0].shape[1]
-    u, v = (_kron_basis(grid, sizes, rank) for sizes in (block.row_sizes, block.col_sizes))
+    core as a matrix on the Kronecker bases `u` and `v` of its factors."""
     return TuckerBlock(
         core=block.core.reshape(u.shape[1], v.shape[1], order="F"),
         u_factors=[u],

@@ -6,14 +6,15 @@ layer potential -log(|x-y|)/(2 pi), and the 3D single layer potential
 
 The diagonal matrix entry of the Nystrom discretization is the cell average
 of k(x_i, .) over the cell centered at x_i; on a triangle mesh, the triangle
-average of k(centroid, .).  This module owns both self terms.  A kernel
-smooth at the diagonal gets its cell averages from one tensor Gauss-Legendre
-rule over the cell.  Every other self term goes through one Duffy rule:
-pieces with their apex at the singular point and their bases split at the
-feet of the perpendiculars from it, each under a tensor Gauss-Legendre rule
-graded toward the apex for singular kernels, and along a triangle's edges
-under a sinh substitution.  It alone decides the self entries and keeps
-coincident pairs from the kernel evaluator.
+average of k(centroid, .).  This module owns both self terms, the cells' in
+:func:`self_entries` alone.  A kernel smooth at the diagonal gets its cell
+averages from one tensor Gauss-Legendre rule over the cell.  Every other
+self term goes through one Duffy rule, which keeps coincident pairs from the
+kernel evaluator: pieces with their apex at the singular point and their
+bases split at the feet of the perpendiculars from it, a Gauss-Legendre rule
+along the rays, graded toward the apex for singular kernels, times one base
+rule, a tensor Gauss-Legendre rule that a cell's pieces share or a triangle
+half edge's own under a sinh substitution.
 
 A translation-invariant kernel between cell centres of a uniform grid
 depends on the index offset between the cells alone, so a block of box
@@ -26,7 +27,7 @@ pairs (:func:`pairwise`, :func:`pairwise_self`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -275,9 +276,12 @@ def _gauss01(q: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _tensor_rule(axes_nodes, axes_weights):
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    return mesh, reduce(np.multiply.outer, axes_weights)
+def _tensor_rule(nodes, weights, axes: int):
+    """The product of `axes` copies of the 1-D rule (nodes, weights): its
+    nodes (m, axes), the first axis slowest, and their weights (m,); of no
+    axes, one node of weight 1."""
+    index = np.indices((len(nodes),) * axes).reshape(axes, len(nodes) ** axes).T
+    return nodes[index], np.prod(weights[index], axis=1)
 
 
 def _smooth_cell_averages(k, centers, h, q):
@@ -286,36 +290,30 @@ def _smooth_cell_averages(k, centers, h, q):
     one kernel call."""
     d = centers.shape[1]
     gx, gw = _gauss01(q)
-    mesh, w = _tensor_rule([h * gx] * d, [h * gw] * d)
-    pts = (centers[:, None, :] - h / 2) + np.stack([m.ravel() for m in mesh], axis=-1)
+    nodes, w = _tensor_rule(h * gx, h * gw, d)
+    pts = (centers[:, None, :] - h / 2) + nodes
     vals = _evaluate(k, np.broadcast_to(centers[:, None, :], pts.shape), pts)
-    return np.sum(vals * w.ravel(), axis=-1) / h**d
+    return np.sum(vals * w, axis=-1) / h**d
 
 
-def _duffy(k, apex, a, b, q, graded, base=None):
+def _duffy(k, apex, a, b, q, graded, base):
     """Integral of k(apex_p, .) over each piece {apex_p + u (a_p + sum_j v_j
-    b_pj) : u, v_j in [0, 1]} for apex, a (P, d) and b (P, d-1, d), all in one
-    kernel call: Jacobian |det[a, b]| u^(d-1), u graded when `graded`.  Each
-    v_j takes the Gauss-Legendre rule on [0, 1]; for d = 2, `base` may give
-    v a rule (nodes, weights) of its own per piece, each (P, q)."""
+    b_pj) : u in [0, 1], v in the base} for apex, a (P, d) and b (P, d-1, d),
+    all in one kernel call: Jacobian |det[a, b]| u^(d-1), u graded when
+    `graded`.  The base rule ``base = (v, wv)`` gives m points v on
+    [0, 1]^(d-1) and their weights, shared by all pieces, (m, d-1) and
+    (m,), or per piece, (P, m, d-1) and (P, m)."""
     d = apex.shape[1]
     gx, gw = _gauss01(q)
     m = RADIAL_GRADING if graded else 1
     u, wu = gx**m, m * gx ** (m - 1) * gw
     det = np.abs(np.linalg.det(np.concatenate([a[:, None, :], b], axis=1)))
-    if base is not None:
-        v, wv = base
-        rays = a[:, None, :] + v[:, :, None] * b[:, 0, None, :]
-        pts = apex[:, None, None, :] + u[:, None, None] * rays[:, None, :, :]
-        vals = _evaluate(k, np.broadcast_to(apex[:, None, None, :], pts.shape), pts)
-        return det * np.einsum("puv,u,pv->p", vals, u * wu, wv)
-    mesh, w = _tensor_rule([u] + [gx] * (d - 1), [wu] + [gw] * (d - 1))
-    u = mesh[0].ravel()
-    rays = a[:, None, :] + sum(v.ravel()[:, None] * b[:, None, j]
-                               for j, v in enumerate(mesh[1:]))
-    pts = apex[:, None, :] + u[:, None] * rays
-    vals = _evaluate(k, np.broadcast_to(apex[:, None, :], pts.shape), pts)
-    return det * (vals @ (u ** (d - 1) * w.ravel()))
+    v, wv = base
+    rays = a[:, None, :] + sum(v[..., j, None] * b[:, None, j] for j in range(d - 1))
+    pts = apex[:, None, None, :] + u[:, None, None] * rays[:, None, :, :]
+    vals = _evaluate(k, np.broadcast_to(apex[:, None, None, :], pts.shape), pts)
+    return det * np.einsum("puv,u,pv->p", vals, u ** (d - 1) * wu,
+                           np.broadcast_to(wv, rays.shape[:2]))
 
 
 def _singular_cell_averages(k, centers, h, q):
@@ -330,8 +328,10 @@ def _singular_cell_averages(k, centers, h, q):
     a = half.reshape(-1, d)
     others = [[j for j in range(d) if j != i] for i in range(d)]
     b = half[:, others].reshape(len(a), d - 1, d)
+    gx, gw = _gauss01(q)
     pieces = _duffy(k, np.repeat(centers, len(a), axis=0), np.tile(a, (count, 1)),
-                    np.tile(b, (count, 1, 1)), q, graded=True)
+                    np.tile(b, (count, 1, 1)), q, graded=True,
+                    base=_tensor_rule(gx, gw, d - 1))
     return pieces.reshape(count, len(a)).sum(axis=1) / h**d
 
 
@@ -389,34 +389,28 @@ def triangle_entries(k: KernelSpec, corners, centers, areas,
     wv = (s1 - s0) * gw * delta * np.cosh(s) / length
     apex = np.repeat(c, 6, axis=1).reshape(-1, 2)
     pieces = _duffy(k, apex, a, b[:, None, :], cfg.q,
-                    graded=not k.smooth_at_diagonal, base=(v, wv))
+                    graded=not k.smooth_at_diagonal, base=(v[..., None], wv))
     return pieces.reshape(-1, 6).sum(axis=1) / np.asarray(areas, dtype=np.float64)
 
 
 def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) -> float:
-    """Cell average of k(x_i, .) over the width-h cell centered at x_i.
-
-    Translation-invariant kernels are integrated around the origin so the
-    result is bit-identical for every cell.
-    """
-    center = np.asarray(cell_center, dtype=np.float64)
-    if k.translation_invariant:
-        center = np.zeros_like(center)
-    return float(_cell_averages(k, center[None], h, cfg.q)[0])
+    """Cell average of k(x_i, .) over the width-h cell centered at x_i:
+    :func:`self_entries` at one point."""
+    return float(self_entries(k, np.asarray(cell_center, dtype=np.float64)[None], h, cfg)[0])
 
 
 @lru_cache(maxsize=None)
 def _origin_entry(k: KernelSpec, d: int, h: float, cfg: QuadratureConfig) -> float:
-    return diagonal_entry(k, np.zeros(d), h, cfg)
+    return float(_cell_averages(k, np.zeros((1, d)), h, cfg.q)[0])
 
 
 def self_entries(
     k: KernelSpec, pts: np.ndarray, h: float, cfg: QuadratureConfig
 ) -> np.ndarray:
-    """:func:`diagonal_entry` at every point of `pts`; a translation-invariant
-    kernel has one value for all cells, integrated once per (kernel, d, h,
-    quadrature); any other kernel's entries are integrated in chunks of
-    cells, one kernel call each."""
+    """Average of k(x, .) over the width-h cell centered at x, for every x
+    in `pts`: of a translation-invariant kernel one value for all cells,
+    integrated once per (kernel, d, h, quadrature) at the origin; of any
+    other kernel in chunks of cells, one kernel call each."""
     pts = np.asarray(pts, dtype=np.float64)
     if k.translation_invariant:
         return np.full(len(pts), _origin_entry(k, pts.shape[1], h, cfg))

@@ -48,30 +48,31 @@ each chain as the black-box fast multipole method does (W. Fong and
 E. Darve, J. Comput. Phys. 228, 2009), per dimension.  Each group holds the
 maps of its level step, one per dimension: the box factor of its side at
 the chain's finest side, the transfers above it.  A baseline payload's
-basis is those box factors multiplied out, so the baseline's matvec is the
-Tucker operator's, bit for bit.  Upward, each group projects the level
-below (the grid, at the finest side) through its maps; each class's core
-matrix is applied once to the coefficient rows of its source boxes and
-added into the rows of its target boxes; downward, each group expands its
-target coefficients through its maps onto the level below.  Dense payloads form
-groups without maps, each a chain of its own: their coefficients are the
-grid values of each box.  An admissible leaf on boxes no wider than the
-rank is stored dense too, as the full-matrix format of an H-matrix stores
-a block whose rank is no smaller than its size (W. Hackbusch, Hierarchical
-Matrices, Springer 2015): factors that wide would compress nothing, and the
-kernel submatrix holds as many scalars as the core would.  A
-translation-invariant kernel's dense class on boxes wider than the rank,
-of an even side, is stored in parity sectors: 2^k of them for the k
-dimensions in which its offset is zero (:class:`htlr.blocks.DenseBlock`),
-so a self class holds a 2^d-th of its matrix and a mirrored class holds
-transposed views of its mirror's sectors.  Every other dense class, on
-boxes no wider than the rank, of an odd side or of a custom kernel, keeps
-one sector, its matrix.  Whether a class in sectors folds is fixed at
-build from its number of source boxes (:meth:`htlr.blocks.DenseBlock.product`):
-with no more boxes than its block has columns, its product folds the rows
-into sums and differences of mirrored points, takes one batched product
-and unfolds it; with more, as a 2D self class on many boxes, its block is
-materialized for the one product, which is then the cheaper.
+basis is those box factors multiplied out, one per level for all its
+classes, so the baseline's matvec is the Tucker operator's, bit for bit.
+Upward, each group projects the level below (the grid, at the finest side)
+through its maps; each class's core matrix is applied once to the
+coefficient rows of its source boxes and added into the rows of its target
+boxes; downward, each group expands its target coefficients through its
+maps onto the level below.  Dense payloads form groups without maps, each a
+chain of its own: their coefficients are the grid values of each box.  An
+admissible leaf on boxes no wider than the rank is stored dense too, as the
+full-matrix format of an H-matrix stores a block whose rank is no smaller
+than its size (W. Hackbusch, Hierarchical Matrices, Springer 2015): factors
+that wide would compress nothing, and the kernel submatrix holds as many
+scalars as the core would.  A translation-invariant kernel's dense class on
+boxes wider than the rank, of an even side, is stored in parity sectors:
+2^k of them for the k dimensions in which its offset is zero
+(:class:`htlr.blocks.DenseBlock`), so a self class holds a 2^d-th of its
+matrix and a mirrored class holds transposed views of its mirror's sectors.
+Every other dense class, on boxes no wider than the rank, of an odd side or
+of a custom kernel, keeps one sector, its matrix.  Whether a class in
+sectors folds is fixed at build from its number of source boxes
+(:meth:`htlr.blocks.DenseBlock.product`): with no more boxes than its block
+has columns, its product folds the rows into sums and differences of
+mirrored points, takes one batched product and unfolds it; with more, as a
+2D self class on many boxes, its block is materialized for the one product,
+which is then the cheaper.
 
 The near field and the far field are independent until they are summed
 into f, so the matvec overlaps them, as task-based fast multipole codes run
@@ -109,6 +110,7 @@ import numpy as np
 
 from .blocks import (
     _box_factor,
+    _kron_basis,
     _lowrank,
     _mirrored,
     _sectors,
@@ -272,7 +274,9 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
                         for coords in (leaves.tau[firsts[at]], leaves.sigma[firsts[at]]))
         blocks = _tucker_blocks(cfg.kernel, grid, taus, sigmas, cfg.rank, grid.h)
         if lowrank:
-            blocks = [_lowrank(grid, block) for block in blocks]
+            # one basis for the level: its boxes are cubes of one side
+            basis = _kron_basis(blocks[0].u_factors)
+            blocks = [_lowrank(block, basis, basis) for block in blocks]
         payloads.update(zip(at.tolist(), blocks))
     for i in np.flatnonzero(~tucker & built).tolist():
         side = grid.n >> int(levels[i])
@@ -285,17 +289,14 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
                                    (side,) * grid.d, dims, len(members[classes[i]]))
         else:
             payloads[i] = build_dense(cfg.kernel, grid, *boxes, cfg.quadrature)
-    # the built payloads whose kernel values are not finite: only a payload's
-    # first array, its core or its sectors, holds them, as its factors
-    # depend on the grid alone; a mirrored class holds its mirror's
-    bad = {i for i, payload in payloads.items() if not np.isfinite(payload.arrays()[0]).all()}
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])
         side = grid.n >> level
         payload = payloads[i] if built[i] else _mirrored(payloads[mirror[i]])
-        # in class order, so that the first bad leaf is named
-        if (i if built[i] else mirror[i]) in bad:
+        # a payload's kernel values are its first array, core or sectors;
+        # checked in class order, so that the first bad leaf is named
+        if not np.isfinite(payload.arrays()[0]).all():
             tau, sigma = (_lattice_box(leaves.tau[leaf], side),
                           _lattice_box(leaves.sigma[leaf], side))
             raise ValueError(
@@ -416,8 +417,8 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     :func:`construct` and :func:`construct_hmatrix`.  When the first group,
     the dense one on the finest side, has a product wider than a core
     (:func:`_offloads`), its products run on the near-field worker
-    (:func:`_near_field_worker`) while this thread runs the other chains;
-    its part is added into f first and theirs after it, in chain order."""
+    (:func:`_near_field_worker`) while this thread runs the other chains.
+    The chains' parts are added into f in one loop, in chain order."""
     u = checked_vector(u)
     if u.size != op.num_points:
         raise ValueError(f"vector length {u.size} != {op.num_points}")
@@ -426,13 +427,11 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     handed = worker is not None and _offloads(near, op.config.rank, op.grid.d)
     near_part = _offload(worker, u, op.grid, near) if handed else None
     f = op.diagonal * u
-    if not handed:
-        for chain in op.chains:
-            _add(f, _chain_part(u, op.grid, chain))
-        return f
-    far = [_chain_part(u, op.grid, chain) for chain in op.chains[1:]]
-    for part in [near_part(), *far]:
-        _add(f, part)
+    parts = [_chain_part(u, op.grid, chain) for chain in op.chains[int(handed):]]
+    # each part on the axes (box, in-box) per dimension, added into the flat f
+    for part in [near_part()] + parts if handed else parts:
+        f_boxes = f.reshape(part.shape)
+        f_boxes += part
     return f
 
 
@@ -504,23 +503,16 @@ def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
     return part
 
 
-def _add(f: np.ndarray, part: np.ndarray) -> None:
-    """Add a chain's part of A u, on the axes (box, in-box) per dimension,
-    into the flat f."""
-    f_boxes = f.reshape(part.shape)
-    f_boxes += part
-
-
 def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     """One chain's part of A u.  A function of its own, so that its
     temporaries die on return, before the next chain makes its own, and
     each level's source coefficients once that level is applied.  An
     offloaded group's gathered rows and products live while the other
-    chains run, and so does each part until the parts before it are added.
+    chains run, and every chain's part lives until the parts are added.
     A matvec's peak above its input depends on when the worker finishes:
     traced with tracemalloc, it was 4.0–5.3 grid-sized arrays on a 512²
     weak Gaussian with one dense class, whose block is materialized for the
-    product (3.3 without the overlap), and 17.3–17.5 on a 128² single layer
+    product (4.0 without the overlap), and 17.3–17.5 on a 128² single layer
     under the strong rule with nine, five of them folded (7.4)."""
     coeffs = [u]
     for group in chain:

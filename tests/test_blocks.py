@@ -587,8 +587,10 @@ class TestNestedFactors:
 
     def test_kronecker_basis_of_a_box_narrower_than_the_rank(self):
         # a box of side 7 has no factor of rank 8 to multiply out
+        grid = UniformGrid(2, 56)
+        tau, sigma = IndexBox(((0, 7), (0, 7))), IndexBox(((14, 21), (14, 21)))
         with pytest.raises(ValueError, match="box side 7 is narrower than the rank 8"):
-            blocks._kron_basis(UniformGrid(2, 56), (7, 7), 8)
+            build_lowrank(gaussian(np.sqrt(2.0)), grid, tau, sigma, 8, grid.h)
 
 
 class TestStorageCount:
@@ -691,6 +693,14 @@ class TestParitySectors:
     """A dense block that is unchanged when both boxes are reflected in k
     dimensions is stored as 2^k sectors of a 2^k-th of its rows each, and
     gives back its block to rounding."""
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_signs_are_the_walsh_hadamard_matrix(self, k):
+        # entry (c, p) is (-1)^popcount(c & p), the order _parts gives
+        parts = 2**k
+        expected = [[(-1) ** bin(c & p).count("1") for p in range(parts)]
+                    for c in range(parts)]
+        assert np.array_equal(blocks._signs(parts), expected)
 
     @SECTOR_PAIRS
     def test_materialize_matches_build_dense(self, name, k, grid, tau, sigma, dims):

@@ -214,19 +214,19 @@ class TestPairwiseSelf:
 
 class TestSelfEntries:
     @pytest.mark.parametrize(
-        "kernel",
-        [slp_2d(),
-         custom(lambda x, y: (1.0 + x[..., 0]) * np.exp(-np.sum((x - y) ** 2, axis=-1)))],
-        ids=["slp2d", "custom"],
+        "kernel,d",
+        [(gaussian(np.sqrt(2.0)), 2), (slp_2d(), 2), (slp_3d(), 3),
+         (custom(lambda x, y: (1.0 + x[..., 0]) * np.exp(-np.sum((x - y) ** 2, axis=-1))), 2)],
+        ids=["gaussian", "slp2d", "slp3d", "custom"],
     )
-    def test_equal_per_point_diagonal_entry(self, kernel):
-        pts = np.random.default_rng(29).random((6, 2))
+    def test_equal_per_point_diagonal_entry(self, kernel, d):
+        pts = np.random.default_rng(29).random((6, d))
         h, cfg = 1 / 8, QuadratureConfig()
         expected = [diagonal_entry(kernel, p, h, cfg) for p in pts]
         assert np.array_equal(self_entries(kernel, pts, h, cfg), expected)
 
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "singular"])
     def test_custom_kernel_cells_batched_in_chunks(self, d, smooth, monkeypatch):
         # one kernel call per chunk of cells gives the bits of one call per
@@ -260,7 +260,8 @@ class TestSquaredDistance:
         cases = [
             (pts[:256, None, :], pts[None, 44:, :]),
             (pts[sel][:, None, :], pts[None, :, :]),
-            (np.broadcast_to(apex[:, None, :], (24, 100, d)), rng.random((24, 100, d))),
+            (np.broadcast_to(apex[:, None, None, :], (24, 10, 10, d)),
+             rng.random((24, 10, 10, d))),
             (nodes[0][:, None, :, :], nodes[1][:, :, None, :]),
             (pts[0], pts[1]),
         ]
@@ -278,6 +279,15 @@ def test_translation_invariance_is_the_kernel_kind():
 
 
 class TestDiagonalEntry:
+    @pytest.mark.parametrize("kernel,d,h,expected", [
+        (slp_2d(), 2, 1 / 128, 0.9411159152664184),
+        (slp_3d(), 3, 1 / 32, 6.060817238695636),
+    ], ids=["slp2d", "slp3d"])
+    def test_singular_cell_average_pinned(self, kernel, d, h, expected):
+        # the Duffy rule's value at q = 10 to the rounding of its sum
+        value = kernels._cell_averages(kernel, np.zeros((1, d)), h, 10)[0]
+        assert abs(value - expected) <= 2e-15 * expected
+
     def test_constant_kernel_exact(self):
         k = custom(lambda x, y: np.ones(np.broadcast(x, y).shape[:-1]))
         val = diagonal_entry(k, (0.3, 0.4), 1 / 8, QuadratureConfig())

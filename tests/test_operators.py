@@ -196,13 +196,14 @@ class TestConstruct:
         from htlr import kernels
 
         calls = []
-        original = kernels.diagonal_entry
+        original = kernels._cell_averages
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(kernels, "diagonal_entry", counting)
+        # the one quadrature of the self entries
+        monkeypatch.setattr(kernels, "_cell_averages", counting)
         kernels._origin_entry.cache_clear()
         cfg = BuildConfig(
             rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
@@ -607,6 +608,26 @@ class TestLatticeBuild:
         "quasi-n8192-grid": (UniformGrid(2, 128), weak_gaussian_cfg(),
                              (1048576, 172032, 1032192), (64, 252)),
     }
+
+    # the baseline operators: the per-level Kronecker basis keeps the stored
+    # and resident scalars that one basis per (box sizes, rank) gave
+    BASELINES = {
+        "gauss2d-n128-weak": (UniformGrid(2, 128), weak_gaussian_cfg(), 20_955_136, 409_985),
+        "slp2d-n64-strong": (UniformGrid(2, 64), BuildConfig(
+            rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        ), 9_945_088, 311_425),
+        "slp3d-n32-strong": (UniformGrid(3, 32), BuildConfig(
+            rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
+            kernel=slp_3d(), coeff=CoefficientFn.constant(0.0),
+        ), 349_798_400, 2_744_353),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BASELINES))
+    def test_baseline_storage(self, case):
+        grid, cfg, total, resident = self.BASELINES[case]
+        rep = storage_report(construct_hmatrix(cfg, grid))
+        assert (rep.total_scalars, rep.resident_scalars) == (total, resident)
 
     @pytest.mark.parametrize("case", sorted(WORKLOADS))
     def test_workload_counts(self, case):
@@ -1250,7 +1271,9 @@ class TestParitySectors:
 class TestLevelBatches:
     """The build evaluates the Tucker cores of all classes of one tree level
     together; each core keeps the bits of its own build_tlr or build_lowrank
-    block."""
+    block.  The Tucker classes share the factor objects of build_tlr; the
+    baseline classes of a level share one basis, made by the build and equal
+    to build_lowrank's."""
 
     CASES = {
         "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
@@ -1288,14 +1311,22 @@ class TestLevelBatches:
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
         sides = collections.Counter()
+        bases = collections.defaultdict(set)  # ids of the baseline's bases by side
         for side, payload, tau, sigma in self.tucker_classes(op):
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
             assert np.array_equal(payload.core, block.core)
-            assert all(f is g for f, g in zip(payload.u_factors + payload.v_factors,
-                                               block.u_factors + block.v_factors))
+            factors, expected = (b.u_factors + b.v_factors for b in (payload, block))
+            if build is construct:
+                assert all(f is g for f, g in zip(factors, expected))
+            else:
+                assert all(np.array_equal(f, g) for f, g in zip(factors, expected))
+                bases[side].update(id(f) for f in factors)
             sides[side] += 1
         # several levels, each a batch of several classes
         assert len(sides) >= 2 and min(sides.values()) >= 2
+        if build is construct_hmatrix:
+            assert sorted(bases) == sorted(sides)
+            assert all(len(ids) == 1 for ids in bases.values())
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @BUILDS
