@@ -22,9 +22,12 @@ their offset is zero.  In the basis of sums and differences of mirrored
 points it is then block diagonal (A. Cantoni and P. Butler, Linear Algebra
 Appl. 13, 1976), as optimized Chebyshev FMM codes use the symmetries of
 their kernels to shrink their operators (M. Messner et al., 2012).  Such a
-:class:`DenseBlock` stores only its 2^k diagonal sectors, built from the
-block's windows by sums and differences (:func:`_sectors`); a self block
-keeps a 2^d-th of its scalars.  The plain dense block is the case k = 0.
+:class:`DenseBlock` stores only its 2^k diagonal sectors; a self block keeps
+a 2^d-th of its scalars.  One transform forms the sums and differences of
+mirrored points, :func:`_fold`, with its adjoint :func:`_unfold`: they fold
+a product's rows and unfold its result, build the sectors from the block's
+rows in one part (:func:`_sectors`) and give back those rows of the block
+(:func:`_unfolded`).  The plain dense block is the case k = 0.
 
 On a uniform grid a box's interpolation factor depends only on the grid, the
 box side and the rank: it is computed once in box-relative coordinates and
@@ -161,14 +164,13 @@ class DenseBlock:
 
     @property
     def shape(self) -> tuple[int, int]:
-        if not self.dims:
-            return self.sectors.shape[1:]
-        return (math.prod(self.sides),) * 2
+        parts, rows, cols = self.sectors.shape
+        return rows * parts, cols * parts
 
     @property
     def matrix(self) -> np.ndarray:
         """The full block: of a sector block, materialized on each access
-        (2 * 2^k - 1 strided copies of the block's size) and never stored."""
+        (2^(k+1) strided copies) and never stored."""
         return self.materialize()
 
     @property
@@ -199,9 +201,8 @@ class DenseBlock:
 
     def product(self, rows: np.ndarray) -> np.ndarray:
         """The block applied to the grid values of many source boxes, one
-        box per row: ``rows @ matrix.T``."""
-        if not self.dims:  # the plain block, without the steps' calls
-            return rows @ self.sectors[0].T
+        box per row: ``rows @ matrix.T``, by its steps, whose fold and
+        unfold return their argument for a block that does not fold."""
         return self.unfold(self.fold(rows) @ self.operand())
 
     def scalars(self) -> tuple[int, int, int]:
@@ -272,36 +273,26 @@ def _sectors(block: np.ndarray, sides: tuple, dims: tuple, boxes: int) -> DenseB
     :func:`_toeplitz_windows` gives them), unchanged when both boxes are
     reflected in each dimension of `dims` (sides even there), as its 2^k
     sectors, which fold its products with the rows of `boxes` source boxes
-    when they are no more than the block's columns.  Its rows in part 0 and
-    its columns in part c of :func:`_parts` are a window of the block, and
-    sector p is the sum of those windows with the signs of :func:`_signs`,
-    over 2^k: sums and differences of the block's entries, by one product
-    with the 2^k signs and none with the transform, and the division is
-    exact.  Only the windows are read.  Returned read-only."""
+    when they are no more than the block's columns.  The sectors are
+    :func:`_fold` of the block's rows in part 0 of :func:`_parts`, over 2^k:
+    sums and differences of the block's entries, and the division is exact.
+    Only those rows are read.  Returned read-only."""
     parts, points = _parts(sides, dims), math.prod(sides)
-    full = block.reshape(sides[::-1] * 2)
-    windows = np.stack([full[parts[0] + columns] for columns in parts])
-    sectors = _signs(len(parts)) @ windows.reshape(len(parts), -1) / len(parts)
-    size = points // len(parts)
-    return DenseBlock(_read_only(sectors.reshape(-1, size, size)), tuple(sides), tuple(dims),
-                      boxes <= points)
+    rows = block.reshape(sides[::-1] * 2)[parts[0]].reshape(-1, points)
+    return DenseBlock(_read_only(_fold(rows, sides, dims) / len(parts)), tuple(sides),
+                      tuple(dims), boxes <= points)
 
 
 def _unfolded(sectors: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
     """The matrix ``F.T @ diag(sectors) @ F`` of :class:`DenseBlock`, the
-    inverse of :func:`_sectors`.  Its rows in part 0 and its columns in
-    part c of :func:`_parts` are the window that :func:`_sectors` reads for
-    part c, the sectors combined by :func:`_signs`; and as the block is
-    unchanged when both boxes are reflected, its rows in part a are those
-    of part 0 with the columns reflected in the dimensions of a."""
+    inverse of :func:`_sectors`.  Its rows in part 0 of :func:`_parts` are
+    :func:`_unfold` of the sectors; and as the block is unchanged when both
+    boxes are reflected, its rows in part a are those of part 0 with the
+    columns reflected in the dimensions of a."""
     d, parts = len(sides), _parts(sides, dims)
-    windows = (_signs(len(parts)) @ sectors.reshape(len(parts), -1)).reshape(
-        (len(parts),) + _part_shape(sides, dims) * 2)
+    lower = _unfold(sectors, sides, dims).reshape(_part_shape(sides, dims) + sides[::-1])
     full = np.empty(sides[::-1] * 2)
-    for columns, window in zip(parts, windows):
-        full[parts[0] + columns] = window
-    lower = full[parts[0]]
-    for a, rows in enumerate(parts[1:], 1):
+    for a, rows in enumerate(parts):
         # the column axes, last dimension first
         reflect = tuple(slice(None, None, -1) if dim in dims and a >> dims.index(dim) & 1
                         else slice(None) for dim in reversed(range(d)))

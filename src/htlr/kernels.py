@@ -346,6 +346,16 @@ def _cell_averages(k, centers, h, q):
         average, evals = _smooth_cell_averages, q**d
     else:
         average, evals = _singular_cell_averages, 2**d * d * q**d
+        # the Duffy sum of a kernel too singular for the cell is finite but
+        # grows with the order: two orders where an integrable one has settled
+        # (q may be too low), against the average of |k|, as k's may vanish
+        probe = max(q, 10)
+        low, high = (average(k, centers[:1], h, order) for order in (probe, 2 * probe))
+        size = average(custom(lambda x, y: np.abs(_evaluate(k, x, y)), smooth_at_diagonal=False),
+                       centers[:1], h, probe)
+        if np.any(np.abs(high - low) > 1e-3 * size):
+            raise ValueError(f"the self term does not converge ({low[0]:.6g} at order {probe}, "
+                             f"{high[0]:.6g} at {2 * probe}): not integrable over a cell")
     step = max(1, EVAL_CHUNK // evals)
     out = np.empty(count)
     for start in range(0, count, step):
@@ -410,7 +420,8 @@ def self_entries(
     """Average of k(x, .) over the width-h cell centered at x, for every x
     in `pts`: of a translation-invariant kernel one value for all cells,
     integrated once per (kernel, d, h, quadrature) at the origin; of any
-    other kernel in chunks of cells, one kernel call each."""
+    other kernel in chunks of cells, one kernel call each.  A kernel that is
+    not integrable over a cell is rejected."""
     pts = np.asarray(pts, dtype=np.float64)
     if k.translation_invariant:
         return np.full(len(pts), _origin_entry(k, pts.shape[1], h, cfg))

@@ -16,14 +16,16 @@ is symmetric too, so the class at offset -o is the transpose of the class
 at +o, as a symmetric H-matrix stores one block of each pair (b, b^T)
 (W. Hackbusch, Hierarchical Matrices, Springer 2015).  Only the canonical
 class of each pair is built, the one whose offset is lexicographically
-positive (the self class is its own mirror); its mirror holds
-:func:`htlr.blocks._mirrored` of its payload, a transposed view with no
-array of its own, which the matvec applies with the same GEMM.  The
-orientation rule is :func:`_is_mirror`.  No builder needs one: the kernel
-values of (tau, sigma), at the grid points or at the Chebyshev nodes, are
-bitwise the transpose of those of (sigma, tau), so
-:func:`htlr.blocks.build_tlr` gives any pair its class's core bit for bit.
-A custom kernel need not be symmetric, and its classes are never
+positive (the self class is its own mirror).  The other looks up the class
+at the same level and the opposite offset, which exists because
+admissibility is symmetric and the lattice refines a pair and its swap
+alike, and holds :func:`htlr.blocks._mirrored` of its payload, a
+transposed view with no array of its own, which the matvec applies with
+the same GEMM.  The orientation rule is :func:`_is_mirror`.  No builder
+needs one: the kernel values of (tau, sigma), at the grid points or at
+the Chebyshev nodes, are bitwise the transpose of those of (sigma, tau),
+so :func:`htlr.blocks.build_tlr` gives any pair its class's core bit for
+bit.  A custom kernel need not be symmetric, and its classes are never
 mirrored.  Payloads are thus shared read-only views.  The Tucker payloads
 of one tree level are built together, their kernel values in one call per
 chunk, and a dense payload of such a kernel is windows of one kernel value
@@ -262,13 +264,12 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     levels = leaves.level[firsts]
     tucker = leaves.admissible[firsts] & (grid.n >> levels > cfg.rank)
     offsets = leaves.sigma[firsts] - leaves.tau[firsts]
-    mirror = _mirror_classes(cfg.kernel, levels, offsets)
-    built = mirror < 0
+    mirror = cfg.kernel.translation_invariant & _is_mirror(offsets)
     # the Tucker payloads of a level in one batch, as its cores share one
     # kernel evaluation per chunk
     payloads = {}
-    for level in np.unique(levels[tucker & built]).tolist():
-        at = np.flatnonzero(tucker & built & (levels == level))
+    for level in np.unique(levels[tucker & ~mirror]).tolist():
+        at = np.flatnonzero(tucker & ~mirror & (levels == level))
         side = grid.n >> level
         taus, sigmas = (np.stack([coords * side, (coords + 1) * side], axis=-1)
                         for coords in (leaves.tau[firsts[at]], leaves.sigma[firsts[at]]))
@@ -278,7 +279,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
             basis = _kron_basis(blocks[0].u_factors)
             blocks = [_lowrank(block, basis, basis) for block in blocks]
         payloads.update(zip(at.tolist(), blocks))
-    for i in np.flatnonzero(~tucker & built).tolist():
+    for i in np.flatnonzero(~tucker & ~mirror).tolist():
         side = grid.n >> int(levels[i])
         boxes = (_lattice_box(leaves.tau[firsts[i]], side),
                  _lattice_box(leaves.sigma[firsts[i]], side))
@@ -289,11 +290,15 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
                                    (side,) * grid.d, dims, len(members[classes[i]]))
         else:
             payloads[i] = build_dense(cfg.kernel, grid, *boxes, cfg.quadrature)
+    if cfg.kernel.translation_invariant:
+        opposite = {(level, tuple(offset)): i for i, (level, offset)
+                    in enumerate(zip(levels.tolist(), (-offsets).tolist()))}
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
         leaf, level = firsts[i], int(levels[i])
         side = grid.n >> level
-        payload = payloads[i] if built[i] else _mirrored(payloads[mirror[i]])
+        payload = (_mirrored(payloads[opposite[level, tuple(offsets[i].tolist())]])
+                   if mirror[i] else payloads[i])
         # a payload's kernel values are its first array, core or sectors;
         # checked in class order, so that the first bad leaf is named
         if not np.isfinite(payload.arrays()[0]).all():
@@ -319,22 +324,6 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
     return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
                       chains=_chains(groups, grid, cfg.rank))
-
-
-def _mirror_classes(kernel: KernelSpec, levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """For each class, given by its level and its source-minus-target box
-    offset, the index of the class at the same level and the opposite
-    offset whose payload it mirrors, or -1 for a class that is built.  Only
-    a symmetric (translation-invariant) kernel has mirrors: of each pair of
-    classes at opposite offsets, the one whose offset is not canonical
-    (:func:`_is_mirror`)."""
-    mirror = np.full(len(levels), -1)
-    if kernel.translation_invariant:
-        index = {(level, tuple(offset)): i for i, (level, offset)
-                 in enumerate(zip(levels.tolist(), offsets.tolist()))}
-        for i in np.flatnonzero(_is_mirror(offsets)).tolist():
-            mirror[i] = index.get((int(levels[i]), tuple((-offsets[i]).tolist())), -1)
-    return mirror
 
 
 def _is_mirror(offsets: np.ndarray) -> np.ndarray:

@@ -229,6 +229,8 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     span = np.clip(np.ceil(xy.max(axis=1)), 0, m_side + 1).astype(np.int64) - lo
     xy -= lo[:, None]
     order = np.lexsort(span[::-1])  # by columns, then by rows
+    # the triples in the index dtype scipy takes, so that it copies none
+    index = _index_dtype(max(num, m_side * m_side))
     batches, counts, cells, areas = [], [], [], []
     start = 0
     while start < num:
@@ -245,9 +247,9 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
         j = lo[1, tris, None] + np.arange(g.shape[1])
         keep = ((g > 1e-13) & ((i >= 0) & (i < m_side))[:, None]
                 & ((j >= 0) & (j < m_side))[:, :, None])
-        batches.append(tris)
+        batches.append(tris.astype(index))
         counts.append(np.count_nonzero(keep.reshape(size, -1), axis=1))
-        cells.append((i[:, None] + j[:, :, None] * m_side)[keep])
+        cells.append((i[:, None] + j[:, :, None] * m_side)[keep].astype(index))
         areas.append(g[keep])
     # the entries come triangle block by triangle block in batch order, each
     # block in cell order; the conversion puts the blocks in triangle order
@@ -256,6 +258,12 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
          (np.repeat(np.concatenate(batches), np.concatenate(counts)), np.concatenate(cells))),
         shape=(num, m_side * m_side),
     )
+
+
+def _index_dtype(size: int) -> np.dtype:
+    """The index dtype of a scipy.sparse matrix whose larger side is `size`:
+    the smallest signed type that holds -size - 1, at least int32."""
+    return np.promote_types(np.min_scalar_type(-size - 1), np.int32)
 
 
 def _checked_transfer(mat, failure) -> SparseInterpMatrix:

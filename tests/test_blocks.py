@@ -729,6 +729,7 @@ class TestParitySectors:
         assert np.shares_memory(mirror.sectors, block.sectors)
         assert (mirror.sides, mirror.dims, mirror.folds) == (block.sides, block.dims, True)
         assert np.array_equal(mirror.materialize(), block.materialize().T)
+        assert mirror.shape == mirror.materialize().shape == block.shape
 
     @SECTOR_PAIRS
     def test_both_routes_of_the_product(self, name, k, grid, tau, sigma, dims):
@@ -758,6 +759,8 @@ class TestParitySectors:
         block = build_dense(slp_2d(), grid, tau, sigma, QuadratureConfig())
         assert block.dims == () and block.sectors.shape == (1, 32, 8)
         assert block.shape == block.materialize().shape == (32, 8)
+        mirror = blocks._mirrored(block)
+        assert mirror.shape == mirror.materialize().shape == (8, 32)
         rows = np.ones((2, 8))
         assert not block.folds and block.fold(rows) is rows and block.width == 8
         assert np.array_equal(block.product(rows), rows @ block.matrix.T)

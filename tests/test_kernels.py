@@ -234,6 +234,10 @@ class TestSelfEntries:
         if smooth:
             kernel = custom(lambda x, y: (1.0 + x[..., 0])
                             * np.exp(-np.sum((x - y) ** 2, axis=-1)))
+        elif d == 1:  # 1/|x - y| is not integrable over a 1-D cell
+            kernel = custom(lambda x, y: (1.0 + x[..., 0])
+                            * -np.log(np.abs(x[..., 0] - y[..., 0])),
+                            smooth_at_diagonal=False)
         else:
             kernel = custom(lambda x, y: (1.0 + x[..., 0])
                             / np.sqrt(np.sum((x - y) ** 2, axis=-1)),
@@ -282,11 +286,35 @@ class TestDiagonalEntry:
     @pytest.mark.parametrize("kernel,d,h,expected", [
         (slp_2d(), 2, 1 / 128, 0.9411159152664184),
         (slp_3d(), 3, 1 / 32, 6.060817238695636),
-    ], ids=["slp2d", "slp3d"])
+        (custom(inverse_distance, smooth_at_diagonal=False), 2, 1 / 16, 56.40790956925142),
+        (custom(lambda x, y: -np.log(np.abs(x[..., 0] - y[..., 0])), smooth_at_diagonal=False),
+         1, 1 / 16, 4.46573361048555),
+    ], ids=["slp2d", "slp3d", "inverse-distance-2d", "log-1d"])
     def test_singular_cell_average_pinned(self, kernel, d, h, expected):
         # the Duffy rule's value at q = 10 to the rounding of its sum
         value = kernels._cell_averages(kernel, np.zeros((1, d)), h, 10)[0]
         assert abs(value - expected) <= 2e-15 * expected
+
+    @pytest.mark.parametrize("kernel,d", [
+        (custom(inverse_distance, smooth_at_diagonal=False), 1),
+        (custom(lambda x, y: 1.0 / np.sum((x - y) ** 2, axis=-1), smooth_at_diagonal=False), 2),
+    ], ids=["inverse-distance-1d", "inverse-square-2d"])
+    def test_non_integrable_kernel_rejected(self, kernel, d):
+        # the Duffy sum is finite, but grows with the order: 562 at q = 10
+        # and 691 at q = 20 for 1/|x - y| in 1-D at h = 1/16
+        with pytest.raises(ValueError, match="not integrable over a cell"):
+            diagonal_entry(kernel, np.full(d, 0.5), 1 / 16, QuadratureConfig())
+
+    @pytest.mark.parametrize("kernel,h", [
+        (custom(lambda x, y: (x[..., 0] - y[..., 0]) / np.sum((x - y) ** 2, axis=-1),
+                smooth_at_diagonal=False), 1 / 16),
+        (slp_2d(), 2.8897657030683424),
+    ], ids=["odd-2d", "slp2d-at-its-zero"])
+    def test_vanishing_cell_average_accepted(self, kernel, h):
+        # integrable, with a cell average of zero: its Duffy sums at two
+        # orders are rounding noise, which no relative change can judge
+        value = diagonal_entry(kernel, (0.5, 0.5), h, QuadratureConfig())
+        assert abs(value) <= 1e-12
 
     def test_constant_kernel_exact(self):
         k = custom(lambda x, y: np.ones(np.broadcast(x, y).shape[:-1]))

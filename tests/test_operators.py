@@ -1139,6 +1139,15 @@ class TestNonFinitePayloads:
         u = np.random.default_rng(52).standard_normal(grid.num_points)
         assert np.isfinite(matvec(op, u)).all()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_integrable_custom_kernel_rejected(self, d):
+        # 1/|x - y|^d has a finite self term at every quadrature order, one
+        # that grows with the order
+        kernel = custom(lambda x, y: np.sum((x - y) ** 2, axis=-1) ** (-d / 2),
+                        smooth_at_diagonal=False)
+        with pytest.raises(ValueError, match="not integrable over a cell"):
+            construct(self.cfg(kernel), UniformGrid(d, 16))
+
 
     def test_non_finite_wide_self_block_rejected(self, monkeypatch):
         """A translation-invariant kernel that is NaN at the distance h, which

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from htlr import (
     AdmissibilityRule,
@@ -405,6 +406,13 @@ class TestTransferMatrices:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("size", [2**31 - 1, 2**31])
+    def test_triples_in_the_index_dtype_scipy_takes(self, size):
+        # a matrix with no entries takes its index dtype from its shape alone
+        empty = np.zeros(0, dtype=np.int64)
+        coo = sp.coo_matrix((np.zeros(0), (empty, empty)), shape=(1, size))
+        assert quasi._index_dtype(size) == coo.row.dtype == coo.col.dtype
 
     @pytest.mark.parametrize("m_side", [32, 64, 78])
     def test_pipeline_ratios_match_independent_clipper(self, m_side):
