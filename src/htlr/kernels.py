@@ -346,16 +346,8 @@ def _cell_averages(k, centers, h, q):
         average, evals = _smooth_cell_averages, q**d
     else:
         average, evals = _singular_cell_averages, 2**d * d * q**d
-        # the Duffy sum of a kernel too singular for the cell is finite but
-        # grows with the order: two orders where an integrable one has settled
-        # (q may be too low), against the average of |k|, as k's may vanish
-        probe = max(q, 10)
-        low, high = (average(k, centers[:1], h, order) for order in (probe, 2 * probe))
-        size = average(custom(lambda x, y: np.abs(_evaluate(k, x, y)), smooth_at_diagonal=False),
-                       centers[:1], h, probe)
-        if np.any(np.abs(high - low) > 1e-3 * size):
-            raise ValueError(f"the self term does not converge ({low[0]:.6g} at order {probe}, "
-                             f"{high[0]:.6g} at {2 * probe}): not integrable over a cell")
+        _check_integrable(k, q, "cell",
+                          lambda kernel, order: average(kernel, centers[:1], h, order))
     step = max(1, EVAL_CHUNK // evals)
     out = np.empty(count)
     for start in range(0, count, step):
@@ -363,10 +355,25 @@ def _cell_averages(k, centers, h, q):
     return out
 
 
+def _check_integrable(k: KernelSpec, q: int, region: str, average) -> None:
+    """Reject a kernel whose first self term over a `region`,
+    ``average(kernel, order)``, is finite but grows with the order: taken at
+    two orders where an integrable kernel's has settled (q may be too low),
+    against the average of |k|, as k's may vanish."""
+    probe = max(q, 10)
+    low, high = (average(k, order) for order in (probe, 2 * probe))
+    size = average(custom(lambda x, y: np.abs(_evaluate(k, x, y)), smooth_at_diagonal=False),
+                   probe)
+    if np.any(np.abs(high - low) > 1e-3 * size):
+        raise ValueError(f"the self term does not converge ({low[0]:.6g} at order {probe}, "
+                         f"{high[0]:.6g} at {2 * probe}): not integrable over a {region}")
+
+
 def triangle_entries(k: KernelSpec, corners, centers, areas,
                      cfg: QuadratureConfig) -> np.ndarray:
     """Average of k(center_t, .) over each triangle t, for corners (T, 3, 2),
-    centers (T, 2) and areas (T,).  Each edge is split at the foot of the
+    centers (T, 2) and areas (T,); a kernel that is not integrable over a
+    triangle is rejected.  Each edge is split at the foot of the
     perpendicular from the center, clamped to the edge, and each half edge
     is the base of one Duffy piece with its apex at the center; the pieces
     are graded when the kernel is singular.  Along a base of length |b| the
@@ -376,8 +383,16 @@ def triangle_entries(k: KernelSpec, corners, centers, areas,
     Gauss-Legendre in s stays accurate on half edges many times longer than
     delta, as on obtuse triangles.  A half edge of zero length (a clamped
     foot) gets zero weight."""
-    start = np.asarray(corners, dtype=np.float64)
-    c = np.asarray(centers, dtype=np.float64)[:, None, :]
+    corners, centers, areas = (np.asarray(a, dtype=np.float64) for a in (corners, centers, areas))
+    if not k.smooth_at_diagonal:
+        _check_integrable(k, cfg.q, "triangle", lambda kernel, order: _triangle_averages(
+            kernel, corners[:1], centers[:1], areas[:1], order))
+    return _triangle_averages(k, corners, centers, areas, cfg.q)
+
+
+def _triangle_averages(k: KernelSpec, start, centers, areas, q: int) -> np.ndarray:
+    """:func:`triangle_entries` at the quadrature order q, of the corners `start`, unchecked."""
+    c = centers[:, None, :]
     edge = np.roll(start, -1, axis=1) - start
     t = np.sum((c - start) * edge, axis=-1) / np.sum(edge * edge, axis=-1)
     # the center's distance to each edge's line, that to the unclamped foot
@@ -393,14 +408,14 @@ def triangle_entries(k: KernelSpec, corners, centers, areas,
     # ends in s
     near = np.sum(a * b, axis=1)[:, None] / length
     s0, s1 = np.arcsinh(near / delta), np.arcsinh((near + span) / delta)
-    gx, gw = _gauss01(cfg.q)
+    gx, gw = _gauss01(q)
     s = s0 + (s1 - s0) * gx
     v = (delta * np.sinh(s) - near) / length
     wv = (s1 - s0) * gw * delta * np.cosh(s) / length
     apex = np.repeat(c, 6, axis=1).reshape(-1, 2)
-    pieces = _duffy(k, apex, a, b[:, None, :], cfg.q,
+    pieces = _duffy(k, apex, a, b[:, None, :], q,
                     graded=not k.smooth_at_diagonal, base=(v[..., None], wv))
-    return pieces.reshape(-1, 6).sum(axis=1) / np.asarray(areas, dtype=np.float64)
+    return pieces.reshape(-1, 6).sum(axis=1) / areas
 
 
 def diagonal_entry(k: KernelSpec, cell_center, h: float, cfg: QuadratureConfig) -> float:

@@ -81,22 +81,17 @@ into f, so the matvec overlaps them, as task-based fast multipole codes run
 the near-field and far-field passes concurrently (E. Agullo, B. Bramas,
 O. Coulaud, E. Darve, M. Messner and T. Takahashi, SIAM J. Sci. Comput. 36,
 2014).  Only the dense group on the finest side can have a product wider
-than a core, and when it does it hands its matrix products to a single
-worker thread, which runs its tasks in the order they are submitted; no
-task waits for the calling thread.  The calling thread makes the operands
-(materializing the blocks that do not fold), submits the products and
-then runs every other chain; it unfolds and sums the dense products in
-class order and adds the near part into f first, then each chain's part in
-chain order.  The rows of a group with a class that folds are gathered and
-folded on the calling thread; for any other group the worker's first task
-gathers them, so that its box-major copy of u runs while the calling
-thread materializes.  Beyond that the worker runs only the matrix products,
-which release the interpreter lock, and every sum keeps its order, so f is
-bit for bit what the calling thread alone gives.  Groups of core-sized
-products stay on the calling thread, as many small calls would contend for
-the interpreter lock: the dense groups of boxes no wider than the rank, and
-a 2D self class in sectors of p^d rows on boxes of side 2p.  A process that
-can run on one CPU only runs everything there.
+than a core, and when it does the calling thread gathers and folds its
+source rows, makes its operands (materializing the blocks that do not fold)
+and hands its matrix products, which release the interpreter lock, to a
+single worker thread as one task.  It then runs every other chain, unfolds
+and sums the dense products in class order, and adds the near part into f
+first, then each chain's part in chain order.  Every sum keeps its order,
+so f is bit for bit what the calling thread alone gives.  Groups of
+core-sized products stay on the calling thread, as many small calls would
+contend for the interpreter lock: the dense groups of boxes no wider than
+the rank, and a 2D self class in sectors of p^d rows on boxes of side 2p.
+A process that can run on one CPU only runs everything there.
 """
 
 from __future__ import annotations
@@ -136,7 +131,7 @@ from .grids import (
     build_block_cluster_tree,
     build_cluster_tree,
 )
-from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, _Constant
+from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, _Constant, _real_values
 
 @dataclass(frozen=True)
 class BuildConfig:
@@ -459,34 +454,22 @@ def _near_field_worker():
 
 
 def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
-    """Hand a dense group's matrix products to the worker, which runs its
-    tasks in the order they are submitted; no task waits for this thread.
-    The source rows of a group with a class that folds them are gathered
-    and folded here.  For any other group the worker's first task gathers
-    them, the box-major copy of u and each class's rows, while this thread
-    makes the operands (:meth:`htlr.blocks.DenseBlock.operand`; a sector
-    block that does not fold is materialized).  The products, submitted
-    next, read the finished gather.  The worker calls no function that the
-    package exports and few of numpy, as each call trades the interpreter
-    lock with this thread.  Returns the function that waits for the
-    products, unfolds them and gives the group's part of A u."""
-    def gather():
-        c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
-        return [cls.payload.fold(c[cls.sources]) for cls in group.classes], c.shape
-
-    folds = any(cls.payload.folds for cls in group.classes)
-    rows = gather() if folds else worker.submit(gather)
+    """Hand a dense group's matrix products to the worker as one task.  This
+    thread gathers and folds every class's source rows, the box-major copy
+    of u included, and makes the operands
+    (:meth:`htlr.blocks.DenseBlock.operand`; a sector block that does not
+    fold is materialized); the worker runs only the products, as each numpy
+    call it makes trades the interpreter lock with this thread.  Returns the
+    function that waits for the products, unfolds them and gives the
+    group's part of A u; it keeps the copy's shape, not the copy."""
+    c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
+    shape = c.shape
+    lefts = [cls.payload.fold(c[cls.sources]) for cls in group.classes]
     operands = [cls.payload.operand() for cls in group.classes]
-
-    def products():
-        lefts, shape = rows if folds else rows.result()
-        return [left @ right for left, right in zip(lefts, operands)], shape
-
-    task = worker.submit(products)
+    task = worker.submit(lambda: [left @ right for left, right in zip(lefts, operands)])
 
     def part():
-        outs, shape = task.result()
-        unfolded = (cls.payload.unfold(out) for cls, out in zip(group.classes, outs))
+        unfolded = (cls.payload.unfold(out) for cls, out in zip(group.classes, task.result()))
         return expand(from_boxes(_sum_classes(group, unfolded, shape), grid.d), group.maps)
 
     return part
@@ -630,10 +613,11 @@ def estimate_rel_error_random(
 
 def _exact_sample(exact_rows, u: np.ndarray, sample_size: int, seed) -> tuple:
     """``(rows, exact, norm)``: `sample_size` rows of A u drawn uniformly
-    without replacement by the generator `seed`, their exact values and the
-    values' l2 norm, which must not be zero."""
+    without replacement by the generator `seed`, their exact values, which
+    must be real and one per row, and the values' l2 norm, which must not be
+    zero."""
     rows = np.random.default_rng(seed).choice(len(u), size=sample_size, replace=False)
-    exact = exact_rows(rows, u)
+    exact = _real_values(exact_rows(rows, u), rows.shape, "row oracle")
     denom = np.linalg.norm(exact)
     if denom == 0.0:
         raise DegenerateErrorEstimate("exact result has zero norm on the sample")

@@ -866,13 +866,12 @@ def cases():
     """(operator, tasks handed to the worker): a one-class near field in
     parity sectors of p^d rows, which stays on the calling thread; the same
     class on a grid with more boxes than the block has rows, materialized
-    and handed over as a gather and then the products, and its baseline;
-    nine dense classes under the strong rule with a non-constant a(x), in
-    sectors in two, one and no dimensions, folded on the calling thread and
-    handed over as the products alone; the baseline of the first; a 3D
-    single layer under the strong rule, in sectors in three to no
-    dimensions; and 3D leaves of side p, where no group is wider than the
-    rank."""
+    and handed over as one task, and its baseline; nine dense classes under
+    the strong rule with a non-constant a(x), in sectors in two, one and no
+    dimensions, folded and handed over as one task; the baseline of the
+    first; a 3D single layer under the strong rule, in sectors in three to
+    no dimensions; and 3D leaves of side p, where no group is wider than
+    the rank."""
     grid = UniformGrid(2, 64)
     slp = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
                       kernel=slp_2d(), coeff=CoefficientFn(lambda x: 1e-3 * (1.0 + x[:, 0])))
@@ -880,11 +879,11 @@ def cases():
                         kernel=slp_3d(), coeff=CoefficientFn.constant(0.0))
     return {
         "gauss2d": (construct(weak_gaussian_cfg(), grid), 0),
-        "gauss2d-n128": (construct(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 128)), 2),
+        "gauss2d-n128": (construct(weak_gaussian_cfg(rank=4, leaf=8), UniformGrid(2, 128)), 1),
         "slp2d-strong": (construct(slp, grid), 1),
         "gauss2d-hmatrix": (construct_hmatrix(weak_gaussian_cfg(), grid), 0),
         "gauss2d-n128-hmatrix": (construct_hmatrix(weak_gaussian_cfg(rank=4, leaf=8),
-                                                   UniformGrid(2, 128)), 2),
+                                                   UniformGrid(2, 128)), 1),
         "slp3d-strong": (construct(slp3d, UniformGrid(3, 16)), 1),
         "gauss3d-leaf-p": (construct(weak_gaussian_cfg(rank=4, leaf=4), UniformGrid(3, 16)), 0),
     }
@@ -892,7 +891,7 @@ def cases():
 
 def wrong_payload(operand):
     """A dense payload, wider than a core, whose operand is `operand()`."""
-    return types.SimpleNamespace(folds=False, width=100, fold=lambda rows: rows,
+    return types.SimpleNamespace(width=100, fold=lambda rows: rows,
                                  operand=operand, unfold=lambda out: out)
 
 
@@ -943,6 +942,24 @@ class TestNearFieldOverlap:
         serial = inline_matvec(op, u, monkeypatch)
         assert np.array_equal(matvec(op, u), serial)
         assert worker.tasks == offloaded
+
+    def test_hand_over_keeps_no_copy_of_u(self, cases, worker):
+        """The peak above the input, 4.04 grid-sized arrays when measured,
+        is one more in every matvec if the hand-over keeps the box-major
+        copy of u; the least of three, as about 1 in 100 reads up to 5.3."""
+        op, _ = cases["gauss2d-n128"]
+        u = np.random.default_rng(67).standard_normal(op.num_points)
+        matvec(op, u)  # the worker and the quadrature caches are warm
+        peaks = []
+        for _ in range(3):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                matvec(op, u)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert min(peaks) <= 4.5 * u.nbytes
 
     @pytest.mark.parametrize("name", ["gauss2d-n128", "slp2d-strong"])
     def test_the_worker_never_waits_for_the_calling_thread(self, name, cases, monkeypatch):
@@ -1091,14 +1108,13 @@ class TestNearFieldOverlap:
         wrong = wrong_payload(lambda: np.ones((3, 100)))
         with pytest.raises(ValueError, match="matmul"):
             matvec(with_near_field(op, wrong), u)
-        assert worker.tasks == 2  # the gather, then the products
+        assert worker.tasks == 1
         # the worker survives the error
         assert np.array_equal(matvec(op, u), inline_matvec(op, u, monkeypatch))
 
     def test_operand_error_reaches_the_caller(self, cases, worker, monkeypatch):
-        """An operand that fails on the calling thread fails the matvec; the
-        worker holds only the gather, which waits for nothing, and the
-        products are never handed over."""
+        """An operand that fails on the calling thread fails the matvec
+        before anything is handed over."""
         op, _ = cases["gauss2d"]
         u = np.random.default_rng(65).standard_normal(op.num_points)
 
@@ -1107,7 +1123,7 @@ class TestNearFieldOverlap:
 
         with pytest.raises(FloatingPointError, match="operand"):
             matvec(with_near_field(op, wrong_payload(fail)), u)
-        assert worker.tasks == 1
+        assert worker.tasks == 0
         assert np.array_equal(matvec(op, u), inline_matvec(op, u, monkeypatch))
 
 
@@ -1580,6 +1596,19 @@ class TestErrorEstimator:
         with pytest.raises(ValueError, match="complex"):
             estimate_rel_error_random(self.op, rows_fn, self.u + 1j * self.u,
                                       50, seed=9)
+
+    @pytest.mark.parametrize("wrong,match", [
+        # a column broadcast against the sampled rows: 0.64 where the
+        # error is 1.06e-5 (32^2 weak Gaussian, p = 4, leaf 8)
+        (lambda exact: exact[:, None], r"shape \(100, 1\); expected \(100,\)"),
+        (lambda exact: exact + 0j, "complex"),
+    ], ids=["column", "complex"])
+    def test_oracle_not_one_real_value_per_row_rejected(self, wrong, match):
+        rows_fn = exact_row_evaluator(self.cfg.kernel, self.cfg.coeff,
+                                      self.grid, self.cfg.quadrature)
+        with pytest.raises(ValueError, match=match):
+            estimate_rel_error_random(self.op, lambda rows, u: wrong(rows_fn(rows, u)),
+                                      self.u, 100, seed=1)
 
     @pytest.mark.parametrize("size,match", [
         # 0 raised "exact result has zero norm", -1 numpy's "negative

@@ -160,6 +160,19 @@ class TestQuasiRowEvaluator:
         # measured 5.6e-11 and 4.8e-11
         assert abs(entry - polar_slp2d_triangle_average(corners, center)) <= 1.7e-10
 
+    def test_non_integrable_kernel_rejected(self):
+        # the Duffy sum is finite, but grows with the order: 56,535, 69,443
+        # and 82,584 at q = 10, 20 and 40 on the right triangle of legs 1/16
+        kernel = custom(lambda x, y: 1.0 / np.sum((x - y) ** 2, axis=-1), smooth_at_diagonal=False)
+        corners = np.array([(0.0, 0.0), (1 / 16, 0.0), (0.0, 1 / 16)])
+        mesh, cfg = structured_trimesh(16), QuadratureConfig()
+        with pytest.raises(ValueError, match="not integrable over a triangle"):
+            triangle_entries(kernel, corners[None], corners.mean(axis=0)[None],
+                             np.array([1 / 512]), cfg)
+        rows_fn = quasi_row_evaluator(kernel, CoefficientFn.constant(0.0), mesh, cfg)
+        with pytest.raises(ValueError, match="not integrable over a triangle"):
+            rows_fn(np.arange(4), np.ones(mesh.num_triangles))
+
 
 class TestRowOracleMemory:
     """The row oracles evaluate the kernel as the batched builds do, at most
