@@ -42,15 +42,25 @@ For a symmetric kernel the block of a box pair (sigma, tau) is the
 transpose of the block of (tau, sigma): :func:`_mirrored` gives it as a
 transposed view that holds no array of its own.  Its kernel values at the
 node pairs are bitwise the transpose, so :func:`build_tlr` on any pair
-gives the core of the mirror of the opposite pair bit for bit.
+gives the core of the mirror of the opposite pair bit for bit.  For a
+kernel of |x - y|, the block of a pair whose offset is turned by a
+reflection or permutation of the dimensions is the block with the turn's
+point map applied to its rows and columns, on the grid points of a box or
+on its Chebyshev nodes alike, as both are symmetric in the box:
+:func:`_turned` gives it holding the same arrays, a Tucker block's core
+or a plain dense block's matrix, and applies the point map on the fly,
+to the rows and the result of each product (:func:`_turn_rows`) or to a
+copy of the matrix (:func:`_turned_matrix`).
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
 included) and ``product(rows)``, its product with the coefficients of many
-source boxes, one box per row; a dense block also answers the steps of that
-product, ``fold(rows) @ operand()`` then ``unfold``, so that the operators
-can hand the matrix product alone to another thread.  No other module
-knows the kinds.  Only a Tucker block has factors; the operators read none
+source boxes, one box per row, and the steps of that product,
+``fold(rows) @ operand()`` then ``unfold``, so that the operators can
+write the matrix products of many blocks into one array, or hand them
+alone to another thread.  A block whose ``fold`` returns its argument
+unfolds nothing.  No other module knows the kinds.  Only a Tucker block
+has factors; the operators read none
 of them and apply a baseline block, whose basis is the box factors'
 Kronecker product, through the box factors too.
 
@@ -68,7 +78,7 @@ them, a block acts on box coefficients through its ``product`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -94,12 +104,18 @@ class TuckerBlock:
     sides; one factor per dimension (order-2d core), or one per side
     (order-2 core) for the baseline's low-rank block.  Each factor is an
     explicit matrix of Lagrange bases, one column per node, as tall as the
-    box side.
+    box side.  A block with a ``turn`` (:func:`_turned`) holds the core of
+    another pair; its own is that core with the turn's point map applied
+    to its nodes, on both sides, and ``folds``, fixed at build, says
+    whether its product turns the rows and the result or a copy of the
+    core matrix (:meth:`DenseBlock.product`).
     """
 
     core: np.ndarray
     u_factors: list
     v_factors: list
+    turn: tuple = ()
+    folds: bool = False
 
     @property
     def row_sizes(self) -> tuple[int, ...]:
@@ -115,19 +131,38 @@ class TuckerBlock:
 
     @property
     def core_matrix(self) -> np.ndarray:
-        """The core as a (target, source) coefficient matrix, modes first
-        index fastest on both sides; a view of the cores the builders store."""
+        """The stored core as a (target, source) coefficient matrix, modes
+        first index fastest on both sides; a view of the cores the builders
+        store, before any turn."""
         rows = math.prod(self.core.shape[: len(self.u_factors)])
         return self.core.reshape((rows, -1), order="F")
+
+    def operand(self) -> np.ndarray:
+        """The right factor of :meth:`product`: the transposed core matrix,
+        of a turned block that does not fold a turned copy of it."""
+        if self.turn and not self.folds:
+            return _turned_matrix(self.core_matrix, self.turn).T
+        return self.core_matrix.T
+
+    def fold(self, rows: np.ndarray) -> np.ndarray:
+        """The left factor of :meth:`product`: the source coefficients, of
+        a turned block that folds turned (:func:`_turn_rows`)."""
+        return _turn_rows(rows, self.turn) if self.folds else rows
+
+    def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+        """The product from ``t = fold(rows) @ operand()``, written into
+        `into` when given (:meth:`DenseBlock.unfold`)."""
+        return _unturn_rows(t, self.turn, into) if self.folds else _into(t, into)
 
     def product(self, rows: np.ndarray) -> np.ndarray:
         """The core applied to the coefficients of many source boxes, one
         box per row: one matrix product (:meth:`DenseBlock.product`)."""
-        return rows @ self.core_matrix.T
+        return self.unfold(self.fold(rows) @ self.operand())
 
     def materialize(self) -> np.ndarray:
         factors = _modes(self.u_factors + self.v_factors)
-        return tensor.multi_mode_apply(self.core, factors).reshape(self.shape, order="F")
+        full = tensor.multi_mode_apply(self.core, factors).reshape(self.shape, order="F")
+        return _turned_matrix(full, self.turn) if self.turn else full
 
     def scalars(self) -> tuple[int, int, int]:
         return 0, sum(f.size for f in self.u_factors + self.v_factors), self.core.size
@@ -148,19 +183,23 @@ class DenseBlock:
     P. Butler, Linear Algebra Appl. 13, 1976): 2^k sectors of m = s^d / 2^k
     rows (:func:`_sectors`).  They are stored scaled so that no square root
     enters: the block is ``F.T @ diag(sectors) @ F`` with F the unnormalized
-    sums and differences of :func:`_fold`.
+    sums and differences of :func:`_fold`.  A plain block with a ``turn``
+    (:func:`_turned`) is the stored matrix with its rows and columns
+    permuted by the turn's point map.
 
     A product with the grid values of many source boxes is ``unfold(fold(rows)
     @ operand())`` (:meth:`product`).  ``folds``, fixed at build, says how a
-    sector block takes it: through its sectors, the rows folded into them
-    and the result unfolded, or, where the block has fewer columns than the
-    product has rows, through the block materialized for the product, which
-    is then the cheaper."""
+    sector or turned block takes it: through its stored array, the rows
+    folded (or turned) and the result unfolded, or, where the block has
+    fewer columns than the product has rows, through the block materialized
+    for the product, which is then the cheaper.  A block whose ``fold``
+    returns its argument unfolds nothing."""
 
     sectors: np.ndarray
     sides: tuple = ()
     dims: tuple = ()
     folds: bool = False
+    turn: tuple = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -169,8 +208,8 @@ class DenseBlock:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The full block: of a sector block, materialized on each access
-        (2^(k+1) strided copies) and never stored."""
+        """The full block: of a sector or turned block, materialized on each
+        access and never stored."""
         return self.materialize()
 
     @property
@@ -179,25 +218,32 @@ class DenseBlock:
         return self.sectors.shape[2] if self.folds else self.shape[1]
 
     def materialize(self) -> np.ndarray:
-        if not self.dims:
-            return self.sectors[0]
-        return _unfolded(self.sectors, self.sides, self.dims)
+        if self.dims:
+            return _unfolded(self.sectors, self.sides, self.dims)
+        return _turned_matrix(self.sectors[0], self.turn) if self.turn else self.sectors[0]
 
     def operand(self) -> np.ndarray:
         """The right factor of the product: the transposed sectors of a
         block that folds, else the transposed block."""
         if self.folds:
-            return self.sectors.transpose(0, 2, 1)
+            return self.sectors.transpose(0, 2, 1) if self.dims else self.sectors[0].T
         return self.materialize().T
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
         """The left factor of the product from the source rows."""
-        return _fold(rows, self.sides, self.dims) if self.folds else rows
+        if not self.folds:
+            return rows
+        return _fold(rows, self.sides, self.dims) if self.dims else _turn_rows(rows, self.turn)
 
-    def unfold(self, out: np.ndarray) -> np.ndarray:
-        """The product, one target box per row, from ``fold(rows) @
-        operand()``."""
-        return _unfold(out, self.sides, self.dims) if self.folds else out
+    def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+        """The product, one target box per row, from ``t = fold(rows) @
+        operand()``; written into `into`, an array of its shape, when
+        given."""
+        if not self.folds:
+            return _into(t, into)
+        if self.dims:
+            return _unfold(t, self.sides, self.dims, into)
+        return _unturn_rows(t, self.turn, into)
 
     def product(self, rows: np.ndarray) -> np.ndarray:
         """The block applied to the grid values of many source boxes, one
@@ -210,6 +256,14 @@ class DenseBlock:
 
     def arrays(self) -> list:
         return [self.sectors]
+
+
+def _into(t: np.ndarray, into: np.ndarray | None) -> np.ndarray:
+    """`t`, or `into` holding a copy of it."""
+    if into is None:
+        return t
+    into[...] = t
+    return into
 
 
 @lru_cache(maxsize=None)
@@ -255,16 +309,18 @@ def _fold(rows: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
     return (_signs(len(parts)) @ stacked.reshape(len(parts), -1)).reshape(len(parts), boxes, -1)
 
 
-def _unfold(t: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
-    """``F.T``, the adjoint of :func:`_fold`, back to one box per row: the
-    sectors combined by :func:`_signs` are the parts."""
+def _unfold(t: np.ndarray, sides: tuple, dims: tuple, into=None) -> np.ndarray:
+    """``F.T``, the adjoint of :func:`_fold`, back to one box per row, in
+    `into` when given: the sectors combined by :func:`_signs` are the
+    parts."""
     parts, boxes = len(t), t.shape[1]
     values = (_signs(parts) @ t.reshape(parts, -1)).reshape(
         (parts, boxes) + _part_shape(sides, dims))
-    out = np.empty((boxes,) + sides[::-1])
+    out = np.empty((boxes, math.prod(sides))) if into is None else into
+    grid = out.reshape((boxes,) + sides[::-1])
     for part, index in zip(values, _parts(sides, dims)):
-        out[(slice(None),) + index] = part
-    return out.reshape(boxes, -1)
+        grid[(slice(None),) + index] = part
+    return out
 
 
 def _sectors(block: np.ndarray, sides: tuple, dims: tuple, boxes: int) -> DenseBlock:
@@ -313,6 +369,76 @@ def _mirrored(block):
     axes = tuple(range(rows, rows + cols)) + tuple(range(rows))
     return TuckerBlock(core=block.core.transpose(axes), u_factors=list(block.v_factors),
                        v_factors=list(block.u_factors))
+
+
+def _turned(block, turn: tuple, folds: bool):
+    """The block of a box pair whose offset is `turn` applied to the offset
+    of `block`'s pair, for a kernel of |x - y| alone, holding `block`'s
+    arrays: a Tucker block, or a plain dense block (no sectors).  `turn`
+    is a signed permutation of the dimensions: entry a is s (b + 1), the
+    offset's coordinate a being s times coordinate b of `block`'s offset.
+    Its point map T sends point (or Chebyshev node) i of a box to the point
+    whose coordinate a is i_b, reflected in the box when s < 0, and the
+    block of the turned pair is `block`'s with T applied to its rows and
+    columns, as the distance of two points is unchanged.  Whether the
+    product turns the rows and the result (`folds`) or a copy of the
+    matrix is fixed at build (:meth:`DenseBlock.product`)."""
+    return replace(block, turn=tuple(turn), folds=folds)
+
+
+@lru_cache(maxsize=None)
+def _turn_index(turn: tuple, m: int) -> tuple:
+    """The point map T of `turn` on boxes of m points, points first index
+    fastest, as the index arrays (T, T^-1); read-only."""
+    d = len(turn)
+    q = _root(m, d)
+    coords = np.arange(m) // q ** np.arange(d)[:, None] % q  # (dimension, point)
+    moved = [coords[abs(t) - 1] if t > 0 else q - 1 - coords[abs(t) - 1] for t in turn]
+    forward = (np.array(moved) * q ** np.arange(d)[:, None]).sum(axis=0)
+    return _read_only(forward), _read_only(np.argsort(forward))
+
+
+def _turn_rows(rows: np.ndarray, turn: tuple) -> np.ndarray:
+    """The coefficients of many boxes, one box per row, taken by the point
+    map of `turn`: entry j of a row is the row's entry at T(j).  An index
+    array, as a strided view copied 16 boxes of 4^3 points 3x slower."""
+    return rows.take(_turn_index(turn, rows.shape[1])[0], axis=1)
+
+
+def _unturn_rows(t: np.ndarray, turn: tuple, into=None) -> np.ndarray:
+    """The inverse of :func:`_turn_rows`, written into `into` when given."""
+    # a permutation never clips; with "clip" numpy writes `into` unbuffered
+    return t.take(_turn_index(turn, t.shape[1])[1], axis=1, out=into, mode="clip")
+
+
+@lru_cache(maxsize=None)
+def _turn_axes(turn: tuple) -> tuple:
+    """The point map T of `turn` on both sides of a matrix viewed as one
+    axis per dimension and side, last dimension first on each: the index
+    that reflects and the axis order that permutes, whose view holds at
+    (i, j) the entry at (T(i), T(j))."""
+    d = len(turn)
+    index, axes = [slice(None)] * (2 * d), list(range(2 * d))
+    for lead in (0, d):
+        for a, entry in enumerate(turn):
+            b = abs(entry) - 1
+            if entry < 0:
+                index[lead + d - 1 - a] = slice(None, None, -1)
+            axes[lead + d - 1 - b] = lead + d - 1 - a
+    return tuple(index), tuple(axes)
+
+
+def _turned_matrix(matrix: np.ndarray, turn: tuple) -> np.ndarray:
+    """A block's matrix with the point map T of `turn` applied to its rows
+    and columns: entry (T(i), T(j)) is entry (i, j) of `matrix`.  One
+    strided copy, as index arrays along the columns copied a 512² matrix
+    six times slower."""
+    m, d = matrix.shape[0], len(turn)
+    shape = (_root(m, d),) * (2 * d)
+    index, axes = _turn_axes(turn)
+    out = np.empty((m, m))
+    out.reshape(shape)[index].transpose(axes)[...] = matrix.reshape(shape)
+    return out
 
 
 def _modes(factors) -> list:

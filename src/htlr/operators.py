@@ -11,22 +11,31 @@ one operator type: the leaf payloads follow the block protocol of
 For a translation-invariant kernel the matrix is multilevel Toeplitz: a leaf
 payload depends only on the leaf kind, the two box sizes and the index
 offset between the boxes.  Each such translation class is built once and
-every leaf of the class points at the same payload object.  Such a kernel
-is symmetric too, so the class at offset -o is the transpose of the class
-at +o, as a symmetric H-matrix stores one block of each pair (b, b^T)
-(W. Hackbusch, Hierarchical Matrices, Springer 2015).  Only the canonical
-class of each pair is built, the one whose offset is lexicographically
-positive (the self class is its own mirror).  The other looks up the class
-at the same level and the opposite offset, which exists because
-admissibility is symmetric and the lattice refines a pair and its swap
-alike, and holds :func:`htlr.blocks._mirrored` of its payload, a
-transposed view with no array of its own, which the matvec applies with
-the same GEMM.  The orientation rule is :func:`_is_mirror`.  No builder
-needs one: the kernel values of (tau, sigma), at the grid points or at
-the Chebyshev nodes, are bitwise the transpose of those of (sigma, tau),
-so :func:`htlr.blocks.build_tlr` gives any pair its class's core bit for
-bit.  A custom kernel need not be symmetric, and its classes are never
-mirrored.  Payloads are thus shared read-only views.  The Tucker payloads
+every leaf of the class points at the same payload object.  The built-in
+kernels depend on |x - y| alone, so the block at offset g o, for g a
+reflection or permutation of the dimensions, is the block at o with its
+rows and columns permuted by g's point map, as optimized black-box FMM
+codes store 16 M2L operators in place of 316 (M. Messner et al., arXiv
+1210.7292, 2012; W. Fong and E. Darve, J. Comput. Phys. 228, 2009).  The
+classes of one level and kind whose offsets are one orbit of these
+signed permutations hold one payload: :func:`_orbits` reads each class's
+orbit and its turn g off its integer offset, with no search, and only an
+orbit's canonical class is built, its first that :func:`_is_mirror` does
+not name.  The class at the opposite offset holds
+:func:`htlr.blocks._mirrored` of it, a transposed view with no array of
+its own, which the matvec applies with the same GEMM, as a symmetric
+H-matrix stores one block of each pair (b, b^T) (W. Hackbusch,
+Hierarchical Matrices, Springer 2015): the kernel values of (tau, sigma),
+at the grid points or at the Chebyshev nodes, are bitwise the transpose
+of those of (sigma, tau).  Every other class holds
+:func:`htlr.blocks._turned` of it, its arrays and the turn, which the
+class's product applies either to its rows and products or to a copy of
+the matrix, whichever moves fewer scalars for its number of source
+boxes; its block is its own pair's to rounding, as the turn moves the
+kernel's arguments.  A class in parity sectors shares its payload with
+the opposite offset only.  A custom kernel need not be symmetric, and
+each of its classes keeps a payload of its own.  Payloads are thus shared
+read-only arrays.  The Tucker payloads
 of one tree level are built together, their kernel values in one call per
 chunk, and a dense payload of such a kernel is windows of one kernel value
 per index offset (:func:`htlr.blocks.build_dense`).  The
@@ -54,10 +63,15 @@ basis is those box factors multiplied out, one per level for all its
 classes, so the baseline's matvec is the Tucker operator's, bit for bit.
 Upward, each group projects the level below (the grid, at the finest side)
 through its maps; each class's core matrix is applied once to the
-coefficient rows of its source boxes and added into the rows of its target
-boxes; downward, each group expands its target coefficients through its
-maps onto the level below.  Dense payloads form groups without maps, each a
-chain of its own: their coefficients are the grid values of each box.  An
+coefficient rows of its source boxes, gathered as it is applied, and its
+products are written into its rows of one array per batch of the group's
+classes, one row per leaf (:data:`_BATCH`); one sparse matrix per batch,
+made at build (:class:`FactorGroup`), sums them into the rows of their
+target boxes, each box's in class order, in place of one scattered
+addition per class; downward, each group expands its target
+coefficients through its maps onto the level below.  Dense payloads form
+groups without maps, each a chain of its own: their coefficients are the
+grid values of each box.  An
 admissible leaf on boxes no wider than the rank is stored dense too, as the
 full-matrix format of an H-matrix stores a block whose rank is no smaller
 than its size (W. Hackbusch, Hierarchical Matrices, Springer 2015): factors
@@ -68,8 +82,9 @@ boxes wider than the rank, of an even side, is stored in parity sectors:
 (:class:`htlr.blocks.DenseBlock`), so a self class holds a 2^d-th of its
 matrix and a mirrored class holds transposed views of its mirror's sectors.
 Every other dense class, on boxes no wider than the rank, of an odd side or
-of a custom kernel, keeps one sector, its matrix.  Whether a class in
-sectors folds is fixed at build from its number of source boxes
+of a custom kernel, keeps one sector, its matrix, shared over its orbit.
+Whether a class in sectors folds is fixed at build from its number of
+source boxes
 (:meth:`htlr.blocks.DenseBlock.product`): with no more boxes than its block
 has columns, its product folds the rows into sums and differences of
 mirrored points, takes one batched product and unfolds it; with more, as a
@@ -85,9 +100,9 @@ than a core, and when it does the calling thread gathers and folds its
 source rows, makes its operands (materializing the blocks that do not fold)
 and hands its matrix products, which release the interpreter lock, to a
 single worker thread as one task.  It then runs every other chain, unfolds
-and sums the dense products in class order, and adds the near part into f
-first, then each chain's part in chain order.  Every sum keeps its order,
-so f is bit for bit what the calling thread alone gives.  Groups of
+the dense products and sums them through the group's scatter, and adds the
+near part into f first, then each chain's part in chain order.  Every sum
+keeps its order, so f is bit for bit what the calling thread alone gives.  Groups of
 core-sized products stay on the calling thread, as many small calls would
 contend for the interpreter lock: the dense groups of boxes no wider than
 the rank, and a 2D self class in sectors of p^d rows on boxes of side 2p.
@@ -101,9 +116,10 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .blocks import (
     _box_factor,
@@ -113,6 +129,7 @@ from .blocks import (
     _sectors,
     _toeplitz_windows,
     _tucker_blocks,
+    _turned,
     build_dense,
     expand,
     from_boxes,
@@ -167,17 +184,78 @@ class TranslationClass:
     sources: np.ndarray | slice
 
 
+#: scalars of products per batch of a group's classes, summed by one sparse
+#: scatter: 2 MB, as one array of a level's products, written whole and read
+#: back, ran a 3D single layer on a 64^3 grid a quarter slower than adding
+#: each class's products into place
+_BATCH = 2**18
+
+
+class _Batch(NamedTuple):
+    """Consecutive classes of a group (``classes``, a slice), the rows of
+    their products (``rows``, one per leaf), the boxes they target
+    (``boxes``, ascending, or a full slice for every box of the level), and
+    the sparse matrix that adds the products into the rows of those boxes,
+    each box's in class order (``scatter``, None for one class on every
+    box)."""
+
+    classes: slice
+    rows: int
+    boxes: np.ndarray | slice
+    scatter: csr_array | None
+
+
 @dataclass(frozen=True)
 class FactorGroup:
     """The translation classes on boxes of one side, all factored or all
     dense, and the group's per-dimension maps from the level below: the box
     factor of that side at a chain's first group, the transfers above it,
     none for dense payloads.  Both boxes of a leaf are cubes of one side, so
-    one map per dimension serves its target and source boxes."""
+    one map per dimension serves its target and source boxes.
+
+    Made from them, for the matvec, on the level's `boxes`, whose
+    coefficients are `width` scalars each: the classes in batches whose
+    products hold at most :data:`_BATCH` scalars, or one class
+    (``batches``), and each class's rows among its batch's products
+    (``spans``)."""
 
     side: int
     maps: tuple
     classes: list
+    boxes: int
+    width: int
+    spans: tuple = field(init=False)
+    batches: tuple = field(init=False)
+
+    def __post_init__(self):
+        everywhere = np.arange(self.boxes, dtype=np.int32)
+        targets = [everywhere[cls.targets] for cls in self.classes]
+        spans, firsts, rows = [], [0], 0
+        for k, boxes in enumerate(targets):
+            if rows and (rows + len(boxes)) * self.width > _BATCH:
+                firsts.append(k)
+                rows = 0
+            spans.append(slice(rows, rows + len(boxes)))
+            rows += len(boxes)
+        object.__setattr__(self, "spans", tuple(spans))
+        object.__setattr__(self, "batches", tuple(
+            _Batch(slice(a, b), spans[b - 1].stop, *_scatter(targets[a:b], self.boxes))
+            for a, b in zip(firsts, firsts[1:] + [len(targets)])))
+
+
+def _scatter(targets: list, boxes: int) -> tuple:
+    """The boxes that consecutive classes' products target among `boxes`,
+    ascending or a full slice for all of them, and the sparse matrix that
+    adds the products, one row per leaf, into their rows, each box's in
+    class order: a box's row adds its columns in their order.  No matrix
+    for one class on every box, whose products are in box order."""
+    if len(targets) == 1 and len(targets[0]) == boxes:
+        return slice(None), None
+    touched, rows = np.unique(np.concatenate(targets), return_inverse=True)
+    order = np.argsort(rows, kind="stable").astype(np.int32)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows))]).astype(np.int32)
+    scatter = csr_array((np.ones(len(rows)), order, starts), shape=(len(touched), len(rows)))
+    return (slice(None) if len(touched) == boxes else touched.astype(np.int32)), scatter
 
 
 @dataclass
@@ -257,14 +335,24 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     classes = np.argsort(first)
     firsts = first[classes]
     levels = leaves.level[firsts]
-    tucker = leaves.admissible[firsts] & (grid.n >> levels > cfg.rank)
+    sides = grid.n >> levels
+    tucker = leaves.admissible[firsts] & (sides > cfg.rank)
     offsets = leaves.sigma[firsts] - leaves.tau[firsts]
-    mirror = cfg.kernel.translation_invariant & _is_mirror(offsets)
+    counts = np.bincount(inverse)[classes]
+    # dense classes in parity sectors: on boxes wider than the rank, of an
+    # even side, at an offset with a zero coordinate
+    sectors = (cfg.kernel.translation_invariant & ~tucker & (sides > cfg.rank)
+               & (sides % 2 == 0) & (offsets == 0).any(axis=1))
+    if cfg.kernel.translation_invariant:
+        canonical, turns = _orbits(levels, tucker, sectors, offsets)
+    else:
+        canonical = np.arange(len(classes))
+    built = canonical == np.arange(len(classes))
     # the Tucker payloads of a level in one batch, as its cores share one
     # kernel evaluation per chunk
     payloads = {}
-    for level in np.unique(levels[tucker & ~mirror]).tolist():
-        at = np.flatnonzero(tucker & ~mirror & (levels == level))
+    for level in np.unique(levels[tucker & built]).tolist():
+        at = np.flatnonzero(tucker & built & (levels == level))
         side = grid.n >> level
         taus, sigmas = (np.stack([coords * side, (coords + 1) * side], axis=-1)
                         for coords in (leaves.tau[firsts[at]], leaves.sigma[firsts[at]]))
@@ -274,36 +362,43 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
             basis = _kron_basis(blocks[0].u_factors)
             blocks = [_lowrank(block, basis, basis) for block in blocks]
         payloads.update(zip(at.tolist(), blocks))
-    for i in np.flatnonzero(~tucker & ~mirror).tolist():
-        side = grid.n >> int(levels[i])
+    for i in np.flatnonzero(~tucker & built).tolist():
+        side = int(sides[i])
         boxes = (_lattice_box(leaves.tau[firsts[i]], side),
                  _lattice_box(leaves.sigma[firsts[i]], side))
-        # the dimensions a reflection of both boxes leaves the block in
-        dims = tuple(np.flatnonzero(offsets[i] == 0).tolist())
-        if cfg.kernel.translation_invariant and side > cfg.rank and side % 2 == 0 and dims:
+        if sectors[i]:
+            # the dimensions a reflection of both boxes leaves the block in
+            dims = tuple(np.flatnonzero(offsets[i] == 0).tolist())
             payloads[i] = _sectors(_toeplitz_windows(cfg.kernel, grid, *boxes, cfg.quadrature),
-                                   (side,) * grid.d, dims, len(members[classes[i]]))
+                                   (side,) * grid.d, dims, int(counts[i]))
         else:
             payloads[i] = build_dense(cfg.kernel, grid, *boxes, cfg.quadrature)
-    if cfg.kernel.translation_invariant:
-        opposite = {(level, tuple(offset)): i for i, (level, offset)
-                    in enumerate(zip(levels.tolist(), (-offsets).tolist()))}
+    # a payload's kernel values are its first array, core or sectors, and
+    # every class of an orbit holds its canonical's: so each is checked
+    # once, and the first leaf of the first class whose values are not
+    # finite is named
+    bad = [i for i, payload in payloads.items() if not np.isfinite(payload.arrays()[0]).all()]
+    if bad:
+        leaf = firsts[np.flatnonzero(np.isin(canonical, bad))[0]]
+        side = grid.n >> int(leaves.level[leaf])
+        tau, sigma = (_lattice_box(leaves.tau[leaf], side),
+                      _lattice_box(leaves.sigma[leaf], side))
+        raise ValueError(
+            f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
+        )
     groups = {}  # classes by (box side, factored)
     for i, c in enumerate(classes):
-        leaf, level = firsts[i], int(levels[i])
-        side = grid.n >> level
-        payload = (_mirrored(payloads[opposite[level, tuple(offsets[i].tolist())]])
-                   if mirror[i] else payloads[i])
-        # a payload's kernel values are its first array, core or sectors;
-        # checked in class order, so that the first bad leaf is named
-        if not np.isfinite(payload.arrays()[0]).all():
-            tau, sigma = (_lattice_box(leaves.tau[leaf], side),
-                          _lattice_box(leaves.sigma[leaf], side))
-            raise ValueError(
-                f"the kernel is not finite on the leaf {tau.ranges} x {sigma.ranges}"
-            )
+        level, side, payload = int(levels[i]), int(sides[i]), payloads[canonical[i]]
+        if not built[i] and (offsets[i] == -offsets[canonical[i]]).all():
+            payload = _mirrored(payload)
+        elif not built[i]:
+            # turning the rows and products moves two copies of them, a
+            # turned copy of the matrix one of its size
+            rows = (cfg.rank if tucker[i] else side) ** grid.d
+            payload = _turned(payload, turns[i].tolist(), 2 * int(counts[i]) <= rows)
         # in target order, so that a class mapping every box of its level
-        # onto itself indexes with full slices, which gather and add in place
+        # onto itself indexes with full slices, which need no gather or
+        # scatter
         targets, sources = box_targets[members[c]], box_sources[members[c]]
         order = np.argsort(targets)
         count = (1 << level) ** grid.d
@@ -330,6 +425,43 @@ def _is_mirror(offsets: np.ndarray) -> np.ndarray:
     return offsets[np.arange(len(offsets)), first] < 0
 
 
+def _orbits(levels: np.ndarray, tucker: np.ndarray, sectors: np.ndarray,
+            offsets: np.ndarray) -> tuple:
+    """The class whose payload each class of a kernel of |x - y| holds, and
+    the turn (:func:`htlr.blocks._turned`) from that class's offset to its
+    own, a signed permutation of the dimensions per class.  The classes of
+    one level and kind whose offsets are one another's under reflections
+    and permutations of the dimensions are one orbit; the classes in
+    parity sectors are an orbit with their opposite offset only.  An
+    orbit's canonical class is its first that :func:`_is_mirror` does not
+    name.
+
+    Each offset o is G r, r its magnitudes in ascending order and G the
+    signed permutation that sorts them (entry (a, b) the sign of o_a, or 1,
+    where coordinate a of o is entry b of r), so the turn from the
+    canonical offset c = G_c r to o is G G_c^T: read off the integers, with
+    no search."""
+    count, d = offsets.shape
+    magnitudes = np.abs(offsets)
+    place = np.argsort(np.argsort(magnitudes, axis=1, kind="stable"), axis=1)
+    g = np.zeros((count, d, d), dtype=int)
+    np.put_along_axis(g, place[:, :, None], np.where(offsets < 0, -1, 1)[:, :, None], axis=2)
+    mirror = _is_mirror(offsets)
+    shapes = np.where(sectors[:, None], np.where(mirror[:, None], -offsets, offsets),
+                      np.sort(magnitudes, axis=1))
+    _, orbit = np.unique(np.column_stack([levels, tucker, sectors, shapes]), axis=0,
+                         return_inverse=True)
+    orbit = orbit.ravel()
+    order = np.lexsort((np.arange(count), mirror, orbit))
+    firsts = order[np.flatnonzero(np.diff(orbit[order], prepend=-1))]
+    canonical = firsts[orbit]
+    turns = g @ g[canonical].transpose(0, 2, 1)
+    # as htlr.blocks._turned reads them: entry a is s (b + 1) for the sign s
+    # at (a, b)
+    b = np.abs(turns).argmax(axis=2)
+    return canonical, np.take_along_axis(turns, b[:, :, None], axis=2)[:, :, 0] * (b + 1)
+
+
 def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
     """The classes keyed by (box side, factored) as groups in chains: the
     dense groups, each a chain of its own, then the factored ones, finest
@@ -340,19 +472,19 @@ def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
     chain maps through the box factor of its side in every dimension."""
     chains = []
     for side, factored in sorted(groups, key=lambda key: key[::-1]):
-        # a class on every box first, so that its product starts the group's
-        # sum: a zeroed array would be one more level-sized temporary per
-        # matvec, and the fresh memory pages it needs cost about as much as
-        # the work on the finest level
+        # a class on every box first: its products start every box's sum,
+        # and alone it needs no scatter
         classes = sorted(groups[side, factored],
                          key=lambda cls: not isinstance(cls.targets, slice))
         below = chains[-1][-1] if chains else None
+        # the level's boxes, and the scalars of a box's coefficients
+        shape = (grid.n // side) ** grid.d, (rank if factored else side) ** grid.d
         if factored and below and below.maps and below.side * 2 == side:
             maps = (transfer(grid, side // 2, rank),) * grid.d
-            chains[-1].append(FactorGroup(side, maps, classes))
+            chains[-1].append(FactorGroup(side, maps, classes, *shape))
         else:
             maps = (_box_factor(grid, side, rank),) * grid.d if factored else ()
-            chains.append([FactorGroup(side, maps, classes)])
+            chains.append([FactorGroup(side, maps, classes, *shape)])
     return [tuple(chain) for chain in chains]
 
 
@@ -410,10 +542,16 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     # handed over first, so that it runs while the other chains do
     handed = worker is not None and _offloads(near, op.config.rank, op.grid.d)
     near_part = _offload(worker, u, op.grid, near) if handed else None
-    f = op.diagonal * u
     parts = [_chain_part(u, op.grid, chain) for chain in op.chains[int(handed):]]
+    if handed:
+        parts.insert(0, near_part())
+    if op.diagonal.size == 1 and op.diagonal[0] == 0.0:
+        # a(x) = 0 adds nothing: f starts as the first part
+        f = np.array(parts.pop(0), order="C").reshape(-1)
+    else:
+        f = op.diagonal * u
     # each part on the axes (box, in-box) per dimension, added into the flat f
-    for part in [near_part()] + parts if handed else parts:
+    for part in parts:
         f_boxes = f.reshape(part.shape)
         f_boxes += part
     return f
@@ -457,20 +595,48 @@ def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
     """Hand a dense group's matrix products to the worker as one task.  This
     thread gathers and folds every class's source rows, the box-major copy
     of u included, and makes the operands
-    (:meth:`htlr.blocks.DenseBlock.operand`; a sector block that does not
-    fold is materialized); the worker runs only the products, as each numpy
-    call it makes trades the interpreter lock with this thread.  Returns the
-    function that waits for the products, unfolds them and gives the
-    group's part of A u; it keeps the copy's shape, not the copy."""
+    (:meth:`htlr.blocks.DenseBlock.operand`; a sector or turned block that
+    does not fold is materialized); the worker runs only the products, as
+    each numpy call it makes trades the interpreter lock with this thread,
+    into the arrays of the group's batches, which it makes too, as it made
+    the products before.  Made on this thread, they pushed its transients
+    to where freeing them returned memory to the system, which the next
+    matvec faulted in again: the benchmark's 2D single layer workload read
+    a median matvec 6 to 12% slower.  Returns the function that waits for
+    the products, unfolds them, sums them batch by batch and gives the
+    group's part of A u; it keeps the products, not the copy."""
     c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
-    shape = c.shape
-    lefts = [cls.payload.fold(c[cls.sources]) for cls in group.classes]
+    lefts, unfolds = [], []
+    for cls in group.classes:
+        # a class's gathered rows die once folded, before the next gather
+        x = _rows(cls, c)
+        lefts.append(cls.payload.fold(x))
+        unfolds.append(lefts[-1] is not x)
     operands = [cls.payload.operand() for cls in group.classes]
-    task = worker.submit(lambda: [left @ right for left, right in zip(lefts, operands)])
+    del c, x
+
+    def products():
+        # a product that unfolds nothing goes straight into its rows
+        outs, ts = [], []
+        for batch in group.batches:
+            outs.append(np.empty((batch.rows, group.width)))
+            for left, right, unfold, span in zip(lefts[batch.classes], operands[batch.classes],
+                                                 unfolds[batch.classes], group.spans[batch.classes]):
+                ts.append(np.matmul(left, right, out=None if unfold else outs[-1][span]))
+        return outs, ts
+
+    task = worker.submit(products)
 
     def part():
-        unfolded = (cls.payload.unfold(out) for cls, out in zip(group.classes, task.result()))
-        return expand(from_boxes(_sum_classes(group, unfolded, shape), grid.d), group.maps)
+        outs, ts = task.result()
+        g = None
+        for batch, out in zip(group.batches, outs):
+            for cls, t, unfold, span in zip(group.classes[batch.classes], ts[batch.classes],
+                                            unfolds[batch.classes], group.spans[batch.classes]):
+                if unfold:
+                    cls.payload.unfold(t, out[span])
+            g = _sum_classes(group, batch, out, g)
+        return expand(from_boxes(g, grid.d), group.maps)
 
     return part
 
@@ -482,10 +648,11 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     offloaded group's gathered rows and products live while the other
     chains run, and every chain's part lives until the parts are added.
     A matvec's peak above its input depends on when the worker finishes:
-    traced with tracemalloc, it was 4.0–5.3 grid-sized arrays on a 512²
+    traced with tracemalloc, it was 3.0–3.8 grid-sized arrays on a 512²
     weak Gaussian with one dense class, whose block is materialized for the
-    product (4.0 without the overlap), and 17.3–17.5 on a 128² single layer
-    under the strong rule with nine, five of them folded (7.4)."""
+    product (3.0 without the overlap), and 21.7–26.5 on a 128² single layer
+    under the strong rule with nine, five of them folded (12.2), as a
+    batch's products live until they are summed."""
     coeffs = [u]
     for group in chain:
         coeffs.append(project(coeffs[-1], grid.d, grid.n // group.side, group.maps))
@@ -498,23 +665,45 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
 
 def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
     """Target coefficient grid of one group from its source coefficient
-    grid: each class's core applied once to the rows of its source boxes."""
+    grid: each class's core applied once to the rows of its source boxes,
+    into its rows of its batch's products, which :func:`_sum_classes` adds
+    into the rows of their target boxes, batch by batch."""
     d, c = c.ndim // 2, to_boxes(c)
-    products = (cls.payload.product(c[cls.sources]) for cls in group.classes)
-    return from_boxes(_sum_classes(group, products, c.shape), d)
+    g = None
+    for batch in group.batches:
+        out = np.empty((batch.rows, group.width))
+        for cls, span in zip(group.classes[batch.classes], group.spans[batch.classes]):
+            # gathered as the class is applied, so that its rows are still
+            # in cache for its product
+            x = _rows(cls, c)
+            left, right = cls.payload.fold(x), cls.payload.operand()
+            if left is x:
+                np.matmul(x, right, out=out[span])
+            else:
+                cls.payload.unfold(left @ right, out[span])
+        g = _sum_classes(group, batch, out, g)
+    return from_boxes(g, d)
 
 
-def _sum_classes(group: FactorGroup, products, shape: tuple) -> np.ndarray:
-    """The box-major target coefficients of a group: the sum of its classes'
-    products, each added into the rows of the class's target boxes in class
-    order."""
-    g = None if isinstance(group.classes[0].targets, slice) else np.zeros(shape)
-    for cls, out in zip(group.classes, products):
-        if g is None:
-            g = out  # the first class maps every box onto itself
-        else:
-            # the target boxes of one class are distinct: no update is lost
-            g[cls.targets] += out
+def _rows(cls: TranslationClass, c: np.ndarray) -> np.ndarray:
+    """A class's rows of the box-major source coefficients `c`: `c` itself
+    for a class on every box."""
+    return c if isinstance(cls.sources, slice) else c[cls.sources]
+
+
+def _sum_classes(group: FactorGroup, batch: _Batch, out: np.ndarray, g) -> np.ndarray:
+    """The box-major target coefficients of a group's batches so far: `g`
+    (None before the first batch) plus the products `out` of `batch`, one
+    row per leaf, summed into its target boxes by its scatter, each box's in
+    class order, and added into their rows; the products themselves for one
+    class on every box.  A group of one batch sums each box's products in
+    class order."""
+    part = out if batch.scatter is None else batch.scatter @ out
+    if g is None and isinstance(batch.boxes, slice):
+        return part
+    if g is None:
+        g = np.zeros((group.boxes, group.width))
+    g[batch.boxes] += part
     return g
 
 

@@ -764,3 +764,59 @@ class TestParitySectors:
         rows = np.ones((2, 8))
         assert not block.folds and block.fold(rows) is rows and block.width == 8
         assert np.array_equal(block.product(rows), rows @ block.matrix.T)
+
+
+class TestTurns:
+    """For a kernel of |x - y|, the block of a box pair whose offset is
+    turned by a signed permutation of the dimensions is the block of the
+    original pair with the turn's point map applied to its rows and
+    columns: a turned payload holds the original's arrays and gives the
+    turned pair's block, through either route of its product."""
+
+    # (name, kernel, d, n, box side, rank, source-minus-target box offset)
+    CASES = {
+        "gauss2d": (gaussian(1.0), 2, 64, 8, 4, (3, 1)),
+        "slp2d": (slp_2d(), 2, 64, 8, 4, (2, -1)),
+        "slp3d": (slp_3d(), 3, 20, 4, 3, (2, 1, 0)),
+    }
+    TURNS = {2: [(-1, 2), (2, 1), (-2, 1), (2, -1), (-1, -2)],
+             3: [(1, -2, 3), (2, 3, 1), (-3, 1, -2), (-1, -2, -3)]}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kind", ["dense", "tucker", "lowrank"])
+    def test_turned_block_is_the_turned_pair(self, case, kind):
+        k, d, n, side, rank, offset = self.CASES[case]
+        grid = UniformGrid(d, n)
+        middle = n // side // 2
+
+        def pair(o):
+            return tuple(IndexBox(tuple(((middle + c) * side, (middle + c + 1) * side)
+                                        for c in shift)) for shift in ((0,) * d, o))
+
+        build = {
+            "dense": lambda tau, sigma: build_dense(k, grid, tau, sigma, QuadratureConfig()),
+            "tucker": lambda tau, sigma: build_tlr(k, grid, tau, sigma, rank, grid.h),
+            "lowrank": lambda tau, sigma: build_lowrank(k, grid, tau, sigma, rank, grid.h),
+        }[kind]
+        block = build(*pair(offset))
+        # a product acts on box coefficients: a Tucker block's core matrix
+        # maps those of its source box to those of its target box
+        matrix = (lambda b: b.core_matrix) if kind != "dense" else materialize
+        rows = np.random.default_rng(70).standard_normal((5, matrix(block).shape[1]))
+        for turn in self.TURNS[d]:
+            h = np.zeros((d, d), dtype=int)
+            h[np.arange(d), np.abs(turn) - 1] = np.sign(turn)
+            expected = build(*pair(tuple(h @ offset)))
+            full = materialize(expected)
+            for folds in (False, True):
+                turned = blocks._turned(block, turn, folds)
+                assert turned.arrays()[0] is block.arrays()[0] and turned.turn == turn
+                assert turned.scalars() == block.scalars()
+                assert np.abs(turned.materialize() - full).max() <= 1e-13 * np.abs(full).max()
+                # a payload whose fold returns its argument unfolds nothing
+                assert (turned.fold(rows) is rows) == (not folds)
+                product, exact = turned.product(rows), rows @ matrix(expected).T
+                assert np.abs(product - exact).max() <= 1e-13 * np.abs(exact).max()
+                into = np.empty_like(product)
+                assert turned.unfold(turned.fold(rows) @ turned.operand(), into) is into
+                assert np.array_equal(into, product)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import itertools
 import multiprocessing
 import os
 import re
@@ -38,7 +39,7 @@ from htlr import (
     slp_3d,
     storage_report,
 )
-from htlr import blocks, operators
+from htlr import blocks, grids, operators
 from htlr.blocks import DenseBlock, TuckerBlock
 from htlr.operators import DegenerateErrorEstimate, TranslationClass
 from oracle_utils import recursive_block_pairs
@@ -357,22 +358,37 @@ class TestClassSharing:
     @pytest.mark.parametrize("case", sorted(CASES))
     @BUILDS
     def test_mirrored_classes_share_one_payload(self, case, build, build_admissible):
-        """A symmetric kernel's class at offset -o holds the transposed view
-        of the payload at +o: the same memory, transposed bit for bit.  A
-        Tucker payload's materialize() contracts its core in the other mode
-        order, so it is the transpose of its mirror's to rounding only."""
+        """A kernel of |x - y| holds one payload per orbit of offsets under
+        reflections and permutations of the dimensions (orbit_key), the
+        opposite offsets of a class in parity sectors only: every class of
+        an orbit holds the memory of one stored array.  A class and its
+        opposite that hold no turn are each other's transposed view, bit
+        for bit; a Tucker payload's materialize() contracts its core in the
+        other mode order, so it is the transpose of its mirror's to
+        rounding only.  test_every_class_matches_its_own_pair checks the
+        turned ones."""
         grid, cfg = self.CASES[case]
         payload_at = {(side, offset): cls.payload
                       for side, offset, cls in class_offsets(build(cfg, grid))}
-        self_classes = sum(not any(offset) for _, offset in payload_at)
-        assert len(payload_at) > self_classes
+        orbits = collections.defaultdict(list)
         for (side, offset), payload in payload_at.items():
-            if not any(offset):
-                continue
+            orbits[orbit_key(side, offset, payload)].append(payload)
+        assert len(orbits) < len(payload_at)
+        for members in orbits.values():
+            stored = [payload.arrays()[0] for payload in members]
+            assert all(np.shares_memory(a, stored[0]) for a in stored)
+            assert all(not a.flags.writeable for a in stored)
+        # one stored array per orbit (a level's cores are views of one
+        # buffer)
+        assert len({p.arrays()[0].ctypes.data for p in payload_at.values()}) == len(orbits)
+        turned = 0
+        for (side, offset), payload in payload_at.items():
             mirror = payload_at[side, tuple(-o for o in offset)]
+            turned += bool(payload.turn)
+            if not any(offset) or payload.turn or mirror.turn:
+                continue
             assert type(mirror) is type(payload)
             stored, mirror_stored = payload.arrays()[0], mirror.arrays()[0]
-            assert np.shares_memory(stored, mirror_stored)
             if isinstance(payload, DenseBlock):
                 # each parity sector transposed, in the same dimensions
                 assert np.array_equal(stored, mirror_stored.transpose(0, 2, 1))
@@ -384,9 +400,35 @@ class TestClassSharing:
                 assert np.array_equal(full, mirror_full.T)
             else:
                 assert np.abs(full - mirror_full.T).max() <= 4e-15 * np.abs(full).max()
-        # one buffer per self class and per pair of mirrored classes
-        buffers = {payload.arrays()[0].ctypes.data for payload in payload_at.values()}
-        assert len(buffers) == self_classes + (len(payload_at) - self_classes) // 2
+        # in sectors no class is turned; elsewhere an orbit of more than a
+        # pair of opposite offsets holds turned classes
+        assert all(not p.turn for p in payload_at.values() if getattr(p, "dims", ()))
+        assert (turned > 0) == any(len(members) > 2 for members in orbits.values())
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @BUILDS
+    def test_every_class_matches_its_own_pair(self, case, build, build_admissible):
+        """Every class's effective core (Tucker) or block (dense) is the one
+        built directly for its first leaf's pair, within 1e-14 relative:
+        bit for bit where the class holds no turn, as the turn moves the
+        kernel's arguments and the rounding of their distance."""
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        turned = 0
+        for tau, sigma, payload in first_leaves(op):
+            if isinstance(payload, DenseBlock):
+                got = payload.materialize()
+                expected = build_dense(cfg.kernel, grid, tau, sigma, cfg.quadrature).matrix
+            else:
+                got = effective_core(payload)
+                expected = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank,
+                                            grid.h).core_matrix
+            turned += bool(payload.turn)
+            if payload.turn or getattr(payload, "dims", ()):
+                assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+            else:
+                assert np.array_equal(got, expected)
+        assert turned > 0
 
     @BUILDS
     def test_non_symmetric_custom_kernel_has_no_mirrors(self, build, build_admissible):
@@ -401,6 +443,7 @@ class TestClassSharing:
         classes = [cls for group in op.groups for cls in group.classes]
         buffers = {cls.payload.arrays()[0].ctypes.data for cls in classes}
         assert len(buffers) == len(classes) == len(tree_leaves(grid, cfg))
+        assert not any(cls.payload.turn for cls in classes)
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         u = np.random.default_rng(53).standard_normal(grid.num_points)
         expected = dense.matrix @ u
@@ -610,17 +653,20 @@ class TestLatticeBuild:
     }
 
     # the baseline operators: the per-level Kronecker basis keeps the stored
-    # and resident scalars that one basis per (box sizes, rank) gave
+    # scalars that one basis per (box sizes, rank) gave; the resident ones
+    # are those of one core or plain dense block per orbit of offsets (they
+    # were 409,985, 311,425 and 2,744,353 with one per pair of opposite
+    # offsets)
     BASELINES = {
-        "gauss2d-n128-weak": (UniformGrid(2, 128), weak_gaussian_cfg(), 20_955_136, 409_985),
+        "gauss2d-n128-weak": (UniformGrid(2, 128), weak_gaussian_cfg(), 20_955_136, 385_409),
         "slp2d-n64-strong": (UniformGrid(2, 64), BuildConfig(
             rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
-        ), 9_945_088, 311_425),
+        ), 9_945_088, 192_641),
         "slp3d-n32-strong": (UniformGrid(3, 32), BuildConfig(
             rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
             kernel=slp_3d(), coeff=CoefficientFn.constant(0.0),
-        ), 349_798_400, 2_744_353),
+        ), 349_798_400, 1_376_289),
     }
 
     @pytest.mark.parametrize("case", sorted(BASELINES))
@@ -652,6 +698,14 @@ class TestDiagonal:
             kernel=slp_2d(), coeff=self.coeff,
         )
         self.u = np.random.default_rng(47).standard_normal(self.grid.num_points)
+
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix])
+    def test_zero_constant_starts_at_the_first_part(self, build):
+        """With a(x) = 0 the matvec adds no product with the diagonal, and f
+        is bit for bit what the zeros of a sampled a(x) give."""
+        op = build(dataclasses.replace(self.cfg, coeff=CoefficientFn.constant(0.0)), self.grid)
+        sampled = dataclasses.replace(op, diagonal=np.zeros(self.grid.num_points))
+        assert np.array_equal(matvec(op, self.u), matvec(sampled, self.u))
 
     def test_non_constant_coefficient_is_the_diagonal(self):
         op = construct(self.cfg, self.grid)
@@ -943,6 +997,57 @@ class TestNearFieldOverlap:
         assert np.array_equal(matvec(op, u), serial)
         assert worker.tasks == offloaded
 
+    @staticmethod
+    def per_class_sum(group, batch, out, g):
+        """The sum of `g` and a batch's products, summed class by class in
+        class order from zero: each class's products added into the rows
+        of its targets."""
+        part = None
+        for cls, span in zip(group.classes[batch.classes], group.spans[batch.classes]):
+            if part is None and isinstance(cls.targets, slice):
+                part = out[span].copy()
+            else:
+                part = np.zeros((group.boxes, out.shape[1])) if part is None else part
+                part[cls.targets] += out[span]
+        return part if g is None else g + part
+
+    @pytest.mark.parametrize("name", ["gauss2d", "gauss2d-n128", "slp2d-strong",
+                                      "gauss2d-hmatrix", "slp3d-strong", "gauss3d-leaf-p"])
+    def test_scatter_equals_the_per_class_sum(self, name, cases, worker, monkeypatch):
+        """Each batch's one sparse scatter sums every target box's products
+        in class order: the matvec equals, bit for bit, that of a per-class
+        sum, through the worker and inline, on groups of one class on every
+        box, of many classes and of turned ones, all of one batch."""
+        op, offloaded = cases[name]
+        u = np.random.default_rng(68).standard_normal(op.num_points)
+        handed, inline = matvec(op, u), inline_matvec(op, u, monkeypatch)
+        monkeypatch.setattr(operators, "_sum_classes", self.per_class_sum)
+        assert np.array_equal(matvec(op, u), handed)
+        assert np.array_equal(inline_matvec(op, u, monkeypatch), inline)
+        assert worker.tasks == 2 * offloaded
+        assert all(len(group.batches) == 1 for group in op.groups)
+        assert any(batch.scatter is not None for group in op.groups for batch in group.batches)
+
+    @pytest.mark.parametrize("name", ["slp2d-strong", "slp3d-strong"])
+    def test_batches_sum_their_own_classes(self, name, cases, worker, monkeypatch):
+        """Built with batches of at most 2,048 scalars of products, every
+        group of many classes holds several: each batch's scatter is its
+        per-class sum, bit for bit, and the operator's product is the one
+        of one batch per group to rounding, through the worker and inline."""
+        op, _ = cases[name]
+        monkeypatch.setattr(operators, "_BATCH", 2048)
+        small = dataclasses.replace(op, chains=[tuple(dataclasses.replace(group) for group in chain)
+                                                for chain in op.chains])
+        assert all(len(group.batches) > 1 for group in small.groups if len(group.classes) > 4)
+        u = np.random.default_rng(69).standard_normal(op.num_points)
+        whole = matvec(op, u)
+        handed, inline = matvec(small, u), inline_matvec(small, u, monkeypatch)
+        for f in (handed, inline):
+            assert np.abs(f - whole).max() <= 1e-14 * np.abs(whole).max()
+        monkeypatch.setattr(operators, "_sum_classes", self.per_class_sum)
+        assert np.array_equal(matvec(small, u), handed)
+        assert np.array_equal(inline_matvec(small, u, monkeypatch), inline)
+
     def test_hand_over_keeps_no_copy_of_u(self, cases, worker):
         """The peak above the input, 4.04 grid-sized arrays when measured,
         is one more in every matvec if the hand-over keeps the box-major
@@ -1184,6 +1289,94 @@ class TestNonFinitePayloads:
             construct(cfg, grid)
 
 
+def effective_core(payload):
+    """A Tucker payload's core matrix as its leaves see it: turned by the
+    point map of its turn, when it holds one."""
+    matrix = payload.core_matrix
+    return blocks._turned_matrix(matrix, payload.turn) if payload.turn else matrix
+
+
+def first_leaves(op):
+    """(tau, sigma, payload) of every class's first leaf."""
+    d = op.grid.d
+    for side, offset, cls in class_offsets(op):
+        shape = (op.grid.n // side,) * d
+        boxes = np.arange(np.prod(shape))
+        tau, sigma = (IndexBox(tuple((c * side, (c + 1) * side) for c in
+                                     np.unravel_index(boxes[ids][0], shape, order="F")))
+                      for ids in (cls.targets, cls.sources))
+        yield tau, sigma, cls.payload
+
+
+def orbit_key(side, offset, payload):
+    """The key shared by the classes of one orbit, the classes that hold
+    one payload: a class in parity sectors shares it with the opposite
+    offset only, any other class of a kernel of |x - y| with every offset
+    of the same magnitudes up to their order, on boxes of its side and of
+    its kind."""
+    if getattr(payload, "dims", ()):
+        return side, "sectors", max(offset, tuple(-o for o in offset))
+    return side, type(payload).__name__, tuple(sorted(abs(o) for o in offset))
+
+
+class TestOrbits:
+    """The classes of a kernel of |x - y| hold one payload per orbit of
+    their offsets under the signed permutations of the dimensions, and each
+    class's turn from its canonical class, both read off the integer
+    offsets with no search."""
+
+    CASES = {
+        "2d-weak": (UniformGrid(2, 64), 8, AdmissibilityRule.weak()),
+        "2d-strong": (UniformGrid(2, 64), 8, AdmissibilityRule.strong(np.sqrt(2.0))),
+        "3d-weak": (UniformGrid(3, 16), 2, AdmissibilityRule.weak()),
+        "3d-strong": (UniformGrid(3, 32), 4, AdmissibilityRule.strong(np.sqrt(3.0))),
+    }
+
+    @staticmethod
+    def signed_permutations(d):
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                g = np.zeros((d, d), dtype=int)
+                g[np.arange(d), perm] = signs
+                yield g
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("in_sectors", [False, True], ids=["plain", "sectors"])
+    def test_orbit_map_matches_a_search_over_the_group(self, case, in_sectors):
+        """Against every signed permutation: a class's canonical class is
+        the first, in class order, of the classes of its level and kind
+        whose offset one of them takes to the class's, that is not a
+        mirror (its first nonzero coordinate negative), and its turn is one
+        that does; classes in sectors, here every dense class with a zero
+        coordinate, only the opposite offset."""
+        grid, leaf, rule = self.CASES[case]
+        leaves = grids._leaf_lattice(grid, leaf, rule)
+        first = np.sort(np.unique(leaves.offset_id, return_index=True)[1])
+        levels, tucker = leaves.level[first], leaves.admissible[first]
+        offsets = leaves.sigma[first] - leaves.tau[first]
+        sectors = ~tucker & (offsets == 0).any(axis=1) & in_sectors
+        canonical, turns = operators._orbits(levels, tucker, sectors, offsets)
+        group = list(self.signed_permutations(grid.d))
+        mirror = [o[np.flatnonzero(o)[0]] < 0 if o.any() else False for o in offsets]
+        sizes = collections.Counter(canonical.tolist())
+        kinds = list(zip(levels.tolist(), tucker.tolist(), sectors.tolist()))
+        index = {(kind, tuple(o)): j for j, (kind, o) in enumerate(zip(kinds, offsets.tolist()))}
+        for i, o in enumerate(offsets):
+            images = [o, -o] if sectors[i] else [g @ o for g in group]
+            orbit = sorted({index[key] for key in ((kinds[i], tuple(image.tolist()))
+                                                   for image in images) if key in index})
+            assert canonical[i] == next(j for j in orbit if not mirror[j])
+            assert sizes[canonical[i]] == len(orbit)
+            turn = np.zeros((grid.d, grid.d), dtype=int)
+            turn[np.arange(grid.d), np.abs(turns[i]) - 1] = np.sign(turns[i])
+            assert any(np.array_equal(turn, g) for g in group)
+            assert np.array_equal(turn @ offsets[canonical[i]], o)
+        # the orbits are larger than a pair of opposite offsets, but not in
+        # sectors
+        largest = max(sizes[c] for c in canonical[sectors].tolist()) if sectors.any() else 0
+        assert largest <= 2 and max(sizes.values()) > 2
+
+
 def dense_classes(op):
     """(box side, source-minus-target offset, class) of every dense class."""
     return [(side, offset, cls) for side, offset, cls in class_offsets(op)
@@ -1254,11 +1447,13 @@ class TestParitySectors:
         classes = dense_classes(op)
         assert rep.dense_scalars == sum(leaves[id(cls.payload)] * cls.payload.sectors.size
                                         for _, _, cls in classes)
-        # each pair of mirrored classes holds one buffer of sectors
+        # each pair of opposite classes in sectors holds one buffer of
+        # sectors, each orbit of plain classes one matrix
         owners = {id(cls.payload.sectors.base if cls.payload.sectors.base is not None
                      else cls.payload.sectors): cls.payload.sectors.size
                   for _, _, cls in classes}
-        assert len(owners) == (len(classes) + 1) // 2
+        assert len(owners) == len({orbit_key(side, offset, cls.payload)
+                                   for side, offset, cls in classes})
         full = sum(cls.payload.shape[0] * cls.payload.shape[1] for _, _, cls in classes)
         assert sum(owners.values()) < full // 2
 
@@ -1339,7 +1534,10 @@ class TestLevelBatches:
         bases = collections.defaultdict(set)  # ids of the baseline's bases by side
         for side, payload, tau, sigma in self.tucker_classes(op):
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
-            assert np.array_equal(payload.core, block.core)
+            # a turned class holds its orbit's core, not its own:
+            # TestClassSharing.test_every_class_matches_its_own_pair checks it
+            if not payload.turn:
+                assert np.array_equal(payload.core, block.core)
             factors, expected = (b.u_factors + b.v_factors for b in (payload, block))
             if build is construct:
                 assert all(f is g for f, g in zip(factors, expected))
