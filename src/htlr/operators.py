@@ -251,11 +251,13 @@ def _scatter(targets: list, boxes: int) -> tuple:
     for one class on every box, whose products are in box order."""
     if len(targets) == 1 and len(targets[0]) == boxes:
         return slice(None), None
-    touched, rows = np.unique(np.concatenate(targets), return_inverse=True)
+    rows = np.concatenate(targets)
     order = np.argsort(rows, kind="stable").astype(np.int32)
-    starts = np.concatenate([[0], np.cumsum(np.bincount(rows))]).astype(np.int32)
-    scatter = csr_array((np.ones(len(rows)), order, starts), shape=(len(touched), len(rows)))
-    return (slice(None) if len(touched) == boxes else touched.astype(np.int32)), scatter
+    counts = np.bincount(rows, minlength=boxes)
+    touched = slice(None) if counts.all() else np.flatnonzero(counts).astype(np.int32)
+    starts = np.concatenate([[0], np.cumsum(counts[touched])]).astype(np.int32)
+    return touched, csr_array((np.ones(len(rows)), order, starts),
+                              shape=(len(starts) - 1, len(rows)))
 
 
 @dataclass
@@ -449,9 +451,12 @@ def _orbits(levels: np.ndarray, tucker: np.ndarray, sectors: np.ndarray,
     mirror = _is_mirror(offsets)
     shapes = np.where(sectors[:, None], np.where(mirror[:, None], -offsets, offsets),
                       np.sort(magnitudes, axis=1))
-    _, orbit = np.unique(np.column_stack([levels, tucker, sectors, shapes]), axis=0,
-                         return_inverse=True)
-    orbit = orbit.ravel()
+    # the orbit's key as one integer, each coordinate of its shape a digit
+    base = 2 * int(np.abs(offsets).max(initial=0)) + 1
+    key = (levels * 2 + tucker) * 2 + sectors
+    for column in shapes.T:
+        key = key * base + column + base // 2
+    _, orbit = np.unique(key, return_inverse=True)
     order = np.lexsort((np.arange(count), mirror, orbit))
     firsts = order[np.flatnonzero(np.diff(orbit[order], prepend=-1))]
     canonical = firsts[orbit]
