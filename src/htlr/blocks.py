@@ -238,7 +238,7 @@ class DenseBlock:
     def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
         """The product, one target box per row, from ``t = fold(rows) @
         operand()``; written into `into`, an array of its shape, when
-        given."""
+        given, which may hold the memory of `t`."""
         if not self.folds:
             return _into(t, into)
         if self.dims:
@@ -311,8 +311,8 @@ def _fold(rows: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
 
 def _unfold(t: np.ndarray, sides: tuple, dims: tuple, into=None) -> np.ndarray:
     """``F.T``, the adjoint of :func:`_fold`, back to one box per row, in
-    `into` when given: the sectors combined by :func:`_signs` are the
-    parts."""
+    `into` when given, which may hold the memory of `t`: the sectors
+    combined by :func:`_signs` are the parts, read before it is written."""
     parts, boxes = len(t), t.shape[1]
     values = (_signs(parts) @ t.reshape(parts, -1)).reshape(
         (parts, boxes) + _part_shape(sides, dims))
@@ -406,7 +406,8 @@ def _turn_rows(rows: np.ndarray, turn: tuple) -> np.ndarray:
 
 
 def _unturn_rows(t: np.ndarray, turn: tuple, into=None) -> np.ndarray:
-    """The inverse of :func:`_turn_rows`, written into `into` when given."""
+    """The inverse of :func:`_turn_rows`, written into `into` when given,
+    which may hold the memory of `t`: numpy's take then reads a copy."""
     # a permutation never clips; with "clip" numpy writes `into` unbuffered
     return t.take(_turn_index(turn, t.shape[1])[1], axis=1, out=into, mode="clip")
 

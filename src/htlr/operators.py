@@ -621,13 +621,17 @@ def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
     del c, x
 
     def products():
-        # a product that unfolds nothing goes straight into its rows
+        # each product goes into its rows of its batch's array; one that
+        # unfolds, in its own shape, to be unfolded there in place: a
+        # product of its own per class would double the group's memory
         outs, ts = [], []
         for batch in group.batches:
             outs.append(np.empty((batch.rows, group.width)))
             for left, right, unfold, span in zip(lefts[batch.classes], operands[batch.classes],
                                                  unfolds[batch.classes], group.spans[batch.classes]):
-                ts.append(np.matmul(left, right, out=None if unfold else outs[-1][span]))
+                rows = outs[-1][span]
+                ts.append(np.matmul(left, right, out=rows.reshape(
+                    left.shape[:-1] + right.shape[-1:]) if unfold else rows))
         return outs, ts
 
     task = worker.submit(products)
