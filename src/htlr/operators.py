@@ -100,9 +100,10 @@ than a core, and when it does the calling thread gathers and folds its
 source rows, makes its operands (materializing the blocks that do not fold)
 and hands its matrix products, which release the interpreter lock, to a
 single worker thread as one task.  It then runs every other chain, unfolds
-the dense products and sums them through the group's scatter, and adds the
-near part into f first, then each chain's part in chain order.  Every sum
-keeps its order, so f is bit for bit what the calling thread alone gives.  Groups of
+the dense products and sums them through its batches' scatters, and adds
+the near part into f first, then each chain's part in chain order.  Every
+sum keeps its order, so f is bit for bit what the calling thread alone
+gives.  Groups of
 core-sized products stay on the calling thread, as many small calls would
 contend for the interpreter lock: the dense groups of boxes no wider than
 the rank, and a 2D self class in sectors of p^d rows on boxes of side 2p.
@@ -659,9 +660,9 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     A matvec's peak above its input depends on when the worker finishes:
     traced with tracemalloc, it was 3.0–3.8 grid-sized arrays on a 512²
     weak Gaussian with one dense class, whose block is materialized for the
-    product (3.0 without the overlap), and 21.7–26.5 on a 128² single layer
-    under the strong rule with nine, five of them folded (12.2), as a
-    batch's products live until they are summed."""
+    product (3.0 without the overlap), and 15.7–20.6 on a 128² single layer
+    under the strong rule with nine, five of them folded (12.2, as a
+    batch's products live until they are summed)."""
     coeffs = [u]
     for group in chain:
         coeffs.append(project(coeffs[-1], grid.d, grid.n // group.side, group.maps))
