@@ -409,9 +409,10 @@ class TestClassSharing:
     @BUILDS
     def test_every_class_matches_its_own_pair(self, case, build, build_admissible):
         """Every class's effective core (Tucker) or block (dense) is the one
-        built directly for its first leaf's pair, within 1e-14 relative:
-        bit for bit where the class holds no turn, as the turn moves the
-        kernel's arguments and the rounding of their distance."""
+        built directly for its first leaf's pair, within 1e-14 relative, as
+        a turn moves the kernel's arguments and the rounding of their
+        distance, and parity sectors the rounding of the block: bit for bit
+        where the class holds neither."""
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
         turned = 0
