@@ -9,10 +9,9 @@ block with each side's factors multiplied out into one Kronecker basis, i.e.
 an order-2 Tucker block u @ g @ v.T, on a basis that the operators make once
 per tree level and :func:`build_lowrank` once per pair.  Every factor is an
 explicit matrix, as tall as the box side and as wide as the rank, so a box
-narrower than the rank is rejected.  Inadmissible pairs are stored densely,
-and so are admissible pairs on boxes no wider than the rank, whose factors
-would compress nothing; a translation-invariant kernel's dense block is
-built from one kernel value per index offset.  All blocks carry the
+narrower than the rank is rejected.  Inadmissible pairs are stored densely;
+a translation-invariant kernel's dense block is built from one kernel value
+per index offset.  All blocks carry the
 quadrature weight h^d of the discretization, so materializing any block
 reproduces the corresponding submatrix of the system matrix.
 
@@ -22,12 +21,17 @@ their offset is zero.  In the basis of sums and differences of mirrored
 points it is then block diagonal (A. Cantoni and P. Butler, Linear Algebra
 Appl. 13, 1976), as optimized Chebyshev FMM codes use the symmetries of
 their kernels to shrink their operators (M. Messner et al., 2012).  Such a
-:class:`DenseBlock` stores only its 2^k diagonal sectors; a self block keeps
-a 2^d-th of its scalars.  One transform forms the sums and differences of
-mirrored points, :func:`_fold`, with its adjoint :func:`_unfold`: they fold
-a product's rows and unfold its result, build the sectors from the block's
-rows in one part (:func:`_sectors`) and give back those rows of the block
-(:func:`_unfolded`).  The plain dense block is the case k = 0.
+:class:`DenseBlock` keeps only its 2^k diagonal sectors.  As the boxes are
+cubes, a permutation of those k dimensions leaves the block unchanged too,
+and takes the sector odd in one set of them to the sector odd in its image:
+so only one sector per number of odd dimensions is stored, k + 1 of them,
+and a self block keeps (d + 1) / 4^d of its scalars.  One transform forms
+the sums and differences of mirrored points, :func:`_fold`, with its
+adjoint :func:`_unfold`: they fold a product's rows and unfold its result,
+build the sectors from the block's rows in one part (:func:`_sectors`) and
+give back those rows of the block (:func:`_unfolded`); :func:`_spread`
+gives every sector from the stored ones.  The plain dense block is the
+case k = 0.
 
 On a uniform grid a box's interpolation factor depends only on the grid, the
 box side and the rank: it is computed once in box-relative coordinates and
@@ -174,7 +178,7 @@ class TuckerBlock:
 @dataclass
 class DenseBlock:
     """A kernel submatrix, whose box coefficients are the grid values, stored
-    as ``sectors``, an array (2^k, m, m).  In the plain case k = 0 and the
+    as ``sectors``, an array (k + 1, m, m).  In the plain case k = 0 and the
     one sector is the matrix.  A block of a translation-invariant kernel
     whose two boxes are one cube (of ``sides``) at an offset that is zero in
     the k dimensions ``dims`` is unchanged when both boxes are reflected in
@@ -183,17 +187,19 @@ class DenseBlock:
     P. Butler, Linear Algebra Appl. 13, 1976): 2^k sectors of m = s^d / 2^k
     rows (:func:`_sectors`).  They are stored scaled so that no square root
     enters: the block is ``F.T @ diag(sectors) @ F`` with F the unnormalized
-    sums and differences of :func:`_fold`.  A plain block with a ``turn``
-    (:func:`_turned`) is the stored matrix with its rows and columns
-    permuted by the turn's point map.
+    sums and differences of :func:`_fold`.  Sector c, odd in the dimensions
+    of the set bits of c, is stored sector popcount(c) with a permutation of
+    ``dims`` applied to its points (:func:`_spread`).  A plain block with a
+    ``turn`` (:func:`_turned`) is the stored matrix with its rows and
+    columns permuted by the turn's point map.
 
     A product with the grid values of many source boxes is ``unfold(fold(rows)
     @ operand())`` (:meth:`product`).  ``folds``, fixed at build, says how a
-    sector or turned block takes it: through its stored array, the rows
-    folded (or turned) and the result unfolded, or, where the block has
-    fewer columns than the product has rows, through the block materialized
-    for the product, which is then the cheaper.  A block whose ``fold``
-    returns its argument unfolds nothing."""
+    sector or turned block takes it: through its sectors (or its stored
+    matrix), the rows folded (or turned) and the result unfolded, or, where
+    the block has fewer columns than the product has rows, through the block
+    materialized for the product, which is then the cheaper.  A block whose
+    ``fold`` returns its argument unfolds nothing."""
 
     sectors: np.ndarray
     sides: tuple = ()
@@ -203,8 +209,8 @@ class DenseBlock:
 
     @property
     def shape(self) -> tuple[int, int]:
-        parts, rows, cols = self.sectors.shape
-        return rows * parts, cols * parts
+        _, rows, cols = self.sectors.shape
+        return rows << len(self.dims), cols << len(self.dims)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -214,20 +220,23 @@ class DenseBlock:
 
     @property
     def width(self) -> int:
-        """The columns of :meth:`operand`, which it does not make."""
-        return self.sectors.shape[2] if self.folds else self.shape[1]
+        """The columns of :meth:`operand`, which it does not make: a
+        sector's of a block that folds, else the block's rows."""
+        return self.sectors.shape[2] if self.folds else self.shape[0]
 
     def materialize(self) -> np.ndarray:
         if self.dims:
-            return _unfolded(self.sectors, self.sides, self.dims)
+            return _unfolded(_spread(self.sectors, self.sides, self.dims), self.sides, self.dims)
         return _turned_matrix(self.sectors[0], self.turn) if self.turn else self.sectors[0]
 
     def operand(self) -> np.ndarray:
-        """The right factor of the product: the transposed sectors of a
+        """The right factor of the product: every sector transposed, of a
         block that folds, else the transposed block."""
-        if self.folds:
-            return self.sectors.transpose(0, 2, 1) if self.dims else self.sectors[0].T
-        return self.materialize().T
+        if not self.folds:
+            return self.materialize().T
+        if not self.dims:
+            return self.sectors[0].T
+        return _spread(self.sectors, self.sides, self.dims).transpose(0, 2, 1)
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
         """The left factor of the product from the source rows."""
@@ -298,15 +307,17 @@ def _signs(parts: int) -> np.ndarray:
                                 for c in range(parts)], dtype=float))
 
 
-def _fold(rows: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
+def _fold(rows: np.ndarray, sides: tuple, dims: tuple, kept=slice(None)) -> np.ndarray:
     """``F`` applied to the grid values of boxes of `sides`, one box per row
     (first index fastest): the 2^k parts of :func:`_parts` combined by
     :func:`_signs`, an array (2^k, boxes, m) of each sector's coefficients,
-    first index fastest.  One copy and one product."""
+    first index fastest, or of the sectors `kept` only.  One copy and one
+    product."""
     boxes, parts = len(rows), _parts(sides, dims)
     t = rows.reshape((boxes,) + sides[::-1])
     stacked = np.stack([t[(slice(None),) + part] for part in parts])
-    return (_signs(len(parts)) @ stacked.reshape(len(parts), -1)).reshape(len(parts), boxes, -1)
+    signs = _signs(len(parts))[kept]
+    return (signs @ stacked.reshape(len(parts), -1)).reshape(len(signs), boxes, -1)
 
 
 def _unfold(t: np.ndarray, sides: tuple, dims: tuple, into=None) -> np.ndarray:
@@ -332,19 +343,62 @@ def _sectors(block: np.ndarray, sides: tuple, dims: tuple, boxes: int) -> DenseB
     when they are no more than the block's columns.  The sectors are
     :func:`_fold` of the block's rows in part 0 of :func:`_parts`, over 2^k:
     sums and differences of the block's entries, and the division is exact.
-    Only those rows are read.  Returned read-only."""
+    Only those rows are read, and only the sectors 2^j - 1, odd in the
+    first j of `dims`, are kept, one per j from 0 to k (:func:`_spread`).
+    Returned read-only."""
     parts, points = _parts(sides, dims), math.prod(sides)
     rows = block.reshape(sides[::-1] * 2)[parts[0]].reshape(-1, points)
-    return DenseBlock(_read_only(_fold(rows, sides, dims) / len(parts)), tuple(sides),
+    kept = [(1 << j) - 1 for j in range(len(dims) + 1)]
+    return DenseBlock(_read_only(_fold(rows, sides, dims, kept) / len(parts)), tuple(sides),
                       tuple(dims), boxes <= points)
 
 
+def _spread(stored: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
+    """All 2^k sectors of a block in parity sectors (:class:`DenseBlock`),
+    or of its mirror, from the k + 1 it stores, an array (k + 1, m, m):
+    `stored` itself when k < 2, else a new array.  A permutation of `dims`
+    leaves the block unchanged, maps part 0 of :func:`_parts` onto itself
+    and takes the sector odd in a set of them to the sector odd in its
+    image: so sector c is the stored sector popcount(c) with the point map
+    of :func:`_sector_turns` applied to its rows and columns, one strided
+    copy per sector."""
+    parts = 1 << len(dims)
+    if len(stored) == parts:
+        return stored
+    shape, m = _part_shape(sides, dims), stored.shape[1]
+    out = np.empty((parts, m, m))
+    for c, turn in enumerate(_sector_turns(len(sides), dims)):
+        if turn:
+            _turned_matrix(stored[c.bit_count()], turn, out[c], shape)
+        else:
+            out[c] = stored[c.bit_count()]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sector_turns(d: int, dims: tuple) -> tuple:
+    """Per sector c, the turn (:func:`_turned`) that :func:`_spread` applies
+    to stored sector popcount(c), read off the bits of c: it sends
+    ``dims[t]`` to the t-th of the dimensions of the set bits, then of the
+    clear bits, of c, and fixes every other dimension; () where that is the
+    identity, for the stored sectors themselves."""
+    turns = []
+    for c in range(1 << len(dims)):
+        odd = [dim for bit, dim in enumerate(dims) if c >> bit & 1]
+        even = [dim for bit, dim in enumerate(dims) if not c >> bit & 1]
+        turn = list(range(1, d + 1))
+        for a, b in zip(odd + even, dims):
+            turn[a] = b + 1
+        turns.append(() if turn == sorted(turn) else tuple(turn))
+    return tuple(turns)
+
+
 def _unfolded(sectors: np.ndarray, sides: tuple, dims: tuple) -> np.ndarray:
-    """The matrix ``F.T @ diag(sectors) @ F`` of :class:`DenseBlock`, the
-    inverse of :func:`_sectors`.  Its rows in part 0 of :func:`_parts` are
-    :func:`_unfold` of the sectors; and as the block is unchanged when both
-    boxes are reflected, its rows in part a are those of part 0 with the
-    columns reflected in the dimensions of a."""
+    """The matrix ``F.T @ diag(sectors) @ F`` of :class:`DenseBlock`, from
+    all 2^k of its sectors (:func:`_spread`).  Its rows in part 0 of
+    :func:`_parts` are :func:`_unfold` of the sectors; and as the block is
+    unchanged when both boxes are reflected, its rows in part a are those
+    of part 0 with the columns reflected in the dimensions of a."""
     d, parts = len(sides), _parts(sides, dims)
     lower = _unfold(sectors, sides, dims).reshape(_part_shape(sides, dims) + sides[::-1])
     full = np.empty(sides[::-1] * 2)
@@ -429,15 +483,18 @@ def _turn_axes(turn: tuple) -> tuple:
     return tuple(index), tuple(axes)
 
 
-def _turned_matrix(matrix: np.ndarray, turn: tuple) -> np.ndarray:
+def _turned_matrix(matrix: np.ndarray, turn: tuple, out: np.ndarray | None = None,
+                   shape: tuple | None = None) -> np.ndarray:
     """A block's matrix with the point map T of `turn` applied to its rows
-    and columns: entry (T(i), T(j)) is entry (i, j) of `matrix`.  One
+    and columns: entry (T(i), T(j)) is entry (i, j) of `matrix`, written
+    into `out` when given.  The points are a cube, or of `shape`, last
+    dimension first, whose sides the turn permutes among equals.  One
     strided copy, as index arrays along the columns copied a 512² matrix
     six times slower."""
     m, d = matrix.shape[0], len(turn)
-    shape = (_root(m, d),) * (2 * d)
+    shape = (shape or (_root(m, d),) * d) * 2
     index, axes = _turn_axes(turn)
-    out = np.empty((m, m))
+    out = np.empty((m, m)) if out is None else out
     out.reshape(shape)[index].transpose(axes)[...] = matrix.reshape(shape)
     return out
 

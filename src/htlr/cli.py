@@ -36,6 +36,7 @@ from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, by_name, pairw
 from .operators import (
     BuildConfig,
     _exact_sample,
+    _leaf_threshold,
     construct,
     construct_hmatrix,
     matvec,
@@ -141,7 +142,8 @@ def cmd_bench_uniform(args) -> list[dict]:
     cfg = config_for(args, kernel)
     try:
         grid = UniformGrid(args.dim, args.n)
-        _leaf_side(grid.n, args.leaf)  # n must halve evenly into leaves
+        # n must halve evenly down to the side the build splits above
+        _leaf_side(grid.n, _leaf_threshold(cfg))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     u = np.random.default_rng((args.seed, 0)).standard_normal(grid.num_points)

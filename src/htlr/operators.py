@@ -71,25 +71,28 @@ target boxes, each box's in class order, in place of one scattered
 addition per class; downward, each group expands its target
 coefficients through its maps onto the level below.  Dense payloads form
 groups without maps, each a chain of its own: their coefficients are the
-grid values of each box.  An
-admissible leaf on boxes no wider than the rank is stored dense too, as the
-full-matrix format of an H-matrix stores a block whose rank is no smaller
-than its size (W. Hackbusch, Hierarchical Matrices, Springer 2015): factors
-that wide would compress nothing, and the kernel submatrix holds as many
-scalars as the core would.  A translation-invariant kernel's dense class on
-boxes wider than the rank, of an even side, is stored in parity sectors:
-2^k of them for the k dimensions in which its offset is zero
-(:class:`htlr.blocks.DenseBlock`), so a self class holds a 2^d-th of its
-matrix and a mirrored class holds transposed views of its mirror's sectors.
-Every other dense class, on boxes no wider than the rank, of an odd side or
-of a custom kernel, keeps one sector, its matrix, shared over its orbit.
+grid values of each box.  The
+build splits no box pair of side 2p or less (:func:`_leaf_threshold`), as
+an H-matrix keeps a block in full where its children would be no wider
+than the rank (W. Hackbusch, Hierarchical Matrices, Springer 2015): so
+every leaf of a tree of more than one level is wider than the rank, and
+every admissible leaf is Tucker.  A translation-invariant kernel's dense
+class of an even side wider than the rank (all but the leaf of a one-leaf
+tree no wider) is stored in parity sectors, 2^k of them for the k
+dimensions in which its offset is zero, of which it keeps one per number
+of odd dimensions, k + 1, as a permutation of those dimensions turns one
+sector into another (:class:`htlr.blocks.DenseBlock`): so a self class
+holds (d + 1) / 4^d of its matrix, and a mirrored class holds transposed
+views of its mirror's sectors.  Every other dense class, of an odd side, of
+a custom kernel or on boxes no wider than the rank, keeps one sector, its
+matrix, shared over its orbit.
 Whether a class in sectors folds is fixed at build from its number of
 source boxes
 (:meth:`htlr.blocks.DenseBlock.product`): with no more boxes than its block
 has columns, its product folds the rows into sums and differences of
-mirrored points, takes one batched product and unfolds it; with more, as a
-2D self class on many boxes, its block is materialized for the one product,
-which is then the cheaper.
+mirrored points, spreads its sectors into one operand and takes one batched
+product, and unfolds it; with more, as a 2D self class on many boxes, its
+block is materialized for the one product, which is then the cheaper.
 
 The near field and the far field are independent until they are summed
 into f, so the matvec overlaps them, as task-based fast multipole codes run
@@ -105,9 +108,9 @@ the near part into f first, then each chain's part in chain order.  Every
 sum keeps its order, so f is bit for bit what the calling thread alone
 gives.  Groups of
 core-sized products stay on the calling thread, as many small calls would
-contend for the interpreter lock: the dense groups of boxes no wider than
-the rank, and a 2D self class in sectors of p^d rows on boxes of side 2p.
-A process that can run on one CPU only runs everything there.
+contend for the interpreter lock: a self class in sectors of p^d rows on
+boxes of side 2p, in 2D or 3D.  A process that can run on one CPU only
+runs everything there.
 """
 
 from __future__ import annotations
@@ -155,7 +158,9 @@ from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, _Constant, _re
 class BuildConfig:
     """Parameters of a hierarchical build: interpolation rank per mode, the
     largest leaf box side, admissibility rule, kernel, coefficient and
-    quadrature."""
+    quadrature.  The build raises a leaf side below twice the rank to it
+    (:func:`_leaf_threshold`), so that every leaf of a tree of more than
+    one level is wider than the rank."""
 
     rank: int
     leaf_side: int
@@ -267,8 +272,8 @@ class HTLRMatrix:
     index fastest, or its one value when a is constant (the matvec
     broadcasts it), and the translation classes the matvec applies, grouped
     by box side and kind into chains of nested factors.  Each class holds one
-    payload for all its leaves: Tucker for admissible leaves on boxes wider
-    than the rank (of order 2 for the baseline), dense otherwise."""
+    payload for all its leaves: Tucker for admissible leaves (of order 2 for
+    the baseline), dense otherwise."""
 
     grid: UniformGrid
     config: BuildConfig
@@ -287,7 +292,7 @@ class HTLRMatrix:
     def block_tree(self) -> BlockClusterTree:
         """The block cluster tree whose leaves the classes cover, built on
         each call; the operator does not hold it."""
-        tree = build_cluster_tree(self.grid, self.config.leaf_side)
+        tree = build_cluster_tree(self.grid, _leaf_threshold(self.config))
         return build_block_cluster_tree(tree, self.config.rule)
 
     @property
@@ -312,12 +317,21 @@ class StorageReport:
     theoretical_bound: float
 
 
+def _leaf_threshold(cfg: BuildConfig) -> int:
+    """The side above which the build splits a box pair: the configured
+    leaf side, or twice the rank if that is larger.  Splitting a pair of
+    side 2p or less would keep the same dense entries in up to 3^d classes
+    on boxes no wider than the rank, where a factor compresses nothing."""
+    return max(cfg.leaf_side, 2 * cfg.rank)
+
+
 def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
-    leaves = _leaf_lattice(grid, cfg.leaf_side, cfg.rule)
+    leaves = _leaf_lattice(grid, _leaf_threshold(cfg), cfg.rule)
     depth = int(leaves.level.max())
-    # the side the tree reaches, not the threshold; a one-leaf tree is all
-    # dense and has no leaf side to keep in range
-    if depth > 0 and not cfg.rank <= grid.n >> depth <= 2 * cfg.rank:
+    # the side the tree reaches, not the threshold: above the rank, as no
+    # pair of side 2p or less is split; a one-leaf tree is all dense and
+    # has no leaf side to keep in range
+    if depth > 0 and grid.n >> depth > 2 * cfg.rank:
         warnings.warn(
             f"leaf side {grid.n >> depth} outside the recommended range "
             f"[rank, 2*rank] = [{cfg.rank}, {2 * cfg.rank}]; the linear "
@@ -339,11 +353,12 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     firsts = first[classes]
     levels = leaves.level[firsts]
     sides = grid.n >> levels
-    tucker = leaves.admissible[firsts] & (sides > cfg.rank)
+    tucker = leaves.admissible[firsts]
     offsets = leaves.sigma[firsts] - leaves.tau[firsts]
     counts = np.bincount(inverse)[classes]
-    # dense classes in parity sectors: on boxes wider than the rank, of an
-    # even side, at an offset with a zero coordinate
+    # dense classes in parity sectors: on boxes wider than the rank (as
+    # every leaf of a tree of more than one level is), of an even side, at
+    # an offset with a zero coordinate
     sectors = (cfg.kernel.translation_invariant & ~tucker & (sides > cfg.rank)
                & (sides % 2 == 0) & (offsets == 0).any(axis=1))
     if cfg.kernel.translation_invariant:
@@ -567,14 +582,12 @@ def _offloads(group: FactorGroup, rank: int, d: int) -> bool:
     """Whether the matvec hands a group's products to the near-field worker
     (:func:`_offload`): only a dense group with a product wider than a core
     (than rank^d columns), as many small calls would contend for the
-    interpreter lock.  The products of boxes no wider than the rank are at
-    most core-sized, and so are those of a 2D self class in sectors on boxes
-    of side 2p.  A dense class on boxes wider than the rank is an
-    inadmissible leaf, as the admissible leaves there are Tucker, and those
-    are on the finest side alone, which :func:`_chains` puts first: so the
-    one group this can accept is an operator's first."""
-    return (not group.maps and group.side > rank
-            and max(cls.payload.width for cls in group.classes) > rank**d)
+    interpreter lock.  The products of a self class in sectors on boxes of
+    side 2p are core-sized, in 2D and 3D.  Every admissible leaf is Tucker,
+    so a dense class is an inadmissible leaf, on the finest side alone,
+    which :func:`_chains` puts first: so the one group this can accept is
+    an operator's first."""
+    return not group.maps and max(cls.payload.width for cls in group.classes) > rank**d
 
 
 _worker_lock = threading.Lock()

@@ -691,8 +691,8 @@ SECTOR_PAIRS = pytest.mark.parametrize(
 
 class TestParitySectors:
     """A dense block that is unchanged when both boxes are reflected in k
-    dimensions is stored as 2^k sectors of a 2^k-th of its rows each, and
-    gives back its block to rounding."""
+    dimensions has 2^k sectors of a 2^k-th of its rows each, stores one per
+    number of odd dimensions, and gives back its block to rounding."""
 
     @pytest.mark.parametrize("k", range(4))
     def test_signs_are_the_walsh_hadamard_matrix(self, k):
@@ -706,9 +706,9 @@ class TestParitySectors:
     def test_materialize_matches_build_dense(self, name, k, grid, tau, sigma, dims):
         plain = build_dense(k, grid, tau, sigma, QuadratureConfig())
         block = blocks._sectors(plain.matrix, tau.sizes, dims, 1)
-        n = plain.shape[0]
-        assert block.sectors.shape == (2 ** len(dims), n >> len(dims), n >> len(dims))
-        assert block.sectors.size == plain.matrix.size >> len(dims)
+        n, zeros = plain.shape[0], len(dims)
+        assert block.sectors.shape == (zeros + 1, n >> zeros, n >> zeros)
+        assert block.sectors.size == (zeros + 1) * plain.matrix.size >> 2 * zeros
         full = block.materialize()
         assert block.shape == full.shape == plain.shape
         assert np.abs(full - plain.matrix).max() <= 1e-15 * np.abs(plain.matrix).max()
@@ -754,6 +754,8 @@ class TestParitySectors:
             assert np.abs(block.product(rows) - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_plain_block_is_one_sector(self):
+        """A plain block, which does not fold, is its matrix: its product
+        is one with the transposed block, as wide as the block is tall."""
         grid = UniformGrid(2, 32)
         tau, sigma = IndexBox(((0, 4), (0, 8))), IndexBox(((8, 12), (8, 10)))
         block = build_dense(slp_2d(), grid, tau, sigma, QuadratureConfig())
@@ -761,9 +763,11 @@ class TestParitySectors:
         assert block.shape == block.materialize().shape == (32, 8)
         mirror = blocks._mirrored(block)
         assert mirror.shape == mirror.materialize().shape == (8, 32)
-        rows = np.ones((2, 8))
-        assert not block.folds and block.fold(rows) is rows and block.width == 8
-        assert np.array_equal(block.product(rows), rows @ block.matrix.T)
+        for b in (block, mirror):
+            rows = np.ones((2, b.shape[1]))
+            assert not b.folds and b.fold(rows) is rows
+            assert b.width == b.operand().shape[-1] == b.shape[0]
+            assert np.array_equal(b.product(rows), rows @ b.matrix.T)
 
 
 class TestTurns:

@@ -55,6 +55,15 @@ class TestBenchUniform:
         assert code == 0
         assert parse_csv(out)[0]["n"] == "48"
 
+    def test_grid_checked_against_the_raised_leaf_side(self, capsys):
+        # 40 -> 20 -> 10 -> 5 does not halve down to the leaf side 4, but
+        # the build raises that side to 2p = 8 and stops at 5: the CLI
+        # accepts the grid the library builds
+        code, out, err = run_cli(capsys, "bench-uniform", "--n", "40", "--p", "4",
+                                 "--leaf", "4")
+        assert code == 0, err
+        assert parse_csv(out)[0]["n"] == "40"
+
     def test_kernel_dimension_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "bench-uniform", "--dim", "2", "--kernel", "slp3d",

@@ -56,11 +56,17 @@ def weak_gaussian_cfg(rank=8, leaf=16):
     )
 
 
+def split_side(cfg) -> int:
+    """The side above which the build splits a box pair: the configured
+    leaf side, raised to twice the rank."""
+    return max(cfg.leaf_side, 2 * cfg.rank)
+
+
 def tree_leaves(grid, cfg) -> dict:
     """The kind, "admissible" or "inadmissible", of every leaf (tau, sigma)
     of the recursive block tree construction, keyed by its index boxes."""
     return {(IndexBox(tau), IndexBox(sigma)): kind for _, kind, tau, sigma in
-            recursive_block_pairs(grid.d, grid.n, cfg.leaf_side, cfg.rule)
+            recursive_block_pairs(grid.d, grid.n, split_side(cfg), cfg.rule)
             if kind != "internal"}
 
 
@@ -108,7 +114,9 @@ def assert_every_leaf_matches_dense(cfg, grid):
 
 class TestBuildConfig:
     """The build, not the configuration, checks the leaf side against the
-    recommended range [rank, 2*rank]: the side the cluster tree reaches."""
+    recommended range [rank, 2*rank]: the side the cluster tree reaches,
+    which is above the rank, as the build splits no pair of side 2*rank or
+    less; so it warns above 2*rank only."""
 
     def test_leaf_side_outside_recommended_range_warns(self):
         cfg = weak_gaussian_cfg(rank=4, leaf=16)
@@ -126,10 +134,16 @@ class TestBuildConfig:
             for rank, leaf in ((4, 16), (8, 8), (8, 20), (8, 2)):
                 weak_gaussian_cfg(rank=rank, leaf=leaf)
 
-    def test_reached_side_below_rank_warns(self):
-        # threshold 8 is in [8, 16], but 56 halves to leaves of side 7
-        with pytest.warns(UserWarning, match=r"leaf side 7 outside .* \[8, 16\]"):
-            construct(weak_gaussian_cfg(rank=8, leaf=8), UniformGrid(2, 56))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_threshold_below_twice_the_rank_is_raised(self, build):
+        # threshold 8 is below 2*rank = 16: 56 halves to leaves of side 14,
+        # not 7, in the operator and in its block tree alike
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = build(weak_gaussian_cfg(rank=8, leaf=8), UniformGrid(2, 56))
+        assert min(group.side for group in op.groups) == 14
+        assert {max(leaf.tau.box.sizes) for leaf in op.block_tree.leaves} == {14, 28}
 
     # threshold 20 is above 2*rank, but 48 halves to leaves of side 12; a
     # one-leaf tree is all dense
@@ -226,19 +240,13 @@ def translation_classes(op) -> int:
     })
 
 
-def stored_dense(kind, tau_sizes, rank) -> bool:
-    """Whether the build stores a leaf dense: an inadmissible leaf, or one
-    on boxes no wider than the rank, whose factors would compress nothing."""
-    return kind != "admissible" or tau_sizes[0] <= rank
-
-
 def per_leaf_matvec(op, build_admissible, u):
     """The operator's kernel part rebuilt leaf by leaf of the tree, applied
     to u."""
     cfg, grid = op.config, op.grid
     f = np.zeros(grid.num_points)
     for (tau, sigma), kind in tree_leaves(grid, cfg).items():
-        if not stored_dense(kind, tau.sizes, cfg.rank):
+        if kind == "admissible":
             block = build_admissible(cfg.kernel, grid, tau, sigma, cfg.rank, grid.h)
         else:
             block = build_dense(cfg.kernel, grid, tau, sigma, cfg.quadrature)
@@ -261,7 +269,6 @@ BUILDS = pytest.mark.parametrize("build,build_admissible", [
 ], ids=["tucker", "lowrank"])
 
 
-@pytest.mark.filterwarnings("ignore:leaf side 7 outside")
 class TestClassSharing:
     """Leaves of one translation class share one payload when the kernel is
     translation invariant, and only then; payloads on boxes of one side share
@@ -269,7 +276,9 @@ class TestClassSharing:
 
     CASES = {
         "2d-weak-gaussian": (UniformGrid(2, 64), weak_gaussian_cfg(rank=4, leaf=8)),
-        # leaf side = p: the admissible leaves of side p are stored dense
+        # a configured leaf side of p: the build splits no pair of side 2p,
+        # so the leaves are of side 8 and the self class is in parity
+        # sectors, one stored per number of odd dimensions
         "3d-leaf-side-p": (UniformGrid(3, 16), BuildConfig(
             rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
@@ -281,8 +290,9 @@ class TestClassSharing:
         )),
         # leaf side 12, not a power of two
         "2d-n48-leaf16": (UniformGrid(2, 48), weak_gaussian_cfg()),
-        # leaf side 7, narrower than the rank: every leaf is stored dense
-        "2d-n56-leaf-side-below-rank": (UniformGrid(2, 56), weak_gaussian_cfg(leaf=8)),
+        # a configured leaf side 4, below the rank 8: raised to 2p = 16, so
+        # 56 halves to leaves of side 14
+        "2d-n56-leaf-side-below-rank": (UniformGrid(2, 56), weak_gaussian_cfg(leaf=4)),
     }
     # the matvec also on a kernel without classes and on a one-leaf grid
     MATVEC_CASES = {
@@ -331,22 +341,22 @@ class TestClassSharing:
         expected = per_leaf_matvec(op, build_admissible, u)
         assert np.abs(matvec(op, u) - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("case", ["3d-leaf-side-p", "2d-n56-leaf-side-below-rank"])
+    @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
-    def test_leaves_no_wider_than_the_rank_are_dense(self, case, build):
+    def test_leaves_are_wider_than_the_rank(self, case, build):
+        """On a grid wider than 2p every leaf of the cluster tree has a side
+        in (p, max(leaf side, 2p)], as the build splits no pair of side 2p
+        or less: so every leaf of the block tree is wider than the rank, and
+        no admissible leaf is dense."""
         grid, cfg = self.CASES[case]
+        assert grid.n > 2 * cfg.rank
         op = build(cfg, grid)
-        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-        kinds, narrow = tree_leaves(grid, cfg), 0
+        kinds, sides = tree_leaves(grid, cfg), set()
         for tau, sigma, block in leaf_payloads(op):
-            if tau.sizes[0] > cfg.rank:
-                continue
-            narrow += kinds[tau, sigma] == "admissible"
-            assert isinstance(block, DenseBlock)
-            sub = block_of(dense.matrix, grid, tau, sigma)
-            assert np.abs(block.matrix - sub).max() <= 1e-15 * np.abs(sub).max()
-        assert narrow > 0
+            sides.add(tau.sizes[0])
+            assert isinstance(block, DenseBlock) == (kinds[tau, sigma] != "admissible")
+        assert cfg.rank < min(sides) <= split_side(cfg)
 
     def test_non_stationary_custom_kernel_builds_per_leaf(self):
         grid, cfg = UniformGrid(2, 64), non_stationary_cfg()
@@ -600,7 +610,6 @@ def class_leaves(op):
             for tau, sigma, block in leaf_payloads(op)]
 
 
-@pytest.mark.filterwarnings("ignore:leaf side 7 outside")
 class TestLatticeBuild:
     """The build enumerates the leaves on the box lattice: its classes cover
     the leaves of the recursive block tree construction, it builds neither
@@ -613,9 +622,9 @@ class TestLatticeBuild:
         grid, cfg = TestClassSharing.MATVEC_CASES[case]
         op = build(cfg, grid)
         tree = [
-            (stored_dense(kind, [hi - lo for lo, hi in tau], cfg.rank), tau, sigma)
+            (kind != "admissible", tau, sigma)
             for _, kind, tau, sigma in recursive_block_pairs(
-                grid.d, grid.n, cfg.leaf_side, cfg.rule)
+                grid.d, grid.n, split_side(cfg), cfg.rule)
             if kind != "internal"
         ]
         assert collections.Counter(class_leaves(op)) == collections.Counter(tree)
@@ -637,37 +646,39 @@ class TestLatticeBuild:
         assert np.isfinite(matvec(op, u)).all()
 
     # the benchmark's four operators: storage_report and operation_counts
-    # as the per-leaf sums gave them
+    # as the per-leaf sums gave them.  A self class keeps one parity sector
+    # per number of odd dimensions, and gauss3d's leaves are of side 2p = 8:
+    # 64 dense leaves, not 4,096 of side p
     WORKLOADS = {
         "gauss2d-n512": (UniformGrid(2, 512), weak_gaussian_cfg(),
-                         (16777216, 3047424, 16760832), (1024, 4092)),
+                         (12582912, 3047424, 16760832), (1024, 4092)),
         "slp2d-n128": (UniformGrid(2, 128), BuildConfig(
             rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
-        ), (21233664, 731136, 5210112), (484, 1272)),
+        ), (20971520, 731136, 5210112), (484, 1272)),
         "gauss3d-n32": (UniformGrid(3, 32), BuildConfig(
             rank=4, leaf_side=5, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
-        ), (16777216, 107520, 2064384), (4096, 504)),
+        ), (1048576, 107520, 2064384), (64, 504)),
         "quasi-n8192-grid": (UniformGrid(2, 128), weak_gaussian_cfg(),
-                             (1048576, 172032, 1032192), (64, 252)),
+                             (786432, 172032, 1032192), (64, 252)),
     }
 
     # the baseline operators: the per-level Kronecker basis keeps the stored
     # scalars that one basis per (box sizes, rank) gave; the resident ones
     # are those of one core or plain dense block per orbit of offsets (they
     # were 409,985, 311,425 and 2,744,353 with one per pair of opposite
-    # offsets)
+    # offsets, and 385,409, 192,641 and 1,376,289 with every parity sector)
     BASELINES = {
-        "gauss2d-n128-weak": (UniformGrid(2, 128), weak_gaussian_cfg(), 20_955_136, 385_409),
+        "gauss2d-n128-weak": (UniformGrid(2, 128), weak_gaussian_cfg(), 20_692_992, 381_313),
         "slp2d-n64-strong": (UniformGrid(2, 64), BuildConfig(
             rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
-        ), 9_945_088, 192_641),
+        ), 9_879_552, 188_545),
         "slp3d-n32-strong": (UniformGrid(3, 32), BuildConfig(
             rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
             kernel=slp_3d(), coeff=CoefficientFn.constant(0.0),
-        ), 349_798_400, 1_376_289),
+        ), 344_031_232, 1_310_753),
     }
 
     @pytest.mark.parametrize("case", sorted(BASELINES))
@@ -803,12 +814,12 @@ class TestMatvec:
         fe = dense.matrix @ u
         assert np.linalg.norm(f - fe) / np.linalg.norm(fe) <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore:leaf side [47] outside")
     @pytest.mark.parametrize("n, leaf", [(56, 8), (32, 4)])
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_leaf_side_below_rank_matches_dense_oracle(self, n, leaf, build):
-        # leaf sides 7 and 4 are narrower than the rank 8: dense leaves
+        # configured leaf sides 8 and 4, no wider than the rank 8, are
+        # raised to 2p = 16: leaves of side 14 and 16
         grid = UniformGrid(2, n)
         cfg = weak_gaussian_cfg(rank=8, leaf=leaf)
         op = build(cfg, grid)
@@ -816,6 +827,25 @@ class TestMatvec:
         u = np.random.default_rng(39).standard_normal(grid.num_points)
         f, fe = matvec(op, u), dense.matrix @ u
         assert np.linalg.norm(f - fe) / np.linalg.norm(fe) <= 1e-9
+
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_3d_self_class_in_shared_sectors_matches_dense_oracle(self, build):
+        """A 3D Gaussian whose leaf side 5 is raised to 2p = 8: the self class
+        in four stored sectors of eight, and Tucker neighbors, over the full
+        vector within 4x the interpolation error measured (3.9e-5 on both
+        builders)."""
+        grid = UniformGrid(3, 16)
+        cfg = BuildConfig(rank=4, leaf_side=5, rule=AdmissibilityRule.weak(),
+                          kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0))
+        op = build(cfg, grid)
+        (near,) = [cls.payload for group in op.groups if not group.maps
+                   for cls in group.classes]
+        assert near.dims == (0, 1, 2) and near.sectors.shape == (4, 64, 64)
+        dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
+        u = np.random.default_rng(41).standard_normal(grid.num_points)
+        f, fe = matvec(op, u), dense.matrix @ u
+        assert np.linalg.norm(f - fe) <= 1.6e-4 * np.linalg.norm(fe)
 
     def test_length_mismatch(self):
         grid = UniformGrid(2, 32)
@@ -850,27 +880,29 @@ class TestMatvec:
     def test_dense_leaf_contributions_bit_identical(self):
         """A plain dense leaf is the oracle's block bit for bit; every dense
         leaf's product, as the matvec takes it, is within 1e-15 of the sum
-        of its terms' magnitudes.  Boxes of side 16 hold their dense leaves
-        in sectors, boxes of side p none."""
+        of its terms' magnitudes.  The weak rule's dense leaves are all in
+        sectors; the strong rule's on boxes of side 2p = 8 in sectors where
+        their offset has a zero coordinate, and plain where it has none."""
         grid = UniformGrid(2, 32)
         rng = np.random.default_rng(40)
         u = rng.standard_normal(grid.num_points)
-        for cfg in (weak_gaussian_cfg(), weak_gaussian_cfg(rank=4, leaf=4)):
+        strong = BuildConfig(rank=4, leaf_side=4, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+                             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0))
+        for cfg in (weak_gaussian_cfg(), strong):
             op = construct(cfg, grid)
             dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
-            sectors = 0
+            kinds = collections.Counter()
             for tau, sigma, block in leaf_payloads(op):
                 if not isinstance(block, DenseBlock):
                     continue
                 sub, cols = block_of(dense.matrix, grid, tau, sigma), sigma.linear_indices(32)
-                if block.dims:
-                    sectors += 1
-                else:
+                kinds[bool(block.dims)] += 1
+                if not block.dims:
                     assert np.array_equal(block.matrix, sub)
                 got, expected = block.product(u[cols][None])[0], sub @ u[cols]
                 scale = (np.abs(sub) @ np.abs(u[cols])).max()
                 assert np.abs(got - expected).max() <= 1e-15 * scale
-            assert (sectors > 0) == (cfg.rank == 8)
+            assert kinds[True] > 0 and (kinds[False] > 0) == (cfg is strong)
 
 
 def inline_matvec(op, u, monkeypatch):
@@ -925,8 +957,8 @@ def cases():
     the strong rule with a non-constant a(x), in sectors in two, one and no
     dimensions, folded and handed over as one task; the baseline of the
     first; a 3D single layer under the strong rule, in sectors in three to
-    no dimensions; and 3D leaves of side p, where no group is wider than
-    the rank."""
+    no dimensions; and a 3D leaf side p, raised to 2p, whose self class in
+    sectors of p^3 rows stays on the calling thread."""
     grid = UniformGrid(2, 64)
     slp = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
                       kernel=slp_2d(), coeff=CoefficientFn(lambda x: 1e-3 * (1.0 + x[:, 0])))
@@ -973,8 +1005,9 @@ class TestNearFieldOverlap:
         # for the 16^2 boxes of a 128^2 grid, wider than a core of 4^2
         assert offloaded("gauss2d") == [] and offloaded("gauss2d-n128") == [1]
         assert offloaded("slp2d-strong") == [9]
+        # the 3D self class in sectors of 4^3 columns, as wide as a core
         gauss3d = cases["gauss3d-leaf-p"][0]
-        assert [chain[0].side for chain in gauss3d.chains if not chain[0].maps] == [4]
+        assert [chain[0].side for chain in gauss3d.chains if not chain[0].maps] == [8]
         assert offloaded("gauss3d-leaf-p") == []
 
     def test_cases_hold_parity_sectors(self, cases):
@@ -986,7 +1019,7 @@ class TestNearFieldOverlap:
                 == dims("gauss2d-n128-hmatrix") == {(0, 1)})
         assert dims("slp2d-strong") == {(0, 1), (0,), (1,), ()}
         assert {len(d) for d in dims("slp3d-strong")} == {0, 1, 2, 3}
-        assert dims("gauss3d-leaf-p") == {()}
+        assert dims("gauss3d-leaf-p") == {(0, 1, 2)}
 
     @pytest.mark.parametrize("name", ["gauss2d", "gauss2d-n128", "slp2d-strong",
                                       "gauss2d-hmatrix", "gauss2d-n128-hmatrix",
@@ -1092,9 +1125,9 @@ class TestNearFieldOverlap:
         return BuildConfig(rank=rank, leaf_side=leaf, rule=rule, kernel=kernel,
                            coeff=CoefficientFn.constant(0.0))
 
-    # the class-sharing cases (2D weak and strong, leaf side above, at and
-    # below the rank, a custom kernel, one leaf), and 2D strong at and below
-    # the rank and 3D weak and strong
+    # the class-sharing cases (2D weak and strong, a configured leaf side
+    # above, at and below the rank, a custom kernel, one leaf), and 2D
+    # strong at and below the rank and 3D weak and strong
     ONE_GROUP_CASES = {
         **TestClassSharing.MATVEC_CASES,
         "2d-strong-at": (UniformGrid(2, 32), sweep_cfg(
@@ -1109,7 +1142,6 @@ class TestNearFieldOverlap:
             4, 2, AdmissibilityRule.strong(np.sqrt(3.0)), slp_3d())),
     }
 
-    @pytest.mark.filterwarnings("ignore:leaf side [247] outside")
     @pytest.mark.parametrize("case", sorted(ONE_GROUP_CASES))
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
@@ -1384,12 +1416,12 @@ def dense_classes(op):
             if isinstance(cls.payload, DenseBlock)]
 
 
-@pytest.mark.filterwarnings("ignore:leaf side 7 outside")
 class TestParitySectors:
     """A translation-invariant kernel's dense class on boxes wider than the
     rank, of an even side, is stored in parity sectors, 2^k of them for the
-    k dimensions in which its offset is zero; every other dense class keeps
-    one sector, its matrix."""
+    k dimensions in which its offset is zero, of which it keeps one per
+    number of odd dimensions, k + 1; every other dense class keeps one
+    sector, its matrix."""
 
     CASES = {
         "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
@@ -1418,10 +1450,35 @@ class TestParitySectors:
             dims = tuple(i for i, o in enumerate(offset) if o == 0) if wide else ()
             assert cls.payload.dims == dims
             assert cls.payload.sides == ((side,) * grid.d if dims else ())
-            assert cls.payload.sectors.shape[0] == 2 ** len(dims)
+            assert cls.payload.sectors.shape[0] == len(dims) + 1
             seen.add(len(dims))
-        expected = {"2d-strong-slp": {0, 1, 2}, "3d-strong-slp": {0, 1, 2, 3}}
+        expected = {"2d-strong-slp": {0, 1, 2}, "3d-strong-slp": {0, 1, 2, 3},
+                    "3d-leaf-side-p": {3}, "2d-leaf-side-below-rank": {2}}
         assert seen == expected.get(case, {0})
+
+    @pytest.mark.parametrize("case", SECTORS + ["3d-leaf-side-p"])
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix],
+                             ids=["tucker", "lowrank"])
+    def test_one_sector_per_number_of_odd_dimensions(self, case, build):
+        """Every class in sectors, mirrored ones included, stores k + 1 of
+        its 2^k sectors, and each sector it spreads them to is _fold of the
+        rows of its own pair's block, within 1e-14 of the block's largest
+        entry."""
+        grid, cfg = self.CASES[case]
+        mirrors = collections.Counter()
+        for tau, sigma, payload in first_leaves(build(cfg, grid)):
+            if not getattr(payload, "dims", ()):
+                continue
+            sides, dims = payload.sides, payload.dims
+            assert payload.sectors.shape[0] == len(dims) + 1
+            block = build_dense(cfg.kernel, grid, tau, sigma, cfg.quadrature).matrix
+            part = block.reshape(sides[::-1] * 2)[blocks._parts(sides, dims)[0]]
+            folded = blocks._fold(part.reshape(-1, block.shape[1]), sides, dims) / 2 ** len(dims)
+            spread = blocks._spread(payload.sectors, sides, dims)
+            assert np.abs(spread - folded).max() <= 1e-14 * np.abs(block).max()
+            offset = [s - t for (s, _), (t, _) in zip(sigma.ranges, tau.ranges)]
+            mirrors[bool(operators._is_mirror(np.array([offset]))[0])] += 1
+        assert mirrors[False] > 0 and (mirrors[True] > 0) == (case != "3d-leaf-side-p")
 
     @pytest.mark.parametrize("case", SECTORS)
     def test_mirrored_classes_own_no_array(self, case):
@@ -1577,7 +1634,7 @@ class TestLevelBatches:
         grid = UniformGrid(2, 32)
         # the leaves in the build's class order: level by level, each level
         # in the recursion's depth-first order
-        pairs = [pair for pair in recursive_block_pairs(grid.d, grid.n, cfg.leaf_side, cfg.rule)
+        pairs = [pair for pair in recursive_block_pairs(grid.d, grid.n, split_side(cfg), cfg.rule)
                  if pair[1] != "internal"]
         leaves = [(IndexBox(tau), IndexBox(sigma), kind)
                   for _, kind, tau, sigma in sorted(pairs, key=lambda pair: pair[0])]
@@ -1647,8 +1704,9 @@ class TestStorageReport:
                           kernel=gaussian(np.sqrt(2.0)),
                           coeff=CoefficientFn.constant(0.0))
         rep = storage_report(construct(cfg, grid))
-        # its four parity sectors, a quarter of the 256 x 256 block each
-        assert rep.dense_scalars == 4 * 64**2
+        # three of its four parity sectors, one per number of odd
+        # dimensions, a sixteenth of the 256 x 256 block each
+        assert rep.dense_scalars == 3 * 64**2
         assert rep.total_scalars == rep.dense_scalars
         assert rep.total_scalars <= rep.theoretical_bound
 
@@ -1665,10 +1723,10 @@ class TestStorageReport:
         rep = storage_report(construct(weak_gaussian_cfg(), grid))
         assert rep.core_scalars > rep.factor_scalars
 
-    @pytest.mark.filterwarnings("ignore:leaf side 7 outside")
     def test_baseline_stores_no_identity_basis(self):
-        # leaves of side 7 < rank 8 are stored dense: the baseline forms no
-        # explicit 49 x 49 bases for them
+        # the build splits no pair of side 2p = 16 or less, so 56 halves to
+        # leaves of side 14: the baseline forms no 49 x 49 bases on boxes of
+        # side 7
         op = construct_hmatrix(weak_gaussian_cfg(leaf=8), UniformGrid(2, 56))
         assert storage_report(op).factor_scalars == 2_408_448
 
