@@ -51,10 +51,10 @@ kernel of |x - y|, the block of a pair whose offset is turned by a
 reflection or permutation of the dimensions is the block with the turn's
 point map applied to its rows and columns, on the grid points of a box or
 on its Chebyshev nodes alike, as both are symmetric in the box:
-:func:`_turned` gives it holding the same arrays, a Tucker block's core
-or a plain dense block's matrix, and applies the point map on the fly,
-to the rows and the result of each product (:func:`_turn_rows`) or to a
-copy of the matrix (:func:`_turned_matrix`).
+:func:`_turned` gives it holding the same arrays, of either kind and in
+parity sectors or not, and applies the point map on the fly, to the rows
+and the result of each product (:func:`_turn_rows`, outside the fold of a
+block in sectors) or to a copy of the matrix (:func:`_turned_matrix`).
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
@@ -62,8 +62,9 @@ included) and ``product(rows)``, its product with the coefficients of many
 source boxes, one box per row, and the steps of that product,
 ``fold(rows) @ operand()`` then ``unfold``, so that the operators can
 write the matrix products of many blocks into one array, or hand them
-alone to another thread.  A block whose ``fold`` returns its argument
-unfolds nothing.  No other module knows the kinds.  Only a Tucker block
+alone to another thread; both kinds take these steps from one
+implementation (:class:`_Block`).  A block whose ``fold`` returns its
+argument unfolds nothing.  No other module knows the kinds.  Only a Tucker block
 has factors; the operators read none
 of them and apply a baseline block, whose basis is the box factors'
 Kronecker product, through the box factors too.
@@ -101,18 +102,67 @@ from .kernels import (
 )
 
 
+class _Block:
+    """The steps of a block's product with the coefficients of many source
+    boxes, one box per row, for both kinds: ``unfold(fold(rows) @
+    operand())`` (:meth:`product`).  A kind gives :meth:`_unturned`, its
+    block in coefficient space before its turn, unfolded from any parity
+    sectors; ``sides`` and ``dims`` are those of its sectors, none for a
+    Tucker block.  ``folds``, fixed at build, says how a block in sectors or
+    turned (:func:`_turned`) takes the product: the rows turned, then
+    folded, the operand its stored matrix or sectors, and the result
+    unfolded, then unturned; or the block made for the product
+    (:meth:`_matrix`), where that moves fewer scalars.  A block whose
+    ``fold`` returns its argument unfolds nothing."""
+
+    sides = dims = ()
+
+    def _matrix(self) -> np.ndarray:
+        """The block in coefficient space: :meth:`_unturned`, turned."""
+        block = self._unturned()
+        return _turned_matrix(block, self.turn) if self.turn else block
+
+    def operand(self) -> np.ndarray:
+        """The right factor of the product: the stored matrix transposed, or
+        every sector transposed, of a block that folds, else the transposed
+        block."""
+        if not self.folds:
+            return self._matrix().T
+        if not self.dims:
+            return self._unturned().T
+        return _spread(self.sectors, self.sides, self.dims).transpose(0, 2, 1)
+
+    def fold(self, rows: np.ndarray) -> np.ndarray:
+        """The left factor of the product from the source rows."""
+        if self.folds and self.turn:
+            rows = _turn_rows(rows, self.turn)
+        return _fold(rows, self.sides, self.dims) if self.folds and self.dims else rows
+
+    def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+        """The product, one target box per row, from ``t = fold(rows) @
+        operand()``; written into `into`, an array of its shape, when
+        given, which may hold the memory of `t`."""
+        if self.folds and self.dims:
+            t = _unfold(t, self.sides, self.dims, None if self.turn else into)
+        return _unturn_rows(t, self.turn, into) if self.folds and self.turn else _into(t, into)
+
+    def product(self, rows: np.ndarray) -> np.ndarray:
+        """The block applied to the coefficients of many source boxes, one
+        box per row: ``rows @ _matrix().T``, by its steps."""
+        return self.unfold(self.fold(rows) @ self.operand())
+
+
 @dataclass
-class TuckerBlock:
+class TuckerBlock(_Block):
     """Tucker representation of one admissible block: a core with one axis
     per factor and interpolation factors for the target (u) and source (v)
     sides; one factor per dimension (order-2d core), or one per side
     (order-2 core) for the baseline's low-rank block.  Each factor is an
     explicit matrix of Lagrange bases, one column per node, as tall as the
-    box side.  A block with a ``turn`` (:func:`_turned`) holds the core of
-    another pair; its own is that core with the turn's point map applied
-    to its nodes, on both sides, and ``folds``, fixed at build, says
-    whether its product turns the rows and the result or a copy of the
-    core matrix (:meth:`DenseBlock.product`).
+    box side.  Its product acts on the box coefficients through its core
+    matrix (:class:`_Block`).  A block with a ``turn`` (:func:`_turned`)
+    holds the core of another pair; its own is that core with the turn's
+    point map applied to its nodes, on both sides.
     """
 
     core: np.ndarray
@@ -141,27 +191,8 @@ class TuckerBlock:
         rows = math.prod(self.core.shape[: len(self.u_factors)])
         return self.core.reshape((rows, -1), order="F")
 
-    def operand(self) -> np.ndarray:
-        """The right factor of :meth:`product`: the transposed core matrix,
-        of a turned block that does not fold a turned copy of it."""
-        if self.turn and not self.folds:
-            return _turned_matrix(self.core_matrix, self.turn).T
-        return self.core_matrix.T
-
-    def fold(self, rows: np.ndarray) -> np.ndarray:
-        """The left factor of :meth:`product`: the source coefficients, of
-        a turned block that folds turned (:func:`_turn_rows`)."""
-        return _turn_rows(rows, self.turn) if self.folds else rows
-
-    def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-        """The product from ``t = fold(rows) @ operand()``, written into
-        `into` when given (:meth:`DenseBlock.unfold`)."""
-        return _unturn_rows(t, self.turn, into) if self.folds else _into(t, into)
-
-    def product(self, rows: np.ndarray) -> np.ndarray:
-        """The core applied to the coefficients of many source boxes, one
-        box per row: one matrix product (:meth:`DenseBlock.product`)."""
-        return self.unfold(self.fold(rows) @ self.operand())
+    def _unturned(self) -> np.ndarray:
+        return self.core_matrix
 
     def materialize(self) -> np.ndarray:
         factors = _modes(self.u_factors + self.v_factors)
@@ -176,7 +207,7 @@ class TuckerBlock:
 
 
 @dataclass
-class DenseBlock:
+class DenseBlock(_Block):
     """A kernel submatrix, whose box coefficients are the grid values, stored
     as ``sectors``, an array (k + 1, m, m).  In the plain case k = 0 and the
     one sector is the matrix.  A block of a translation-invariant kernel
@@ -189,17 +220,11 @@ class DenseBlock:
     enters: the block is ``F.T @ diag(sectors) @ F`` with F the unnormalized
     sums and differences of :func:`_fold`.  Sector c, odd in the dimensions
     of the set bits of c, is stored sector popcount(c) with a permutation of
-    ``dims`` applied to its points (:func:`_spread`).  A plain block with a
-    ``turn`` (:func:`_turned`) is the stored matrix with its rows and
-    columns permuted by the turn's point map.
-
-    A product with the grid values of many source boxes is ``unfold(fold(rows)
-    @ operand())`` (:meth:`product`).  ``folds``, fixed at build, says how a
-    sector or turned block takes it: through its sectors (or its stored
-    matrix), the rows folded (or turned) and the result unfolded, or, where
-    the block has fewer columns than the product has rows, through the block
-    materialized for the product, which is then the cheaper.  A block whose
-    ``fold`` returns its argument unfolds nothing."""
+    ``dims`` applied to its points (:func:`_spread`).  A block with a
+    ``turn`` (:func:`_turned`) is that block with its rows and columns
+    permuted by the turn's point map; its ``dims`` are the zero dimensions
+    of the stored block's offset, which the turn maps onto its own.  Its
+    product takes the steps of :class:`_Block`."""
 
     sectors: np.ndarray
     sides: tuple = ()
@@ -224,41 +249,13 @@ class DenseBlock:
         sector's of a block that folds, else the block's rows."""
         return self.sectors.shape[2] if self.folds else self.shape[0]
 
-    def materialize(self) -> np.ndarray:
+    def _unturned(self) -> np.ndarray:
         if self.dims:
             return _unfolded(_spread(self.sectors, self.sides, self.dims), self.sides, self.dims)
-        return _turned_matrix(self.sectors[0], self.turn) if self.turn else self.sectors[0]
+        return self.sectors[0]
 
-    def operand(self) -> np.ndarray:
-        """The right factor of the product: every sector transposed, of a
-        block that folds, else the transposed block."""
-        if not self.folds:
-            return self.materialize().T
-        if not self.dims:
-            return self.sectors[0].T
-        return _spread(self.sectors, self.sides, self.dims).transpose(0, 2, 1)
-
-    def fold(self, rows: np.ndarray) -> np.ndarray:
-        """The left factor of the product from the source rows."""
-        if not self.folds:
-            return rows
-        return _fold(rows, self.sides, self.dims) if self.dims else _turn_rows(rows, self.turn)
-
-    def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-        """The product, one target box per row, from ``t = fold(rows) @
-        operand()``; written into `into`, an array of its shape, when
-        given, which may hold the memory of `t`."""
-        if not self.folds:
-            return _into(t, into)
-        if self.dims:
-            return _unfold(t, self.sides, self.dims, into)
-        return _unturn_rows(t, self.turn, into)
-
-    def product(self, rows: np.ndarray) -> np.ndarray:
-        """The block applied to the grid values of many source boxes, one
-        box per row: ``rows @ matrix.T``, by its steps, whose fold and
-        unfold return their argument for a block that does not fold."""
-        return self.unfold(self.fold(rows) @ self.operand())
+    def materialize(self) -> np.ndarray:
+        return self._matrix()
 
     def scalars(self) -> tuple[int, int, int]:
         return self.sectors.size, 0, 0
@@ -268,8 +265,8 @@ class DenseBlock:
 
 
 def _into(t: np.ndarray, into: np.ndarray | None) -> np.ndarray:
-    """`t`, or `into` holding a copy of it."""
-    if into is None:
+    """`t`, or `into` holding a copy of it unless it is `t`."""
+    if into is None or into is t:
         return t
     into[...] = t
     return into
@@ -428,15 +425,17 @@ def _mirrored(block):
 def _turned(block, turn: tuple, folds: bool):
     """The block of a box pair whose offset is `turn` applied to the offset
     of `block`'s pair, for a kernel of |x - y| alone, holding `block`'s
-    arrays: a Tucker block, or a plain dense block (no sectors).  `turn`
-    is a signed permutation of the dimensions: entry a is s (b + 1), the
-    offset's coordinate a being s times coordinate b of `block`'s offset.
-    Its point map T sends point (or Chebyshev node) i of a box to the point
-    whose coordinate a is i_b, reflected in the box when s < 0, and the
-    block of the turned pair is `block`'s with T applied to its rows and
-    columns, as the distance of two points is unchanged.  Whether the
-    product turns the rows and the result (`folds`) or a copy of the
-    matrix is fixed at build (:meth:`DenseBlock.product`)."""
+    arrays, of any kind: a block in parity sectors keeps its ``sides`` and
+    ``dims``, the zero dimensions of `block`'s offset, which the turn maps
+    onto the turned pair's.  `turn` is a signed permutation of the
+    dimensions: entry a is s (b + 1), the offset's coordinate a being s
+    times coordinate b of `block`'s offset.  Its point map T sends point
+    (or Chebyshev node) i of a box to the point whose coordinate a is i_b,
+    reflected in the box when s < 0, and the block of the turned pair is
+    `block`'s with T applied to its rows and columns, as the distance of
+    two points is unchanged.  Whether the product turns (and folds) the
+    rows and the result (`folds`) or a copy of the matrix is fixed at build
+    (:class:`_Block`)."""
     return replace(block, turn=tuple(turn), folds=folds)
 
 

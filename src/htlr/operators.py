@@ -18,24 +18,24 @@ rows and columns permuted by g's point map, as optimized black-box FMM
 codes store 16 M2L operators in place of 316 (M. Messner et al., arXiv
 1210.7292, 2012; W. Fong and E. Darve, J. Comput. Phys. 228, 2009).  The
 classes of one level and kind whose offsets are one orbit of these
-signed permutations hold one payload: :func:`_orbits` reads each class's
-orbit and its turn g off its integer offset, with no search, and only an
-orbit's canonical class is built, its first that :func:`_is_mirror` does
-not name.  The class at the opposite offset holds
-:func:`htlr.blocks._mirrored` of it, a transposed view with no array of
-its own, which the matvec applies with the same GEMM, as a symmetric
-H-matrix stores one block of each pair (b, b^T) (W. Hackbusch,
+signed permutations hold one payload, in parity sectors or not:
+:func:`_orbits` reads each class's orbit and its turn g off its integer
+offset, with no search, and only an orbit's canonical class is built, its
+first that :func:`_is_mirror` does not name.  Every other class holds its
+canonical's payload, mirrored or turned.  The class at the opposite
+offset holds :func:`htlr.blocks._mirrored` of it, a transposed view with
+no array of its own, which the matvec applies with the same GEMM, as a
+symmetric H-matrix stores one block of each pair (b, b^T) (W. Hackbusch,
 Hierarchical Matrices, Springer 2015): the kernel values of (tau, sigma),
 at the grid points or at the Chebyshev nodes, are bitwise the transpose
-of those of (sigma, tau).  Every other class holds
-:func:`htlr.blocks._turned` of it, its arrays and the turn, which the
-class's product applies either to its rows and products or to a copy of
-the matrix, whichever moves fewer scalars for its number of source
-boxes; its block is its own pair's to rounding, as the turn moves the
-kernel's arguments.  A class in parity sectors shares its payload with
-the opposite offset only.  A custom kernel need not be symmetric, and
-each of its classes keeps a payload of its own.  Payloads are thus shared
-read-only arrays.  The Tucker payloads
+of those of (sigma, tau).  The others hold :func:`htlr.blocks._turned`
+of it, its arrays and the turn, which the class's product applies either
+to its rows and products or to a copy of the matrix, whichever moves
+fewer scalars for its number of source boxes (a class in sectors goes
+the way its canonical goes); its block is its own pair's to rounding, as
+the turn moves the kernel's arguments.  A custom kernel need not be
+symmetric, and each of its classes keeps a payload of its own.  Payloads
+are thus shared read-only arrays.  The Tucker payloads
 of one tree level are built together, their kernel values in one call per
 chunk, and a dense payload of such a kernel is windows of one kernel value
 per index offset (:func:`htlr.blocks.build_dense`).  The
@@ -82,8 +82,9 @@ tree no wider) is stored in parity sectors, 2^k of them for the k
 dimensions in which its offset is zero, of which it keeps one per number
 of odd dimensions, k + 1, as a permutation of those dimensions turns one
 sector into another (:class:`htlr.blocks.DenseBlock`): so a self class
-holds (d + 1) / 4^d of its matrix, and a mirrored class holds transposed
-views of its mirror's sectors.  Every other dense class, of an odd side, of
+holds (d + 1) / 4^d of its matrix, a mirrored class transposed views of
+its canonical's sectors, and a turned class its canonical's sectors, in
+the canonical's zero dimensions.  Every other dense class, of an odd side, of
 a custom kernel or on boxes no wider than the rank, keeps one sector, its
 matrix, shared over its orbit.
 Whether a class in sectors folds is fixed at build from its number of
@@ -362,7 +363,7 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     sectors = (cfg.kernel.translation_invariant & ~tucker & (sides > cfg.rank)
                & (sides % 2 == 0) & (offsets == 0).any(axis=1))
     if cfg.kernel.translation_invariant:
-        canonical, turns = _orbits(levels, tucker, sectors, offsets)
+        canonical, turns = _orbits(levels, tucker, offsets)
     else:
         canonical = np.arange(len(classes))
     built = canonical == np.arange(len(classes))
@@ -411,9 +412,11 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
             payload = _mirrored(payload)
         elif not built[i]:
             # turning the rows and products moves two copies of them, a
-            # turned copy of the matrix one of its size
+            # turned copy of the matrix one of its size; a class in sectors
+            # folds as its canonical does
             rows = (cfg.rank if tucker[i] else side) ** grid.d
-            payload = _turned(payload, turns[i].tolist(), 2 * int(counts[i]) <= rows)
+            folds = payload.folds if sectors[i] else 2 * int(counts[i]) <= rows
+            payload = _turned(payload, turns[i].tolist(), folds)
         # in target order, so that a class mapping every box of its level
         # onto itself indexes with full slices, which need no gather or
         # scatter
@@ -443,16 +446,14 @@ def _is_mirror(offsets: np.ndarray) -> np.ndarray:
     return offsets[np.arange(len(offsets)), first] < 0
 
 
-def _orbits(levels: np.ndarray, tucker: np.ndarray, sectors: np.ndarray,
-            offsets: np.ndarray) -> tuple:
+def _orbits(levels: np.ndarray, tucker: np.ndarray, offsets: np.ndarray) -> tuple:
     """The class whose payload each class of a kernel of |x - y| holds, and
     the turn (:func:`htlr.blocks._turned`) from that class's offset to its
     own, a signed permutation of the dimensions per class.  The classes of
     one level and kind whose offsets are one another's under reflections
-    and permutations of the dimensions are one orbit; the classes in
-    parity sectors are an orbit with their opposite offset only.  An
-    orbit's canonical class is its first that :func:`_is_mirror` does not
-    name.
+    and permutations of the dimensions are one orbit, keyed on the sorted
+    magnitudes of their offsets.  An orbit's canonical class is its first
+    that :func:`_is_mirror` does not name.
 
     Each offset o is G r, r its magnitudes in ascending order and G the
     signed permutation that sorts them (entry (a, b) the sign of o_a, or 1,
@@ -464,16 +465,13 @@ def _orbits(levels: np.ndarray, tucker: np.ndarray, sectors: np.ndarray,
     place = np.argsort(np.argsort(magnitudes, axis=1, kind="stable"), axis=1)
     g = np.zeros((count, d, d), dtype=int)
     np.put_along_axis(g, place[:, :, None], np.where(offsets < 0, -1, 1)[:, :, None], axis=2)
-    mirror = _is_mirror(offsets)
-    shapes = np.where(sectors[:, None], np.where(mirror[:, None], -offsets, offsets),
-                      np.sort(magnitudes, axis=1))
-    # the orbit's key as one integer, each coordinate of its shape a digit
-    base = 2 * int(np.abs(offsets).max(initial=0)) + 1
-    key = (levels * 2 + tucker) * 2 + sectors
-    for column in shapes.T:
-        key = key * base + column + base // 2
+    # the orbit's key as one integer, each sorted magnitude a digit
+    base = int(magnitudes.max(initial=0)) + 1
+    key = levels * 2 + tucker
+    for column in np.sort(magnitudes, axis=1).T:
+        key = key * base + column
     _, orbit = np.unique(key, return_inverse=True)
-    order = np.lexsort((np.arange(count), mirror, orbit))
+    order = np.lexsort((np.arange(count), _is_mirror(offsets), orbit))
     firsts = order[np.flatnonzero(np.diff(orbit[order], prepend=-1))]
     canonical = firsts[orbit]
     turns = g @ g[canonical].transpose(0, 2, 1)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import UniformGrid, _check_int
-from .operators import BuildConfig, HTLRMatrix, checked_vector, construct, matvec
+from .operators import BuildConfig, HTLRMatrix, _leaf_threshold, checked_vector, construct, matvec
 
 COVERAGE_TOL = 1e-8
 #: padded cells per batch of _overlap_entries; its scratch arrays hold
@@ -327,13 +327,14 @@ def valid_uniform_side(target: int, leaf_side: int) -> int:
 
 def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline:
     """Assemble the pipeline for an oversampling ratio rho ~ sqrt(2M/N); the
-    uniform side is rounded to the nearest buildable grid and the exact rho
-    is recomputed."""
+    uniform side is rounded to the nearest grid that halves evenly down to
+    the build's leaf threshold (:func:`htlr.operators._leaf_threshold`) and
+    the exact rho is recomputed."""
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("oversampling ratio rho must be finite and positive")
     n_quasi = mesh.num_triangles
     target = int(round(np.sqrt(rho * rho * n_quasi / 2.0)))
-    m_side = valid_uniform_side(max(target, cfg.leaf_side), cfg.leaf_side)
+    m_side = valid_uniform_side(max(target, _leaf_threshold(cfg)), _leaf_threshold(cfg))
     grid = UniformGrid(2, m_side)
     op = construct(cfg, grid)
     overlaps = _overlap_entries(mesh, m_side)

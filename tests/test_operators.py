@@ -283,9 +283,16 @@ class TestClassSharing:
             rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
         )),
-        # strong admissibility: dense classes off the diagonal as well
+        # strong admissibility: dense classes off the diagonal as well,
+        # whose turned classes in sectors fold (56 boxes, 64 points)
         "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
             rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        )),
+        # and whose turned classes in sectors do not fold (56 boxes, 16
+        # points)
+        "2d-strong-slp-p2": (UniformGrid(2, 32), BuildConfig(
+            rank=2, leaf_side=4, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
         )),
         # leaf side 12, not a power of two
@@ -369,9 +376,9 @@ class TestClassSharing:
     @BUILDS
     def test_mirrored_classes_share_one_payload(self, case, build, build_admissible):
         """A kernel of |x - y| holds one payload per orbit of offsets under
-        reflections and permutations of the dimensions (orbit_key), the
-        opposite offsets of a class in parity sectors only: every class of
-        an orbit holds the memory of one stored array.  A class and its
+        reflections and permutations of the dimensions (orbit_key), in
+        parity sectors or not: every class of an orbit holds the memory of
+        one stored array.  A class and its
         opposite that hold no turn are each other's transposed view, bit
         for bit; a Tucker payload's materialize() contracts its core in the
         other mode order, so it is the transpose of its mirror's to
@@ -410,10 +417,12 @@ class TestClassSharing:
                 assert np.array_equal(full, mirror_full.T)
             else:
                 assert np.abs(full - mirror_full.T).max() <= 4e-15 * np.abs(full).max()
-        # in sectors no class is turned; elsewhere an orbit of more than a
-        # pair of opposite offsets holds turned classes
-        assert all(not p.turn for p in payload_at.values() if getattr(p, "dims", ()))
+        # an orbit of more than a pair of opposite offsets holds turned
+        # classes, in sectors too where any is off the diagonal: under the
+        # strong rule, as the weak one keeps only the self class dense
         assert (turned > 0) == any(len(members) > 2 for members in orbits.values())
+        assert (any(p.turn for p in payload_at.values() if getattr(p, "dims", ()))
+                == (cfg.rule.kind == "strong"))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @BUILDS
@@ -422,10 +431,12 @@ class TestClassSharing:
         built directly for its first leaf's pair, within 1e-14 relative, as
         a turn moves the kernel's arguments and the rounding of their
         distance, and parity sectors the rounding of the block: bit for bit
-        where the class holds neither."""
+        where the class holds neither.  So is its product, by the steps
+        fixed at build: a turned class in sectors turns and folds the rows,
+        or materializes its block turned, in the 2D strong cases."""
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        turned = 0
+        turned, routes = 0, set()
         for tau, sigma, payload in first_leaves(op):
             if isinstance(payload, DenseBlock):
                 got = payload.materialize()
@@ -439,7 +450,13 @@ class TestClassSharing:
                 assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
             else:
                 assert np.array_equal(got, expected)
+            rows = np.random.default_rng(71).standard_normal((3, expected.shape[1]))
+            exact = rows @ expected.T
+            assert np.abs(payload.product(rows) - exact).max() <= 1e-14 * np.abs(exact).max()
+            if payload.turn and getattr(payload, "dims", ()):
+                routes.add(payload.folds)
         assert turned > 0
+        assert routes == {"2d-strong-slp": {True}, "2d-strong-slp-p2": {False}}.get(case, set())
 
     @BUILDS
     def test_non_symmetric_custom_kernel_has_no_mirrors(self, build, build_admissible):
@@ -666,19 +683,21 @@ class TestLatticeBuild:
 
     # the baseline operators: the per-level Kronecker basis keeps the stored
     # scalars that one basis per (box sizes, rank) gave; the resident ones
-    # are those of one core or plain dense block per orbit of offsets (they
-    # were 409,985, 311,425 and 2,744,353 with one per pair of opposite
-    # offsets, and 385,409, 192,641 and 1,376,289 with every parity sector)
+    # are those of one core or dense block per orbit of offsets, in parity
+    # sectors or not (they were 409,985, 311,425 and 2,744,353 with one per
+    # pair of opposite offsets, 385,409, 192,641 and 1,376,289 with every
+    # parity sector, and 188,545 and 1,310,753 for the two single layers
+    # with one payload per pair of opposite classes in sectors)
     BASELINES = {
         "gauss2d-n128-weak": (UniformGrid(2, 128), weak_gaussian_cfg(), 20_692_992, 381_313),
         "slp2d-n64-strong": (UniformGrid(2, 64), BuildConfig(
             rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
-        ), 9_879_552, 188_545),
+        ), 9_879_552, 155_777),
         "slp3d-n32-strong": (UniformGrid(3, 32), BuildConfig(
             rank=4, leaf_side=8, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
             kernel=slp_3d(), coeff=CoefficientFn.constant(0.0),
-        ), 344_031_232, 1_310_753),
+        ), 344_031_232, 557_089),
     }
 
     @pytest.mark.parametrize("case", sorted(BASELINES))
@@ -1011,14 +1030,16 @@ class TestNearFieldOverlap:
         assert offloaded("gauss3d-leaf-p") == []
 
     def test_cases_hold_parity_sectors(self, cases):
-        """The dimensions of the dense classes' sectors in each case."""
+        """The dimensions of the dense classes' sectors in each case: a
+        turned class holds its canonical's, so each number of zero
+        coordinates has one set of dimensions."""
         def dims(name):
             return {cls.payload.dims for group in cases[name][0].groups if not group.maps
                     for cls in group.classes}
         assert (dims("gauss2d") == dims("gauss2d-n128") == dims("gauss2d-hmatrix")
                 == dims("gauss2d-n128-hmatrix") == {(0, 1)})
-        assert dims("slp2d-strong") == {(0, 1), (0,), (1,), ()}
-        assert {len(d) for d in dims("slp3d-strong")} == {0, 1, 2, 3}
+        assert dims("slp2d-strong") == {(0, 1), (0,), ()}
+        assert dims("slp3d-strong") == {(0, 1, 2), (0, 1), (0,), ()}
         assert dims("gauss3d-leaf-p") == {(0, 1, 2)}
 
     @pytest.mark.parametrize("name", ["gauss2d", "gauss2d-n128", "slp2d-strong",
@@ -1343,12 +1364,9 @@ def first_leaves(op):
 
 def orbit_key(side, offset, payload):
     """The key shared by the classes of one orbit, the classes that hold
-    one payload: a class in parity sectors shares it with the opposite
-    offset only, any other class of a kernel of |x - y| with every offset
-    of the same magnitudes up to their order, on boxes of its side and of
-    its kind."""
-    if getattr(payload, "dims", ()):
-        return side, "sectors", max(offset, tuple(-o for o in offset))
+    one payload: a class of a kernel of |x - y|, in parity sectors or not,
+    shares it with every offset of the same magnitudes up to their order,
+    on boxes of its side and of its kind."""
     return side, type(payload).__name__, tuple(sorted(abs(o) for o in offset))
 
 
@@ -1380,34 +1398,36 @@ class TestOrbits:
         the first, in class order, of the classes of its level and kind
         whose offset one of them takes to the class's, that is not a
         mirror (its first nonzero coordinate negative), and its turn is one
-        that does; classes in sectors, here every dense class with a zero
-        coordinate, only the opposite offset."""
+        that does.  Checked on the classes in sectors, here every dense
+        class with a zero coordinate, whose orbits are as large as any, or
+        on the others."""
         grid, leaf, rule = self.CASES[case]
         leaves = grids._leaf_lattice(grid, leaf, rule)
         first = np.sort(np.unique(leaves.offset_id, return_index=True)[1])
         levels, tucker = leaves.level[first], leaves.admissible[first]
         offsets = leaves.sigma[first] - leaves.tau[first]
-        sectors = ~tucker & (offsets == 0).any(axis=1) & in_sectors
-        canonical, turns = operators._orbits(levels, tucker, sectors, offsets)
+        checked = (~tucker & (offsets == 0).any(axis=1)) == in_sectors
+        canonical, turns = operators._orbits(levels, tucker, offsets)
         group = list(self.signed_permutations(grid.d))
         mirror = [o[np.flatnonzero(o)[0]] < 0 if o.any() else False for o in offsets]
         sizes = collections.Counter(canonical.tolist())
-        kinds = list(zip(levels.tolist(), tucker.tolist(), sectors.tolist()))
+        kinds = list(zip(levels.tolist(), tucker.tolist()))
         index = {(kind, tuple(o)): j for j, (kind, o) in enumerate(zip(kinds, offsets.tolist()))}
-        for i, o in enumerate(offsets):
-            images = [o, -o] if sectors[i] else [g @ o for g in group]
-            orbit = sorted({index[key] for key in ((kinds[i], tuple(image.tolist()))
-                                                   for image in images) if key in index})
+        for i in np.flatnonzero(checked):
+            o = offsets[i]
+            orbit = sorted({index[key] for key in ((kinds[i], tuple((g @ o).tolist()))
+                                                   for g in group) if key in index})
             assert canonical[i] == next(j for j in orbit if not mirror[j])
             assert sizes[canonical[i]] == len(orbit)
             turn = np.zeros((grid.d, grid.d), dtype=int)
             turn[np.arange(grid.d), np.abs(turns[i]) - 1] = np.sign(turns[i])
             assert any(np.array_equal(turn, g) for g in group)
             assert np.array_equal(turn @ offsets[canonical[i]], o)
-        # the orbits are larger than a pair of opposite offsets, but not in
-        # sectors
-        largest = max(sizes[c] for c in canonical[sectors].tolist()) if sectors.any() else 0
-        assert largest <= 2 and max(sizes.values()) > 2
+        # the orbits are larger than a pair of opposite offsets, in sectors
+        # too where a class in sectors is off the diagonal, as under the
+        # strong rule
+        largest = max(sizes[c] for c in canonical[checked].tolist())
+        assert (largest > 2) == (not in_sectors or rule.kind == "strong")
 
 
 def dense_classes(op):
@@ -1421,7 +1441,8 @@ class TestParitySectors:
     rank, of an even side, is stored in parity sectors, 2^k of them for the
     k dimensions in which its offset is zero, of which it keeps one per
     number of odd dimensions, k + 1; every other dense class keeps one
-    sector, its matrix."""
+    sector, its matrix.  A turned class holds its canonical's sectors, in
+    the canonical's zero dimensions."""
 
     CASES = {
         "2d-strong-slp": (UniformGrid(2, 64), BuildConfig(
@@ -1442,13 +1463,17 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_dims_are_the_zero_offsets(self, case):
+        """A class's dims are the zero dimensions of its offset, or of its
+        canonical's, which its turn maps onto its own: coordinate a of its
+        offset is coordinate |turn[a]| - 1 of the canonical's."""
         grid, cfg = self.CASES[case]
         classes = dense_classes(construct(cfg, grid))
         seen = set()
         for side, offset, cls in classes:
             wide = side > cfg.rank and side % 2 == 0 and cfg.kernel.translation_invariant
             dims = tuple(i for i, o in enumerate(offset) if o == 0) if wide else ()
-            assert cls.payload.dims == dims
+            turn = cls.payload.turn or tuple(range(1, grid.d + 1))
+            assert tuple(a for a, t in enumerate(turn) if abs(t) - 1 in cls.payload.dims) == dims
             assert cls.payload.sides == ((side,) * grid.d if dims else ())
             assert cls.payload.sectors.shape[0] == len(dims) + 1
             seen.add(len(dims))
@@ -1460,10 +1485,10 @@ class TestParitySectors:
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_one_sector_per_number_of_odd_dimensions(self, case, build):
-        """Every class in sectors, mirrored ones included, stores k + 1 of
-        its 2^k sectors, and each sector it spreads them to is _fold of the
-        rows of its own pair's block, within 1e-14 of the block's largest
-        entry."""
+        """Every class in sectors, mirrored and turned ones included, stores
+        k + 1 of its 2^k sectors, and each sector it spreads them to is
+        _fold of the rows of its own pair's block with its turn undone,
+        within 1e-14 of the block's largest entry."""
         grid, cfg = self.CASES[case]
         mirrors = collections.Counter()
         for tau, sigma, payload in first_leaves(build(cfg, grid)):
@@ -1472,6 +1497,10 @@ class TestParitySectors:
             sides, dims = payload.sides, payload.dims
             assert payload.sectors.shape[0] == len(dims) + 1
             block = build_dense(cfg.kernel, grid, tau, sigma, cfg.quadrature).matrix
+            if payload.turn:
+                # entry (T(i), T(j)) of the turned block is entry (i, j)
+                point_map = blocks._turn_index(payload.turn, len(block))[0]
+                block = block[np.ix_(point_map, point_map)]
             part = block.reshape(sides[::-1] * 2)[blocks._parts(sides, dims)[0]]
             folded = blocks._fold(part.reshape(-1, block.shape[1]), sides, dims) / 2 ** len(dims)
             spread = blocks._spread(payload.sectors, sides, dims)
@@ -1482,19 +1511,23 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("case", SECTORS)
     def test_mirrored_classes_own_no_array(self, case):
+        """Every class in sectors but its orbit's canonical holds the
+        canonical's sectors, mirrored (a transposed view) or turned (the
+        array itself), read-only."""
         grid, cfg = self.CASES[case]
-        payload_at = {offset: cls.payload
-                      for _, offset, cls in dense_classes(construct(cfg, grid))}
-        mirrors = 0
-        for offset, payload in payload_at.items():
-            mirror = payload_at[tuple(-o for o in offset)]
-            if offset <= tuple(-o for o in offset):
-                continue  # the built one of the pair
-            mirrors += 1
-            (view,) = mirror.arrays()
-            assert view.base is not None and not view.flags.writeable
-            assert np.shares_memory(view, payload.sectors)
-        assert mirrors == (len(payload_at) - 1) // 2
+        classes = [(side, offset, cls.payload)
+                   for side, offset, cls in dense_classes(construct(cfg, grid))
+                   if cls.payload.dims]
+        owners = [payload.sectors for _, _, payload in classes
+                  if payload.sectors.base is None and not payload.turn]
+        assert len(owners) == len({orbit_key(*c) for c in classes}) < len(classes)
+        turned = 0
+        for _, _, payload in classes:
+            (view,) = payload.arrays()
+            assert not view.flags.writeable
+            assert sum(np.shares_memory(view, owner) for owner in owners) == 1
+            turned += bool(payload.turn)
+        assert turned > 0
 
     @pytest.mark.parametrize("case", SECTORS)
     def test_storage_counts_the_sectors(self, case):
@@ -1505,8 +1538,8 @@ class TestParitySectors:
         classes = dense_classes(op)
         assert rep.dense_scalars == sum(leaves[id(cls.payload)] * cls.payload.sectors.size
                                         for _, _, cls in classes)
-        # each pair of opposite classes in sectors holds one buffer of
-        # sectors, each orbit of plain classes one matrix
+        # each orbit of classes holds one buffer, of sectors or of one
+        # matrix
         owners = {id(cls.payload.sectors.base if cls.payload.sectors.base is not None
                      else cls.payload.sectors): cls.payload.sectors.size
                   for _, _, cls in classes}

@@ -634,3 +634,12 @@ class TestValidUniformSide:
         assert targets == [50]
         assert pipe.m_side == 52
         assert pipe.rho == pytest.approx(np.sqrt(2 * 52**2 / 1250))
+
+    def test_pipeline_rounds_to_the_build_threshold(self):
+        # leaf 4 below 2p = 16: the build splits no pair of side 16 or less,
+        # so the target 40 builds (it halves to leaves of side 10), where
+        # rounding to the configured leaf 4 would give 48
+        cfg = BuildConfig(rank=8, leaf_side=4, rule=AdmissibilityRule.weak(),
+                          kernel=gaussian(np.sqrt(2.0)),
+                          coeff=CoefficientFn.constant(0.0))
+        assert build_pipeline(structured_trimesh(20), cfg, rho=2.0).m_side == 40
