@@ -68,7 +68,15 @@ products are written into its rows of one array per batch of the group's
 classes, one row per leaf (:data:`_BATCH`); one sparse matrix per batch,
 made at build (:class:`FactorGroup`), sums them into the rows of their
 target boxes, each box's in class order, in place of one scattered
-addition per class; downward, each group expands its target
+addition per class.  A factored group of a kernel of |x - y| whose classes
+have no more leaves each than a core has columns goes by orbit instead,
+as Chebyshev FMM codes apply every interaction that shares one canonical
+M2L operator as one product (M. Messner et al., arXiv 1210.7292, 2012):
+per orbit, one gather takes every class's source rows at its turn's point
+map (a mirrored class's turn reflects the dimensions in which its offset
+is not zero), one GEMM applies the canonical class's core, and one
+:func:`np.bincount` adds the products into the target rows at the same
+point maps, which unturns them.  Downward, each group expands its target
 coefficients through its maps onto the level below.  Dense payloads form
 groups without maps, each a chain of its own: their coefficients are the
 grid values of each box.  The
@@ -134,6 +142,7 @@ from .blocks import (
     _sectors,
     _toeplitz_windows,
     _tucker_blocks,
+    _turn_index,
     _turned,
     build_dense,
     expand,
@@ -198,6 +207,23 @@ class TranslationClass:
 _BATCH = 2**18
 
 
+class _Orbit(NamedTuple):
+    """The classes of one symmetry orbit in a group that goes by orbit: the
+    canonical class's core matrix (``core``, a view), the boxes of the
+    classes' sources and targets (``sources``, ``targets``, int32 arrays
+    (classes, leaves), whose rows the classes hold as views), and each
+    class's point map T (``points``, an array (classes, width) of the
+    smallest unsigned type that holds it; the identity for the canonical
+    class).  Entry (k, j) of ``points`` is T_k(j): the class's rows are
+    the source rows taken at T_k, and its products go to the target rows at
+    T_k (:func:`htlr.blocks._turned`)."""
+
+    core: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    points: np.ndarray
+
+
 class _Batch(NamedTuple):
     """Consecutive classes of a group (``classes``, a slice), the rows of
     their products (``rows``, one per leaf), the boxes they target
@@ -221,7 +247,17 @@ class FactorGroup:
     one map per dimension serves its target and source boxes.
 
     Made from them, for the matvec, on the level's `boxes`, whose
-    coefficients are `width` scalars each: the classes in batches whose
+    coefficients are `width` scalars each, in one of two layouts.  A
+    factored group of a kernel of |x - y| whose classes have no more leaves
+    each than `width`, the core's columns, goes by orbit (``orbits``, one
+    :class:`_Orbit` each): ``orbit_of`` holds per class its orbit's
+    canonical payload and its turn from it, as :func:`_orbits` gives them,
+    mirrored classes included, and the classes hold their boxes as views of
+    their orbit's.  Such classes are a handful of boxes each, where a
+    product per class costs several times its GEMM in gathers, turns and
+    scatters.  The classes of an orbit are one another's turns, so they
+    have one number of leaves.  Every other group goes by class, as a class
+    of more leaves is the cheaper alone: its classes in batches whose
     products hold at most :data:`_BATCH` scalars, or one class
     (``batches``), and each class's rows among its batch's products
     (``spans``)."""
@@ -231,12 +267,22 @@ class FactorGroup:
     classes: list
     boxes: int
     width: int
+    orbit_of: tuple = ()
+    orbits: tuple = field(init=False)
     spans: tuple = field(init=False)
     batches: tuple = field(init=False)
 
     def __post_init__(self):
         everywhere = np.arange(self.boxes, dtype=np.int32)
         targets = [everywhere[cls.targets] for cls in self.classes]
+        if self.orbit_of and max(map(len, targets)) <= self.width:
+            orbits, classes = _stack_orbits(self.classes, self.orbit_of, targets, everywhere,
+                                            self.width)
+            for name, value in (("orbits", orbits), ("classes", classes),
+                                ("spans", ()), ("batches", ())):
+                object.__setattr__(self, name, value)
+            return
+        object.__setattr__(self, "orbits", ())
         spans, firsts, rows = [], [0], 0
         for k, boxes in enumerate(targets):
             if rows and (rows + len(boxes)) * self.width > _BATCH:
@@ -248,6 +294,30 @@ class FactorGroup:
         object.__setattr__(self, "batches", tuple(
             _Batch(slice(a, b), spans[b - 1].stop, *_scatter(targets[a:b], self.boxes))
             for a, b in zip(firsts, firsts[1:] + [len(targets)])))
+
+
+def _stack_orbits(classes: list, orbit_of: tuple, targets: list, everywhere: np.ndarray,
+                  width: int) -> tuple:
+    """The :class:`_Orbit` arrays of a group's classes, orbit by orbit in
+    the order of their first class, and the classes holding their boxes as
+    views of them.  `orbit_of` holds, per class, its orbit's canonical
+    payload and its turn from it, `targets` its target boxes, and
+    `everywhere` is the level's boxes, int32."""
+    members = {}
+    for k, (canonical, _) in enumerate(orbit_of):
+        members.setdefault(id(canonical), []).append(k)
+    points_type = np.min_scalar_type(width - 1)
+    orbits, classes = [], list(classes)
+    for ks in members.values():
+        # the classes of an orbit are one another's turns, so they have one
+        # number of leaves (np.array raises on any other)
+        sources = np.array([everywhere[classes[k].sources] for k in ks])
+        stacked = np.array([targets[k] for k in ks])
+        points = np.array([_turn_index(orbit_of[k][1], width)[0] for k in ks], dtype=points_type)
+        orbits.append(_Orbit(orbit_of[ks[0]][0].core_matrix, sources, stacked, points))
+        for row, k in enumerate(ks):
+            classes[k] = TranslationClass(classes[k].payload, stacked[row], sources[row])
+    return tuple(orbits), classes
 
 
 def _scatter(targets: list, boxes: int) -> tuple:
@@ -423,11 +493,15 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         targets, sources = box_targets[members[c]], box_sources[members[c]]
         order = np.argsort(targets)
         count = (1 << level) ** grid.d
-        groups.setdefault((side, bool(tucker[i])), []).append(TranslationClass(
+        # a factored class's orbit, by its canonical payload, and its turn
+        # from it, for a group that goes by orbit (FactorGroup)
+        orbit = ((payloads[canonical[i]], tuple(turns[i].tolist()))
+                 if cfg.kernel.translation_invariant and tucker[i] else None)
+        groups.setdefault((side, bool(tucker[i])), []).append((TranslationClass(
             payload,
             _box_indices(targets[order], count),
             _box_indices(sources[order], count),
-        ))
+        ), orbit))
     if isinstance(cfg.coeff.evaluator, _Constant):
         # a constant a(x) is its one value, broadcast, and never sampled
         diagonal = np.array([cfg.coeff.evaluator.value])
@@ -488,22 +562,25 @@ def _chains(groups: dict, grid: UniformGrid, rank: int) -> list:
     depend on the order of the leaves.  A factored group continues the
     chain of the factored group on boxes of half its side, and its maps are
     the per-dimension transfers from its children; the first group of a
-    chain maps through the box factor of its side in every dimension."""
+    chain maps through the box factor of its side in every dimension.  Each
+    class comes with its orbit and turn (:class:`FactorGroup`), or None."""
     chains = []
     for side, factored in sorted(groups, key=lambda key: key[::-1]):
         # a class on every box first: its products start every box's sum,
         # and alone it needs no scatter
-        classes = sorted(groups[side, factored],
-                         key=lambda cls: not isinstance(cls.targets, slice))
+        members = sorted(groups[side, factored],
+                         key=lambda member: not isinstance(member[0].targets, slice))
+        classes, orbit_of = (list(column) for column in zip(*members))
+        orbit_of = () if None in orbit_of else tuple(orbit_of)
         below = chains[-1][-1] if chains else None
         # the level's boxes, and the scalars of a box's coefficients
         shape = (grid.n // side) ** grid.d, (rank if factored else side) ** grid.d
         if factored and below and below.maps and below.side * 2 == side:
             maps = (transfer(grid, side // 2, rank),) * grid.d
-            chains[-1].append(FactorGroup(side, maps, classes, *shape))
+            chains[-1].append(FactorGroup(side, maps, classes, *shape, orbit_of))
         else:
             maps = (_box_factor(grid, side, rank),) * grid.d if factored else ()
-            chains.append([FactorGroup(side, maps, classes, *shape)])
+            chains.append([FactorGroup(side, maps, classes, *shape, orbit_of)])
     return [tuple(chain) for chain in chains]
 
 
@@ -673,7 +750,11 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     weak Gaussian with one dense class, whose block is materialized for the
     product (3.0 without the overlap), and 15.7–20.6 on a 128² single layer
     under the strong rule with nine, five of them folded (12.2, as a
-    batch's products live until they are summed)."""
+    batch's products live until they are summed).  A group that goes by
+    orbit (:class:`FactorGroup`) holds one orbit's gathered rows, products
+    and flat indices at a time, and one level's coefficients per orbit from
+    its scatter, so its transients are bounded by its largest orbit, not by
+    the group."""
     coeffs = [u]
     for group in chain:
         coeffs.append(project(coeffs[-1], grid.d, grid.n // group.side, group.maps))
@@ -686,10 +767,15 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
 
 def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
     """Target coefficient grid of one group from its source coefficient
-    grid: each class's core applied once to the rows of its source boxes,
-    into its rows of its batch's products, which :func:`_sum_classes` adds
-    into the rows of their target boxes, batch by batch."""
+    grid.  A group that goes by orbit applies each orbit's canonical core
+    once to every class's turned source rows (:func:`_apply_orbits`).
+    Every other group applies each class's core once to the rows of its
+    source boxes, into its rows of its batch's products, which
+    :func:`_sum_classes` adds into the rows of their target boxes, batch by
+    batch."""
     d, c = c.ndim // 2, to_boxes(c)
+    if group.orbits:
+        return from_boxes(_apply_orbits(group, c), d)
     g = None
     for batch in group.batches:
         out = np.empty((batch.rows, group.width))
@@ -704,6 +790,28 @@ def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
                 cls.payload.unfold(left @ right, out[span])
         g = _sum_classes(group, batch, out, g)
     return from_boxes(g, d)
+
+
+def _apply_orbits(group: FactorGroup, c: np.ndarray) -> np.ndarray:
+    """The box-major target coefficients of a group that goes by orbit from
+    its box-major source coefficients `c`: per orbit, one gather of every
+    class's source rows taken at its point map, one GEMM with the canonical
+    core, and one :func:`np.bincount` that adds the products at the point
+    maps of the target rows, summing each entry in class order, then leaf
+    order.  The flat indices, box times width plus point, are made per
+    orbit, so that they never outgrow one orbit's rows."""
+    width, flat = group.width, c.reshape(-1)
+    g = None
+    for orbit in group.orbits:
+        points = orbit.points[:, None, :]
+        x = flat.take(orbit.sources[:, :, None] * width + points).reshape(-1, width)
+        part = np.bincount((orbit.targets[:, :, None] * width + points).reshape(-1),
+                           (x @ orbit.core.T).reshape(-1), group.boxes * width)
+        if g is None:
+            g = part
+        else:
+            g += part
+    return g.reshape(group.boxes, width)
 
 
 def _rows(cls: TranslationClass, c: np.ndarray) -> np.ndarray:

@@ -499,7 +499,9 @@ class TestClassSharing:
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_matvec_applies_each_class_once(self, case, build, monkeypatch):
-        """Per matvec: one core application per class; one projection and one
+        """Per matvec: one core application per class of a group that goes
+        by class, and one per orbit of a group that goes by orbit, whose
+        rows are its classes; one projection and one
         expansion per group, through its maps.  Every factored group is on
         one chain of doubling sides; for both builders the chain's first
         group maps through the box factor of its side per dimension (for
@@ -551,9 +553,29 @@ class TestClassSharing:
                 cores[id(self)] += 1
                 return self.block.operand()
 
+        class OrbitCoreSpy:
+            """An orbit's core matrix, counting the transposes its one
+            product takes."""
+
+            def __init__(self, core):
+                self.core = core
+
+            @property
+            def T(self):
+                cores[id(self)] += 1
+                return self.core.T
+
+        applications = 0
         for group in op.groups:
+            if group.orbits:
+                assert sum(len(orbit.sources) for orbit in group.orbits) == len(group.classes)
+                object.__setattr__(group, "orbits", tuple(
+                    orbit._replace(core=OrbitCoreSpy(orbit.core)) for orbit in group.orbits))
             group.classes[:] = [dataclasses.replace(cls, payload=CoreSpy(cls.payload))
                                 for cls in group.classes]
+            applications += len(group.orbits) or len(group.classes)
+        assert sum(len(group.classes) for group in op.groups) == translation_classes(op)
+        assert any(group.orbits for group in op.groups) == (case != "2d-strong-slp-p2")
 
         def counted(stage, fn):
             def spy(*args):
@@ -568,7 +590,7 @@ class TestClassSharing:
         u = np.random.default_rng(49).standard_normal(grid.num_points)
         for rounds in (1, 2):
             matvec(op, u)
-            assert sum(cores.values()) == rounds * translation_classes(op)
+            assert sum(cores.values()) == rounds * applications
             assert set(cores.values()) == {rounds}
             assert passes == collections.Counter(
                 {key: rounds * count for key, count in expected.items()}
@@ -924,6 +946,13 @@ class TestMatvec:
             assert kinds[True] > 0 and (kinds[False] > 0) == (cfg is strong)
 
 
+def by_class(op):
+    """`op` with every group laid out by class: a group that goes by orbit
+    rebuilt without its classes' orbits (``orbit_of``)."""
+    return dataclasses.replace(op, chains=[
+        tuple(dataclasses.replace(group, orbit_of=()) for group in chain) for chain in op.chains])
+
+
 def inline_matvec(op, u, monkeypatch):
     """matvec with every chain on the calling thread."""
     with monkeypatch.context() as m:
@@ -1072,8 +1101,10 @@ class TestNearFieldOverlap:
         """Each batch's one sparse scatter sums every target box's products
         in class order: the matvec equals, bit for bit, that of a per-class
         sum, through the worker and inline, on groups of one class on every
-        box, of many classes and of turned ones, all of one batch."""
-        op, offloaded = cases[name]
+        box, of many classes and of turned ones, all of one batch.  A group
+        that goes by orbit has no batches and sums by orbit (TestOrbitPath),
+        so each group is laid out by class here."""
+        op, offloaded = by_class(cases[name][0]), cases[name][1]
         u = np.random.default_rng(68).standard_normal(op.num_points)
         handed, inline = matvec(op, u), inline_matvec(op, u, monkeypatch)
         monkeypatch.setattr(operators, "_sum_classes", self.per_class_sum)
@@ -1093,7 +1124,8 @@ class TestNearFieldOverlap:
         monkeypatch.setattr(operators, "_BATCH", 2048)
         small = dataclasses.replace(op, chains=[tuple(dataclasses.replace(group) for group in chain)
                                                 for chain in op.chains])
-        assert all(len(group.batches) > 1 for group in small.groups if len(group.classes) > 4)
+        assert all(len(group.batches) > 1 for group in small.groups
+                   if len(group.classes) > 4 and not group.orbits)
         u = np.random.default_rng(69).standard_normal(op.num_points)
         whole = matvec(op, u)
         handed, inline = matvec(small, u), inline_matvec(small, u, monkeypatch)
@@ -1428,6 +1460,127 @@ class TestOrbits:
         # strong rule
         largest = max(sizes[c] for c in canonical[checked].tolist())
         assert (largest > 2) == (not in_sectors or rule.kind == "strong")
+
+
+def per_class_reference(group, c):
+    """A group's box-major target coefficients from its source coefficient
+    grid `c`, class by class: each class's product added into the rows of
+    its targets, each box's sum in class order from zero, as the batches'
+    sparse scatters sum them."""
+    c = blocks.to_boxes(c)
+    g = np.zeros((group.boxes, group.width))
+    for cls in group.classes:
+        g[cls.targets] += cls.payload.product(c[cls.sources])
+    return g
+
+
+def source_grid(op, group, seed):
+    """A random source coefficient grid of `group`'s level, its entries in
+    [0, 1), so that no cancellation hides the rounding being measured."""
+    d = op.grid.d
+    shape = (op.grid.n // group.side, blocks._root(group.width, d)) * d
+    return np.random.default_rng(seed).random(shape)
+
+
+class TestOrbitPath:
+    """A factored group of a kernel of |x - y| whose classes have no more
+    leaves each than the core has columns goes by orbit: per orbit one
+    gather of the classes' rows at their point maps, one GEMM with the
+    canonical core and one bincount into the target boxes.  Every other
+    group goes by class, as before."""
+
+    CASES = {
+        **TestClassSharing.CASES,
+        # a grid that is not a power of two, under the strong rule
+        "2d-n96-leaf12-strong-slp": (UniformGrid(2, 96), BuildConfig(
+            rank=8, leaf_side=12, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
+            kernel=slp_2d(), coeff=CoefficientFn.constant(0.0),
+        )),
+        # a strong rule with eta = 1, whose orbits hold more classes
+        "2d-strong-eta1-gaussian": (UniformGrid(2, 64), BuildConfig(
+            rank=4, leaf_side=8, rule=AdmissibilityRule.strong(1.0),
+            kernel=gaussian(np.sqrt(2.0)), coeff=CoefficientFn.constant(0.0),
+        )),
+        # groups over the rule: classes of more leaves than 4^2
+        "2d-n128-weak-gaussian": (UniformGrid(2, 128), weak_gaussian_cfg(rank=4, leaf=8)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_orbit_has_one_leaf_count(self, case):
+        """The classes of one orbit are one another's turns, so they have
+        one number of leaves, in every factored group, whichever way it
+        goes."""
+        grid, cfg = self.CASES[case]
+        op = construct(cfg, grid)
+        factored = [group for group in op.groups if group.maps]
+        assert factored and all(len(group.orbit_of) == len(group.classes) for group in factored)
+        orbits = 0
+        for group in factored:
+            leaves = collections.defaultdict(set)
+            for cls, (canonical, _) in zip(group.classes, group.orbit_of):
+                leaves[id(canonical)].add(len(np.arange(group.boxes)[cls.targets]))
+            assert all(len(counts) == 1 for counts in leaves.values())
+            orbits += len(leaves)
+        assert orbits < sum(len(group.classes) for group in factored)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix], ids=["tucker", "lowrank"])
+    def test_orbit_groups_match_the_per_class_path(self, case, build):
+        """Each group that goes by orbit gives its per-class output within
+        1e-15 of its largest entry: the turned mirrors, one-row products
+        and the order of the sums move it by rounding only.  Its classes
+        hold their boxes as views of the orbit's arrays, its point maps are
+        one byte each, and it holds no batch and no sparse scatter."""
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        by_orbit = [group for group in op.groups if group.orbits]
+        assert bool(by_orbit) == (case != "2d-strong-slp-p2")
+        for k, group in enumerate(by_orbit):
+            c = source_grid(op, group, 80 + k)
+            got = operators._apply_classes(group, c)
+            expected = blocks.from_boxes(per_class_reference(group, c), grid.d)
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+            assert group.batches == group.spans == ()
+            assert sum(len(orbit.sources) for orbit in group.orbits) == len(group.classes)
+            for orbit in group.orbits:
+                assert orbit.points.dtype == np.uint8
+                assert orbit.sources.shape == orbit.targets.shape
+                assert orbit.sources.dtype == orbit.targets.dtype == np.int32
+            views = [(cls.sources.base, cls.targets.base) for cls in group.classes]
+            assert all(any(s is orbit.sources and t is orbit.targets for orbit in group.orbits)
+                       for s, t in views)
+
+    @pytest.mark.parametrize("case", ["2d-n128-weak-gaussian", "2d-strong-slp-p2"])
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix], ids=["tucker", "lowrank"])
+    def test_groups_over_the_rule_go_by_class(self, case, build):
+        """A factored group with a class of more leaves than the core has
+        columns, and every dense group, goes by class: bit for bit the
+        per-class sum of the classes' products."""
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        over = {id(group) for group in op.groups if group.maps and max(
+            len(np.arange(group.boxes)[cls.targets]) for cls in group.classes) > group.width}
+        assert over
+        for k, group in enumerate(op.groups):
+            assert bool(group.orbits) == (group.maps != () and id(group) not in over)
+            if group.orbits:
+                continue
+            c = source_grid(op, group, 90 + k)
+            assert np.array_equal(operators._apply_classes(group, c),
+                                  blocks.from_boxes(per_class_reference(group, c), grid.d))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix], ids=["tucker", "lowrank"])
+    def test_matvec_matches_the_per_class_layout(self, case, build):
+        """The whole product, against the same operator with every group
+        laid out by class, within 2e-15 of its largest entry: a coarse
+        level's rounding grows as it is expanded onto the grid (at most
+        7.0e-16 here, 1.4e-15 on a 512^2 weak Gaussian of rank 8)."""
+        grid, cfg = self.CASES[case]
+        op = build(cfg, grid)
+        u = np.random.default_rng(81).random(grid.num_points)
+        expected = matvec(by_class(op), u)
+        assert np.abs(matvec(op, u) - expected).max() <= 2e-15 * np.abs(expected).max()
 
 
 def dense_classes(op):
