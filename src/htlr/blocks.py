@@ -52,9 +52,11 @@ reflection or permutation of the dimensions is the block with the turn's
 point map applied to its rows and columns, on the grid points of a box or
 on its Chebyshev nodes alike, as both are symmetric in the box:
 :func:`_turned` gives it holding the same arrays, of either kind and in
-parity sectors or not, and applies the point map on the fly, to the rows
-and the result of each product (:func:`_turn_rows`, outside the fold of a
-block in sectors) or to a copy of the matrix (:func:`_turned_matrix`).
+parity sectors or not, and applies the point map on the fly, by kind: a
+Tucker block's product to a copy of its core (:func:`_turned_matrix`), a
+dense block's to its rows and result (:func:`_turn_rows`, outside the fold
+of a block in sectors; one in sectors that does not fold turns a copy of
+its block).
 
 Every block kind answers ``materialize()``, ``scalars()`` (the stored
 ``(dense, factor, core)`` counts), ``arrays()`` (the arrays it holds, views
@@ -107,15 +109,17 @@ class _Block:
     boxes, one box per row, for both kinds: ``unfold(fold(rows) @
     operand())`` (:meth:`product`).  A kind gives :meth:`_unturned`, its
     block in coefficient space before its turn, unfolded from any parity
-    sectors; ``sides`` and ``dims`` are those of its sectors, none for a
-    Tucker block.  ``folds``, fixed at build, says how a block in sectors or
-    turned (:func:`_turned`) takes the product: the rows turned, then
-    folded, the operand its stored matrix or sectors, and the result
-    unfolded, then unturned; or the block made for the product
-    (:meth:`_matrix`), where that moves fewer scalars.  A block whose
-    ``fold`` returns its argument unfolds nothing."""
+    sectors, and ``_by_rows``, the route of its product: the rows turned
+    (:func:`_turned`), then folded, the operand its stored matrix or
+    sectors, and the result unfolded, then unturned; or else the block made
+    for the product (:meth:`_matrix`).  ``sides`` and ``dims`` are those of
+    its sectors, none for a Tucker block.  A Tucker block never goes by
+    rows: a turned one multiplies by its core turned, one strided copy of
+    p^d x p^d.  A block whose ``fold`` returns its argument unfolds
+    nothing."""
 
     sides = dims = ()
+    _by_rows = False
 
     def _matrix(self) -> np.ndarray:
         """The block in coefficient space: :meth:`_unturned`, turned."""
@@ -124,9 +128,9 @@ class _Block:
 
     def operand(self) -> np.ndarray:
         """The right factor of the product: the stored matrix transposed, or
-        every sector transposed, of a block that folds, else the transposed
-        block."""
-        if not self.folds:
+        every sector transposed, of a block that goes by rows, else the
+        transposed block."""
+        if not self._by_rows:
             return self._matrix().T
         if not self.dims:
             return self._unturned().T
@@ -134,17 +138,17 @@ class _Block:
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
         """The left factor of the product from the source rows."""
-        if self.folds and self.turn:
+        if self._by_rows and self.turn:
             rows = _turn_rows(rows, self.turn)
-        return _fold(rows, self.sides, self.dims) if self.folds and self.dims else rows
+        return _fold(rows, self.sides, self.dims) if self._by_rows and self.dims else rows
 
     def unfold(self, t: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
         """The product, one target box per row, from ``t = fold(rows) @
         operand()``; written into `into`, an array of its shape, when
         given, which may hold the memory of `t`."""
-        if self.folds and self.dims:
+        if self._by_rows and self.dims:
             t = _unfold(t, self.sides, self.dims, None if self.turn else into)
-        return _unturn_rows(t, self.turn, into) if self.folds and self.turn else _into(t, into)
+        return _unturn_rows(t, self.turn, into) if self._by_rows and self.turn else _into(t, into)
 
     def product(self, rows: np.ndarray) -> np.ndarray:
         """The block applied to the coefficients of many source boxes, one
@@ -161,15 +165,15 @@ class TuckerBlock(_Block):
     explicit matrix of Lagrange bases, one column per node, as tall as the
     box side.  Its product acts on the box coefficients through its core
     matrix (:class:`_Block`).  A block with a ``turn`` (:func:`_turned`)
-    holds the core of another pair; its own is that core with the turn's
-    point map applied to its nodes, on both sides.
+    holds the core of another pair; its own, which its product makes, is
+    that core with the turn's point map applied to its nodes, on both
+    sides.
     """
 
     core: np.ndarray
     u_factors: list
     v_factors: list
     turn: tuple = ()
-    folds: bool = False
 
     @property
     def row_sizes(self) -> tuple[int, ...]:
@@ -224,13 +228,19 @@ class DenseBlock(_Block):
     ``turn`` (:func:`_turned`) is that block with its rows and columns
     permuted by the turn's point map; its ``dims`` are the zero dimensions
     of the stored block's offset, which the turn maps onto its own.  Its
-    product takes the steps of :class:`_Block`."""
+    product takes the steps of :class:`_Block`, by rows for a plain block;
+    ``folds``, fixed at build, says whether a block in sectors folds or is
+    materialized for the product."""
 
     sectors: np.ndarray
     sides: tuple = ()
     dims: tuple = ()
     folds: bool = False
     turn: tuple = ()
+
+    @property
+    def _by_rows(self) -> bool:
+        return self.folds or not self.dims
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -422,7 +432,7 @@ def _mirrored(block):
                        v_factors=list(block.u_factors))
 
 
-def _turned(block, turn: tuple, folds: bool):
+def _turned(block, turn: tuple):
     """The block of a box pair whose offset is `turn` applied to the offset
     of `block`'s pair, for a kernel of |x - y| alone, holding `block`'s
     arrays, of any kind: a block in parity sectors keeps its ``sides`` and
@@ -433,10 +443,12 @@ def _turned(block, turn: tuple, folds: bool):
     (or Chebyshev node) i of a box to the point whose coordinate a is i_b,
     reflected in the box when s < 0, and the block of the turned pair is
     `block`'s with T applied to its rows and columns, as the distance of
-    two points is unchanged.  Whether the product turns (and folds) the
-    rows and the result (`folds`) or a copy of the matrix is fixed at build
-    (:class:`_Block`)."""
-    return replace(block, turn=tuple(turn), folds=folds)
+    two points is unchanged.  The block's kind fixes where its product
+    applies T (:class:`_Block`): a Tucker block to a copy of its core, a
+    plain dense block to the rows and the result, and a block in sectors
+    to the rows and the result if it folds, else to a copy of its
+    block."""
+    return replace(block, turn=tuple(turn))
 
 
 @lru_cache(maxsize=None)

@@ -29,11 +29,12 @@ symmetric H-matrix stores one block of each pair (b, b^T) (W. Hackbusch,
 Hierarchical Matrices, Springer 2015): the kernel values of (tau, sigma),
 at the grid points or at the Chebyshev nodes, are bitwise the transpose
 of those of (sigma, tau).  The others hold :func:`htlr.blocks._turned`
-of it, its arrays and the turn, which the class's product applies either
-to its rows and products or to a copy of the matrix, whichever moves
-fewer scalars for its number of source boxes (a class in sectors goes
-the way its canonical goes); its block is its own pair's to rounding, as
-the turn moves the kernel's arguments.  A custom kernel need not be
+of it, its arrays and the turn, which the class's product applies by
+the class's kind: a Tucker class's to a copy of its core, one strided
+copy of p^d x p^d, and a dense class's to its rows and products (one in
+sectors that does not fold, as its canonical does not, to a copy of its
+block); its block is its own pair's to rounding, as the turn moves the
+kernel's arguments.  A custom kernel need not be
 symmetric, and each of its classes keeps a payload of its own.  Payloads
 are thus shared read-only arrays.  The Tucker payloads
 of one tree level are built together, their kernel values in one call per
@@ -111,11 +112,12 @@ O. Coulaud, E. Darve, M. Messner and T. Takahashi, SIAM J. Sci. Comput. 36,
 than a core, and when it does the calling thread gathers and folds its
 source rows, makes its operands (materializing the blocks that do not fold)
 and hands its matrix products, which release the interpreter lock, to a
-single worker thread as one task.  It then runs every other chain, unfolds
-the dense products and sums them through its batches' scatters, and adds
-the near part into f first, then each chain's part in chain order.  Every
-sum keeps its order, so f is bit for bit what the calling thread alone
-gives.  Groups of
+single worker thread as one task: the products step that the calling
+thread runs at once for every other group applied class by class.  It then
+runs every other chain, unfolds the dense products and sums them through
+its batches' scatters, as it does for those groups, and adds the near part
+into f first, then each chain's part in chain order.  Every sum keeps its
+order, so f is bit for bit what the calling thread alone gives.  Groups of
 core-sized products stay on the calling thread, as many small calls would
 contend for the interpreter lock: a self class in sectors of p^d rows on
 boxes of side 2p, in 2D or 3D.  A process that can run on one CPU only
@@ -481,12 +483,8 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         if not built[i] and (offsets[i] == -offsets[canonical[i]]).all():
             payload = _mirrored(payload)
         elif not built[i]:
-            # turning the rows and products moves two copies of them, a
-            # turned copy of the matrix one of its size; a class in sectors
-            # folds as its canonical does
-            rows = (cfg.rank if tucker[i] else side) ** grid.d
-            folds = payload.folds if sectors[i] else 2 * int(counts[i]) <= rows
-            payload = _turned(payload, turns[i].tolist(), folds)
+            # a class in sectors folds as its canonical does
+            payload = _turned(payload, turns[i].tolist())
         # in target order, so that a class mapping every box of its level
         # onto itself indexes with full slices, which need no gather or
         # scatter
@@ -687,53 +685,27 @@ def _near_field_worker():
 
 def _offload(worker, u: np.ndarray, grid: UniformGrid, group: FactorGroup):
     """Hand a dense group's matrix products to the worker as one task.  This
-    thread gathers and folds every class's source rows, the box-major copy
-    of u included, and makes the operands
-    (:meth:`htlr.blocks.DenseBlock.operand`; a sector or turned block that
-    does not fold is materialized); the worker runs only the products, as
-    each numpy call it makes trades the interpreter lock with this thread,
-    into the arrays of the group's batches, which it makes too, as it made
-    the products before.  Made on this thread, they pushed its transients
-    to where freeing them returned memory to the system, which the next
-    matvec faulted in again: the benchmark's 2D single layer workload read
-    a median matvec 6 to 12% slower.  Returns the function that waits for
-    the products, unfolds them, sums them batch by batch and gives the
-    group's part of A u; it keeps the products, not the copy."""
-    c = to_boxes(project(u, grid.d, grid.n // group.side, group.maps))
-    lefts, unfolds = [], []
-    for cls in group.classes:
-        # a class's gathered rows die once folded, before the next gather
-        x = _rows(cls, c)
-        lefts.append(cls.payload.fold(x))
-        unfolds.append(lefts[-1] is not x)
-    operands = [cls.payload.operand() for cls in group.classes]
-    del c, x
-
-    def products():
-        # each product goes into its rows of its batch's array; one that
-        # unfolds, in its own shape, to be unfolded there in place: a
-        # product of its own per class would double the group's memory
-        outs, ts = [], []
-        for batch in group.batches:
-            outs.append(np.empty((batch.rows, group.width)))
-            for left, right, unfold, span in zip(lefts[batch.classes], operands[batch.classes],
-                                                 unfolds[batch.classes], group.spans[batch.classes]):
-                rows = outs[-1][span]
-                ts.append(np.matmul(left, right, out=rows.reshape(
-                    left.shape[:-1] + right.shape[-1:]) if unfold else rows))
-        return outs, ts
-
-    task = worker.submit(products)
+    thread takes every class's steps (:func:`_steps`): it gathers and folds
+    its source rows, the box-major copy of u included, and makes its
+    operand (a sector block that does not fold is materialized); the worker
+    runs only the products (:func:`_products`), as each numpy call it makes
+    trades the interpreter lock with this thread, into the arrays of the
+    group's batches, which it makes too.  Made on this thread, they pushed
+    its transients to where freeing them returned memory to the system,
+    which the next matvec faulted in again: the benchmark's 2D single layer
+    workload read a median matvec 6 to 12% slower.  Returns the function
+    that waits for the products, unfolds and sums them
+    (:func:`_sum_products`) and gives the group's part of A u; it keeps the
+    products, not the copy."""
+    # the box-major copy of u dies with the steps' generator
+    steps = iter(list(_steps(group, to_boxes(project(u, grid.d, grid.n // group.side,
+                                                     group.maps)))))
+    task = worker.submit(lambda: [_products(group, batch, steps) for batch in group.batches])
 
     def part():
-        outs, ts = task.result()
         g = None
-        for batch, out in zip(group.batches, outs):
-            for cls, t, unfold, span in zip(group.classes[batch.classes], ts[batch.classes],
-                                            unfolds[batch.classes], group.spans[batch.classes]):
-                if unfold:
-                    cls.payload.unfold(t, out[span])
-            g = _sum_classes(group, batch, out, g)
+        for batch, products in zip(group.batches, task.result()):
+            g = _sum_products(group, batch, *products, g)
         return expand(from_boxes(g, grid.d), group.maps)
 
     return part
@@ -769,27 +741,59 @@ def _apply_classes(group: FactorGroup, c: np.ndarray) -> np.ndarray:
     """Target coefficient grid of one group from its source coefficient
     grid.  A group that goes by orbit applies each orbit's canonical core
     once to every class's turned source rows (:func:`_apply_orbits`).
-    Every other group applies each class's core once to the rows of its
-    source boxes, into its rows of its batch's products, which
-    :func:`_sum_classes` adds into the rows of their target boxes, batch by
-    batch."""
+    Every other group takes the steps the near-field worker takes, here on
+    the calling thread: each class's core applied once to the rows of its
+    source boxes, gathered as the product is made, so that they are still
+    in cache for it (:func:`_products`), and the products summed batch by
+    batch (:func:`_sum_products`)."""
     d, c = c.ndim // 2, to_boxes(c)
     if group.orbits:
         return from_boxes(_apply_orbits(group, c), d)
-    g = None
+    steps, g = _steps(group, c), None
     for batch in group.batches:
-        out = np.empty((batch.rows, group.width))
-        for cls, span in zip(group.classes[batch.classes], group.spans[batch.classes]):
-            # gathered as the class is applied, so that its rows are still
-            # in cache for its product
-            x = _rows(cls, c)
-            left, right = cls.payload.fold(x), cls.payload.operand()
-            if left is x:
-                np.matmul(x, right, out=out[span])
-            else:
-                cls.payload.unfold(left @ right, out[span])
-        g = _sum_classes(group, batch, out, g)
+        # a batch's products die once summed, before the next batch's
+        g = _sum_products(group, batch, *_products(group, batch, steps), g)
     return from_boxes(g, d)
+
+
+def _steps(group: FactorGroup, c: np.ndarray):
+    """Per class of a group, in order, the operands of its product from the
+    box-major source coefficients `c`, its rows gathered and folded as the
+    step is taken, and the payload that unfolds the product, or None where
+    the fold returned the rows."""
+    for cls in group.classes:
+        x = _rows(cls, c)
+        left = cls.payload.fold(x)
+        yield left, cls.payload.operand(), None if left is x else cls.payload
+
+
+def _products(group: FactorGroup, batch: _Batch, steps) -> tuple:
+    """The array of a batch's products, one row per leaf, each class's made
+    by one :func:`np.matmul` into its rows from the next of the group's
+    `steps` (an iterator of :func:`_steps`); and, for the classes whose
+    products unfold, the payload, the rows and the product in its own
+    shape, which holds their memory: a product of its own per class would
+    double a group's memory."""
+    out, unfolds = np.empty((batch.rows, group.width)), []
+    # the spans first: zip stops on them, before it takes a step of the
+    # next batch
+    for span, (left, right, payload) in zip(group.spans[batch.classes], steps):
+        rows = out[span]
+        if payload is None:
+            np.matmul(left, right, out=rows)
+        else:
+            t = rows.reshape(left.shape[:-1] + right.shape[-1:])
+            unfolds.append((payload, rows, np.matmul(left, right, out=t)))
+    return out, unfolds
+
+
+def _sum_products(group: FactorGroup, batch: _Batch, out: np.ndarray, unfolds: list,
+                  g) -> np.ndarray:
+    """:func:`_sum_classes` of `g` and a batch's products (:func:`_products`),
+    those that unfold unfolded in place first."""
+    for payload, rows, t in unfolds:
+        payload.unfold(t, rows)
+    return _sum_classes(group, batch, out, g)
 
 
 def _apply_orbits(group: FactorGroup, c: np.ndarray) -> np.ndarray:

@@ -775,7 +775,7 @@ class TestTurns:
     turned by a signed permutation of the dimensions is the block of the
     original pair with the turn's point map applied to its rows and
     columns: a turned payload holds the original's arrays and gives the
-    turned pair's block, through either route of its product."""
+    turned pair's block, through the one route of its kind's product."""
 
     # (name, kernel, d, n, box side, rank, source-minus-target box offset)
     CASES = {
@@ -812,15 +812,16 @@ class TestTurns:
             h[np.arange(d), np.abs(turn) - 1] = np.sign(turn)
             expected = build(*pair(tuple(h @ offset)))
             full = materialize(expected)
-            for folds in (False, True):
-                turned = blocks._turned(block, turn, folds)
-                assert turned.arrays()[0] is block.arrays()[0] and turned.turn == turn
-                assert turned.scalars() == block.scalars()
-                assert np.abs(turned.materialize() - full).max() <= 1e-13 * np.abs(full).max()
-                # a payload whose fold returns its argument unfolds nothing
-                assert (turned.fold(rows) is rows) == (not folds)
-                product, exact = turned.product(rows), rows @ matrix(expected).T
-                assert np.abs(product - exact).max() <= 1e-13 * np.abs(exact).max()
-                into = np.empty_like(product)
-                assert turned.unfold(turned.fold(rows) @ turned.operand(), into) is into
-                assert np.array_equal(into, product)
+            turned = blocks._turned(block, turn)
+            assert turned.arrays()[0] is block.arrays()[0] and turned.turn == turn
+            assert turned.scalars() == block.scalars()
+            assert np.abs(turned.materialize() - full).max() <= 1e-13 * np.abs(full).max()
+            # a Tucker block multiplies the rows by its core turned; a dense
+            # one turns the rows, and a payload whose fold returns its
+            # argument unfolds nothing
+            assert (turned.fold(rows) is rows) == (kind != "dense")
+            product, exact = turned.product(rows), rows @ matrix(expected).T
+            assert np.abs(product - exact).max() <= 1e-13 * np.abs(exact).max()
+            into = np.empty_like(product)
+            assert turned.unfold(turned.fold(rows) @ turned.operand(), into) is into
+            assert np.array_equal(into, product)

@@ -433,10 +433,13 @@ class TestClassSharing:
         distance, and parity sectors the rounding of the block: bit for bit
         where the class holds neither.  So is its product, by the steps
         fixed at build: a turned class in sectors turns and folds the rows,
-        or materializes its block turned, in the 2D strong cases."""
+        or materializes its block turned, in the 2D strong cases.  A turned
+        class's kind fixes the route of every other turned class: a Tucker
+        class multiplies by its core turned, and a plain dense class, as
+        the strong rule's corner classes are, turns its rows."""
         grid, cfg = self.CASES[case]
         op = build(cfg, grid)
-        turned, routes = 0, set()
+        turned, routes, plain = 0, set(), 0
         for tau, sigma, payload in first_leaves(op):
             if isinstance(payload, DenseBlock):
                 got = payload.materialize()
@@ -455,7 +458,10 @@ class TestClassSharing:
             assert np.abs(payload.product(rows) - exact).max() <= 1e-14 * np.abs(exact).max()
             if payload.turn and getattr(payload, "dims", ()):
                 routes.add(payload.folds)
-        assert turned > 0
+            elif payload.turn:
+                assert (payload.fold(rows) is rows) == isinstance(payload, TuckerBlock)
+                plain += isinstance(payload, DenseBlock)
+        assert turned > 0 and (plain > 0) == (cfg.rule.kind == "strong")
         assert routes == {"2d-strong-slp": {True}, "2d-strong-slp-p2": {False}}.get(case, set())
 
     @BUILDS
@@ -1195,17 +1201,38 @@ class TestNearFieldOverlap:
             4, 2, AdmissibilityRule.strong(np.sqrt(3.0)), slp_3d())),
     }
 
+    # small builds of a sweep over d, n, p, the leaf side (up to 2p) and
+    # the rule (weak, or strong with eta from 0.3 to 10), some of one leaf
+    for d, n, p, leaf, eta in [
+            (2, 8, 1, 1, None), (2, 8, 4, 2, 0.3), (2, 16, 1, 1, 10), (2, 16, 1, 2, 0.3),
+            (2, 16, 4, 8, None), (2, 32, 1, 2, 1), (2, 32, 2, 1, 0.3), (2, 32, 2, 4, 10),
+            (2, 32, 4, 2, 1), (2, 64, 1, 2, 0.3), (2, 64, 1, 1, None), (2, 64, 2, 2, 1),
+            (2, 64, 2, 4, 10), (2, 64, 4, 1, 0.3), (2, 64, 4, 4, None), (2, 64, 4, 8, 1),
+            (3, 8, 1, 1, 1), (3, 8, 1, 2, 10), (3, 8, 2, 2, None), (3, 16, 1, 1, 0.3),
+            (3, 16, 1, 2, 1), (3, 16, 2, 1, 10), (3, 16, 2, 4, None), (3, 16, 4, 1, None),
+            (3, 32, 1, 2, None), (3, 32, 2, 4, 1), (3, 32, 2, 4, 10), (3, 32, 4, 1, None),
+            (3, 32, 4, 4, 1), (3, 32, 4, 8, 10)]:
+        ONE_GROUP_CASES[f"sweep-{d}d-n{n}-p{p}-leaf{leaf}-"
+                        + ("weak" if eta is None else f"eta{eta:g}")] = (UniformGrid(d, n), sweep_cfg(
+            p, leaf, AdmissibilityRule.weak() if eta is None else AdmissibilityRule.strong(eta),
+            gaussian(np.sqrt(d))))
+    del d, n, p, leaf, eta
+
     @pytest.mark.parametrize("case", sorted(ONE_GROUP_CASES))
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_only_the_first_group_can_be_offloaded(self, case, build):
-        """The first chain is the dense group on the finest side, and no
+        """The first chain is the one dense group, on the finest side, the
+        factored groups are at most one chain, of doubling sides, and no
         later group has a product wider than a core: the matvec hands over
         at most the first group."""
         grid, cfg = self.ONE_GROUP_CASES[case]
         op = build(cfg, grid)
         (first,), *later = op.chains
         assert not first.maps and first.side == min(group.side for group in op.groups)
+        assert len(later) <= 1 and all(chain[0].maps for chain in later)
+        sides = [group.side for chain in later for group in chain]
+        assert sides == [sides[0] << k for k in range(len(sides))]
         assert not any(operators._offloads(group, cfg.rank, grid.d)
                        for chain in later for group in chain)
 
