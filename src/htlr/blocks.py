@@ -9,7 +9,9 @@ block with each side's factors multiplied out into one Kronecker basis, i.e.
 an order-2 Tucker block u @ g @ v.T, on a basis that the operators make once
 per tree level and :func:`build_lowrank` once per pair.  Every factor is an
 explicit matrix, as tall as the box side and as wide as the rank, so a box
-narrower than the rank is rejected.  Inadmissible pairs are stored densely;
+narrower than the rank is rejected.  Inadmissible pairs are stored densely,
+but for the self pairs of a kernel smooth at x = y that the operators
+interpolate too (:mod:`htlr.operators`);
 a translation-invariant kernel's dense block is built from one kernel value
 per index offset.  All blocks carry the
 quadrature weight h^d of the discretization, so materializing any block
@@ -586,13 +588,16 @@ def build_tlr(
 
 def _tucker_blocks(k: KernelSpec, grid: UniformGrid, taus: np.ndarray,
                    sigmas: np.ndarray, rank: int, h: float) -> list:
-    """The :func:`build_tlr` blocks of many disjoint box pairs, all target
-    boxes of one shape and all source boxes of one shape: `taus` and
-    `sigmas` hold each box's index ranges, integer arrays (pairs, d, 2).
-    The Chebyshev nodes of every box come from one elementwise formula, the
-    kernel is evaluated on the node pairs of as many blocks at a time as
-    :data:`htlr.kernels.EVAL_CHUNK` evaluations allow, in one call, and
-    scaled by h^d.  The cores are read-only views of one array.  The pairs
+    """The :func:`build_tlr` blocks of many box pairs, all target boxes of
+    one shape and all source boxes of one shape: `taus` and `sigmas` hold
+    each box's index ranges, integer arrays (pairs, d, 2).  The pairs are
+    disjoint, or a box with itself for a kernel smooth at x = y, whose
+    interpolant on the pair the operators store in place of the dense
+    block (:mod:`htlr.operators`): its core holds K(0) h^d where a node
+    meets itself.  The Chebyshev nodes of every box come from one
+    elementwise formula, the kernel is evaluated on the node pairs of as
+    many blocks at a time as :data:`htlr.kernels.EVAL_CHUNK` evaluations
+    allow, in one call, and scaled by h^d.  The cores are read-only views of one array.  The pairs
     are built as given: the operators pass a symmetric kernel's canonical
     pairs only."""
     d, count = grid.d, len(taus)

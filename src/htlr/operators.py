@@ -85,7 +85,17 @@ build splits no box pair of side 2p or less (:func:`_leaf_threshold`), as
 an H-matrix keeps a block in full where its children would be no wider
 than the rank (W. Hackbusch, Hierarchical Matrices, Springer 2015): so
 every leaf of a tree of more than one level is wider than the rank, and
-every admissible leaf is Tucker.  A translation-invariant kernel's dense
+every admissible leaf is Tucker.  Under the weak rule, in such a tree, a
+kernel of |x - y| smooth at x = y (the Gaussian) has the last level's
+self pair interpolated too, as weak admissibility already treats the
+touching neighbour pairs as separable (W. Hackbusch, B. Khoromskij and
+R. Kriemann, Computing 73, 2004), and a Chebyshev interpolant's error
+depends only on the kernel's smoothness over the pair (W. Fong and
+E. Darve, 2009).  That class is on every box, its own orbit, and first
+in its level's factored group; so such a build holds no dense class.  Its
+interpolant gives K(0) h^d on the diagonal, where the quadrature gives the
+cell average, so the operator's diagonal adds the difference, one value
+for all points.  A translation-invariant kernel's dense
 class of an even side wider than the rank (all but the leaf of a one-leaf
 tree no wider) is stored in parity sectors, 2^k of them for the k
 dimensions in which its offset is zero, of which it keeps one per number
@@ -101,8 +111,9 @@ source boxes
 (:meth:`htlr.blocks.DenseBlock.product`): with no more boxes than its block
 has columns, its product folds the rows into sums and differences of
 mirrored points, spreads its sectors into one operand and takes one batched
-product, and unfolds it; with more, as a 2D self class on many boxes, its
-block is materialized for the one product, which is then the cheaper.
+product, and unfolds it; with more, as a 2D single layer's self class on
+many boxes, its block is materialized for the one product, which is then
+the cheaper.
 
 The near field and the far field are independent until they are summed
 into f, so the matvec overlaps them, as task-based fast multipole codes run
@@ -113,7 +124,10 @@ than a core, and when it does the calling thread gathers and folds its
 source rows, makes its operands (materializing the blocks that do not fold)
 and hands its matrix products, which release the interpreter lock, to a
 single worker thread as one task: the products step that the calling
-thread runs at once for every other group applied class by class.  It then
+thread runs at once for every other group applied class by class.  A
+build that interpolates its self pairs has no dense group and hands
+nothing over; the near fields handed over are those of a singular
+kernel, or of any kernel under the strong rule.  The calling thread then
 runs every other chain, unfolds the dense products and sums them through
 its batches' scatters, as it does for those groups, and adds the near part
 into f first, then each chain's part in chain order.  Every sum keeps its
@@ -164,7 +178,15 @@ from .grids import (
     build_block_cluster_tree,
     build_cluster_tree,
 )
-from .kernels import CoefficientFn, KernelSpec, QuadratureConfig, _Constant, _real_values
+from .kernels import (
+    CoefficientFn,
+    KernelSpec,
+    QuadratureConfig,
+    _Constant,
+    _of_r2,
+    _origin_entry,
+    _real_values,
+)
 
 @dataclass(frozen=True)
 class BuildConfig:
@@ -346,7 +368,10 @@ class HTLRMatrix:
     broadcasts it), and the translation classes the matvec applies, grouped
     by box side and kind into chains of nested factors.  Each class holds one
     payload for all its leaves: Tucker for admissible leaves (of order 2 for
-    the baseline), dense otherwise."""
+    the baseline), dense otherwise, but for the self pairs that a build of a
+    kernel smooth at x = y interpolates; then the diagonal holds a(x) plus
+    the constant (diagonal_entry - K(0)) h^d, which puts the quadrature's
+    cell average in place of the interpolant's K(0) h^d."""
 
     grid: UniformGrid
     config: BuildConfig
@@ -428,6 +453,13 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     sides = grid.n >> levels
     tucker = leaves.admissible[firsts]
     offsets = leaves.sigma[firsts] - leaves.tau[firsts]
+    # under the weak rule a kernel of |x - y| smooth at x = y is
+    # interpolated on the last level's self pair too, as on the touching
+    # neighbour pairs; its own orbit, on every box
+    smooth_self = (cfg.rule.kind == "weak" and depth > 0 and cfg.kernel.translation_invariant
+                   and cfg.kernel.smooth_at_diagonal)
+    if smooth_self:
+        tucker |= ~offsets.any(axis=1)
     counts = np.bincount(inverse)[classes]
     # dense classes in parity sectors: on boxes wider than the rank (as
     # every leaf of a tree of more than one level is), of an even side, at
@@ -505,6 +537,10 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
         diagonal = np.array([cfg.coeff.evaluator.value])
     else:
         diagonal = cfg.coeff(grid.points(IndexBox(((0, grid.n),) * grid.d)))
+    if smooth_self:
+        # the cell average, less the interpolant's K(0), times h^d
+        diagonal = diagonal + (_origin_entry(cfg.kernel, grid.d, grid.h, cfg.quadrature)
+                                - _of_r2(cfg.kernel, 0.0)) * grid.h**grid.d
     return HTLRMatrix(grid=grid, config=cfg, diagonal=diagonal,
                       chains=_chains(groups, grid, cfg.rank))
 
@@ -640,7 +676,7 @@ def matvec(op: HTLRMatrix, u: np.ndarray) -> np.ndarray:
     if handed:
         parts.insert(0, near_part())
     if op.diagonal.size == 1 and op.diagonal[0] == 0.0:
-        # a(x) = 0 adds nothing: f starts as the first part
+        # a zero diagonal adds nothing: f starts as the first part
         f = np.array(parts.pop(0), order="C").reshape(-1)
     else:
         f = op.diagonal * u
@@ -719,10 +755,10 @@ def _chain_part(u: np.ndarray, grid: UniformGrid, chain) -> np.ndarray:
     chains run, and every chain's part lives until the parts are added.
     A matvec's peak above its input depends on when the worker finishes:
     traced with tracemalloc, it was 3.0–3.8 grid-sized arrays on a 512²
-    weak Gaussian with one dense class, whose block is materialized for the
-    product (3.0 without the overlap), and 15.7–20.6 on a 128² single layer
-    under the strong rule with nine, five of them folded (12.2, as a
-    batch's products live until they are summed).  A group that goes by
+    weak Gaussian while its self class was dense, its block materialized
+    for the product (3.0 without the overlap), and 15.7–20.6 on a 128²
+    single layer under the strong rule with nine, five of them folded
+    (12.2, as a batch's products live until they are summed).  A group that goes by
     orbit (:class:`FactorGroup`) holds one orbit's gathered rows, products
     and flat indices at a time, and one level's coefficients per orbit from
     its scatter, so its transients are bounded by its largest orbit, not by
