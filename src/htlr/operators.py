@@ -85,17 +85,20 @@ build splits no box pair of side 2p or less (:func:`_leaf_threshold`), as
 an H-matrix keeps a block in full where its children would be no wider
 than the rank (W. Hackbusch, Hierarchical Matrices, Springer 2015): so
 every leaf of a tree of more than one level is wider than the rank, and
-every admissible leaf is Tucker.  Under the weak rule, in such a tree, a
-kernel of |x - y| smooth at x = y (the Gaussian) has the last level's
-self pair interpolated too, as weak admissibility already treats the
-touching neighbour pairs as separable (W. Hackbusch, B. Khoromskij and
+every admissible leaf is Tucker.  Under the weak rule a kernel of |x - y|
+smooth at x = y (the Gaussian) has the last level's self pair
+interpolated too, as weak admissibility already treats the touching
+neighbour pairs as separable (W. Hackbusch, B. Khoromskij and
 R. Kriemann, Computing 73, 2004), and a Chebyshev interpolant's error
 depends only on the kernel's smoothness over the pair (W. Fong and
-E. Darve, 2009).  That class is on every box, its own orbit, and first
-in its level's factored group; so such a build holds no dense class.  Its
-interpolant gives K(0) h^d on the diagonal, where the quadrature gives the
-cell average, so the operator's diagonal adds the difference, one value
-for all points.  A translation-invariant kernel's dense
+E. Darve, 2009): where the tree's depth, the rank and the leaf box's
+width against sigma say that adds little to the error of the pairs the
+build interpolates already (:func:`_interpolates_self`).  That class is
+on every box, its own orbit, and first in its level's factored group; so
+such a build holds no dense class.  Its interpolant gives K(0) h^d on the
+diagonal, where the quadrature gives the cell average, so the operator's
+diagonal adds the difference, one value for all points.  A
+translation-invariant kernel's dense
 class of an even side wider than the rank (all but the leaf of a one-leaf
 tree no wider) is stored in parity sectors, 2^k of them for the k
 dimensions in which its offset is zero, of which it keeps one per number
@@ -423,6 +426,25 @@ def _leaf_threshold(cfg: BuildConfig) -> int:
     return max(cfg.leaf_side, 2 * cfg.rank)
 
 
+def _interpolates_self(cfg: BuildConfig, grid: UniformGrid, depth: int) -> bool:
+    """Whether the build of a tree `depth` levels below its root stores the
+    last level's self pair as a Tucker block: under the weak rule, for a
+    kernel of |x - y| smooth at x = y (the Gaussian), where that adds
+    little to the error of the pairs the build interpolates already.  It
+    does in a tree of three levels or more, whose coarser pairs are on
+    boxes twice as wide, at a rank of 3 or more, on a leaf box no wider
+    than sigma: there the operator's full-vector error against an exact
+    product was within 1.021 times that of the same operator with a dense
+    self class (d = 2 and 3, p = 3 to 8, random vectors, and constant,
+    smooth and point vectors at boxes of sigma/2 and sigma).  Outside, the
+    error grew up to 2.7 times in a two-level tree at boxes of sigma/4 to
+    sigma, 1.12 times at rank 2, 1.09 times at rank 3 on a box of 2 sigma,
+    and 3.5 times on a box of 12.5 sigma."""
+    return (cfg.rule.kind == "weak" and depth >= 2 and cfg.rank >= 3
+            and cfg.kernel.translation_invariant and cfg.kernel.smooth_at_diagonal
+            and (grid.n >> depth) * grid.h <= cfg.kernel.sigma)
+
+
 def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     leaves = _leaf_lattice(grid, _leaf_threshold(cfg), cfg.rule)
     depth = int(leaves.level.max())
@@ -453,11 +475,9 @@ def _build(cfg: BuildConfig, grid: UniformGrid, lowrank: bool) -> HTLRMatrix:
     sides = grid.n >> levels
     tucker = leaves.admissible[firsts]
     offsets = leaves.sigma[firsts] - leaves.tau[firsts]
-    # under the weak rule a kernel of |x - y| smooth at x = y is
-    # interpolated on the last level's self pair too, as on the touching
-    # neighbour pairs; its own orbit, on every box
-    smooth_self = (cfg.rule.kind == "weak" and depth > 0 and cfg.kernel.translation_invariant
-                   and cfg.kernel.smooth_at_diagonal)
+    # the last level's self pair interpolated, as its touching neighbour
+    # pairs are: its own orbit, on every box
+    smooth_self = _interpolates_self(cfg, grid, depth)
     if smooth_self:
         tucker |= ~offsets.any(axis=1)
     counts = np.bincount(inverse)[classes]

@@ -73,9 +73,14 @@ def tree_leaves(grid, cfg) -> dict:
 def interpolates_self(cfg, grid) -> bool:
     """Whether the build stores the last level's self pair as a Tucker
     block: of a kernel of |x - y| smooth at x = y, under the weak rule, in a
-    tree of more than one level."""
+    tree of three levels or more, at a rank of 3 or more, on a leaf box no
+    wider than sigma."""
+    side, depth = grid.n, 0
+    while side > split_side(cfg):
+        side, depth = side // 2, depth + 1
     return (cfg.rule.kind == "weak" and cfg.kernel.translation_invariant
-            and cfg.kernel.smooth_at_diagonal and grid.n > split_side(cfg))
+            and cfg.kernel.smooth_at_diagonal and depth >= 2 and cfg.rank >= 3
+            and side * grid.h <= cfg.kernel.sigma)
 
 
 def stored_kinds(grid, cfg) -> dict:
@@ -324,8 +329,15 @@ class TestClassSharing:
         "2d-weak-gaussian": (UniformGrid(2, 64), weak_gaussian_cfg(rank=4, leaf=8)),
         # a configured leaf side of p: the build splits no pair of side 2p,
         # so the leaves are of side 8 and the self class is in parity
-        # sectors, one stored per number of odd dimensions
+        # sectors, one stored per number of odd dimensions (a tree of two
+        # levels, where the Gaussian's self pair is not interpolated)
         "3d-leaf-side-p": (UniformGrid(3, 16), BuildConfig(
+            rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
+            kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
+        )),
+        # three levels, leaves of side 6: the Gaussian's self pair is
+        # interpolated, and the factored group goes by orbit
+        "3d-n24-leaf-side-6": (UniformGrid(3, 24), BuildConfig(
             rank=4, leaf_side=4, rule=AdmissibilityRule.weak(),
             kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0),
         )),
@@ -401,8 +413,8 @@ class TestClassSharing:
         """On a grid wider than 2p every leaf of the cluster tree has a side
         in (p, max(leaf side, 2p)], as the build splits no pair of side 2p
         or less: so every leaf of the block tree is wider than the rank, and
-        no admissible leaf is dense; nor is the self pair of a weak
-        Gaussian."""
+        no admissible leaf is dense; nor is the self pair where the build
+        interpolates it."""
         grid, cfg = self.CASES[case]
         assert grid.n > 2 * cfg.rank
         op = build(cfg, grid)
@@ -545,7 +557,7 @@ class TestClassSharing:
         for factors in by_side.values():
             assert all(f is g for fs in factors for f, g in zip(fs, factors[0]))
         # one factor group per Tucker side, plus the custom kernel's dense
-        # one: the Gaussian's self pairs are Tucker
+        # one: this Gaussian's self pairs are Tucker
         assert len(op.groups) == len(by_side) + (case == "2d-non-stationary")
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -890,7 +902,9 @@ def circulant_product(cfg, grid, u):
     """The exact A u of a kernel of |x - y| with a(x) = 0 on the whole grid,
     by circulant embedding (R. Chan and M. Ng, SIAM Review 38, 1996): the
     kernel at every offset between two grid points, the cell average at
-    the zero offset, convolved with u by one FFT."""
+    the zero offset, convolved with u by one FFT.  It is the product of
+    perfbench's CirculantReference, which these tests do not import: the
+    benchmark harness is not part of the package they test."""
     n, d, h = grid.n, grid.d, grid.h
     steps = np.arange(1 - n, n) * h
     offsets = np.stack(np.meshgrid(*[steps] * d, indexing="ij"), axis=-1).reshape(-1, d)
@@ -924,24 +938,48 @@ def self_classes(op):
     return [(side, cls) for side, offset, cls in class_offsets(op) if not any(offset)]
 
 
+def dense_self_error_ratio(op, u):
+    """The full-vector error of `op`'s matvec against the circulant
+    product, over that of the same operator with its self class swapped
+    back to the build_dense payload and its shift taken out of the
+    diagonal: 1 where the self class is dense."""
+    grid, cfg = op.grid, op.config
+    ((side, cls),) = self_classes(op)
+    if isinstance(cls.payload, DenseBlock):
+        return 1.0
+    box = IndexBox(((0, side),) * grid.d)
+    swap = (build_dense(cfg.kernel, grid, box, box, cfg.quadrature).matrix
+            - cls.payload.materialize() - self_shift(cfg, grid) * np.eye(side**grid.d))
+    exact, f = circulant_product(cfg, grid, u), matvec(op, u)
+    dense_self = f + from_box_rows(box_rows(u, grid, side) @ swap.T, grid, side)
+    return np.linalg.norm(f - exact) / np.linalg.norm(dense_self - exact)
+
+
+def weak_gaussian(rank, leaf, sigma):
+    return BuildConfig(rank=rank, leaf_side=leaf, rule=AdmissibilityRule.weak(),
+                       kernel=gaussian(sigma), coeff=CoefficientFn.constant(0.0))
+
+
 class TestSmoothSelfPair:
-    """Under the weak rule, in a tree of more than one level, a kernel of
-    |x - y| smooth at x = y has its last level's self pair interpolated:
-    one Tucker class on every box, its own orbit, first in the leaf level's
-    factored group, and the operator's diagonal holds the shift
-    (diagonal_entry - K(0)) h^d, as the interpolant gives K(0) h^d on the
-    diagonal.  Every other build keeps a dense self class."""
+    """Under the weak rule a kernel of |x - y| smooth at x = y has its last
+    level's self pair interpolated in a tree of three levels or more, at a
+    rank of 3 or more, on a leaf box no wider than sigma: one Tucker class
+    on every box, its own orbit, first in the leaf level's factored group,
+    and the operator's diagonal holds the shift (diagonal_entry - K(0)) h^d,
+    as the interpolant gives K(0) h^d on the diagonal.  Every other build
+    keeps a dense self class."""
 
-    WEAK = ["2d-weak-gaussian", "3d-leaf-side-p", "2d-n48-leaf16", "2d-n56-leaf-side-below-rank"]
+    WEAK = {case: TestClassSharing.CASES[case] for case in (
+        "2d-weak-gaussian", "3d-n24-leaf-side-6", "2d-n48-leaf16", "2d-n56-leaf-side-below-rank")}
 
-    @pytest.mark.parametrize("case", WEAK)
+    @pytest.mark.parametrize("case", sorted(WEAK))
     @pytest.mark.parametrize("build", [construct, construct_hmatrix], ids=["tucker", "lowrank"])
     def test_self_class_is_one_tucker_class_on_every_box(self, case, build):
         """The finest group is factored and its first class is the self
         class, unturned: by class, on full slices, which need no gather;
         by orbit (the 3D case), an orbit of its own with the identity point
         map on every box in order."""
-        grid, cfg = TestClassSharing.CASES[case]
+        grid, cfg = self.WEAK[case]
         op = build(cfg, grid)
         ((side, cls),) = self_classes(op)
         group = op.chains[0][0]
@@ -977,40 +1015,60 @@ class TestSmoothSelfPair:
             diff = matvec(op, u) - matvec(without, u)
             assert np.abs(diff - a * u).max() <= 1e-14 * np.abs(a * u).max()
 
-    # the benchmark's grids, ranks and leaf sides, gauss2d's and gauss3d's
-    SWEEP = {2: (UniformGrid(2, 512), 8, 16), 3: (UniformGrid(3, 32), 4, 5)}
+    # the benchmark's grids, ranks and leaf sides (gauss2d's and gauss3d's),
+    # and a smaller grid of each: on 64^2 an interpolated self pair on a
+    # leaf box of 12.5 sigma had 3.5 times the error, and in the two-level
+    # tree of 16^3 up to 16.9 times, where the build keeps it dense
+    SWEEP = {
+        "2d-n512": (UniformGrid(2, 512), 8, 16),
+        "2d-n64": (UniformGrid(2, 64), 8, 16),
+        "3d-n32": (UniformGrid(3, 32), 4, 5),
+        "3d-n16": (UniformGrid(3, 16), 4, 4),
+    }
 
-    @pytest.mark.parametrize("d, sigma", [
-        *((d, sigma) for d in (2, 3) for sigma in (0.2, np.sqrt(d))),
-        (2, 0.02), (2, 0.05),
-        # where the leaf box (8 h = 0.25) is many times sigma, the peak on
-        # the self pair's diagonal is where the interpolant is worst:
-        # measured 3.31 and 1.25 times the error of the dense self class
-        *(pytest.param(3, sigma, marks=pytest.mark.xfail(
-            strict=True, reason="the interpolated self pair loses accuracy on a 3D leaf "
-            "box many times wider than sigma")) for sigma in (0.02, 0.05)),
-    ], ids=lambda v: f"{v:g}")
-    def test_full_vector_error_near_that_of_a_dense_self_class(self, d, sigma):
+    @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.2, "sqrt-d"])
+    @pytest.mark.parametrize("case", sorted(SWEEP))
+    def test_full_vector_error_near_that_of_a_dense_self_class(self, case, sigma):
         """Against the circulant product over the whole vector, the error is
         within 1.05 times that of the same operator with its self class
-        swapped back to the build_dense payload, and its shift taken out of
-        the diagonal, on both builders (at most 1.0032 measured where it
-        holds)."""
-        grid, rank, leaf = self.SWEEP[d]
-        cfg = BuildConfig(rank=rank, leaf_side=leaf, rule=AdmissibilityRule.weak(),
-                          kernel=gaussian(sigma), coeff=CoefficientFn.constant(0.0))
+        swapped back to the build_dense payload, on both builders: at most
+        1.0002 measured where the self pair is interpolated (n = 512 at
+        sigma = 0.05 to sqrt(2), n = 64 and n = 32 at sqrt(d))."""
+        grid, rank, leaf = self.SWEEP[case]
+        cfg = weak_gaussian(rank, leaf, np.sqrt(grid.d) if sigma == "sqrt-d" else sigma)
         u = np.random.default_rng(73).standard_normal(grid.num_points)
-        exact = circulant_product(cfg, grid, u)
         for build in (construct, construct_hmatrix):
-            op = build(cfg, grid)
-            ((side, cls),) = self_classes(op)
-            box = IndexBox(((0, side),) * d)
-            swap = (build_dense(cfg.kernel, grid, box, box, cfg.quadrature).matrix
-                    - cls.payload.materialize() - self_shift(cfg, grid) * np.eye(side**d))
-            f = matvec(op, u)
-            dense_self = f + from_box_rows(box_rows(u, grid, side) @ swap.T, grid, side)
-            error, dense_error = (np.linalg.norm(g - exact) for g in (f, dense_self))
-            assert error <= 1.05 * dense_error
+            assert dense_self_error_ratio(build(cfg, grid), u) <= 1.05
+
+    # each condition of the rule on both of its sides: grid, rank, leaf
+    # side, sigma, and whether the self pair is interpolated
+    RULE = {
+        "box-of-sigma": (UniformGrid(2, 64), 8, 16, 0.25, True),
+        "box-wider-than-sigma": (UniformGrid(2, 64), 8, 16, 0.24, False),
+        "three-levels": (UniformGrid(3, 24), 4, 4, np.sqrt(3.0), True),
+        "two-levels": (UniformGrid(3, 16), 4, 4, np.sqrt(3.0), False),
+        "rank-3": (UniformGrid(2, 24), 3, 3, np.sqrt(2.0), True),
+        "rank-2": (UniformGrid(2, 32), 2, 4, np.sqrt(2.0), False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RULE))
+    @pytest.mark.parametrize("build", [construct, construct_hmatrix], ids=["tucker", "lowrank"])
+    def test_rule_on_each_side(self, case, build):
+        """The self class is Tucker with the shift on the diagonal where the
+        rule holds, and dense with a diagonal of a(x) alone where it does
+        not: on a leaf box of sigma and just wider, in trees of three and
+        two levels, at ranks 3 and 2.  Either way the error is within 1.05
+        times that of a dense self class."""
+        grid, rank, leaf, sigma, interpolated = self.RULE[case]
+        cfg = weak_gaussian(rank, leaf, sigma)
+        op = build(cfg, grid)
+        assert interpolates_self(cfg, grid) == interpolated
+        ((_, cls),) = self_classes(op)
+        assert isinstance(cls.payload, TuckerBlock if interpolated else DenseBlock)
+        assert np.array_equal(op.diagonal, [self_shift(cfg, grid)])
+        assert (self_shift(cfg, grid) < 0.0) == interpolated
+        u = np.random.default_rng(74).standard_normal(grid.num_points)
+        assert dense_self_error_ratio(op, u) <= 1.05
 
     OTHERS = {
         "strong-gaussian": (UniformGrid(2, 64), dataclasses.replace(
@@ -1081,21 +1139,21 @@ class TestMatvec:
     @pytest.mark.parametrize("build", [construct, construct_hmatrix],
                              ids=["tucker", "lowrank"])
     def test_3d_self_class_in_shared_sectors_matches_dense_oracle(self, build):
-        """A 3D Gaussian under the strong rule whose leaf side 5 is raised to
-        2p = 8: the self class in four stored sectors of eight, among 27
-        dense classes in sectors (the weak rule interpolates the self
-        pair), over the full vector within rounding of the oracle."""
+        """A 3D Gaussian whose leaf side 5 is raised to 2p = 8: the self class
+        in four stored sectors of eight, and Tucker neighbors, over the full
+        vector within 4x the interpolation error measured (3.9e-5 on both
+        builders)."""
         grid = UniformGrid(3, 16)
-        cfg = BuildConfig(rank=4, leaf_side=5, rule=AdmissibilityRule.strong(np.sqrt(3.0)),
+        cfg = BuildConfig(rank=4, leaf_side=5, rule=AdmissibilityRule.weak(),
                           kernel=gaussian(np.sqrt(3.0)), coeff=CoefficientFn.constant(0.0))
         op = build(cfg, grid)
-        (near,) = [cls.payload for side, offset, cls in class_offsets(op) if not any(offset)]
+        (near,) = [cls.payload for group in op.groups if not group.maps
+                   for cls in group.classes]
         assert near.dims == (0, 1, 2) and near.sectors.shape == (4, 64, 64)
-        assert len(dense_classes(op)) == 27
         dense = dense_assemble(cfg.kernel, cfg.coeff, grid, cfg.quadrature)
         u = np.random.default_rng(41).standard_normal(grid.num_points)
         f, fe = matvec(op, u), dense.matrix @ u
-        assert np.linalg.norm(f - fe) <= 1e-14 * np.linalg.norm(fe)
+        assert np.linalg.norm(f - fe) <= 1.6e-4 * np.linalg.norm(fe)
 
     def test_length_mismatch(self):
         grid = UniformGrid(2, 32)
@@ -1219,7 +1277,8 @@ def cases():
     no dimensions; and a 3D leaf side p, raised to 2p, whose self class in
     sectors of p^3 rows stays on the calling thread.  The one-class near
     fields are the single layer's under the weak rule, as a weak Gaussian
-    interpolates its self pairs and holds no near field."""
+    in a tree of three levels or more interpolates its self pairs and holds
+    no near field."""
     grid = UniformGrid(2, 64)
     slp = BuildConfig(rank=8, leaf_side=16, rule=AdmissibilityRule.strong(np.sqrt(2.0)),
                       kernel=slp_2d(), coeff=CoefficientFn(lambda x: 1e-3 * (1.0 + x[:, 0])))
@@ -1850,8 +1909,9 @@ class TestParitySectors:
             kernel=slp_2d(), coeff=CoefficientFn.constant(0.0))),
         "2d-non-stationary": TestClassSharing.MATVEC_CASES["2d-non-stationary"],
         # TestClassSharing's cases of a configured leaf side p and below the
-        # rank, under the strong rule, as the weak one interpolates a
-        # Gaussian's self pairs
+        # rank, under the strong rule: more dense classes in sectors, where
+        # the weak rule keeps the 3D self class alone and interpolates the
+        # 2D one's self pair
         "3d-strong-leaf-side-p": (UniformGrid(3, 16), dataclasses.replace(
             TestClassSharing.CASES["3d-leaf-side-p"][1],
             rule=AdmissibilityRule.strong(np.sqrt(3.0)))),
