@@ -22,6 +22,7 @@ from .kernels import (
     self_entries,
     triangle_entries,
 )
+from .operators import checked_vector
 
 DENSE_GUARD = 2**15
 
@@ -61,11 +62,19 @@ def _row_oracle(k, coeff, pts, weights, self_values):
     """(rows, u) -> exact rows of f_i = a(x_i) u_i + sum_j K_ij w_j u_j, with
     K_ii from self_values(rows), recomputing kernel rows on demand, as many
     rows at a time as :data:`htlr.kernels.EVAL_CHUNK` evaluations allow (at
-    least one), so memory stays O(N)."""
+    least one), so memory stays O(N).  Row ids must be integers in [0, N),
+    and u a real, finite vector of length N."""
 
     def rows_apply(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        u = np.asarray(u, dtype=np.float64).ravel(order="F")
+        rows = np.asarray(rows).ravel()
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"row ids must be integers, got {rows.dtype}")
+        rows = rows.astype(np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= len(pts)):
+            raise ValueError(f"row ids must lie in [0, {len(pts)})")
+        u = checked_vector(u)
+        if u.size != len(pts):
+            raise ValueError(f"vector length {u.size} != {len(pts)}")
         out = np.empty(rows.size)
         step = max(1, kernels.EVAL_CHUNK // len(pts))
         for start in range(0, rows.size, step):

@@ -2,12 +2,13 @@
 
 A vector sampled on triangle centroids is moved to an auxiliary uniform
 grid by the area-overlap matrix S, multiplied by the hierarchical operator
-there, and moved back by the reverse-overlap matrix T.  Both transfer
-matrices are sparse and row-stochastic whenever the mesh covers the unit
-square.  Every overlap, in S and T and in :func:`overlap_area`, comes from
-one primitive, _cell_overlaps: a sum over the triangle's three edges of
-closed-form integrals of y dx over each column of cells, with no polygon
-clipping.
+there, and moved back by the reverse-overlap matrix T.  Both are one stored
+sparse matrix O of triangle-cell overlap areas: S = m^2 O^T is applied as
+its transpose and T = diag(1 / area) O as it stands, and both are
+row-stochastic whenever the mesh covers the unit square.  Every overlap, in
+O and in :func:`overlap_area`, comes from one primitive, _cell_overlaps: a
+sum over the triangle's three edges of closed-form integrals of y dx over
+each column of cells, with no polygon clipping.
 """
 
 from __future__ import annotations
@@ -192,19 +193,54 @@ def overlap_area(tri, cell) -> float:
 
 @dataclass
 class SparseInterpMatrix:
-    """Row-compressed nonnegative transfer weights."""
+    """A transfer held as the (F, M) CSR matrix O of triangle-cell overlap
+    areas, which the two directions share.  With the triangle areas it is
+    T = diag(1 / areas) O, from grid values to centroid values; without
+    them it is S = m^2 O^T, from centroid values to grid values, applied
+    through scipy's CSC view of O's own three arrays.  Neither stores a
+    matrix of its own: :attr:`matrix` builds one on request."""
 
-    matrix: sp.csr_matrix
+    overlaps: sp.csr_matrix  # O, (F, M)
+    areas: np.ndarray | None = None  # (F,), given for T only
+    # the sparse factor of the product: O for T, its CSC view O^T for S
+    _factor: sp.spmatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._factor = self.overlaps if self.areas is not None else self.overlaps.T
 
     @property
     def cols(self) -> int:
-        return self.matrix.shape[1]
+        return self._factor.shape[1]
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The transfer as a CSR matrix of its own, built on each access."""
+        o = self.overlaps
+        if self.areas is None:
+            return (self._factor * o.shape[1]).tocsr()
+        return sp.csr_matrix(
+            (o.data / np.repeat(self.areas, np.diff(o.indptr)), o.indices, o.indptr),
+            shape=o.shape,
+        )
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        """The transfer applied to ones: 1 on each row the mesh covers."""
+        return self._apply(np.ones(self.cols))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=np.float64)
+        v = checked_vector(v)
+        if v.size != self.cols:
+            raise ValueError(f"transfer takes a vector of length {self.cols}, got {v.size}")
+        return self._apply(v)
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """The product with a flat float64 vector of length cols, unchecked."""
+        out = self._factor @ v
+        if self.areas is None:
+            out *= self.overlaps.shape[1]
+        else:
+            out /= self.areas
+        return out
 
 
 def _overlap_entries(mesh: TriMesh, m_side: int):
@@ -224,7 +260,7 @@ def _overlap_entries(mesh: TriMesh, m_side: int):
     xy = np.take(mesh.vertices.T, mesh.triangles.T, axis=1) * m_side  # (2, 3, F)
     # A triangle sticking out of the grid gets at most one column or row of
     # cells beyond it on each side; those are dropped, so its area outside
-    # is missing from its row sum and _to_quasi reports it.
+    # is missing from its row sum and _checked reports it.
     lo = np.clip(np.floor(xy.min(axis=1)), -1, m_side).astype(np.int64)  # (2, F)
     span = np.clip(np.ceil(xy.max(axis=1)), 0, m_side + 1).astype(np.int64) - lo
     xy -= lo[:, None]
@@ -266,43 +302,41 @@ def _index_dtype(size: int) -> np.dtype:
     return np.promote_types(np.min_scalar_type(-size - 1), np.int32)
 
 
-def _checked_transfer(mat, failure) -> SparseInterpMatrix:
-    bad = np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0) > COVERAGE_TOL
-    if np.any(bad):
-        raise ValueError(f"{int(bad.sum())} {failure}")
-    return SparseInterpMatrix(matrix=mat)
-
-
-def _to_uniform(overlaps) -> SparseInterpMatrix:
-    return _checked_transfer((overlaps.T * overlaps.shape[1]).tocsr(),
-                             "uniform cells are not fully covered by the mesh")
-
-
-def _to_quasi(mesh: TriMesh, overlaps) -> SparseInterpMatrix:
-    tri_areas = np.repeat(mesh.areas, np.diff(overlaps.indptr))
-    return _checked_transfer(
-        sp.csr_matrix((overlaps.data / tri_areas, overlaps.indices, overlaps.indptr),
-                      shape=overlaps.shape),
-        "triangles stick out of the uniform grid",
-    )
+def _checked(*transfers: SparseInterpMatrix) -> None:
+    """Raise one error naming every transfer whose rows do not sum to 1: a T
+    row for each triangle sticking out of the grid, an S row for each cell
+    the mesh leaves uncovered."""
+    faults = []
+    for transfer in transfers:
+        bad = int(np.count_nonzero(np.abs(transfer.row_sums() - 1.0) > COVERAGE_TOL))
+        if bad:
+            faults.append(f"{bad} triangles stick out of the uniform grid"
+                          if transfer.areas is not None else
+                          f"{bad} uniform cells are not fully covered by the mesh")
+    if faults:
+        raise ValueError("; ".join(faults))
 
 
 def quasi_to_uniform(mesh: TriMesh, m_side: int) -> SparseInterpMatrix:
-    """Transfer matrix from centroid values to uniform-grid values; entry
-    (t, i) is the overlap of cell t with triangle i over the cell area."""
-    return _to_uniform(_overlap_entries(mesh, m_side))
+    """Transfer S from centroid values to uniform-grid values; entry (t, i)
+    is the overlap of cell t with triangle i over the cell area."""
+    s_mat = SparseInterpMatrix(_overlap_entries(mesh, m_side))
+    _checked(s_mat)
+    return s_mat
 
 
 def uniform_to_quasi(mesh: TriMesh, m_side: int) -> SparseInterpMatrix:
-    """Transfer matrix from uniform-grid values to centroid values; entry
-    (i, t) is the overlap of triangle i with cell t over the triangle area."""
-    return _to_quasi(mesh, _overlap_entries(mesh, m_side))
+    """Transfer T from uniform-grid values to centroid values; entry (i, t)
+    is the overlap of triangle i with cell t over the triangle area."""
+    t_mat = SparseInterpMatrix(_overlap_entries(mesh, m_side), mesh.areas)
+    _checked(t_mat)
+    return t_mat
 
 
 @dataclass
 class QuasiPipeline:
     """The three-stage forward map: to the uniform grid, hierarchical matvec,
-    back to the centroids."""
+    back to the centroids.  The two transfers hold one overlap matrix."""
 
     to_quasi: SparseInterpMatrix  # (N, M)
     op: HTLRMatrix
@@ -329,7 +363,8 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline
     """Assemble the pipeline for an oversampling ratio rho ~ sqrt(2M/N); the
     uniform side is rounded to the nearest grid that halves evenly down to
     the build's leaf threshold (:func:`htlr.operators._leaf_threshold`) and
-    the exact rho is recomputed."""
+    the exact rho is recomputed.  Both transfers hold the one overlap matrix
+    of _overlap_entries, and both are checked for coverage."""
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("oversampling ratio rho must be finite and positive")
     n_quasi = mesh.num_triangles
@@ -338,8 +373,8 @@ def build_pipeline(mesh: TriMesh, cfg: BuildConfig, rho: float) -> QuasiPipeline
     grid = UniformGrid(2, m_side)
     op = construct(cfg, grid)
     overlaps = _overlap_entries(mesh, m_side)
-    s_mat = _to_uniform(overlaps)
-    t_mat = _to_quasi(mesh, overlaps)
+    s_mat, t_mat = SparseInterpMatrix(overlaps), SparseInterpMatrix(overlaps, mesh.areas)
+    _checked(s_mat, t_mat)
     exact_rho = float(np.sqrt(2.0 * m_side * m_side / n_quasi))
     return QuasiPipeline(
         to_quasi=t_mat, op=op, to_uniform=s_mat, m_side=m_side, rho=exact_rho
@@ -350,4 +385,4 @@ def apply_pipeline(pipe: QuasiPipeline, u: np.ndarray) -> np.ndarray:
     u = checked_vector(u)
     if u.size != pipe.to_uniform.cols:
         raise ValueError("vector length does not match the mesh")
-    return pipe.to_quasi.apply(matvec(pipe.op, pipe.to_uniform.apply(u)))
+    return pipe.to_quasi._apply(matvec(pipe.op, pipe.to_uniform._apply(u)))

@@ -203,6 +203,64 @@ class TestRowOracleMemory:
         assert peak <= 6 * 8 * kernels.EVAL_CHUNK
 
 
+class TestRowOracleInput:
+    """Row ids outside [0, N) or not integers, and a u that is complex,
+    non-finite or of the wrong length, are errors, not rows N - 1 or 2 or a
+    dropped imaginary part."""
+
+    @staticmethod
+    def oracle(kind):
+        coeff, cfg = CoefficientFn.constant(0.5), QuadratureConfig()
+        if kind == "exact":
+            return 64, exact_row_evaluator(gaussian(1.0), coeff, UniformGrid(2, 8), cfg)
+        return 32, quasi_row_evaluator(gaussian(1.0), coeff, structured_trimesh(4), cfg)
+
+    @pytest.mark.parametrize("kind", ["exact", "quasi"])
+    @pytest.mark.parametrize("row", [-1, "size"])
+    def test_row_out_of_range_rejected(self, kind, row):
+        size, rows_fn = self.oracle(kind)
+        row = size if row == "size" else row
+        with pytest.raises(ValueError, match=rf"\[0, {size}\)"):
+            rows_fn(np.array([0, row]), np.ones(size))
+
+    @pytest.mark.parametrize("kind", ["exact", "quasi"])
+    @pytest.mark.parametrize("rows", [[2.7], [2.0], [True]])
+    def test_row_not_integer_rejected(self, kind, rows):
+        size, rows_fn = self.oracle(kind)
+        with pytest.raises(ValueError, match="integers"):
+            rows_fn(np.array(rows), np.ones(size))
+
+    @pytest.mark.parametrize("kind", ["exact", "quasi"])
+    def test_complex_u_rejected(self, kind):
+        size, rows_fn = self.oracle(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex"):
+                rows_fn(np.arange(3), np.full(size, 1.0 + 2.0j))
+
+    @pytest.mark.parametrize("kind", ["exact", "quasi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_u_rejected(self, kind, bad):
+        size, rows_fn = self.oracle(kind)
+        u = np.ones(size)
+        u[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            rows_fn(np.arange(3), u)
+
+    @pytest.mark.parametrize("kind", ["exact", "quasi"])
+    def test_wrong_length_u_rejected(self, kind):
+        size, rows_fn = self.oracle(kind)
+        with pytest.raises(ValueError, match=f"!= {size}"):
+            rows_fn(np.arange(3), np.ones(size + 1))
+
+    @pytest.mark.parametrize("kind", ["exact", "quasi"])
+    def test_list_of_rows_and_no_rows_accepted(self, kind):
+        size, rows_fn = self.oracle(kind)
+        u = np.random.default_rng(33).standard_normal(size)
+        assert np.array_equal(rows_fn([size - 1, 0], u), rows_fn(np.array([size - 1, 0]), u))
+        assert rows_fn([], u).shape == (0,)
+
+
 class TestSthosvd:
     def test_exact_rank_recovery(self):
         rng = np.random.default_rng(30)

@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -462,6 +463,66 @@ class TestTransferMatrices:
             uniform_to_quasi(shifted, 16)
 
 
+class TestTransferInput:
+    """A transfer keeps matvec's input contract: complex or non-finite input
+    and a wrong length are errors, the length error naming the size."""
+
+    @pytest.fixture(params=["S", "T"])
+    def transfer(self, request):
+        build = quasi_to_uniform if request.param == "S" else uniform_to_quasi
+        return build(structured_trimesh(8), 16)
+
+    def test_complex_input_rejected(self, transfer):
+        with pytest.raises(ValueError, match="complex"):
+            transfer.apply(np.full(transfer.cols, 1.0 + 2.0j))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, transfer, bad):
+        v = np.ones(transfer.cols)
+        v[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            transfer.apply(v)
+
+    def test_wrong_length_names_the_expected_size(self, transfer):
+        assert transfer.cols in (128, 256)
+        with pytest.raises(ValueError, match=f"length {transfer.cols}, got 7"):
+            transfer.apply(np.zeros(7))
+
+    def test_list_input_applied(self, transfer):
+        v = np.random.default_rng(4).random(transfer.cols)
+        assert np.array_equal(transfer.apply(list(v)), transfer.matrix @ v)
+
+
+def identity_cfg() -> BuildConfig:
+    """A build whose operator is the identity: a zero kernel, a(x) = 1."""
+    zero = custom(lambda x, y: np.zeros(np.broadcast(x, y).shape[:-1]))
+    return BuildConfig(rank=4, leaf_side=8, rule=AdmissibilityRule.weak(),
+                       kernel=zero, coeff=CoefficientFn.constant(1.0))
+
+
+def owned_bytes(root) -> int:
+    """Bytes of the distinct buffers reachable from `root` through
+    attributes, dicts and sequences, each view counted as the array that
+    owns its memory: what a resident-memory count sums."""
+    seen, owners, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return sum(a.nbytes for a in owners.values())
+
+
 class TestPipeline:
     def test_transfers_match_public_builders(self):
         mesh = perturbed_mesh(16, seed=1)
@@ -477,6 +538,37 @@ class TestPipeline:
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
+
+    def test_transfers_hold_one_overlap_matrix(self):
+        mesh = perturbed_mesh(16, seed=1)
+        pipe = build_pipeline(mesh, identity_cfg(), rho=1.5)
+        s_over, t_over = pipe.to_uniform.overlaps, pipe.to_quasi.overlaps
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(s_over, name), getattr(t_over, name))
+        # the overlaps count once in the walk, beside the triangle areas
+        held = s_over.data.nbytes + s_over.indices.nbytes + s_over.indptr.nbytes
+        held += mesh.areas.nbytes
+        assert owned_bytes([pipe.to_uniform, pipe.to_quasi]) == held
+        assert owned_bytes(pipe) == owned_bytes(pipe.op) + held
+
+    def test_applied_transfers_match_public_builders(self):
+        # m = 48: m^2 is no power of two, so S's scale rounds; every output
+        # is within a few ulps of the builders' matrix products (measured 4)
+        mesh = perturbed_mesh(32, seed=3)
+        pipe = build_pipeline(mesh, identity_cfg(), rho=1.5)
+        assert pipe.m_side == 48
+        rng = np.random.default_rng(5)
+        for transfer, mat in ((pipe.to_uniform, quasi_to_uniform(mesh, 48).matrix),
+                              (pipe.to_quasi, uniform_to_quasi(mesh, 48).matrix)):
+            x = rng.standard_normal(transfer.cols)
+            scale = abs(mat) @ np.abs(x)
+            assert np.all(np.abs(transfer.apply(x) - mat @ x) <= 8 * np.spacing(scale))
+
+    def test_shifted_mesh_raises_both_coverage_errors(self):
+        mesh = structured_trimesh(8)
+        shifted = TriMesh(vertices=mesh.vertices + [0.01, 0.0], triangles=mesh.triangles)
+        with pytest.raises(ValueError, match="cells are not fully covered.*triangles stick out"):
+            build_pipeline(shifted, identity_cfg(), rho=1.5)
 
     @pytest.mark.parametrize("rho", [0.0, -2.0, np.nan])
     def test_non_positive_or_nan_rho_rejected(self, rho):
